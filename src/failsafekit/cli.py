@@ -118,10 +118,15 @@ def _grid_for(sys_specs, args) -> np.ndarray:
             raise ValidationError("need 0 <= x-min < x-max")
         lo = args.x_min if args.x_min > 0 else args.x_max / args.points
         return np.linspace(lo, args.x_max, args.points)
-    grids = [default_grid(s, args.points) for s in sys_specs]
+    return _bulk_grid(sys_specs, args.points)
+
+
+def _bulk_grid(sys_specs, points: int) -> np.ndarray:
+    """Log-spaced grid spanning every system's own mixture-bulk grid."""
+    grids = [default_grid(s, points) for s in sys_specs]
     lo = min(g[0] for g in grids)
     hi = max(g[-1] for g in grids)
-    return np.geomspace(lo, hi, args.points)
+    return np.geomspace(lo, hi, points)
 
 
 def _emit_figures(out_dir: str) -> int:
@@ -130,9 +135,7 @@ def _emit_figures(out_dir: str) -> int:
         sys_x, sys_y = pair_fn()
         xs = grid_fn()
         if xs is None:
-            gx = default_grid(sys_x, 1000)
-            gy = default_grid(sys_y, 1000)
-            xs = np.geomspace(min(gx[0], gy[0]), max(gx[-1], gy[-1]), 1000)
+            xs = _bulk_grid((sys_x, sys_y), 1000)
         vx = survival_x2n(sys_x, xs)
         vy = survival_x2n(sys_y, xs)
         write_curve_csv(

@@ -1,6 +1,6 @@
 """Monte-Carlo oracle: frailty sampling of Archimedean dependence,
-lifetime inversion through the semi-parametric families, and empirical
-order-statistic survival.
+closed-form lifetime inversion through the log-survival of the
+semi-parametric families, and empirical order-statistic survival.
 
 Sampling uses numpy's Philox counter-based generator, so batches are
 reproducible from a 64-bit seed alone (cross-language ports can match
@@ -26,11 +26,8 @@ import numpy as np
 
 from .errors import UnsupportedGeneratorError, ValidationError
 from .generators import GeneratorSpec, psi
-from .models import sp_survival, support_start
+from .models import sp_inverse_log_survival
 from .systems import SystemSpec
-
-#: Absolute x-resolution of the lifetime inversion.
-INVERSION_XTOL = 1e-10
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -112,33 +109,17 @@ def sample_copula(g: GeneratorSpec, n: int, count: int, seed: int) -> SampleBatc
     return SampleBatch(uniforms=u, seed=int(seed), generator=g)
 
 
-def _invert_survival(model, u: np.ndarray, theta: float) -> np.ndarray:
-    """Monotone bisection: x with sp_survival(model, x, theta) = u."""
-    lo = np.full(u.shape, support_start(model, theta))
-    hi = lo + 1.0
-    for _ in range(200):
-        need = sp_survival(model, hi, theta) > u
-        if not np.any(need):
-            break
-        hi = np.where(need, lo + (hi - lo) * 2.0, hi)
-        if np.any(hi > 1e300):
-            raise ValidationError("inversion bracket failure: survival never reaches target")
-    else:
-        raise ValidationError("inversion bracket failure: survival never reaches target")
-    while np.max(hi - lo) > INVERSION_XTOL:
-        mid = 0.5 * (lo + hi)
-        above = sp_survival(model, mid, theta) > u
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def sample_lifetimes(sys: SystemSpec, count: int, seed: int) -> np.ndarray:
-    """count x n lifetimes whose marginal i has survival sp_survival(., theta_i)."""
+    """count x n lifetimes whose marginal i has survival sp_survival(., theta_i).
+
+    Each uniform u is inverted in closed form through log u; models with an
+    atom at 0 (location theta < 0, ls lambda < 0) put it on 0 exactly.
+    """
     batch = sample_copula(sys.generator, sys.n, count, seed)
-    out = np.empty_like(batch.uniforms)
+    logs = np.log(batch.uniforms)
+    out = np.empty_like(logs)
     for j, theta in enumerate(sys.theta):
-        out[:, j] = _invert_survival(sys.model, batch.uniforms[:, j], theta)
+        out[:, j] = np.maximum(sp_inverse_log_survival(sys.model, logs[:, j], theta), 0.0)
     return out
 
 

@@ -1,8 +1,10 @@
 """Baseline lifetime distributions and semi-parametric survival transforms.
 
-Baselines expose log-survival, log-density, hazard and quantiles in closed
-form (gen_gamma and gamma route through scipy's regularized incomplete
-gamma, whose log-gamma backend meets a 1e-12 relative accuracy standard).
+Baselines expose log-survival and its inverse, log-density and hazard in
+closed form (gen_gamma and gamma route through scipy's regularized
+incomplete gamma, whose log-gamma backend meets a 1e-12 relative accuracy
+standard).  Quantiles and Monte-Carlo lifetimes both come from the
+inverse log-survival, so neither rounds a tail probability to 1.
 The semi-parametric kinds map a baseline survival F(x) to F(x; theta):
 
     scale      F(theta x)                                theta > 0
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv, gammaincc, gammaln
+from scipy.special import gammaincc, gammainccinv, gammaln
 
 from .errors import ValidationError
 
@@ -161,35 +163,51 @@ def hazard(b: BaselineSpec, x):
     return out if np.ndim(x) else float(out)
 
 
-def quantile(b: BaselineSpec, prob):
-    """Inverse cdf on (0, 1)."""
+def _log1mexp(a):
+    """log(1 - e^a) for a <= 0, accurate at both ends."""
+    return np.where(a > -np.log(2.0), np.log(-np.expm1(a)), np.log1p(-np.exp(a)))
+
+
+def inverse_log_sf(b: BaselineSpec, ls):
+    """x >= 0 with log_sf(b, x) = ls, for ls <= 0."""
+    ls = np.asarray(ls, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        if b.family == "exponential":
+            (rate,) = b.params
+            out = -ls / rate
+        elif b.family == "weibull":
+            a, bb = b.params
+            out = a * (-ls) ** (1.0 / bb)
+        elif b.family == "exp_weibull":
+            al, be = b.params
+            out = (-_log1mexp(_log1mexp(ls) / be)) ** (1.0 / al)
+        elif b.family == "burr":
+            c, k = b.params
+            out = np.expm1(-ls / k) ** (1.0 / c)
+        elif b.family == "gen_pareto":
+            (al,) = b.params
+            out = np.expm1(-al * ls) / al
+        elif b.family == "gen_gamma":
+            p, q = b.params
+            out = gammainccinv(q / p, np.exp(ls)) ** (1.0 / p)
+        elif b.family == "gamma":
+            sh, rate = b.params
+            out = gammainccinv(sh, np.exp(ls)) / rate
+        else:  # pragma: no cover
+            raise ValidationError(b.family)
+    return out if np.ndim(out) else float(out)
+
+
+def _check_prob(prob) -> np.ndarray:
     p = np.asarray(prob, dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValidationError("quantile probability must lie in (0, 1)")
-    if b.family == "exponential":
-        (rate,) = b.params
-        out = -np.log1p(-p) / rate
-    elif b.family == "weibull":
-        a, bb = b.params
-        out = a * (-np.log1p(-p)) ** (1.0 / bb)
-    elif b.family == "exp_weibull":
-        al, be = b.params
-        out = (-np.log1p(-(p ** (1.0 / be)))) ** (1.0 / al)
-    elif b.family == "burr":
-        c, k = b.params
-        out = ((1.0 - p) ** (-1.0 / k) - 1.0) ** (1.0 / c)
-    elif b.family == "gen_pareto":
-        (al,) = b.params
-        out = ((1.0 - p) ** (-al) - 1.0) / al
-    elif b.family == "gen_gamma":
-        pp, q = b.params
-        out = gammaincinv(q / pp, p) ** (1.0 / pp)
-    elif b.family == "gamma":
-        sh, rate = b.params
-        out = gammaincinv(sh, p) / rate
-    else:  # pragma: no cover
-        raise ValidationError(b.family)
-    return out if np.ndim(prob) else float(out)
+    return p
+
+
+def quantile(b: BaselineSpec, prob):
+    """Inverse cdf on (0, 1)."""
+    return inverse_log_sf(b, np.log1p(-_check_prob(prob)))
 
 
 _KINDS = ("scale", "phr", "location", "mphrs", "ls")
@@ -304,37 +322,35 @@ def sp_log_survival(m: SemiParamModel, x, theta: float):
     return out if np.ndim(x) else float(out)
 
 
-def sp_quantile(m: SemiParamModel, prob, theta: float):
-    """Inverse cdf of the transformed model."""
+def sp_inverse_log_survival(m: SemiParamModel, ls, theta: float):
+    """x with sp_log_survival(m, x, theta) = ls, for ls <= 0.
+
+    Where the transform shifts mass below 0 (location with theta < 0, ls
+    with lam < 0), ls above log F(0; theta) maps to a negative x; lifetime
+    samplers clamp it to 0.
+    """
     _check_theta(m, theta)
-    p = np.asarray(prob, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValidationError("quantile probability must lie in (0, 1)")
+    ls = np.asarray(ls, dtype=float)
     if m.kind == "scale":
-        out = quantile(m.baseline, p) / theta
+        out = inverse_log_sf(m.baseline, ls) / theta
     elif m.kind == "phr":
-        # F(x)^theta = 1 - p
-        out = quantile(m.baseline, -np.expm1(np.log1p(-p) / theta))
+        out = inverse_log_sf(m.baseline, ls / theta)
     elif m.kind == "location":
-        out = quantile(m.baseline, p) + theta
+        out = inverse_log_sf(m.baseline, ls) + theta
     elif m.kind == "mphrs":
-        s = 1.0 - p
-        w = s / (m.alpha + (1.0 - m.alpha) * s)
-        out = quantile(m.baseline, -np.expm1(np.log(w) / m.lam)) / theta
+        # log w = ls - log(alpha + (1 - alpha) e^ls), w = F(x mu)^lam
+        lw = ls - np.log1p((1.0 - m.alpha) * np.expm1(ls))
+        out = inverse_log_sf(m.baseline, lw / m.lam) / theta
     elif m.kind == "ls":
-        out = m.lam + quantile(m.baseline, p) / theta
+        out = m.lam + inverse_log_sf(m.baseline, ls) / theta
     else:  # pragma: no cover
         raise ValidationError(m.kind)
-    return out if np.ndim(prob) else float(out)
+    return out if np.ndim(out) else float(out)
 
 
-def support_start(m: SemiParamModel, theta: float) -> float:
-    """Largest x at/below which the transformed survival is identically 1."""
-    if m.kind == "location":
-        return max(theta, 0.0)
-    if m.kind == "ls":
-        return max(m.lam, 0.0)
-    return 0.0
+def sp_quantile(m: SemiParamModel, prob, theta: float):
+    """Inverse cdf of the transformed model."""
+    return sp_inverse_log_survival(m, np.log1p(-_check_prob(prob)), theta)
 
 
 @dataclass(frozen=True)

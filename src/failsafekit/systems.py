@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .generators import GeneratorSpec, SURVIVAL_FLOOR, phi, psi
 from .gridpolicy import GridPolicy
-from .models import SemiParamModel, sp_quantile, sp_survival
+from .models import SemiParamModel, sp_survival
 
 #: Values this close to the [0, 1] bounds are clamped onto them.
 CLAMP_TOL = 1e-10
@@ -146,10 +146,7 @@ def survival_x1n(sys: SystemSpec, x):
 def default_grid(sys: SystemSpec, points: int = 1000,
                  q_lo: float = 0.001, q_hi: float = 0.999) -> np.ndarray:
     """Log-spaced grid over the mixture bulk of the component lifetimes."""
-    los = [sp_quantile(sys.model, q_lo, t) for t in sys.theta]
-    his = [sp_quantile(sys.model, q_hi, t) for t in sys.theta]
-    lo, hi = min(los), max(his)
-    return np.geomspace(max(lo, hi * 1e-9), hi, points)
+    return GridPolicy(curve_points=points, q_lo=q_lo, q_hi=q_hi).curve_grid(sys.model, sys.theta)
 
 
 def curve(sys: SystemSpec, xs=None, policy: GridPolicy | None = None) -> SurvivalCurve:

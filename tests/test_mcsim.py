@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -139,12 +141,38 @@ def test_lifetime_reproducibility():
 
 
 def test_inversion_resolution():
-    # bisection output matches the closed-form quantile to the x tolerance
+    # sampled lifetimes match the exponential quantile of the same uniforms
     sysd = scale_exp_system(GeneratorSpec("independence"), (2.0,  0.5))
     lt = sample_lifetimes(sysd, 5000, seed=31)
     u = sample_copula(sysd.generator, 2, 5000, seed=31).uniforms
     exact = -np.log(u) / np.array([2.0, 0.5])[None, :]
     assert np.max(np.abs(lt - exact)) < 1e-9
+
+
+def test_heavy_tail_inversion_is_fast_and_exact():
+    # burr(1, 0.5) draws lifetimes above 5e5, where one float ulp exceeds
+    # an absolute x-resolution of 1e-10
+    m = SemiParamModel("scale", BaselineSpec("burr", (1.0, 0.5)))
+    sysd = SystemSpec(3, m, (0.5, 1.0, 2.0), GeneratorSpec("gumbel", 1.5))
+    start = time.perf_counter()
+    lt = sample_lifetimes(sysd, 20_000, seed=41)
+    assert time.perf_counter() - start < 1.0
+    u = sample_copula(sysd.generator, 3, 20_000, seed=41).uniforms
+    for j, theta in enumerate(sysd.theta):
+        assert np.all(np.abs(sp_survival(m, lt[:, j], theta) - u[:, j]) <= 1e-10 * u[:, j]), j
+
+
+def test_location_atom_at_zero():
+    # theta = -0.5 leaves mass 1 - F(0.5) below 0; it must land on 0 exactly
+    m = SemiParamModel("location", BaselineSpec("weibull", (1.0, 0.8)))
+    sysd = SystemSpec(3, m, (-0.5, 0.2, 1.0), GeneratorSpec("clayton", 2.0))
+    count = 20_000
+    lt = sample_lifetimes(sysd, count, seed=42)
+    assert np.all(lt >= 0.0)
+    dkw = np.sqrt(np.log(2.0 / 1e-3) / (2.0 * count))
+    atom = 1.0 - sp_survival(m, 0.0, -0.5)
+    assert abs(np.mean(lt[:, 0] == 0.0) - atom) <= dkw
+    assert np.all(lt[:, 1] >= 0.2) and np.all(lt[:, 2] >= 1.0)
 
 
 # --------------------------------------------------- empirical survival

@@ -7,19 +7,22 @@ from scipy.integrate import quad
 
 from failsafekit import (
     BaselineSpec,
+    GeneratorSpec,
     SemiParamModel,
+    SystemSpec,
     ValidationError,
     check_dfr,
     check_dpfr,
     check_theorem1_condition2,
     check_theorem2_condition2,
+    default_grid,
     hazard,
     quantile,
     sf,
     sp_quantile,
     sp_survival,
 )
-from failsafekit.models import pdf, sp_log_survival
+from failsafekit.models import pdf, sp_inverse_log_survival, sp_log_survival
 
 ALL_BASELINES = [
     BaselineSpec("exponential", (1.3,)),
@@ -159,6 +162,34 @@ def test_sp_quantile_roundtrip(kind, fixed, theta):
     ps = np.linspace(0.01, 0.99, 40)
     xs = sp_quantile(m, ps, theta)
     assert_allclose(1.0 - sp_survival(m, xs, theta), ps, rtol=1e-9, atol=1e-10)
+
+
+_SP_KINDS = [
+    ("scale", {}, 0.8), ("phr", {}, 1.4), ("phr", {}, 0.1), ("location", {}, 0.6),
+    ("mphrs", {"alpha": 0.5, "lam": 2.0}, 1.1), ("ls", {"lam": 1.0}, 0.7),
+]
+
+
+@pytest.mark.parametrize("b", ALL_BASELINES, ids=_ids)
+def test_inverse_log_survival_over_sampler_range(b):
+    # every uniform the copula sampler can emit maps back to its survival
+    u = np.geomspace(1e-15, 1.0 - 1e-16, 300)
+    for kind, fixed, theta in _SP_KINDS:
+        m = SemiParamModel(kind, b, **fixed)
+        xs = sp_inverse_log_survival(m, np.log(u), theta)
+        assert np.all(np.isfinite(xs)), kind
+        assert np.all(np.abs(sp_survival(m, xs, theta) - u) <= 1e-10 * u), kind
+
+
+def test_phr_quantile_with_small_theta_stays_finite():
+    # 1 - (1-p)^(1/theta) rounds to 1 in cdf space; log space does not
+    m = SemiParamModel("phr", BaselineSpec("exponential", (1.0,)))
+    x = sp_quantile(m, 0.999, 0.1)
+    assert math.isfinite(x)
+    assert x == pytest.approx(-math.log(0.001) / 0.1, rel=1e-12)
+    sysd = SystemSpec(3, m, (0.1, 1.0, 2.0), GeneratorSpec("clayton", 1.0))
+    xs = default_grid(sysd, 200)
+    assert np.all(np.isfinite(xs)) and xs[-1] == pytest.approx(x, rel=1e-12)
 
 
 def test_theta_domain_enforced():
