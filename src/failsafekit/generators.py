@@ -32,24 +32,15 @@ SURVIVAL_FLOOR = 1e-300
 #: row sums of capped values stay finite in float64.
 PHI_CAP = 1e300
 
+#: family -> (lo, hi, lo_closed, hi_closed) of its parameter range
 _RANGES = {
-    "independence": (None, None),
-    "clayton": (0.0, math.inf),
-    "gumbel": (1.0, math.inf),
-    "frank": (0.0, math.inf),
-    "amh": (-1.0, 1.0),
-    "gumbel_barnett": (0.0, 1.0),
-    "gumbel_hougaard": (1.0, math.inf),
-}
-
-# closed interval ends per family: (lo_closed, hi_closed)
-_CLOSED = {
-    "clayton": (False, False),
-    "gumbel": (True, False),
-    "frank": (False, False),
-    "amh": (True, False),
-    "gumbel_barnett": (False, True),
-    "gumbel_hougaard": (False, False),
+    "independence": None,
+    "clayton": (0.0, math.inf, False, False),
+    "gumbel": (1.0, math.inf, True, False),
+    "frank": (0.0, math.inf, False, False),
+    "amh": (-1.0, 1.0, True, False),
+    "gumbel_barnett": (0.0, 1.0, False, True),
+    "gumbel_hougaard": (1.0, math.inf, False, False),
 }
 
 FAMILIES = tuple(_RANGES)
@@ -57,7 +48,11 @@ FAMILIES = tuple(_RANGES)
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """An Archimedean generator family with its dependence parameter."""
+    """An Archimedean generator family with its dependence parameter.
+
+    Construction checks the parameter range only: inside its range every
+    family has psi(0) = 1, psi nonincreasing and psi decaying.
+    """
 
     family: str
     theta: float | None = None
@@ -71,8 +66,7 @@ class GeneratorSpec:
             return
         if self.theta is None or not np.isfinite(self.theta):
             raise ValidationError(f"{self.family} requires a finite theta")
-        lo, hi = _RANGES[self.family]
-        lo_c, hi_c = _CLOSED[self.family]
+        lo, hi, lo_c, hi_c = _RANGES[self.family]
         ok_lo = self.theta >= lo if lo_c else self.theta > lo
         ok_hi = self.theta <= hi if hi_c else self.theta < hi
         if not (ok_lo and ok_hi):
@@ -80,24 +74,6 @@ class GeneratorSpec:
                 f"{self.family} parameter {self.theta} outside its range "
                 f"{'[' if lo_c else '('}{lo}, {hi}{']' if hi_c else ')'}"
             )
-        # numeric boundary probe: psi(0)=1, strictly decreasing on the grid
-        # (psi(inf)=0 is family-guaranteed; clayton's power tail decays slowly)
-        ts = np.geomspace(1e-6, 50.0, 24)
-        vals = psi(self, ts)
-        if abs(psi(self, 0.0) - 1.0) > 1e-12:
-            raise ValidationError(f"{self.family}({self.theta}): psi(0) != 1")
-        if np.any(np.diff(vals) > 1e-12):
-            raise ValidationError(f"{self.family}({self.theta}): psi not decreasing")
-        if vals[-1] > 0.999:
-            raise ValidationError(f"{self.family}({self.theta}): psi does not decay")
-
-    @property
-    def range_tag(self) -> str | None:
-        """Which published branch an amh parameter falls in (it appears in
-        both the log-concave [-1,0] and log-convex [0,1) catalogs)."""
-        if self.family != "amh":
-            return None
-        return "log_concave_branch" if self.theta <= 0.0 else "log_convex_branch"
 
     def to_json(self) -> dict:
         out = {"family": self.family}
@@ -119,6 +95,25 @@ def _as_nonneg_t(t):
     return arr
 
 
+def _frank_log_base(th: float, t: np.ndarray) -> np.ndarray:
+    """log(1 + c e^-t) with c = expm1(-th), shaped like t.
+
+    Where c e^-t <= -1/2 the sum cancels, so there it is formed as
+    1 - e^-t + e^(-th-t) in log space; at t = 0 that is exactly -th, which
+    keeps psi(0) = 1 for every theta.
+    """
+    flat = t.reshape(-1)
+    out = np.expm1(-th) * np.exp(-flat)
+    far = out <= -0.5
+    np.log1p(out, out=out)
+    # in place on the far subset, which is most of a frailty sample
+    nt = -flat[far]
+    lg = np.expm1(nt)
+    np.log(np.negative(lg, out=lg), out=lg)
+    out[far] = np.logaddexp(lg, np.subtract(nt, th, out=nt), out=lg)
+    return out.reshape(t.shape)
+
+
 def log_psi(g: GeneratorSpec, t):
     """log psi(t), computed in closed form so it never underflows."""
     arr = _as_nonneg_t(t)
@@ -131,8 +126,7 @@ def log_psi(g: GeneratorSpec, t):
         elif g.family == "gumbel":
             out = -(arr ** (1.0 / th))
         elif g.family == "frank":
-            c = np.expm1(-th)
-            out = np.log(-np.log1p(c * np.exp(-arr))) - np.log(th)
+            out = np.log(-_frank_log_base(th, arr)) - np.log(th)
         elif g.family == "amh":
             out = np.log1p(-th) - (arr + np.log1p(-th * np.exp(-arr)))
         elif g.family == "gumbel_barnett":
@@ -158,7 +152,7 @@ def phi(g: GeneratorSpec, u):
     if np.any(arr <= 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr)):
         raise ValidationError("u must lie in (0, 1]")
     th = g.theta
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         if g.family == "independence":
             out = -np.log(arr)
         elif g.family == "clayton":
@@ -166,7 +160,10 @@ def phi(g: GeneratorSpec, u):
         elif g.family == "gumbel":
             out = (-np.log(arr)) ** th
         elif g.family == "frank":
-            out = -np.log(np.expm1(-th * arr) / np.expm1(-th))
+            # the ratio rounds to 1 once theta*u is large: there, subtract logs
+            near = -np.log(np.expm1(-th * arr) / np.expm1(-th))
+            far = np.log1p(-np.exp(-th)) - np.log1p(-np.exp(-th * arr))
+            out = np.where(th * arr < math.log(2.0), near, far)
         elif g.family == "amh":
             out = np.log((1.0 - th * (1.0 - arr)) / arr)
         elif g.family == "gumbel_barnett":
@@ -196,9 +193,8 @@ def psi_prime(g: GeneratorSpec, t):
         elif g.family == "gumbel":
             out = p * (-(1.0 / th) * arr ** (1.0 / th - 1.0))
         elif g.family == "frank":
-            c = np.expm1(-th)
-            ce = c * np.exp(-arr)
-            out = ce / (th * (1.0 + ce))
+            ce = np.expm1(-th) * np.exp(-arr)
+            out = ce / (th * np.exp(_frank_log_base(th, arr)))
         elif g.family == "amh":
             et = np.exp(arr)
             out = -(1.0 - th) * et / (et - th) ** 2

@@ -23,7 +23,6 @@ class GridPolicy:
     param_points: int = 100
     q_lo: float = 0.001
     q_hi: float = 0.999
-    x_range: tuple[float, float] | None = None
     dominance_tol: float = 1e-10
     crossing_gap: float = 1e-8
     shape_tol: float = 1e-9
@@ -34,16 +33,9 @@ class GridPolicy:
             raise ValidationError("grid point counts too small")
         if not (0.0 < self.q_lo < self.q_hi < 1.0):
             raise ValidationError("quantile range must satisfy 0 < q_lo < q_hi < 1")
-        if self.x_range is not None:
-            lo, hi = self.x_range
-            if not (0.0 <= lo < hi):
-                raise ValidationError("x_range must be an increasing pair of nonneg reals")
 
     def curve_grid(self, model: SemiParamModel, *theta_vectors) -> np.ndarray:
         """Log-spaced lifetime grid over the mixture bulk of all components."""
-        if self.x_range is not None:
-            lo, hi = self.x_range
-            return np.geomspace(max(lo, hi * 1e-9), hi, self.curve_points)
         los, his = [], []
         for thetas in theta_vectors:
             for th in thetas:

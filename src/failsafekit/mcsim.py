@@ -15,7 +15,8 @@ with E_i unit exponentials and V the family's positive factor:
 
 Generators without such a representation (gumbel_barnett,
 gumbel_hougaard, amh with theta < 0) raise UnsupportedGeneratorError:
-a declared limitation, never a silent approximation.
+a declared limitation, never a silent approximation.  So does frank above
+FRANK_THETA_MAX, whose frailty outgrows float64.
 """
 
 from __future__ import annotations
@@ -26,8 +27,12 @@ import numpy as np
 
 from .errors import UnsupportedGeneratorError, ValidationError
 from .generators import GeneratorSpec, psi
-from .models import sp_inverse_log_survival
+from .models import _log1mexp, sp_inverse_log_survival
 from .systems import SystemSpec
+
+#: Largest frank theta the sampler takes: above it the logarithmic-series
+#: frailty outgrows float64 and psi(E/V) would round to 1.
+FRANK_THETA_MAX = 700.0
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -54,16 +59,20 @@ def _sample_positive_stable(alpha: float, count: int, rng) -> np.ndarray:
     )
 
 
-def _sample_log_series(p: float, count: int, rng) -> np.ndarray:
-    """Kemp's sampler for P(V=k) = -p^k / (k log(1-p)), k = 1, 2, ..."""
-    r = np.log1p(-p)
+def _sample_log_series(r: float, count: int, rng) -> np.ndarray:
+    """Kemp's sampler for P(V=k) = -p^k / (k log(1-p)), k = 1, 2, ...
+
+    The parameter is r = log(1 - p) < 0, so p near 1 (frank's
+    p = 1 - e^-theta) keeps its precision.
+    """
+    p = -np.expm1(r)
     v = rng.random(count)
     u = rng.random(count)
     out = np.ones(count)
     big = v < p
     q = -np.expm1(u[big] * r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.floor(1.0 + np.log(v[big]) / np.log(q))
+        k = np.floor(1.0 + np.log(v[big]) / _log1mexp(u[big] * r))
     out[big] = np.where(v[big] < q * q, k, np.where(v[big] <= q, 2.0, 1.0))
     return out
 
@@ -86,7 +95,12 @@ def sample_copula(g: GeneratorSpec, n: int, count: int, seed: int) -> SampleBatc
             v = _sample_positive_stable(1.0 / g.theta, count, rng)
             u = psi(g, e / v[:, None])
     elif g.family == "frank":
-        v = _sample_log_series(-float(np.expm1(-g.theta)), count, rng)
+        if g.theta > FRANK_THETA_MAX:
+            raise UnsupportedGeneratorError(
+                f"frank sampling needs theta <= {FRANK_THETA_MAX:g}; "
+                "use the analytic survival path instead"
+            )
+        v = _sample_log_series(-g.theta, count, rng)
         u = psi(g, e / v[:, None])
     elif g.family == "amh":
         if g.theta < 0.0:

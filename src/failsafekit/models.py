@@ -402,36 +402,31 @@ def _convexity_violation(xs: np.ndarray, values: np.ndarray) -> float:
     return float(np.max(-d / scale))
 
 
-def check_dfr(b: BaselineSpec, x_grid=None, tol: float = 1e-9) -> ShapeVerdict:
-    """Decreasing failure rate: hazard nonincreasing on the grid."""
+def _check_rate(prop: str, b: BaselineSpec, x_grid, tol: float) -> ShapeVerdict:
+    """hazard (dfr) or x*hazard (dpfr) nonincreasing on the grid; points
+    where it is not finite are dropped."""
     xs = default_x_grid(b) if x_grid is None else np.asarray(x_grid, dtype=float)
     if xs.size < 100:
-        raise ValidationError("DFR probe needs at least 100 grid points")
+        raise ValidationError(f"{prop.upper()} probe needs at least 100 grid points")
     if np.any(xs <= 0.0):
-        raise ValidationError("DFR probe grid must be positive")
-    h = hazard(b, xs)
-    if not np.all(np.isfinite(h)):
-        keep = np.isfinite(h)
-        xs, h = xs[keep], h[keep]
-    worst = _monotone_violation(h, "nonincreasing")
-    return ShapeVerdict("dfr", worst <= tol, worst, tol,
-                        f"hazard on {xs.size} points in [{xs[0]:.3g}, {xs[-1]:.3g}]")
+        raise ValidationError(f"{prop.upper()} probe grid must be positive")
+    v = xs * hazard(b, xs) if prop == "dpfr" else hazard(b, xs)
+    keep = np.isfinite(v)
+    xs, v = xs[keep], v[keep]
+    worst = _monotone_violation(v, "nonincreasing")
+    label = "x*hazard" if prop == "dpfr" else "hazard"
+    return ShapeVerdict(prop, worst <= tol, worst, tol,
+                        f"{label} on {xs.size} points in [{xs[0]:.3g}, {xs[-1]:.3g}]")
+
+
+def check_dfr(b: BaselineSpec, x_grid=None, tol: float = 1e-9) -> ShapeVerdict:
+    """Decreasing failure rate: hazard nonincreasing on the grid."""
+    return _check_rate("dfr", b, x_grid, tol)
 
 
 def check_dpfr(b: BaselineSpec, x_grid=None, tol: float = 1e-9) -> ShapeVerdict:
     """Decreasing proportional failure rate: x*hazard(x) nonincreasing."""
-    xs = default_x_grid(b) if x_grid is None else np.asarray(x_grid, dtype=float)
-    if xs.size < 100:
-        raise ValidationError("DPFR probe needs at least 100 grid points")
-    if np.any(xs <= 0.0):
-        raise ValidationError("DPFR probe grid must be positive")
-    v = xs * hazard(b, xs)
-    if not np.all(np.isfinite(v)):
-        keep = np.isfinite(v)
-        xs, v = xs[keep], v[keep]
-    worst = _monotone_violation(v, "nonincreasing")
-    return ShapeVerdict("dpfr", worst <= tol, worst, tol,
-                        f"x*hazard on {xs.size} points in [{xs[0]:.3g}, {xs[-1]:.3g}]")
+    return _check_rate("dpfr", b, x_grid, tol)
 
 
 def _active_window(logs: np.ndarray) -> slice:

@@ -1,10 +1,12 @@
 """Stochastic-order verdicts between systems.
 
 Grid dominance, crossing detection, hazard-ratio monotonicity, the
-hypothesis verifiers for the two comparison theorems and the two model
-propositions, and a finite-difference probe of the Schur-convexity
-inequality their proofs rely on.
+hypothesis verifiers, and a finite-difference probe of the
+Schur-convexity inequality their proofs rely on.
 
+Each comparison result (the two theorems and the two model propositions)
+is a row of ``ROUTES``, run by the one engine ``verify``;
+``verify_theorem1`` and its three siblings are wrappers naming a row.
 Verifiers never claim dominance from hypotheses alone: when every
 hypothesis verifies they evaluate both curves and confirm on the grid,
 escalating disagreement as InconsistencyError.  The implementation is its
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -148,168 +151,139 @@ class ConditionReport:
         }
 
 
-def _structural_checks(sysX: SystemSpec, sysY: SystemSpec) -> list[HypothesisCheck]:
-    same_gen = sysX.generator == sysY.generator
-    same_model = sysX.model == sysY.model and sysX.n == sysY.n
-    return [
-        HypothesisCheck("shared_generator", same_gen,
+@dataclass(frozen=True)
+class _Route:
+    """One comparison result: which hypotheses to probe and how.
+
+    ``log_concave`` picks the generator hypothesis (else log-convex);
+    ``probe(model, xs, policy, theta_x, theta_y)`` returns the shape
+    verdict, reported as ``survival_shape`` or, for a row with a ``kind``,
+    ``baseline_dpfr``; ``kind`` restricts both systems to one shared model
+    of that kind; ``x_min(model)`` is the lower end of the dominance grid.
+    """
+
+    log_concave: bool
+    probe: Callable
+    preorder: Preorder
+    kind: str | None = None
+    x_min: Callable | None = None
+
+
+def _theorem1_probe(m, xs, pol, tx, ty):
+    return check_theorem1_condition2(m, xs, pol.a_grid(tx, ty), pol.shape_tol)
+
+
+def _theorem2_probe(m, xs, pol, tx, ty):
+    return check_theorem2_condition2(m, xs, pol.theta_grid(tx, ty), pol.shape_tol)
+
+
+def _dpfr_probe(m, xs, pol, tx, ty):
+    return check_dpfr(m.baseline, xs, pol.shape_tol)
+
+
+#: The two comparison theorems and the two model propositions.  Probes call
+#: module-level names at run time, so call-site wrappers see every call.
+ROUTES = {
+    "theorem1": _Route(True, _theorem1_probe, Preorder.P_LARGER),
+    "theorem2": _Route(False, _theorem2_probe, Preorder.RECIPROCAL_MAJORIZE),
+    "prop_mphrs": _Route(True, _dpfr_probe, Preorder.P_LARGER, kind="mphrs"),
+    "prop_ls": _Route(True, _dpfr_probe, Preorder.P_LARGER, kind="ls",
+                      x_min=lambda m: m.lam),
+}
+
+
+def verify(
+    route: str,
+    sysX: SystemSpec,
+    sysY: SystemSpec,
+    policy: GridPolicy | None = None,
+) -> ConditionReport:
+    """Probe the hypotheses of ``ROUTES[route]`` and confirm its conclusion.
+
+    Checks, in order: shared generator, shared model, generator log-shape,
+    survival/baseline shape, parameter preorder.  If all hold, both curves
+    are evaluated on the policy grid (above ``x_min``) and X must dominate
+    Y or tie; anything else raises InconsistencyError with the report.
+    """
+    row = ROUTES[route]
+    policy = policy or GridPolicy()
+    mx, my = sysX.model, sysY.model
+    if row.kind is not None:
+        if mx.kind != row.kind or my.kind != row.kind:
+            raise ValidationError(f"both systems must use the {row.kind} kind")
+        if mx != my:
+            raise ValidationError(f"mismatched fixed {row.kind} parameters")
+        if row.kind == "mphrs" and not (0.0 < mx.alpha <= 1.0):
+            raise ValidationError("fixed alpha must lie in (0, 1]")
+    shape = classify_log_shape(sysX.generator)
+    gen_check, gen_ok = (("generator_log_concave", is_log_concave) if row.log_concave
+                         else ("generator_log_convex", is_log_convex))
+    if all(t > 0.0 for t in sysX.theta + sysY.theta):
+        v = row.probe(mx, policy.shape_x_grid(mx), policy, sysX.theta, sysY.theta)
+        shape_ok = (v.holds, f"{v.property}: worst violation {v.worst_violation:.3e}")
+        order_ok = (holds(row.preorder, sysX.theta, sysY.theta, policy.preorder_tol),
+                    f"{sysX.theta} vs {sysY.theta}")
+    else:
+        shape_ok = (False, "nonpositive theta")
+        order_ok = (False, f"{row.preorder.value} needs positive thetas")
+    checks = (
+        HypothesisCheck("shared_generator", sysX.generator == sysY.generator,
                         f"{sysX.generator.to_json()} vs {sysY.generator.to_json()}"),
-        HypothesisCheck("shared_model", same_model,
-                        f"{sysX.model.kind}/n={sysX.n} vs {sysY.model.kind}/n={sysY.n}"),
-    ]
-
-
-def _confirm_dominance(name, checks, sysX, sysY, policy, x_min=None) -> ConditionReport:
+        HypothesisCheck("shared_model", mx == my and sysX.n == sysY.n,
+                        f"{mx.kind}/n={sysX.n} vs {my.kind}/n={sysY.n}"),
+        HypothesisCheck(gen_check, gen_ok(shape),
+                        f"shape={shape.shape.value}, curvature in "
+                        f"[{shape.min_curvature:.3e}, {shape.max_curvature:.3e}]"),
+        HypothesisCheck("survival_shape" if row.kind is None else "baseline_dpfr",
+                        *shape_ok),
+        HypothesisCheck(row.preorder.value, *order_ok),
+    )
     overall = all(c.holds for c in checks)
-    dominance = None
-    if overall:
-        xs = policy.curve_grid(sysX.model, sysX.theta, sysY.theta)
-        if x_min is not None:
-            xs = xs[xs > x_min]
-            if xs.size < 2:
-                raise ValidationError("dominance grid collapsed above the threshold")
-        cx = curve(sysX, xs)
-        cy = curve(sysY, xs)
-        dominance = compare_curves(cx, cy, policy.dominance_tol, policy.crossing_gap)
-        report = ConditionReport(name, tuple(checks), overall, dominance)
-        if dominance.relation not in (Relation.X_DOMINATES_Y, Relation.TIES_WITHIN_TOL):
-            raise InconsistencyError(
-                f"{name}: hypotheses verified but dominance failed "
-                f"({dominance.relation.value}, min gap {dominance.min_gap:.3e})",
-                report,
-            )
-        return report
-    return ConditionReport(name, tuple(checks), overall, dominance)
+    if not overall:
+        return ConditionReport(route, checks, overall, None)
+    xs = policy.curve_grid(mx, sysX.theta, sysY.theta)
+    if row.x_min is not None:
+        xs = xs[xs > row.x_min(mx)]
+        if xs.size < 2:
+            raise ValidationError("dominance grid collapsed above the threshold")
+    dominance = compare_curves(curve(sysX, xs), curve(sysY, xs),
+                               policy.dominance_tol, policy.crossing_gap)
+    report = ConditionReport(route, checks, overall, dominance)
+    if dominance.relation not in (Relation.X_DOMINATES_Y, Relation.TIES_WITHIN_TOL):
+        raise InconsistencyError(
+            f"{route}: hypotheses verified but dominance failed "
+            f"({dominance.relation.value}, min gap {dominance.min_gap:.3e})",
+            report,
+        )
+    return report
 
 
 def verify_theorem1(
-    sysX: SystemSpec,
-    sysY: SystemSpec,
-    policy: GridPolicy | None = None,
+    sysX: SystemSpec, sysY: SystemSpec, policy: GridPolicy | None = None
 ) -> ConditionReport:
-    """Log-concave generator + shape condition + p-larger => X dominates.
-
-    All four hypotheses are probed numerically; if they verify, dominance
-    is confirmed on the grid (raising InconsistencyError when it fails).
-    """
-    policy = policy or GridPolicy()
-    checks = _structural_checks(sysX, sysY)
-    shape = classify_log_shape(sysX.generator)
-    checks.append(HypothesisCheck(
-        "generator_log_concave", is_log_concave(shape),
-        f"shape={shape.shape.value}, curvature in [{shape.min_curvature:.3e}, {shape.max_curvature:.3e}]",
-    ))
-    positive = all(t > 0.0 for t in sysX.theta + sysY.theta)
-    if positive:
-        verdict = check_theorem1_condition2(
-            sysX.model,
-            policy.shape_x_grid(sysX.model),
-            policy.a_grid(sysX.theta, sysY.theta),
-            policy.shape_tol,
-        )
-        checks.append(HypothesisCheck(
-            "survival_shape", verdict.holds,
-            f"{verdict.property}: worst violation {verdict.worst_violation:.3e}",
-        ))
-        checks.append(HypothesisCheck(
-            "p_larger", holds(Preorder.P_LARGER, sysX.theta, sysY.theta, policy.preorder_tol),
-            f"{sysX.theta} vs {sysY.theta}",
-        ))
-    else:
-        checks.append(HypothesisCheck("survival_shape", False, "nonpositive theta"))
-        checks.append(HypothesisCheck("p_larger", False, "p-larger needs positive thetas"))
-    return _confirm_dominance("theorem1", checks, sysX, sysY, policy)
+    """Log-concave generator + shape condition + p-larger => X dominates."""
+    return verify("theorem1", sysX, sysY, policy)
 
 
 def verify_theorem2(
-    sysX: SystemSpec,
-    sysY: SystemSpec,
-    policy: GridPolicy | None = None,
+    sysX: SystemSpec, sysY: SystemSpec, policy: GridPolicy | None = None
 ) -> ConditionReport:
     """Log-convex generator + shape condition + reciprocal majorization."""
-    policy = policy or GridPolicy()
-    checks = _structural_checks(sysX, sysY)
-    shape = classify_log_shape(sysX.generator)
-    checks.append(HypothesisCheck(
-        "generator_log_convex", is_log_convex(shape),
-        f"shape={shape.shape.value}, curvature in [{shape.min_curvature:.3e}, {shape.max_curvature:.3e}]",
-    ))
-    positive = all(t > 0.0 for t in sysX.theta + sysY.theta)
-    if positive:
-        verdict = check_theorem2_condition2(
-            sysX.model,
-            policy.shape_x_grid(sysX.model),
-            policy.theta_grid(sysX.theta, sysY.theta),
-            policy.shape_tol,
-        )
-        checks.append(HypothesisCheck(
-            "survival_shape", verdict.holds,
-            f"{verdict.property}: worst violation {verdict.worst_violation:.3e}",
-        ))
-        checks.append(HypothesisCheck(
-            "reciprocal_majorize",
-            holds(Preorder.RECIPROCAL_MAJORIZE, sysX.theta, sysY.theta, policy.preorder_tol),
-            f"{sysX.theta} vs {sysY.theta}",
-        ))
-    else:
-        checks.append(HypothesisCheck("survival_shape", False, "nonpositive theta"))
-        checks.append(HypothesisCheck("reciprocal_majorize", False,
-                                      "reciprocal majorization needs positive thetas"))
-    return _confirm_dominance("theorem2", checks, sysX, sysY, policy)
+    return verify("theorem2", sysX, sysY, policy)
 
 
 def verify_prop_mphrs(
-    sysX: SystemSpec,
-    sysY: SystemSpec,
-    policy: GridPolicy | None = None,
+    sysX: SystemSpec, sysY: SystemSpec, policy: GridPolicy | None = None
 ) -> ConditionReport:
-    """Frailty-scale model route: log-concave generator + baseline DPFR +
-    p-larger rate-scale vectors."""
-    policy = policy or GridPolicy()
-    for s in (sysX, sysY):
-        if s.model.kind != "mphrs":
-            raise ValidationError("both systems must use the mphrs kind")
-    if sysX.model != sysY.model:
-        raise ValidationError("mismatched fixed mphrs parameters")
-    if not (0.0 < sysX.model.alpha <= 1.0):
-        raise ValidationError("fixed alpha must lie in (0, 1]")
-    checks = _structural_checks(sysX, sysY)
-    shape = classify_log_shape(sysX.generator)
-    checks.append(HypothesisCheck(
-        "generator_log_concave", is_log_concave(shape), f"shape={shape.shape.value}"))
-    dpfr = check_dpfr(sysX.model.baseline, policy.shape_x_grid(sysX.model), policy.shape_tol)
-    checks.append(HypothesisCheck(
-        "baseline_dpfr", dpfr.holds, f"worst violation {dpfr.worst_violation:.3e}"))
-    checks.append(HypothesisCheck(
-        "p_larger", holds(Preorder.P_LARGER, sysX.theta, sysY.theta, policy.preorder_tol),
-        f"{sysX.theta} vs {sysY.theta}"))
-    return _confirm_dominance("prop_mphrs", checks, sysX, sysY, policy)
+    """mphrs model: log-concave generator + baseline DPFR + p-larger."""
+    return verify("prop_mphrs", sysX, sysY, policy)
 
 
 def verify_prop_ls(
-    sysX: SystemSpec,
-    sysY: SystemSpec,
-    policy: GridPolicy | None = None,
+    sysX: SystemSpec, sysY: SystemSpec, policy: GridPolicy | None = None
 ) -> ConditionReport:
-    """Location-scale model route; dominance is confirmed on x > lambda."""
-    policy = policy or GridPolicy()
-    for s in (sysX, sysY):
-        if s.model.kind != "ls":
-            raise ValidationError("both systems must use the ls kind")
-    if sysX.model != sysY.model:
-        raise ValidationError("mismatched fixed location")
-    checks = _structural_checks(sysX, sysY)
-    shape = classify_log_shape(sysX.generator)
-    checks.append(HypothesisCheck(
-        "generator_log_concave", is_log_concave(shape), f"shape={shape.shape.value}"))
-    dpfr = check_dpfr(sysX.model.baseline, policy.shape_x_grid(sysX.model), policy.shape_tol)
-    checks.append(HypothesisCheck(
-        "baseline_dpfr", dpfr.holds, f"worst violation {dpfr.worst_violation:.3e}"))
-    checks.append(HypothesisCheck(
-        "p_larger", holds(Preorder.P_LARGER, sysX.theta, sysY.theta, policy.preorder_tol),
-        f"{sysX.theta} vs {sysY.theta}"))
-    return _confirm_dominance("prop_ls", checks, sysX, sysY, policy,
-                              x_min=sysX.model.lam)
+    """Location-scale model, same hypotheses; dominance is confirmed on x > lambda."""
+    return verify("prop_ls", sysX, sysY, policy)
 
 
 def schur_condition_probe(

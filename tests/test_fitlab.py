@@ -210,6 +210,22 @@ def test_cvm_boot_n_floor():
         cvm_gof("clayton", pseudo_observations(u), boot_n=10, seed=1)
 
 
+@pytest.mark.parametrize("theta,seed", [(6.0, 3), (8.0, 0)])
+def test_cvm_frank_replicates_with_strong_dependence(theta, seed):
+    # 6 x 20 frank samples whose bootstrap replicates refit theta above 13,
+    # where 1 + (e^-theta - 1) e^-t cancels near t = 0
+    u = sample_copula(GeneratorSpec("frank", theta), 6, 20, seed).uniforms
+    res = cvm_gof("frank", pseudo_observations(u), boot_n=100, seed=seed)
+    assert 0.0 <= res.p_value <= 1.0 and res.bootstrap_n == 100
+
+
+def test_cvm_frank_sample_beyond_float_p():
+    # at theta = 40 the frailty's p = 1 - e^-theta rounds to 1 in float64
+    u = sample_copula(GeneratorSpec("frank", 40.0), 3, 60, seed=1).uniforms
+    res = cvm_gof("frank", pseudo_observations(u), boot_n=100, seed=1)
+    assert 25.0 < res.theta < 60.0 and 0.0 <= res.p_value <= 1.0
+
+
 # --------------------------------------------------------------- subsets
 def _subset_system(thetas, gen):
     m = SemiParamModel("scale", BaselineSpec("exp_weibull", (0.9, 0.9)))

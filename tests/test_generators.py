@@ -75,7 +75,7 @@ def test_phi_roundtrip_random():
     ranges = {
         "clayton": (0.05, 10.0),
         "gumbel": (1.0, 8.0),
-        "frank": (0.1, 10.0),
+        "frank": (0.1, 500.0),
         "amh": (-1.0, 0.95),
         "gumbel_barnett": (0.05, 1.0),
         "gumbel_hougaard": (1.05, 6.0),
@@ -197,10 +197,46 @@ def test_classify_rejects_bad_grid():
         classify_log_shape(g, grid_points=10)
 
 
-def test_amh_range_tag():
-    assert GeneratorSpec("amh", -0.4).range_tag == "log_concave_branch"
-    assert GeneratorSpec("amh", 0.4).range_tag == "log_convex_branch"
-    assert GeneratorSpec("clayton", 1.0).range_tag is None
+@pytest.mark.parametrize(
+    "family,theta",
+    [
+        ("independence", None),
+        ("clayton", 0.05), ("clayton", 50.0),
+        ("gumbel", 1.0), ("gumbel", 20.0),
+        ("frank", 0.1), ("frank", 500.0),
+        ("amh", -1.0), ("amh", 0.99),
+        ("gumbel_barnett", 0.05), ("gumbel_barnett", 1.0),
+        ("gumbel_hougaard", 1.01), ("gumbel_hougaard", 10.0),
+    ],
+)
+def test_catalog_range_ends_are_generators(family, theta):
+    # what the catalog ranges guarantee, checked at both ends of the range
+    # callers reach: psi(0) = 1, psi nonincreasing, psi decays
+    g = GeneratorSpec(family, theta)
+    vals = psi(g, np.geomspace(1e-6, 50.0, 24))
+    assert abs(psi(g, 0.0) - 1.0) <= 1e-12
+    assert np.all(np.diff(vals) <= 1e-12)
+    assert vals[-1] < 0.999
+
+
+@pytest.mark.parametrize("theta", [15.0, 40.0, 500.0])
+def test_frank_exact_near_zero(theta):
+    # log(1 + (e^-theta - 1) e^-t) cancels near t = 0 once theta is large;
+    # psi and psi' must stay accurate there (reference: 50-digit mpmath)
+    mp = pytest.importorskip("mpmath")
+    g = GeneratorSpec("frank", theta)
+    ts = np.concatenate([[0.0], np.geomspace(1e-10, 60.0, 80)])
+    assert psi(g, 0.0) == 1.0
+    got, got_d = psi(g, ts), psi_prime(g, ts)
+    with mp.workdps(50):
+        th = mp.mpf(theta)
+        for t, v, d in zip(ts, got, got_d):
+            tt = mp.mpf(float(t))
+            base = -mp.expm1(-tt) + mp.exp(-th - tt)
+            want = -mp.log(base) / th
+            want_d = mp.expm1(-th) * mp.exp(-tt) / (th * base)
+            assert abs(v - want) <= 1e-14 * abs(want), (t, v)
+            assert abs(d - want_d) <= 1e-14 * abs(want_d), (t, d)
 
 
 # ------------------------------------------------------------ validity

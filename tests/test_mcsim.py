@@ -19,6 +19,7 @@ from failsafekit import (
     sp_survival,
     survival_x2n,
 )
+from failsafekit.fitlab import frank_tau
 from failsafekit.mcsim import _sample_log_series, _sample_positive_stable
 
 N_BIG = 100_000
@@ -83,10 +84,21 @@ def test_marginals_uniform_and_joint_law_matches_copula(g):
     ("gumbel_barnett", 0.5),
     ("gumbel_hougaard", 2.0),
     ("amh", -0.5),
+    ("frank", 800.0),
 ])
 def test_unsupported_families_raise(family, theta):
     with pytest.raises(UnsupportedGeneratorError):
         sample_copula(GeneratorSpec(family, theta), 2, 10, seed=0)
+
+
+@pytest.mark.parametrize("theta", [40.0, 500.0])
+def test_frank_sampler_with_strong_dependence(theta):
+    # p = 1 - e^-theta rounds to 1 here; the log-series frailty must not
+    u = sample_copula(GeneratorSpec("frank", theta), 2, 4000, seed=8).uniforms
+    assert u.max() < 1.0 - 1e-15
+    assert stats.kstest(u[:, 0], "uniform").pvalue > 0.001
+    tau = stats.kendalltau(u[:, 0], u[:, 1]).statistic
+    assert tau == pytest.approx(frank_tau(theta), abs=0.01)
 
 
 def test_positive_stable_laplace_transform():
@@ -101,7 +113,7 @@ def test_positive_stable_laplace_transform():
 def test_log_series_pmf():
     rng = np.random.Generator(np.random.Philox(12))
     p = 0.8
-    v = _sample_log_series(p, 400_000, rng)
+    v = _sample_log_series(np.log1p(-p), 400_000, rng)
     norm = -1.0 / np.log1p(-p)
     for k in range(1, 7):
         want = norm * p ** k / k
