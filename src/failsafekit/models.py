@@ -5,23 +5,26 @@ closed form (gen_gamma and gamma route through scipy's regularized
 incomplete gamma, whose log-gamma backend meets a 1e-12 relative accuracy
 standard).  Quantiles and Monte-Carlo lifetimes both come from the
 inverse log-survival, so neither rounds a tail probability to 1.
-The semi-parametric kinds map a baseline survival F(x) to F(x; theta):
+The semi-parametric kinds map a baseline survival F(x) to F(x; theta)
+through one table (a, c, p), with log F(x; theta) = p log F(a (x - c)):
 
-    scale      F(theta x)                                theta > 0
-    phr        F(x)^theta                                theta > 0
-    location   F(x - theta)                              theta real
-    mphrs      alpha F(x mu)^lam / (1 - (1-alpha) F(x mu)^lam)
-               with mu = theta > 0 and fixed alpha > 0, lam > 0
-    ls         F(theta (x - lam))                        theta > 0, fixed lam
+    scale      (theta, 0, 1)      F(theta x)                theta > 0
+    phr        (1, 0, theta)      F(x)^theta                theta > 0
+    location   (1, theta, 1)      F(x - theta)              theta real
+    mphrs      (theta, 0, lam)    w = F(theta x)^lam, then
+               alpha w / (1 - (1-alpha) w), fixed alpha > 0, lam > 0
+    ls         (theta, lam, 1)    F(theta (x - lam))        theta > 0, fixed lam
 
-Shape checks certify monotonicity/convexity on finite probe grids; their
-verdicts feed the comparison-result verifiers.  Everything is pure and
-reentrant; model values are immutable.
+theta may be an array that broadcasts against x, so one call evaluates a
+whole (parameter x lifetime) matrix.  Shape checks certify
+monotonicity/convexity on finite probe grids, vectorised over that
+matrix; their verdicts feed the comparison-result verifiers.  Everything
+is pure and reentrant; model values are immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import gammaincc, gammainccinv, gammaln
@@ -74,13 +77,9 @@ class BaselineSpec:
         return cls(family=obj["family"], params=tuple(obj["params"]))
 
 
-def _pos(x):
-    return np.maximum(np.asarray(x, dtype=float), 0.0)
-
-
 def log_sf(b: BaselineSpec, x):
     """log survival; 0 for x <= 0 (lifetimes are nonnegative)."""
-    t = _pos(x)
+    t = np.maximum(np.asarray(x, dtype=float), 0.0)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         if b.family == "exponential":
             (rate,) = b.params
@@ -237,27 +236,20 @@ class SemiParamModel:
                 raise ValidationError("ls requires a finite fixed lambda")
             if self.alpha is not None:
                 raise ValidationError("ls takes no alpha")
-        else:
-            if self.alpha is not None or self.lam is not None:
-                raise ValidationError(f"{self.kind} takes no fixed parameters")
+        elif self.alpha is not None or self.lam is not None:
+            raise ValidationError(f"{self.kind} takes no fixed parameters")
 
-    def theta_in_domain(self, theta: float) -> bool:
-        if not np.isfinite(theta):
-            return False
-        if self.kind == "location":
-            return True
-        return theta > 0.0
+    def theta_in_domain(self, theta):
+        """Whether theta (elementwise for an array) is finite, and positive
+        unless the kind is location."""
+        t = np.asarray(theta, dtype=float)
+        return np.isfinite(t) & ((t > 0.0) | (self.kind == "location"))
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "baseline": self.baseline.to_json()}
-        fixed = {}
-        if self.alpha is not None:
-            fixed["alpha"] = self.alpha
-        if self.lam is not None:
-            fixed["lambda"] = self.lam
-        if fixed:
-            out["fixed"] = fixed
-        return out
+        pairs = (("alpha", self.alpha), ("lambda", self.lam))
+        fixed = {k: v for k, v in pairs if v is not None}
+        return {**out, "fixed": fixed} if fixed else out
 
     @classmethod
     def from_json(cls, obj: dict) -> "SemiParamModel":
@@ -272,79 +264,60 @@ class SemiParamModel:
         )
 
 
-def _check_theta(m: SemiParamModel, theta: float):
-    if not m.theta_in_domain(theta):
-        raise ValidationError(f"theta {theta} outside the {m.kind} domain")
+def _kind_map(m: SemiParamModel, theta):
+    """(a, c, p) with log F(x; theta) = p log_sf(b, a (x - c)) before the mphrs
+    alpha map; theta may be an array that broadcasts against x."""
+    t = np.asarray(theta, dtype=float)
+    ok = m.theta_in_domain(t)
+    if not ok.all():
+        raise ValidationError(f"theta {t[~ok][:3].tolist()} outside the {m.kind} domain")
+    return {
+        "scale": (t, 0.0, 1.0),
+        "phr": (1.0, 0.0, t),
+        "location": (1.0, t, 1.0),
+        "mphrs": (t, 0.0, m.lam),
+        "ls": (t, m.lam, 1.0),
+    }[m.kind]
 
 
-def sp_survival(m: SemiParamModel, x, theta: float):
+def _log_w(m: SemiParamModel, x, theta):
+    a, c, p = _kind_map(m, theta)
+    return p * log_sf(m.baseline, a * (np.asarray(x, dtype=float) - c))
+
+
+def sp_survival(m: SemiParamModel, x, theta):
     """Transformed survival F(x; theta), in [0, 1] and nonincreasing in x."""
-    _check_theta(m, theta)
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.isnan(arr)):
+    if np.any(np.isnan(np.asarray(x, dtype=float))):
         raise ValidationError("x contains NaN")
-    if m.kind == "scale":
-        out = sf(m.baseline, theta * arr)
-    elif m.kind == "phr":
-        with np.errstate(under="ignore"):
-            out = np.exp(theta * log_sf(m.baseline, arr))
-    elif m.kind == "location":
-        out = sf(m.baseline, arr - theta)
-    elif m.kind == "mphrs":
-        with np.errstate(under="ignore"):
-            w = np.exp(m.lam * log_sf(m.baseline, arr * theta))
-        out = m.alpha * w / (1.0 - (1.0 - m.alpha) * w)
-    elif m.kind == "ls":
-        out = sf(m.baseline, theta * (arr - m.lam))
-    else:  # pragma: no cover
-        raise ValidationError(m.kind)
-    return out if np.ndim(x) else float(out)
+    with np.errstate(under="ignore"):
+        out = np.exp(_log_w(m, x, theta))
+    if m.kind == "mphrs":
+        out = m.alpha * out / (1.0 - (1.0 - m.alpha) * out)
+    return out if np.ndim(out) else float(out)
 
 
-def sp_log_survival(m: SemiParamModel, x, theta: float):
+def sp_log_survival(m: SemiParamModel, x, theta):
     """log F(x; theta), exact in the tails."""
-    _check_theta(m, theta)
-    arr = np.asarray(x, dtype=float)
-    if m.kind == "scale":
-        out = log_sf(m.baseline, theta * arr)
-    elif m.kind == "phr":
-        out = theta * log_sf(m.baseline, arr)
-    elif m.kind == "location":
-        out = log_sf(m.baseline, arr - theta)
-    elif m.kind == "mphrs":
-        lw = m.lam * log_sf(m.baseline, arr * theta)
+    out = _log_w(m, x, theta)
+    if m.kind == "mphrs":
         with np.errstate(under="ignore"):
-            out = np.log(m.alpha) + lw - np.log1p(-(1.0 - m.alpha) * np.exp(lw))
-    elif m.kind == "ls":
-        out = log_sf(m.baseline, theta * (arr - m.lam))
-    else:  # pragma: no cover
-        raise ValidationError(m.kind)
-    return out if np.ndim(x) else float(out)
+            out = np.log(m.alpha) + out - np.log1p(-(1.0 - m.alpha) * np.exp(out))
+    return out if np.ndim(out) else float(out)
 
 
-def sp_inverse_log_survival(m: SemiParamModel, ls, theta: float):
+def sp_inverse_log_survival(m: SemiParamModel, ls, theta):
     """x with sp_log_survival(m, x, theta) = ls, for ls <= 0.
 
     Where the transform shifts mass below 0 (location with theta < 0, ls
     with lam < 0), ls above log F(0; theta) maps to a negative x; lifetime
     samplers clamp it to 0.
     """
-    _check_theta(m, theta)
+    a, c, p = _kind_map(m, theta)
     ls = np.asarray(ls, dtype=float)
-    if m.kind == "scale":
-        out = inverse_log_sf(m.baseline, ls) / theta
-    elif m.kind == "phr":
-        out = inverse_log_sf(m.baseline, ls / theta)
-    elif m.kind == "location":
-        out = inverse_log_sf(m.baseline, ls) + theta
-    elif m.kind == "mphrs":
+    if m.kind == "mphrs":
         # log w = ls - log(alpha + (1 - alpha) e^ls), w = F(x mu)^lam
-        lw = ls - np.log1p((1.0 - m.alpha) * np.expm1(ls))
-        out = inverse_log_sf(m.baseline, lw / m.lam) / theta
-    elif m.kind == "ls":
-        out = m.lam + inverse_log_sf(m.baseline, ls) / theta
-    else:  # pragma: no cover
-        raise ValidationError(m.kind)
+        ls = ls - np.log1p((1.0 - m.alpha) * np.expm1(ls))
+    out = c + inverse_log_sf(m.baseline, ls / p) / a
     return out if np.ndim(out) else float(out)
 
 
@@ -368,13 +341,7 @@ class ShapeVerdict:
     probe: str
 
     def to_json(self) -> dict:
-        return {
-            "property": self.property,
-            "holds": self.holds,
-            "worst_violation": self.worst_violation,
-            "tol": self.tol,
-            "probe": self.probe,
-        }
+        return asdict(self)
 
 
 def default_x_grid(b: BaselineSpec, points: int = 200, q_lo: float = 0.001, q_hi: float = 0.999):
@@ -383,23 +350,36 @@ def default_x_grid(b: BaselineSpec, points: int = 200, q_lo: float = 0.001, q_hi
     return np.geomspace(max(lo, hi * 1e-12), hi, points)
 
 
-def _monotone_violation(values: np.ndarray, direction: str) -> float:
-    """Largest signed breach of nonincreasing/nondecreasing, scale-relative."""
-    d = np.diff(values)
-    scale = 1.0 + np.abs(values[:-1]) + np.abs(values[1:])
-    if direction == "nonincreasing":
-        return float(np.max(d / scale)) if d.size else 0.0
-    return float(np.max(-d / scale)) if d.size else 0.0
+def _monotone_violation(values: np.ndarray, sign: float, axis: int) -> np.ndarray:
+    """Per-line largest signed breach of monotonicity along ``axis``,
+    scale-relative: sign +1 probes nonincreasing, -1 nondecreasing."""
+    v = np.moveaxis(values, axis, -1)
+    d = np.diff(v)
+    scale = 1.0 + np.abs(v[..., :-1]) + np.abs(v[..., 1:])
+    return np.max(sign * d / scale, axis=-1, initial=-np.inf)
 
 
-def _convexity_violation(xs: np.ndarray, values: np.ndarray) -> float:
-    """Largest signed breach of slope monotonicity (convexity), scale-relative."""
-    slopes = np.diff(values) / np.diff(xs)
-    if slopes.size < 2:
-        return 0.0
-    d = np.diff(slopes)
-    scale = 1.0 + np.abs(slopes[:-1]) + np.abs(slopes[1:])
-    return float(np.max(-d / scale))
+def _convexity_violation(t: np.ndarray, logs: np.ndarray, axis: int) -> np.ndarray:
+    """Per-line largest signed breach of slope monotonicity (convexity) along
+    ``axis``, scale-relative, on each line's active window: from its first to
+    its last point where the survival is strictly inside (0, 1) and above
+    LOG_FLOOR.  A window of fewer than 3 points gives -inf."""
+    v = np.moveaxis(logs, axis, -1)
+    ok = (v < -1e-12) & (v > np.log(LOG_FLOOR)) & np.isfinite(v)
+    reach = np.logical_or.accumulate
+    win = reach(ok, -1) & reach(ok[..., ::-1], -1)[..., ::-1]
+    with np.errstate(invalid="ignore"):  # non-finite logs outside the window
+        slopes = np.diff(v) / np.diff(t)
+        d = np.diff(slopes)
+        viol = -d / (1.0 + np.abs(slopes[..., :-1]) + np.abs(slopes[..., 1:]))
+    return np.max(viol, axis=-1, where=win[..., :-2] & win[..., 2:], initial=-np.inf)
+
+
+def _worst(lines) -> float:
+    """Largest per-line violation; lines reading NaN are skipped and a result
+    that is not finite reads 0."""
+    worst = np.fmax.reduce(np.ravel(lines), initial=-np.inf)
+    return float(worst) if np.isfinite(worst) else 0.0
 
 
 def _check_rate(prop: str, b: BaselineSpec, x_grid, tol: float) -> ShapeVerdict:
@@ -413,7 +393,7 @@ def _check_rate(prop: str, b: BaselineSpec, x_grid, tol: float) -> ShapeVerdict:
     v = xs * hazard(b, xs) if prop == "dpfr" else hazard(b, xs)
     keep = np.isfinite(v)
     xs, v = xs[keep], v[keep]
-    worst = _monotone_violation(v, "nonincreasing")
+    worst = _worst(_monotone_violation(v, 1.0, 0))
     label = "x*hazard" if prop == "dpfr" else "hazard"
     return ShapeVerdict(prop, worst <= tol, worst, tol,
                         f"{label} on {xs.size} points in [{xs[0]:.3g}, {xs[-1]:.3g}]")
@@ -429,13 +409,20 @@ def check_dpfr(b: BaselineSpec, x_grid=None, tol: float = 1e-9) -> ShapeVerdict:
     return _check_rate("dpfr", b, x_grid, tol)
 
 
-def _active_window(logs: np.ndarray) -> slice:
-    """Contiguous probe window where the survival is strictly inside (0, 1)."""
-    ok = (logs < -1e-12) & (logs > np.log(LOG_FLOOR)) & np.isfinite(logs)
-    idx = np.nonzero(ok)[0]
-    if idx.size == 0:
-        return slice(0, 0)
-    return slice(idx[0], idx[-1] + 1)
+def _condition2(m, x_grid, grid, thetas, sign, convex_axis, prop, label, tol):
+    """Probe F(x; theta) on the (param x lifetime) matrix: monotone in the
+    parameter (sign as in _monotone_violation) and log-convex along
+    ``convex_axis`` (0: the parameter grid, 1: the lifetimes)."""
+    xs = default_x_grid(m.baseline) if x_grid is None else np.asarray(x_grid, dtype=float)
+    if xs.size < 3 or grid.size < 3:
+        raise ValidationError("condition-2 probe needs at least 3 points per axis")
+    logs = sp_log_survival(m, xs, thetas[:, None])
+    with np.errstate(under="ignore"):
+        mono = _monotone_violation(np.exp(logs), sign, 0)
+    conv = _convexity_violation((grid, xs)[convex_axis], logs, convex_axis)
+    worst = _worst(np.concatenate([mono, conv]))
+    return ShapeVerdict(prop, worst <= tol, worst, tol,
+                        f"{grid.size} {label} x {xs.size} lifetimes")
 
 
 def check_theorem1_condition2(
@@ -456,34 +443,11 @@ def check_theorem1_condition2(
     Probes skip the regions where the survival is identically 1 (support
     padding of location-type kinds) or below the underflow floor.
     """
-    xs = default_x_grid(m.baseline) if x_grid is None else np.asarray(x_grid, dtype=float)
-    aa = np.linspace(np.log(0.2), np.log(5.0), 100) if a_grid is None else np.asarray(a_grid, dtype=float)
-    if xs.size < 3 or aa.size < 3:
-        raise ValidationError("condition-2 probe needs at least 3 points per axis")
-    thetas = np.exp(aa)
-    logs = np.stack([sp_log_survival(m, xs, th) for th in thetas], axis=0)  # (a, x)
-    worst = -np.inf
-    # monotone nonincreasing in a at each x (survival space)
-    with np.errstate(under="ignore"):
-        surv = np.exp(logs)
-    for j in range(xs.size):
-        col = surv[:, j]
-        worst = max(worst, _monotone_violation(col, "nonincreasing"))
-    # log-survival convex along x at each probed parameter
-    for i in range(aa.size):
-        win = _active_window(logs[i])
-        if win.stop - win.start < 3:
-            continue
-        worst = max(worst, _convexity_violation(xs[win], logs[i, win]))
-    if not np.isfinite(worst):
-        worst = 0.0
-    return ShapeVerdict(
-        "decreasing_in_log_param_and_model_dfr",
-        worst <= tol,
-        float(worst),
-        tol,
-        f"{aa.size} log-params x {xs.size} lifetimes",
-    )
+    if a_grid is None:
+        a_grid = np.linspace(np.log(0.2), np.log(5.0), 100)
+    aa = np.asarray(a_grid, dtype=float)
+    return _condition2(m, x_grid, aa, np.exp(aa), 1.0, 1,
+                       "decreasing_in_log_param_and_model_dfr", "log-params", tol)
 
 
 def check_theorem2_condition2(
@@ -498,30 +462,8 @@ def check_theorem2_condition2(
     in theta, probed on the region where the survival is strictly inside
     (0, 1).
     """
-    xs = default_x_grid(m.baseline) if x_grid is None else np.asarray(x_grid, dtype=float)
-    tg = np.linspace(0.2, 5.0, 100) if theta_grid is None else np.asarray(theta_grid, dtype=float)
-    if xs.size < 3 or tg.size < 3:
-        raise ValidationError("condition-2 probe needs at least 3 points per axis")
-    bad = [t for t in tg if not m.theta_in_domain(float(t))]
-    if bad:
-        raise ValidationError(f"theta grid leaves the {m.kind} domain: {bad[:3]}")
-    logs = np.stack([sp_log_survival(m, xs, float(th)) for th in tg], axis=0)  # (theta, x)
-    with np.errstate(under="ignore"):
-        surv = np.exp(logs)
-    worst = -np.inf
-    for j in range(xs.size):
-        col_logs = logs[:, j]
-        worst = max(worst, _monotone_violation(surv[:, j], "nondecreasing"))
-        win = _active_window(col_logs)
-        if win.stop - win.start < 3:
-            continue
-        worst = max(worst, _convexity_violation(tg[win], col_logs[win]))
-    if not np.isfinite(worst):
-        worst = 0.0
-    return ShapeVerdict(
-        "increasing_and_log_convex_in_theta",
-        worst <= tol,
-        float(worst),
-        tol,
-        f"{tg.size} thetas x {xs.size} lifetimes",
-    )
+    if theta_grid is None:
+        theta_grid = np.linspace(0.2, 5.0, 100)
+    tg = np.asarray(theta_grid, dtype=float)
+    return _condition2(m, x_grid, tg, tg, -1.0, 0,
+                       "increasing_and_log_convex_in_theta", "thetas", tol)

@@ -101,7 +101,7 @@ class SurvivalCurve:
 def component_survivals(sys: SystemSpec, x) -> np.ndarray:
     """Matrix of marginal survivals, one column per component."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.stack([sp_survival(sys.model, xs, t) for t in sys.theta], axis=1)
+    return sp_survival(sys.model, xs[:, None], np.asarray(sys.theta))
 
 
 def _x2n_from_margs(gen: GeneratorSpec, margs: np.ndarray) -> np.ndarray:

@@ -300,6 +300,86 @@ def test_sp_log_survival_matches_log_of_survival():
                     np.log(sp_survival(m, xs, 0.9)), rtol=1e-12)
 
 
+BROADCAST_MODELS = [
+    SemiParamModel("scale", BaselineSpec("weibull", (1.3, 0.8))),
+    SemiParamModel("phr", BaselineSpec("gen_gamma", (0.5, 0.5))),
+    SemiParamModel("location", BaselineSpec("gen_pareto", (1.0,))),
+    SemiParamModel("mphrs", BaselineSpec("weibull", (2.0, 0.8)), alpha=0.4, lam=1.3),
+    SemiParamModel("ls", BaselineSpec("burr", (2.0, 1.5)), lam=1.5),
+]
+
+
+@pytest.mark.parametrize("m", BROADCAST_MODELS, ids=lambda m: m.kind)
+def test_theta_column_matches_scalar_calls_bitwise(m):
+    thetas = np.array([0.3, 1.0, 2.5])
+    if m.kind == "location":
+        thetas = np.array([-0.7, -0.1, 0.3, 2.5])
+    xs = np.geomspace(1e-3, 60.0, 40)
+    ls = -np.geomspace(1e-12, 700.0, 40)
+    cases = ((sp_survival, xs), (sp_log_survival, xs), (sp_inverse_log_survival, ls))
+    for f, arg in cases:
+        got = f(m, arg, thetas[:, None])
+        want = np.stack([f(m, arg, float(t)) for t in thetas])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.__name__
+
+
+@pytest.mark.parametrize("m", BROADCAST_MODELS, ids=lambda m: m.kind)
+def test_theta_array_outside_domain_raises(m):
+    bad = np.array([0.5, np.nan if m.kind == "location" else -1.0, 1.0])
+    for f in (sp_survival, sp_log_survival, sp_inverse_log_survival):
+        with pytest.raises(ValidationError, match="outside the"):
+            f(m, -np.geomspace(0.1, 2.0, 5), bad[:, None])
+
+
+def test_theorem2_probe_names_offending_thetas():
+    m = SemiParamModel("scale", BaselineSpec("exponential", (1.0,)))
+    with pytest.raises(ValidationError, match="at least 3 points"):
+        check_theorem2_condition2(m, theta_grid=[-2.0, 1.0])
+    with pytest.raises(ValidationError, match=r"\[-2\.0, -0\.5\]"):
+        check_theorem2_condition2(m, theta_grid=[-2.0, -0.5, 1.0, 2.0])
+
+
+#: (model, x grid or None for the default) -> (holds, worst_violation) of the
+#: theorem-1 and theorem-2 condition-2 probes on their default parameter grids.
+PINNED_PROBES = {
+    # the active window starts inside the grid (survival 1 below theta)
+    "location_gen_pareto": (
+        SemiParamModel("location", BaselineSpec("gen_pareto", (1.0,))), None,
+        (False, 0.04219787435787142), (True, 0.0)),
+    # survival is identically 1 below lambda
+    "ls_weibull": (
+        SemiParamModel("ls", BaselineSpec("weibull", (1.0, 0.8)), lam=1.5), None,
+        (True, 0.0), (False, 0.04009255415668235)),
+    "mphrs_weibull": (
+        SemiParamModel("mphrs", BaselineSpec("weibull", (2.0, 0.8)), alpha=0.4, lam=1.3),
+        None,
+        (True, -3.844475933128456e-15), (False, 0.03134263913015869)),
+    # far rows underflow to log F = -inf
+    "phr_gen_gamma": (
+        SemiParamModel("phr", BaselineSpec("gen_gamma", (0.5, 0.5))),
+        np.geomspace(0.01, 3000.0, 200),
+        (True, -7.385600837123264e-116), (False, 0.05007064225784778)),
+    # survival is 1 on the whole grid: no window reaches 3 points
+    "location_no_window": (
+        SemiParamModel("location", BaselineSpec("exponential", (1.0,))),
+        np.linspace(0.01, 0.1, 50),
+        (True, 0.0), (True, 0.0)),
+    "scale_exponential": (
+        SemiParamModel("scale", BaselineSpec("exponential", (1.0,))), None,
+        (True, 3.632458419053067e-15), (False, 0.05006732745118465)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PROBES))
+def test_condition2_verdicts_pinned(name):
+    m, xs, want1, want2 = PINNED_PROBES[name]
+    for probe, (holds, worst) in ((check_theorem1_condition2, want1),
+                                  (check_theorem2_condition2, want2)):
+        v = probe(m, xs)
+        assert v.holds is holds, (probe.__name__, v)
+        assert v.worst_violation == pytest.approx(worst, rel=1e-13), (probe.__name__, v)
+
+
 def test_json_roundtrip():
     m = SemiParamModel("mphrs", BaselineSpec("gen_gamma", (0.5, 0.5)), alpha=0.5, lam=1.0)
     assert SemiParamModel.from_json(m.to_json()) == m
