@@ -21,21 +21,10 @@ import numpy as np
 
 from . import demos
 from .errors import InconsistencyError, UnsupportedGeneratorError, ValidationError
-from .fitlab import (
-    COPULA_FAMILIES,
-    FIT_FAMILIES,
-    compare_to_reference,
-    cvm_gof,
-    fixed_shape_weibull_scale,
-    load_dataset_csv,
-    load_reference_manifest,
-    mle_fit,
-    pseudo_observations,
-    rank_models,
-    recommend_subset,
-)
+from .generators import COPULA_FAMILIES, GeneratorSpec
 from .gridpolicy import GridPolicy
 from .mcsim import empirical_survival_x2n, sample_lifetimes
+from .models import FIT_FAMILIES, BaselineSpec, SemiParamModel
 from .ordering import verify_prop_ls, verify_prop_mphrs, verify_theorem1, verify_theorem2
 from .preorders import classify
 from .systems import (
@@ -234,6 +223,19 @@ def _parse_subsets(raw: str, labels) -> dict[str, tuple[str, ...]]:
 
 
 def cmd_fit(args) -> int:
+    # fitlab (and the scipy optimize/stats/integrate it needs) loads here
+    # only, so the other subcommands start without it
+    from .fitlab import (
+        compare_to_reference,
+        cvm_gof,
+        fixed_shape_weibull_scale,
+        load_dataset_csv,
+        mle_fit,
+        pseudo_observations,
+        rank_models,
+        recommend_subset,
+    )
+
     dataset = load_dataset_csv(args.data)
     pooled = dataset.pooled()
     fits = {fam: mle_fit(fam, pooled) for fam in args.families}
@@ -255,9 +257,6 @@ def cmd_fit(args) -> int:
     report["preferred_copula"] = min(gofs.items(), key=lambda kv: kv[1].statistic)[0]
 
     if args.subsets:
-        from .generators import GeneratorSpec
-        from .models import BaselineSpec, SemiParamModel
-
         groups = _parse_subsets(args.subsets, set(dataset.labels))
         wfit = fits.get("weibull") or mle_fit("weibull", pooled)
         shape = wfit.params["shape"]
@@ -280,7 +279,7 @@ def cmd_fit(args) -> int:
 
     if args.reference is not None:
         if args.reference == "bundled":
-            manifest = load_reference_manifest()
+            manifest = demos.load_reference_manifest()
         else:
             with open(args.reference) as fh:
                 manifest = json.load(fh)

@@ -10,12 +10,21 @@ Figure data for all three is exported by ``failsafekit curve
 
 from __future__ import annotations
 
+import json
+from importlib import resources
+
 import numpy as np
 
-from .fitlab import load_reference_manifest
 from .generators import GeneratorSpec
 from .models import BaselineSpec, SemiParamModel
 from .systems import SystemSpec
+
+
+def load_reference_manifest() -> dict:
+    """Bundled expected-value manifest for the cable-strength dataset."""
+    with resources.files("failsafekit.data").joinpath("cable_reference.json").open() as fh:
+        return json.load(fh)
+
 
 #: 1000-point grid over (0, 10], shared by the first two demos.
 def demo_grid(points: int = 1000, hi: float = 10.0) -> np.ndarray:

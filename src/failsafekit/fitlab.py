@@ -13,24 +13,20 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 from scipy import optimize, stats
 from scipy.integrate import quad
 
+from .demos import load_reference_manifest  # noqa: F401  (re-exported)
 from .errors import InconsistencyError, UnsupportedGeneratorError, ValidationError
-from .generators import GeneratorSpec, phi, psi
+from .generators import COPULA_FAMILIES, GeneratorSpec, phi, psi
 from .gridpolicy import GridPolicy
 from .mcsim import sample_copula
-from .models import BaselineSpec, log_pdf
+from .models import FIT_FAMILIES, BaselineSpec, log_pdf
 from .ordering import ConditionReport, verify_theorem1
 from .preorders import Preorder, classify
-
-FIT_FAMILIES = ("exponential", "gamma", "weibull", "burr")
-COPULA_FAMILIES = ("clayton", "gumbel", "frank")
 
 MIN_OBSERVATIONS = 5
 
@@ -545,12 +541,6 @@ def fixed_shape_weibull_scale(data, shape: float) -> float:
     if shape <= 0.0:
         raise ValidationError("shape must be positive")
     return float(np.mean(arr ** shape) ** (1.0 / shape))
-
-
-def load_reference_manifest() -> dict:
-    """Bundled expected-value manifest for the cable-strength dataset."""
-    with resources.files("failsafekit.data").joinpath("cable_reference.json").open() as fh:
-        return json.load(fh)
 
 
 def compare_to_reference(gofs: dict, ranking: ModelRanking, manifest: dict) -> dict:

@@ -44,6 +44,8 @@ _RANGES = {
 }
 
 FAMILIES = tuple(_RANGES)
+#: The one-parameter families the fitting pipeline estimates and scores.
+COPULA_FAMILIES = ("clayton", "gumbel", "frank")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Baselines expose log-survival and its inverse, log-density and hazard in
 closed form (gen_gamma and gamma route through scipy's regularized
 incomplete gamma, whose log-gamma backend meets a 1e-12 relative accuracy
-standard).  Quantiles and Monte-Carlo lifetimes both come from the
-inverse log-survival, so neither rounds a tail probability to 1.
+standard; scipy.special loads on the first gamma or gen_gamma use, so the
+other baselines never import scipy).  Quantiles and Monte-Carlo
+lifetimes both come from the inverse log-survival, so neither rounds a
+tail probability to 1.
 The semi-parametric kinds map a baseline survival F(x) to F(x; theta)
 through one table (a, c, p), with log F(x; theta) = p log F(a (x - c)):
 
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv, gammaln
 
 from .errors import ValidationError
 
@@ -45,6 +46,16 @@ _BASELINE_PARAMS = {
 }
 
 BASELINE_FAMILIES = tuple(_BASELINE_PARAMS)
+#: The baselines the fitting pipeline estimates and ranks.
+FIT_FAMILIES = ("exponential", "gamma", "weibull", "burr")
+
+
+def _special():
+    """scipy.special, imported on first use by the gamma and gen_gamma
+    baselines; no other path of the package needs it."""
+    import scipy.special
+
+    return scipy.special
 
 
 @dataclass(frozen=True)
@@ -100,10 +111,10 @@ def log_sf(b: BaselineSpec, x):
             out = -np.log1p(al * t) / al
         elif b.family == "gen_gamma":
             p, q = b.params
-            out = np.log(gammaincc(q / p, t ** p))
+            out = np.log(_special().gammaincc(q / p, t ** p))
         elif b.family == "gamma":
             sh, rate = b.params
-            out = np.log(gammaincc(sh, rate * t))
+            out = np.log(_special().gammaincc(sh, rate * t))
         else:  # pragma: no cover
             raise ValidationError(b.family)
     return out if np.ndim(x) else float(out)
@@ -139,10 +150,10 @@ def log_pdf(b: BaselineSpec, x):
             out = -(1.0 / al + 1.0) * np.log1p(al * t)
         elif b.family == "gen_gamma":
             p, q = b.params
-            out = np.log(p) + (q - 1.0) * np.log(t) - t ** p - gammaln(q / p)
+            out = np.log(p) + (q - 1.0) * np.log(t) - t ** p - _special().gammaln(q / p)
         elif b.family == "gamma":
             sh, rate = b.params
-            out = sh * np.log(rate) + (sh - 1.0) * np.log(t) - rate * t - gammaln(sh)
+            out = sh * np.log(rate) + (sh - 1.0) * np.log(t) - rate * t - _special().gammaln(sh)
         else:  # pragma: no cover
             raise ValidationError(b.family)
     out = np.where(np.isnan(t), -np.inf, out)
@@ -188,10 +199,10 @@ def inverse_log_sf(b: BaselineSpec, ls):
             out = np.expm1(-al * ls) / al
         elif b.family == "gen_gamma":
             p, q = b.params
-            out = gammainccinv(q / p, np.exp(ls)) ** (1.0 / p)
+            out = _special().gammainccinv(q / p, np.exp(ls)) ** (1.0 / p)
         elif b.family == "gamma":
             sh, rate = b.params
-            out = gammainccinv(sh, np.exp(ls)) / rate
+            out = _special().gammainccinv(sh, np.exp(ls)) / rate
         else:  # pragma: no cover
             raise ValidationError(b.family)
     return out if np.ndim(out) else float(out)
@@ -199,7 +210,7 @@ def inverse_log_sf(b: BaselineSpec, ls):
 
 def _check_prob(prob) -> np.ndarray:
     p = np.asarray(prob, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails both comparisons
         raise ValidationError("quantile probability must lie in (0, 1)")
     return p
 

@@ -104,11 +104,21 @@ def component_survivals(sys: SystemSpec, x) -> np.ndarray:
     return sp_survival(sys.model, xs[:, None], np.asarray(sys.theta))
 
 
-def _x2n_from_margs(gen: GeneratorSpec, margs: np.ndarray) -> np.ndarray:
+def _phi_marginals(sys: SystemSpec, x):
+    """Validate x, then return (rows where every component is dead, phi of
+    the floored marginal survivals), one row per point of x."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
+        raise ValidationError("x must be nonnegative")
+    margs = component_survivals(sys, arr)
     dead = np.all(margs <= SURVIVAL_FLOOR, axis=1)
-    margs = np.clip(margs, SURVIVAL_FLOOR, 1.0)
-    s = phi(gen, margs)  # (m, n), capped inside phi
-    m, n = s.shape
+    return dead, phi(sys.generator, np.clip(margs, SURVIVAL_FLOOR, 1.0))  # capped inside phi
+
+
+def survival_x2n(sys: SystemSpec, x):
+    """Fail-safe system survival at x (second-smallest order statistic)."""
+    dead, s = _phi_marginals(sys, x)
+    gen, n = sys.generator, s.shape[1]
     # leave-one-out sums by direct summation: immune to cancellation when
     # one underflowed component dominates the row total
     loo = np.empty_like(s)
@@ -118,28 +128,14 @@ def _x2n_from_margs(gen: GeneratorSpec, margs: np.ndarray) -> np.ndarray:
     vals = psi(gen, loo).sum(axis=1) - (n - 1) * psi(gen, tot)
     vals = np.where((vals > 1.0) & (vals <= 1.0 + CLAMP_TOL), 1.0, vals)
     vals = np.where((vals < 0.0) & (vals >= -CLAMP_TOL), 0.0, vals)
-    return np.where(dead, 0.0, vals)
-
-
-def survival_x2n(sys: SystemSpec, x):
-    """Fail-safe system survival at x (second-smallest order statistic)."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
-        raise ValidationError("x must be nonnegative")
-    vals = _x2n_from_margs(sys.generator, component_survivals(sys, arr))
+    vals = np.where(dead, 0.0, vals)
     return vals if np.ndim(x) else float(vals[0])
 
 
 def survival_x1n(sys: SystemSpec, x):
     """Series system survival at x: psi of the summed phi-marginals."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
-        raise ValidationError("x must be nonnegative")
-    raw = component_survivals(sys, arr)
-    dead = np.all(raw <= SURVIVAL_FLOOR, axis=1)
-    margs = np.clip(raw, SURVIVAL_FLOOR, 1.0)
-    vals = psi(sys.generator, np.sum(phi(sys.generator, margs), axis=1))
-    vals = np.where(dead, 0.0, vals)
+    dead, s = _phi_marginals(sys, x)
+    vals = np.where(dead, 0.0, psi(sys.generator, np.sum(s, axis=1)))
     return vals if np.ndim(x) else float(vals[0])
 
 
@@ -168,6 +164,15 @@ def homogeneous_x2n(gen: GeneratorSpec, u, n: int):
     return vals if np.ndim(u) else float(vals)
 
 
+def _homogeneous_bound(sys: SystemSpec, x, order: str, mean) -> np.ndarray:
+    """homogeneous_x2n at the homogeneous parameter mean(theta)."""
+    th = np.asarray(sys.theta)
+    if np.any(th <= 0.0):
+        raise ValidationError(f"{order} bound needs positive thetas")
+    margs = sp_survival(sys.model, np.asarray(x, dtype=float), float(mean(th)))
+    return homogeneous_x2n(sys.generator, margs, sys.n)
+
+
 def lower_bound_plarger(sys: SystemSpec, x):
     """Homogeneous comparison value at the geometric mean of theta.
 
@@ -175,13 +180,7 @@ def lower_bound_plarger(sys: SystemSpec, x):
     vector is p-larger-dominated by theta.  Whether this is a true lower
     bound depends on the system; verifiers always confirm on the grid.
     """
-    th = np.asarray(sys.theta)
-    if np.any(th <= 0.0):
-        raise ValidationError("p-larger bound needs positive thetas")
-    gm = float(np.exp(np.mean(np.log(th))))
-    arr = np.asarray(x, dtype=float)
-    margs = sp_survival(sys.model, arr, gm)
-    return homogeneous_x2n(sys.generator, margs, sys.n)
+    return _homogeneous_bound(sys, x, "p-larger", lambda th: np.exp(np.mean(np.log(th))))
 
 
 def lower_bound_rm(sys: SystemSpec, x):
@@ -191,13 +190,8 @@ def lower_bound_rm(sys: SystemSpec, x):
     majorized by theta (and satisfies the arithmetic-mean cap n*theta*
     <= sum theta).
     """
-    th = np.asarray(sys.theta)
-    if np.any(th <= 0.0):
-        raise ValidationError("reciprocal-majorization bound needs positive thetas")
-    hm = float(sys.n / np.sum(1.0 / th))
-    arr = np.asarray(x, dtype=float)
-    margs = sp_survival(sys.model, arr, hm)
-    return homogeneous_x2n(sys.generator, margs, sys.n)
+    return _homogeneous_bound(sys, x, "reciprocal-majorization",
+                              lambda th: th.size / np.sum(1.0 / th))
 
 
 def write_curve_csv(path: str, xs, columns: dict) -> None:

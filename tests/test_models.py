@@ -192,6 +192,16 @@ def test_phr_quantile_with_small_theta_stays_finite():
     assert np.all(np.isfinite(xs)) and xs[-1] == pytest.approx(x, rel=1e-12)
 
 
+@pytest.mark.parametrize("prob", [0.0, 1.0, -0.2, math.nan, [0.3, math.nan, 0.7]],
+                         ids=["zero", "one", "negative", "nan", "nan_in_array"])
+def test_quantile_rejects_probabilities_outside_unit_interval(prob):
+    b = BaselineSpec("weibull", (1.0, 2.0))
+    with pytest.raises(ValidationError, match=r"must lie in \(0, 1\)"):
+        quantile(b, prob)
+    with pytest.raises(ValidationError, match=r"must lie in \(0, 1\)"):
+        sp_quantile(SemiParamModel("scale", b), prob, 1.0)
+
+
 def test_theta_domain_enforced():
     b = BaselineSpec("exponential", (1.0,))
     with pytest.raises(ValidationError):
