@@ -21,7 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Prints, as its last line, the sorted heavy modules loaded so far.
 _REPORT = """
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] == "scipy" or m == "failsafekit.fitlab")))
+                        if m.startswith("scipy") or m == "failsafekit.fitlab")))
 """
 
 
