@@ -7,6 +7,14 @@ Copula estimation defaults to Kendall-tau inversion (mean pairwise tau
 above two dimensions) with an optional pairwise pseudo-likelihood
 refinement.  Bootstrap replicates derive per-replicate seeds from the
 master seed, so goodness-of-fit runs are reproducible as well.
+
+Average ranks and Kendall tau-b both come from one pairwise sign tensor
+S[i, j, k] = sign(x[i, k] - x[j, k]): a rank is (count + 1 + sum_j S) / 2,
+and S^T S / 2 (pairs flattened) holds concordant minus discordant pairs
+for each column pair and the untied pairs of each column on its diagonal,
+which gives tau-b by SciPy's formula.  Every count is an integer below
+2**53, so both match ``scipy.stats.rankdata`` and ``kendalltau`` bit for
+bit, without scipy.stats.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
 from scipy.integrate import quad
 
 from .demos import load_reference_manifest  # noqa: F401  (re-exported)
@@ -269,16 +277,37 @@ def rank_models(results) -> ModelRanking:
     return ModelRanking(tuple(entries), tuple(r.aic - base for r in entries))
 
 
+def _pairwise_signs(arr: np.ndarray) -> np.ndarray:
+    """S[i, j, k] = sign(arr[i, k] - arr[j, k]) for a finite count x d matrix.
+
+    Signed in place: S takes count**2 * d doubles, and a second copy would
+    double the peak memory of a large sample."""
+    diff = arr[:, None, :] - arr[None, :, :]
+    return np.sign(diff, out=diff)
+
+
+def _kendall_tau_matrix(arr: np.ndarray) -> np.ndarray:
+    """Kendall tau-b of column i (as x) against column j (as y) at [i, j];
+    NaN in the row and column of a constant column, as in SciPy."""
+    flat = _pairwise_signs(arr).reshape(-1, arr.shape[1])
+    gram = flat.T @ flat / 2.0
+    root = np.sqrt(np.diag(gram))
+    with np.errstate(invalid="ignore"):
+        return np.clip(gram / root[:, None] / root[None, :], -1.0, 1.0)
+
+
 def pseudo_observations(matrix) -> np.ndarray:
     """Column-wise average ranks over (count + 1); values in (0, 1)."""
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ValidationError("need a count x d matrix with count >= 2")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("matrix has non-finite values")
     for j in range(arr.shape[1]):
         if np.ptp(arr[:, j]) == 0.0:
             raise ValidationError(f"column {j} is constant")
-    ranks = stats.rankdata(arr, axis=0, method="average")
-    return ranks / (arr.shape[0] + 1.0)
+    count = arr.shape[0] + 1.0
+    return (count + _pairwise_signs(arr).sum(axis=1)) / 2.0 / count
 
 
 def _debye1(theta: float) -> float:
@@ -291,15 +320,6 @@ def frank_tau(theta: float) -> float:
     if theta <= 0.0:
         raise ValidationError("frank theta must be positive")
     return 1.0 + 4.0 * (_debye1(theta) - 1.0) / theta
-
-
-def _mean_pairwise_tau(pseudo: np.ndarray) -> float:
-    d = pseudo.shape[1]
-    taus = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            taus.append(stats.kendalltau(pseudo[:, i], pseudo[:, j]).statistic)
-    return float(np.mean(taus))
 
 
 def tau_to_theta(family: str, tau: float) -> float:
@@ -355,18 +375,20 @@ def fit_copula(family: str, pseudo, method: str = "tau") -> float:
     arr = np.asarray(pseudo, dtype=float)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValidationError("pseudo-observations must be count x d with d >= 2")
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValidationError("pseudo-observations must lie strictly in (0, 1)")
     if family not in COPULA_FAMILIES:
         raise ValidationError(f"copula family must be one of {COPULA_FAMILIES}")
-    tau = (stats.kendalltau(arr[:, 0], arr[:, 1]).statistic
-           if arr.shape[1] == 2 else _mean_pairwise_tau(arr))
-    theta0 = tau_to_theta(family, float(tau))
+    taus = _kendall_tau_matrix(arr)
+    constant = np.flatnonzero(np.isnan(np.diag(taus)))
+    if constant.size:
+        raise ValidationError(f"column {constant[0]} is constant")
+    d = arr.shape[1]
+    theta0 = tau_to_theta(family, float(np.mean(taus[np.triu_indices(d, 1)])))
     if method == "tau":
         return theta0
     if method != "pseudo_likelihood":
         raise ValidationError("method must be 'tau' or 'pseudo_likelihood'")
-    d = arr.shape[1]
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     lo = {"clayton": 1e-6, "gumbel": 1.0 + 1e-9, "frank": 1e-6}[family]
 
@@ -408,6 +430,7 @@ class GofResult:
     statistic: float
     p_value: float
     bootstrap_n: int
+    out_of_range: int  # replicates whose tau left the family's range
     seed: int
 
     def to_json(self) -> dict:
@@ -417,6 +440,7 @@ class GofResult:
             "statistic": self.statistic,
             "p_value": self.p_value,
             "bootstrap_n": self.bootstrap_n,
+            "out_of_range": self.out_of_range,
             "seed": self.seed,
         }
 
@@ -432,7 +456,7 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
     stat = _cvm_statistic(family, theta, arr)
     count, d = arr.shape
     child_seeds = np.random.SeedSequence(int(seed)).generate_state(boot_n, dtype=np.uint64)
-    exceed = 0
+    exceed = out_of_range = 0
     for b in range(boot_n):
         try:
             sample = sample_copula(GeneratorSpec(family, theta), d, count,
@@ -445,10 +469,12 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
         except ValidationError:
             # replicate tau outside range: score as extreme misfit
             exceed += 1
+            out_of_range += 1
             continue
         if _cvm_statistic(family, theta_b, ps) >= stat:
             exceed += 1
-    return GofResult(family, float(theta), stat, exceed / boot_n, boot_n, int(seed))
+    return GofResult(family, float(theta), stat, exceed / boot_n, boot_n, out_of_range,
+                     int(seed))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from failsafekit import (
     BaselineSpec,
@@ -10,6 +11,7 @@ from failsafekit import (
     ValidationError,
     sample_copula,
 )
+from failsafekit import fitlab
 from failsafekit.fitlab import (
     LifetimeDataset,
     cvm_gof,
@@ -24,7 +26,7 @@ from failsafekit.fitlab import (
     recommend_subset,
     tau_to_theta,
 )
-from failsafekit.fitlab import _make_result
+from failsafekit.fitlab import _kendall_tau_matrix, _make_result
 
 
 # ------------------------------------------------------------------ MLE
@@ -141,6 +143,54 @@ def test_pseudo_observations_constant_column_rejected():
         pseudo_observations(np.array([[1.0, 2.0], [1.0, 3.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pseudo_observations_reject_non_finite(bad):
+    mat = np.array([[1.0, 2.0], [3.0, bad], [2.0, 1.0]])
+    with pytest.raises(ValidationError, match="non-finite"):
+        pseudo_observations(mat)
+
+
+def _random_matrix(rng, m, d, tied):
+    x = rng.normal(size=(m, d))
+    return np.round(x * 2.0) if tied else x
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_pseudo_observations_equal_rankdata_bitwise(d, tied):
+    rng = np.random.default_rng(100 * d + tied)
+    for m in (2, 7, 40, 151):
+        x = _random_matrix(rng, m, d, tied)
+        if np.any(np.ptp(x, axis=0) == 0.0):
+            continue
+        ref = stats.rankdata(x, axis=0, method="average") / (m + 1.0)
+        assert pseudo_observations(x).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_kendall_tau_matrix_equals_kendalltau_bitwise(d, tied):
+    rng = np.random.default_rng(10 * d + tied)
+    for m in (2, 3, 11, 60, 203):
+        x = _random_matrix(rng, m, d, tied)
+        tau = _kendall_tau_matrix(x)
+        for i in range(d):
+            for j in range(d):
+                if i != j:
+                    ref = stats.kendalltau(x[:, i], x[:, j]).statistic
+                    assert float(tau[i, j]).hex() == float(ref).hex(), (m, i, j)
+
+
+def test_kendall_tau_matrix_constant_column_is_nan():
+    x = np.random.default_rng(8).normal(size=(30, 4))
+    x[:, 2] = 1.5
+    tau = _kendall_tau_matrix(x)
+    assert np.all(np.isnan(tau[2])) and np.all(np.isnan(tau[:, 2]))
+    assert np.isnan(stats.kendalltau(x[:, 0], x[:, 2]).statistic)
+    ref = stats.kendalltau(x[:, 0], x[:, 3]).statistic
+    assert float(tau[0, 3]).hex() == float(ref).hex()
+
+
 # ------------------------------------------------------------ copula fit
 def test_tau_inversion_formulas():
     assert tau_to_theta("clayton", 0.35) == pytest.approx(2 * 0.35 / 0.65, rel=1e-12)
@@ -175,6 +225,18 @@ def test_fit_copula_mean_pairwise_above_two_dims():
     ps = pseudo_observations(u)
     theta = fit_copula("clayton", ps)
     assert 1.6 <= theta <= 2.4
+
+
+def test_fit_copula_rejects_nan():
+    ps = np.array([[0.2, 0.4], [0.6, np.nan], [0.4, 0.2], [0.8, 0.6]])
+    with pytest.raises(ValidationError, match="strictly in"):
+        fit_copula("clayton", ps)
+
+
+def test_fit_copula_names_constant_column():
+    ps = np.array([[0.2, 0.5, 0.4], [0.6, 0.5, 0.8], [0.4, 0.5, 0.2], [0.8, 0.5, 0.6]])
+    with pytest.raises(ValidationError, match="column 1 is constant"):
+        fit_copula("clayton", ps)
 
 
 def test_comonotone_data_is_unattainable():
@@ -224,6 +286,47 @@ def test_cvm_frank_sample_beyond_float_p():
     u = sample_copula(GeneratorSpec("frank", 40.0), 3, 60, seed=1).uniforms
     res = cvm_gof("frank", pseudo_observations(u), boot_n=100, seed=1)
     assert 25.0 < res.theta < 60.0 and 0.0 <= res.p_value <= 1.0
+
+
+#: float.hex of (theta, statistic, p_value) of cvm_gof(family, 40 x d sample
+#: at seed 11, boot_n=100, seed=3), captured while kendalltau and rankdata
+#: still came from scipy.stats.
+_CVM_PINNED = {
+    ("clayton", 1.5, 2): ("0x1.b6db6db6db6dcp+0", "0x1.b9b93f3787ffap-6", "0x1.0f5c28f5c28f6p-1"),
+    ("clayton", 1.5, 5): ("0x1.738a31d738a34p+0", "0x1.7a987b88683c4p-5", "0x1.3333333333333p-1"),
+    ("gumbel", 1.7, 2): ("0x1.5d1745d1745d1p+0", "0x1.2d4311115665cp-6", "0x1.f5c28f5c28f5cp-1"),
+    ("gumbel", 1.7, 5): ("0x1.8c30c30c30c30p+0", "0x1.39c65a4cd3718p-5", "0x1.b851eb851eb85p-1"),
+    ("frank", 4.0, 2): ("0x1.f9f6094d286c2p+1", "0x1.6347a1e145c26p-6", "0x1.bd70a3d70a3d7p-1"),
+    ("frank", 4.0, 5): ("0x1.3c94d0f1ae6acp+2", "0x1.4df139ec6897ep-5", "0x1.9eb851eb851ecp-1"),
+}
+
+
+@pytest.mark.parametrize("family,theta,d", list(_CVM_PINNED))
+def test_cvm_pinned_bitwise(family, theta, d):
+    u = sample_copula(GeneratorSpec(family, theta), d, 40, seed=11).uniforms
+    res = cvm_gof(family, pseudo_observations(u), boot_n=100, seed=3)
+    got = (res.theta.hex(), res.statistic.hex(), res.p_value.hex())
+    assert got == _CVM_PINNED[(family, theta, d)]
+
+
+def test_cvm_counts_out_of_range_replicates(monkeypatch):
+    # near-independent clayton: many replicates refit a tau <= 0
+    u = sample_copula(GeneratorSpec("clayton", 0.05), 2, 30, seed=9).uniforms
+    raises = []
+    real_fit = fitlab.fit_copula
+
+    def counting_fit(*args, **kwargs):
+        try:
+            return real_fit(*args, **kwargs)
+        except ValidationError:
+            raises.append(1)
+            raise
+
+    monkeypatch.setattr(fitlab, "fit_copula", counting_fit)
+    res = cvm_gof("clayton", pseudo_observations(u), boot_n=100, seed=9)
+    assert res.out_of_range == len(raises) > 0
+    assert res.to_json()["out_of_range"] == res.out_of_range
+    assert res.p_value.hex() == "0x1.5c28f5c28f5c3p-2"  # as before the count existed
 
 
 # --------------------------------------------------------------- subsets
