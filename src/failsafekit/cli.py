@@ -5,8 +5,9 @@ deterministic given identical inputs, flags and seeds.  Exit codes: 0
 success, 1 hypothesis failure (verify), 2 validation/input error, 3
 inconsistency (hypotheses verified but dominance failed; release
 blocking).  JSON goes to stdout unless --out is given; files are written
-atomically (temp + rename).  The default seed comes from FAILSAFEKIT_SEED
-when set.
+atomically (temp + rename) after creating their parent directory; a path
+that cannot be written exits 2.  The default seed comes from
+FAILSAFEKIT_SEED when set.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .ordering import verify_prop_ls, verify_prop_mphrs, verify_theorem1, verify
 from .preorders import classify
 from .systems import (
     SystemSpec,
-    curve,
+    atomic_write,
     default_grid,
     load_system,
     survival_x2n,
@@ -54,25 +54,15 @@ def _default_seed() -> int:
         raise ValidationError(f"{ENV_SEED} must be an integer, got {raw!r}") from exc
 
 
-def _emit_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+def _emit(text: str, out: str | None) -> None:
     if out is None:
-        print(text)
+        print(text, end="")
     else:
-        _atomic_write(out, text + "\n")
+        atomic_write(out, text)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+def _emit_json(obj: dict, out: str | None) -> None:
+    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
 
 
 def _parse_vector(inline: str | None, path: str | None, name: str) -> list[float]:
@@ -107,24 +97,14 @@ def _grid_for(sys_specs, args) -> np.ndarray:
             raise ValidationError("need 0 <= x-min < x-max")
         lo = args.x_min if args.x_min > 0 else args.x_max / args.points
         return np.linspace(lo, args.x_max, args.points)
-    return _bulk_grid(sys_specs, args.points)
-
-
-def _bulk_grid(sys_specs, points: int) -> np.ndarray:
-    """Log-spaced grid spanning every system's own mixture-bulk grid."""
-    grids = [default_grid(s, points) for s in sys_specs]
-    lo = min(g[0] for g in grids)
-    hi = max(g[-1] for g in grids)
-    return np.geomspace(lo, hi, points)
+    return GridPolicy(curve_points=args.points)._bulk_grid(
+        [(s.model, s.theta) for s in sys_specs])
 
 
 def _emit_figures(out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     for name, (pair_fn, grid_fn) in demos.FIGURE_CONFIGS.items():
         sys_x, sys_y = pair_fn()
         xs = grid_fn()
-        if xs is None:
-            xs = _bulk_grid((sys_x, sys_y), 1000)
         vx = survival_x2n(sys_x, xs)
         vy = survival_x2n(sys_y, xs)
         write_curve_csv(
@@ -196,11 +176,7 @@ def cmd_simulate(args) -> int:
             f"{xs[i]:.17g},{analytic[i]:.17g},{empirical[i]:.17g},{diff[i]:.17g}"
         )
     lines.append(f"max_abs_deviation,,,{diff.max():.17g}")
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        print(text, end="")
-    else:
-        _atomic_write(args.out, text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -285,22 +261,19 @@ def cmd_fit(args) -> int:
                 manifest = json.load(fh)
         report["reference_comparison"] = compare_to_reference(gofs, ranking, manifest)
 
+    _emit_json(report, None if args.out_dir is None
+               else os.path.join(args.out_dir, "report.json"))
     if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        _atomic_write(os.path.join(args.out_dir, "report.json"),
-                      json.dumps(report, indent=2, sort_keys=True) + "\n")
         crit_rows = ["criterion," + ",".join(f.family for f in ranking.entries)]
         crit_rows.append("aic," + ",".join(f"{f.aic:.17g}" for f in ranking.entries))
         crit_rows.append("bic," + ",".join(f"{f.bic:.17g}" for f in ranking.entries))
-        _atomic_write(os.path.join(args.out_dir, "marginal_fits.csv"),
-                      "\n".join(crit_rows) + "\n")
+        atomic_write(os.path.join(args.out_dir, "marginal_fits.csv"),
+                     "\n".join(crit_rows) + "\n")
         cop_rows = ["copula,theta,statistic,p_value"]
         for fam, g in gofs.items():
             cop_rows.append(f"{fam},{g.theta:.17g},{g.statistic:.17g},{g.p_value:.17g}")
-        _atomic_write(os.path.join(args.out_dir, "copula_gof.csv"),
-                      "\n".join(cop_rows) + "\n")
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        atomic_write(os.path.join(args.out_dir, "copula_gof.csv"),
+                     "\n".join(cop_rows) + "\n")
     return EXIT_OK
 
 

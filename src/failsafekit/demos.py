@@ -16,6 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .generators import GeneratorSpec
+from .gridpolicy import GridPolicy
 from .models import BaselineSpec, SemiParamModel
 from .systems import SystemSpec
 
@@ -72,9 +73,15 @@ def cable_pair() -> tuple[SystemSpec, SystemSpec]:
     return x, y
 
 
+def cable_grid() -> np.ndarray:
+    """The default 1000-point lifetime grid over every wire of both subsets."""
+    x, y = cable_pair()
+    return GridPolicy().curve_grid(x.model, x.theta, y.theta)
+
+
 #: Name -> (pair builder, grid builder); the fixed --emit-figures layout.
 FIGURE_CONFIGS = {
     "gumbel_barnett_dominance": (gumbel_barnett_pair, demo_grid),
     "clayton_near_tangency": (clayton_pair, demo_grid),
-    "cable_fail_safe": (cable_pair, lambda: None),
+    "cable_fail_safe": (cable_pair, cable_grid),
 }

@@ -36,12 +36,14 @@ class GridPolicy:
 
     def curve_grid(self, model: SemiParamModel, *theta_vectors) -> np.ndarray:
         """Log-spaced lifetime grid over the mixture bulk of all components."""
-        los, his = [], []
-        for thetas in theta_vectors:
-            for th in thetas:
-                los.append(sp_quantile(model, self.q_lo, float(th)))
-                his.append(sp_quantile(model, self.q_hi, float(th)))
-        lo, hi = min(los), max(his)
+        return self._bulk_grid([(model, np.concatenate(
+            [np.asarray(t, dtype=float) for t in theta_vectors]))])
+
+    def _bulk_grid(self, components) -> np.ndarray:
+        """The default lifetime grid over every (model, thetas) entry: log-spaced from
+        the smallest q_lo to the largest q_hi quantile, floored at hi * 1e-9."""
+        lo = min(np.min(sp_quantile(m, self.q_lo, th)) for m, th in components)
+        hi = max(np.max(sp_quantile(m, self.q_hi, th)) for m, th in components)
         return np.geomspace(max(lo, hi * 1e-9), hi, self.curve_points)
 
     def shape_x_grid(self, model: SemiParamModel) -> np.ndarray:

@@ -155,9 +155,3 @@ def empirical_survival_x2n(lifetimes: np.ndarray, x):
     vals = np.mean(second[:, None] > np.atleast_1d(xs)[None, :], axis=0)
     return vals if np.ndim(x) else float(vals[0])
 
-
-def write_lifetimes_csv(path: str, lifetimes: np.ndarray) -> None:
-    """Optional dump: header x1..xn, full double precision."""
-    arr = np.asarray(lifetimes, dtype=float)
-    header = ",".join(f"x{j + 1}" for j in range(arr.shape[1]))
-    np.savetxt(path, arr, delimiter=",", header=header, comments="", fmt="%.17g")

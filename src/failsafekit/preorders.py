@@ -26,14 +26,6 @@ class Preorder(enum.Enum):
     P_LARGER = "p_larger"
     RECIPROCAL_MAJORIZE = "reciprocal_majorize"
 
-    @classmethod
-    def from_string(cls, name: str) -> "Preorder":
-        key = name.strip().lower().replace("-", "_")
-        for kind in cls:
-            if kind.value == key:
-                return kind
-        raise ValidationError(f"unknown preorder {name!r}")
-
 
 #: Relations defined only on the positive orthant.
 POSITIVE_ONLY = frozenset({Preorder.P_LARGER, Preorder.RECIPROCAL_MAJORIZE})

@@ -14,6 +14,7 @@ here are pure.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
@@ -139,17 +140,13 @@ def survival_x1n(sys: SystemSpec, x):
     return vals if np.ndim(x) else float(vals[0])
 
 
-def default_grid(sys: SystemSpec, points: int = 1000,
-                 q_lo: float = 0.001, q_hi: float = 0.999) -> np.ndarray:
+def default_grid(sys: SystemSpec, points: int = 1000) -> np.ndarray:
     """Log-spaced grid over the mixture bulk of the component lifetimes."""
-    return GridPolicy(curve_points=points, q_lo=q_lo, q_hi=q_hi).curve_grid(sys.model, sys.theta)
+    return GridPolicy(curve_points=points).curve_grid(sys.model, sys.theta)
 
 
-def curve(sys: SystemSpec, xs=None, policy: GridPolicy | None = None) -> SurvivalCurve:
-    """Fail-safe survival curve on xs (default: the mixture bulk grid)."""
-    if xs is None:
-        points = policy.curve_points if policy is not None else 1000
-        xs = default_grid(sys, points)
+def curve(sys: SystemSpec, xs) -> SurvivalCurve:
+    """Fail-safe survival curve on xs, a required strictly increasing grid."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0.0):
         raise ValidationError("xs must be a strictly increasing 1-d grid")
@@ -194,6 +191,24 @@ def lower_bound_rm(sys: SystemSpec, x):
                               lambda th: th.size / np.sum(1.0 / th))
 
 
+def atomic_write(path: str, text: str) -> None:
+    """Write text to path through a temp file and a rename, creating the
+    parent directory; an OSError becomes a ValidationError."""
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def write_curve_csv(path: str, xs, columns: dict) -> None:
     """Write curve columns as CSV with 17 significant digits, atomically."""
     xs = np.asarray(xs, dtype=float)
@@ -202,18 +217,12 @@ def write_curve_csv(path: str, xs, columns: dict) -> None:
     for c in cols:
         if c.size != xs.size:
             raise ValidationError("column length mismatch")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", *names])
-            for i in range(xs.size):
-                writer.writerow([f"{xs[i]:.17g}", *(f"{c[i]:.17g}" for c in cols)])
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["x", *names])
+    for i in range(xs.size):
+        writer.writerow([f"{xs[i]:.17g}", *(f"{c[i]:.17g}" for c in cols)])
+    atomic_write(path, buf.getvalue())
 
 
 def load_system(path: str) -> SystemSpec:

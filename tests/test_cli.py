@@ -8,6 +8,10 @@ from referencing import Registry, Resource
 
 from failsafekit.cli import main
 from failsafekit.demos import clayton_pair, gumbel_barnett_pair
+from failsafekit.generators import GeneratorSpec
+from failsafekit.gridpolicy import GridPolicy
+from failsafekit.models import BaselineSpec, SemiParamModel
+from failsafekit.systems import SystemSpec
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -102,6 +106,39 @@ def test_curve_malformed_spec_exit_2(tmp_path, capsys):
     bad2 = tmp_path / "bad2.json"
     bad2.write_text(json.dumps({"n": 2}))
     assert main(["curve", str(bad2), "--out", str(tmp_path / "y.csv")]) == 2
+
+
+def test_curve_paired_default_grid_is_the_verify_grid(tmp_path):
+    model = SemiParamModel("scale", BaselineSpec("gen_pareto", (2.0,)))
+    gen = GeneratorSpec("gumbel_hougaard", 2.0)
+    tx, ty = (0.5, 1.0, 2.0), (0.1, 1.0, 2.0)
+    fx = write_system(tmp_path / "x.json", SystemSpec(3, model, tx, gen))
+    fy = write_system(tmp_path / "y.json", SystemSpec(3, model, ty, gen))
+    out = tmp_path / "pair.csv"
+    assert main(["curve", fx, "--paired", fy, "--points", "300", "--out", str(out)]) == 0
+    cols = np.loadtxt(out, delimiter=",", skiprows=1)
+    want = GridPolicy(curve_points=300).curve_grid(model, tx, ty)
+    assert cols[:, 0].tobytes() == want.tobytes()
+    # verify t1 takes the p-larger vector first, so its gap is the CSV's negated
+    rep = tmp_path / "ver.json"
+    assert main(["verify", "t1", fy, fx, "--points", "300", "--out", str(rep)]) == 0
+    dom = json.loads(rep.read_text())["dominance"]
+    assert (cols[:, 3].min(), cols[:, 3].max()) == (-dom["max_gap"], -dom["min_gap"])
+
+
+def test_curve_out_creates_parent_directories(demo_files, tmp_path):
+    out = tmp_path / "a" / "b" / "x.csv"
+    assert main(["curve", demo_files["gb_x"], "--points", "20", "--out", str(out)]) == 0
+    assert out.read_bytes().startswith(b"x,survival\r\n")
+
+
+def test_preorder_out_under_regular_file_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["preorder", "--a", "1,2", "--b", "2,1", "--out", str(blocker / "x.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
 
 
 def test_emit_figures_layout(tmp_path, capsys):

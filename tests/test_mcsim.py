@@ -207,16 +207,6 @@ def test_empty_matrix_rejected():
         empirical_survival_x2n(np.empty((0, 3)), 1.0)
 
 
-def test_lifetime_csv_dump(tmp_path):
-    from failsafekit.mcsim import write_lifetimes_csv
-    arr = np.array([[0.5, 1.25], [2.0, 0.125]])
-    path = tmp_path / "lt.csv"
-    write_lifetimes_csv(str(path), arr)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2"
-    assert np.allclose(np.loadtxt(str(path), delimiter=",", skiprows=1), arr)
-
-
 # --------------------------------------------------- analytic agreement
 @pytest.mark.parametrize("gen", [
     GeneratorSpec("independence"),

@@ -20,6 +20,8 @@ from failsafekit import (
     survival_x2n,
 )
 from failsafekit.demos import clayton_pair, demo_grid, gumbel_barnett_pair
+from failsafekit.gridpolicy import GridPolicy
+from failsafekit.models import sp_quantile
 from failsafekit.systems import load_system, write_curve_csv
 
 
@@ -143,6 +145,37 @@ def test_default_grid_spans_component_bulk():
     xs = default_grid(sysd, 500)
     assert xs.size == 500
     assert xs[0] < 0.001 and xs[-1] > 6.0  # q(0.999) of the slowest component
+
+
+def _per_theta_curve_grid(policy, model, *theta_vectors):
+    """Reference: the grid rule with two scalar quantile calls per theta."""
+    los, his = [], []
+    for thetas in theta_vectors:
+        for th in thetas:
+            los.append(sp_quantile(model, policy.q_lo, float(th)))
+            his.append(sp_quantile(model, policy.q_hi, float(th)))
+    lo, hi = min(los), max(his)
+    return np.geomspace(max(lo, hi * 1e-9), hi, policy.curve_points)
+
+
+@pytest.mark.parametrize("model, tx, ty", [
+    (SemiParamModel("scale", BaselineSpec("gen_pareto", (2.0,))),
+     (0.5, 1.0, 2.0), (0.1, 1.0, 2.0)),
+    (SemiParamModel("phr", BaselineSpec("burr", (2.0, 0.7))),
+     (0.152, 0.9, 3.1), (0.4, 0.6, 5.0)),
+    (SemiParamModel("location", BaselineSpec("weibull", (1.0, 0.8))),
+     (-0.4, 0.3, 2.5), (-1.2, 0.0, 0.7)),
+    (SemiParamModel("mphrs", BaselineSpec("exp_weibull", (0.9, 0.9)), alpha=0.6, lam=1.7),
+     (0.2, 1.1, 4.0), (0.3, 0.9, 7.5)),
+    (SemiParamModel("ls", BaselineSpec("gamma", (2.0, 1.5)), lam=-0.3),
+     (0.7, 1.3, 2.2), (0.05, 1.0, 9.0)),
+])
+def test_curve_grid_batched_quantiles_match_per_theta_loop(model, tx, ty):
+    for points in (20, 300, 1000):
+        policy = GridPolicy(curve_points=points)
+        got = policy.curve_grid(model, tx, ty)
+        want = _per_theta_curve_grid(policy, model, tx, ty)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_survival_curve_validation():
