@@ -32,6 +32,7 @@ from .systems import (
     atomic_write,
     default_grid,
     load_system,
+    read_json,
     survival_x2n,
     write_curve_csv,
 )
@@ -92,7 +93,10 @@ def cmd_preorder(args) -> int:
 
 
 def _grid_for(sys_specs, args) -> np.ndarray:
-    if args.x_min is not None and args.x_max is not None:
+    if (args.x_min is None) != (args.x_max is None):
+        missing = "--x-max" if args.x_max is None else "--x-min"
+        raise ValidationError(f"--x-min and --x-max go together: {missing} is missing")
+    if args.x_min is not None:
         if not 0.0 <= args.x_min < args.x_max:
             raise ValidationError("need 0 <= x-min < x-max")
         lo = args.x_min if args.x_min > 0 else args.x_max / args.points
@@ -257,8 +261,7 @@ def cmd_fit(args) -> int:
         if args.reference == "bundled":
             manifest = demos.load_reference_manifest()
         else:
-            with open(args.reference) as fh:
-                manifest = json.load(fh)
+            manifest = read_json(args.reference, "reference manifest")
         report["reference_comparison"] = compare_to_reference(gofs, ranking, manifest)
 
     _emit_json(report, None if args.out_dir is None
@@ -357,11 +360,7 @@ def _load_config(argv: list[str]) -> dict:
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise ValidationError("--config needs a path")
-    try:
-        with open(argv[idx + 1]) as fh:
-            conf = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read config: {exc}") from exc
+    conf = read_json(argv[idx + 1], "config")
     if not isinstance(conf, dict):
         raise ValidationError("config must be a JSON object of flag defaults")
     return conf

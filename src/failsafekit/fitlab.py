@@ -32,8 +32,8 @@ from .errors import InconsistencyError, UnsupportedGeneratorError, ValidationErr
 from .generators import COPULA_FAMILIES, GeneratorSpec, phi, psi
 from .gridpolicy import GridPolicy
 from .mcsim import sample_copula
-from .models import FIT_FAMILIES, BaselineSpec, log_pdf
-from .ordering import ConditionReport, verify_theorem1
+from .models import _BASELINE_PARAMS, FIT_FAMILIES, BaselineSpec, log_pdf
+from .ordering import ConditionReport, Relation, verify_theorem1
 from .preorders import Preorder, classify
 
 MIN_OBSERVATIONS = 5
@@ -228,8 +228,7 @@ def mle_fit(family: str, data) -> FitResult:
         return _make_result("exponential", {"rate": rate},
                             _loglik("exponential", (rate,), arr), n, True, digest)
 
-    names = {"gamma": ("shape", "rate"), "weibull": ("scale", "shape"),
-             "burr": ("c", "k")}[family]
+    names = _BASELINE_PARAMS[family]
 
     def neg(logp):
         return -_loglik(family, tuple(np.exp(logp)), arr)
@@ -522,8 +521,6 @@ def recommend_subset(systems: dict, policy: GridPolicy | None = None) -> SubsetR
     incomparable: list[tuple[str, str]] = []
     inconsistent: list[tuple[str, str]] = []
     certificates: dict = {}
-    from .ordering import Relation
-
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
             rep = classify(systems[a].theta, systems[b].theta, policy.preorder_tol)

@@ -217,6 +217,11 @@ def copula_eval(g: GeneratorSpec, u) -> float:
     return float(psi(g, float(np.sum(phi(g, arr)))))
 
 
+_SHAPE_T_MAX = 50.0
+_SHAPE_POINTS = 200
+_SHAPE_TOL = 1e-9
+
+
 class LogShape(enum.Enum):
     LOG_CONCAVE = "log_concave"
     LOG_CONVEX = "log_convex"
@@ -248,38 +253,29 @@ class LogShapeReport:
         }
 
 
-def classify_log_shape(
-    g: GeneratorSpec,
-    t_max: float = 50.0,
-    grid_points: int = 200,
-    tol: float = 1e-9,
-) -> LogShapeReport:
-    """Classify log psi as concave/convex/linear on (0, t_max].
+def classify_log_shape(g: GeneratorSpec) -> LogShapeReport:
+    """Classify log psi as concave/convex/linear on (0, _SHAPE_T_MAX].
 
     Uses divided differences of the closed-form log psi on a log-spaced
     grid: consecutive-slope monotonicity is exact for truly convex or
-    concave functions, so only float noise is absorbed by ``tol``.
+    concave functions, so only float noise is absorbed by ``_SHAPE_TOL``.
     """
-    if t_max <= 0.0:
-        raise ValidationError("t_max must be positive")
-    if grid_points < 50:
-        raise ValidationError("grid_points must be at least 50")
-    ts = np.geomspace(1e-6, t_max, grid_points)
+    ts = np.geomspace(1e-6, _SHAPE_T_MAX, _SHAPE_POINTS)
     lp = log_psi(g, ts)
     if not np.all(np.isfinite(lp)):
         raise ValidationError("log psi not finite on the probe grid")
     slopes = np.diff(lp) / np.diff(ts)
     d2 = np.diff(slopes) / (0.5 * (ts[2:] - ts[:-2]))
     lo, hi = float(d2.min()), float(d2.max())
-    if lo >= -tol and hi <= tol:
+    if lo >= -_SHAPE_TOL and hi <= _SHAPE_TOL:
         shape = LogShape.BOTH
-    elif lo >= -tol:
+    elif lo >= -_SHAPE_TOL:
         shape = LogShape.LOG_CONVEX
-    elif hi <= tol:
+    elif hi <= _SHAPE_TOL:
         shape = LogShape.LOG_CONCAVE
     else:
         shape = LogShape.NEITHER
-    return LogShapeReport(shape, lo, hi, grid_points, t_max)
+    return LogShapeReport(shape, lo, hi, _SHAPE_POINTS, _SHAPE_T_MAX)
 
 
 def is_log_concave(report: LogShapeReport) -> bool:

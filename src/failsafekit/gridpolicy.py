@@ -18,21 +18,21 @@ class GridPolicy:
     probe and the dominance confirmation share consistent grids.
     """
 
+    # class constants, the same for every policy
+    q_lo = 0.001
+    q_hi = 0.999
+    shape_tol = 1e-9
+    preorder_tol = 1e-12
+
     curve_points: int = 1000
     shape_x_points: int = 200
     param_points: int = 100
-    q_lo: float = 0.001
-    q_hi: float = 0.999
     dominance_tol: float = 1e-10
     crossing_gap: float = 1e-8
-    shape_tol: float = 1e-9
-    preorder_tol: float = 1e-12
 
     def __post_init__(self):
         if self.curve_points < 2 or self.shape_x_points < 3 or self.param_points < 3:
             raise ValidationError("grid point counts too small")
-        if not (0.0 < self.q_lo < self.q_hi < 1.0):
-            raise ValidationError("quantile range must satisfy 0 < q_lo < q_hi < 1")
 
     def curve_grid(self, model: SemiParamModel, *theta_vectors) -> np.ndarray:
         """Log-spaced lifetime grid over the mixture bulk of all components."""

@@ -69,11 +69,8 @@ def compare_curves(
     A crossing is reported only when the gap changes sign with magnitude
     above ``crossing_gap`` on both sides; smaller wiggles stay ties.
     """
-    xs_x, vx = cx.as_arrays()
-    xs_y, vy = cy.as_arrays()
-    if xs_x.size != xs_y.size or not np.array_equal(xs_x, xs_y):
-        raise ValidationError("curves live on different grids")
-    gap = vx - vy
+    xs = _shared_grid(cx, cy)
+    gap = cx.values - cy.values
     min_gap, max_gap = float(gap.min()), float(gap.max())
     if max_gap <= tol and min_gap >= -tol:
         relation = Relation.TIES_WITHIN_TOL
@@ -85,13 +82,19 @@ def compare_curves(
         relation = Relation.Y_DOMINATES_X
         crossings = ()
     else:
-        crossings = _bracket_crossings(xs_x, gap, crossing_gap)
+        crossings = _bracket_crossings(xs, gap, crossing_gap)
         relation = Relation.CROSSING if crossings else (
             Relation.X_DOMINATES_Y if min_gap >= -crossing_gap else
             Relation.Y_DOMINATES_X if max_gap <= crossing_gap else
             Relation.TIES_WITHIN_TOL
         )
-    return DominanceVerdict(relation, min_gap, max_gap, crossings, xs_x.size)
+    return DominanceVerdict(relation, min_gap, max_gap, crossings, xs.size)
+
+
+def _shared_grid(cx: SurvivalCurve, cy: SurvivalCurve) -> np.ndarray:
+    if not np.array_equal(cx.xs, cy.xs):
+        raise ValidationError("curves live on different grids")
+    return cx.xs
 
 
 def _bracket_crossings(xs, gap, thresh) -> tuple[tuple[float, float], ...]:
@@ -105,16 +108,13 @@ def _bracket_crossings(xs, gap, thresh) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-def hazard_ratio_monotone(cx: SurvivalCurve, cy: SurvivalCurve, slack: float = 1e-9) -> bool:
-    """True iff values(cy)/values(cx) is nondecreasing along the grid."""
-    xs_x, vx = cx.as_arrays()
-    xs_y, vy = cy.as_arrays()
-    if not np.array_equal(xs_x, xs_y):
-        raise ValidationError("curves live on different grids")
-    if np.any(vx <= 0.0):
+def hazard_ratio_monotone(cx: SurvivalCurve, cy: SurvivalCurve) -> bool:
+    """True iff values(cy)/values(cx) is nondecreasing along the grid (relative slack 1e-9)."""
+    _shared_grid(cx, cy)
+    if np.any(cx.values <= 0.0):
         raise ValidationError("ratio undefined: zero denominator values")
-    ratio = vy / vx
-    return bool(np.all(np.diff(ratio) >= -slack * (1.0 + np.abs(ratio[:-1]))))
+    ratio = cy.values / cx.values
+    return bool(np.all(np.diff(ratio) >= -1e-9 * (1.0 + np.abs(ratio[:-1]))))
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,7 @@ def verify(
         return ConditionReport(route, checks, overall, None)
     xs = policy.curve_grid(mx, sysX.theta, sysY.theta)
     if row.x_min is not None:
-        xs = xs[xs > row.x_min(mx)]
-        if xs.size < 2:
-            raise ValidationError("dominance grid collapsed above the threshold")
+        xs = xs[xs > row.x_min(mx)]  # curve() rejects a grid left with < 2 points
     dominance = compare_curves(curve(sysX, xs), curve(sysY, xs),
                                policy.dominance_tol, policy.crossing_gap)
     report = ConditionReport(route, checks, overall, dominance)
@@ -286,18 +284,12 @@ def verify_prop_ls(
     return verify("prop_ls", sysX, sysY, policy)
 
 
-def schur_condition_probe(
-    sys: SystemSpec,
-    a_point=None,
-    pairs=None,
-    step: float = 1e-5,
-    xs=None,
-    policy: GridPolicy | None = None,
-) -> float:
+def schur_condition_probe(sys: SystemSpec, step: float = 1e-5, xs=None) -> float:
     """Worst value of (a_p - a_q)(dS/da_p - dS/da_q) over pairs and grid.
 
     S is the fail-safe survival as a function of the componentwise
-    log-parameters a; partials are central finite differences with a
+    log-parameters a = log(theta), probed on xs (default: the default
+    policy's curve grid); partials are central finite differences with a
     relative step.  Schur-convexity of S in a demands the result be >= 0;
     a symmetric point returns exactly 0.
     """
@@ -306,15 +298,10 @@ def schur_condition_probe(
     th = np.asarray(sys.theta, dtype=float)
     if np.any(th <= 0.0):
         raise ValidationError("log-parameter probe needs positive thetas")
-    a = np.log(th) if a_point is None else np.asarray(a_point, dtype=float)
-    if a.size != sys.n:
-        raise ValidationError("a_point length mismatch")
+    a = np.log(th)
     if xs is None:
-        policy = policy or GridPolicy()
-        xs = policy.curve_grid(sys.model, np.exp(a))
+        xs = GridPolicy().curve_grid(sys.model, np.exp(a))
     xs = np.asarray(xs, dtype=float)
-    if pairs is None:
-        pairs = [(p, q) for p in range(sys.n) for q in range(p + 1, sys.n)]
 
     partials = np.empty((xs.size, sys.n))
     for i in range(sys.n):
@@ -325,11 +312,6 @@ def schur_condition_probe(
         s_lo = survival_x2n(SystemSpec(sys.n, sys.model, tuple(np.exp(lo)), sys.generator), xs)
         partials[:, i] = (s_hi - s_lo) / (2.0 * h)
 
-    worst = np.inf
-    for p, q in pairs:
-        if a[p] == a[q]:
-            worst = min(worst, 0.0)
-            continue
-        prod = (a[p] - a[q]) * (partials[:, p] - partials[:, q])
-        worst = min(worst, float(prod.min()))
-    return worst
+    p, q = np.triu_indices(sys.n, 1)
+    prod = (a[p] - a[q]) * (partials[:, p] - partials[:, q])
+    return float(np.where(a[p] == a[q], 0.0, prod).min())

@@ -74,29 +74,34 @@ class SystemSpec:
         )
 
 
-@dataclass(frozen=True)
-class SurvivalCurve:
-    """A lifetime grid with survival values; the unit of dominance checks."""
+def _checked_grid(xs) -> np.ndarray:
+    """xs as a read-only float64 copy of a 1-d, positive, strictly increasing grid."""
+    xs = np.array(xs, dtype=float)
+    if xs.ndim != 1 or xs.size < 2 or not (xs[0] > 0.0 and np.all(np.diff(xs) > 0.0)):
+        raise ValidationError("xs must be a strictly increasing positive grid of length >= 2")
+    xs.flags.writeable = False
+    return xs
 
-    xs: tuple[float, ...]
-    values: tuple[float, ...]
+
+@dataclass(frozen=True, eq=False)
+class SurvivalCurve:
+    """A lifetime grid and its survival values, as read-only float64 arrays."""
+
+    xs: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if xs.size != vals.size or xs.size < 2:
-            raise ValidationError("curve needs matching xs/values of length >= 2")
-        if np.any(xs <= 0.0) or np.any(np.diff(xs) <= 0.0):
-            raise ValidationError("xs must be strictly increasing and positive")
+        xs = _checked_grid(self.xs)
+        vals = np.array(self.values, dtype=float)
+        if vals.shape != xs.shape:
+            raise ValidationError("curve needs one survival value per grid point")
         if np.any(vals < -CLAMP_TOL) or np.any(vals > 1.0 + CLAMP_TOL):
             raise ValidationError("survival values leave [0, 1]")
         if np.any(np.diff(vals) > CLAMP_TOL):
             raise ValidationError("survival values are not nonincreasing")
-        object.__setattr__(self, "xs", tuple(xs))
-        object.__setattr__(self, "values", tuple(vals))
-
-    def as_arrays(self):
-        return np.asarray(self.xs), np.asarray(self.values)
+        vals.flags.writeable = False
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "values", vals)
 
 
 def component_survivals(sys: SystemSpec, x) -> np.ndarray:
@@ -147,10 +152,8 @@ def default_grid(sys: SystemSpec, points: int = 1000) -> np.ndarray:
 
 def curve(sys: SystemSpec, xs) -> SurvivalCurve:
     """Fail-safe survival curve on xs, a required strictly increasing grid."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0.0):
-        raise ValidationError("xs must be a strictly increasing 1-d grid")
-    return SurvivalCurve(xs=tuple(xs), values=tuple(survival_x2n(sys, xs)))
+    xs = _checked_grid(xs)
+    return SurvivalCurve(xs, survival_x2n(sys, xs))
 
 
 def homogeneous_x2n(gen: GeneratorSpec, u, n: int):
@@ -209,6 +212,15 @@ def atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
+def read_json(path: str, what: str):
+    """Parse the JSON file at path; unreadable or malformed input is a ValidationError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise ValidationError(f"cannot read {what}: {exc}") from exc
+
+
 def write_curve_csv(path: str, xs, columns: dict) -> None:
     """Write curve columns as CSV with 17 significant digits, atomically."""
     xs = np.asarray(xs, dtype=float)
@@ -226,11 +238,4 @@ def write_curve_csv(path: str, xs, columns: dict) -> None:
 
 
 def load_system(path: str) -> SystemSpec:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read system spec: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed system JSON: {exc}") from exc
-    return SystemSpec.from_json(obj)
+    return SystemSpec.from_json(read_json(path, "system spec"))

@@ -99,6 +99,15 @@ def test_curve_single_matches_library(demo_files, tmp_path):
     np.testing.assert_array_equal(vals, survival_x2n(sx, xs))
 
 
+@pytest.mark.parametrize("given, missing", [("--x-min", "--x-max"), ("--x-max", "--x-min")])
+def test_curve_one_sided_range_exit_2(demo_files, tmp_path, capsys, given, missing):
+    out = tmp_path / "c.csv"
+    assert main(["curve", demo_files["cl_x"], given, "2.0", "--points", "5",
+                 "--out", str(out)]) == 2
+    assert missing in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_curve_malformed_spec_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -295,6 +304,17 @@ def test_fit_deterministic(tmp_path, capsys):
 
 def test_fit_missing_file_exit_2(capsys):
     assert main(["fit", "/nonexistent/file.csv"]) == 2
+
+
+@pytest.mark.parametrize("manifest", [None, "{not json"])
+def test_fit_unreadable_reference_exit_2(tmp_path, capsys, manifest):
+    data = _write_wide_dataset(tmp_path / "wide.csv", cables=10, wires=2)
+    ref = tmp_path / "manifest.json"
+    if manifest is not None:
+        ref.write_text(manifest)
+    assert main(["fit", data, "--families", "weibull", "--copulas", "clayton",
+                 "--boot", "100", "--seed", "1", "--reference", str(ref)]) == 2
+    assert "reference manifest" in capsys.readouterr().err
 
 
 def test_fit_too_few_observations_exit_2(tmp_path, capsys):

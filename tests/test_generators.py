@@ -189,14 +189,6 @@ def test_gumbel_at_one_reduces_to_independence():
     assert classify_log_shape(GeneratorSpec("gumbel", 1.0)).shape is LogShape.BOTH
 
 
-def test_classify_rejects_bad_grid():
-    g = GeneratorSpec("clayton", 1.0)
-    with pytest.raises(ValidationError):
-        classify_log_shape(g, t_max=-1.0)
-    with pytest.raises(ValidationError):
-        classify_log_shape(g, grid_points=10)
-
-
 @pytest.mark.parametrize(
     "family,theta",
     [

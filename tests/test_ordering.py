@@ -133,6 +133,20 @@ def test_hazard_ratio_implies_grid_dominance():
     assert confirmed > 10
 
 
+@pytest.mark.parametrize("other", [
+    np.linspace(0.1, 5.0, 50) * 1.01,  # same length, other points
+    np.linspace(0.1, 5.0, 51),         # other length
+])
+def test_comparers_reject_different_grids(other):
+    c = exp_curve(1.0, np.linspace(0.1, 5.0, 50))
+    d = exp_curve(2.0, other)
+    for compare in (compare_curves, hazard_ratio_monotone):
+        with pytest.raises(ValidationError, match="different grids"):
+            compare(c, d)
+        with pytest.raises(ValidationError, match="different grids"):
+            compare(d, c)
+
+
 def test_hazard_ratio_zero_denominator():
     xs = np.linspace(0.1, 2.0, 10)
     dead = SurvivalCurve(xs=tuple(xs), values=tuple(np.zeros_like(xs)))
@@ -316,7 +330,7 @@ def test_ls_survival_flat_below_location():
 def test_schur_probe_zero_at_symmetric_point():
     m = SemiParamModel("scale", BaselineSpec("exponential", (1.0,)))
     sysd = SystemSpec(3, m, (1.5, 1.5, 1.5), GeneratorSpec("clayton", 2.0))
-    assert schur_condition_probe(sysd, policy=FAST) == 0.0
+    assert schur_condition_probe(sysd, xs=FAST.curve_grid(m, sysd.theta)) == 0.0
 
 
 def test_schur_probe_negative_at_first_demo():

@@ -116,8 +116,8 @@ def test_curve_monotone_and_deterministic():
     xs = demo_grid()
     c1 = curve(sx, xs)
     c2 = curve(sx, xs)
-    assert c1.values == c2.values
-    vals = np.asarray(c1.values)
+    assert c1.values.tobytes() == c2.values.tobytes()
+    vals = c1.values
     assert vals[0] > 0.99
     assert np.all(np.diff(vals) <= 1e-10)
 
@@ -138,6 +138,36 @@ def test_curve_rejects_unsorted_grid():
     sx, _ = gumbel_barnett_pair()
     with pytest.raises(ValidationError):
         curve(sx, np.array([1.0, 0.5, 2.0]))
+
+
+BAD_GRIDS = {
+    "2-d": np.array([[0.5, 1.0], [1.5, 2.0]]),
+    "1-point": np.array([1.0]),
+    "zero": np.array([0.0, 0.5, 1.0]),
+    "negative": np.array([-1.0, 0.5, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GRIDS))
+def test_curve_and_survival_curve_reject_bad_grids(name):
+    sx, _ = gumbel_barnett_pair()
+    xs = BAD_GRIDS[name]
+    with pytest.raises(ValidationError):
+        curve(sx, xs)
+    with pytest.raises(ValidationError):
+        SurvivalCurve(xs, np.full(xs.shape, 0.5))
+
+
+def test_curve_arrays_are_read_only_copies():
+    sx, _ = gumbel_barnett_pair()
+    xs = demo_grid(50)
+    c = curve(sx, xs)
+    assert c.xs.dtype == np.float64 and c.values.dtype == np.float64
+    for arr in (c.xs, c.values):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    xs[0] = 0.5  # the caller's grid stays writeable and is not shared
+    assert c.xs[0] == demo_grid(50)[0]
 
 
 def test_default_grid_spans_component_bulk():
