@@ -73,7 +73,7 @@ def _parse_vector(inline: str | None, path: str | None, name: str) -> list[float
         try:
             with open(path) as fh:
                 inline = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read {name} vector: {exc}") from exc
     tokens = inline.replace(",", " ").split()
     if not tokens:

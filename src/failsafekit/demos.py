@@ -28,8 +28,8 @@ def load_reference_manifest() -> dict:
 
 
 #: 1000-point grid over (0, 10], shared by the first two demos.
-def demo_grid(points: int = 1000, hi: float = 10.0) -> np.ndarray:
-    return np.linspace(hi / points, hi, points)
+def demo_grid(points: int = 1000) -> np.ndarray:
+    return np.linspace(10.0 / points, 10.0, points)
 
 
 def gumbel_barnett_pair() -> tuple[SystemSpec, SystemSpec]:

@@ -32,7 +32,7 @@ from .errors import InconsistencyError, UnsupportedGeneratorError, ValidationErr
 from .generators import COPULA_FAMILIES, GeneratorSpec, phi, psi
 from .gridpolicy import GridPolicy
 from .mcsim import sample_copula
-from .models import _BASELINE_PARAMS, FIT_FAMILIES, BaselineSpec, log_pdf
+from .models import _FAMILIES, FIT_FAMILIES, BaselineSpec, log_pdf
 from .ordering import ConditionReport, Relation, verify_theorem1
 from .preorders import Preorder, classify
 
@@ -79,7 +79,7 @@ def load_dataset_csv(path: str) -> LifetimeDataset:
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read dataset: {exc}") from exc
     if len(rows) < 2:
         raise ValidationError("dataset CSV has no data rows")
@@ -228,7 +228,7 @@ def mle_fit(family: str, data) -> FitResult:
         return _make_result("exponential", {"rate": rate},
                             _loglik("exponential", (rate,), arr), n, True, digest)
 
-    names = _BASELINE_PARAMS[family]
+    names = _FAMILIES[family].names
 
     def neg(logp):
         return -_loglik(family, tuple(np.exp(logp)), arr)
@@ -498,7 +498,7 @@ class SubsetRecommendation:
         }
 
 
-def recommend_subset(systems: dict, policy: GridPolicy | None = None) -> SubsetRecommendation:
+def recommend_subset(systems: dict) -> SubsetRecommendation:
     """Rank candidate subsets by confirmed dominance certificates.
 
     Pairs whose parameter vectors relate under the p-larger preorder are
@@ -515,7 +515,6 @@ def recommend_subset(systems: dict, policy: GridPolicy | None = None) -> SubsetR
         s = systems[lab]
         if s.n != first.n or s.model != first.model or s.generator != first.generator:
             raise ValidationError("candidate subsets must share size, model and generator")
-    policy = policy or GridPolicy()
     dominates: list[tuple[str, str]] = []
     ties: list[tuple[str, str]] = []
     incomparable: list[tuple[str, str]] = []
@@ -523,7 +522,7 @@ def recommend_subset(systems: dict, policy: GridPolicy | None = None) -> SubsetR
     certificates: dict = {}
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
-            rep = classify(systems[a].theta, systems[b].theta, policy.preorder_tol)
+            rep = classify(systems[a].theta, systems[b].theta, GridPolicy.preorder_tol)
             fwd = rep.forward[Preorder.P_LARGER]
             rev = rep.reverse[Preorder.P_LARGER]
             if not fwd and not rev:
@@ -533,7 +532,7 @@ def recommend_subset(systems: dict, policy: GridPolicy | None = None) -> SubsetR
                 if not related:
                     continue
                 try:
-                    cert: ConditionReport = verify_theorem1(systems[src], systems[dst], policy)
+                    cert: ConditionReport = verify_theorem1(systems[src], systems[dst])
                 except InconsistencyError:
                     inconsistent.append((src, dst))
                     continue
@@ -566,8 +565,26 @@ def fixed_shape_weibull_scale(data, shape: float) -> float:
     return float(np.mean(arr ** shape) ** (1.0 / shape))
 
 
+def _check_manifest(manifest) -> None:
+    """Raise unless manifest holds every key compare_to_reference reads,
+    with numbers where it does arithmetic."""
+    def numbers(obj) -> bool:
+        return isinstance(obj, dict) and all(
+            isinstance(obj.get(k), (int, float)) for k in ("theta", "p_value"))
+
+    ok = (isinstance(manifest, dict) and numbers(manifest.get("tolerances"))
+          and isinstance(manifest.get("marginal_aic_order"), list)
+          and isinstance(manifest.get("copulas"), dict)
+          and all(numbers(ref) for ref in manifest["copulas"].values())
+          and "preferred_copula" in manifest)
+    if not ok:
+        raise ValidationError("reference manifest needs tolerances, marginal_aic_order, "
+                              "copulas (theta and p_value numbers) and preferred_copula")
+
+
 def compare_to_reference(gofs: dict, ranking: ModelRanking, manifest: dict) -> dict:
     """Check a pipeline run against the bundled manifest tolerances."""
+    _check_manifest(manifest)
     tol = manifest["tolerances"]
     out = {"aic_order_matches": [r.family for r in ranking.entries] == manifest["marginal_aic_order"],
            "copulas": {}}

@@ -1,14 +1,18 @@
 """Baseline lifetime distributions and semi-parametric survival transforms.
 
-Baselines expose log-survival and its inverse, log-density and hazard in
-closed form (gen_gamma and gamma route through scipy's regularized
-incomplete gamma, whose log-gamma backend meets a 1e-12 relative accuracy
-standard; scipy.special loads on the first gamma or gen_gamma use, so the
-other baselines never import scipy).  Quantiles and Monte-Carlo
+Each baseline family is one record of the module table ``_FAMILIES``: its
+parameter names and closed forms for log-survival, log-density and
+inverse log-survival.  ``log_sf``, ``log_pdf`` and ``inverse_log_sf``
+clamp or mask their input and make one call into that record; hazard
+comes from the first two in log space.  gen_gamma and gamma route through
+scipy's regularized incomplete gamma, whose log-gamma backend meets a
+1e-12 relative accuracy standard; scipy.special loads on their first use,
+so the other baselines never import scipy.  Quantiles and Monte-Carlo
 lifetimes both come from the inverse log-survival, so neither rounds a
 tail probability to 1.
 The semi-parametric kinds map a baseline survival F(x) to F(x; theta)
-through one table (a, c, p), with log F(x; theta) = p log F(a (x - c)):
+through one table (a, c, p), ``_KIND_MAP``, built once at import, with
+log F(x; theta) = p log F(a (x - c)):
 
     scale      (theta, 0, 1)      F(theta x)                theta > 0
     phr        (1, 0, theta)      F(x)^theta                theta > 0
@@ -27,6 +31,7 @@ is pure and reentrant; model values are immutable.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,20 +39,6 @@ from .errors import ValidationError
 
 #: Survival values below this are excluded from log-space probes.
 LOG_FLOOR = 1e-300
-
-_BASELINE_PARAMS = {
-    "exponential": ("rate",),
-    "weibull": ("scale", "shape"),
-    "exp_weibull": ("alpha", "beta"),
-    "burr": ("c", "k"),
-    "gen_pareto": ("alpha",),
-    "gen_gamma": ("p", "q"),
-    "gamma": ("shape", "rate"),
-}
-
-BASELINE_FAMILIES = tuple(_BASELINE_PARAMS)
-#: The baselines the fitting pipeline estimates and ranks.
-FIT_FAMILIES = ("exponential", "gamma", "weibull", "burr")
 
 
 def _special():
@@ -58,6 +49,71 @@ def _special():
     return scipy.special
 
 
+def _log1mexp(a):
+    """log(1 - e^a) for a <= 0, accurate at both ends."""
+    return np.where(a > -np.log(2.0), np.log(-np.expm1(a)), np.log1p(-np.exp(a)))
+
+
+def _log_z(t, al):
+    """exp_weibull's log z, z = 1 - exp(-t^alpha), so that F = z^beta."""
+    return np.log1p(-np.exp(-(t ** al)))
+
+
+class _Family(NamedTuple):
+    """A baseline family: parameter names and closed forms, each called
+    with the family's parameters after its first argument."""
+
+    names: tuple[str, ...]
+    log_sf: Callable[..., np.ndarray]  # (t, *params), t >= 0
+    log_pdf: Callable[..., np.ndarray]  # (t, *params), t > 0 or NaN
+    inverse_log_sf: Callable[..., np.ndarray]  # (ls, *params), ls <= 0
+
+
+_FAMILIES = {
+    "exponential": _Family(
+        ("rate",),
+        lambda t, rate: -rate * t,
+        lambda t, rate: np.log(rate) - rate * t,
+        lambda ls, rate: -ls / rate),
+    "weibull": _Family(
+        ("scale", "shape"),
+        lambda t, a, bb: -((t / a) ** bb),
+        lambda t, a, bb: np.log(bb / a) + (bb - 1.0) * np.log(t / a) - (t / a) ** bb,
+        lambda ls, a, bb: a * (-ls) ** (1.0 / bb)),
+    "exp_weibull": _Family(  # sf = -expm1(beta log z)
+        ("alpha", "beta"),
+        lambda t, al, be: np.where(t > 0.0, np.log(-np.expm1(be * _log_z(t, al))), 0.0),
+        lambda t, al, be: (np.log(al * be) + (al - 1.0) * np.log(t) - t ** al
+                           + (be - 1.0) * _log_z(t, al)),
+        lambda ls, al, be: (-_log1mexp(_log1mexp(ls) / be)) ** (1.0 / al)),
+    "burr": _Family(
+        ("c", "k"),
+        lambda t, c, k: -k * np.log1p(t ** c),
+        lambda t, c, k: np.log(c * k) + (c - 1.0) * np.log(t) - (k + 1.0) * np.log1p(t ** c),
+        lambda ls, c, k: np.expm1(-ls / k) ** (1.0 / c)),
+    "gen_pareto": _Family(
+        ("alpha",),
+        lambda t, al: -np.log1p(al * t) / al,
+        lambda t, al: -(1.0 / al + 1.0) * np.log1p(al * t),
+        lambda ls, al: np.expm1(-al * ls) / al),
+    "gen_gamma": _Family(
+        ("p", "q"),
+        lambda t, p, q: np.log(_special().gammaincc(q / p, t ** p)),
+        lambda t, p, q: np.log(p) + (q - 1.0) * np.log(t) - t ** p - _special().gammaln(q / p),
+        lambda ls, p, q: _special().gammainccinv(q / p, np.exp(ls)) ** (1.0 / p)),
+    "gamma": _Family(
+        ("shape", "rate"),
+        lambda t, sh, rate: np.log(_special().gammaincc(sh, rate * t)),
+        lambda t, sh, rate: (sh * np.log(rate) + (sh - 1.0) * np.log(t) - rate * t
+                             - _special().gammaln(sh)),
+        lambda ls, sh, rate: _special().gammainccinv(sh, np.exp(ls)) / rate),
+}
+
+BASELINE_FAMILIES = tuple(_FAMILIES)
+#: The baselines the fitting pipeline estimates and ranks.
+FIT_FAMILIES = ("exponential", "gamma", "weibull", "burr")
+
+
 @dataclass(frozen=True)
 class BaselineSpec:
     """A baseline lifetime distribution on (0, inf)."""
@@ -66,9 +122,9 @@ class BaselineSpec:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.family not in _BASELINE_PARAMS:
+        if self.family not in _FAMILIES:
             raise ValidationError(f"unknown baseline family {self.family!r}")
-        names = _BASELINE_PARAMS[self.family]
+        names = _FAMILIES[self.family].names
         params = tuple(float(p) for p in self.params)
         if len(params) != len(names):
             raise ValidationError(
@@ -92,31 +148,7 @@ def log_sf(b: BaselineSpec, x):
     """log survival; 0 for x <= 0 (lifetimes are nonnegative)."""
     t = np.maximum(np.asarray(x, dtype=float), 0.0)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        if b.family == "exponential":
-            (rate,) = b.params
-            out = -rate * t
-        elif b.family == "weibull":
-            a, bb = b.params
-            out = -((t / a) ** bb)
-        elif b.family == "exp_weibull":
-            al, be = b.params
-            # F = z^beta with z = 1 - exp(-x^alpha); sf = -expm1(beta log z)
-            logz = np.log1p(-np.exp(-(t ** al)))
-            out = np.where(t > 0.0, np.log(-np.expm1(be * logz)), 0.0)
-        elif b.family == "burr":
-            c, k = b.params
-            out = -k * np.log1p(t ** c)
-        elif b.family == "gen_pareto":
-            (al,) = b.params
-            out = -np.log1p(al * t) / al
-        elif b.family == "gen_gamma":
-            p, q = b.params
-            out = np.log(_special().gammaincc(q / p, t ** p))
-        elif b.family == "gamma":
-            sh, rate = b.params
-            out = np.log(_special().gammaincc(sh, rate * t))
-        else:  # pragma: no cover
-            raise ValidationError(b.family)
+        out = _FAMILIES[b.family].log_sf(t, *b.params)
     return out if np.ndim(x) else float(out)
 
 
@@ -132,30 +164,7 @@ def log_pdf(b: BaselineSpec, x):
     arr = np.asarray(x, dtype=float)
     t = np.where(arr > 0.0, arr, np.nan)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        if b.family == "exponential":
-            (rate,) = b.params
-            out = np.log(rate) - rate * t
-        elif b.family == "weibull":
-            a, bb = b.params
-            out = np.log(bb / a) + (bb - 1.0) * np.log(t / a) - (t / a) ** bb
-        elif b.family == "exp_weibull":
-            al, be = b.params
-            logz = np.log1p(-np.exp(-(t ** al)))
-            out = np.log(al * be) + (al - 1.0) * np.log(t) - t ** al + (be - 1.0) * logz
-        elif b.family == "burr":
-            c, k = b.params
-            out = np.log(c * k) + (c - 1.0) * np.log(t) - (k + 1.0) * np.log1p(t ** c)
-        elif b.family == "gen_pareto":
-            (al,) = b.params
-            out = -(1.0 / al + 1.0) * np.log1p(al * t)
-        elif b.family == "gen_gamma":
-            p, q = b.params
-            out = np.log(p) + (q - 1.0) * np.log(t) - t ** p - _special().gammaln(q / p)
-        elif b.family == "gamma":
-            sh, rate = b.params
-            out = sh * np.log(rate) + (sh - 1.0) * np.log(t) - rate * t - _special().gammaln(sh)
-        else:  # pragma: no cover
-            raise ValidationError(b.family)
+        out = _FAMILIES[b.family].log_pdf(t, *b.params)
     out = np.where(np.isnan(t), -np.inf, out)
     return out if np.ndim(x) else float(out)
 
@@ -173,38 +182,11 @@ def hazard(b: BaselineSpec, x):
     return out if np.ndim(x) else float(out)
 
 
-def _log1mexp(a):
-    """log(1 - e^a) for a <= 0, accurate at both ends."""
-    return np.where(a > -np.log(2.0), np.log(-np.expm1(a)), np.log1p(-np.exp(a)))
-
-
 def inverse_log_sf(b: BaselineSpec, ls):
     """x >= 0 with log_sf(b, x) = ls, for ls <= 0."""
     ls = np.asarray(ls, dtype=float)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        if b.family == "exponential":
-            (rate,) = b.params
-            out = -ls / rate
-        elif b.family == "weibull":
-            a, bb = b.params
-            out = a * (-ls) ** (1.0 / bb)
-        elif b.family == "exp_weibull":
-            al, be = b.params
-            out = (-_log1mexp(_log1mexp(ls) / be)) ** (1.0 / al)
-        elif b.family == "burr":
-            c, k = b.params
-            out = np.expm1(-ls / k) ** (1.0 / c)
-        elif b.family == "gen_pareto":
-            (al,) = b.params
-            out = np.expm1(-al * ls) / al
-        elif b.family == "gen_gamma":
-            p, q = b.params
-            out = _special().gammainccinv(q / p, np.exp(ls)) ** (1.0 / p)
-        elif b.family == "gamma":
-            sh, rate = b.params
-            out = _special().gammainccinv(sh, np.exp(ls)) / rate
-        else:  # pragma: no cover
-            raise ValidationError(b.family)
+        out = _FAMILIES[b.family].inverse_log_sf(ls, *b.params)
     return out if np.ndim(out) else float(out)
 
 
@@ -220,7 +202,15 @@ def quantile(b: BaselineSpec, prob):
     return inverse_log_sf(b, np.log1p(-_check_prob(prob)))
 
 
-_KINDS = ("scale", "phr", "location", "mphrs", "ls")
+#: (a, c, p) of each kind, as in the module docstring, from theta t and the fixed lambda.
+_KIND_MAP = {
+    "scale": lambda t, lam: (t, 0.0, 1.0),
+    "phr": lambda t, lam: (1.0, 0.0, t),
+    "location": lambda t, lam: (1.0, t, 1.0),
+    "mphrs": lambda t, lam: (t, 0.0, lam),
+    "ls": lambda t, lam: (t, lam, 1.0),
+}
+_KINDS = tuple(_KIND_MAP)
 
 
 @dataclass(frozen=True)
@@ -276,19 +266,13 @@ class SemiParamModel:
 
 
 def _kind_map(m: SemiParamModel, theta):
-    """(a, c, p) with log F(x; theta) = p log_sf(b, a (x - c)) before the mphrs
-    alpha map; theta may be an array that broadcasts against x."""
+    """_KIND_MAP's (a, c, p) for m at theta, after a domain check; theta may
+    be an array that broadcasts against x."""
     t = np.asarray(theta, dtype=float)
     ok = m.theta_in_domain(t)
     if not ok.all():
         raise ValidationError(f"theta {t[~ok][:3].tolist()} outside the {m.kind} domain")
-    return {
-        "scale": (t, 0.0, 1.0),
-        "phr": (1.0, 0.0, t),
-        "location": (1.0, t, 1.0),
-        "mphrs": (t, 0.0, m.lam),
-        "ls": (t, m.lam, 1.0),
-    }[m.kind]
+    return _KIND_MAP[m.kind](t, m.lam)
 
 
 def _log_w(m: SemiParamModel, x, theta):
@@ -358,6 +342,9 @@ class ShapeVerdict:
 def default_x_grid(b: BaselineSpec, points: int = 200, q_lo: float = 0.001, q_hi: float = 0.999):
     """Log-spaced grid over the baseline's bulk quantile range."""
     lo, hi = quantile(b, q_lo), quantile(b, q_hi)
+    if not (np.isfinite(lo) and 0.0 < hi < np.inf):
+        raise ValidationError(f"{b.family}{b.params} has no finite positive bulk quantile "
+                              f"range [{lo:.3g}, {hi:.3g}] for a probe grid")
     return np.geomspace(max(lo, hi * 1e-12), hi, points)
 
 
@@ -402,10 +389,12 @@ def _check_rate(prop: str, b: BaselineSpec, x_grid, tol: float) -> ShapeVerdict:
     if np.any(xs <= 0.0):
         raise ValidationError(f"{prop.upper()} probe grid must be positive")
     v = xs * hazard(b, xs) if prop == "dpfr" else hazard(b, xs)
+    label = "x*hazard" if prop == "dpfr" else "hazard"
     keep = np.isfinite(v)
+    if not keep.any():
+        raise ValidationError(f"{prop.upper()} probe: {label} is not finite at any grid point")
     xs, v = xs[keep], v[keep]
     worst = _worst(_monotone_violation(v, 1.0, 0))
-    label = "x*hazard" if prop == "dpfr" else "hazard"
     return ShapeVerdict(prop, worst <= tol, worst, tol,
                         f"{label} on {xs.size} points in [{xs[0]:.3g}, {xs[-1]:.3g}]")
 

@@ -66,6 +66,15 @@ def test_preorder_mismatched_lengths_exit_2(capsys):
     assert main(["preorder", "--a", "1,2", "--b", "1,2,3"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["preorder", "--a-file", "{f}", "--b", "1.0,1.0"],
+                                  ["fit", "{f}"]])
+def test_non_utf8_input_file_exit_2(tmp_path, capsys, argv):
+    f = tmp_path / "bad.bin"
+    f.write_bytes(b"0.5 1.5\xff\n")
+    assert main([a.replace("{f}", str(f)) for a in argv]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_preorder_vector_file(tmp_path, capsys):
     f = tmp_path / "vec.txt"
     f.write_text("0.5 1.5\n")
@@ -213,6 +222,17 @@ def test_verify_p_ls_hypothesis_fail_exit_1(tmp_path, capsys):
     assert rep["overall"] is False
 
 
+def test_verify_p_ls_infinite_bulk_quantile_exit_2(tmp_path, capsys):
+    # burr(0.05, 0.05) has an infinite 0.999 quantile: no probe grid exists
+    from failsafekit import BaselineSpec, GeneratorSpec, SemiParamModel, SystemSpec
+    m = SemiParamModel("ls", BaselineSpec("burr", (0.05, 0.05)), lam=0.5)
+    gen = GeneratorSpec("clayton", 1.0)
+    fx = write_system(tmp_path / "x.json", SystemSpec(2, m, (1.0, 2.0), gen))
+    fy = write_system(tmp_path / "y.json", SystemSpec(2, m, (1.5, 2.5), gen))
+    assert main(["verify", "p-ls", fx, fy]) == 2
+    assert "no finite positive bulk quantile" in capsys.readouterr().err
+
+
 def test_verify_p_mphrs_mismatched_fixed_exit_2(tmp_path, capsys):
     from failsafekit import BaselineSpec, GeneratorSpec, SemiParamModel, SystemSpec
     b = BaselineSpec("gen_gamma", (0.5, 0.5))
@@ -306,7 +326,7 @@ def test_fit_missing_file_exit_2(capsys):
     assert main(["fit", "/nonexistent/file.csv"]) == 2
 
 
-@pytest.mark.parametrize("manifest", [None, "{not json"])
+@pytest.mark.parametrize("manifest", [None, "{not json", "{}", "[1, 2]"])
 def test_fit_unreadable_reference_exit_2(tmp_path, capsys, manifest):
     data = _write_wide_dataset(tmp_path / "wide.csv", cables=10, wires=2)
     ref = tmp_path / "manifest.json"

@@ -9,6 +9,8 @@ from failsafekit import (
     SemiParamModel,
     SystemSpec,
     ValidationError,
+    phi,
+    psi,
     sample_copula,
 )
 from failsafekit import fitlab
@@ -218,6 +220,25 @@ def test_fit_copula_pseudo_likelihood_close_to_truth():
     ps = pseudo_observations(u)
     theta = fit_copula("clayton", ps, method="pseudo_likelihood")
     assert 0.75 <= theta <= 1.3
+
+
+@pytest.mark.parametrize("family, theta", [("gumbel", 1.8), ("frank", 4.0)])
+def test_fit_copula_pseudo_likelihood_gumbel_frank(family, theta):
+    u = sample_copula(GeneratorSpec(family, theta), 2, 400, seed=9).uniforms
+    fitted = fit_copula(family, pseudo_observations(u), method="pseudo_likelihood")
+    assert abs(fitted - theta) < 0.2 * theta
+
+
+@pytest.mark.parametrize("family, theta", [("clayton", 1.5), ("gumbel", 1.8), ("frank", 4.0)])
+def test_bivariate_log_density_is_mixed_partial_of_copula(family, theta):
+    # c(u, v) = d2/du dv psi(phi(u) + phi(v)), by central differences
+    g = GeneratorSpec(family, theta)
+    grid = np.array([0.15, 0.4, 0.6, 0.85])
+    u, v = (a.ravel() for a in np.meshgrid(grid, grid))
+    cop = lambda a, b: psi(g, phi(g, a) + phi(g, b))
+    h = 1e-4
+    fd = (cop(u + h, v + h) - cop(u + h, v - h) - cop(u - h, v + h) + cop(u - h, v - h)) / (4 * h * h)
+    assert_allclose(np.exp(fitlab._bivariate_log_density(family, theta, u, v)), fd, rtol=1e-5)
 
 
 def test_fit_copula_mean_pairwise_above_two_dims():

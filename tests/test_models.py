@@ -251,6 +251,17 @@ def test_dpfr_verdicts():
 def test_dpfr_grid_validation():
     with pytest.raises(ValidationError):
         check_dpfr(BaselineSpec("exponential", (1.0,)), x_grid=np.linspace(1, 2, 10))
+    # burr(0.05, 0.05): the 0.999 quantile overflows to inf, so there is
+    # no default grid; on the NaN grid geomspace made of it, x*hazard is
+    # finite nowhere
+    heavy = BaselineSpec("burr", (0.05, 0.05))
+    with pytest.raises(ValidationError, match="burr"):
+        check_dpfr(heavy)
+    with pytest.raises(ValidationError, match="not finite at any grid point"):
+        check_dpfr(heavy, x_grid=np.full(100, np.nan))
+    # burr(0.01, 1e10): both bulk quantiles underflow to 0
+    with pytest.raises(ValidationError, match="burr"):
+        check_dfr(BaselineSpec("burr", (0.01, 1e10)))
 
 
 # ----------------------------------------------- theorem shape checks

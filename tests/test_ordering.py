@@ -186,6 +186,17 @@ def test_verify_identical_systems_tie():
     assert rep.dominance.relation is Relation.TIES_WITHIN_TOL
 
 
+def test_verify_nonpositive_theta_fails_shape_and_preorder():
+    m = SemiParamModel("location", BaselineSpec("gen_pareto", (1.0,)))
+    gen = GeneratorSpec("gumbel_barnett", 0.5)
+    rep = verify_theorem1(SystemSpec(2, m, (-0.5, 1.0), gen),
+                          SystemSpec(2, m, (0.5, 1.0), gen), FAST)
+    assert not rep.overall and rep.dominance is None
+    assert rep.check("survival_shape").evidence == "nonpositive theta"
+    assert not rep.check("p_larger").holds
+    assert rep.check("generator_log_concave").holds
+
+
 def test_verify_mismatched_generator_reported_not_raised():
     sx, sy = gumbel_barnett_pair()
     sy2 = SystemSpec(sy.n, sy.model, sy.theta, GeneratorSpec("gumbel_barnett", 0.3))
@@ -307,6 +318,17 @@ def test_prop_ls_dpfr_fails_and_exponential_example():
     sy2 = SystemSpec(2, m2, (1.0, 1.0), gen)
     rep2 = verify_prop_ls(sx2, sy2, FAST)
     assert not rep2.check("baseline_dpfr").holds
+
+
+def test_prop_ls_certifies_dpfr_burr():
+    # burr(c, k) with c k < 1 and small c keeps x*hazard decreasing over
+    # its bulk, so every hypothesis holds and dominance is confirmed
+    m = SemiParamModel("ls", BaselineSpec("burr", (0.1486, 0.1756)), lam=0.5)
+    gen = GeneratorSpec("independence")
+    rep = verify_prop_ls(SystemSpec(3, m, (0.5, 1.0, 2.0), gen),
+                         SystemSpec(3, m, (1.0, 1.5, 2.5), gen))
+    assert rep.overall and all(c.holds for c in rep.checks)
+    assert rep.dominance.relation is Relation.X_DOMINATES_Y
 
 
 def test_prop_ls_mismatched_lambda_rejected():
