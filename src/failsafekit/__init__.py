@@ -57,7 +57,6 @@ from .ordering import (
     HypothesisCheck,
     Relation,
     compare_curves,
-    hazard_ratio_monotone,
     schur_condition_probe,
     verify_prop_ls,
     verify_prop_mphrs,
@@ -112,7 +111,6 @@ __all__ = [
     "default_grid",
     "empirical_survival_x2n",
     "hazard",
-    "hazard_ratio_monotone",
     "holds",
     "homogeneous_x2n",
     "is_log_concave",

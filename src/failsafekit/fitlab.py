@@ -1,8 +1,8 @@
 """Strength-data pipeline: marginal fits, copula goodness of fit, and
 subset recommendation via the p-larger criterion.
 
-Marginal likelihoods reuse the closed-form baseline densities; all
-optimizer starts are deterministic, so every fit is reproducible.
+Marginal fits reuse the closed-form baseline densities and search the profile
+likelihood over the log shape, so every fit is deterministic.
 Copula estimation defaults to Kendall-tau inversion (mean pairwise tau
 above two dimensions) with an optional pairwise pseudo-likelihood
 refinement.  Bootstrap replicates derive per-replicate seeds from the
@@ -157,7 +157,7 @@ def _make_result(family, params, loglik, n, converged, digest) -> FitResult:
     )
 
 
-_LOGLIK_FLOOR = -1e15  # finite penalty keeps the simplex search warning-free
+_LOGLIK_FLOOR = -1e15  # finite penalty keeps the profile search warning-free
 
 
 def _loglik(family: str, params: tuple, data: np.ndarray) -> float:
@@ -171,46 +171,26 @@ def _loglik(family: str, params: tuple, data: np.ndarray) -> float:
     return float(np.sum(vals))
 
 
-_START_SCALES = (1.0, 0.3, 3.0, 0.5, 2.0)
+def _burr_inner(x: np.ndarray, c: float) -> tuple:
+    """(c, k) with k = n / sum log(1 + x^c), or inf once every x^c underflows."""
+    total = np.sum(np.logaddexp(0.0, c * np.log(x)))
+    return c, (x.size / total if total > 0.0 else np.inf)
 
 
-def _starts(family: str, data: np.ndarray) -> list[tuple]:
-    mean = float(np.mean(data))
-    var = float(np.var(data))
-    logs = np.log(data)
-    if family == "gamma":
-        shape0 = mean * mean / var if var > 0 else 1.0
-        out = []
-        for c in _START_SCALES:
-            sh = max(shape0 * c, 1e-3)
-            out.append((sh, sh / mean))
-        return out
-    if family == "weibull":
-        sd_log = float(np.std(logs))
-        shape0 = np.pi / (np.sqrt(6.0) * sd_log) if sd_log > 0 else 1.0
-        out = []
-        for c in _START_SCALES:
-            sh = max(shape0 * c, 1e-2)
-            out.append((float(np.exp(np.mean(logs) + 0.5772 / sh)), sh))
-        return out
-    if family == "burr":
-        sd_log = float(np.std(logs))
-        c0 = max(np.pi / (np.sqrt(3.0) * sd_log) if sd_log > 0 else 1.0, 1e-2)
-        med = float(np.median(data))
-        # k matching the median once c is chosen: (1+med^c)^-k = 1/2
-        out = []
-        for cs in _START_SCALES:
-            c = c0 * cs
-            lm = c * np.log(med)
-            log1p_medc = lm if lm > 50.0 else float(np.log1p(np.exp(lm)))
-            k = max(np.log(2.0) / log1p_medc, 1e-3) if log1p_medc > 0 else 1.0
-            out.append((c, k))
-        return out
-    raise ValidationError(family)
+# family -> (centre, inner): centre(x) is the log shape the search is centred
+# on (gamma's moments of x / max x cannot overflow); inner(x, shape) is the
+# full parameter tuple, the other parameter maximised in closed form.
+_PROFILES = {
+    "weibull": (lambda x: -np.log(np.std(np.log(x))),
+                lambda x, b: (fixed_shape_weibull_scale(x, b), b)),
+    "gamma": (lambda x: np.log(np.mean(x / x.max()) ** 2 / np.var(x / x.max())),
+              lambda x, k: (k, k / np.mean(x))),
+    "burr": (lambda x: -np.log(np.std(np.log(x))), _burr_inner),
+}
 
 
 def mle_fit(family: str, data) -> FitResult:
-    """Maximum-likelihood fit with deterministic moment-based multi-starts."""
+    """Maximum-likelihood fit; two-parameter families by profile likelihood."""
     if family not in FIT_FAMILIES:
         raise ValidationError(f"family must be one of {FIT_FAMILIES}")
     arr = np.asarray(data, dtype=float)
@@ -218,7 +198,7 @@ def mle_fit(family: str, data) -> FitResult:
         raise ValidationError(f"need at least {MIN_OBSERVATIONS} observations")
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValidationError("data must be positive and finite")
-    if np.ptp(arr) == 0.0:
+    if np.ptp(np.log(arr)) == 0.0:  # equal logs would leave sd(log x) at 0
         raise ValidationError("degenerate data: all observations equal")
     digest = _digest(arr)
     n = arr.size
@@ -228,23 +208,16 @@ def mle_fit(family: str, data) -> FitResult:
         return _make_result("exponential", {"rate": rate},
                             _loglik("exponential", (rate,), arr), n, True, digest)
 
-    names = _FAMILIES[family].names
-
-    def neg(logp):
-        return -_loglik(family, tuple(np.exp(logp)), arr)
-
-    best = None
-    for start in _starts(family, arr):
-        res = optimize.minimize(
-            neg, np.log(start), method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 4000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None or best.fun >= -_LOGLIK_FLOOR:
-        raise ValidationError(f"{family} fit failed to converge from all starts")
-    params = dict(zip(names, (float(v) for v in np.exp(best.x))))
-    return _make_result(family, params, -best.fun, n, bool(best.success), digest)
+    centre, inner = _PROFILES[family]
+    lo, hi = centre(arr) + np.log([1e-3, 1e3])  # shapes within a factor 1e3
+    res = optimize.minimize_scalar(
+        lambda s: -_loglik(family, inner(arr, np.exp(s)), arr),
+        bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
+    if res.fun >= -_LOGLIK_FLOOR:
+        raise ValidationError(f"{family} fit found no finite likelihood")
+    params = dict(zip(_FAMILIES[family].names, map(float, inner(arr, np.exp(res.x)))))
+    converged = bool(res.success and lo + 1e-6 < res.x < hi - 1e-6)
+    return _make_result(family, params, -res.fun, n, converged, digest)
 
 
 @dataclass(frozen=True)
@@ -562,7 +535,8 @@ def fixed_shape_weibull_scale(data, shape: float) -> float:
         raise ValidationError("data must be positive")
     if shape <= 0.0:
         raise ValidationError("shape must be positive")
-    return float(np.mean(arr ** shape) ** (1.0 / shape))
+    top = float(np.max(arr))  # x / top <= 1, so the power cannot overflow
+    return float(top * np.mean((arr / top) ** shape) ** (1.0 / shape))
 
 
 def _check_manifest(manifest) -> None:

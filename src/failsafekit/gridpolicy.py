@@ -42,8 +42,13 @@ class GridPolicy:
     def _bulk_grid(self, components) -> np.ndarray:
         """The default lifetime grid over every (model, thetas) entry: log-spaced from
         the smallest q_lo to the largest q_hi quantile, floored at hi * 1e-9."""
-        lo = min(np.min(sp_quantile(m, self.q_lo, th)) for m, th in components)
-        hi = max(np.max(sp_quantile(m, self.q_hi, th)) for m, th in components)
+        lo = np.min([np.min(sp_quantile(m, self.q_lo, th)) for m, th in components])
+        hi = np.max([np.max(sp_quantile(m, self.q_hi, th)) for m, th in components])
+        if not (np.isfinite(lo) and 0.0 < hi < np.inf):
+            names = ", ".join(dict.fromkeys(
+                f"{m.kind} {m.baseline.family}{m.baseline.params}" for m, _ in components))
+            raise ValidationError(f"{names} has no finite positive bulk quantile range "
+                                  f"[{lo:.3g}, {hi:.3g}] for a lifetime grid")
         return np.geomspace(max(lo, hi * 1e-9), hi, self.curve_points)
 
     def shape_x_grid(self, model: SemiParamModel) -> np.ndarray:

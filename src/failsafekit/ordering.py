@@ -1,8 +1,8 @@
 """Stochastic-order verdicts between systems.
 
-Grid dominance, crossing detection, hazard-ratio monotonicity, the
-hypothesis verifiers, and a finite-difference probe of the
-Schur-convexity inequality their proofs rely on.
+Grid dominance, crossing detection, the hypothesis verifiers, and a
+finite-difference probe of the Schur-convexity inequality their proofs
+rely on.
 
 Each comparison result (the two theorems and the two model propositions)
 is a row of ``ROUTES``, run by the one engine ``verify``;
@@ -69,7 +69,9 @@ def compare_curves(
     A crossing is reported only when the gap changes sign with magnitude
     above ``crossing_gap`` on both sides; smaller wiggles stay ties.
     """
-    xs = _shared_grid(cx, cy)
+    if not np.array_equal(cx.xs, cy.xs):
+        raise ValidationError("curves live on different grids")
+    xs = cx.xs
     gap = cx.values - cy.values
     min_gap, max_gap = float(gap.min()), float(gap.max())
     if max_gap <= tol and min_gap >= -tol:
@@ -91,12 +93,6 @@ def compare_curves(
     return DominanceVerdict(relation, min_gap, max_gap, crossings, xs.size)
 
 
-def _shared_grid(cx: SurvivalCurve, cy: SurvivalCurve) -> np.ndarray:
-    if not np.array_equal(cx.xs, cy.xs):
-        raise ValidationError("curves live on different grids")
-    return cx.xs
-
-
 def _bracket_crossings(xs, gap, thresh) -> tuple[tuple[float, float], ...]:
     """Intervals bracketing sign changes whose ends both exceed thresh."""
     sig = np.where(gap > thresh, 1, np.where(gap < -thresh, -1, 0))
@@ -106,15 +102,6 @@ def _bracket_crossings(xs, gap, thresh) -> tuple[tuple[float, float], ...]:
         if sig[a] != sig[b]:
             out.append((float(xs[a]), float(xs[b])))
     return tuple(out)
-
-
-def hazard_ratio_monotone(cx: SurvivalCurve, cy: SurvivalCurve) -> bool:
-    """True iff values(cy)/values(cx) is nondecreasing along the grid (relative slack 1e-9)."""
-    _shared_grid(cx, cy)
-    if np.any(cx.values <= 0.0):
-        raise ValidationError("ratio undefined: zero denominator values")
-    ratio = cy.values / cx.values
-    return bool(np.all(np.diff(ratio) >= -1e-9 * (1.0 + np.abs(ratio[:-1]))))
 
 
 @dataclass(frozen=True)

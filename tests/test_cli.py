@@ -216,7 +216,7 @@ def test_verify_p_ls_hypothesis_fail_exit_1(tmp_path, capsys):
     gen = GeneratorSpec("gumbel_barnett", 0.5)
     fx = write_system(tmp_path / "x.json", SystemSpec(3, m, (0.3, 0.8, 1.5), gen))
     fy = write_system(tmp_path / "y.json", SystemSpec(3, m, (0.5, 0.8, 1.0), gen))
-    # the x*hazard monotonicity hypothesis fails for every real baseline
+    # gen_gamma(0.5, 0.5) is not DPFR: its x*hazard, 0.5*sqrt(x), increases
     assert main(["verify", "p-ls", fx, fy, "--points", "200"]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["overall"] is False
@@ -231,6 +231,22 @@ def test_verify_p_ls_infinite_bulk_quantile_exit_2(tmp_path, capsys):
     fy = write_system(tmp_path / "y.json", SystemSpec(2, m, (1.5, 2.5), gen))
     assert main(["verify", "p-ls", fx, fy]) == 2
     assert "no finite positive bulk quantile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, named", [
+    # bulk quantiles underflow to 0: no geometric grid can start there
+    (SemiParamModel("scale", BaselineSpec("burr", (0.01, 1e10))),
+     "scale burr(0.01, 10000000000.0)"),
+    # infinite 0.999 quantile
+    (SemiParamModel("ls", BaselineSpec("burr", (0.05, 0.05)), lam=0.5),
+     "ls burr(0.05, 0.05)"),
+])
+def test_curve_default_grid_without_bulk_range_exit_2(tmp_path, capsys, model, named):
+    f = write_system(tmp_path / "s.json",
+                     SystemSpec(2, model, (1.0, 2.0), GeneratorSpec("clayton", 1.0)))
+    assert main(["curve", f, "--out", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "no finite positive bulk quantile" in err
 
 
 def test_verify_p_mphrs_mismatched_fixed_exit_2(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
+from scipy.special import logsumexp
 
 from failsafekit import (
     BaselineSpec,
@@ -65,13 +68,27 @@ def test_burr_recovery_synthetic():
     assert abs(res.params["k"] - 1.5) / 1.5 < 0.25
 
 
-def test_optimum_beats_all_starts():
-    rng = np.random.default_rng(88)
-    data = 10.0 * rng.weibull(2.0, size=120)
-    from failsafekit.fitlab import _loglik, _starts
+@pytest.mark.parametrize("seed", [88, 42])
+@pytest.mark.parametrize("family, dist", [("weibull", stats.weibull_min),
+                                          ("gamma", stats.gamma)])
+def test_profile_fit_matches_scipy(seed, family, dist):
+    data = 10.0 * np.random.default_rng(seed).weibull(2.0, size=120)
+    res = mle_fit(family, data)
+    shape, _, scale = dist.fit(data, floc=0)
+    ref = float(np.sum(dist.logpdf(data, shape, 0, scale)))
+    assert res.loglik >= ref - 1e-9 * max(1.0, abs(ref))
+    assert res.params["shape"] == pytest.approx(shape, rel=1e-4)
+    assert res.converged
+
+
+def test_weibull_profile_fit_on_very_narrow_data():
+    # the optimum lies near shape 1e5, far from any fixed search interval
+    data = 1000.0 + np.random.default_rng(1).normal(0.0, 0.01, 200)
     res = mle_fit("weibull", data)
-    for start in _starts("weibull", data):
-        assert res.loglik >= _loglik("weibull", start, data) - 1e-9
+    assert res.converged
+    assert res.params["shape"] > 1e4
+    best_multistart = 634.1042282153369  # five Nelder-Mead starts reached this
+    assert res.loglik >= best_multistart - 1e-9 * best_multistart
 
 
 def test_mle_rejects_bad_data():
@@ -81,6 +98,9 @@ def test_mle_rejects_bad_data():
         mle_fit("gamma", np.array([1.0, -2.0, 3.0, 4.0, 5.0]))
     with pytest.raises(ValidationError):
         mle_fit("weibull", np.full(20, 3.3))  # degenerate
+    with pytest.raises(ValidationError, match="degenerate"):
+        # distinct values with equal logs: sd(log x) = 0 leaves no search interval
+        mle_fit("burr", np.repeat([1e5, np.nextafter(1e5, 2e5)], 3))
     with pytest.raises(ValidationError):
         mle_fit("lognormal", np.arange(1.0, 9.0))
 
@@ -421,6 +441,16 @@ def test_fixed_shape_weibull_scale_closed_form():
     est = fixed_shape_weibull_scale(data, 4.0)
     assert est == pytest.approx((np.mean(data ** 4.0)) ** 0.25, rel=1e-12)
     assert abs(est - 3.0) < 0.05
+
+
+def test_fixed_shape_weibull_scale_large_shape_finite():
+    data = np.array([100.0, 101.0, 102.0, 103.0, 104.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = fixed_shape_weibull_scale(data, 200.0)
+    # mean(x^b)^(1/b) through logsumexp: 104^200 alone overflows
+    want = np.exp((logsumexp(200.0 * np.log(data)) - np.log(data.size)) / 200.0)
+    assert est == pytest.approx(want, rel=1e-13)
 
 
 # ---------------------------------------------------------------- data IO

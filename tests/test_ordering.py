@@ -13,7 +13,6 @@ from failsafekit import (
     ValidationError,
     compare_curves,
     curve,
-    hazard_ratio_monotone,
     schur_condition_probe,
     verify_prop_ls,
     verify_prop_mphrs,
@@ -105,34 +104,6 @@ def test_clayton_pair_dominates_despite_near_tangency():
     assert np.all(np.sort(sx.theta) <= np.sort(sy.theta))  # the structural reason
 
 
-# -------------------------------------------------- hazard ratio order
-def test_hazard_ratio_constant_for_equal_curves():
-    xs = np.linspace(0.1, 5.0, 50)
-    c = exp_curve(1.0, xs)
-    assert hazard_ratio_monotone(c, c)
-
-
-def test_hazard_ratio_exponential_rates():
-    xs = np.linspace(0.1, 5.0, 50)
-    # ratio values(cy)/values(cx) = exp(t): increasing
-    assert hazard_ratio_monotone(exp_curve(2.0, xs), exp_curve(1.0, xs))
-    assert not hazard_ratio_monotone(exp_curve(1.0, xs), exp_curve(2.0, xs))
-
-
-def test_hazard_ratio_implies_grid_dominance():
-    rng = np.random.default_rng(44)
-    xs = np.linspace(0.05, 5.0, 120)
-    confirmed = 0
-    for _ in range(40):
-        rx, ry = sorted(rng.uniform(0.3, 3.0, 2), reverse=True)
-        cx, cy = exp_curve(rx, xs), exp_curve(ry, xs)
-        if hazard_ratio_monotone(cx, cy) and cy.values[0] >= cx.values[0]:
-            assert compare_curves(cx, cy).relation in (
-                Relation.Y_DOMINATES_X, Relation.TIES_WITHIN_TOL)
-            confirmed += 1
-    assert confirmed > 10
-
-
 @pytest.mark.parametrize("other", [
     np.linspace(0.1, 5.0, 50) * 1.01,  # same length, other points
     np.linspace(0.1, 5.0, 51),         # other length
@@ -140,24 +111,10 @@ def test_hazard_ratio_implies_grid_dominance():
 def test_comparers_reject_different_grids(other):
     c = exp_curve(1.0, np.linspace(0.1, 5.0, 50))
     d = exp_curve(2.0, other)
-    for compare in (compare_curves, hazard_ratio_monotone):
-        with pytest.raises(ValidationError, match="different grids"):
-            compare(c, d)
-        with pytest.raises(ValidationError, match="different grids"):
-            compare(d, c)
-
-
-def test_hazard_ratio_zero_denominator():
-    xs = np.linspace(0.1, 2.0, 10)
-    dead = SurvivalCurve(xs=tuple(xs), values=tuple(np.zeros_like(xs)))
-    with pytest.raises(ValidationError):
-        hazard_ratio_monotone(dead, exp_curve(1.0, xs))
-
-
-def test_clayton_pair_ratio_not_monotone():
-    sx, sy = clayton_pair()
-    xs = demo_grid()
-    assert not hazard_ratio_monotone(curve(sx, xs), curve(sy, xs))
+    with pytest.raises(ValidationError, match="different grids"):
+        compare_curves(c, d)
+    with pytest.raises(ValidationError, match="different grids"):
+        compare_curves(d, c)
 
 
 # ----------------------------------------------------- verifier: first
@@ -269,10 +226,10 @@ def _mphrs_pair(alpha=0.5, lam=1.0):
     return sx, sy
 
 
-def test_prop_mphrs_dpfr_always_fails_on_real_baselines():
-    # x*h(x) of gen_gamma(.5,.5) is 0.5*sqrt(x): strictly increasing, so
-    # the proposition's hypothesis set is empty for this (or any) baseline
-    # on (0, inf) and the verifier honestly reports overall=False
+def test_prop_mphrs_dpfr_fails_on_gen_gamma():
+    # x*h(x) of gen_gamma(.5,.5) is 0.5*sqrt(x): strictly increasing, so this
+    # baseline is not DPFR and the verifier honestly reports overall=False
+    # (a DPFR baseline passes: see test_prop_ls_certifies_dpfr_burr)
     sx, sy = _mphrs_pair()
     rep = verify_prop_mphrs(sx, sy, FAST)
     assert not rep.overall
