@@ -234,13 +234,11 @@ def test_verify_p_ls_infinite_bulk_quantile_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("model, named", [
-    # bulk quantiles underflow to 0: no geometric grid can start there
     (SemiParamModel("scale", BaselineSpec("burr", (0.01, 1e10))),
      "scale burr(0.01, 10000000000.0)"),
-    # infinite 0.999 quantile
     (SemiParamModel("ls", BaselineSpec("burr", (0.05, 0.05)), lam=0.5),
      "ls burr(0.05, 0.05)"),
-])
+], ids=["quantiles_underflow_to_zero", "infinite_upper_quantile"])
 def test_curve_default_grid_without_bulk_range_exit_2(tmp_path, capsys, model, named):
     f = write_system(tmp_path / "s.json",
                      SystemSpec(2, model, (1.0, 2.0), GeneratorSpec("clayton", 1.0)))
