@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from failsafekit import fitlab
 from failsafekit.fitlab import (
     LifetimeDataset,
     cvm_gof,
+    empirical_copula,
     fit_copula,
     fixed_shape_weibull_scale,
     frank_tau,
@@ -348,6 +350,59 @@ def test_cvm_pinned_bitwise(family, theta, d):
     res = cvm_gof(family, pseudo_observations(u), boot_n=100, seed=3)
     got = (res.theta.hex(), res.statistic.hex(), res.p_value.hex())
     assert got == _CVM_PINNED[(family, theta, d)]
+
+
+#: float.hex of (theta, statistic, p_value) and out_of_range of
+#: cvm_gof(family, m x d sample at seed 11, boot_n=100, seed=3) at the
+#: extreme shapes of the fit_gof benchmark, captured while every bootstrap
+#: kernel still built (m, m, d) pairwise tensors.
+_CVM_PINNED_SHAPES = {
+    ("gumbel", 1.7, 6, 108): ("0x1.ad1bf42833e31p+0", "0x1.f7eef02f45414p-6",
+                              "0x1.8a3d70a3d70a4p-1", 0),
+    ("frank", 4.0, 3, 12): ("0x1.88accf52a4a10p+1", "0x1.457d12dac483ep-4",
+                            "0x1.eb851eb851eb8p-2", 4),
+}
+
+
+@pytest.mark.parametrize("family,theta,d,m", list(_CVM_PINNED_SHAPES))
+def test_cvm_pinned_shapes_bitwise(family, theta, d, m):
+    u = sample_copula(GeneratorSpec(family, theta), d, m, seed=11).uniforms
+    res = cvm_gof(family, pseudo_observations(u), boot_n=100, seed=3)
+    got = (res.theta.hex(), res.statistic.hex(), res.p_value.hex(), res.out_of_range)
+    assert got == _CVM_PINNED_SHAPES[(family, theta, d, m)]
+
+
+#: The same pins for uniforms rounded to 2 decimals, so that ties reach the
+#: ranks, the tau estimate and the empirical copula; the first entry is the
+#: sha256 prefix of the pseudo-observations' bytes.
+_CVM_PINNED_TIED = {
+    ("clayton", 1.5, 3, 80): ("300c4a196c8eca73", "0x1.7d0011d69cba9p+0",
+                              "0x1.a47f161fc255dp-5", "0x1.47ae147ae147bp-6", 0),
+    ("gumbel", 1.7, 2, 60): ("d7c1aecd32ec0b58", "0x1.af6aacc001652p+0",
+                             "0x1.21545551be3a9p-5", "0x1.70a3d70a3d70ap-4", 0),
+}
+
+
+@pytest.mark.parametrize("family,theta,d,m", list(_CVM_PINNED_TIED))
+def test_cvm_pinned_tied_bitwise(family, theta, d, m):
+    u = np.round(sample_copula(GeneratorSpec(family, theta), d, m, seed=11).uniforms, 2)
+    ps = pseudo_observations(u)
+    res = cvm_gof(family, ps, boot_n=100, seed=3)
+    got = (hashlib.sha256(ps.tobytes()).hexdigest()[:16], res.theta.hex(),
+           res.statistic.hex(), res.p_value.hex(), res.out_of_range)
+    assert got == _CVM_PINNED_TIED[(family, theta, d, m)]
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("d", [2, 6])
+def test_empirical_copula_equals_broadcast_bitwise(d, tied):
+    rng = np.random.default_rng(20 * d + tied)
+    for m in (2, 9, 57, 108):
+        p = pseudo_observations(rng.uniform(size=(m, d)))
+        if tied:
+            p = np.round(p, 1)
+        ref = np.all(p[:, None, :] <= p[None, :, :], axis=2).mean(axis=0)
+        assert empirical_copula(p).tobytes() == ref.tobytes()
 
 
 def test_cvm_counts_out_of_range_replicates(monkeypatch):
