@@ -8,13 +8,15 @@ above two dimensions) with an optional pairwise pseudo-likelihood
 refinement.  Bootstrap replicates derive per-replicate seeds from the
 master seed, so goodness-of-fit runs are reproducible as well.
 
-Average ranks and Kendall tau-b both come from one pairwise sign tensor
-S[i, j, k] = sign(x[i, k] - x[j, k]): a rank is (count + 1 + sum_j S) / 2,
-and S^T S / 2 (pairs flattened) holds concordant minus discordant pairs
-for each column pair and the untied pairs of each column on its diagonal,
-which gives tau-b by SciPy's formula.  Every count is an integer below
-2**53, so both match ``scipy.stats.rankdata`` and ``kendalltau`` bit for
-bit, without scipy.stats.
+Average ranks come from one sort per column: a value whose ties fill
+sorted positions [s, e) has twice its average rank at s + 1 + e.  Kendall
+tau-b comes from the int8 sign tensor S[k, i, j] = sign(x[i, k] - x[j, k]):
+S S^T / 2 (pairs flattened) holds concordant minus discordant pairs for each
+column pair and the untied pairs of each column on its diagonal, which gives
+tau-b by SciPy's formula.  Every count is an integer below 2**53, so both
+match ``scipy.stats.rankdata`` and ``kendalltau`` bit for bit, without
+scipy.stats.  The empirical copula ANDs one count x count comparison per
+column, so no bootstrap kernel holds a count x count x d float tensor.
 """
 
 from __future__ import annotations
@@ -249,20 +251,14 @@ def rank_models(results) -> ModelRanking:
     return ModelRanking(tuple(entries), tuple(r.aic - base for r in entries))
 
 
-def _pairwise_signs(arr: np.ndarray) -> np.ndarray:
-    """S[i, j, k] = sign(arr[i, k] - arr[j, k]) for a finite count x d matrix.
-
-    Signed in place: S takes count**2 * d doubles, and a second copy would
-    double the peak memory of a large sample."""
-    diff = arr[:, None, :] - arr[None, :, :]
-    return np.sign(diff, out=diff)
-
-
 def _kendall_tau_matrix(arr: np.ndarray) -> np.ndarray:
     """Kendall tau-b of column i (as x) against column j (as y) at [i, j];
     NaN in the row and column of a constant column, as in SciPy."""
-    flat = _pairwise_signs(arr).reshape(-1, arr.shape[1])
-    gram = flat.T @ flat / 2.0
+    cols = np.ascontiguousarray(arr.T)  # strided comparisons run at half speed
+    signs = (cols[:, :, None] > cols[:, None, :]).view(np.int8)
+    signs -= (cols[:, :, None] < cols[:, None, :]).view(np.int8)
+    flat = signs.reshape(cols.shape[0], -1).astype(float)
+    gram = flat @ flat.T / 2.0
     root = np.sqrt(np.diag(gram))
     with np.errstate(invalid="ignore"):
         return np.clip(gram / root[:, None] / root[None, :], -1.0, 1.0)
@@ -275,11 +271,17 @@ def pseudo_observations(matrix) -> np.ndarray:
         raise ValidationError("need a count x d matrix with count >= 2")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("matrix has non-finite values")
-    for j in range(arr.shape[1]):
-        if np.ptp(arr[:, j]) == 0.0:
-            raise ValidationError(f"column {j} is constant")
-    count = arr.shape[0] + 1.0
-    return (count + _pairwise_signs(arr).sum(axis=1)) / 2.0 / count
+    ranked = np.sort(arr, axis=0)
+    constant = np.flatnonzero(ranked[0] == ranked[-1])
+    if constant.size:
+        raise ValidationError(f"column {constant[0]} is constant")
+    # a value whose ties fill sorted positions [s, e) has twice its average
+    # rank at s + 1 + e, an exact integer
+    twice = np.empty_like(arr)
+    for k, col in enumerate(ranked.T):
+        twice[:, k] = (np.searchsorted(col, arr[:, k], "left") + 1
+                       + np.searchsorted(col, arr[:, k], "right"))
+    return twice / 2.0 / (arr.shape[0] + 1.0)
 
 
 def _debye1(theta: float) -> float:
@@ -384,7 +386,10 @@ def fit_copula(family: str, pseudo, method: str = "tau") -> float:
 
 def empirical_copula(pseudo: np.ndarray) -> np.ndarray:
     """C_n evaluated at the sample's own points."""
-    le = np.all(pseudo[:, None, :] <= pseudo[None, :, :], axis=2)
+    cols = np.ascontiguousarray(pseudo.T)
+    le = cols[0, :, None] <= cols[0]  # le[i, j]: point i <= point j everywhere
+    for col in cols[1:]:
+        le &= col[:, None] <= col
     return le.mean(axis=0)
 
 
