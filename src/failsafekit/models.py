@@ -54,6 +54,15 @@ def _log1mexp(a):
     return np.where(a > -np.log(2.0), np.log(-np.expm1(a)), np.log1p(-np.exp(a)))
 
 
+def _log1p_pow(t, c):
+    """log(1 + t^c), taken as c log t where t^c overflows."""
+    out = np.log1p(t ** c)
+    big = np.isinf(out)
+    if np.any(big):  # rare, so the common case makes no extra temporaries
+        out = np.where(big, c * np.log(t), out)
+    return out
+
+
 def _log_z(t, al):
     """exp_weibull's log z, z = 1 - exp(-t^alpha), so that F = z^beta."""
     return np.log1p(-np.exp(-(t ** al)))
@@ -88,8 +97,8 @@ _FAMILIES = {
         lambda ls, al, be: (-_log1mexp(_log1mexp(ls) / be)) ** (1.0 / al)),
     "burr": _Family(
         ("c", "k"),
-        lambda t, c, k: -k * np.log1p(t ** c),
-        lambda t, c, k: np.log(c * k) + (c - 1.0) * np.log(t) - (k + 1.0) * np.log1p(t ** c),
+        lambda t, c, k: -k * _log1p_pow(t, c),
+        lambda t, c, k: np.log(c * k) + (c - 1.0) * np.log(t) - (k + 1.0) * _log1p_pow(t, c),
         lambda ls, c, k: np.expm1(-ls / k) ** (1.0 / c)),
     "gen_pareto": _Family(
         ("alpha",),

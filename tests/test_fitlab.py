@@ -93,6 +93,14 @@ def test_weibull_profile_fit_on_very_narrow_data():
     assert res.loglik >= best_multistart - 1e-9 * best_multistart
 
 
+def test_burr_fit_on_very_narrow_data_is_finite():
+    # 1000^c overflows over the whole profile interval; the log forms must not
+    data = 1000.0 + np.random.default_rng(1).normal(0.0, 0.01, 200)
+    res = mle_fit("burr", data)
+    assert np.isfinite(res.loglik) and all(np.isfinite(list(res.params.values())))
+    assert rank_models([res, mle_fit("weibull", data)]).best.family == "weibull"
+
+
 def test_mle_rejects_bad_data():
     with pytest.raises(ValidationError):
         mle_fit("weibull", np.array([1.0, 2.0]))  # too few

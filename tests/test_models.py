@@ -22,7 +22,13 @@ from failsafekit import (
     sp_quantile,
     sp_survival,
 )
-from failsafekit.models import pdf, sp_inverse_log_survival, sp_log_survival
+from failsafekit.models import (
+    log_pdf,
+    log_sf,
+    pdf,
+    sp_inverse_log_survival,
+    sp_log_survival,
+)
 
 ALL_BASELINES = [
     BaselineSpec("exponential", (1.3,)),
@@ -125,6 +131,16 @@ def test_sp_survival_in_unit_interval_and_monotone(b):
         vals = sp_survival(m, xs, theta * rng.uniform(0.8, 1.2))
         assert np.all((vals >= 0.0) & (vals <= 1.0))
         assert np.all(np.diff(vals) <= 1e-12)
+
+
+def test_burr_log_forms_finite_where_power_overflows():
+    # 1000**300 overflows; log(1 + t^c) is then c log t to double precision
+    b = BaselineSpec("burr", (300.0, 2.0))
+    t = np.array([0.5, 1.0, 2.0, 1000.0])
+    log_t = np.log(t)
+    assert_allclose(np.exp(log_sf(b, t))[:3], (1.0 + t[:3] ** 300.0) ** -2.0, rtol=1e-13)
+    assert log_sf(b, t)[3] == -2.0 * 300.0 * log_t[3]
+    assert log_pdf(b, t)[3] == (np.log(600.0) + 299.0 * log_t[3] - 3.0 * 300.0 * log_t[3])
 
 
 def test_mphrs_reductions():
