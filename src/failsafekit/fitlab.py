@@ -387,7 +387,8 @@ def fit_copula(family: str, pseudo, method: str = "tau") -> float:
 def empirical_copula(pseudo: np.ndarray) -> np.ndarray:
     """C_n evaluated at the sample's own points."""
     cols = np.ascontiguousarray(pseudo.T)
-    le = cols[0, :, None] <= cols[0]  # le[i, j]: point i <= point j everywhere
+    # le[i, j]: point i <= point j in every coordinate
+    le = cols[0, :, None] <= cols[0]
     for col in cols[1:]:
         le &= col[:, None] <= col
     return le.mean(axis=0)
