@@ -203,7 +203,7 @@ def _parse_subsets(raw: str, labels) -> dict[str, tuple[str, ...]]:
 
 
 def cmd_fit(args) -> int:
-    # fitlab (and the scipy optimize and integrate it needs) loads here
+    # fitlab (and the scipy optimize and special it needs) loads here
     # only, so the other subcommands start without it
     from .fitlab import (
         compare_to_reference,

@@ -22,12 +22,14 @@ column, so no bootstrap kernel holds a count x count x d float tensor.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.integrate import quad
+from scipy.special import spence
 
 from .demos import load_reference_manifest  # noqa: F401  (re-exported)
 from .errors import InconsistencyError, UnsupportedGeneratorError, ValidationError
@@ -284,16 +286,37 @@ def pseudo_observations(matrix) -> np.ndarray:
     return twice / 2.0 / (arr.shape[0] + 1.0)
 
 
-def _debye1(theta: float) -> float:
-    val, _ = quad(lambda t: t / np.expm1(t) if t > 0 else 1.0, 0.0, theta)
-    return val / theta
+#: 4 B_2k / ((2k + 1) (2k)!) for k = 1..12: frank's tau is the odd series
+#: sum_k c_k theta^(2k - 1), whose omitted terms stay below 2e-16 relative
+#: for theta < _FRANK_SERIES_MAX.
+_FRANK_SERIES = (
+    0.1111111111111111, -0.0011111111111111111, 1.889644746787604e-05,
+    -3.6743092298647856e-07, 7.5915479955884e-09, -1.6259046580576902e-10,
+    3.568676408182581e-12, -7.97571834428843e-14, 1.8075920118479673e-15,
+    -4.142607044872499e-17, 9.580874484104748e-19, -2.2327143497300036e-20,
+)
+_FRANK_SERIES_MAX = 1.5
+_FRANK_XTOL = np.finfo(float).tiny  # leaves brentq's relative tolerance in charge
 
 
 def frank_tau(theta: float) -> float:
-    """Kendall tau of the frank family, via the first Debye function."""
+    """Kendall tau of the frank family, 1 - 4/theta + 4 D_1(theta)/theta.
+
+    Below _FRANK_SERIES_MAX, tau's own Bernoulli series, so 1 - 1 never
+    cancels; above it, the first Debye function in closed form,
+    theta D_1(theta) = pi^2/6 + theta log(1 - e^-theta) - Li_2(e^-theta),
+    with Li_2(e^-theta) = spence(1 - e^-theta) (Genest 1987; Nelsen 2006, 5.1).
+    """
     if theta <= 0.0:
         raise ValidationError("frank theta must be positive")
-    return 1.0 + 4.0 * (_debye1(theta) - 1.0) / theta
+    if theta < _FRANK_SERIES_MAX:
+        sq, acc = theta * theta, 0.0
+        for c in reversed(_FRANK_SERIES):
+            acc = acc * sq + c
+        return theta * acc
+    e = -math.expm1(-theta)  # 1 - e^-theta
+    return (1.0 - 4.0 / theta + 4.0 * math.log(e) / theta
+            + 4.0 * (math.pi ** 2 / 6.0 - float(spence(e))) / (theta * theta))
 
 
 def tau_to_theta(family: str, tau: float) -> float:
@@ -309,7 +332,11 @@ def tau_to_theta(family: str, tau: float) -> float:
     if family == "frank":
         if not 0.0 < tau < 1.0:
             raise ValidationError(f"frank (positive range) cannot attain tau={tau:.4f}")
-        return float(optimize.brentq(lambda th: frank_tau(th) - tau, 1e-8, 500.0))
+        # tau(theta) <= theta/9 (concave, slope 1/9 at 0) and tau(theta) >= 1 - 4/theta
+        # (the Debye integral is positive), so [8 tau, 8/(1 - tau)] brackets every
+        # float tau in (0, 1)
+        return float(optimize.brentq(lambda th: frank_tau(th) - tau, 8.0 * tau,
+                                     8.0 / (1.0 - tau), xtol=_FRANK_XTOL))
     raise ValidationError(f"copula family must be one of {COPULA_FAMILIES}")
 
 
@@ -339,6 +366,14 @@ def _bivariate_log_density(family: str, theta: float, u: np.ndarray, v: np.ndarr
         return log_pp - log_p(phi(g, u)) - log_p(phi(g, v))
 
 
+@functools.cache
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(d, 1), read-only since every caller shares them."""
+    rows, cols = np.triu_indices(d, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def fit_copula(family: str, pseudo, method: str = "tau") -> float:
     """Estimate the dependence parameter from pseudo-observations.
 
@@ -358,7 +393,7 @@ def fit_copula(family: str, pseudo, method: str = "tau") -> float:
     if constant.size:
         raise ValidationError(f"column {constant[0]} is constant")
     d = arr.shape[1]
-    theta0 = tau_to_theta(family, float(np.mean(taus[np.triu_indices(d, 1)])))
+    theta0 = tau_to_theta(family, float(np.mean(taus[_upper_pairs(d)])))
     if method == "tau":
         return theta0
     if method != "pseudo_likelihood":

@@ -362,6 +362,21 @@ def test_fit_bad_subset_label_exit_2(tmp_path, capsys):
     assert main(["fit", data, "--boot", "100", "--subsets", "w1,w2;w3,nope"]) == 2
 
 
+
+def test_fit_frank_beyond_sampler_range_exit_2(tmp_path, capsys):
+    # near-comonotone columns (one swapped pair, mean tau 0.99993) invert to
+    # a frank theta near 6e4, past what the bootstrap can sample
+    x = np.sort(300.0 * np.random.default_rng(5).weibull(5.0, 200))
+    mat = np.stack([x, 1.1 * x, 0.9 * x], axis=1)
+    mat[[100, 101], 1] = mat[[101, 100], 1]
+    path = tmp_path / "comonotone.csv"
+    path.write_text("\n".join(["w1,w2,w3"] + [",".join(f"{v:.6f}" for v in row)
+                                              for row in mat]))
+    assert main(["fit", str(path), "--families", "weibull", "--copulas", "frank",
+                 "--boot", "100", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "frank sampling needs theta <= 700" in err and "Traceback" not in err
+
 # ---------------------------------------------------------------- config
 def test_config_supplies_defaults_flags_override(tmp_path):
     conf = tmp_path / "conf.json"

@@ -232,6 +232,59 @@ def test_tau_inversion_formulas():
     assert th == pytest.approx(3.5088, abs=1e-3)
 
 
+#: (theta, frank's tau) to 40 digits, from tau's Bernoulli series below
+#: theta = 1 and the dilogarithm form above, cross-checked against a direct
+#: quadrature of the Debye integral at 80 digits.
+_FRANK_TAU_TABLE = (
+    (1e-8, 1.111111111111111133247289811253858460288e-9),
+    (1e-6, 1.111111111111099949720124251175204743856e-7),
+    (1e-4, 1.111111111000000053265269791333951930127e-5),
+    (1e-2, 1.111110000001889664202062923212481214494e-3),
+    (0.1, 1.111000018892773979298977740947867424254e-2),
+    (0.5, 5.541725432484423747319375031462118251695e-2),
+    (1.0, 1.100185364489931056703461817028420287699e-1),
+    (1.4, 1.526045736146816388619298990187168715469e-1),
+    (1.5, 1.630541621050721157811691541217385480697e-1),
+    (1.6, 1.734154417351947869060424531141879430969e-1),
+    (2.0, 2.138945692196201441035763935949595283185e-1),
+    (3.0, 3.07246959430723784387979214190450716233e-1),
+    (5.0, 4.567009581601168968283454182924514135284e-1),
+    (10.0, 6.657773862719784102516724612592463054075e-1),
+    (30.0, 8.739774847415347803260092203510298317782e-1),
+    (100.0, 9.606579736267392905745889660666584100757e-1),
+    (700.0, 9.942991423189130467464201829809522124505e-1),
+    (750.0, 9.946783639755864762768815816189628161791e-1),
+    (1e3, 9.960065797362673929057458896606665841008e-1),
+    (1e4, 9.99600065797362673929057458896606665841e-1),
+)
+
+
+@pytest.mark.parametrize("theta, tau", _FRANK_TAU_TABLE)
+def test_frank_tau_matches_40_digit_table(theta, tau):
+    assert frank_tau(theta) == pytest.approx(tau, rel=1e-14, abs=0.0)
+
+
+def test_frank_tau_limits():
+    assert frank_tau(1e20) == 1.0 and frank_tau(np.inf) == 1.0
+    assert frank_tau(9e-300) == pytest.approx(1e-300, rel=1e-15)
+    with pytest.raises(ValidationError):
+        frank_tau(0.0)
+
+
+@pytest.mark.parametrize("tau", np.concatenate([
+    np.geomspace(1e-9, 0.5, 25), 1.0 - np.geomspace(1e-9, 0.5, 25)[::-1],
+    [5e-324, 1e-300, 1.0 - 2.0 ** -53],  # the float ends of (0, 1)
+]))
+def test_frank_tau_round_trip(tau):
+    theta = tau_to_theta("frank", tau)
+    assert 0.0 < theta < np.inf
+    assert abs(frank_tau(theta) - tau) <= 1e-12
+
+
+def test_frank_small_tau_is_theta_over_9():
+    assert tau_to_theta("frank", 1e-9) == pytest.approx(9e-9, rel=1e-9)
+
+
 def test_tau_out_of_range_rejected():
     for fam in ("clayton", "gumbel", "frank"):
         with pytest.raises(ValidationError):
@@ -341,14 +394,15 @@ def test_cvm_frank_sample_beyond_float_p():
 
 #: float.hex of (theta, statistic, p_value) of cvm_gof(family, 40 x d sample
 #: at seed 11, boot_n=100, seed=3), captured while kendalltau and rankdata
-#: still came from scipy.stats.
+#: still came from scipy.stats; the frank entries since frank_tau took its
+#: closed form (see _CVM_FRANK_QUADRATURE).
 _CVM_PINNED = {
     ("clayton", 1.5, 2): ("0x1.b6db6db6db6dcp+0", "0x1.b9b93f3787ffap-6", "0x1.0f5c28f5c28f6p-1"),
     ("clayton", 1.5, 5): ("0x1.738a31d738a34p+0", "0x1.7a987b88683c4p-5", "0x1.3333333333333p-1"),
     ("gumbel", 1.7, 2): ("0x1.5d1745d1745d1p+0", "0x1.2d4311115665cp-6", "0x1.f5c28f5c28f5cp-1"),
     ("gumbel", 1.7, 5): ("0x1.8c30c30c30c30p+0", "0x1.39c65a4cd3718p-5", "0x1.b851eb851eb85p-1"),
-    ("frank", 4.0, 2): ("0x1.f9f6094d286c2p+1", "0x1.6347a1e145c26p-6", "0x1.bd70a3d70a3d7p-1"),
-    ("frank", 4.0, 5): ("0x1.3c94d0f1ae6acp+2", "0x1.4df139ec6897ep-5", "0x1.9eb851eb851ecp-1"),
+    ("frank", 4.0, 2): ("0x1.f9f6094d286c5p+1", "0x1.6347a1e145c2bp-6", "0x1.bd70a3d70a3d7p-1"),
+    ("frank", 4.0, 5): ("0x1.3c94d0f1ae6abp+2", "0x1.4df139ec68990p-5", "0x1.9eb851eb851ecp-1"),
 }
 
 
@@ -363,11 +417,12 @@ def test_cvm_pinned_bitwise(family, theta, d):
 #: float.hex of (theta, statistic, p_value) and out_of_range of
 #: cvm_gof(family, m x d sample at seed 11, boot_n=100, seed=3) at the
 #: extreme shapes of the fit_gof benchmark, captured while every bootstrap
-#: kernel still built (m, m, d) pairwise tensors.
+#: kernel still built (m, m, d) pairwise tensors; frank's since frank_tau
+#: took its closed form.
 _CVM_PINNED_SHAPES = {
     ("gumbel", 1.7, 6, 108): ("0x1.ad1bf42833e31p+0", "0x1.f7eef02f45414p-6",
                               "0x1.8a3d70a3d70a4p-1", 0),
-    ("frank", 4.0, 3, 12): ("0x1.88accf52a4a10p+1", "0x1.457d12dac483ep-4",
+    ("frank", 4.0, 3, 12): ("0x1.88accf52a4a0ep+1", "0x1.457d12dac483cp-4",
                             "0x1.eb851eb851eb8p-2", 4),
 }
 
@@ -378,6 +433,28 @@ def test_cvm_pinned_shapes_bitwise(family, theta, d, m):
     res = cvm_gof(family, pseudo_observations(u), boot_n=100, seed=3)
     got = (res.theta.hex(), res.statistic.hex(), res.p_value.hex(), res.out_of_range)
     assert got == _CVM_PINNED_SHAPES[(family, theta, d, m)]
+
+
+#: The frank pins (theta, statistic, p_value, out_of_range) as they stood
+#: while frank_tau integrated the Debye function by quadrature.  Both
+#: thetas lie within 4.1e-16 of the exact root; the closed form moves theta
+#: by 1-3 ulps, so theta and the statistic agree within 1e-13 relative, the
+#: p-value and the out-of-range count exactly.
+_CVM_FRANK_QUADRATURE = {
+    (2, 40): ("0x1.f9f6094d286c2p+1", "0x1.6347a1e145c26p-6", "0x1.bd70a3d70a3d7p-1", 0),
+    (5, 40): ("0x1.3c94d0f1ae6acp+2", "0x1.4df139ec6897ep-5", "0x1.9eb851eb851ecp-1", 0),
+    (3, 12): ("0x1.88accf52a4a10p+1", "0x1.457d12dac483ep-4", "0x1.eb851eb851eb8p-2", 4),
+}
+
+
+@pytest.mark.parametrize("d,m", list(_CVM_FRANK_QUADRATURE))
+def test_cvm_frank_close_to_quadrature_pins(d, m):
+    u = sample_copula(GeneratorSpec("frank", 4.0), d, m, seed=11).uniforms
+    res = cvm_gof("frank", pseudo_observations(u), boot_n=100, seed=3)
+    theta, stat, p_value = (float.fromhex(h) for h in _CVM_FRANK_QUADRATURE[(d, m)][:3])
+    assert res.theta == pytest.approx(theta, rel=1e-13, abs=0.0)
+    assert res.statistic == pytest.approx(stat, rel=1e-13, abs=0.0)
+    assert (res.p_value, res.out_of_range) == (p_value, _CVM_FRANK_QUADRATURE[(d, m)][3])
 
 
 #: The same pins for uniforms rounded to 2 decimals, so that ties reach the

@@ -1,10 +1,10 @@
 """Import graph of the command-line start-up path.
 
 Each CLI call starts a fresh interpreter, so every subcommand should load
-only the layers it runs: fitlab (and the scipy optimize and integrate it
+only the layers it runs: fitlab (and the scipy optimize and special it
 needs) loads under ``fit`` only, and scipy.special on the first gamma or
 gen_gamma baseline.  fitlab itself computes ranks and Kendall tau without
-scipy.stats.  These checks run in a child interpreter, since
+scipy.stats, and frank's Kendall tau without scipy.integrate.  These checks run in a child interpreter, since
 the test process itself has long since imported everything.
 """
 
@@ -87,7 +87,7 @@ assert cli.main({args + ["--out", "child.csv"]!r}) == 0
 def test_fitlab_import_loads_no_scipy_stats(tmp_path):
     loaded = _heavy_modules_after("import failsafekit.fitlab", tmp_path)
     assert "failsafekit.fitlab" in loaded
-    assert [m for m in loaded if m.startswith("scipy.stats")] == []
+    assert [m for m in loaded if m.startswith(("scipy.stats", "scipy.integrate"))] == []
 
 
 def test_fitlab_names_still_resolve():

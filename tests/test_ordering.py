@@ -89,8 +89,9 @@ def test_demo_pair_dominates():
 
 
 def test_clayton_pair_dominates_despite_near_tangency():
-    # the strongly dependent pair's gap dips to ~7e-5 but the parameters
-    # are componentwise ordered, which forces dominance for any generator
+    # the strongly dependent pair's gap narrows towards x = 0 but the
+    # parameters are componentwise ordered, which forces dominance for any
+    # generator
     sx, sy = clayton_pair()
     xs = demo_grid()
     v = compare_curves(curve(sx, xs), curve(sy, xs))
