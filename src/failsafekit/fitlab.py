@@ -332,7 +332,7 @@ def tau_to_theta(family: str, tau: float) -> float:
     if family == "frank":
         if not 0.0 < tau < 1.0:
             raise ValidationError(f"frank (positive range) cannot attain tau={tau:.4f}")
-        # tau(theta) <= theta/9 (concave, slope 1/9 at 0) and tau(theta) >= 1 - 4/theta
+        # tau(theta) <= theta/9 (the series' leading term) and tau(theta) >= 1 - 4/theta
         # (the Debye integral is positive), so [8 tau, 8/(1 - tau)] brackets every
         # float tau in (0, 1)
         return float(optimize.brentq(lambda th: frank_tau(th) - tau, 8.0 * tau,
