@@ -10,11 +10,12 @@ class ValidationError(FailsafeKitError):
 
 
 class UnsupportedGeneratorError(FailsafeKitError):
-    """The requested generator family has no frailty representation.
+    """The requested generator has no frailty sampler in float64.
 
     Sampling is a declared limitation for generators that are not
     completely monotone (gumbel_barnett, gumbel_hougaard, amh with
-    negative dependence); the analytic survival path still covers them.
+    negative dependence) and for clayton, gumbel and frank above
+    ``mcsim.THETA_MAX``; the analytic survival path still covers them.
     """
 
 

@@ -32,10 +32,10 @@ from scipy import optimize
 from scipy.special import spence
 
 from .demos import load_reference_manifest  # noqa: F401  (re-exported)
-from .errors import InconsistencyError, UnsupportedGeneratorError, ValidationError
+from .errors import InconsistencyError, ValidationError
 from .generators import COPULA_FAMILIES, GeneratorSpec, phi, psi
 from .gridpolicy import GridPolicy
-from .mcsim import sample_copula
+from .mcsim import THETA_MAX, sample_copula
 from .models import _FAMILIES, FIT_FAMILIES, BaselineSpec, log_pdf
 from .ordering import ConditionReport, Relation, verify_theorem1
 from .preorders import Preorder, classify
@@ -466,16 +466,17 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
         raise ValidationError("boot_n must be at least 100")
     arr = np.asarray(pseudo, dtype=float)
     theta = fit_copula(family, arr, method)
+    if theta > THETA_MAX[family]:
+        raise ValidationError(
+            f"the parametric bootstrap cannot sample {family} at the fitted theta "
+            f"{theta:.6g}: {family} sampling needs theta <= {THETA_MAX[family]:g}")
     stat = _cvm_statistic(family, theta, arr)
     count, d = arr.shape
     child_seeds = np.random.SeedSequence(int(seed)).generate_state(boot_n, dtype=np.uint64)
     exceed = out_of_range = 0
     for b in range(boot_n):
-        try:
-            sample = sample_copula(GeneratorSpec(family, theta), d, count,
-                                   int(child_seeds[b])).uniforms
-        except UnsupportedGeneratorError as exc:  # catalog families all sample
-            raise ValidationError(str(exc)) from exc
+        sample = sample_copula(GeneratorSpec(family, theta), d, count,
+                               int(child_seeds[b])).uniforms
         ps = pseudo_observations(sample)
         try:
             theta_b = fit_copula(family, ps, method)

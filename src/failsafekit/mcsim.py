@@ -15,8 +15,15 @@ with E_i unit exponentials and V the family's positive factor:
 
 Generators without such a representation (gumbel_barnett,
 gumbel_hougaard, amh with theta < 0) raise UnsupportedGeneratorError:
-a declared limitation, never a silent approximation.  So does frank above
-FRANK_THETA_MAX, whose frailty outgrows float64.
+a declared limitation, never a silent approximation.  So do clayton,
+gumbel and frank above THETA_MAX, where the frailty leaves float64.
+Clayton's Gamma(1/theta) frailty and gumbel's positive-stable one of
+index 1/theta are powers of order theta of O(1) random factors, so a
+row's V underflows or overflows with probability about exp(-708/theta):
+7e-7 at theta = 50 (the Gamma(1/theta) cdf at the smallest normal
+double; gumbel's measured rate is lower), 8e-4 at 100 and 3e-2 at 200.
+Such a row degenerates, so both stop at 50.  Frank's logarithmic-series
+frailty outgrows float64 above 700.
 """
 
 from __future__ import annotations
@@ -30,9 +37,8 @@ from .generators import GeneratorSpec, psi
 from .models import _log1mexp, sp_inverse_log_survival
 from .systems import SystemSpec
 
-#: Largest frank theta the sampler takes: above it the logarithmic-series
-#: frailty outgrows float64 and psi(E/V) would round to 1.
-FRANK_THETA_MAX = 700.0
+#: Largest theta each frailty sampler takes (see the module docstring).
+THETA_MAX = {"clayton": 50.0, "gumbel": 50.0, "frank": 700.0}
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -81,6 +87,12 @@ def sample_copula(g: GeneratorSpec, n: int, count: int, seed: int) -> SampleBatc
     """Draw count rows of n dependent uniforms with copula generator g."""
     if n < 1 or count < 1:
         raise ValidationError("n and count must be positive")
+    limit = THETA_MAX.get(g.family)
+    if limit is not None and g.theta > limit:
+        raise UnsupportedGeneratorError(
+            f"{g.family} sampling needs theta <= {limit:g}; "
+            "use the analytic survival path instead"
+        )
     rng = _rng(seed)
     e = rng.exponential(size=(count, n))
     if g.family == "independence":
@@ -95,11 +107,6 @@ def sample_copula(g: GeneratorSpec, n: int, count: int, seed: int) -> SampleBatc
             v = _sample_positive_stable(1.0 / g.theta, count, rng)
             u = psi(g, e / v[:, None])
     elif g.family == "frank":
-        if g.theta > FRANK_THETA_MAX:
-            raise UnsupportedGeneratorError(
-                f"frank sampling needs theta <= {FRANK_THETA_MAX:g}; "
-                "use the analytic survival path instead"
-            )
         v = _sample_log_series(-g.theta, count, rng)
         u = psi(g, e / v[:, None])
     elif g.family == "amh":

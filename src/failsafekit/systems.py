@@ -6,9 +6,12 @@ survives past x with probability
 
     sum_i psi( sum_{j != i} phi(u_j) ) - (n - 1) psi( sum_j phi(u_j) )
 
-and the series system with probability psi(sum_j phi(u_j)).  Curve
-evaluation is embarrassingly parallel over grid points; all functions
-here are pure.
+and the series system with probability psi(sum_j phi(u_j)).  Each
+leave-one-out sum is a running prefix sum plus a running suffix sum over
+the components, so it only ever adds nonnegative phi values; it differs
+from summing the other columns directly by rounding only (within an
+absolute 1e-13 on survival values).  Curve evaluation is embarrassingly
+parallel over grid points; all functions here are pure.
 """
 
 from __future__ import annotations
@@ -125,12 +128,21 @@ def survival_x2n(sys: SystemSpec, x):
     """Fail-safe system survival at x (second-smallest order statistic)."""
     dead, s = _phi_marginals(sys, x)
     gen, n = sys.generator, s.shape[1]
-    # leave-one-out sums by direct summation: immune to cancellation when
-    # one underflowed component dominates the row total
+    # leave-one-out sums as (prefix sum of the columns before i) + (suffix
+    # sum of the columns after i): both add nonnegative phi values only, so
+    # a row where one floored component (phi at PHI_CAP) dominates keeps the
+    # other terms' digits, which tot - s[:, i] would cancel away.  The
+    # running sums advance one column at a time: np.cumsum along the short
+    # component axis runs one inner loop per row and is about 3x slower.
     loo = np.empty_like(s)
-    for i in range(n):
-        loo[:, i] = np.sum(np.delete(s, i, axis=1), axis=1)
-    tot = np.sum(s, axis=1)
+    loo[:, 0] = 0.0
+    for i in range(1, n):
+        np.add(loo[:, i - 1], s[:, i - 1], out=loo[:, i])
+    tot = loo[:, -1] + s[:, -1]
+    after = s[:, -1].copy()
+    for i in range(n - 2, -1, -1):
+        loo[:, i] += after
+        after += s[:, i]
     vals = psi(gen, loo).sum(axis=1) - (n - 1) * psi(gen, tot)
     vals = np.where((vals > 1.0) & (vals <= 1.0 + CLAMP_TOL), 1.0, vals)
     vals = np.where((vals < 0.0) & (vals >= -CLAMP_TOL), 0.0, vals)

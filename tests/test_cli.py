@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -281,7 +282,8 @@ def test_simulate_unsupported_generator_exit_2(tmp_path, capsys):
     spec = write_system(tmp_path / "s.json",
                         SystemSpec(2, m, (1.0, 2.0), GeneratorSpec("gumbel_barnett", 0.5)))
     assert main(["simulate", spec, "--count", "100", "--seed", "1"]) == 2
-    assert "unsupported" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unsupported" in err and "use the analytic survival path instead" in err
 
 
 def test_simulate_env_seed(tmp_path, monkeypatch):
@@ -363,19 +365,39 @@ def test_fit_bad_subset_label_exit_2(tmp_path, capsys):
 
 
 
-def test_fit_frank_beyond_sampler_range_exit_2(tmp_path, capsys):
-    # near-comonotone columns (one swapped pair, mean tau 0.99993) invert to
-    # a frank theta near 6e4, past what the bootstrap can sample
+def _write_comonotone_csv(tmp_path):
+    """Near-comonotone columns: one swapped pair, mean tau 0.99993."""
     x = np.sort(300.0 * np.random.default_rng(5).weibull(5.0, 200))
     mat = np.stack([x, 1.1 * x, 0.9 * x], axis=1)
     mat[[100, 101], 1] = mat[[101, 100], 1]
     path = tmp_path / "comonotone.csv"
     path.write_text("\n".join(["w1,w2,w3"] + [",".join(f"{v:.6f}" for v in row)
                                               for row in mat]))
-    assert main(["fit", str(path), "--families", "weibull", "--copulas", "frank",
+    return str(path)
+
+
+def test_fit_frank_beyond_sampler_range_exit_2(tmp_path, capsys):
+    # the data invert to a frank theta near 6e4, past what the bootstrap can sample
+    path = _write_comonotone_csv(tmp_path)
+    assert main(["fit", path, "--families", "weibull", "--copulas", "frank",
                  "--boot", "100", "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert "frank sampling needs theta <= 700" in err and "Traceback" not in err
+    assert "bootstrap" in err and "analytic survival path" not in err
+
+
+@pytest.mark.parametrize("family", ["clayton", "gumbel"])
+def test_fit_power_frailty_beyond_sampler_range_exit_2(tmp_path, capsys, family):
+    # clayton and gumbel invert to theta above 1e4 here; their frailties
+    # would underflow or overflow, so the bootstrap refuses before sampling
+    path = _write_comonotone_csv(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["fit", path, "--families", "weibull", "--copulas", family,
+                     "--boot", "100", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{family} sampling needs theta <= 50" in err and "Traceback" not in err
+    assert "bootstrap" in err and "analytic survival path" not in err
 
 # ---------------------------------------------------------------- config
 def test_config_supplies_defaults_flags_override(tmp_path):

@@ -20,7 +20,7 @@ from failsafekit import (
     survival_x2n,
 )
 from failsafekit.fitlab import frank_tau
-from failsafekit.mcsim import _sample_log_series, _sample_positive_stable
+from failsafekit.mcsim import THETA_MAX, _sample_log_series, _sample_positive_stable
 
 N_BIG = 100_000
 
@@ -85,6 +85,8 @@ def test_marginals_uniform_and_joint_law_matches_copula(g):
     ("gumbel_hougaard", 2.0),
     ("amh", -0.5),
     ("frank", 800.0),
+    ("clayton", 100.0),
+    ("gumbel", 100.0),
 ])
 def test_unsupported_families_raise(family, theta):
     with pytest.raises(UnsupportedGeneratorError):
@@ -99,6 +101,15 @@ def test_frank_sampler_with_strong_dependence(theta):
     assert stats.kstest(u[:, 0], "uniform").pvalue > 0.001
     tau = stats.kendalltau(u[:, 0], u[:, 1]).statistic
     assert tau == pytest.approx(frank_tau(theta), abs=0.01)
+
+
+@pytest.mark.parametrize("family,tau", [("clayton", 50.0 / 52.0), ("gumbel", 1.0 - 1.0 / 50.0)])
+def test_power_frailty_samplers_at_theta_max(family, tau):
+    # the largest theta sampled still gives finite uniforms with the family's tau
+    u = sample_copula(GeneratorSpec(family, THETA_MAX[family]), 2, 4000, seed=8).uniforms
+    assert np.all((u > 0.0) & (u < 1.0))
+    assert stats.kstest(u[:, 0], "uniform").pvalue > 0.001
+    assert stats.kendalltau(u[:, 0], u[:, 1]).statistic == pytest.approx(tau, abs=0.01)
 
 
 def test_positive_stable_laplace_transform():

@@ -20,9 +20,10 @@ from failsafekit import (
     survival_x2n,
 )
 from failsafekit.demos import clayton_pair, demo_grid, gumbel_barnett_pair
+from failsafekit.generators import FAMILIES, PHI_CAP, SURVIVAL_FLOOR, phi, psi
 from failsafekit.gridpolicy import GridPolicy
 from failsafekit.models import sp_quantile
-from failsafekit.systems import load_system, write_curve_csv
+from failsafekit.systems import component_survivals, load_system, write_curve_csv
 
 
 # ---------------------------------------------------------------- oracle
@@ -108,6 +109,52 @@ def test_homogeneous_closed_form_matches_general():
 def test_underflowed_components_give_zero():
     sysd = scale_exp_system(GeneratorSpec("clayton", 1.0), (1.0, 1.0, 1.0))
     assert survival_x2n(sysd, 800.0) == 0.0
+
+
+# ------------------------------------------------- leave-one-out sums
+#: survival_x2n and the reference below add the phi values in different
+#: orders; 1000x under the dominance tolerance
+LOO_TOL = 1e-13
+FAMILY_THETAS = {"independence": None, "clayton": 2.0, "gumbel": 2.0, "frank": 4.0,
+                 "amh": 0.5, "gumbel_barnett": 0.3, "gumbel_hougaard": 1.5}
+
+
+def direct_loo_x2n(sysd, xs):
+    """survival_x2n with each leave-one-out sum taken directly over the
+    other columns, one np.delete copy per component."""
+    gen, n = sysd.generator, sysd.n
+    margs = component_survivals(sysd, xs)
+    s = phi(gen, np.clip(margs, SURVIVAL_FLOOR, 1.0))
+    loo = np.stack([np.sum(np.delete(s, i, axis=1), axis=1) for i in range(n)], axis=1)
+    vals = psi(gen, loo).sum(axis=1) - (n - 1) * psi(gen, np.sum(s, axis=1))
+    return np.where(np.all(margs <= SURVIVAL_FLOOR, axis=1), 0.0, vals)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [2, 3, 5, 20, 50])
+def test_survival_matches_direct_leave_one_out_sums(family, n):
+    rng = np.random.default_rng(n)
+    m = SemiParamModel("scale", BaselineSpec("gen_gamma", (1.5, 2.0)))
+    sysd = SystemSpec(n, m, tuple(rng.uniform(0.5, 3.0, n)),
+                      GeneratorSpec(family, FAMILY_THETAS[family]))
+    xs = default_grid(sysd)
+    assert_allclose(survival_x2n(sysd, xs), direct_loo_x2n(sysd, xs), rtol=0, atol=LOO_TOL)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_floored_component_keeps_the_others_digits(position):
+    # one survival underflows to SURVIVAL_FLOOR, so its phi sits at PHI_CAP
+    # and dominates the row total; the term that leaves it out is the other
+    # two components' series survival and must keep all its digits
+    gen = GeneratorSpec("clayton", 2.0)
+    thetas = [1.0, 2.0]
+    thetas.insert(position, 1000.0)
+    sysd = scale_exp_system(gen, thetas)
+    assert phi(gen, SURVIVAL_FLOOR) == PHI_CAP
+    got = survival_x2n(sysd, np.array([1.0]))
+    assert_allclose(got, direct_loo_x2n(sysd, [1.0]), rtol=0, atol=LOO_TOL)
+    others = psi(gen, phi(gen, np.exp(-1.0)) + phi(gen, np.exp(-2.0)))
+    assert got[0] == pytest.approx(others, rel=1e-15)
 
 
 # ---------------------------------------------------------------- curve
