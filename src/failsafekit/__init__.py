@@ -21,13 +21,11 @@ from .generators import (
     LogShape,
     LogShapeReport,
     classify_log_shape,
-    copula_eval,
     is_log_concave,
     is_log_convex,
     log_psi,
     phi,
     psi,
-    psi_prime,
 )
 from .gridpolicy import GridPolicy
 from .mcsim import (
@@ -72,7 +70,6 @@ from .systems import (
     homogeneous_x2n,
     lower_bound_plarger,
     lower_bound_rm,
-    survival_x1n,
     survival_x2n,
 )
 
@@ -106,7 +103,6 @@ __all__ = [
     "classify",
     "classify_log_shape",
     "compare_curves",
-    "copula_eval",
     "curve",
     "default_grid",
     "empirical_survival_x2n",
@@ -120,7 +116,6 @@ __all__ = [
     "lower_bound_rm",
     "phi",
     "psi",
-    "psi_prime",
     "quantile",
     "sample_copula",
     "sample_lifetimes",
@@ -129,7 +124,6 @@ __all__ = [
     "sf",
     "sp_quantile",
     "sp_survival",
-    "survival_x1n",
     "survival_x2n",
     "verify_prop_ls",
     "verify_prop_mphrs",

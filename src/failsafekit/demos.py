@@ -2,7 +2,7 @@
 
 Three ready-made system pairs exercise the comparison machinery end to
 end: a log-concave-generator pair whose fail-safe curves order cleanly, a
-strongly dependent log-convex pair whose gap comes within 1e-4 of zero,
+strongly dependent log-convex pair whose gap narrows to 2.8e-3 at x=0.01,
 and a cable-strength pair built from the bundled reference manifest.
 Figure data for all three is exported by ``failsafekit curve
 --emit-figures``.

@@ -1,9 +1,9 @@
 """Archimedean generator calculus.
 
-Each catalog family supplies the generator psi, its pseudo-inverse phi,
-the first derivative, and a closed-form log psi (used wherever psi itself
-would underflow).  GeneratorSpec values are immutable and freely shareable
-across concurrent callers; every function here is pure.
+Each catalog family supplies the generator psi, its pseudo-inverse phi
+and a closed-form log psi (used wherever psi itself would underflow).
+GeneratorSpec values are immutable and freely shareable across
+concurrent callers; every function here is pure.
 
 Catalog (theta is the dependence parameter):
 
@@ -176,45 +176,6 @@ def phi(g: GeneratorSpec, u):
             raise ValidationError(g.family)
         out = np.minimum(out, PHI_CAP)
     return out if np.ndim(u) else float(out)
-
-
-def psi_prime(g: GeneratorSpec, t):
-    """Closed-form derivative psi'(t) <= 0.
-
-    For the gumbel family with theta > 1 the one-sided derivative at
-    t = 0 is -inf (returned as such).
-    """
-    arr = _as_nonneg_t(t)
-    th = g.theta
-    with np.errstate(over="ignore", divide="ignore", under="ignore"):
-        p = np.exp(log_psi(g, arr))
-        if g.family == "independence":
-            out = -p
-        elif g.family == "clayton":
-            out = -((1.0 + th * arr) ** (-1.0 / th - 1.0))
-        elif g.family == "gumbel":
-            out = p * (-(1.0 / th) * arr ** (1.0 / th - 1.0))
-        elif g.family == "frank":
-            ce = np.expm1(-th) * np.exp(-arr)
-            out = ce / (th * np.exp(_frank_log_base(th, arr)))
-        elif g.family == "amh":
-            et = np.exp(arr)
-            out = -(1.0 - th) * et / (et - th) ** 2
-        elif g.family == "gumbel_barnett":
-            out = p * (-np.exp(arr) / th)
-        elif g.family == "gumbel_hougaard":
-            out = p * (-th * (1.0 + arr) ** (th - 1.0))
-        else:  # pragma: no cover
-            raise ValidationError(g.family)
-    return out if np.ndim(t) else float(out)
-
-
-def copula_eval(g: GeneratorSpec, u) -> float:
-    """Copula value psi(sum phi(u_i)) for marginals u_i in (0, 1]."""
-    arr = np.asarray(u, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("u must be a non-empty sequence")
-    return float(psi(g, float(np.sum(phi(g, arr)))))
 
 
 _SHAPE_T_MAX = 50.0

@@ -95,36 +95,28 @@ def sample_copula(g: GeneratorSpec, n: int, count: int, seed: int) -> SampleBatc
         )
     rng = _rng(seed)
     e = rng.exponential(size=(count, n))
-    if g.family == "independence":
-        u = np.exp(-e)
-    elif g.family == "clayton":
+    v = None  # no frailty: independent uniforms
+    if g.family == "clayton":
         v = rng.gamma(shape=1.0 / g.theta, scale=g.theta, size=count)
-        u = psi(g, e / v[:, None])
     elif g.family == "gumbel":
-        if g.theta == 1.0:
-            u = np.exp(-e)
-        else:
+        if g.theta != 1.0:
             v = _sample_positive_stable(1.0 / g.theta, count, rng)
-            u = psi(g, e / v[:, None])
     elif g.family == "frank":
         v = _sample_log_series(-g.theta, count, rng)
-        u = psi(g, e / v[:, None])
     elif g.family == "amh":
         if g.theta < 0.0:
             raise UnsupportedGeneratorError(
                 "amh with negative dependence has no positive frailty; "
                 "use the analytic survival path instead"
             )
-        if g.theta == 0.0:
-            u = np.exp(-e)
-        else:
+        if g.theta != 0.0:
             v = 1.0 + np.floor(np.log(rng.random(count)) / np.log(g.theta))
-            u = psi(g, e / v[:, None])
-    else:
+    elif g.family != "independence":
         raise UnsupportedGeneratorError(
             f"{g.family} is not completely monotone: no frailty sampler exists; "
             "use the analytic survival path instead"
         )
+    u = np.exp(-e) if v is None else psi(g, e / v[:, None])
     # keep uniforms strictly inside (0, 1) for downstream inversion
     u = np.clip(u, 1e-15, 1.0 - 1e-16)
     return SampleBatch(uniforms=u, seed=int(seed), generator=g)

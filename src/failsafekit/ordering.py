@@ -16,7 +16,7 @@ own audit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -111,7 +111,7 @@ class HypothesisCheck:
     evidence: str
 
     def to_json(self) -> dict:
-        return {"name": self.name, "holds": self.holds, "evidence": self.evidence}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,12 @@
-"""Survival of the smallest and second-smallest order statistics.
+"""Survival of the second-smallest order statistic.
 
 For n dependent component lifetimes with marginal survivals u_i(x) tied
 by an Archimedean generator, the fail-safe ((n-1)-out-of-n) system
 survives past x with probability
 
-    sum_i psi( sum_{j != i} phi(u_j) ) - (n - 1) psi( sum_j phi(u_j) )
+    sum_i psi( sum_{j != i} phi(u_j) ) - (n - 1) psi( sum_j phi(u_j) ).
 
-and the series system with probability psi(sum_j phi(u_j)).  Each
-leave-one-out sum is a running prefix sum plus a running suffix sum over
+Each leave-one-out sum is a running prefix sum plus a running suffix sum over
 the components, so it only ever adds nonnegative phi values; it differs
 from summing the other columns directly by rounding only (within an
 absolute 1e-13 on survival values).  Curve evaluation is embarrassingly
@@ -113,21 +112,15 @@ def component_survivals(sys: SystemSpec, x) -> np.ndarray:
     return sp_survival(sys.model, xs[:, None], np.asarray(sys.theta))
 
 
-def _phi_marginals(sys: SystemSpec, x):
-    """Validate x, then return (rows where every component is dead, phi of
-    the floored marginal survivals), one row per point of x."""
+def survival_x2n(sys: SystemSpec, x):
+    """Fail-safe system survival at x (second-smallest order statistic)."""
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0) or np.any(np.isnan(arr)):
         raise ValidationError("x must be nonnegative")
     margs = component_survivals(sys, arr)
-    dead = np.all(margs <= SURVIVAL_FLOOR, axis=1)
-    return dead, phi(sys.generator, np.clip(margs, SURVIVAL_FLOOR, 1.0))  # capped inside phi
-
-
-def survival_x2n(sys: SystemSpec, x):
-    """Fail-safe system survival at x (second-smallest order statistic)."""
-    dead, s = _phi_marginals(sys, x)
-    gen, n = sys.generator, s.shape[1]
+    dead = np.all(margs <= SURVIVAL_FLOOR, axis=1)  # every component dead
+    gen, n = sys.generator, margs.shape[1]
+    s = phi(gen, np.clip(margs, SURVIVAL_FLOOR, 1.0))  # capped inside phi
     # leave-one-out sums as (prefix sum of the columns before i) + (suffix
     # sum of the columns after i): both add nonnegative phi values only, so
     # a row where one floored component (phi at PHI_CAP) dominates keeps the
@@ -147,13 +140,6 @@ def survival_x2n(sys: SystemSpec, x):
     vals = np.where((vals > 1.0) & (vals <= 1.0 + CLAMP_TOL), 1.0, vals)
     vals = np.where((vals < 0.0) & (vals >= -CLAMP_TOL), 0.0, vals)
     vals = np.where(dead, 0.0, vals)
-    return vals if np.ndim(x) else float(vals[0])
-
-
-def survival_x1n(sys: SystemSpec, x):
-    """Series system survival at x: psi of the summed phi-marginals."""
-    dead, s = _phi_marginals(sys, x)
-    vals = np.where(dead, 0.0, psi(sys.generator, np.sum(s, axis=1)))
     return vals if np.ndim(x) else float(vals[0])
 
 

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see every line.
 
-Four criteria (2, 7a, 7b, 8a, 9) assert claims that the numerical audit
+Five criteria (2, 7a, 7b, 8a, 9) assert claims that the numerical audit
 refutes; they are implemented exactly as stated and fail with the measured
 counterevidence.  The analysis lives in the repository notes, and the
 deterministic counterexamples are pinned in tests/test_ordering.py.
@@ -38,10 +38,10 @@ from failsafekit import (
     verify_theorem1,
     verify_theorem2,
 )
+from failsafekit.demos import load_reference_manifest
 from failsafekit.fitlab import (
     cvm_gof,
     load_dataset_csv,
-    load_reference_manifest,
     mle_fit,
     pseudo_observations,
     rank_models,

@@ -18,6 +18,7 @@ from failsafekit import (
     sample_copula,
 )
 from failsafekit import fitlab
+from failsafekit.demos import load_reference_manifest
 from failsafekit.fitlab import (
     LifetimeDataset,
     cvm_gof,
@@ -26,7 +27,6 @@ from failsafekit.fitlab import (
     fixed_shape_weibull_scale,
     frank_tau,
     load_dataset_csv,
-    load_reference_manifest,
     mle_fit,
     pseudo_observations,
     rank_models,
@@ -68,6 +68,7 @@ def test_burr_recovery_synthetic():
     res = mle_fit("burr", data)
     assert abs(res.params["c"] - 2.0) / 2.0 < 0.15
     assert abs(res.params["k"] - 1.5) / 1.5 < 0.25
+    assert res.converged
 
 
 @pytest.mark.parametrize("seed", [88, 42])
@@ -99,6 +100,15 @@ def test_burr_fit_on_very_narrow_data_is_finite():
     res = mle_fit("burr", data)
     assert np.isfinite(res.loglik) and all(np.isfinite(list(res.params.values())))
     assert rank_models([res, mle_fit("weibull", data)]).best.family == "weibull"
+
+
+def test_flat_burr_profile_is_not_converged():
+    # the burr profile loglik is flat out to the search interval's upper end
+    # (higher there than at the optimum found), so c and k are not identified;
+    # weibull peaks sharply on the same data
+    data = 1000.0 + np.random.default_rng(1).normal(0.0, 0.01, 200)
+    assert not mle_fit("burr", data).converged
+    assert mle_fit("weibull", data).converged
 
 
 def test_mle_rejects_bad_data():

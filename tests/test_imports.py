@@ -1,4 +1,4 @@
-"""Import graph of the command-line start-up path.
+"""Import graph of the command-line start-up path, and the public names.
 
 Each CLI call starts a fresh interpreter, so every subcommand should load
 only the layers it runs: fitlab (and the scipy optimize and special it
@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import failsafekit
 from failsafekit import demos, fitlab, generators, models
 from failsafekit.cli import main
 
@@ -93,5 +94,10 @@ def test_fitlab_import_loads_no_scipy_stats(tmp_path):
 def test_fitlab_names_still_resolve():
     assert fitlab.FIT_FAMILIES is models.FIT_FAMILIES
     assert fitlab.COPULA_FAMILIES is generators.COPULA_FAMILIES
-    assert fitlab.load_reference_manifest is demos.load_reference_manifest
-    assert fitlab.load_reference_manifest()["preferred_copula"] in fitlab.COPULA_FAMILIES
+    assert demos.load_reference_manifest()["preferred_copula"] in fitlab.COPULA_FAMILIES
+
+
+def test_public_names_resolve_once():
+    names = failsafekit.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(failsafekit, n)] == []

@@ -180,6 +180,26 @@ def test_verify_first_inconsistency_counterexample():
     assert rep.dominance.min_gap < -0.1  # measured -0.128
 
 
+def test_verify_first_counterexample_from_a_valid_model():
+    # amh(-0.202) above is not 4-monotone (its fourth derivative is negative
+    # near t = 0), so no 4-dimensional copula has that generator; amh is
+    # 4-monotone for theta >= -0.1010, and this pair from the seeded 07a
+    # sweep (seed 71, draw 307) is a valid model on which the claim fails
+    m = SemiParamModel("scale", BaselineSpec("gen_gamma", (0.6756542170040485, 0.6771824743878045)))
+    gen = GeneratorSpec("amh", -0.059197712937787306)
+    sx = SystemSpec(4, m, (2.387575887836777, 0.11823813879259237,
+                           0.19158892533540825, 1.0266837460946139), gen)
+    sy = SystemSpec(4, m, (0.7228169735573664, 0.198873648489512,
+                           0.2790330900151772, 1.9284721783568337), gen)
+    policy = GridPolicy(curve_points=300, shape_x_points=120, param_points=60)
+    with pytest.raises(InconsistencyError) as exc:
+        verify_theorem1(sx, sy, policy)
+    rep = exc.value.report
+    assert rep.overall
+    assert rep.dominance.relation is Relation.Y_DOMINATES_X
+    assert rep.dominance.min_gap == pytest.approx(-0.019482927408200068, rel=1e-9)
+
+
 # ---------------------------------------------------- verifier: second
 def test_verify_second_inconsistency_counterexample():
     # all stated hypotheses hold (clayton log-convex; location survival

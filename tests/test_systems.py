@@ -16,7 +16,6 @@ from failsafekit import (
     homogeneous_x2n,
     lower_bound_plarger,
     lower_bound_rm,
-    survival_x1n,
     survival_x2n,
 )
 from failsafekit.demos import clayton_pair, demo_grid, gumbel_barnett_pair
@@ -50,7 +49,6 @@ def scale_exp_system(gen, thetas):
 def test_survival_at_zero_is_one():
     sysd = scale_exp_system(GeneratorSpec("clayton", 2.0), (1.0, 2.0, 3.0))
     assert survival_x2n(sysd, 0.0) == pytest.approx(1.0)
-    assert survival_x1n(sysd, 0.0) == pytest.approx(1.0)
 
 
 def test_independence_two_components_inclusion_exclusion():
@@ -77,13 +75,6 @@ def test_clayton_three_component_value():
     # for u = (e^-0.5, e^-1, e^-1.5), clayton theta=2
     sysd = scale_exp_system(GeneratorSpec("clayton", 2.0), (1.0, 2.0, 3.0))
     assert survival_x2n(sysd, 0.5) == pytest.approx(0.36320189582193133, rel=1e-13)
-    assert survival_x1n(sysd, 0.5) == pytest.approx(0.18833468857186543, rel=1e-13)
-
-
-def test_series_below_fail_safe():
-    sysd = scale_exp_system(GeneratorSpec("frank", 3.0), (0.5, 1.0, 2.0, 4.0))
-    xs = np.geomspace(0.01, 5.0, 100)
-    assert np.all(survival_x1n(sysd, xs) <= survival_x2n(sysd, xs) + 1e-12)
 
 
 def test_theta_permutation_symmetry():
