@@ -2,7 +2,8 @@
 
 Subcommands: preorder, curve, verify, simulate, fit.  Every subcommand is
 deterministic given identical inputs, flags and seeds.  Exit codes: 0
-success, 1 hypothesis failure (verify), 2 validation/input error, 3
+success, 1 hypothesis failure (verify), 2 validation/input error (also a
+fit report written with a copula the bootstrap cannot sample skipped), 3
 inconsistency (hypotheses verified but dominance failed; release
 blocking).  JSON goes to stdout unless --out is given; files are written
 atomically (temp + rename) after creating their parent directory; a path
@@ -206,6 +207,7 @@ def cmd_fit(args) -> int:
     # fitlab (and the scipy optimize and special it needs) loads here
     # only, so the other subcommands start without it
     from .fitlab import (
+        BootstrapRangeError,
         compare_to_reference,
         cvm_gof,
         fixed_shape_weibull_scale,
@@ -225,18 +227,25 @@ def cmd_fit(args) -> int:
         "dataset": {"components": list(dataset.labels),
                     "pooled_n": int(pooled.size)},
         "marginal_fits": ranking.to_json(),
+        "copula_gof": {},
     }
 
     gofs = {}
-    matrix = dataset.matrix()
-    pseudo = pseudo_observations(matrix)
+    pseudo = pseudo_observations(dataset.matrix())
     for fam in args.copulas:
-        gofs[fam] = cvm_gof(fam, pseudo, boot_n=args.boot, seed=args.seed,
-                            method=args.copula_method)
-    report["copula_gof"] = {fam: g.to_json() for fam, g in gofs.items()}
-    report["preferred_copula"] = min(gofs.items(), key=lambda kv: kv[1].statistic)[0]
+        try:
+            gofs[fam] = cvm_gof(fam, pseudo, boot_n=args.boot, seed=args.seed,
+                                method=args.copula_method)
+            report["copula_gof"][fam] = gofs[fam].to_json()
+        except BootstrapRangeError as exc:
+            print(f"skipped {fam}: {exc}", file=sys.stderr)
+            report["copula_gof"][fam] = {"family": fam, "theta": exc.theta, "skipped": str(exc)}
+    report["preferred_copula"] = (min(gofs.items(), key=lambda kv: kv[1].statistic)[0]
+                                  if gofs else None)
 
-    if args.subsets:
+    if args.subsets and not gofs:
+        report["subsets"] = {"skipped": "no copula could be scored"}
+    elif args.subsets:
         groups = _parse_subsets(args.subsets, set(dataset.labels))
         wfit = fits.get("weibull") or mle_fit("weibull", pooled)
         shape = wfit.params["shape"]
@@ -273,11 +282,14 @@ def cmd_fit(args) -> int:
         atomic_write(os.path.join(args.out_dir, "marginal_fits.csv"),
                      "\n".join(crit_rows) + "\n")
         cop_rows = ["copula,theta,statistic,p_value"]
-        for fam, g in gofs.items():
-            cop_rows.append(f"{fam},{g.theta:.17g},{g.statistic:.17g},{g.p_value:.17g}")
+        for fam, g in report["copula_gof"].items():
+            scores = "," if "skipped" in g else f"{g['statistic']:.17g},{g['p_value']:.17g}"
+            cop_rows.append(f"{fam},{g['theta']:.17g},{scores}")
         atomic_write(os.path.join(args.out_dir, "copula_gof.csv"),
                      "\n".join(cop_rows) + "\n")
-    return EXIT_OK
+    # a copula the bootstrap refused leaves a partial report
+    partial = any("skipped" in g for g in report["copula_gof"].values())
+    return EXIT_VALIDATION if partial else EXIT_OK
 
 
 def _build_parser(conf: dict | None = None) -> argparse.ArgumentParser:

@@ -450,6 +450,17 @@ class GofResult:
         return asdict(self)
 
 
+class BootstrapRangeError(ValidationError):
+    """The parametric bootstrap cannot sample the copula fitted to the data;
+    carries the ``family`` and fitted ``theta``."""
+
+    def __init__(self, family: str, theta: float):
+        super().__init__(
+            f"the parametric bootstrap cannot sample {family} at the fitted theta "
+            f"{theta:.6g}: {family} sampling needs theta <= {THETA_MAX[family]:g}")
+        self.family, self.theta = family, theta
+
+
 def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
             method: str = "tau") -> GofResult:
     """Cramer-von Mises distance to the fitted copula, with a parametric
@@ -459,9 +470,7 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
     arr = np.asarray(pseudo, dtype=float)
     theta = fit_copula(family, arr, method)
     if theta > THETA_MAX[family]:
-        raise ValidationError(
-            f"the parametric bootstrap cannot sample {family} at the fitted theta "
-            f"{theta:.6g}: {family} sampling needs theta <= {THETA_MAX[family]:g}")
+        raise BootstrapRangeError(family, float(theta))
     stat = _cvm_statistic(family, theta, arr)
     count, d = arr.shape
     child_seeds = np.random.SeedSequence(int(seed)).generate_state(boot_n, dtype=np.uint64)

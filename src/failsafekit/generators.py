@@ -178,65 +178,50 @@ def phi(g: GeneratorSpec, u):
     return out if np.ndim(u) else float(out)
 
 
-_SHAPE_T_MAX = 50.0
-_SHAPE_POINTS = 200
-_SHAPE_TOL = 1e-9
-
-
 class LogShape(enum.Enum):
     LOG_CONCAVE = "log_concave"
     LOG_CONVEX = "log_convex"
     BOTH = "both"
-    NEITHER = "neither"
 
 
 @dataclass(frozen=True)
 class LogShapeReport:
-    """Sign classification of the curvature of log psi over a probe grid.
-
-    ``min_curvature``/``max_curvature`` are the extreme discrete second
-    derivatives observed; BOTH requires both within the tolerance.
-    """
+    """Curvature sign of log psi and the closed-form rule that decided it."""
 
     shape: LogShape
-    min_curvature: float
-    max_curvature: float
-    grid_points: int
-    t_max: float
+    rule: str
 
     def to_json(self) -> dict:
-        return {
-            "shape": self.shape.value,
-            "min_curvature": self.min_curvature,
-            "max_curvature": self.max_curvature,
-            "grid_points": self.grid_points,
-            "t_max": self.t_max,
-        }
+        return {"shape": self.shape.value, "rule": self.rule}
+
+
+_COMPLETELY_MONOTONE = "completely monotone, so a mixture of exponentials and log-convex"
+#: family -> log-shape over its whole range; amh goes by the sign of theta.
+_LOG_SHAPES = {
+    "independence": (LogShape.BOTH, "log psi = -t is linear"),
+    "clayton": (LogShape.LOG_CONVEX, _COMPLETELY_MONOTONE),
+    "gumbel": (LogShape.LOG_CONVEX, _COMPLETELY_MONOTONE),
+    "frank": (LogShape.LOG_CONVEX, _COMPLETELY_MONOTONE),
+    "gumbel_barnett": (LogShape.LOG_CONCAVE, "log psi = (1 - e^t)/theta is concave"),
+    "gumbel_hougaard": (LogShape.LOG_CONCAVE,
+                        "log psi = 1 - (1 + t)^theta is concave for theta > 1"),
+}
 
 
 def classify_log_shape(g: GeneratorSpec) -> LogShapeReport:
-    """Classify log psi as concave/convex/linear on (0, _SHAPE_T_MAX].
-
-    Uses divided differences of the closed-form log psi on a log-spaced
-    grid: consecutive-slope monotonicity is exact for truly convex or
-    concave functions, so only float noise is absorbed by ``_SHAPE_TOL``.
-    """
-    ts = np.geomspace(1e-6, _SHAPE_T_MAX, _SHAPE_POINTS)
-    lp = log_psi(g, ts)
-    if not np.all(np.isfinite(lp)):
-        raise ValidationError("log psi not finite on the probe grid")
-    slopes = np.diff(lp) / np.diff(ts)
-    d2 = np.diff(slopes) / (0.5 * (ts[2:] - ts[:-2]))
-    lo, hi = float(d2.min()), float(d2.max())
-    if lo >= -_SHAPE_TOL and hi <= _SHAPE_TOL:
-        shape = LogShape.BOTH
-    elif lo >= -_SHAPE_TOL:
-        shape = LogShape.LOG_CONVEX
-    elif hi <= _SHAPE_TOL:
-        shape = LogShape.LOG_CONCAVE
-    else:
-        shape = LogShape.NEITHER
-    return LogShapeReport(shape, lo, hi, _SHAPE_POINTS, _SHAPE_T_MAX)
+    """Classify log psi as concave, convex or linear on (0, inf), from the
+    catalog's closed forms: independence, and gumbel and amh where they
+    reduce to it, are linear."""
+    th = g.theta
+    if (g.family, th) in (("gumbel", 1.0), ("amh", 0.0)):
+        return LogShapeReport(LogShape.BOTH, f"{g.family}({th:g}) is independence: "
+                                             "log psi = -t is linear")
+    if g.family == "amh":
+        if th > 0.0:
+            return LogShapeReport(LogShape.LOG_CONVEX, _COMPLETELY_MONOTONE)
+        return LogShapeReport(LogShape.LOG_CONCAVE,
+                              "(log psi)'' = theta e^t / (e^t - theta)^2 < 0 for theta < 0")
+    return LogShapeReport(*_LOG_SHAPES[g.family])
 
 
 def is_log_concave(report: LogShapeReport) -> bool:

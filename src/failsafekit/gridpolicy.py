@@ -14,7 +14,7 @@ from .models import SemiParamModel, default_x_grid, sp_quantile
 class GridPolicy:
     """Ranges, point counts and tolerances used by the verifiers.
 
-    One policy object travels through a verification so every hypothesis
+    One policy object travels through a verification so the hypothesis
     probe and the dominance confirmation share consistent grids.
     """
 
@@ -26,12 +26,11 @@ class GridPolicy:
 
     curve_points: int = 1000
     shape_x_points: int = 200
-    param_points: int = 100
     dominance_tol: float = 1e-10
     crossing_gap: float = 1e-8
 
     def __post_init__(self):
-        if self.curve_points < 2 or self.shape_x_points < 3 or self.param_points < 3:
+        if self.curve_points < 2 or self.shape_x_points < 3:
             raise ValidationError("grid point counts too small")
 
     def curve_grid(self, model: SemiParamModel, *theta_vectors) -> np.ndarray:
@@ -52,24 +51,5 @@ class GridPolicy:
         return np.geomspace(max(lo, hi * 1e-9), hi, self.curve_points)
 
     def shape_x_grid(self, model: SemiParamModel) -> np.ndarray:
+        """Lifetimes of the one shape probe left, mphrs with alpha > 1."""
         return default_x_grid(model.baseline, self.shape_x_points, self.q_lo, self.q_hi)
-
-    def a_grid(self, *theta_vectors) -> np.ndarray:
-        """Log-parameter grid spanning all supplied vectors, padded 10%."""
-        allth = np.concatenate([np.asarray(t, dtype=float) for t in theta_vectors])
-        if np.any(allth <= 0.0):
-            raise ValidationError("log-parameter grid requires positive thetas")
-        lo, hi = np.log(allth.min()), np.log(allth.max())
-        pad = 0.1 * (hi - lo) if hi > lo else 0.5
-        return np.linspace(lo - pad, hi + pad, self.param_points)
-
-    def theta_grid(self, *theta_vectors) -> np.ndarray:
-        """Linear parameter grid spanning all supplied vectors, padded 10%."""
-        allth = np.concatenate([np.asarray(t, dtype=float) for t in theta_vectors])
-        lo, hi = allth.min(), allth.max()
-        pad = 0.1 * (hi - lo) if hi > lo else 0.5 * abs(lo) + 0.1
-        lo = lo - pad
-        hi = hi + pad
-        if np.all(allth > 0.0):
-            lo = max(lo, 0.05 * allth.min())
-        return np.linspace(lo, hi, self.param_points)

@@ -22,10 +22,16 @@ log F(x; theta) = p log F(a (x - c)):
     ls         (theta, lam, 1)    F(theta (x - lam))        theta > 0, fixed lam
 
 theta may be an array that broadcasts against x, so one call evaluates a
-whole (parameter x lifetime) matrix.  Shape checks certify
-monotonicity/convexity on finite probe grids, vectorised over that
-matrix; their verdicts feed the comparison-result verifiers.  Everything
-is pure and reentrant; model values are immutable.
+whole (parameter x lifetime) matrix.
+
+The shape hypotheses of the comparison results are decided from closed
+forms, not grid probes.  Each family record carries its DFR rule
+(exp_weibull: Mudholkar & Srivastava 1993, IEEE Trans. Reliab. 42:299;
+gen_gamma: Glaser 1980, JASA 75:667), and each kind its direction in
+theta: F(x; theta) is nonincreasing in theta for scale, phr, mphrs and ls,
+and nondecreasing for location.  The one case without a rule, mphrs with
+alpha > 1, probes the hazard of its transformed model on a lifetime grid.
+Everything is pure and reentrant; model values are immutable.
 """
 
 from __future__ import annotations
@@ -36,10 +42,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-
-#: Survival values below this are excluded from log-space probes.
-LOG_FLOOR = 1e-300
-
 
 def _special():
     """scipy.special, imported on first use by the gamma and gen_gamma
@@ -70,12 +72,14 @@ def _log_z(t, al):
 
 class _Family(NamedTuple):
     """A baseline family: parameter names and closed forms, each called
-    with the family's parameters after its first argument."""
+    with the family's parameters after its first argument (``dfr`` with
+    the parameters alone)."""
 
     names: tuple[str, ...]
     log_sf: Callable[..., np.ndarray]  # (t, *params), t >= 0
     log_pdf: Callable[..., np.ndarray]  # (t, *params), t > 0 or NaN
     inverse_log_sf: Callable[..., np.ndarray]  # (ls, *params), ls <= 0
+    dfr: Callable[..., dict]  # (*params) -> {quantity: value}; DFR iff every value <= 1
 
 
 _FAMILIES = {
@@ -83,39 +87,46 @@ _FAMILIES = {
         ("rate",),
         lambda t, rate: -rate * t,
         lambda t, rate: np.log(rate) - rate * t,
-        lambda ls, rate: -ls / rate),
+        lambda ls, rate: -ls / rate,
+        lambda rate: {}),
     "weibull": _Family(
         ("scale", "shape"),
         lambda t, a, bb: -((t / a) ** bb),
         lambda t, a, bb: np.log(bb / a) + (bb - 1.0) * np.log(t / a) - (t / a) ** bb,
-        lambda ls, a, bb: a * (-ls) ** (1.0 / bb)),
+        lambda ls, a, bb: a * (-ls) ** (1.0 / bb),
+        lambda a, bb: {"shape": bb}),
     "exp_weibull": _Family(  # sf = -expm1(beta log z)
         ("alpha", "beta"),
         lambda t, al, be: np.where(t > 0.0, np.log(-np.expm1(be * _log_z(t, al))), 0.0),
         lambda t, al, be: (np.log(al * be) + (al - 1.0) * np.log(t) - t ** al
                            + (be - 1.0) * _log_z(t, al)),
-        lambda ls, al, be: (-_log1mexp(_log1mexp(ls) / be)) ** (1.0 / al)),
+        lambda ls, al, be: (-_log1mexp(_log1mexp(ls) / be)) ** (1.0 / al),
+        lambda al, be: {"alpha": al, "alpha*beta": al * be}),
     "burr": _Family(
         ("c", "k"),
         lambda t, c, k: -k * _log1p_pow(t, c),
         lambda t, c, k: np.log(c * k) + (c - 1.0) * np.log(t) - (k + 1.0) * _log1p_pow(t, c),
-        lambda ls, c, k: np.expm1(-ls / k) ** (1.0 / c)),
+        lambda ls, c, k: np.expm1(-ls / k) ** (1.0 / c),
+        lambda c, k: {"c": c}),
     "gen_pareto": _Family(
         ("alpha",),
         lambda t, al: -np.log1p(al * t) / al,
         lambda t, al: -(1.0 / al + 1.0) * np.log1p(al * t),
-        lambda ls, al: np.expm1(-al * ls) / al),
+        lambda ls, al: np.expm1(-al * ls) / al,
+        lambda al: {}),
     "gen_gamma": _Family(
         ("p", "q"),
         lambda t, p, q: np.log(_special().gammaincc(q / p, t ** p)),
         lambda t, p, q: np.log(p) + (q - 1.0) * np.log(t) - t ** p - _special().gammaln(q / p),
-        lambda ls, p, q: _special().gammainccinv(q / p, np.exp(ls)) ** (1.0 / p)),
+        lambda ls, p, q: _special().gammainccinv(q / p, np.exp(ls)) ** (1.0 / p),
+        lambda p, q: {"p": p, "q": q}),
     "gamma": _Family(
         ("shape", "rate"),
         lambda t, sh, rate: np.log(_special().gammaincc(sh, rate * t)),
         lambda t, sh, rate: (sh * np.log(rate) + (sh - 1.0) * np.log(t) - rate * t
                              - _special().gammaln(sh)),
-        lambda ls, sh, rate: _special().gammainccinv(sh, np.exp(ls)) / rate),
+        lambda ls, sh, rate: _special().gammainccinv(sh, np.exp(ls)) / rate,
+        lambda sh, rate: {"shape": sh}),
 }
 
 BASELINE_FAMILIES = tuple(_FAMILIES)
@@ -211,13 +222,14 @@ def quantile(b: BaselineSpec, prob):
     return inverse_log_sf(b, np.log1p(-_check_prob(prob)))
 
 
-#: (a, c, p) of each kind, as in the module docstring, from theta t and the fixed lambda.
+#: (a, c, p) of each kind, as in the module docstring, from theta t and the fixed
+#: lambda, and the direction in which F(x; theta) moves as theta grows.
 _KIND_MAP = {
-    "scale": lambda t, lam: (t, 0.0, 1.0),
-    "phr": lambda t, lam: (1.0, 0.0, t),
-    "location": lambda t, lam: (1.0, t, 1.0),
-    "mphrs": lambda t, lam: (t, 0.0, lam),
-    "ls": lambda t, lam: (t, lam, 1.0),
+    "scale": (lambda t, lam: (t, 0.0, 1.0), "nonincreasing"),
+    "phr": (lambda t, lam: (1.0, 0.0, t), "nonincreasing"),
+    "location": (lambda t, lam: (1.0, t, 1.0), "nondecreasing"),
+    "mphrs": (lambda t, lam: (t, 0.0, lam), "nonincreasing"),
+    "ls": (lambda t, lam: (t, lam, 1.0), "nonincreasing"),
 }
 _KINDS = tuple(_KIND_MAP)
 
@@ -281,7 +293,7 @@ def _kind_map(m: SemiParamModel, theta):
     ok = m.theta_in_domain(t)
     if not ok.all():
         raise ValidationError(f"theta {t[~ok][:3].tolist()} outside the {m.kind} domain")
-    return _KIND_MAP[m.kind](t, m.lam)
+    return _KIND_MAP[m.kind][0](t, m.lam)
 
 
 def _log_w(m: SemiParamModel, x, theta):
@@ -332,17 +344,11 @@ def sp_quantile(m: SemiParamModel, prob, theta: float):
 
 @dataclass(frozen=True)
 class ShapeVerdict:
-    """Outcome of a monotonicity/convexity probe on a finite grid.
-
-    ``holds`` iff ``worst_violation <= tol``; the violation is the largest
-    signed breach of the defining inequality seen anywhere on the grid.
-    """
+    """A shape hypothesis and the rule that decided it."""
 
     property: str
     holds: bool
-    worst_violation: float
-    tol: float
-    probe: str
+    rule: str
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -357,122 +363,66 @@ def default_x_grid(b: BaselineSpec, points: int = 200, q_lo: float = 0.001, q_hi
     return np.geomspace(max(lo, hi * 1e-12), hi, points)
 
 
-def _monotone_violation(values: np.ndarray, sign: float, axis: int) -> np.ndarray:
-    """Per-line largest signed breach of monotonicity along ``axis``,
-    scale-relative: sign +1 probes nonincreasing, -1 nondecreasing."""
-    v = np.moveaxis(values, axis, -1)
-    d = np.diff(v)
-    scale = 1.0 + np.abs(v[..., :-1]) + np.abs(v[..., 1:])
-    return np.max(sign * d / scale, axis=-1, initial=-np.inf)
+def check_dfr(b: BaselineSpec) -> ShapeVerdict:
+    """Decreasing failure rate, from the family's closed-form rule."""
+    terms = _FAMILIES[b.family].dfr(*b.params)
+    rule = "; ".join(f"{k} {v:.6g} {'<=' if v <= 1.0 else '>'} 1" for k, v in terms.items())
+    return ShapeVerdict("dfr", all(v <= 1.0 for v in terms.values()),
+                        f"{b.family} {rule or 'always DFR'}")
 
 
-def _convexity_violation(t: np.ndarray, logs: np.ndarray, axis: int) -> np.ndarray:
-    """Per-line largest signed breach of slope monotonicity (convexity) along
-    ``axis``, scale-relative, on each line's active window: from its first to
-    its last point where the survival is strictly inside (0, 1) and above
-    LOG_FLOOR.  A window of fewer than 3 points gives -inf."""
-    v = np.moveaxis(logs, axis, -1)
-    ok = (v < -1e-12) & (v > np.log(LOG_FLOOR)) & np.isfinite(v)
-    reach = np.logical_or.accumulate
-    win = reach(ok, -1) & reach(ok[..., ::-1], -1)[..., ::-1]
-    with np.errstate(invalid="ignore"):  # non-finite logs outside the window
-        slopes = np.diff(v) / np.diff(t)
-        d = np.diff(slopes)
-        viol = -d / (1.0 + np.abs(slopes[..., :-1]) + np.abs(slopes[..., 1:]))
-    return np.max(viol, axis=-1, where=win[..., :-2] & win[..., 2:], initial=-np.inf)
+def check_dpfr(b: BaselineSpec) -> ShapeVerdict:
+    """Decreasing proportional failure rate, x*hazard(x) nonincreasing on
+    (0, inf): no lifetime law has it, so this always fails with the proof."""
+    return ShapeVerdict("dpfr", False, (
+        f"{b.family}: no lifetime law with S(0) = 1 has x*h(x) nonincreasing on "
+        "(0, inf); x*h >= c > 0 on (0, x0] makes the integral of h over (eps, x0) "
+        "at least c log(x0/eps), which diverges as eps -> 0, so S(x0) = 0"))
 
 
-def _worst(lines) -> float:
-    """Largest per-line violation; lines reading NaN are skipped and a result
-    that is not finite reads 0."""
-    worst = np.fmax.reduce(np.ravel(lines), initial=-np.inf)
-    return float(worst) if np.isfinite(worst) else 0.0
+def _model_dfr(m: SemiParamModel, grid, tol: float) -> ShapeVerdict:
+    """The transformed model's DFR.  Every kind keeps the baseline's hazard
+    shape (mphrs: the Marshall-Olkin map divides it by 1 - (1-alpha) w,
+    which grows in x for alpha <= 1), except mphrs with alpha > 1: there the
+    hazard of F(x; 1), a scale family in theta, is probed on grid(m)."""
+    if m.kind != "mphrs" or m.alpha <= 1.0:
+        return check_dfr(m.baseline)
+    xs = np.asarray(grid(m), dtype=float)
+    ls = log_sf(m.baseline, xs)
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        h = np.exp(np.log(m.lam) + log_pdf(m.baseline, xs) - ls
+                   - np.log1p((m.alpha - 1.0) * np.exp(m.lam * ls)))
+    h = h[np.isfinite(h)]
+    if h.size < 3:
+        raise ValidationError(f"mphrs hazard probe: fewer than 3 finite points on "
+                              f"{xs.size} grid points")
+    worst = float(np.max(np.diff(h) / (1.0 + h[:-1] + h[1:])))
+    return ShapeVerdict("dfr", worst <= tol, (
+        f"mphrs alpha {m.alpha:.6g} > 1, no rule: hazard of F(x; 1) on {h.size} points "
+        f"in [{xs[0]:.3g}, {xs[-1]:.3g}], worst relative rise {worst:.3e}"))
 
 
-def _check_rate(prop: str, b: BaselineSpec, x_grid, tol: float) -> ShapeVerdict:
-    """hazard (dfr) or x*hazard (dpfr) nonincreasing on the grid; points
-    where it is not finite are dropped."""
-    xs = default_x_grid(b) if x_grid is None else np.asarray(x_grid, dtype=float)
-    if xs.size < 100:
-        raise ValidationError(f"{prop.upper()} probe needs at least 100 grid points")
-    if np.any(xs <= 0.0):
-        raise ValidationError(f"{prop.upper()} probe grid must be positive")
-    v = xs * hazard(b, xs) if prop == "dpfr" else hazard(b, xs)
-    label = "x*hazard" if prop == "dpfr" else "hazard"
-    keep = np.isfinite(v)
-    if not keep.any():
-        raise ValidationError(f"{prop.upper()} probe: {label} is not finite at any grid point")
-    xs, v = xs[keep], v[keep]
-    worst = _worst(_monotone_violation(v, 1.0, 0))
-    return ShapeVerdict(prop, worst <= tol, worst, tol,
-                        f"{label} on {xs.size} points in [{xs[0]:.3g}, {xs[-1]:.3g}]")
+def survival_shape(m: SemiParamModel, sign: str, grid=None, tol: float = 1e-9) -> ShapeVerdict:
+    """F(x; theta) moves in ``sign`` ('nonincreasing' or 'nondecreasing') as
+    theta grows, and the transformed model is DFR.  ``grid(m)`` gives the
+    lifetimes of the mphrs alpha > 1 hazard probe (default: the baseline's
+    bulk); no other case evaluates the model."""
+    prop = f"{sign}_in_theta_and_model_dfr"
+    kind_sign = _KIND_MAP[m.kind][1]
+    if kind_sign != sign:
+        return ShapeVerdict(prop, False, f"{m.kind}: {kind_sign} in theta, not {sign}")
+    dfr = _model_dfr(m, grid or (lambda mm: default_x_grid(mm.baseline)), tol)
+    return ShapeVerdict(prop, dfr.holds, f"{m.kind}: {sign} in theta; {dfr.rule}")
 
 
-def check_dfr(b: BaselineSpec, x_grid=None, tol: float = 1e-9) -> ShapeVerdict:
-    """Decreasing failure rate: hazard nonincreasing on the grid."""
-    return _check_rate("dfr", b, x_grid, tol)
+def check_theorem1_condition2(m: SemiParamModel, grid=None, tol: float = 1e-9) -> ShapeVerdict:
+    """Shape requirement paired with log-concave generators: F(x; theta)
+    nonincreasing in theta and a DFR model (see ``survival_shape``)."""
+    return survival_shape(m, "nonincreasing", grid, tol)
 
 
-def check_dpfr(b: BaselineSpec, x_grid=None, tol: float = 1e-9) -> ShapeVerdict:
-    """Decreasing proportional failure rate: x*hazard(x) nonincreasing."""
-    return _check_rate("dpfr", b, x_grid, tol)
-
-
-def _condition2(m, x_grid, grid, thetas, sign, convex_axis, prop, label, tol):
-    """Probe F(x; theta) on the (param x lifetime) matrix: monotone in the
-    parameter (sign as in _monotone_violation) and log-convex along
-    ``convex_axis`` (0: the parameter grid, 1: the lifetimes)."""
-    xs = default_x_grid(m.baseline) if x_grid is None else np.asarray(x_grid, dtype=float)
-    if xs.size < 3 or grid.size < 3:
-        raise ValidationError("condition-2 probe needs at least 3 points per axis")
-    logs = sp_log_survival(m, xs, thetas[:, None])
-    with np.errstate(under="ignore"):
-        mono = _monotone_violation(np.exp(logs), sign, 0)
-    conv = _convexity_violation((grid, xs)[convex_axis], logs, convex_axis)
-    worst = _worst(np.concatenate([mono, conv]))
-    return ShapeVerdict(prop, worst <= tol, worst, tol,
-                        f"{grid.size} {label} x {xs.size} lifetimes")
-
-
-def check_theorem1_condition2(
-    m: SemiParamModel,
-    x_grid=None,
-    a_grid=None,
-    tol: float = 1e-9,
-) -> ShapeVerdict:
-    """Shape requirement paired with log-concave generators.
-
-    Two clauses, probed jointly:
-
-    * F(x; e^a) is nonincreasing in the log-parameter a, for every grid x;
-    * the transformed model keeps a decreasing hazard: log F(x; e^a) is
-      convex along x for every probed a (for scale, frailty and location
-      kinds this is exactly "the baseline is DFR").
-
-    Probes skip the regions where the survival is identically 1 (support
-    padding of location-type kinds) or below the underflow floor.
-    """
-    if a_grid is None:
-        a_grid = np.linspace(np.log(0.2), np.log(5.0), 100)
-    aa = np.asarray(a_grid, dtype=float)
-    return _condition2(m, x_grid, aa, np.exp(aa), 1.0, 1,
-                       "decreasing_in_log_param_and_model_dfr", "log-params", tol)
-
-
-def check_theorem2_condition2(
-    m: SemiParamModel,
-    x_grid=None,
-    theta_grid=None,
-    tol: float = 1e-9,
-) -> ShapeVerdict:
-    """Shape requirement paired with log-convex generators.
-
-    F(x; theta) must be nondecreasing in theta and log F(x; theta) convex
-    in theta, probed on the region where the survival is strictly inside
-    (0, 1).
-    """
-    if theta_grid is None:
-        theta_grid = np.linspace(0.2, 5.0, 100)
-    tg = np.asarray(theta_grid, dtype=float)
-    return _condition2(m, x_grid, tg, tg, -1.0, 0,
-                       "increasing_and_log_convex_in_theta", "thetas", tol)
+def check_theorem2_condition2(m: SemiParamModel, grid=None, tol: float = 1e-9) -> ShapeVerdict:
+    """Shape requirement paired with log-convex generators: F(x; theta)
+    nondecreasing and log-convex in theta.  Only location moves up in theta,
+    and there log F(x - theta) is convex in theta iff the baseline is DFR."""
+    return survival_shape(m, "nondecreasing", grid, tol)

@@ -24,11 +24,7 @@ import numpy as np
 from .errors import InconsistencyError, ValidationError
 from .generators import classify_log_shape, is_log_concave, is_log_convex
 from .gridpolicy import GridPolicy
-from .models import (
-    check_dpfr,
-    check_theorem1_condition2,
-    check_theorem2_condition2,
-)
+from .models import check_dpfr, survival_shape
 from .preorders import Preorder, holds
 from .systems import SurvivalCurve, SystemSpec, curve, survival_x2n
 
@@ -140,42 +136,30 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class _Route:
-    """One comparison result: which hypotheses to probe and how.
+    """One comparison result: which hypotheses to check and how.
 
     ``log_concave`` picks the generator hypothesis (else log-convex);
-    ``probe(model, xs, policy, theta_x, theta_y)`` returns the shape
-    verdict, reported as ``survival_shape`` or, for a row with a ``kind``,
-    ``baseline_dpfr``; ``kind`` restricts both systems to one shared model
-    of that kind; ``x_min(model)`` is the lower end of the dominance grid.
+    ``sign`` is the direction F(x; theta) must move in theta, checked with
+    the model's DFR and reported as ``survival_shape``; a row with a
+    ``kind`` has no sign and checks ``baseline_dpfr`` instead, and restricts
+    both systems to one shared model of that kind; ``x_min(model)`` is the
+    lower end of the dominance grid.
     """
 
     log_concave: bool
-    probe: Callable
+    sign: str | None
     preorder: Preorder
     kind: str | None = None
     x_min: Callable | None = None
 
 
-def _theorem1_probe(m, xs, pol, tx, ty):
-    return check_theorem1_condition2(m, xs, pol.a_grid(tx, ty), pol.shape_tol)
-
-
-def _theorem2_probe(m, xs, pol, tx, ty):
-    return check_theorem2_condition2(m, xs, pol.theta_grid(tx, ty), pol.shape_tol)
-
-
-def _dpfr_probe(m, xs, pol, tx, ty):
-    return check_dpfr(m.baseline, xs, pol.shape_tol)
-
-
-#: The two comparison theorems and the two model propositions.  Probes call
+#: The two comparison theorems and the two model propositions.  Checks call
 #: module-level names at run time, so call-site wrappers see every call.
 ROUTES = {
-    "theorem1": _Route(True, _theorem1_probe, Preorder.P_LARGER),
-    "theorem2": _Route(False, _theorem2_probe, Preorder.RECIPROCAL_MAJORIZE),
-    "prop_mphrs": _Route(True, _dpfr_probe, Preorder.P_LARGER, kind="mphrs"),
-    "prop_ls": _Route(True, _dpfr_probe, Preorder.P_LARGER, kind="ls",
-                      x_min=lambda m: m.lam),
+    "theorem1": _Route(True, "nonincreasing", Preorder.P_LARGER),
+    "theorem2": _Route(False, "nondecreasing", Preorder.RECIPROCAL_MAJORIZE),
+    "prop_mphrs": _Route(True, None, Preorder.P_LARGER, kind="mphrs"),
+    "prop_ls": _Route(True, None, Preorder.P_LARGER, kind="ls", x_min=lambda m: m.lam),
 }
 
 
@@ -185,7 +169,7 @@ def verify(
     sysY: SystemSpec,
     policy: GridPolicy | None = None,
 ) -> ConditionReport:
-    """Probe the hypotheses of ``ROUTES[route]`` and confirm its conclusion.
+    """Check the hypotheses of ``ROUTES[route]`` and confirm its conclusion.
 
     Checks, in order: shared generator, shared model, generator log-shape,
     survival/baseline shape, parameter preorder.  If all hold, both curves
@@ -206,8 +190,9 @@ def verify(
     gen_check, gen_ok = (("generator_log_concave", is_log_concave) if row.log_concave
                          else ("generator_log_convex", is_log_convex))
     if all(t > 0.0 for t in sysX.theta + sysY.theta):
-        v = row.probe(mx, policy.shape_x_grid(mx), policy, sysX.theta, sysY.theta)
-        shape_ok = (v.holds, f"{v.property}: worst violation {v.worst_violation:.3e}")
+        v = (check_dpfr(mx.baseline) if row.sign is None
+             else survival_shape(mx, row.sign, policy.shape_x_grid, policy.shape_tol))
+        shape_ok = (v.holds, v.rule)
         order_ok = (holds(row.preorder, sysX.theta, sysY.theta, policy.preorder_tol),
                     f"{sysX.theta} vs {sysY.theta}")
     else:
@@ -218,11 +203,8 @@ def verify(
                         f"{sysX.generator.to_json()} vs {sysY.generator.to_json()}"),
         HypothesisCheck("shared_model", mx == my and sysX.n == sysY.n,
                         f"{mx.kind}/n={sysX.n} vs {my.kind}/n={sysY.n}"),
-        HypothesisCheck(gen_check, gen_ok(shape),
-                        f"shape={shape.shape.value}, curvature in "
-                        f"[{shape.min_curvature:.3e}, {shape.max_curvature:.3e}]"),
-        HypothesisCheck("survival_shape" if row.kind is None else "baseline_dpfr",
-                        *shape_ok),
+        HypothesisCheck(gen_check, gen_ok(shape), f"shape={shape.shape.value}: {shape.rule}"),
+        HypothesisCheck("survival_shape" if row.sign else "baseline_dpfr", *shape_ok),
         HypothesisCheck(row.preorder.value, *order_ok),
     )
     overall = all(c.holds for c in checks)

@@ -223,15 +223,23 @@ def test_verify_p_ls_hypothesis_fail_exit_1(tmp_path, capsys):
     assert rep["overall"] is False
 
 
-def test_verify_p_ls_infinite_bulk_quantile_exit_2(tmp_path, capsys):
-    # burr(0.05, 0.05) has an infinite 0.999 quantile: no probe grid exists
+def test_verify_infinite_bulk_quantile(tmp_path, capsys):
+    # burr(0.05, 0.05) has an infinite 0.999 quantile, so no lifetime grid
+    # exists; p-ls needs none (DPFR fails by proof), t1 needs one to confirm
     from failsafekit import BaselineSpec, GeneratorSpec, SemiParamModel, SystemSpec
     m = SemiParamModel("ls", BaselineSpec("burr", (0.05, 0.05)), lam=0.5)
-    gen = GeneratorSpec("clayton", 1.0)
-    fx = write_system(tmp_path / "x.json", SystemSpec(2, m, (1.0, 2.0), gen))
-    fy = write_system(tmp_path / "y.json", SystemSpec(2, m, (1.5, 2.5), gen))
-    assert main(["verify", "p-ls", fx, fy]) == 2
-    assert "no finite positive bulk quantile" in capsys.readouterr().err
+    for gen, route, code in ((GeneratorSpec("clayton", 1.0), "p-ls", 1),
+                             (GeneratorSpec("gumbel_barnett", 0.5), "t1", 2)):
+        fx = write_system(tmp_path / "x.json", SystemSpec(2, m, (1.0, 2.0), gen))
+        fy = write_system(tmp_path / "y.json", SystemSpec(2, m, (1.5, 2.5), gen))
+        assert main(["verify", route, fx, fy]) == code
+        out, err = capsys.readouterr()
+        if code == 1:
+            rep = json.loads(out)
+            assert [c["name"] for c in rep["checks"] if not c["holds"]] == [
+                "generator_log_concave", "baseline_dpfr"]
+        else:
+            assert "no finite positive bulk quantile" in err
 
 
 @pytest.mark.parametrize("model, named", [
@@ -398,6 +406,49 @@ def test_fit_power_frailty_beyond_sampler_range_exit_2(tmp_path, capsys, family)
     err = capsys.readouterr().err
     assert f"{family} sampling needs theta <= 50" in err and "Traceback" not in err
     assert "bootstrap" in err and "analytic survival path" not in err
+
+def test_fit_keeps_report_when_every_copula_is_refused(tmp_path, capsys):
+    # every default copula inverts to a theta the bootstrap cannot sample
+    path = _write_comonotone_csv(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["fit", path, "--boot", "100", "--seed", "1", "--subsets", "w1;w2",
+                 "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("skipped ") == 3 and "Traceback" not in err
+    report = json.loads((out_dir / "report.json").read_text())
+    _validator("fit_report.schema.json").validate(report)
+    assert [e["family"] for e in report["marginal_fits"]["ranking"]]
+    assert report["preferred_copula"] is None
+    assert report["subsets"] == {"skipped": "no copula could be scored"}
+    for fam, limit in (("clayton", 50), ("gumbel", 50), ("frank", 700)):
+        entry = report["copula_gof"][fam]
+        assert entry["family"] == fam and entry["theta"] > limit
+        assert entry["skipped"].endswith(f"{fam} sampling needs theta <= {limit}")
+    rows = (out_dir / "copula_gof.csv").read_text().splitlines()
+    assert rows[1].startswith("clayton,") and rows[1].endswith(",,")
+
+
+def test_fit_keeps_the_other_copulas_when_one_is_refused(tmp_path, capsys):
+    # mean tau near 0.97: clayton inverts to theta 58 > 50, gumbel to 30, frank to 118
+    rng = np.random.default_rng(5)
+    x = np.sort(300.0 * rng.weibull(5.0, 200))
+    noise = np.exp(0.01 * rng.standard_normal((2, 200)))
+    mat = np.stack([x, 1.1 * x * noise[0], 0.9 * x * noise[1]], axis=1)
+    path = tmp_path / "near.csv"
+    path.write_text("\n".join(["w1,w2,w3"] + [",".join(f"{v:.6f}" for v in row)
+                                              for row in mat]))
+    assert main(["fit", str(path), "--families", "weibull", "--boot", "100",
+                 "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("skipped clayton: the parametric bootstrap cannot sample")
+    report = json.loads(captured.out)
+    _validator("fit_report.schema.json").validate(report)
+    gof = report["copula_gof"]
+    assert "skipped" in gof["clayton"] and gof["clayton"]["theta"] > 50
+    assert {"p_value", "statistic"} <= set(gof["gumbel"]) and {"p_value"} <= set(gof["frank"])
+    scored = {fam: gof[fam]["statistic"] for fam in ("gumbel", "frank")}
+    assert report["preferred_copula"] == min(scored, key=scored.get)
+
 
 # ---------------------------------------------------------------- config
 def test_config_supplies_defaults_flags_override(tmp_path):

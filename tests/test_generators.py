@@ -145,7 +145,25 @@ def test_strict_shapes_are_exclusive():
 def test_independence_is_linear_in_log():
     rep = classify_log_shape(GeneratorSpec("independence"))
     assert rep.shape is LogShape.BOTH
-    assert abs(rep.min_curvature) <= 1e-9 and abs(rep.max_curvature) <= 1e-9
+    assert rep.to_json() == {"shape": "both", "rule": "log psi = -t is linear"}
+    assert classify_log_shape(GeneratorSpec("amh", 0.0)).shape is LogShape.BOTH
+
+
+def test_frank_near_independence_is_log_convex():
+    # the former curvature grid read frank(0.05) as neither (curvature in
+    # [-4.1e-3, 6.0e-2]); frank is completely monotone for every theta > 0
+    rep = classify_log_shape(GeneratorSpec("frank", 0.05))
+    assert rep.shape is LogShape.LOG_CONVEX and "completely monotone" in rep.rule
+    # the closed form agrees: d2/dt2 log psi >= 0 by divided differences
+    ts = np.linspace(0.01, 20.0, 2001)
+    lp = log_psi(GeneratorSpec("frank", 0.05), ts)
+    assert np.all(np.diff(lp, 2) >= -1e-15)
+
+
+def test_amh_shape_follows_the_sign_of_theta():
+    assert classify_log_shape(GeneratorSpec("amh", 0.3)).shape is LogShape.LOG_CONVEX
+    rep = classify_log_shape(GeneratorSpec("amh", -0.3))
+    assert rep.shape is LogShape.LOG_CONCAVE and "< 0 for theta < 0" in rep.rule
 
 
 def test_gumbel_at_one_reduces_to_independence():

@@ -23,6 +23,9 @@ from failsafekit import (
     sp_survival,
 )
 from failsafekit.models import (
+    _FAMILIES,
+    BASELINE_FAMILIES,
+    default_x_grid,
     log_pdf,
     log_sf,
     pdf,
@@ -243,14 +246,64 @@ def test_fixed_parameter_validation():
 
 # ------------------------------------------------------------ DFR/DPFR
 def test_dfr_verdicts():
-    assert check_dfr(BaselineSpec("gen_pareto", (0.5,))).holds
+    v = check_dfr(BaselineSpec("gen_pareto", (0.5,)))
+    assert v.holds and v.rule == "gen_pareto always DFR"
     assert check_dfr(BaselineSpec("exponential", (1.0,))).holds  # constant hazard
     v = check_dfr(BaselineSpec("weibull", (1.0, 2.0)))
-    assert not v.holds and v.worst_violation > 1e-3
+    assert not v.holds and v.rule == "weibull shape 2 > 1"
+    v = check_dfr(BaselineSpec("weibull", (1.3, 0.8)))
+    assert v.holds and v.rule == "weibull shape 0.8 <= 1"
+    # boundaries: shape 1 is the exponential, burr c = 1 has hazard k / (1 + x)
+    assert check_dfr(BaselineSpec("gamma", (1.0, 2.0))).holds
+    assert check_dfr(BaselineSpec("burr", (1.0, 3.0))).holds
+    v = check_dfr(BaselineSpec("exp_weibull", (0.5, 2.5)))
+    assert not v.holds and v.rule == "exp_weibull alpha 0.5 <= 1; alpha*beta 1.25 > 1"
+    assert check_dfr(BaselineSpec("gen_gamma", (1.0, 1.0))).holds
+
+
+#: Baselines the 0.001-0.999 quantile grid of the former probe certified as
+#: DFR although their hazard rises, each with a witness (x1, x2), x1 < x2,
+#: where it does: one from each class of false pass.
+FALSE_DFR = {
+    "burr_c_1.10": (BaselineSpec("burr", (1.10, 0.21)), (1e-6, 1e-3)),
+    "exp_weibull_alpha_beta_above_1": (BaselineSpec("exp_weibull", (0.38, 2.7)), (1e-9, 1e-7)),
+    "gen_gamma_p_above_1": (BaselineSpec("gen_gamma", (1.08, 0.3)), (10.0, 20.0)),
+    "gen_gamma_q_above_1": (BaselineSpec("gen_gamma", (0.35, 1.05)), (1e-8, 1e-6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALSE_DFR))
+def test_false_dfr_passes_read_not_dfr(name):
+    b, (x1, x2) = FALSE_DFR[name]
+    assert not check_dfr(b).holds
+    assert hazard(b, x2) > hazard(b, x1) * (1.0 + 1e-3)
+
+
+def test_dfr_table_is_sound_on_random_baselines():
+    # wherever the table says DFR, the hazard never rises on a dense grid of
+    # quantiles from 1e-8 to 1 - 1e-8, spaced in log(p) and log(1 - p)
+    rng = np.random.default_rng(2024)
+    probs = np.concatenate([np.geomspace(1e-8, 0.5, 1000), 1.0 - np.geomspace(0.5, 1e-8, 1000)[1:]])
+    certified = dict.fromkeys(BASELINE_FAMILIES, 0)
+    for family in BASELINE_FAMILIES:
+        for _ in range(100):
+            params = np.exp(rng.uniform(np.log(0.2), np.log(5.0), len(_FAMILIES[family].names)))
+            b = BaselineSpec(family, tuple(params))
+            if not check_dfr(b).holds:
+                continue
+            certified[family] += 1
+            h = hazard(b, quantile(b, probs))
+            # exp_weibull's log density overflows to inf where t^alpha < 1e-16
+            # (exp(-t^alpha) rounds to 1); the hazard is decreasing there
+            h = h[np.isfinite(h)]
+            assert h.size >= probs.size // 2, b
+            rise = np.max(np.diff(h) / h[:-1])
+            assert rise <= 1e-9, (b, rise)
+    assert min(certified.values()) >= 10, certified
 
 
 def test_dpfr_verdicts():
-    # x*h is x/(1+x) for gen_pareto(1): increasing, so the check fails
+    # x*h is x/(1+x) for gen_pareto(1): increasing
     v = check_dpfr(BaselineSpec("gen_pareto", (1.0,)))
     assert not v.holds
     # exponential: x*h = rate*x, increasing
@@ -261,45 +314,52 @@ def test_dpfr_verdicts():
     closed = 0.8 * xs ** 0.8 / (1.0 + xs ** 0.8)
     assert np.all(np.diff(closed) > 0.0)  # symbolic oracle: strictly increasing
     assert_allclose(xs * hazard(b, xs), closed, rtol=1e-12)
-    assert not check_dpfr(b).holds
+    # x*h >= c > 0 on (0, x0] would make S(x0) = 0, so no lifetime law is DPFR;
+    # burr(0.1486, 0.1756) was the one certificate of the former grid probe
+    for b in [BaselineSpec("burr", (0.1486, 0.1756))] + ALL_BASELINES:
+        v = check_dpfr(b)
+        assert not v.holds and v.rule.startswith(f"{b.family}: no lifetime law with S(0) = 1")
+        assert "diverges" in v.rule
 
 
 def test_dpfr_grid_validation():
-    with pytest.raises(ValidationError):
-        check_dpfr(BaselineSpec("exponential", (1.0,)), x_grid=np.linspace(1, 2, 10))
-    # burr(0.05, 0.05): the 0.999 quantile overflows to inf, so there is
-    # no default grid; on the NaN grid geomspace made of it, x*hazard is
-    # finite nowhere
+    # the lifetime grid that remains (the mphrs alpha > 1 hazard probe) still
+    # refuses a baseline without a finite positive bulk: burr(0.05, 0.05) has
+    # an infinite 0.999 quantile, burr(0.01, 1e10) both quantiles at 0
     heavy = BaselineSpec("burr", (0.05, 0.05))
     with pytest.raises(ValidationError, match="burr"):
-        check_dpfr(heavy)
-    with pytest.raises(ValidationError, match="not finite at any grid point"):
-        check_dpfr(heavy, x_grid=np.full(100, np.nan))
-    # burr(0.01, 1e10): both bulk quantiles underflow to 0
+        default_x_grid(heavy)
     with pytest.raises(ValidationError, match="burr"):
-        check_dfr(BaselineSpec("burr", (0.01, 1e10)))
+        default_x_grid(BaselineSpec("burr", (0.01, 1e10)))
+    with pytest.raises(ValidationError, match="burr"):
+        check_theorem1_condition2(SemiParamModel("mphrs", heavy, alpha=2.0, lam=1.0))
+    # DPFR needs no grid at all: it fails by proof
+    assert not check_dpfr(heavy).holds
+    with pytest.raises(ValidationError, match="fewer than 3 finite points"):
+        check_theorem1_condition2(SemiParamModel("mphrs", heavy, alpha=2.0, lam=1.0),
+                                  grid=lambda m: np.full(100, np.nan))
 
 
 # ----------------------------------------------- theorem shape checks
 def test_condition1_scale_over_dfr_baselines():
-    a_grid = np.linspace(np.log(0.1), np.log(1.0), 60)
     for b in [BaselineSpec("exp_weibull", (0.9, 0.9)), BaselineSpec("gen_pareto", (1.0,))]:
         m = SemiParamModel("scale", b)
-        v = check_theorem1_condition2(m, a_grid=a_grid)
+        v = check_theorem1_condition2(m)
         assert v.holds, (b, v)
 
 
 def test_condition1_fails_for_increasing_hazard():
     m = SemiParamModel("scale", BaselineSpec("weibull", (1.0, 2.0)))
     v = check_theorem1_condition2(m)
-    assert not v.holds and v.worst_violation > 1e-3
+    assert not v.holds and v.rule == "scale: nonincreasing in theta; weibull shape 2 > 1"
 
 
 def test_condition1_fails_for_location_kind():
     # location survival increases with theta, breaking the decreasing clause
     m = SemiParamModel("location", BaselineSpec("gen_pareto", (1.0,)))
-    v = check_theorem1_condition2(m, a_grid=np.linspace(np.log(0.5), np.log(3.0), 50))
+    v = check_theorem1_condition2(m)
     assert not v.holds
+    assert v.rule == "location: nondecreasing in theta, not nonincreasing"
 
 
 def test_dfr_implies_condition1_over_catalog():
@@ -312,14 +372,17 @@ def test_dfr_implies_condition1_over_catalog():
         catalog.append(BaselineSpec("gen_gamma", (rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0))))
     for b in catalog:
         assert check_dfr(b).holds, b
-        v = check_theorem1_condition2(SemiParamModel("scale", b))
-        assert v.holds, (b, v)
+        for kind in ("scale", "phr"):
+            v = check_theorem1_condition2(SemiParamModel(kind, b))
+            assert v.holds, (b, v)
+        assert check_theorem2_condition2(SemiParamModel("location", b)).holds
 
 
 def test_condition2_location_over_gp_holds():
     m = SemiParamModel("location", BaselineSpec("gen_pareto", (1.0,)))
-    v = check_theorem2_condition2(m, theta_grid=np.linspace(0.5, 4.0, 80))
+    v = check_theorem2_condition2(m)
     assert v.holds, v
+    assert v.rule == "location: nondecreasing in theta; gen_pareto always DFR"
 
 
 def test_condition2_fails_for_scale_and_phr():
@@ -328,6 +391,29 @@ def test_condition2_fails_for_scale_and_phr():
         m = SemiParamModel(kind, BaselineSpec("exponential", (1.0,)))
         v = check_theorem2_condition2(m)
         assert not v.holds, (kind, v)
+
+
+def test_mphrs_dfr_by_rule_up_to_alpha_1_and_probed_above():
+    b = BaselineSpec("weibull", (2.0, 0.8))
+    calls = []
+
+    def grid(m):
+        calls.append(m)
+        return np.geomspace(1e-3, 50.0, 300)
+
+    v = check_theorem1_condition2(SemiParamModel("mphrs", b, alpha=0.4, lam=1.3), grid)
+    assert v.holds and v.rule == "mphrs: nonincreasing in theta; weibull shape 0.8 <= 1"
+    assert calls == []  # the rule decides; no grid is built
+    # alpha > 1 divides the hazard by 1 + (alpha - 1) w, which falls in x: an
+    # exponential baseline's flat hazard lam*rate/(1 + (alpha-1) e^(-lam*rate*x)) rises
+    m = SemiParamModel("mphrs", BaselineSpec("exponential", (1.0,)), alpha=3.0, lam=1.0)
+    v = check_theorem1_condition2(m, grid)
+    assert calls == [m] and not v.holds
+    assert v.rule.startswith("mphrs: nonincreasing in theta; mphrs alpha 3 > 1, no rule")
+    # a steep enough DFR baseline stays DFR: gen_pareto(1), lam 1, alpha 2 has
+    # hazard 1/((1 + x)(1 + (1 + x)^-1)) = 1/(2 + x)
+    m = SemiParamModel("mphrs", BaselineSpec("gen_pareto", (1.0,)), alpha=2.0, lam=1.0)
+    assert check_theorem1_condition2(m, grid).holds
 
 
 def test_sp_log_survival_matches_log_of_survival():
@@ -368,53 +454,46 @@ def test_theta_array_outside_domain_raises(m):
             f(m, -np.geomspace(0.1, 2.0, 5), bad[:, None])
 
 
-def test_theorem2_probe_names_offending_thetas():
-    m = SemiParamModel("scale", BaselineSpec("exponential", (1.0,)))
-    with pytest.raises(ValidationError, match="at least 3 points"):
-        check_theorem2_condition2(m, theta_grid=[-2.0, 1.0])
-    with pytest.raises(ValidationError, match=r"\[-2\.0, -0\.5\]"):
-        check_theorem2_condition2(m, theta_grid=[-2.0, -0.5, 1.0, 2.0])
-
-
-#: (model, x grid or None for the default) -> (holds, worst_violation) of the
-#: theorem-1 and theorem-2 condition-2 probes on their default parameter grids.
-PINNED_PROBES = {
-    # the active window starts inside the grid (survival 1 below theta)
+#: model -> (holds, rule) of the theorem-1 and theorem-2 condition-2 checks.
+PINNED_CHECKS = {
     "location_gen_pareto": (
-        SemiParamModel("location", BaselineSpec("gen_pareto", (1.0,))), None,
-        (False, 0.04219787435787142), (True, 0.0)),
-    # survival is identically 1 below lambda
+        SemiParamModel("location", BaselineSpec("gen_pareto", (1.0,))),
+        (False, "location: nondecreasing in theta, not nonincreasing"),
+        (True, "location: nondecreasing in theta; gen_pareto always DFR")),
+    # the former probe skipped the survival-1 region below lambda; the rule
+    # is the baseline's
     "ls_weibull": (
-        SemiParamModel("ls", BaselineSpec("weibull", (1.0, 0.8)), lam=1.5), None,
-        (True, 0.0), (False, 0.04009255415668235)),
+        SemiParamModel("ls", BaselineSpec("weibull", (1.0, 0.8)), lam=1.5),
+        (True, "ls: nonincreasing in theta; weibull shape 0.8 <= 1"),
+        (False, "ls: nonincreasing in theta, not nondecreasing")),
     "mphrs_weibull": (
         SemiParamModel("mphrs", BaselineSpec("weibull", (2.0, 0.8)), alpha=0.4, lam=1.3),
-        None,
-        (True, -3.844475933128456e-15), (False, 0.03134263913015869)),
-    # far rows underflow to log F = -inf
+        (True, "mphrs: nonincreasing in theta; weibull shape 0.8 <= 1"),
+        (False, "mphrs: nonincreasing in theta, not nondecreasing")),
     "phr_gen_gamma": (
         SemiParamModel("phr", BaselineSpec("gen_gamma", (0.5, 0.5))),
-        np.geomspace(0.01, 3000.0, 200),
-        (True, -7.385600837123264e-116), (False, 0.05007064225784778)),
-    # survival is 1 on the whole grid: no window reaches 3 points
+        (True, "phr: nonincreasing in theta; gen_gamma p 0.5 <= 1; q 0.5 <= 1"),
+        (False, "phr: nonincreasing in theta, not nondecreasing")),
+    # the former probe certified theorem 1 here: on a grid of [0.01, 0.1] the
+    # survival is 1 everywhere, so no window was left to test
     "location_no_window": (
         SemiParamModel("location", BaselineSpec("exponential", (1.0,))),
-        np.linspace(0.01, 0.1, 50),
-        (True, 0.0), (True, 0.0)),
+        (False, "location: nondecreasing in theta, not nonincreasing"),
+        (True, "location: nondecreasing in theta; exponential always DFR")),
     "scale_exponential": (
-        SemiParamModel("scale", BaselineSpec("exponential", (1.0,))), None,
-        (True, 3.632458419053067e-15), (False, 0.05006732745118465)),
+        SemiParamModel("scale", BaselineSpec("exponential", (1.0,))),
+        (True, "scale: nonincreasing in theta; exponential always DFR"),
+        (False, "scale: nonincreasing in theta, not nondecreasing")),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_PROBES))
+@pytest.mark.parametrize("name", sorted(PINNED_CHECKS))
 def test_condition2_verdicts_pinned(name):
-    m, xs, want1, want2 = PINNED_PROBES[name]
-    for probe, (holds, worst) in ((check_theorem1_condition2, want1),
-                                  (check_theorem2_condition2, want2)):
-        v = probe(m, xs)
-        assert v.holds is holds, (probe.__name__, v)
-        assert v.worst_violation == pytest.approx(worst, rel=1e-13), (probe.__name__, v)
+    m, want1, want2 = PINNED_CHECKS[name]
+    for check, (holds, rule) in ((check_theorem1_condition2, want1),
+                                 (check_theorem2_condition2, want2)):
+        v = check(m)
+        assert (v.holds, v.rule) == (holds, rule), check.__name__
 
 
 def test_json_roundtrip():

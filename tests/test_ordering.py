@@ -191,7 +191,7 @@ def test_verify_first_counterexample_from_a_valid_model():
                            0.19158892533540825, 1.0266837460946139), gen)
     sy = SystemSpec(4, m, (0.7228169735573664, 0.198873648489512,
                            0.2790330900151772, 1.9284721783568337), gen)
-    policy = GridPolicy(curve_points=300, shape_x_points=120, param_points=60)
+    policy = GridPolicy(curve_points=300, shape_x_points=120)
     with pytest.raises(InconsistencyError) as exc:
         verify_theorem1(sx, sy, policy)
     rep = exc.value.report
@@ -250,7 +250,7 @@ def _mphrs_pair(alpha=0.5, lam=1.0):
 def test_prop_mphrs_dpfr_fails_on_gen_gamma():
     # x*h(x) of gen_gamma(.5,.5) is 0.5*sqrt(x): strictly increasing, so this
     # baseline is not DPFR and the verifier honestly reports overall=False
-    # (a DPFR baseline passes: see test_prop_ls_certifies_dpfr_burr)
+    # (no baseline is: see test_prop_ls_dpfr_fails_with_its_proof_on_burr)
     sx, sy = _mphrs_pair()
     rep = verify_prop_mphrs(sx, sy, FAST)
     assert not rep.overall
@@ -298,15 +298,44 @@ def test_prop_ls_dpfr_fails_and_exponential_example():
     assert not rep2.check("baseline_dpfr").holds
 
 
-def test_prop_ls_certifies_dpfr_burr():
-    # burr(c, k) with c k < 1 and small c keeps x*hazard decreasing over
-    # its bulk, so every hypothesis holds and dominance is confirmed
+def test_prop_ls_dpfr_fails_with_its_proof_on_burr():
+    # the former grid probe certified DPFR for burr(0.1486, 0.1756) on
+    # x in [9.3e102, 9.3e114], a window left by its hi * 1e-12 floor where
+    # x*h(x) = ck/(1 + x^-c) is flat to 5e-16; x*h rises from 0 below it, as
+    # it must for every lifetime law
     m = SemiParamModel("ls", BaselineSpec("burr", (0.1486, 0.1756)), lam=0.5)
     gen = GeneratorSpec("independence")
     rep = verify_prop_ls(SystemSpec(3, m, (0.5, 1.0, 2.0), gen),
                          SystemSpec(3, m, (1.0, 1.5, 2.5), gen))
-    assert rep.overall and all(c.holds for c in rep.checks)
-    assert rep.dominance.relation is Relation.X_DOMINATES_Y
+    assert not rep.overall and rep.dominance is None
+    assert [c.name for c in rep.checks if not c.holds] == ["baseline_dpfr"]
+    assert rep.check("baseline_dpfr").evidence == (
+        "burr: no lifetime law with S(0) = 1 has x*h(x) nonincreasing on (0, inf); "
+        "x*h >= c > 0 on (0, x0] makes the integral of h over (eps, x0) at least "
+        "c log(x0/eps), which diverges as eps -> 0, so S(x0) = 0")
+
+
+def test_theorem1_ls_below_lambda_is_not_a_certificate():
+    # the former probe's shape grid [0.022, 0.650] lay below lambda, where
+    # every survival is 1, and passed with "worst violation 0"; weibull
+    # shape 2.609 has an increasing hazard
+    m = SemiParamModel("ls", BaselineSpec("weibull", (0.310, 2.609)), lam=0.781)
+    gen = GeneratorSpec("gumbel_barnett", 0.5)
+    rep = verify_theorem1(SystemSpec(3, m, (0.5, 1.0, 2.0), gen),
+                          SystemSpec(3, m, (1.0, 1.5, 2.5), gen), FAST)
+    assert not rep.overall and rep.dominance is None
+    assert [c.name for c in rep.checks if not c.holds] == ["survival_shape"]
+    assert rep.check("survival_shape").evidence == (
+        "ls: nonincreasing in theta; weibull shape 2.609 > 1")
+
+
+def test_verify_evidence_names_the_deciding_rules():
+    sx, sy = gumbel_barnett_pair()
+    rep = verify_theorem1(sx, sy, FAST)
+    assert rep.check("survival_shape").evidence == (
+        "scale: nonincreasing in theta; exp_weibull alpha 0.9 <= 1; alpha*beta 0.81 <= 1")
+    assert rep.check("generator_log_concave").evidence == (
+        "shape=log_concave: log psi = (1 - e^t)/theta is concave")
 
 
 def test_prop_ls_mismatched_lambda_rejected():
