@@ -5,7 +5,10 @@ rename or a deletion in the package would silently drop a layer from
 ``perfbench/run.py --trace 1``, so every listed name must still exist.  Its
 counters read the positional arguments of the calls they wrap, so a traced
 run of the verifiers must go through without an error and report every
-per-layer metric that BENCHMARK.json lists.
+per-layer metric that BENCHMARK.json lists.  The ``.cells`` counters of the
+two condition-2 probes read the probes' positional arguments, so the
+verifiers must leave the probes alone and decide the same verdict the probes
+give when called positionally.
 """
 
 import importlib
@@ -16,6 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,3 +90,39 @@ def test_traced_verifiers_report_every_layer(tracing):
     for name in ("check_theorem1_condition2", "check_theorem2_condition2"):
         assert values[f"models.{name}.calls"] == 0
         assert values[f"models.{name}.cells"] == 0
+
+
+@pytest.mark.parametrize("route, pair, probe", [
+    ("verify_theorem1", "gumbel_barnett_pair", "check_theorem1_condition2"),
+    ("verify_theorem2", "clayton_pair", "check_theorem2_condition2"),
+])
+def test_condition2_probes_take_grids_positionally(monkeypatch, route, pair, probe):
+    """The ``.cells`` counters read a probe's args[1] and args[2]: verify
+    must not call the probe (it reads the shape tables directly), and the
+    probe called as (model, grid, tol) positionally must give the verdict
+    verify reports as ``survival_shape``."""
+    from failsafekit import demos, models, ordering
+    from failsafekit.gridpolicy import GridPolicy
+
+    calls = []
+    real = getattr(models, probe)
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(models, probe, record)
+    monkeypatch.setattr(ordering, probe, record, raising=False)
+    sx, sy = getattr(demos, pair)()
+    policy = GridPolicy()
+    report = getattr(ordering, route)(sx, sy, policy)
+    assert calls == []
+
+    verdict = record(sx.model, policy.shape_x_grid, policy.shape_tol)
+    args, kwargs = calls[0]
+    assert kwargs == {} and len(args) == 3
+    model, grid, tol = args
+    assert model == sx.model and tol == policy.shape_tol
+    assert np.shape(grid(model)) == (policy.shape_x_points,)
+    shape = next(c for c in report.checks if c.name == "survival_shape")
+    assert (shape.holds, shape.evidence) == (verdict.holds, verdict.rule)
