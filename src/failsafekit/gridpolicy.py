@@ -41,8 +41,10 @@ class GridPolicy:
     def _bulk_grid(self, components) -> np.ndarray:
         """The default lifetime grid over every (model, thetas) entry: log-spaced from
         the smallest q_lo to the largest q_hi quantile, floored at hi * 1e-9."""
-        lo = np.min([np.min(sp_quantile(m, self.q_lo, th)) for m, th in components])
-        hi = np.max([np.max(sp_quantile(m, self.q_hi, th)) for m, th in components])
+        # one quantile call per entry for both ends: gamma's inverse costs per call
+        ends = [sp_quantile(m, [[self.q_lo], [self.q_hi]], th) for m, th in components]
+        lo = np.min([np.min(q[0]) for q in ends])
+        hi = np.max([np.max(q[1]) for q in ends])
         if not (np.isfinite(lo) and 0.0 < hi < np.inf):
             names = ", ".join(dict.fromkeys(
                 f"{m.kind} {m.baseline.family}{m.baseline.params}" for m, _ in components))

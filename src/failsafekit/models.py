@@ -4,12 +4,25 @@ Each baseline family is one record of the module table ``_FAMILIES``: its
 parameter names and closed forms for log-survival, log-density and
 inverse log-survival.  ``log_sf``, ``log_pdf`` and ``inverse_log_sf``
 clamp or mask their input and make one call into that record; hazard
-comes from the first two in log space.  gen_gamma and gamma route through
-scipy's regularized incomplete gamma, whose log-gamma backend meets a
-1e-12 relative accuracy standard; scipy.special loads on their first use,
-so the other baselines never import scipy.  Quantiles and Monte-Carlo
+comes from the first two in log space.  Quantiles and Monte-Carlo
 lifetimes both come from the inverse log-survival, so neither rounds a
-tail probability to 1.
+tail probability to 1.  No baseline imports scipy.
+
+gamma and gen_gamma share one numpy kernel for log Q(a, x), Q the
+regularized upper incomplete gamma, with a scalar shape a and an array x.
+Below x = a + 1 it is log1p(-P), P from its power series by Horner; above,
+Legendre's continued fraction (DLMF 8.9.2) evaluated backward in log
+space, so log Q stays finite far past exp's underflow.  Both term budgets
+depend on a alone, so no value depends on the rest of its call, and they
+cover shapes up to GAMMA_SHAPE_MAX = 1e4; larger shapes are refused.  The
+prefactor log(x^a e^-x / Gamma(a)) uses Stirling's series for a >= 10,
+where its terms would cancel; the log density is built from it too.  The
+inverse is Halley's method on log(-log Q) in log x (background: DiDonato &
+Morris 1986, ACM TOMS 12:377).  Against 40-digit values log Q is within
+5e-13 relative for 1e-3 <= a <= 1e4 and x from 1e-300 to log Q = -1000;
+the rounding of a log x - x, which the problem's own conditioning
+shares, and for a < 0.01 the cancellation in 1 - P set that error.
+
 The semi-parametric kinds map a baseline survival F(x) to F(x; theta)
 through one table (a, c, p), ``_KIND_MAP``, built once at import, with
 log F(x; theta) = p log F(a (x - c)):
@@ -36,19 +49,14 @@ Everything is pure and reentrant; model values are immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-
-def _special():
-    """scipy.special, imported on first use by the gamma and gen_gamma
-    baselines; no other path of the package needs it."""
-    import scipy.special
-
-    return scipy.special
 
 
 def _log1mexp(a):
@@ -67,7 +75,175 @@ def _log1p_pow(t, c):
 
 def _log_z(t, al):
     """exp_weibull's log z, z = 1 - exp(-t^alpha), so that F = z^beta."""
-    return np.log1p(-np.exp(-(t ** al)))
+    return _log1mexp(-(t ** al))
+
+
+def _power_and_log(t, p):
+    """(t^p, p log t), the gamma kernels' argument and its log."""
+    lx = p * np.log(t)
+    return (np.exp(lx) if p != 1.0 else t), lx
+
+
+#: The largest shape the incomplete gamma kernel accepts: its fraction and
+#: series budgets (205 levels and 888 coefficients at 1e4) are sized for it.
+GAMMA_SHAPE_MAX = 1e4
+_EPS = 2.0 ** -53
+
+
+def _stirlerr(a: float) -> float:
+    """lgamma(a) - ((a - 1/2) log a - a + log(2 pi) / 2), by Stirling's
+    series; its error is below 1e-17 for a >= 10."""
+    r = 1.0 / (a * a)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r * (
+        1 / 1188 - r * (691 / 360360 - r / 156)))))) / a
+
+
+def _log_gamma_prefactor(a: float, x, lx):
+    """log(x^a e^-x / Gamma(a)), with lx = log x.  For a >= 10 it is taken
+    as -a (u - log1p u) + log(a / 2 pi) / 2 - stirlerr(a), u = x/a - 1, where
+    a log x, x and lgamma(a) would cancel."""
+    if a < 10.0:
+        return a * lx - x - math.lgamma(a)
+    u = (x - a) / a
+    l1 = np.where(u > -0.5, np.log1p(u), lx - math.log(a))
+    return a * (l1 - u) + (0.5 * math.log(a / (2.0 * math.pi)) - _stirlerr(a))
+
+
+def _cf_depth(a: float, x: float) -> int:
+    """Levels of Legendre's fraction for Q(a, x): the first forward (Lentz)
+    convergent that moves by at most an ulp, plus 2."""
+    b = x + 1.0 - a
+    c, d = 1e300, 1.0 / b
+    for n in range(1, 300):
+        an = n * (a - n)
+        b += 2.0
+        d = an * d + b
+        c = b + an / c
+        d = 1.0 / (d if abs(d) > 1e-300 else 1e-300)
+        c = c if abs(c) > 1e-300 else 1e-300
+        if abs(d * c - 1.0) <= _EPS:
+            return n + 2
+    raise ValidationError(f"incomplete gamma fraction did not settle at shape {a:.6g}")
+
+
+@lru_cache(maxsize=256)
+def _gamma_plan(a: float) -> tuple:
+    """The fixed budgets of ``_log_gammaincc`` for shape a, both sized at
+    x = a + 1 where series and fraction meet and each converges slowest:
+    the series coefficients (highest power first) and the fraction depth."""
+    if not 0.0 < a <= GAMMA_SHAPE_MAX:
+        raise ValidationError(f"incomplete gamma shape {a:.6g} is outside (0, "
+                              f"{GAMMA_SHAPE_MAX:g}], the range its term budget covers")
+    # P = x^a e^-x / Gamma(a + 1) * sum_k c_k z^k, z = x / (a + 1),
+    # c_k = (a + 1)^k / ((a + 1) ... (a + k)) <= 1
+    c = np.cumprod((a + 1.0) / (a + np.arange(1.0, 1000.0)))
+    terms = int(np.argmax(c < _EPS / 4))
+    coef = (np.concatenate(([1.0], c[:terms + 1])) / a)[::-1].tolist()
+    return coef, _cf_depth(a, a + 1.0)
+
+
+def _log_gammaincc(a: float, x, lx):
+    """log Q(a, x), Q the regularized upper incomplete gamma, for a scalar
+    shape a in (0, GAMMA_SHAPE_MAX], an array x >= 0 and lx = log x.  Below
+    x = a + 1 it is log1p(-P), P from its power series by Horner; above, the
+    prefactor minus the log of Legendre's continued fraction (DLMF 8.9.2),
+    evaluated backward from a fixed depth, so log Q never underflows.  Both
+    budgets depend on a alone, so each element's value is independent of
+    the others in its call."""
+    coef, depth = _gamma_plan(a)
+    pref = _log_gamma_prefactor(a, x, lx)
+    out = np.empty_like(pref)
+    lo = x < a + 1.0
+    if lo.any():
+        s = _small_or_vector(_horner, x[lo] / (a + 1.0), coef)
+        out[lo] = np.log1p(-np.exp(pref[lo]) * s) + 0.0  # log Q(a, 0) = +0
+    hi = ~lo
+    if hi.any():
+        xs = x[hi]
+        f = _small_or_vector(_legendre_fraction, xs, a, depth)
+        out[hi] = np.where(xs == np.inf, -np.inf, pref[hi] - np.log(f))
+    return out
+
+
+def _horner(z, coef):
+    s = coef[0]
+    for c in coef[1:]:
+        s = s * z + c
+    return s
+
+
+def _legendre_fraction(x, a, depth):
+    """x^-a e^x Gamma(a) Q(a, x), backward from ``depth`` levels."""
+    b = x + (2 * depth + 1 - a)
+    f = b
+    for k in range(depth, 0, -1):
+        b = b - 2.0
+        f = b - k * (k - a) / f
+    return f
+
+
+def _small_or_vector(fn, xs, *args):
+    """fn(xs, *args), element by element in Python floats for a few
+    elements, where numpy's per-call cost would dominate.  fn only adds,
+    multiplies and divides, which Python and numpy both round to IEEE
+    double, so the two ways give the same bits."""
+    if xs.size <= 16:
+        return np.array([fn(v, *args) for v in xs.tolist()])
+    return fn(xs, *args)
+
+
+def _gamma_log_quantile(a: float, ls):
+    """log x with log Q(a, x) = ls, elementwise.
+
+    Halley's method on log(-log Q) in y = log x, which is nearly linear in
+    both tails.  It starts from Q ~ x^(a-1) e^-x / Gamma(a) where that puts
+    x above 3 (a + 1), else from P ~ x^a / Gamma(a + 1) where that puts x
+    below 0.1 (a + 1), else from Wilson-Hilferty's cube-root normal
+    approximation.  Each element stops after a
+    step below 1e-6, whose cubic convergence leaves an error below an ulp;
+    that takes at most 3 steps for 1e-3 <= a <= 1e4.  An element still
+    moving after 12 steps raises ValidationError.
+    """
+    ls = np.asarray(ls, dtype=float)
+    y = np.where(ls == 0.0, -np.inf, np.where(ls == -np.inf, np.inf, np.nan)).ravel()
+    act = np.flatnonzero((ls < 0.0) & (ls > -np.inf))
+    lq = ls.ravel()[act]
+    lp = _log1mexp(lq)
+    ya = (lp + math.lgamma(a + 1.0)) / a
+    # below a = 0.25 Wilson-Hilferty is poor, and the tail starts meet at 0.5 (a + 1)
+    c_lo, c_hi = (np.inf, 0.5) if a < 0.25 else (0.1, 3.0)
+    x_lo, x_hi = c_lo * (a + 1.0), c_hi * (a + 1.0)
+    k, xa = -lq - math.lgamma(a), np.full_like(lq, x_hi)
+    for _ in range(2):  # Newton on x - (a - 1) log x = k
+        xa -= (xa - (a - 1.0) * np.log(xa) - k) / (1.0 - (a - 1.0) / xa)
+    up = xa >= x_hi
+    ya[up] = np.log(xa[up])
+    mid = ~up & (ya >= math.log(x_lo))
+    if mid.any():
+        # normal quantile of the smaller tail (Abramowitz & Stegun 26.2.23)
+        w = np.sqrt(-2.0 * np.minimum(lq[mid], lp[mid]))
+        z = w - (2.515517 + w * (0.802853 + w * 0.010328)) / (
+            1.0 + w * (1.432788 + w * (0.189269 + w * 0.001308)))
+        z = np.where(lq[mid] < lp[mid], z, -z)
+        ya[mid] = math.log(a) + 3.0 * np.log(1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a)))
+    target = np.log(-lq)
+    for _ in range(12):
+        xa = np.exp(ya)
+        lq = _log_gammaincc(a, xa, ya)
+        h = np.log(-lq)
+        dh = np.exp(_log_gamma_prefactor(a, xa, ya) - lq - h)  # d log(-log Q) / dy
+        step = (target - h) / dh
+        # Halley's correction: the second derivative over the first is
+        # (a - x + r) - dh, r = x pdf / Q = -dh log Q
+        step /= np.maximum(1.0 + 0.5 * step * (a - xa - dh * lq - dh), 0.5)
+        ya += step
+        going = ~(np.abs(step) <= 1e-6)
+        y[act[~going]] = ya[~going]
+        act, ya, target = act[going], ya[going], target[going]
+        if not act.size:
+            return y.reshape(ls.shape)
+    raise ValidationError(f"incomplete gamma inverse at shape {a:.6g} did not converge "
+                          f"for log Q in {(-np.exp(target[:3])).tolist()}")
 
 
 class _Family(NamedTuple):
@@ -114,18 +290,17 @@ _FAMILIES = {
         lambda t, al: -(1.0 / al + 1.0) * np.log1p(al * t),
         lambda ls, al: np.expm1(-al * ls) / al,
         lambda al: {}),
-    "gen_gamma": _Family(
+    "gen_gamma": _Family(  # Q(q/p, t^p)
         ("p", "q"),
-        lambda t, p, q: np.log(_special().gammaincc(q / p, t ** p)),
-        lambda t, p, q: np.log(p) + (q - 1.0) * np.log(t) - t ** p - _special().gammaln(q / p),
-        lambda ls, p, q: _special().gammainccinv(q / p, np.exp(ls)) ** (1.0 / p),
+        lambda t, p, q: _log_gammaincc(q / p, *_power_and_log(t, p)),
+        lambda t, p, q: np.log(p / t) + _log_gamma_prefactor(q / p, *_power_and_log(t, p)),
+        lambda ls, p, q: np.exp(_gamma_log_quantile(q / p, ls) / p),
         lambda p, q: {"p": p, "q": q}),
-    "gamma": _Family(
+    "gamma": _Family(  # Q(shape, rate t)
         ("shape", "rate"),
-        lambda t, sh, rate: np.log(_special().gammaincc(sh, rate * t)),
-        lambda t, sh, rate: (sh * np.log(rate) + (sh - 1.0) * np.log(t) - rate * t
-                             - _special().gammaln(sh)),
-        lambda ls, sh, rate: _special().gammainccinv(sh, np.exp(ls)) / rate,
+        lambda t, sh, rate: _log_gammaincc(sh, *_power_and_log(rate * t, 1.0)),
+        lambda t, sh, rate: _log_gamma_prefactor(sh, *_power_and_log(rate * t, 1.0)) - np.log(t),
+        lambda ls, sh, rate: np.exp(_gamma_log_quantile(sh, ls)) / rate,
         lambda sh, rate: {"shape": sh}),
 }
 

@@ -256,6 +256,14 @@ def test_curve_default_grid_without_bulk_range_exit_2(tmp_path, capsys, model, n
     assert named in err and "no finite positive bulk quantile" in err
 
 
+def test_curve_gamma_shape_beyond_kernel_limit_exit_2(tmp_path, capsys):
+    model = SemiParamModel("scale", BaselineSpec("gamma", (2e4, 1.0)))
+    f = write_system(tmp_path / "s.json",
+                     SystemSpec(2, model, (1.0, 2.0), GeneratorSpec("clayton", 1.0)))
+    assert main(["curve", f, "--out", str(tmp_path / "c.csv")]) == 2
+    assert "incomplete gamma shape 20000 is outside (0, 10000]" in capsys.readouterr().err
+
+
 def test_verify_p_mphrs_mismatched_fixed_exit_2(tmp_path, capsys):
     from failsafekit import BaselineSpec, GeneratorSpec, SemiParamModel, SystemSpec
     b = BaselineSpec("gen_gamma", (0.5, 0.5))

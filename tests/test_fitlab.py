@@ -94,6 +94,15 @@ def test_weibull_profile_fit_on_very_narrow_data():
     assert res.loglik >= best_multistart - 1e-9 * best_multistart
 
 
+def test_gamma_loglik_is_smooth_at_large_shape():
+    # near the optimum shape 1.17e10 the log density's terms are about 1e11;
+    # summed directly they cancelled to noise of 1e-2 between shapes 1e-13 apart
+    data = 1000.0 + np.random.default_rng(1).normal(0.0, 0.01, 200)
+    shapes = 1.1671432230e10 * (1.0 + np.arange(4) * 1e-13)
+    ll = [fitlab._loglik("gamma", (k, k / np.mean(data)), data) for k in shapes]
+    assert np.ptp(ll) < 1e-8, ll
+
+
 def test_burr_fit_on_very_narrow_data_is_finite():
     # 1000^c overflows over the whole profile interval; the log forms must not
     data = 1000.0 + np.random.default_rng(1).normal(0.0, 0.01, 200)

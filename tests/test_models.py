@@ -25,7 +25,9 @@ from failsafekit import (
 from failsafekit.models import (
     _FAMILIES,
     BASELINE_FAMILIES,
+    GAMMA_SHAPE_MAX,
     default_x_grid,
+    inverse_log_sf,
     log_pdf,
     log_sf,
     pdf,
@@ -93,6 +95,98 @@ def test_bad_baselines_rejected():
         BaselineSpec("weibull", (-1.0, 2.0))
     with pytest.raises(ValidationError):
         BaselineSpec("nope", (1.0,))
+
+
+# ------------------------------------------------ incomplete gamma kernel
+#: (a, x, log Q(a, x)) from 40-digit mpmath: log1p(-gammainc(a, 0, x)) below
+#: x = a + 1, log(gammainc(a, x, inf)) above, both regularized.  Per shape:
+#: deep lower tail, half the shape, both sides of the series/fraction switch
+#: at a + 1, twice it, and x where log Q is about -800, past exp's underflow.
+_LOG_Q_REF = [
+    (0.001, 1e-300, -0.6961039435002198), (0.001, 1e-20, -3.113237264692663),
+    (0.001, 0.0005, -4.961789330220424), (0.001, 1.000998999, -8.425338970356586),
+    (0.001, 1.001, -8.425340647618958), (0.001, 2.002, -9.926927870926864),
+    (0.001, 786.430716109, -799.9999999999864),
+    (0.3, 1e-300, -1.1142425085473105e-90), (0.3, 1e-20, -1.1142431293159474e-06),
+    (0.3, 0.15, -0.9409424268439487), (0.3, 1.2999987, -2.8969216421408963),
+    (0.3, 1.3, -2.896923427884333), (0.3, 2.6, -4.557434910127687),
+    (0.3, 794.229161715, -799.9999999998539),
+    (0.84, 1e-300, -1.0608814809323597e-252), (0.84, 1e-20, -1.6813838371377277e-17),
+    (0.84, 0.42, -0.5548448833324756), (0.84, 1.83999816, -2.1132990848856363),
+    (0.84, 1.84, -2.1133010396133436), (0.84, 3.68, -4.038691644595598),
+    (0.84, 798.815245985, -800.000000000361),
+    (1.0, 1e-300, -1e-300), (1.0, 1e-20, -1e-20), (1.0, 0.5, -0.5),
+    (1.0, 1.999998, -1.999998), (1.0, 2.0, -2.0), (1.0, 4.0, -4.0), (1.0, 800.0, -800.0),
+    (3.3, 1e-300, -0.0), (3.3, 1e-20, -1.1292616890111595e-67),
+    (3.3, 1.65, -0.19203117652131438), (3.3, 4.2999957, -1.3978334381601285),
+    (3.3, 4.3, -1.3978359579277788), (3.3, 8.6, -4.368642857130264),
+    (3.3, 814.431453608, -799.9999999995703),
+    (30.0, 1e-20, -0.0), (30.0, 15.0, -0.00041853724282134606),
+    (30.0, 30.999969, -0.9047221002096681), (30.0, 31.0, -0.9047273980694089),
+    (30.0, 62.0, -12.963346440679901), (30.0, 926.898180113, -800.0000000000613),
+    (1000.0, 500.0, -3.2982727970671e-86), (1000.0, 1000.998999, -0.7273222412372405),
+    (1000.0, 1001.0, -0.727348334897787), (1000.0, 2002.0, -312.230202744724),
+    (1000.0, 2838.18075215, -799.9999999986892),
+    (1e4, 5000.0, -0.0), (1e4, 10000.989999, -0.7037613925765075),
+    (1e4, 10001.0, -0.7038420310627796), (1e4, 14535.0331409, -799.9999999952381),
+    (1e4, 20002.0, -3075.052761289873),
+]
+
+
+def test_gamma_log_sf_matches_40_digit_values():
+    a, x, ref = (np.array(c) for c in zip(*_LOG_Q_REF))
+    got = np.array([log_sf(BaselineSpec("gamma", (ai, 1.0)), xi) for ai, xi in zip(a, x)])
+    assert np.all(np.isfinite(got))
+    # the rounding of a log x - x and, for a = 0.001, the cancellation in
+    # 1 - P where Q is near a set the error; both stay below 2e-13 here
+    assert_allclose(got, ref, rtol=2e-13, atol=0.0)
+    assert GAMMA_SHAPE_MAX == 1e4
+
+
+def test_gamma_far_tail_stays_in_log_space():
+    # log Q(2, 900) is -893.2, far below exp's underflow at -745
+    assert log_sf(BaselineSpec("gamma", (2.0, 1.5)), 600.0) == pytest.approx(
+        -893.1964947423917, rel=1e-15)
+    # log S = 100 log(1e-5) = -1151 on the baseline; 40-digit root 772.23210646125
+    m = SemiParamModel("phr", BaselineSpec("gamma", (2.0, 1.5)))
+    assert sp_quantile(m, 1.0 - 1e-5, 0.01) == pytest.approx(772.2321064612537, rel=1e-11)
+
+
+@pytest.mark.parametrize("b", [BaselineSpec("gamma", (0.8, 1.5)),
+                               BaselineSpec("gen_gamma", (0.5, 0.7)),
+                               BaselineSpec("gen_gamma", (0.05, 3.0))], ids=_ids)
+def test_gamma_kernel_values_do_not_depend_on_the_batch(b):
+    # one array across both sides of a + 1 (and above 16 elements, where the
+    # kernel leaves per-element Python floats for numpy) against one call per
+    # element, forward and inverse, to the byte
+    xs = quantile(b, np.geomspace(1e-12, 0.999999, 40))
+    ls = -np.geomspace(1e-300, 1e3, 40)
+    for fn, arg in ((log_sf, xs), (log_pdf, xs), (inverse_log_sf, ls)):
+        batched = fn(b, arg)
+        single = np.array([fn(b, v) for v in arg])
+        assert batched.tobytes() == single.tobytes(), fn.__name__
+        assert fn(b, arg[::7]).tobytes() == batched[::7].tobytes(), fn.__name__
+
+
+def test_gamma_shape_above_the_term_budget_is_refused():
+    ok = BaselineSpec("gamma", (GAMMA_SHAPE_MAX, 1.0))
+    assert np.isfinite(log_sf(ok, 1e4)) and np.isfinite(quantile(ok, 0.5))
+    too_big = [BaselineSpec("gamma", (1.0001e4, 1.0)), BaselineSpec("gen_gamma", (1e-4, 2.0))]
+    for b in too_big:
+        for fn, arg in ((log_sf, 1.0), (quantile, 0.5)):
+            with pytest.raises(ValidationError, match=r"shape (10001|20000) is outside \(0, 10000\]"):
+                fn(b, arg)
+    # the density needs no term budget: fits may reach any shape
+    assert np.isfinite(log_pdf(BaselineSpec("gamma", (1e10, 1e7)), 1000.0))
+
+
+def test_exp_weibull_lower_tail_keeps_its_digits():
+    # log(1 - exp(-t^alpha)) as log1p(-exp(-u)) read S = 0.99899527 here
+    b = BaselineSpec("exp_weibull", (0.3295, 0.2057))
+    x = quantile(b, 0.001)
+    assert x == pytest.approx(5.47e-45, rel=1e-3)
+    assert abs(sf(b, x) - 0.999) <= 1e-15
+    assert np.isfinite(log_pdf(b, quantile(b, 1e-8)))
 
 
 # ------------------------------------------------------------- sp model
@@ -293,10 +387,7 @@ def test_dfr_table_is_sound_on_random_baselines():
                 continue
             certified[family] += 1
             h = hazard(b, quantile(b, probs))
-            # exp_weibull's log density overflows to inf where t^alpha < 1e-16
-            # (exp(-t^alpha) rounds to 1); the hazard is decreasing there
-            h = h[np.isfinite(h)]
-            assert h.size >= probs.size // 2, b
+            assert np.all(np.isfinite(h)), b
             rise = np.max(np.diff(h) / h[:-1])
             assert rise <= 1e-9, (b, rise)
     assert min(certified.values()) >= 10, certified
