@@ -19,9 +19,10 @@ prefactor log(x^a e^-x / Gamma(a)) uses Stirling's series for a >= 10,
 where its terms would cancel; the log density is built from it too.  The
 inverse is Halley's method on log(-log Q) in log x (background: DiDonato &
 Morris 1986, ACM TOMS 12:377).  Against 40-digit values log Q is within
-5e-13 relative for 1e-3 <= a <= 1e4 and x from 1e-300 to log Q = -1000;
-the rounding of a log x - x, which the problem's own conditioning
-shares, and for a < 0.01 the cancellation in 1 - P set that error.
+5e-13 relative for 1e-3 <= a <= 1e3 and 1e-12 up to a = 1e4, for x from
+1e-300 to log Q = -1000.  The rounding of a log x - x and of x - a, which
+the problem's own conditioning shares, and for a < 0.01 the cancellation
+in 1 - P set that error.
 
 The semi-parametric kinds map a baseline survival F(x) to F(x; theta)
 through one table (a, c, p), ``_KIND_MAP``, built once at import, with
@@ -80,8 +81,10 @@ def _log_z(t, al):
 
 def _power_and_log(t, p):
     """(t^p, p log t), the gamma kernels' argument and its log."""
+    if p == 1.0:
+        return t, np.log(t)
     lx = p * np.log(t)
-    return (np.exp(lx) if p != 1.0 else t), lx
+    return np.exp(lx), lx
 
 
 #: The largest shape the incomplete gamma kernel accepts: its fraction and
@@ -98,15 +101,22 @@ def _stirlerr(a: float) -> float:
         1 / 1188 - r * (691 / 360360 - r / 156)))))) / a
 
 
-def _log_gamma_prefactor(a: float, x, lx):
-    """log(x^a e^-x / Gamma(a)), with lx = log x.  For a >= 10 it is taken
-    as -a (u - log1p u) + log(a / 2 pi) / 2 - stirlerr(a), u = x/a - 1, where
-    a log x, x and lgamma(a) would cancel."""
+def _log_gamma_prefactor(a: float, x, lx, k: float = 0.0, c: float = 0.0):
+    """c + log(x^(a-k) e^-x / Gamma(a)), with lx = log x; k = 0 gives the
+    incomplete gamma's prefactor, k = 1 the gamma(a, 1) log density.  For
+    a >= 10, where a log x, x and lgamma(a) would cancel, it is taken as
+    a (l - u) - k l + log(a / 2 pi) / 2 - k log a - stirlerr(a), with
+    u = x/a - 1 and l = log(x/a), the latter as log1p(u) from x = a/2 up."""
     if a < 10.0:
-        return a * lx - x - math.lgamma(a)
+        return (a - k) * lx - x + (c - math.lgamma(a))
     u = (x - a) / a
-    l1 = np.where(u > -0.5, np.log1p(u), lx - math.log(a))
-    return a * (l1 - u) + (0.5 * math.log(a / (2.0 * math.pi)) - _stirlerr(a))
+    l1 = np.log1p(u)
+    low = x < 0.5 * a
+    if low.any():  # rare in the bulk, so the common case makes no extra temporaries
+        l1 = np.where(low, lx - math.log(a), l1)
+    out = a * (l1 - u) + (c - k * math.log(a) + 0.5 * math.log(a / (2.0 * math.pi))
+                          - _stirlerr(a))
+    return out - k * l1 if k else out
 
 
 def _cf_depth(a: float, x: float) -> int:
@@ -293,13 +303,13 @@ _FAMILIES = {
     "gen_gamma": _Family(  # Q(q/p, t^p)
         ("p", "q"),
         lambda t, p, q: _log_gammaincc(q / p, *_power_and_log(t, p)),
-        lambda t, p, q: np.log(p / t) + _log_gamma_prefactor(q / p, *_power_and_log(t, p)),
+        lambda t, p, q: _log_gamma_prefactor(q / p, *_power_and_log(t, p), 1.0 / p, math.log(p)),
         lambda ls, p, q: np.exp(_gamma_log_quantile(q / p, ls) / p),
         lambda p, q: {"p": p, "q": q}),
     "gamma": _Family(  # Q(shape, rate t)
         ("shape", "rate"),
         lambda t, sh, rate: _log_gammaincc(sh, *_power_and_log(rate * t, 1.0)),
-        lambda t, sh, rate: _log_gamma_prefactor(sh, *_power_and_log(rate * t, 1.0)) - np.log(t),
+        lambda t, sh, rate: _log_gamma_prefactor(sh, *_power_and_log(rate * t, 1.0), 1.0, math.log(rate)),
         lambda ls, sh, rate: np.exp(_gamma_log_quantile(sh, ls)) / rate,
         lambda sh, rate: {"shape": sh}),
 }
