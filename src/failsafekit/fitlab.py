@@ -32,7 +32,7 @@ from scipy import optimize
 from scipy.special import spence
 
 from .errors import InconsistencyError, ValidationError
-from .generators import COPULA_FAMILIES, GeneratorSpec, phi, psi
+from .generators import COPULA_FAMILIES, GeneratorSpec, _phi, _psi, phi
 from .gridpolicy import GridPolicy
 from .mcsim import THETA_MAX, sample_copula
 from .models import _FAMILIES, FIT_FAMILIES, BaselineSpec, log_pdf
@@ -430,9 +430,11 @@ def empirical_copula(pseudo: np.ndarray) -> np.ndarray:
 
 
 def _cvm_statistic(family: str, theta: float, pseudo: np.ndarray) -> float:
+    """Every caller passes a matrix that ``fit_copula`` has checked to lie in
+    (0, 1), so phi and psi run without their argument checks."""
     g = GeneratorSpec(family, theta)
     cn = empirical_copula(pseudo)
-    ct = psi(g, np.sum(phi(g, pseudo), axis=1))
+    ct = _psi(g, np.sum(_phi(g, pseudo), axis=1))
     return float(np.sum((cn - ct) ** 2))
 
 

@@ -116,9 +116,8 @@ def _frank_log_base(th: float, t: np.ndarray) -> np.ndarray:
     return out.reshape(t.shape)
 
 
-def log_psi(g: GeneratorSpec, t):
-    """log psi(t), computed in closed form so it never underflows."""
-    arr = _as_nonneg_t(t)
+def _log_psi(g: GeneratorSpec, arr: np.ndarray) -> np.ndarray:
+    """log psi on an array already known to be nonnegative (no NaN)."""
     th = g.theta
     with np.errstate(over="ignore", divide="ignore", under="ignore"):
         if g.family == "independence":
@@ -137,22 +136,17 @@ def log_psi(g: GeneratorSpec, t):
             out = 1.0 - (1.0 + arr) ** th
         else:  # pragma: no cover
             raise ValidationError(g.family)
-    return out if np.ndim(t) else float(out)
+    return out
 
 
-def psi(g: GeneratorSpec, t):
-    """Generator value psi(t) in [0, 1]; psi(0) = 1, nonincreasing."""
-    lp = log_psi(g, t)
+def _psi(g: GeneratorSpec, arr: np.ndarray) -> np.ndarray:
+    """psi on an array already known to be nonnegative (no NaN)."""
     with np.errstate(under="ignore"):
-        out = np.exp(lp)
-    return out if np.ndim(t) else float(out)
+        return np.exp(_log_psi(g, arr))
 
 
-def phi(g: GeneratorSpec, u):
-    """Pseudo-inverse phi = psi^(-1) on (0, 1]; phi(1) = 0."""
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr)):
-        raise ValidationError("u must lie in (0, 1]")
+def _phi(g: GeneratorSpec, arr: np.ndarray) -> np.ndarray:
+    """phi, capped at PHI_CAP, on an array already known to lie in (0, 1] (no NaN)."""
     th = g.theta
     with np.errstate(over="ignore", divide="ignore"):
         if g.family == "independence":
@@ -174,7 +168,27 @@ def phi(g: GeneratorSpec, u):
             out = (1.0 - np.log(arr)) ** (1.0 / th) - 1.0
         else:  # pragma: no cover
             raise ValidationError(g.family)
-        out = np.minimum(out, PHI_CAP)
+        return np.minimum(out, PHI_CAP)
+
+
+def log_psi(g: GeneratorSpec, t):
+    """log psi(t), computed in closed form so it never underflows."""
+    out = _log_psi(g, _as_nonneg_t(t))
+    return out if np.ndim(t) else float(out)
+
+
+def psi(g: GeneratorSpec, t):
+    """Generator value psi(t) in [0, 1]; psi(0) = 1, nonincreasing."""
+    out = _psi(g, _as_nonneg_t(t))
+    return out if np.ndim(t) else float(out)
+
+
+def phi(g: GeneratorSpec, u):
+    """Pseudo-inverse phi = psi^(-1) on (0, 1]; phi(1) = 0."""
+    arr = np.asarray(u, dtype=float)
+    if np.any(arr <= 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr)):
+        raise ValidationError("u must lie in (0, 1]")
+    out = _phi(g, arr)
     return out if np.ndim(u) else float(out)
 
 

@@ -4,7 +4,10 @@ Each baseline family is one record of the module table ``_FAMILIES``: its
 parameter names and closed forms for log-survival, log-density and
 inverse log-survival.  ``log_sf``, ``log_pdf`` and ``inverse_log_sf``
 clamp or mask their input and make one call into that record; hazard
-comes from the first two in log space.  Quantiles and Monte-Carlo
+comes from the first two in log space.  They evaluate a scalar as a
+1-element array, so a value does not depend on whether it came alone or
+in a batch (numpy's ``**`` on a 0-d value is libm's pow, which can round
+differently from numpy's own array loop).  Quantiles and Monte-Carlo
 lifetimes both come from the inverse log-survival, so neither rounds a
 tail probability to 1.  No baseline imports scipy.
 
@@ -351,10 +354,10 @@ class BaselineSpec:
 
 def log_sf(b: BaselineSpec, x):
     """log survival; 0 for x <= 0 (lifetimes are nonnegative)."""
-    t = np.maximum(np.asarray(x, dtype=float), 0.0)
+    t = np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), 0.0)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         out = _FAMILIES[b.family].log_sf(t, *b.params)
-    return out if np.ndim(x) else float(out)
+    return out if np.ndim(x) else float(out[0])
 
 
 def sf(b: BaselineSpec, x):
@@ -366,12 +369,12 @@ def sf(b: BaselineSpec, x):
 
 def log_pdf(b: BaselineSpec, x):
     """log density on x > 0 (-inf off the support)."""
-    arr = np.asarray(x, dtype=float)
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
     t = np.where(arr > 0.0, arr, np.nan)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         out = _FAMILIES[b.family].log_pdf(t, *b.params)
     out = np.where(np.isnan(t), -np.inf, out)
-    return out if np.ndim(x) else float(out)
+    return out if np.ndim(x) else float(out[0])
 
 
 def pdf(b: BaselineSpec, x):
@@ -389,10 +392,10 @@ def hazard(b: BaselineSpec, x):
 
 def inverse_log_sf(b: BaselineSpec, ls):
     """x >= 0 with log_sf(b, x) = ls, for ls <= 0."""
-    ls = np.asarray(ls, dtype=float)
+    arr = np.asarray(ls, dtype=float)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        out = _FAMILIES[b.family].inverse_log_sf(ls, *b.params)
-    return out if np.ndim(out) else float(out)
+        out = _FAMILIES[b.family].inverse_log_sf(np.atleast_1d(arr), *b.params)
+    return out if arr.ndim else float(out[0])
 
 
 def _check_prob(prob) -> np.ndarray:

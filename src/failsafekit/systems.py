@@ -8,9 +8,23 @@ survives past x with probability
 
 Each leave-one-out sum is a running prefix sum plus a running suffix sum over
 the components, so it only ever adds nonnegative phi values; it differs
-from summing the other columns directly by rounding only (within an
+from summing the other components directly by rounding only (within an
 absolute 1e-13 on survival values).  Curve evaluation is embarrassingly
 parallel over grid points; all functions here are pure.
+
+Layout: ``survival_x2n`` holds the marginals component-major, one row of
+grid points per component, so that the running sums advance over whole
+contiguous rows and no step walks a strided column or reduces along an
+axis only n long, one point at a time.  Every reduction over the
+components is a row-by-row add in component order, whatever the number
+of points, so a scalar x rounds exactly as the same point inside a grid.
+
+Check once: x is checked at the entry and the marginal matrix once for
+NaN; after that, clipping puts every survival in [SURVIVAL_FLOOR, 1] and
+the sums add nonnegative phi values, so phi and psi run through the
+generators' private kernels, which skip the argument checks the public
+functions repeat on every call.  ``curve`` checks and copies its grid
+once, with the same check ``SurvivalCurve`` applies.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .generators import GeneratorSpec, SURVIVAL_FLOOR, phi, psi
+from .generators import GeneratorSpec, SURVIVAL_FLOOR, _phi, _psi, phi, psi
 from .gridpolicy import GridPolicy
 from .models import SemiParamModel, sp_survival
 
@@ -85,6 +99,20 @@ def _checked_grid(xs) -> np.ndarray:
     return xs
 
 
+def _checked_values(xs: np.ndarray, values) -> np.ndarray:
+    """values as a read-only float64 copy of survival values on xs: one per
+    point, inside [0, 1] and nonincreasing, up to CLAMP_TOL."""
+    vals = np.array(values, dtype=float)
+    if vals.shape != xs.shape:
+        raise ValidationError("curve needs one survival value per grid point")
+    if np.any(vals < -CLAMP_TOL) or np.any(vals > 1.0 + CLAMP_TOL):
+        raise ValidationError("survival values leave [0, 1]")
+    if np.any(np.diff(vals) > CLAMP_TOL):
+        raise ValidationError("survival values are not nonincreasing")
+    vals.flags.writeable = False
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class SurvivalCurve:
     """A lifetime grid and its survival values, as read-only float64 arrays."""
@@ -94,49 +122,58 @@ class SurvivalCurve:
 
     def __post_init__(self):
         xs = _checked_grid(self.xs)
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != xs.shape:
-            raise ValidationError("curve needs one survival value per grid point")
-        if np.any(vals < -CLAMP_TOL) or np.any(vals > 1.0 + CLAMP_TOL):
-            raise ValidationError("survival values leave [0, 1]")
-        if np.any(np.diff(vals) > CLAMP_TOL):
-            raise ValidationError("survival values are not nonincreasing")
-        vals.flags.writeable = False
+        object.__setattr__(self, "values", _checked_values(xs, self.values))
         object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _on_checked_grid(cls, xs: np.ndarray, values) -> "SurvivalCurve":
+        """A curve on a grid that ``_checked_grid`` returned: only the values
+        are checked, so the grid is not copied and checked a second time."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "xs", xs)
+        object.__setattr__(c, "values", _checked_values(xs, values))
+        return c
 
 
 def component_survivals(sys: SystemSpec, x) -> np.ndarray:
-    """Matrix of marginal survivals, one column per component."""
+    """Matrix of marginal survivals, one row per component."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return sp_survival(sys.model, xs[:, None], np.asarray(sys.theta))
+    return sp_survival(sys.model, xs, np.asarray(sys.theta)[:, None])
 
 
 def survival_x2n(sys: SystemSpec, x):
     """Fail-safe system survival at x (second-smallest order statistic)."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
+    if not np.all(arr >= 0.0):  # NaN fails the comparison
         raise ValidationError("x must be nonnegative")
     margs = component_survivals(sys, arr)
-    dead = np.all(margs <= SURVIVAL_FLOOR, axis=1)  # every component dead
-    gen, n = sys.generator, margs.shape[1]
-    s = phi(gen, np.clip(margs, SURVIVAL_FLOOR, 1.0))  # capped inside phi
-    # leave-one-out sums as (prefix sum of the columns before i) + (suffix
-    # sum of the columns after i): both add nonnegative phi values only, so
-    # a row where one floored component (phi at PHI_CAP) dominates keeps the
-    # other terms' digits, which tot - s[:, i] would cancel away.  The
-    # running sums advance one column at a time: np.cumsum along the short
-    # component axis runs one inner loop per row and is about 3x slower.
-    loo = np.empty_like(s)
-    loo[:, 0] = 0.0
-    for i in range(1, n):
-        np.add(loo[:, i - 1], s[:, i - 1], out=loo[:, i])
-    tot = loo[:, -1] + s[:, -1]
-    after = s[:, -1].copy()
+    if np.isnan(margs).any():
+        raise ValidationError(f"{sys.model.kind} model over {sys.model.baseline.family}"
+                              f"{sys.model.baseline.params} gave a NaN marginal survival")
+    dead = np.all(margs <= SURVIVAL_FLOOR, axis=0)  # every component dead
+    gen, n = sys.generator, sys.n
+    s = _phi(gen, np.clip(margs, SURVIVAL_FLOOR, 1.0, out=margs))  # capped inside phi
+    # rows 0..n-1: leave-one-out sums as (prefix sum of the rows before i)
+    # + (suffix sum of the rows after i); row n: the total.  Both add
+    # nonnegative phi values only, so a point where one floored component
+    # (phi at PHI_CAP) dominates keeps the other terms' digits, which
+    # tot - s[i] would cancel away.
+    loo = np.empty((n + 1, s.shape[1]))
+    loo[0] = 0.0
+    for i in range(1, n + 1):
+        np.add(loo[i - 1], s[i - 1], out=loo[i])
+    after = s[-1].copy()
     for i in range(n - 2, -1, -1):
-        loo[:, i] += after
-        after += s[:, i]
-    vals = psi(gen, loo).sum(axis=1) - (n - 1) * psi(gen, tot)
+        loo[i] += after
+        after += s[i]
+    p = _psi(gen, loo)
+    # the psi terms add row by row too: numpy's sum over axis 0 does so for
+    # two or more points but pairwise for one, so a scalar x would round
+    # differently from the same point inside a grid
+    vals = p[0]
+    for i in range(1, n):
+        vals += p[i]
+    vals -= (n - 1) * p[n]
     vals = np.where((vals > 1.0) & (vals <= 1.0 + CLAMP_TOL), 1.0, vals)
     vals = np.where((vals < 0.0) & (vals >= -CLAMP_TOL), 0.0, vals)
     vals = np.where(dead, 0.0, vals)
@@ -151,7 +188,7 @@ def default_grid(sys: SystemSpec, points: int = 1000) -> np.ndarray:
 def curve(sys: SystemSpec, xs) -> SurvivalCurve:
     """Fail-safe survival curve on xs, a required strictly increasing grid."""
     xs = _checked_grid(xs)
-    return SurvivalCurve(xs, survival_x2n(sys, xs))
+    return SurvivalCurve._on_checked_grid(xs, survival_x2n(sys, xs))
 
 
 def homogeneous_x2n(gen: GeneratorSpec, u, n: int):

@@ -53,8 +53,11 @@ def test_psi_monotone_nonincreasing(g):
 
 
 def test_psi_rejects_negative_t():
-    with pytest.raises(ValidationError):
-        psi(GeneratorSpec("clayton", 1.0), -0.5)
+    g = GeneratorSpec("clayton", 1.0)
+    for fn in (psi, log_psi):
+        for t in (-0.5, np.array([0.5, -0.5]), np.nan):
+            with pytest.raises(ValidationError, match="t must be nonnegative"):
+                fn(g, t)
 
 
 # ------------------------------------------------------------------ phi

@@ -151,13 +151,20 @@ def test_gamma_far_tail_stays_in_log_space():
     assert sp_quantile(m, 1.0 - 1e-5, 0.01) == pytest.approx(772.2321064612537, rel=1e-11)
 
 
-@pytest.mark.parametrize("b", [BaselineSpec("gamma", (0.8, 1.5)),
+@pytest.mark.parametrize("b", [BaselineSpec("exponential", (1.3,)),
+                               BaselineSpec("weibull", (2.0, 0.7)),
+                               BaselineSpec("exp_weibull", (0.9, 0.9)),
+                               BaselineSpec("burr", (1.7, 0.6)),
+                               BaselineSpec("gen_pareto", (1.0,)),
+                               BaselineSpec("gamma", (0.8, 1.5)),
                                BaselineSpec("gen_gamma", (0.5, 0.7)),
                                BaselineSpec("gen_gamma", (0.05, 3.0))], ids=_ids)
-def test_gamma_kernel_values_do_not_depend_on_the_batch(b):
-    # one array across both sides of a + 1 (and above 16 elements, where the
-    # kernel leaves per-element Python floats for numpy) against one call per
-    # element, forward and inverse, to the byte
+def test_closed_form_values_do_not_depend_on_the_batch(b):
+    # one array against one call per element, forward and inverse, to the
+    # byte: a scalar is evaluated as a 1-element array, because numpy's `**`
+    # on a 0-d value (libm pow) can round differently from its array loop;
+    # for gamma the array spans both sides of a + 1 and exceeds 16 elements,
+    # where the kernel leaves per-element Python floats for numpy
     xs = quantile(b, np.geomspace(1e-12, 0.999999, 40))
     ls = -np.geomspace(1e-300, 1e3, 40)
     for fn, arg in ((log_sf, xs), (log_pdf, xs), (inverse_log_sf, ls)):

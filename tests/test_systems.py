@@ -17,6 +17,7 @@ from failsafekit import (
     lower_bound_plarger,
     lower_bound_rm,
     survival_x2n,
+    systems,
 )
 from failsafekit.demos import clayton_pair, demo_grid, gumbel_barnett_pair
 from failsafekit.generators import FAMILIES, PHI_CAP, SURVIVAL_FLOOR, phi, psi
@@ -114,7 +115,7 @@ def direct_loo_x2n(sysd, xs):
     """survival_x2n with each leave-one-out sum taken directly over the
     other columns, one np.delete copy per component."""
     gen, n = sysd.generator, sysd.n
-    margs = component_survivals(sysd, xs)
+    margs = component_survivals(sysd, xs).T  # one column per component
     s = phi(gen, np.clip(margs, SURVIVAL_FLOOR, 1.0))
     loo = np.stack([np.sum(np.delete(s, i, axis=1), axis=1) for i in range(n)], axis=1)
     vals = psi(gen, loo).sum(axis=1) - (n - 1) * psi(gen, np.sum(s, axis=1))
@@ -129,7 +130,22 @@ def test_survival_matches_direct_leave_one_out_sums(family, n):
     sysd = SystemSpec(n, m, tuple(rng.uniform(0.5, 3.0, n)),
                       GeneratorSpec(family, FAMILY_THETAS[family]))
     xs = default_grid(sysd)
-    assert_allclose(survival_x2n(sysd, xs), direct_loo_x2n(sysd, xs), rtol=0, atol=LOO_TOL)
+    vals = survival_x2n(sysd, xs)
+    assert_allclose(vals, direct_loo_x2n(sysd, xs), rtol=0, atol=LOO_TOL)
+    # a scalar x takes the same path as one grid point of the array
+    for i in (0, 250, 500, 999):
+        assert survival_x2n(sysd, float(xs[i])) == vals[i]
+
+
+def test_nan_marginal_survival_is_refused(monkeypatch):
+    # the kernel checks the marginal matrix once and then trusts it, so a
+    # NaN marginal must be refused there, not passed on to phi and psi
+    sysd = scale_exp_system(GeneratorSpec("clayton", 2.0), (1.0, 2.0, 3.0))
+    monkeypatch.setattr(systems, "sp_survival",
+                        lambda model, x, theta: np.where(x == 1.0, np.nan, np.exp(-theta * x)))
+    assert np.all(np.isfinite(survival_x2n(sysd, np.array([0.5, 2.0]))))
+    with pytest.raises(ValidationError, match=r"scale model over exponential\(1.0,\) gave a NaN"):
+        survival_x2n(sysd, np.array([0.5, 1.0, 2.0]))
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
