@@ -5,18 +5,24 @@ Marginal fits reuse the closed-form baseline densities and search the profile
 likelihood over the log shape, so every fit is deterministic.
 Copula estimation defaults to Kendall-tau inversion (mean pairwise tau
 above two dimensions) with an optional pairwise pseudo-likelihood
-refinement.  Bootstrap replicates derive per-replicate seeds from the
-master seed, so goodness-of-fit runs are reproducible as well.
+refinement.  Bootstrap replicate b always draws from child seed b of the
+master seed, so goodness-of-fit runs are reproducible as well.  The
+bootstrap ranks its replicates and computes their empirical copulas a
+block at a time (as many replicates as fit a fixed comparison-buffer
+budget), then fits and scores each replicate alone; p-values equal the
+one-replicate-at-a-time definition bit for bit.
 
-Average ranks come from one sort per column: a value whose ties fill
-sorted positions [s, e) has twice its average rank at s + 1 + e.  Kendall
-tau-b comes from the int8 sign tensor S[k, i, j] = sign(x[i, k] - x[j, k]):
-S S^T / 2 (pairs flattened) holds concordant minus discordant pairs for each
-column pair and the untied pairs of each column on its diagonal, which gives
-tau-b by SciPy's formula.  Every count is an integer below 2**53, so both
-match ``scipy.stats.rankdata`` and ``kendalltau`` bit for bit, without
+Average ranks come from one argsort per column, for a whole stack of
+matrices at once: a value whose ties fill sorted positions [s, e) has twice
+its average rank at s + 1 + e.  Kendall tau-b comes from the int8 sign
+tensor S[k, i, j] = sign(x[i, k] - x[j, k]): S S^T / 2 (pairs flattened)
+holds concordant minus discordant pairs for each column pair and the untied
+pairs of each column on its diagonal, which gives tau-b by SciPy's formula.
+Every count is an integer below 2**53, so both match
+``scipy.stats.rankdata`` and ``kendalltau`` bit for bit, without
 scipy.stats.  The empirical copula ANDs one count x count comparison per
-column, so no bootstrap kernel holds a count x count x d float tensor.
+column and counts the hits as integers, so no bootstrap kernel holds a
+count x count x d or a count x count float tensor.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from scipy import optimize
 from scipy.special import spence
 
 from .errors import InconsistencyError, ValidationError
-from .generators import COPULA_FAMILIES, GeneratorSpec, _phi, _psi, phi
+from .generators import COPULA_FAMILIES, GeneratorSpec, _phi, _psi
 from .gridpolicy import GridPolicy
 from .mcsim import THETA_MAX, sample_copula
 from .models import _FAMILIES, FIT_FAMILIES, BaselineSpec, log_pdf
@@ -266,24 +272,43 @@ def _kendall_tau_matrix(arr: np.ndarray) -> np.ndarray:
         return np.clip(gram / root[:, None] / root[None, :], -1.0, 1.0)
 
 
+def _twice_ranks(stack: np.ndarray) -> np.ndarray:
+    """Twice the average rank of every entry within its column, for each
+    count x d matrix of a (B, count, d) stack, as integers of the same
+    shape; raises for the first matrix with a non-finite value or a
+    constant column."""
+    cols = stack.swapaxes(1, 2)
+    order = np.argsort(cols, axis=-1)
+    ranked = np.take_along_axis(cols, order, axis=-1)
+    non_finite = ~np.isfinite(ranked).all(axis=(1, 2))
+    constant = ranked[..., 0] == ranked[..., -1]
+    failed = np.flatnonzero(non_finite | constant.any(axis=1))
+    if failed.size:
+        if non_finite[failed[0]]:
+            raise ValidationError("matrix has non-finite values")
+        raise ValidationError(f"column {np.flatnonzero(constant[failed[0]])[0]} is constant")
+    # a value whose ties fill sorted positions [s, e) has twice its average
+    # rank at s + 1 + e: s is the last tie-group start at or before it, e
+    # the first group end after it
+    count = ranked.shape[-1]
+    pos = np.arange(count)
+    first = np.empty(ranked.shape, dtype=bool)
+    first[..., 0] = True
+    np.not_equal(ranked[..., 1:], ranked[..., :-1], out=first[..., 1:])
+    start = np.maximum.accumulate(np.where(first, pos, 0), axis=-1)
+    last = np.roll(first, -1, axis=-1)  # the final position ends its group
+    end = np.minimum.accumulate(np.where(last, pos + 1, count)[..., ::-1], axis=-1)[..., ::-1]
+    twice = np.empty(stack.shape, dtype=np.intp)
+    np.put_along_axis(twice.swapaxes(1, 2), order, start + 1 + end, axis=-1)
+    return twice
+
+
 def pseudo_observations(matrix) -> np.ndarray:
     """Column-wise average ranks over (count + 1); values in (0, 1)."""
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ValidationError("need a count x d matrix with count >= 2")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("matrix has non-finite values")
-    ranked = np.sort(arr, axis=0)
-    constant = np.flatnonzero(ranked[0] == ranked[-1])
-    if constant.size:
-        raise ValidationError(f"column {constant[0]} is constant")
-    # a value whose ties fill sorted positions [s, e) has twice its average
-    # rank at s + 1 + e, an exact integer
-    twice = np.empty_like(arr)
-    for k, col in enumerate(ranked.T):
-        twice[:, k] = (np.searchsorted(col, arr[:, k], "left") + 1
-                       + np.searchsorted(col, arr[:, k], "right"))
-    return twice / 2.0 / (arr.shape[0] + 1.0)
+    return _twice_ranks(arr[None])[0] / 2.0 / (arr.shape[0] + 1.0)
 
 
 #: 4 B_2k / ((2k + 1) (2k)!) for k = 1..12: frank's tau is the odd series
@@ -341,10 +366,14 @@ def tau_to_theta(family: str, tau: float) -> float:
 
 
 def _bivariate_log_density(family: str, theta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """log c(u, v) = log psi''(phi(u)+phi(v)) - log|psi'(phi(u))| - log|psi'(phi(v))|."""
+    """log c(u, v) = log psi''(phi(u)+phi(v)) - log|psi'(phi(u))| - log|psi'(phi(v))|;
+    u and v are pseudo-observations, inside (0, 1), so phi runs unchecked."""
     g = GeneratorSpec(family, theta)
-    s = phi(g, u) + phi(g, v)
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+    pu, pv = _phi(g, u), _phi(g, v)
+    s = pu + pv
+    # far in frank's tails log psi'' and log|psi'| both reach inf; their
+    # difference is NaN, which fit_copula's objective scores as inf
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         if family == "clayton":
             log_pp = np.log1p(theta) + (-1.0 / theta - 2.0) * np.log1p(theta * s)
             log_p = lambda t: (-1.0 / theta - 1.0) * np.log1p(theta * t)
@@ -363,7 +392,7 @@ def _bivariate_log_density(family: str, theta: float, u: np.ndarray, v: np.ndarr
                 return np.log(-cet) - np.log(theta) - np.log1p(cet)
         else:
             raise ValidationError(f"no bivariate density for {family}")
-        return log_pp - log_p(phi(g, u)) - log_p(phi(g, v))
+        return log_pp - log_p(pu) - log_p(pv)
 
 
 @functools.cache
@@ -388,6 +417,12 @@ def fit_copula(family: str, pseudo, method: str = "tau") -> float:
         raise ValidationError("pseudo-observations must lie strictly in (0, 1)")
     if family not in COPULA_FAMILIES:
         raise ValidationError(f"copula family must be one of {COPULA_FAMILIES}")
+    return _fit_theta(family, arr, method)
+
+
+def _fit_theta(family: str, arr: np.ndarray, method: str) -> float:
+    """``fit_copula`` on a count x d float array already known to lie in
+    (0, 1), for a catalog family."""
     taus = _kendall_tau_matrix(arr)
     constant = np.flatnonzero(np.isnan(np.diag(taus)))
     if constant.size:
@@ -420,20 +455,25 @@ def fit_copula(family: str, pseudo, method: str = "tau") -> float:
 
 
 def empirical_copula(pseudo: np.ndarray) -> np.ndarray:
-    """C_n evaluated at the sample's own points."""
-    cols = np.ascontiguousarray(pseudo.T)
-    # le[i, j]: point i <= point j in every coordinate
-    le = cols[0, :, None] <= cols[0]
+    """C_n evaluated at the sample's own points, for a count x d matrix or
+    each matrix of a (B, count, d) stack.  Only the order of each column
+    matters, so integer ranks give the same values."""
+    cols = np.ascontiguousarray(np.moveaxis(pseudo, -1, 0))
+    # le[..., i, j]: point i <= point j in every coordinate
+    le = cols[0, ..., :, None] <= cols[0, ..., None, :]
+    cmp = np.empty_like(le)
     for col in cols[1:]:
-        le &= col[:, None] <= col
-    return le.mean(axis=0)
+        le &= np.less_equal(col[..., :, None], col[..., None, :], out=cmp)
+    count = le.shape[-1]
+    # an exact count in the smallest integer that holds it, then one division
+    return le.sum(axis=-2, dtype=np.min_scalar_type(count)) / count
 
 
-def _cvm_statistic(family: str, theta: float, pseudo: np.ndarray) -> float:
-    """Every caller passes a matrix that ``fit_copula`` has checked to lie in
-    (0, 1), so phi and psi run without their argument checks."""
-    g = GeneratorSpec(family, theta)
-    cn = empirical_copula(pseudo)
+def _cvm_statistic(g: GeneratorSpec, pseudo: np.ndarray, cn: np.ndarray) -> float:
+    """sum (C_n - C_theta)^2 over the sample, with cn = C_n at its points.
+    Every caller passes a matrix inside (0, 1), checked by ``fit_copula`` or
+    made of ranks over (count + 1), so phi and psi run without their
+    argument checks."""
     ct = _psi(g, np.sum(_phi(g, pseudo), axis=1))
     return float(np.sum((cn - ct) ** 2))
 
@@ -452,6 +492,12 @@ class GofResult:
         return asdict(self)
 
 
+#: Bytes of the (B, count, count) comparison buffer that sets the bootstrap
+#: block size B: about 22 replicates at count = 108, and one once count^2
+#: alone exceeds it, so a large fit holds at most one replicate's buffer.
+_BLOCK_BYTES = 1 << 18
+
+
 class BootstrapRangeError(ValidationError):
     """The parametric bootstrap cannot sample the copula fitted to the data;
     carries the ``family`` and fitted ``theta``."""
@@ -466,30 +512,43 @@ class BootstrapRangeError(ValidationError):
 def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
             method: str = "tau") -> GofResult:
     """Cramer-von Mises distance to the fitted copula, with a parametric
-    bootstrap p-value (theta refitted in every replicate)."""
+    bootstrap p-value (theta refitted in every replicate).
+
+    Replicate b is sampled from child seed b.  Replicates are ranked and
+    their empirical copulas computed a block at a time, then fitted and
+    scored one by one, so the result equals a loop over replicates bit
+    for bit.
+    """
     if boot_n < 100:
         raise ValidationError("boot_n must be at least 100")
     arr = np.asarray(pseudo, dtype=float)
     theta = fit_copula(family, arr, method)
     if theta > THETA_MAX[family]:
         raise BootstrapRangeError(family, float(theta))
-    stat = _cvm_statistic(family, theta, arr)
+    g = GeneratorSpec(family, theta)
+    stat = _cvm_statistic(g, arr, empirical_copula(arr))
     count, d = arr.shape
     child_seeds = np.random.SeedSequence(int(seed)).generate_state(boot_n, dtype=np.uint64)
+    block = max(1, _BLOCK_BYTES // (count * count))
+    # comparisons of narrow integers run about four times faster than of
+    # floats, and twice-ranks order the points as the ranks do
+    small = np.min_scalar_type(2 * count + 1)
     exceed = out_of_range = 0
-    for b in range(boot_n):
-        sample = sample_copula(GeneratorSpec(family, theta), d, count,
-                               int(child_seeds[b])).uniforms
-        ps = pseudo_observations(sample)
-        try:
-            theta_b = fit_copula(family, ps, method)
-        except ValidationError:
-            # replicate tau outside range: score as extreme misfit
-            exceed += 1
-            out_of_range += 1
-            continue
-        if _cvm_statistic(family, theta_b, ps) >= stat:
-            exceed += 1
+    for start in range(0, boot_n, block):
+        samples = [sample_copula(g, d, count, int(s)).uniforms
+                   for s in child_seeds[start:start + block]]
+        twice = _twice_ranks(np.stack(samples))
+        cn = empirical_copula(twice.astype(small))
+        for ps, cn_b in zip(twice / 2.0 / (count + 1.0), cn):
+            try:
+                theta_b = _fit_theta(family, ps, method)
+            except ValidationError:
+                # replicate tau outside range: score as extreme misfit
+                exceed += 1
+                out_of_range += 1
+                continue
+            if _cvm_statistic(GeneratorSpec(family, theta_b), ps, cn_b) >= stat:
+                exceed += 1
     return GofResult(family, float(theta), stat, exceed / boot_n, boot_n, out_of_range,
                      int(seed))
 

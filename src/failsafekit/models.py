@@ -486,17 +486,25 @@ def _kind_map(m: SemiParamModel, theta):
 
 def _log_w(m: SemiParamModel, x, theta):
     a, c, p = _kind_map(m, theta)
-    return p * log_sf(m.baseline, a * (np.asarray(x, dtype=float) - c))
+    out = log_sf(m.baseline, a * (np.asarray(x, dtype=float) - c))
+    # scale, location and ls have p = 1.0: skip a pass that changes no value
+    return out if isinstance(p, float) and p == 1.0 else p * out
+
+
+def _sp_survival(m: SemiParamModel, x, theta):
+    """sp_survival on an x already known to hold no NaN."""
+    with np.errstate(under="ignore"):
+        out = np.exp(_log_w(m, x, theta))
+    if m.kind == "mphrs":
+        out = m.alpha * out / (1.0 - (1.0 - m.alpha) * out)
+    return out
 
 
 def sp_survival(m: SemiParamModel, x, theta):
     """Transformed survival F(x; theta), in [0, 1] and nonincreasing in x."""
     if np.any(np.isnan(np.asarray(x, dtype=float))):
         raise ValidationError("x contains NaN")
-    with np.errstate(under="ignore"):
-        out = np.exp(_log_w(m, x, theta))
-    if m.kind == "mphrs":
-        out = m.alpha * out / (1.0 - (1.0 - m.alpha) * out)
+    out = _sp_survival(m, x, theta)
     return out if np.ndim(out) else float(out)
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ValidationError
 from .generators import GeneratorSpec, SURVIVAL_FLOOR, _phi, _psi, phi, psi
 from .gridpolicy import GridPolicy
-from .models import SemiParamModel, sp_survival
+from .models import SemiParamModel, _sp_survival, sp_survival
 
 #: Values this close to the [0, 1] bounds are clamped onto them.
 CLAMP_TOL = 1e-10
@@ -135,18 +135,14 @@ class SurvivalCurve:
         return c
 
 
-def component_survivals(sys: SystemSpec, x) -> np.ndarray:
-    """Matrix of marginal survivals, one row per component."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return sp_survival(sys.model, xs, np.asarray(sys.theta)[:, None])
-
-
 def survival_x2n(sys: SystemSpec, x):
     """Fail-safe system survival at x (second-smallest order statistic)."""
     arr = np.asarray(x, dtype=float)
     if not np.all(arr >= 0.0):  # NaN fails the comparison
         raise ValidationError("x must be nonnegative")
-    margs = component_survivals(sys, arr)
+    # the marginals, one row per component; x passed the check above, so
+    # they skip sp_survival's NaN check
+    margs = _sp_survival(sys.model, np.atleast_1d(arr), np.asarray(sys.theta)[:, None])
     if np.isnan(margs).any():
         raise ValidationError(f"{sys.model.kind} model over {sys.model.baseline.family}"
                               f"{sys.model.baseline.params} gave a NaN marginal survival")

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -218,6 +219,29 @@ def test_pseudo_observations_equal_rankdata_bitwise(d, tied):
         assert pseudo_observations(x).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("d", [2, 5])
+def test_batched_ranks_equal_rankdata_per_slice(d):
+    rng = np.random.default_rng(30 + d)
+    for m in (2, 9, 40, 108):
+        stack = np.stack([_random_matrix(rng, m, d, tied=True) for _ in range(7)])
+        stack = stack[np.all(np.ptp(stack, axis=1) > 0.0, axis=1)]
+        got = fitlab._twice_ranks(stack) / 2.0
+        assert got.shape == stack.shape
+        for x, ranks in zip(stack, got):
+            assert ranks.tobytes() == stats.rankdata(x, axis=0, method="average").tobytes()
+
+
+def test_batched_ranks_refuse_the_first_failing_matrix():
+    stack = np.random.default_rng(6).normal(size=(4, 10, 3))
+    stack[2, :, 1] = 0.5
+    stack[3, 4, 0] = np.nan
+    with pytest.raises(ValidationError, match="column 1 is constant"):
+        fitlab._twice_ranks(stack)
+    stack[1, 0, 2] = np.inf
+    with pytest.raises(ValidationError, match="non-finite"):
+        fitlab._twice_ranks(stack)
+
+
 @pytest.mark.parametrize("tied", [False, True])
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_kendall_tau_matrix_equals_kendalltau_bitwise(d, tied):
@@ -329,6 +353,23 @@ def test_fit_copula_pseudo_likelihood_gumbel_frank(family, theta):
     u = sample_copula(GeneratorSpec(family, theta), 2, 400, seed=9).uniforms
     fitted = fit_copula(family, pseudo_observations(u), method="pseudo_likelihood")
     assert abs(fitted - theta) < 0.2 * theta
+
+
+#: float.hex of fit_copula(family, 60 x 3 sample at seed 7, "pseudo_likelihood"),
+#: captured while the bivariate density ran phi through its checked form,
+#: twice per margin.
+_PSEUDO_LIKELIHOOD_PINNED = {
+    ("clayton", 1.5): "0x1.1a5ecab2895c3p+1",
+    ("gumbel", 1.7): "0x1.83dd75c11db95p+0",
+    ("frank", 4.0): "0x1.1a0d8f727ff50p+2",
+}
+
+
+@pytest.mark.parametrize("family,theta", list(_PSEUDO_LIKELIHOOD_PINNED))
+def test_fit_copula_pseudo_likelihood_pinned_bitwise(family, theta):
+    ps = pseudo_observations(sample_copula(GeneratorSpec(family, theta), 3, 60, seed=7).uniforms)
+    got = fit_copula(family, ps, method="pseudo_likelihood").hex()
+    assert got == _PSEUDO_LIKELIHOOD_PINNED[(family, theta)]
 
 
 @pytest.mark.parametrize("family, theta", [("clayton", 1.5), ("gumbel", 1.8), ("frank", 4.0)])
@@ -509,11 +550,73 @@ def test_empirical_copula_equals_broadcast_bitwise(d, tied):
         assert empirical_copula(p).tobytes() == ref.tobytes()
 
 
+def _cvm_by_definition(family, ps, child_seeds, method):
+    """cvm_gof's fit and statistic, and its bootstrap one replicate at a
+    time: each replicate's (exceeds, out of range)."""
+    def statistic(th, p):
+        g = GeneratorSpec(family, th)
+        cn = np.all(p[:, None, :] <= p[None, :, :], axis=2).mean(axis=0)
+        return float(np.sum((cn - psi(g, np.sum(phi(g, p), axis=1))) ** 2))
+
+    theta = fit_copula(family, ps, method)
+    stat = statistic(theta, ps)
+    outcomes = []
+    for s in child_seeds:
+        u = sample_copula(GeneratorSpec(family, theta), ps.shape[1], ps.shape[0], int(s)).uniforms
+        rep = pseudo_observations(u)
+        try:
+            theta_b = fit_copula(family, rep, method)
+        except ValidationError:
+            outcomes.append((True, True))
+            continue
+        outcomes.append((statistic(theta_b, rep) >= stat, False))
+    return theta, stat, outcomes
+
+
+@pytest.mark.parametrize("method", ["tau", "pseudo_likelihood"])
+@pytest.mark.parametrize("d", [2, 6])
+@pytest.mark.parametrize("family,theta", [("clayton", 0.3), ("gumbel", 1.7), ("frank", 4.0)])
+def test_cvm_equals_one_replicate_at_a_time(family, theta, d, method, monkeypatch):
+    # blocks of 25 replicates at m = 24, so boot_n 101 and 137 end in a
+    # partial block; clayton at 0.3 sends some replicates out of range.  A
+    # six-dimensional pseudo-likelihood replicate fits 15 pairs, so those
+    # cases run one boot_n only.
+    m = 24
+    monkeypatch.setattr(fitlab, "_BLOCK_BYTES", 25 * m * m)
+    ps = pseudo_observations(sample_copula(GeneratorSpec(family, theta), d, m, seed=d).uniforms)
+    boot_ns = (101,) if (d, method) == (6, "pseudo_likelihood") else (100, 101, 137)
+    seeds = np.random.SeedSequence(7).generate_state(boot_ns[-1], dtype=np.uint64)
+    fitted, stat, outcomes = _cvm_by_definition(family, ps, seeds, method)
+    for boot_n in boot_ns:
+        # child seeds are a prefix of a longer run's, so replicate b is the same
+        assert np.array_equal(np.random.SeedSequence(7).generate_state(boot_n, dtype=np.uint64),
+                              seeds[:boot_n])
+        res = cvm_gof(family, ps, boot_n=boot_n, seed=7, method=method)
+        exceed, out_of_range = np.sum(outcomes[:boot_n], axis=0)
+        assert (res.theta.hex(), res.statistic.hex(), res.p_value.hex(), res.out_of_range) == (
+            fitted.hex(), stat.hex(), (exceed / boot_n).hex(), out_of_range)
+
+
+def test_cvm_memory_is_bounded_at_large_count():
+    # at m = 1000 the block is one replicate; the peak is one Kendall tau's
+    # (d, m, m) float sign matrix, 16 MB, plus its int8 signs: 18.05 MB while
+    # the bootstrap ran one replicate at a time, which the block may raise by
+    # at most its comparison-buffer budget
+    ps = pseudo_observations(sample_copula(GeneratorSpec("clayton", 1.5), 2, 1000, 4).uniforms)
+    tracemalloc.start()
+    try:
+        cvm_gof("clayton", ps, boot_n=100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18.05e6 + fitlab._BLOCK_BYTES
+
+
 def test_cvm_counts_out_of_range_replicates(monkeypatch):
     # near-independent clayton: many replicates refit a tau <= 0
     u = sample_copula(GeneratorSpec("clayton", 0.05), 2, 30, seed=9).uniforms
     raises = []
-    real_fit = fitlab.fit_copula
+    real_fit = fitlab._fit_theta  # the replicates' fit; fit_copula wraps it
 
     def counting_fit(*args, **kwargs):
         try:
@@ -522,7 +625,7 @@ def test_cvm_counts_out_of_range_replicates(monkeypatch):
             raises.append(1)
             raise
 
-    monkeypatch.setattr(fitlab, "fit_copula", counting_fit)
+    monkeypatch.setattr(fitlab, "_fit_theta", counting_fit)
     res = cvm_gof("clayton", pseudo_observations(u), boot_n=100, seed=9)
     assert res.out_of_range == len(raises) > 0
     assert res.to_json()["out_of_range"] == res.out_of_range

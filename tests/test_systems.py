@@ -22,8 +22,8 @@ from failsafekit import (
 from failsafekit.demos import clayton_pair, demo_grid, gumbel_barnett_pair
 from failsafekit.generators import FAMILIES, PHI_CAP, SURVIVAL_FLOOR, phi, psi
 from failsafekit.gridpolicy import GridPolicy
-from failsafekit.models import sp_quantile
-from failsafekit.systems import component_survivals, load_system, write_curve_csv
+from failsafekit.models import sp_quantile, sp_survival
+from failsafekit.systems import load_system, write_curve_csv
 
 
 # ---------------------------------------------------------------- oracle
@@ -115,7 +115,7 @@ def direct_loo_x2n(sysd, xs):
     """survival_x2n with each leave-one-out sum taken directly over the
     other columns, one np.delete copy per component."""
     gen, n = sysd.generator, sysd.n
-    margs = component_survivals(sysd, xs).T  # one column per component
+    margs = sp_survival(sysd.model, xs, np.asarray(sysd.theta)[:, None]).T  # a column per component
     s = phi(gen, np.clip(margs, SURVIVAL_FLOOR, 1.0))
     loo = np.stack([np.sum(np.delete(s, i, axis=1), axis=1) for i in range(n)], axis=1)
     vals = psi(gen, loo).sum(axis=1) - (n - 1) * psi(gen, np.sum(s, axis=1))
@@ -141,7 +141,7 @@ def test_nan_marginal_survival_is_refused(monkeypatch):
     # the kernel checks the marginal matrix once and then trusts it, so a
     # NaN marginal must be refused there, not passed on to phi and psi
     sysd = scale_exp_system(GeneratorSpec("clayton", 2.0), (1.0, 2.0, 3.0))
-    monkeypatch.setattr(systems, "sp_survival",
+    monkeypatch.setattr(systems, "_sp_survival",
                         lambda model, x, theta: np.where(x == 1.0, np.nan, np.exp(-theta * x)))
     assert np.all(np.isfinite(survival_x2n(sysd, np.array([0.5, 2.0]))))
     with pytest.raises(ValidationError, match=r"scale model over exponential\(1.0,\) gave a NaN"):
