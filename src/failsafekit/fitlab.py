@@ -493,8 +493,8 @@ class GofResult:
 
 
 #: Bytes of the (B, count, count) comparison buffer that sets the bootstrap
-#: block size B: about 22 replicates at count = 108, and one once count^2
-#: alone exceeds it, so a large fit holds at most one replicate's buffer.
+#: block size B: 22 replicates at count = 108, and one from count = 363 up,
+#: so a large fit holds no more than one replicate's buffer, as before.
 _BLOCK_BYTES = 1 << 18
 
 
