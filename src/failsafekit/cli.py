@@ -14,9 +14,12 @@ FAILSAFEKIT_SEED when set.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -27,16 +30,8 @@ from .gridpolicy import GridPolicy
 from .mcsim import empirical_survival_x2n, sample_lifetimes
 from .models import FIT_FAMILIES, BaselineSpec, SemiParamModel
 from .ordering import verify_prop_ls, verify_prop_mphrs, verify_theorem1, verify_theorem2
-from .preorders import classify
-from .systems import (
-    SystemSpec,
-    atomic_write,
-    default_grid,
-    load_system,
-    read_json,
-    survival_x2n,
-    write_curve_csv,
-)
+from .preorders import DEFAULT_TOL, classify
+from .systems import SystemSpec, default_grid, survival_x2n
 
 ENV_SEED = "FAILSAFEKIT_SEED"
 
@@ -56,6 +51,61 @@ def _default_seed() -> int:
         raise ValidationError(f"{ENV_SEED} must be an integer, got {raw!r}") from exc
 
 
+def atomic_write(path: str, text: str) -> None:
+    """Write text to path through a temp file and a rename, creating the
+    parent directory; an OSError becomes a ValidationError."""
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _read_text(path: str, what: str) -> str:
+    """The text of the file at path; an unreadable file is a ValidationError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what}: {exc}") from exc
+
+
+def read_json(path: str, what: str):
+    """Parse the JSON file at path; unreadable or malformed input is a ValidationError."""
+    try:
+        return json.loads(_read_text(path, what))
+    except ValueError as exc:  # not JSON
+        raise ValidationError(f"cannot read {what}: {exc}") from exc
+
+
+def load_system(path: str) -> SystemSpec:
+    return SystemSpec.from_json(read_json(path, "system spec"))
+
+
+def write_curve_csv(path: str, xs, columns: dict) -> None:
+    """Write curve columns as CSV with 17 significant digits, atomically."""
+    xs = np.asarray(xs, dtype=float)
+    names = list(columns)
+    cols = [np.asarray(columns[name], dtype=float) for name in names]
+    for c in cols:
+        if c.size != xs.size:
+            raise ValidationError("column length mismatch")
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["x", *names])
+    for i in range(xs.size):
+        writer.writerow([f"{xs[i]:.17g}", *(f"{c[i]:.17g}" for c in cols)])
+    atomic_write(path, buf.getvalue())
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         print(text, end="")
@@ -71,11 +121,7 @@ def _parse_vector(inline: str | None, path: str | None, name: str) -> list[float
     if (inline is None) == (path is None):
         raise ValidationError(f"supply exactly one of --{name} / --{name}-file")
     if path is not None:
-        try:
-            with open(path) as fh:
-                inline = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"cannot read {name} vector: {exc}") from exc
+        inline = _read_text(path, f"{name} vector")
     tokens = inline.replace(",", " ").split()
     if not tokens:
         raise ValidationError(f"vector {name} is empty")
@@ -106,16 +152,17 @@ def _grid_for(sys_specs, args) -> np.ndarray:
         [(s.model, s.theta) for s in sys_specs])
 
 
+def _pair_columns(sys_x, sys_y, xs) -> dict:
+    """The curve CSV columns of a system pair on xs."""
+    vx = survival_x2n(sys_x, xs)
+    vy = survival_x2n(sys_y, xs)
+    return {"survival_x": vx, "survival_y": vy, "gap": vx - vy}
+
+
 def _emit_figures(out_dir: str) -> int:
     for name, (pair_fn, grid_fn) in demos.FIGURE_CONFIGS.items():
-        sys_x, sys_y = pair_fn()
         xs = grid_fn()
-        vx = survival_x2n(sys_x, xs)
-        vy = survival_x2n(sys_y, xs)
-        write_curve_csv(
-            os.path.join(out_dir, f"{name}.csv"), xs,
-            {"survival_x": vx, "survival_y": vy, "gap": vx - vy},
-        )
+        write_curve_csv(os.path.join(out_dir, f"{name}.csv"), xs, _pair_columns(*pair_fn(), xs))
     print(f"wrote {len(demos.FIGURE_CONFIGS)} figure CSVs to {out_dir}")
     return EXIT_OK
 
@@ -129,9 +176,7 @@ def cmd_curve(args) -> int:
     if args.paired is not None:
         sys_y = load_system(args.paired)
         xs = _grid_for((sys_x, sys_y), args)
-        vx = survival_x2n(sys_x, xs)
-        vy = survival_x2n(sys_y, xs)
-        cols = {"survival_x": vx, "survival_y": vy, "gap": vx - vy}
+        cols = _pair_columns(sys_x, sys_y, xs)
     else:
         xs = _grid_for((sys_x,), args)
         cols = {"survival": survival_x2n(sys_x, xs)}
@@ -294,6 +339,7 @@ def cmd_fit(args) -> int:
 
 def _build_parser(conf: dict | None = None) -> argparse.ArgumentParser:
     conf = conf or {}
+    policy = GridPolicy()
 
     def d(key, default):
         # config supplies defaults; explicit flags still win
@@ -312,14 +358,14 @@ def _build_parser(conf: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--a-file", help="file with whitespace/comma separated entries")
     p.add_argument("--b")
     p.add_argument("--b-file")
-    p.add_argument("--tol", type=float, default=d("tol", 1e-12))
+    p.add_argument("--tol", type=float, default=d("tol", DEFAULT_TOL))
     p.add_argument("--out")
     p.set_defaults(func=cmd_preorder)
 
     p = sub.add_parser("curve", help="fail-safe survival curve CSV")
     p.add_argument("system", nargs="?", help="system spec JSON")
     p.add_argument("--paired", help="second system spec JSON; adds survival_y and gap columns")
-    p.add_argument("--points", type=int, default=d("points", 1000))
+    p.add_argument("--points", type=int, default=d("points", policy.curve_points))
     p.add_argument("--x-min", type=float, default=d("x_min", None))
     p.add_argument("--x-max", type=float, default=d("x_max", None))
     p.add_argument("--out")
@@ -332,9 +378,9 @@ def _build_parser(conf: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("theorem", choices=sorted(_VERIFIERS))
     p.add_argument("system_x")
     p.add_argument("system_y")
-    p.add_argument("--points", type=int, default=d("points", 1000))
-    p.add_argument("--tol-dominance", type=float, default=d("tol_dominance", 1e-10))
-    p.add_argument("--tol-crossing", type=float, default=d("tol_crossing", 1e-8))
+    p.add_argument("--points", type=int, default=d("points", policy.curve_points))
+    p.add_argument("--tol-dominance", type=float, default=d("tol_dominance", policy.dominance_tol))
+    p.add_argument("--tol-crossing", type=float, default=d("tol_crossing", policy.crossing_gap))
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

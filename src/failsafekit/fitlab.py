@@ -438,12 +438,12 @@ def _fit_theta(family: str, arr: np.ndarray, method: str) -> float:
 
     def neg(theta):
         if theta <= lo:
-            return np.inf
+            return -_LOGLIK_FLOOR
         total = 0.0
         for i, j in pairs:
             vals = _bivariate_log_density(family, float(theta), arr[:, i], arr[:, j])
             if not np.all(np.isfinite(vals)):
-                return np.inf
+                return -_LOGLIK_FLOOR
             total += float(np.sum(vals))
         return -total
 

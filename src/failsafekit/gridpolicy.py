@@ -7,7 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .models import SemiParamModel, default_x_grid, sp_quantile
+from .models import (BULK_Q_HI, BULK_Q_LO, PROBE_POINTS, SHAPE_TOL, SemiParamModel,
+                     default_x_grid, sp_quantile)
+from .preorders import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -18,20 +20,20 @@ class GridPolicy:
     probe and the dominance confirmation share consistent grids.
     """
 
-    # class constants, the same for every policy
-    q_lo = 0.001
-    q_hi = 0.999
-    shape_tol = 1e-9
-    preorder_tol = 1e-12
+    # class constants, the same for every policy, owned by the modules that use them
+    q_lo = BULK_Q_LO
+    q_hi = BULK_Q_HI
+    shape_x_points = PROBE_POINTS
+    shape_tol = SHAPE_TOL
+    preorder_tol = DEFAULT_TOL
 
     curve_points: int = 1000
-    shape_x_points: int = 200
     dominance_tol: float = 1e-10
     crossing_gap: float = 1e-8
 
     def __post_init__(self):
-        if self.curve_points < 2 or self.shape_x_points < 3:
-            raise ValidationError("grid point counts too small")
+        if self.curve_points < 2:
+            raise ValidationError(f"curve_points must be at least 2, got {self.curve_points}")
 
     def curve_grid(self, model: SemiParamModel, *theta_vectors) -> np.ndarray:
         """Log-spaced lifetime grid over the mixture bulk of all components."""
@@ -54,4 +56,4 @@ class GridPolicy:
 
     def shape_x_grid(self, model: SemiParamModel) -> np.ndarray:
         """Lifetimes of the one shape probe left, mphrs with alpha > 1."""
-        return default_x_grid(model.baseline, self.shape_x_points, self.q_lo, self.q_hi)
+        return default_x_grid(model.baseline)

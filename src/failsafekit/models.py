@@ -54,7 +54,7 @@ Everything is pure and reentrant; model values are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -486,9 +486,7 @@ def _kind_map(m: SemiParamModel, theta):
 
 def _log_w(m: SemiParamModel, x, theta):
     a, c, p = _kind_map(m, theta)
-    out = log_sf(m.baseline, a * (np.asarray(x, dtype=float) - c))
-    # scale, location and ls have p = 1.0: skip a pass that changes no value
-    return out if isinstance(p, float) and p == 1.0 else p * out
+    return p * log_sf(m.baseline, a * (np.asarray(x, dtype=float) - c))
 
 
 def _sp_survival(m: SemiParamModel, x, theta):
@@ -546,17 +544,21 @@ class ShapeVerdict:
     holds: bool
     rule: str
 
-    def to_json(self) -> dict:
-        return asdict(self)
+
+#: Shape probe defaults: the slack on a relative hazard rise (float noise), the
+#: quantiles that bound a model's bulk (probe and lifetime grids), the probe points.
+SHAPE_TOL = 1e-9
+BULK_Q_LO, BULK_Q_HI = 0.001, 0.999
+PROBE_POINTS = 200
 
 
-def default_x_grid(b: BaselineSpec, points: int = 200, q_lo: float = 0.001, q_hi: float = 0.999):
-    """Log-spaced grid over the baseline's bulk quantile range."""
-    lo, hi = quantile(b, q_lo), quantile(b, q_hi)
+def default_x_grid(b: BaselineSpec):
+    """PROBE_POINTS log-spaced lifetimes over the baseline's bulk quantile range."""
+    lo, hi = quantile(b, BULK_Q_LO), quantile(b, BULK_Q_HI)
     if not (np.isfinite(lo) and 0.0 < hi < np.inf):
         raise ValidationError(f"{b.family}{b.params} has no finite positive bulk quantile "
                               f"range [{lo:.3g}, {hi:.3g}] for a probe grid")
-    return np.geomspace(max(lo, hi * 1e-12), hi, points)
+    return np.geomspace(max(lo, hi * 1e-12), hi, PROBE_POINTS)
 
 
 def check_dfr(b: BaselineSpec) -> ShapeVerdict:
@@ -598,7 +600,7 @@ def _model_dfr(m: SemiParamModel, grid, tol: float) -> ShapeVerdict:
         f"in [{xs[0]:.3g}, {xs[-1]:.3g}], worst relative rise {worst:.3e}"))
 
 
-def survival_shape(m: SemiParamModel, sign: str, grid=None, tol: float = 1e-9) -> ShapeVerdict:
+def survival_shape(m: SemiParamModel, sign: str, grid=None, tol: float = SHAPE_TOL) -> ShapeVerdict:
     """F(x; theta) moves in ``sign`` ('nonincreasing' or 'nondecreasing') as
     theta grows, and the transformed model is DFR.  ``grid(m)`` gives the
     lifetimes of the mphrs alpha > 1 hazard probe (default: the baseline's
@@ -611,13 +613,13 @@ def survival_shape(m: SemiParamModel, sign: str, grid=None, tol: float = 1e-9) -
     return ShapeVerdict(prop, dfr.holds, f"{m.kind}: {sign} in theta; {dfr.rule}")
 
 
-def check_theorem1_condition2(m: SemiParamModel, grid=None, tol: float = 1e-9) -> ShapeVerdict:
+def check_theorem1_condition2(m: SemiParamModel, grid=None, tol: float = SHAPE_TOL) -> ShapeVerdict:
     """Shape requirement paired with log-concave generators: F(x; theta)
     nonincreasing in theta and a DFR model (see ``survival_shape``)."""
     return survival_shape(m, "nonincreasing", grid, tol)
 
 
-def check_theorem2_condition2(m: SemiParamModel, grid=None, tol: float = 1e-9) -> ShapeVerdict:
+def check_theorem2_condition2(m: SemiParamModel, grid=None, tol: float = SHAPE_TOL) -> ShapeVerdict:
     """Shape requirement paired with log-convex generators: F(x; theta)
     nondecreasing and log-convex in theta.  Only location moves up in theta,
     and there log F(x - theta) is convex in theta iff the baseline is DFR."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .generators import classify_log_shape, is_log_concave, is_log_convex
 from .gridpolicy import GridPolicy
 from .models import check_dpfr, survival_shape
 from .preorders import Preorder, holds
-from .systems import SurvivalCurve, SystemSpec, curve, survival_x2n
+from .systems import SurvivalCurve, SystemSpec, curve, default_grid, survival_x2n
 
 
 class Relation(enum.Enum):
@@ -57,8 +56,8 @@ class DominanceVerdict:
 def compare_curves(
     cx: SurvivalCurve,
     cy: SurvivalCurve,
-    tol: float = 1e-10,
-    crossing_gap: float = 1e-8,
+    tol: float = GridPolicy.dominance_tol,
+    crossing_gap: float = GridPolicy.crossing_gap,
 ) -> DominanceVerdict:
     """Pointwise verdict on cx vs cy over their (identical) grid.
 
@@ -142,15 +141,13 @@ class _Route:
     ``sign`` is the direction F(x; theta) must move in theta, checked with
     the model's DFR and reported as ``survival_shape``; a row with a
     ``kind`` has no sign and checks ``baseline_dpfr`` instead, and restricts
-    both systems to one shared model of that kind; ``x_min(model)`` is the
-    lower end of the dominance grid.
+    both systems to one shared model of that kind.
     """
 
     log_concave: bool
     sign: str | None
     preorder: Preorder
     kind: str | None = None
-    x_min: Callable | None = None
 
 
 #: The two comparison theorems and the two model propositions.  Checks call
@@ -159,7 +156,7 @@ ROUTES = {
     "theorem1": _Route(True, "nonincreasing", Preorder.P_LARGER),
     "theorem2": _Route(False, "nondecreasing", Preorder.RECIPROCAL_MAJORIZE),
     "prop_mphrs": _Route(True, None, Preorder.P_LARGER, kind="mphrs"),
-    "prop_ls": _Route(True, None, Preorder.P_LARGER, kind="ls", x_min=lambda m: m.lam),
+    "prop_ls": _Route(True, None, Preorder.P_LARGER, kind="ls"),
 }
 
 
@@ -173,8 +170,8 @@ def verify(
 
     Checks, in order: shared generator, shared model, generator log-shape,
     survival/baseline shape, parameter preorder.  If all hold, both curves
-    are evaluated on the policy grid (above ``x_min``) and X must dominate
-    Y or tie; anything else raises InconsistencyError with the report.
+    are evaluated on the policy grid and X must dominate Y or tie; anything
+    else raises InconsistencyError with the report.
     """
     row = ROUTES[route]
     policy = policy or GridPolicy()
@@ -211,8 +208,6 @@ def verify(
     if not overall:
         return ConditionReport(route, checks, overall, None)
     xs = policy.curve_grid(mx, sysX.theta, sysY.theta)
-    if row.x_min is not None:
-        xs = xs[xs > row.x_min(mx)]  # curve() rejects a grid left with < 2 points
     dominance = compare_curves(curve(sysX, xs), curve(sysY, xs),
                                policy.dominance_tol, policy.crossing_gap)
     report = ConditionReport(route, checks, overall, dominance)
@@ -249,7 +244,7 @@ def verify_prop_mphrs(
 def verify_prop_ls(
     sysX: SystemSpec, sysY: SystemSpec, policy: GridPolicy | None = None
 ) -> ConditionReport:
-    """Location-scale model, same hypotheses; dominance is confirmed on x > lambda."""
+    """Location-scale model, with the hypotheses of ``verify_prop_mphrs``."""
     return verify("prop_ls", sysX, sysY, policy)
 
 
@@ -257,8 +252,8 @@ def schur_condition_probe(sys: SystemSpec, step: float = 1e-5, xs=None) -> float
     """Worst value of (a_p - a_q)(dS/da_p - dS/da_q) over pairs and grid.
 
     S is the fail-safe survival as a function of the componentwise
-    log-parameters a = log(theta), probed on xs (default: the default
-    policy's curve grid); partials are central finite differences with a
+    log-parameters a = log(theta), probed on xs (default:
+    ``default_grid(sys)``); partials are central finite differences with a
     relative step.  Schur-convexity of S in a demands the result be >= 0;
     a symmetric point returns exactly 0.
     """
@@ -268,9 +263,7 @@ def schur_condition_probe(sys: SystemSpec, step: float = 1e-5, xs=None) -> float
     if np.any(th <= 0.0):
         raise ValidationError("log-parameter probe needs positive thetas")
     a = np.log(th)
-    if xs is None:
-        xs = GridPolicy().curve_grid(sys.model, np.exp(a))
-    xs = np.asarray(xs, dtype=float)
+    xs = default_grid(sys) if xs is None else np.asarray(xs, dtype=float)
 
     partials = np.empty((xs.size, sys.n))
     for i in range(sys.n):

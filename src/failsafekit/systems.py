@@ -29,11 +29,6 @@ once, with the same check ``SurvivalCurve`` applies.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,7 +171,7 @@ def survival_x2n(sys: SystemSpec, x):
     return vals if np.ndim(x) else float(vals[0])
 
 
-def default_grid(sys: SystemSpec, points: int = 1000) -> np.ndarray:
+def default_grid(sys: SystemSpec, points: int = GridPolicy.curve_points) -> np.ndarray:
     """Log-spaced grid over the mixture bulk of the component lifetimes."""
     return GridPolicy(curve_points=points).curve_grid(sys.model, sys.theta)
 
@@ -223,50 +218,3 @@ def lower_bound_rm(sys: SystemSpec, x):
     """
     return _homogeneous_bound(sys, x, "reciprocal-majorization",
                               lambda th: th.size / np.sum(1.0 / th))
-
-
-def atomic_write(path: str, text: str) -> None:
-    """Write text to path through a temp file and a rename, creating the
-    parent directory; an OSError becomes a ValidationError."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def read_json(path: str, what: str):
-    """Parse the JSON file at path; unreadable or malformed input is a ValidationError."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
-        raise ValidationError(f"cannot read {what}: {exc}") from exc
-
-
-def write_curve_csv(path: str, xs, columns: dict) -> None:
-    """Write curve columns as CSV with 17 significant digits, atomically."""
-    xs = np.asarray(xs, dtype=float)
-    names = list(columns)
-    cols = [np.asarray(columns[name], dtype=float) for name in names]
-    for c in cols:
-        if c.size != xs.size:
-            raise ValidationError("column length mismatch")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["x", *names])
-    for i in range(xs.size):
-        writer.writerow([f"{xs[i]:.17g}", *(f"{c[i]:.17g}" for c in cols)])
-    atomic_write(path, buf.getvalue())
-
-
-def load_system(path: str) -> SystemSpec:
-    return SystemSpec.from_json(read_json(path, "system spec"))

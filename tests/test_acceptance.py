@@ -50,7 +50,7 @@ from failsafekit.generators import LogShape
 from failsafekit.mcsim import sample_copula
 from failsafekit.demos import clayton_pair, demo_grid, gumbel_barnett_pair
 
-FAST = GridPolicy(curve_points=300, shape_x_points=120)
+FAST = GridPolicy(curve_points=300)
 
 
 def _line(num, ok, detail):

@@ -7,11 +7,14 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from failsafekit import cli
 from failsafekit.cli import main
+from failsafekit.errors import InconsistencyError
 from failsafekit.demos import clayton_pair, gumbel_barnett_pair
 from failsafekit.generators import GeneratorSpec
 from failsafekit.gridpolicy import GridPolicy
 from failsafekit.models import BaselineSpec, SemiParamModel
+from failsafekit.preorders import DEFAULT_TOL
 from failsafekit.systems import SystemSpec
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -471,3 +474,66 @@ def test_config_supplies_defaults_flags_override(tmp_path):
     assert main(["--config", str(conf), "curve", spec, "--x-min", "0.1",
                  "--x-max", "2.0", "--points", "11", "--out", str(out)]) == 0
     assert len(out.read_text().strip().splitlines()) == 12
+
+
+# ------------------------------------------------------- exit codes, defaults
+_FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boot", "100"]
+
+
+@pytest.mark.parametrize("argv, env, fragment", [
+    (["simulate", "{spec}", "--count", "100"], {"FAILSAFEKIT_SEED": "abc"},
+     "FAILSAFEKIT_SEED must be an integer"),
+    (["preorder", "--a", "1,2", "--a-file", "{vec}", "--b", "1,2"], {},
+     "supply exactly one of --a / --a-file"),
+    (["preorder", "--a", " , ", "--b", "1,2"], {}, "vector a is empty"),
+    (["preorder", "--a", "1,x", "--b", "1,2"], {}, "vector a has non-numeric entries"),
+    (["curve", "{spec}", "--x-min", "2", "--x-max", "1", "--out", "{out}"], {},
+     "need 0 <= x-min < x-max"),
+    (["curve", "--out", "{out}"], {}, "system.json required"),
+    (["curve", "{spec}"], {}, "curve output needs --out"),
+    (_FIT + ["--subsets", "w1,w2;"], {}, "empty subset in --subsets"),
+    (_FIT + ["--subsets", "w1,w2"], {}, "needs at least two groups"),
+    (_FIT + ["--subsets", "w1,w2;w3"], {}, "subsets must share size"),
+    (["curve", "{spec}", "--config"], {}, "--config needs a path"),
+    (["--config", "{conf}", "curve", "{spec}"], {}, "config must be a JSON object"),
+], ids=["env-seed", "vector-twice", "vector-empty", "vector-non-numeric", "x-range",
+        "curve-no-system", "curve-no-out", "subsets-empty-group", "subsets-one-group",
+        "subsets-unequal", "config-no-path", "config-not-object"])
+def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env, fragment):
+    sx, _ = gumbel_barnett_pair()
+    files = {
+        "spec": write_system(tmp_path / "s.json", sx),
+        "vec": str(tmp_path / "vec.txt"),
+        "conf": str(tmp_path / "conf.json"),
+        "data": _write_wide_dataset(tmp_path / "wide.csv", cables=10, wires=4),
+        "out": str(tmp_path / "c.csv"),
+    }
+    Path(files["vec"]).write_text("1 2\n")
+    Path(files["conf"]).write_text("[1, 2]")
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main([a.format(**files) for a in argv]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("preorder", []), ("verify", ["t1", "x.json", "y.json"]), ("simulate", ["s.json"]),
+])
+def test_inconsistency_from_a_subcommand_exit_3(capsys, monkeypatch, command, argv):
+    def inconsistent(args):
+        raise InconsistencyError("forced disagreement")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", inconsistent)
+    assert main([command, *argv]) == 3
+    assert "INCONSISTENT: forced disagreement" in capsys.readouterr().err
+
+
+def test_flag_defaults_are_the_policy_defaults():
+    parser = cli._build_parser()
+    policy = GridPolicy()
+    verify = parser.parse_args(["verify", "t1", "x.json", "y.json"])
+    assert (verify.points, verify.tol_dominance, verify.tol_crossing) == (
+        policy.curve_points, policy.dominance_tol, policy.crossing_gap)
+    assert parser.parse_args(["curve"]).points == policy.curve_points
+    assert parser.parse_args(["preorder"]).tol == DEFAULT_TOL == policy.preorder_tol

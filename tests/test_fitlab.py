@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 import warnings
 
@@ -753,6 +754,39 @@ def test_load_rejects_malformed(tmp_path):
 def test_dataset_minimum_observations():
     with pytest.raises(ValidationError):
         LifetimeDataset({"w1": [1.0, 2.0, 3.0]})
+
+
+_WIDE_ROWS = "".join(f"{300 + i},{310 + i}\n" for i in range(5))
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("w1,w2\n", "no data rows"),
+    ("w1,w2\n" + _WIDE_ROWS + "320\n", "wide-format row length mismatch"),
+    ("w1,w2\n" + _WIDE_ROWS + "320,n/a\n", "non-numeric cell 'n/a'"),
+    ("w1,w2\n" + _WIDE_ROWS + "0.0,320\n", "'w1' has nonpositive or non-finite values"),
+    ("cable,wire,strength\n" + "".join(f"c{i},w1,{300 + i}\nc{i},w2,{310 + i}\n"
+                                        for i in range(5)) + "c5,w2,320\n",
+     "components have unequal lengths"),
+], ids=["header-only", "short-wide-row", "non-numeric-cell",
+        "nonpositive", "unequal-lengths"])
+def test_load_dataset_rejects(tmp_path, text, fragment):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=re.escape(fragment)):
+        load_dataset_csv(str(path)).matrix()
+
+
+@pytest.mark.parametrize("text", [
+    "w1,w2\n\n" + _WIDE_ROWS.replace("\n", "\n,\n", 2) + "\n",
+    "cable,wire,strength\n\n" + "".join(f"c{i},w1,{300 + i}\n,,\nc{i},w2,{310 + i}\n"
+                                            for i in range(5)),
+], ids=["wide", "long"])
+def test_load_dataset_skips_blank_rows(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    ds = load_dataset_csv(str(path))
+    assert ds.labels == ("w1", "w2")
+    assert_allclose(ds.matrix(), [[300 + i, 310 + i] for i in range(5)])
 
 
 def test_manifest_loads_and_has_tolerances():

@@ -13,6 +13,7 @@ from failsafekit import (
     ValidationError,
     compare_curves,
     curve,
+    default_grid,
     schur_condition_probe,
     verify_prop_ls,
     verify_prop_mphrs,
@@ -191,7 +192,7 @@ def test_verify_first_counterexample_from_a_valid_model():
                            0.19158892533540825, 1.0266837460946139), gen)
     sy = SystemSpec(4, m, (0.7228169735573664, 0.198873648489512,
                            0.2790330900151772, 1.9284721783568337), gen)
-    policy = GridPolicy(curve_points=300, shape_x_points=120)
+    policy = GridPolicy(curve_points=300)
     with pytest.raises(InconsistencyError) as exc:
         verify_theorem1(sx, sy, policy)
     rep = exc.value.report
@@ -360,6 +361,12 @@ def test_schur_probe_zero_at_symmetric_point():
     m = SemiParamModel("scale", BaselineSpec("exponential", (1.0,)))
     sysd = SystemSpec(3, m, (1.5, 1.5, 1.5), GeneratorSpec("clayton", 2.0))
     assert schur_condition_probe(sysd, xs=FAST.curve_grid(m, sysd.theta)) == 0.0
+
+
+@pytest.mark.parametrize("pair", [gumbel_barnett_pair, clayton_pair])
+def test_schur_probe_defaults_to_the_default_grid(pair):
+    sx, _ = pair()
+    assert schur_condition_probe(sx) == schur_condition_probe(sx, xs=default_grid(sx))
 
 
 def test_schur_probe_negative_at_first_demo():

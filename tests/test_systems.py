@@ -19,11 +19,11 @@ from failsafekit import (
     survival_x2n,
     systems,
 )
+from failsafekit.cli import load_system, write_curve_csv
 from failsafekit.demos import clayton_pair, demo_grid, gumbel_barnett_pair
 from failsafekit.generators import FAMILIES, PHI_CAP, SURVIVAL_FLOOR, phi, psi
 from failsafekit.gridpolicy import GridPolicy
 from failsafekit.models import sp_quantile, sp_survival
-from failsafekit.systems import load_system, write_curve_csv
 
 
 # ---------------------------------------------------------------- oracle
@@ -229,6 +229,12 @@ def test_default_grid_spans_component_bulk():
     xs = default_grid(sysd, 500)
     assert xs.size == 500
     assert xs[0] < 0.001 and xs[-1] > 6.0  # q(0.999) of the slowest component
+
+
+@pytest.mark.parametrize("points", [1, 0, -3])
+def test_grid_policy_needs_two_curve_points(points):
+    with pytest.raises(ValidationError, match="curve_points must be at least 2"):
+        GridPolicy(curve_points=points)
 
 
 def _per_theta_curve_grid(policy, model, *theta_vectors):

@@ -123,6 +123,6 @@ def test_condition2_probes_take_grids_positionally(monkeypatch, route, pair, pro
     assert kwargs == {} and len(args) == 3
     model, grid, tol = args
     assert model == sx.model and tol == policy.shape_tol
-    assert np.shape(grid(model)) == (policy.shape_x_points,)
+    assert np.shape(grid(model)) == (models.PROBE_POINTS,)
     shape = next(c for c in report.checks if c.name == "survival_shape")
     assert (shape.holds, shape.evidence) == (verdict.holds, verdict.rule)
