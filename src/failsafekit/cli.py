@@ -5,10 +5,10 @@ deterministic given identical inputs, flags and seeds.  Exit codes: 0
 success, 1 hypothesis failure (verify), 2 validation/input error (also a
 fit report written with a copula the bootstrap cannot sample skipped), 3
 inconsistency (hypotheses verified but dominance failed; release
-blocking).  JSON goes to stdout unless --out is given; files are written
-atomically (temp + rename) after creating their parent directory; a path
-that cannot be written exits 2.  The default seed comes from
-FAILSAFEKIT_SEED when set.
+blocking).  JSON goes to stdout unless --out is given; CSVs end lines
+with CRLF; files are written atomically (temp + rename) after creating
+their parent directory; a path that cannot be written exits 2.  The
+default seed comes from FAILSAFEKIT_SEED when set.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from .errors import InconsistencyError, UnsupportedGeneratorError, ValidationErr
 from .generators import COPULA_FAMILIES, GeneratorSpec
 from .gridpolicy import GridPolicy
 from .mcsim import empirical_survival_x2n, sample_lifetimes
-from .models import FIT_FAMILIES, BaselineSpec, SemiParamModel
+from .models import FIT_FAMILIES
 from .ordering import verify_prop_ls, verify_prop_mphrs, verify_theorem1, verify_theorem2
 from .preorders import DEFAULT_TOL, classify
-from .systems import SystemSpec, default_grid, survival_x2n
+from .systems import SystemSpec, default_grid, survival_x2n, wire_system
 
 ENV_SEED = "FAILSAFEKIT_SEED"
 
@@ -70,9 +70,10 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def _read_text(path: str, what: str) -> str:
-    """The text of the file at path; an unreadable file is a ValidationError."""
+    """The text of the file at path, line ends untranslated as the csv module
+    needs; an unreadable file is a ValidationError."""
     try:
-        with open(path) as fh:
+        with open(path, newline="") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {what}: {exc}") from exc
@@ -90,20 +91,60 @@ def load_system(path: str) -> SystemSpec:
     return SystemSpec.from_json(read_json(path, "system spec"))
 
 
+def load_dataset_csv(path: str):
+    """Read long format (cable,wire,strength) or wide format (one column
+    per wire), auto-detected by header, as a ``fitlab.LifetimeDataset``."""
+    from .fitlab import LifetimeDataset  # loaded by the fit subcommand only
+
+    rows = list(csv.reader(io.StringIO(_read_text(path, "dataset"), newline="")))
+    if len(rows) < 2:
+        raise ValidationError("dataset CSV has no data rows")
+    header = [h.strip().lower() for h in rows[0]]
+    if set(header) == {"cable", "wire", "strength"}:
+        iw, iv = header.index("wire"), header.index("strength")
+        obs: dict[str, list[float]] = {}
+        for row in rows[1:]:
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                value = float(row[iv])
+            except (ValueError, IndexError) as exc:
+                raise ValidationError(f"malformed long-format row {row!r}") from exc
+            obs.setdefault(row[iw].strip(), []).append(value)
+        return LifetimeDataset(obs)
+    # wide: every column is a component
+    obs = {name.strip(): [] for name in rows[0]}
+    names = [name.strip() for name in rows[0]]
+    for row in rows[1:]:
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(names):
+            raise ValidationError(f"wide-format row length mismatch: {row!r}")
+        for name, cell in zip(names, row):
+            try:
+                obs[name].append(float(cell))
+            except ValueError as exc:
+                raise ValidationError(f"non-numeric cell {cell!r} in wide format") from exc
+    return LifetimeDataset(obs)
+
+
+def _csv_text(rows) -> str:
+    """rows as CSV text with the csv module's CRLF line ends, floats written
+    with 17 significant digits."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                              for row in rows)
+    return buf.getvalue()
+
+
 def write_curve_csv(path: str, xs, columns: dict) -> None:
     """Write curve columns as CSV with 17 significant digits, atomically."""
     xs = np.asarray(xs, dtype=float)
-    names = list(columns)
-    cols = [np.asarray(columns[name], dtype=float) for name in names]
-    for c in cols:
-        if c.size != xs.size:
-            raise ValidationError("column length mismatch")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["x", *names])
-    for i in range(xs.size):
-        writer.writerow([f"{xs[i]:.17g}", *(f"{c[i]:.17g}" for c in cols)])
-    atomic_write(path, buf.getvalue())
+    cols = [np.asarray(c, dtype=float) for c in columns.values()]
+    if any(c.size != xs.size for c in cols):
+        raise ValidationError("column length mismatch")
+    rows = zip(xs.tolist(), *(c.tolist() for c in cols))  # python floats format faster
+    atomic_write(path, _csv_text([["x", *columns], *rows]))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -220,13 +261,9 @@ def cmd_simulate(args) -> int:
     analytic = survival_x2n(sys_spec, xs)
     empirical = empirical_survival_x2n(lifetimes, xs)
     diff = np.abs(analytic - empirical)
-    lines = ["x,analytic,empirical,abs_diff"]
-    for i in range(xs.size):
-        lines.append(
-            f"{xs[i]:.17g},{analytic[i]:.17g},{empirical[i]:.17g},{diff[i]:.17g}"
-        )
-    lines.append(f"max_abs_deviation,,,{diff.max():.17g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv_text([["x", "analytic", "empirical", "abs_diff"],
+                     *zip(xs, analytic, empirical, diff),
+                     ["max_abs_deviation", "", "", diff.max()]]), args.out)
     return EXIT_OK
 
 
@@ -256,7 +293,6 @@ def cmd_fit(args) -> int:
         compare_to_reference,
         cvm_gof,
         fixed_shape_weibull_scale,
-        load_dataset_csv,
         mle_fit,
         pseudo_observations,
         rank_models,
@@ -285,8 +321,8 @@ def cmd_fit(args) -> int:
         except BootstrapRangeError as exc:
             print(f"skipped {fam}: {exc}", file=sys.stderr)
             report["copula_gof"][fam] = {"family": fam, "theta": exc.theta, "skipped": str(exc)}
-    report["preferred_copula"] = (min(gofs.items(), key=lambda kv: kv[1].statistic)[0]
-                                  if gofs else None)
+    preferred = min(gofs, key=lambda fam: gofs[fam].statistic) if gofs else None
+    report["preferred_copula"] = preferred
 
     if args.subsets and not gofs:
         report["subsets"] = {"skipped": "no copula could be scored"}
@@ -294,17 +330,13 @@ def cmd_fit(args) -> int:
         groups = _parse_subsets(args.subsets, set(dataset.labels))
         wfit = fits.get("weibull") or mle_fit("weibull", pooled)
         shape = wfit.params["shape"]
-        pooled_scale = wfit.params["scale"]
-        gen = GeneratorSpec(report["preferred_copula"],
-                            gofs[report["preferred_copula"]].theta)
-        model = SemiParamModel("scale", BaselineSpec("weibull", (pooled_scale, shape)))
+        gen = GeneratorSpec(preferred, gofs[preferred].theta)
         systems = {}
         per_wire = {}
         for label, wires in groups.items():
             scales = [fixed_shape_weibull_scale(dataset.observations[w], shape) for w in wires]
             per_wire[label] = dict(zip(wires, scales))
-            theta = tuple(pooled_scale / s for s in scales)
-            systems[label] = SystemSpec(len(wires), model, theta, gen)
+            systems[label] = wire_system(wfit.params["scale"], shape, scales, gen)
         rec = recommend_subset(systems)
         report["subsets"] = {
             "per_component_scales": per_wire,
@@ -316,22 +348,20 @@ def cmd_fit(args) -> int:
             manifest = demos.load_reference_manifest()
         else:
             manifest = read_json(args.reference, "reference manifest")
-        report["reference_comparison"] = compare_to_reference(gofs, ranking, manifest)
+        report["reference_comparison"] = compare_to_reference(gofs, ranking, manifest, preferred)
 
     _emit_json(report, None if args.out_dir is None
                else os.path.join(args.out_dir, "report.json"))
     if args.out_dir is not None:
-        crit_rows = ["criterion," + ",".join(f.family for f in ranking.entries)]
-        crit_rows.append("aic," + ",".join(f"{f.aic:.17g}" for f in ranking.entries))
-        crit_rows.append("bic," + ",".join(f"{f.bic:.17g}" for f in ranking.entries))
-        atomic_write(os.path.join(args.out_dir, "marginal_fits.csv"),
-                     "\n".join(crit_rows) + "\n")
-        cop_rows = ["copula,theta,statistic,p_value"]
-        for fam, g in report["copula_gof"].items():
-            scores = "," if "skipped" in g else f"{g['statistic']:.17g},{g['p_value']:.17g}"
-            cop_rows.append(f"{fam},{g['theta']:.17g},{scores}")
-        atomic_write(os.path.join(args.out_dir, "copula_gof.csv"),
-                     "\n".join(cop_rows) + "\n")
+        atomic_write(os.path.join(args.out_dir, "marginal_fits.csv"), _csv_text([
+            ["criterion", *(f.family for f in ranking.entries)],
+            ["aic", *(f.aic for f in ranking.entries)],
+            ["bic", *(f.bic for f in ranking.entries)],
+        ]))
+        atomic_write(os.path.join(args.out_dir, "copula_gof.csv"), _csv_text(
+            [["copula", "theta", "statistic", "p_value"]]
+            + [[fam, g["theta"], g.get("statistic", ""), g.get("p_value", "")]
+               for fam, g in report["copula_gof"].items()]))
     # a copula the bootstrap refused leaves a partial report
     partial = any("skipped" in g for g in report["copula_gof"].values())
     return EXIT_VALIDATION if partial else EXIT_OK

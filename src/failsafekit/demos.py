@@ -18,7 +18,7 @@ import numpy as np
 from .generators import GeneratorSpec
 from .gridpolicy import GridPolicy
 from .models import BaselineSpec, SemiParamModel
-from .systems import SystemSpec
+from .systems import SystemSpec, wire_system
 
 
 def load_reference_manifest() -> dict:
@@ -62,16 +62,9 @@ def cable_pair() -> tuple[SystemSpec, SystemSpec]:
     scale multipliers relative to the pooled scale."""
     manifest = load_reference_manifest()
     wb = manifest["weibull_estimates"]["transposed"]
-    baseline = BaselineSpec("weibull", (wb["scale"], wb["shape"]))
-    model = SemiParamModel("scale", baseline)
     gen = GeneratorSpec("clayton", manifest["copulas"]["clayton"]["theta"])
-    groups = manifest["wire_groups"]
-    scale = wb["scale"]
-    theta_a = tuple(scale / t for t in groups["A"]["theta"])
-    theta_b = tuple(scale / t for t in groups["B"]["theta"])
-    x = SystemSpec(len(theta_a), model, theta_a, gen)
-    y = SystemSpec(len(theta_b), model, theta_b, gen)
-    return x, y
+    return tuple(wire_system(wb["scale"], wb["shape"], manifest["wire_groups"][g]["theta"], gen)
+                 for g in ("A", "B"))
 
 
 def cable_grid() -> np.ndarray:

@@ -27,7 +27,6 @@ count x count x d or a count x count float tensor.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import math
@@ -49,9 +48,9 @@ MIN_OBSERVATIONS = 5
 
 
 class LifetimeDataset:
-    """Positive observations per component label, optionally grouped."""
+    """Positive observations per component label."""
 
-    def __init__(self, observations: dict, groups: tuple[str, ...] | None = None):
+    def __init__(self, observations: dict):
         if not observations:
             raise ValidationError("dataset has no components")
         clean = {}
@@ -65,7 +64,6 @@ class LifetimeDataset:
                 raise ValidationError(f"component {label!r} has nonpositive or non-finite values")
             clean[str(label)] = arr
         self.observations = clean
-        self.groups = groups
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -80,47 +78,6 @@ class LifetimeDataset:
         if len(sizes) != 1:
             raise ValidationError("components have unequal lengths; no wide matrix")
         return np.stack([self.observations[k] for k in self.labels], axis=1)
-
-
-def load_dataset_csv(path: str) -> LifetimeDataset:
-    """Read long format (cable,wire,strength) or wide format (one column
-    per wire), auto-detected by header."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read dataset: {exc}") from exc
-    if len(rows) < 2:
-        raise ValidationError("dataset CSV has no data rows")
-    header = [h.strip().lower() for h in rows[0]]
-    if set(header) == {"cable", "wire", "strength"}:
-        ic, iw, iv = header.index("cable"), header.index("wire"), header.index("strength")
-        obs: dict[str, list[float]] = {}
-        cables = []
-        for row in rows[1:]:
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                value = float(row[iv])
-            except (ValueError, IndexError) as exc:
-                raise ValidationError(f"malformed long-format row {row!r}") from exc
-            obs.setdefault(row[iw].strip(), []).append(value)
-            cables.append(row[ic].strip())
-        return LifetimeDataset(obs, groups=tuple(dict.fromkeys(cables)))
-    # wide: every column is a component
-    obs = {name.strip(): [] for name in rows[0]}
-    names = [name.strip() for name in rows[0]]
-    for row in rows[1:]:
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(names):
-            raise ValidationError(f"wide-format row length mismatch: {row!r}")
-        for name, cell in zip(names, row):
-            try:
-                obs[name].append(float(cell))
-            except ValueError as exc:
-                raise ValidationError(f"non-numeric cell {cell!r} in wide format") from exc
-    return LifetimeDataset(obs)
 
 
 def _digest(data: np.ndarray) -> str:
@@ -562,6 +519,7 @@ class SubsetRecommendation:
     ties: tuple[tuple[str, str], ...]
     incomparable: tuple[tuple[str, str], ...]
     inconsistent: tuple[tuple[str, str], ...]
+    unverified: dict  # (src, dst) -> names of the hypothesis checks that failed
     certificates: dict
 
     def to_json(self) -> dict:
@@ -571,6 +529,7 @@ class SubsetRecommendation:
             "ties": [list(p) for p in self.ties],
             "incomparable": [list(p) for p in self.incomparable],
             "inconsistent": [list(p) for p in self.inconsistent],
+            "unverified": {f"{a}>{b}": list(names) for (a, b), names in self.unverified.items()},
             "certificates": {f"{a}>{b}": r.to_json() for (a, b), r in self.certificates.items()},
         }
 
@@ -580,9 +539,10 @@ def recommend_subset(systems: dict) -> SubsetRecommendation:
 
     Pairs whose parameter vectors relate under the p-larger preorder are
     fed to the comparison verifier; only verified-and-confirmed dominance
-    creates an edge.  Incomparable pairs are reported, never forced, and
-    hypothesis-passing pairs whose curves refuse to dominate are listed
-    as inconsistent.
+    creates an edge.  Incomparable pairs are reported, never forced;
+    related pairs whose hypotheses fail are listed as unverified with the
+    failed checks, and hypothesis-passing pairs whose curves refuse to
+    dominate as inconsistent.
     """
     if len(systems) < 2:
         raise ValidationError("need at least two candidate subsets")
@@ -596,6 +556,7 @@ def recommend_subset(systems: dict) -> SubsetRecommendation:
     ties: list[tuple[str, str]] = []
     incomparable: list[tuple[str, str]] = []
     inconsistent: list[tuple[str, str]] = []
+    unverified: dict = {}
     certificates: dict = {}
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
@@ -614,6 +575,7 @@ def recommend_subset(systems: dict) -> SubsetRecommendation:
                     inconsistent.append((src, dst))
                     continue
                 if not cert.overall:
+                    unverified[(src, dst)] = tuple(c.name for c in cert.checks if not c.holds)
                     continue
                 certificates[(src, dst)] = cert
                 if cert.dominance.relation is Relation.X_DOMINATES_Y:
@@ -628,6 +590,7 @@ def recommend_subset(systems: dict) -> SubsetRecommendation:
         ties=tuple(ties),
         incomparable=tuple(incomparable),
         inconsistent=tuple(inconsistent),
+        unverified=unverified,
         certificates=certificates,
     )
 
@@ -660,8 +623,10 @@ def _check_manifest(manifest) -> None:
                               "copulas (theta and p_value numbers) and preferred_copula")
 
 
-def compare_to_reference(gofs: dict, ranking: ModelRanking, manifest: dict) -> dict:
-    """Check a pipeline run against the bundled manifest tolerances."""
+def compare_to_reference(gofs: dict, ranking: ModelRanking, manifest: dict,
+                         preferred: str | None) -> dict:
+    """Check a pipeline run, whose preferred copula is ``preferred``, against
+    the bundled manifest tolerances."""
     _check_manifest(manifest)
     tol = manifest["tolerances"]
     out = {"aic_order_matches": [r.family for r in ranking.entries] == manifest["marginal_aic_order"],
@@ -676,6 +641,5 @@ def compare_to_reference(gofs: dict, ranking: ModelRanking, manifest: dict) -> d
             "theta": got.theta,
             "p_value": got.p_value,
         }
-    best = min(gofs.items(), key=lambda kv: kv[1].statistic)[0] if gofs else None
-    out["preferred_copula_matches"] = best == manifest["preferred_copula"]
+    out["preferred_copula_matches"] = preferred == manifest["preferred_copula"]
     return out

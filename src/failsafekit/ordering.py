@@ -61,30 +61,29 @@ def compare_curves(
 ) -> DominanceVerdict:
     """Pointwise verdict on cx vs cy over their (identical) grid.
 
-    A crossing is reported only when the gap changes sign with magnitude
-    above ``crossing_gap`` on both sides; smaller wiggles stay ties.
+    Gaps within ``tol`` are ties.  A crossing is reported only when the gap
+    changes sign with magnitude above ``crossing_gap`` on both sides;
+    smaller wiggles leave the dominance verdict standing, X's first.
     """
     if not np.array_equal(cx.xs, cy.xs):
         raise ValidationError("curves live on different grids")
+    if not (tol >= 0.0 and crossing_gap >= 0.0):  # NaN fails too
+        raise ValidationError("dominance and crossing tolerances must be nonnegative")
     xs = cx.xs
-    gap = cx.values - cy.values
+    gap = cx.values - cy.values  # finite: SurvivalCurve refuses NaN
     min_gap, max_gap = float(gap.min()), float(gap.max())
+    wiggle = max(tol, crossing_gap)
+    crossings = ()
     if max_gap <= tol and min_gap >= -tol:
         relation = Relation.TIES_WITHIN_TOL
-        crossings = ()
-    elif min_gap >= -tol:
+    elif max_gap > tol and min_gap >= -wiggle:
         relation = Relation.X_DOMINATES_Y
-        crossings = ()
-    elif max_gap <= tol:
+    elif max_gap <= wiggle:
         relation = Relation.Y_DOMINATES_X
-        crossings = ()
     else:
+        # both signs reach beyond crossing_gap, so some pair brackets a change
+        relation = Relation.CROSSING
         crossings = _bracket_crossings(xs, gap, crossing_gap)
-        relation = Relation.CROSSING if crossings else (
-            Relation.X_DOMINATES_Y if min_gap >= -crossing_gap else
-            Relation.Y_DOMINATES_X if max_gap <= crossing_gap else
-            Relation.TIES_WITHIN_TOL
-        )
     return DominanceVerdict(relation, min_gap, max_gap, crossings, xs.size)
 
 

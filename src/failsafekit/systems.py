@@ -23,8 +23,7 @@ Check once: x is checked at the entry and the marginal matrix once for
 NaN; after that, clipping puts every survival in [SURVIVAL_FLOOR, 1] and
 the sums add nonnegative phi values, so phi and psi run through the
 generators' private kernels, which skip the argument checks the public
-functions repeat on every call.  ``curve`` checks and copies its grid
-once, with the same check ``SurvivalCurve`` applies.
+functions repeat on every call.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 from .errors import ValidationError
 from .generators import GeneratorSpec, SURVIVAL_FLOOR, _phi, _psi, phi, psi
 from .gridpolicy import GridPolicy
-from .models import SemiParamModel, _sp_survival, sp_survival
+from .models import BaselineSpec, SemiParamModel, _sp_survival, sp_survival
 
 #: Values this close to the [0, 1] bounds are clamped onto them.
 CLAMP_TOL = 1e-10
@@ -85,6 +84,13 @@ class SystemSpec:
         )
 
 
+def wire_system(scale: float, shape: float, wire_scales, generator: GeneratorSpec) -> SystemSpec:
+    """Wires with Weibull(wire scale, shape) strengths as one system: a scale
+    model over Weibull(scale, shape), theta_i = scale / wire_scales[i]."""
+    model = SemiParamModel("scale", BaselineSpec("weibull", (scale, shape)))
+    return SystemSpec(len(wire_scales), model, tuple(scale / s for s in wire_scales), generator)
+
+
 def _checked_grid(xs) -> np.ndarray:
     """xs as a read-only float64 copy of a 1-d, positive, strictly increasing grid."""
     xs = np.array(xs, dtype=float)
@@ -94,40 +100,27 @@ def _checked_grid(xs) -> np.ndarray:
     return xs
 
 
-def _checked_values(xs: np.ndarray, values) -> np.ndarray:
-    """values as a read-only float64 copy of survival values on xs: one per
-    point, inside [0, 1] and nonincreasing, up to CLAMP_TOL."""
-    vals = np.array(values, dtype=float)
-    if vals.shape != xs.shape:
-        raise ValidationError("curve needs one survival value per grid point")
-    if np.any(vals < -CLAMP_TOL) or np.any(vals > 1.0 + CLAMP_TOL):
-        raise ValidationError("survival values leave [0, 1]")
-    if np.any(np.diff(vals) > CLAMP_TOL):
-        raise ValidationError("survival values are not nonincreasing")
-    vals.flags.writeable = False
-    return vals
-
-
 @dataclass(frozen=True, eq=False)
 class SurvivalCurve:
-    """A lifetime grid and its survival values, as read-only float64 arrays."""
+    """A lifetime grid and its survival values, as read-only float64 arrays:
+    one value per point, inside [0, 1] and nonincreasing, up to CLAMP_TOL."""
 
     xs: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
         xs = _checked_grid(self.xs)
-        object.__setattr__(self, "values", _checked_values(xs, self.values))
+        vals = np.array(self.values, dtype=float)
+        if vals.shape != xs.shape:
+            raise ValidationError("curve needs one survival value per grid point")
+        # NaN fails both comparisons, so it is refused with the out-of-range values
+        if not np.all((vals >= -CLAMP_TOL) & (vals <= 1.0 + CLAMP_TOL)):
+            raise ValidationError("survival values leave [0, 1] or are NaN")
+        if np.any(np.diff(vals) > CLAMP_TOL):
+            raise ValidationError("survival values are not nonincreasing")
+        vals.flags.writeable = False
         object.__setattr__(self, "xs", xs)
-
-    @classmethod
-    def _on_checked_grid(cls, xs: np.ndarray, values) -> "SurvivalCurve":
-        """A curve on a grid that ``_checked_grid`` returned: only the values
-        are checked, so the grid is not copied and checked a second time."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "xs", xs)
-        object.__setattr__(c, "values", _checked_values(xs, values))
-        return c
+        object.__setattr__(self, "values", vals)
 
 
 def survival_x2n(sys: SystemSpec, x):
@@ -178,8 +171,8 @@ def default_grid(sys: SystemSpec, points: int = GridPolicy.curve_points) -> np.n
 
 def curve(sys: SystemSpec, xs) -> SurvivalCurve:
     """Fail-safe survival curve on xs, a required strictly increasing grid."""
-    xs = _checked_grid(xs)
-    return SurvivalCurve._on_checked_grid(xs, survival_x2n(sys, xs))
+    xs = _checked_grid(xs)  # before survival_x2n, whose x check says less
+    return SurvivalCurve(xs, survival_x2n(sys, xs))
 
 
 def homogeneous_x2n(gen: GeneratorSpec, u, n: int):

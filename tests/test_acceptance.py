@@ -38,10 +38,10 @@ from failsafekit import (
     verify_theorem1,
     verify_theorem2,
 )
+from failsafekit.cli import load_dataset_csv
 from failsafekit.demos import load_reference_manifest
 from failsafekit.fitlab import (
     cvm_gof,
-    load_dataset_csv,
     mle_fit,
     pseudo_observations,
     rank_models,

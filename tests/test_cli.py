@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 from pathlib import Path
@@ -345,6 +346,73 @@ def test_fit_pipeline_end_to_end(tmp_path):
     assert (out_dir / "copula_gof.csv").exists()
     assert "recommendation" in report["subsets"]
     assert "aic_order_matches" in report["reference_comparison"]
+
+
+def test_fit_out_dir_csvs_match_the_report(tmp_path):
+    data = _write_wide_dataset(tmp_path / "wide.csv")
+    out_dir = tmp_path / "out"
+    assert main(["fit", data, "--boot", "100", "--seed", "11", "--out-dir", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    with open(out_dir / "marginal_fits.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    ranking = report["marginal_fits"]["ranking"]
+    assert header == ["criterion", *(e["family"] for e in ranking)]
+    for name, *values in rows:
+        assert [float(v) for v in values] == [e[name] for e in ranking]
+    with open(out_dir / "copula_gof.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted(r["copula"] for r in rows) == sorted(report["copula_gof"])
+    for r in rows:
+        gof = report["copula_gof"][r["copula"]]
+        for key in ("theta", "statistic", "p_value"):
+            assert float(r[key]) == gof[key]
+
+
+def test_every_cli_csv_ends_lines_with_crlf(demo_files, tmp_path, capsys):
+    m = SemiParamModel("scale", BaselineSpec("exponential", (1.0,)))
+    spec = write_system(tmp_path / "s.json",
+                        SystemSpec(3, m, (1.0, 2.0, 3.0), GeneratorSpec("clayton", 2.0)))
+    data = _write_wide_dataset(tmp_path / "wide.csv")
+    assert main(["curve", demo_files["gb_x"], "--paired", demo_files["gb_y"],
+                 "--out", str(tmp_path / "c.csv")]) == 0
+    assert main(["curve", "--emit-figures", "--out-dir", str(tmp_path / "figs")]) == 0
+    assert main(["simulate", spec, "--count", "2000", "--seed", "1",
+                 "--out", str(tmp_path / "sim.csv")]) == 0
+    assert main(["fit", data, "--boot", "100", "--seed", "1", "--copulas", "clayton",
+                 "--out-dir", str(tmp_path / "fit")]) == 0
+    capsys.readouterr()
+    assert main(["simulate", spec, "--count", "2000", "--seed", "1"]) == 0
+    outputs = {"stdout": capsys.readouterr().out.encode()}
+    outputs.update((p.name, p.read_bytes()) for p in sorted(tmp_path.rglob("*.csv"))
+                   if p.name != "wide.csv")
+    assert len(outputs) == 8
+    for name, raw in outputs.items():
+        assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n"), name
+
+
+def test_fit_subsets_lists_pairs_that_did_not_certify(tmp_path):
+    # componentwise-ordered wire scales make every pair p-larger related, but
+    # the fitted copulas are log-convex and the weibull shape is above 1, so
+    # theorem 1's hypotheses fail and no pair certifies
+    from failsafekit import GeneratorSpec, sample_copula
+    u = sample_copula(GeneratorSpec("clayton", 1.5), 6, 40, seed=3).uniforms
+    mat = np.array([300.0, 310.0, 320.0, 340.0, 350.0, 360.0]) * (-np.log1p(-u)) ** 0.2
+    path = tmp_path / "ordered.csv"
+    path.write_text("\n".join(["w1,w2,w3,w4,w5,w6"]
+                              + [",".join(f"{v:.6f}" for v in row) for row in mat]))
+    out_dir = tmp_path / "out"
+    assert main(["fit", str(path), "--boot", "100", "--seed", "1",
+                 "--subsets", "w1,w2;w3,w4;w5,w6", "--out-dir", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    _validator("fit_report.schema.json").validate(report)
+    rec = report["subsets"]["recommendation"]
+    assert rec["certificates"] == {} and rec["dominates"] == []
+    assert rec["incomparable"] == [["{w3,w4}", "{w5,w6}"]]
+    # every related pair is listed with the checks that failed, none dropped
+    assert rec["unverified"] == {
+        "{w3,w4}>{w1,w2}": ["generator_log_concave", "survival_shape"],
+        "{w5,w6}>{w1,w2}": ["generator_log_concave", "survival_shape"],
+    }
 
 
 def test_fit_deterministic(tmp_path, capsys):

@@ -20,6 +20,7 @@ from failsafekit import (
     sample_copula,
 )
 from failsafekit import fitlab
+from failsafekit.cli import load_dataset_csv
 from failsafekit.demos import load_reference_manifest
 from failsafekit.fitlab import (
     LifetimeDataset,
@@ -28,7 +29,6 @@ from failsafekit.fitlab import (
     fit_copula,
     fixed_shape_weibull_scale,
     frank_tau,
-    load_dataset_csv,
     mle_fit,
     pseudo_observations,
     rank_models,
@@ -663,6 +663,16 @@ def test_nested_chain_recovers_total_order():
     assert rec.incomparable == ()
 
 
+def test_related_pair_that_fails_hypotheses_is_listed_unverified():
+    gen = GeneratorSpec("clayton", 2.0)  # log-convex; theorem 1 needs log-concave
+    systems = {"u": _subset_system((0.2, 0.4, 0.6), gen),
+               "v": _subset_system((0.3, 0.5, 0.7), gen)}
+    rec = recommend_subset(systems)
+    assert rec.certificates == {} and rec.maximal == ("u", "v")
+    assert rec.unverified == {("u", "v"): ("generator_log_concave",)}
+    assert rec.to_json()["unverified"] == {"u>v": ["generator_log_concave"]}
+
+
 def test_incomparable_pair_reported():
     gen = GeneratorSpec("gumbel_barnett", 0.2)
     systems = {"a": _subset_system((0.2, 0.9), gen),
@@ -728,7 +738,6 @@ def test_load_long_format(tmp_path):
     ds = load_dataset_csv(str(path))
     assert set(ds.labels) == {"w1", "w2"}
     assert ds.observations["w1"].size == 6
-    assert ds.groups == ("c1", "c2", "c3")
 
 
 def test_load_wide_format(tmp_path):

@@ -10,6 +10,7 @@ These checks run in a child interpreter, since the test process itself has
 long since imported everything.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -109,3 +110,22 @@ def test_public_names_resolve_once():
     names = failsafekit.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(failsafekit, n)] == []
+
+
+def test_only_the_cli_does_file_io():
+    # the cli owns file I/O; demos reads its bundled manifest through
+    # importlib.resources, which is not the builtin open
+    offenders = []
+    for path in sorted((SRC / "failsafekit").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "open":
+                    offenders.append(f"{path.name}:{node.lineno} calls open")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                         else [a.name for a in node.names])
+                offenders += [f"{path.name}:{node.lineno} imports {n}" for n in names
+                              if n.split(".")[0] in ("csv", "tempfile")]
+    assert offenders == []

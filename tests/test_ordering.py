@@ -21,6 +21,7 @@ from failsafekit import (
     verify_theorem2,
 )
 from failsafekit.demos import clayton_pair, demo_grid, gumbel_barnett_pair
+from failsafekit.ordering import DominanceVerdict, _bracket_crossings
 
 FAST = GridPolicy(curve_points=400)
 
@@ -117,6 +118,63 @@ def test_comparers_reject_different_grids(other):
         compare_curves(c, d)
     with pytest.raises(ValidationError, match="different grids"):
         compare_curves(d, c)
+
+
+def _compare_curves_reference(cx, cy, tol, crossing_gap):
+    """compare_curves as it was written with a fallback branch, kept as the
+    reference its one-branch-per-relation form must reproduce."""
+    xs = cx.xs
+    gap = cx.values - cy.values
+    min_gap, max_gap = float(gap.min()), float(gap.max())
+    if max_gap <= tol and min_gap >= -tol:
+        relation = Relation.TIES_WITHIN_TOL
+        crossings = ()
+    elif min_gap >= -tol:
+        relation = Relation.X_DOMINATES_Y
+        crossings = ()
+    elif max_gap <= tol:
+        relation = Relation.Y_DOMINATES_X
+        crossings = ()
+    else:
+        crossings = _bracket_crossings(xs, gap, crossing_gap)
+        relation = Relation.CROSSING if crossings else (
+            Relation.X_DOMINATES_Y if min_gap >= -crossing_gap else
+            Relation.Y_DOMINATES_X if max_gap <= crossing_gap else
+            Relation.TIES_WITHIN_TOL
+        )
+    return DominanceVerdict(relation, min_gap, max_gap, crossings, xs.size)
+
+
+@pytest.mark.parametrize("tol, crossing_gap", [
+    (GridPolicy.dominance_tol, GridPolicy.crossing_gap),
+    (GridPolicy.crossing_gap, GridPolicy.dominance_tol),  # tolerances swapped
+    (1e-9, 1e-9),
+])
+def test_compare_curves_matches_reference(tol, crossing_gap):
+    # gap entries of magnitude 1e-11 to 1e-7 straddle both tolerances; the
+    # base curve falls by 1e-3 a point, so adding a gap keeps it monotone
+    rng = np.random.default_rng(21)
+    seen = set()
+    for _ in range(2000):
+        m = int(rng.integers(2, 30))
+        xs = np.linspace(0.1, 5.0, m)
+        base = np.linspace(0.9, 0.9 - 1e-3 * (m - 1), m)
+        lo, hi = np.sort(rng.uniform(-11.0, -7.0, 2))
+        signs = np.where(rng.random(m) < rng.choice([0.0, 0.05, 0.5, 0.95, 1.0]), -1.0, 1.0)
+        gap = signs * 10.0 ** rng.uniform(lo, hi, m)
+        cx, cy = SurvivalCurve(xs, base + gap), SurvivalCurve(xs, base)
+        got = compare_curves(cx, cy, tol, crossing_gap)
+        assert got == _compare_curves_reference(cx, cy, tol, crossing_gap)
+        seen.add(got.relation)
+    assert seen == set(Relation)
+
+
+@pytest.mark.parametrize("tol, crossing_gap", [(-1e-10, 1e-8), (1e-10, -1e-8),
+                                               (np.nan, 1e-8), (1e-10, np.nan)])
+def test_compare_curves_rejects_negative_or_nan_tolerances(tol, crossing_gap):
+    c = exp_curve(1.0, np.linspace(0.1, 5.0, 50))
+    with pytest.raises(ValidationError, match="nonnegative"):
+        compare_curves(c, c, tol, crossing_gap)
 
 
 # ----------------------------------------------------- verifier: first

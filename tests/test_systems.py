@@ -275,6 +275,14 @@ def test_survival_curve_validation():
         SurvivalCurve(xs=(2.0, 1.0), values=(0.4, 0.2))  # unsorted grid
 
 
+@pytest.mark.parametrize("values", [(np.nan, 0.5, 0.4), (0.6, np.nan, 0.4), (0.6, 0.5, np.nan)])
+def test_survival_curve_refuses_nan(values):
+    # NaN passes every ordering comparison as False, so a bounds check
+    # written as "reject what lies outside" would let it through
+    with pytest.raises(ValidationError, match="NaN"):
+        SurvivalCurve(xs=(1.0, 2.0, 3.0), values=values)
+
+
 # --------------------------------------------------------------- bounds
 def test_homogeneous_bounds_equal_exact():
     sysd = scale_exp_system(GeneratorSpec("clayton", 2.0), (1.5,) * 4)
