@@ -3,7 +3,9 @@
 Each catalog family supplies the generator psi, its pseudo-inverse phi
 and a closed-form log psi (used wherever psi itself would underflow).
 GeneratorSpec values are immutable and freely shareable across
-concurrent callers; every function here is pure.
+concurrent callers; every function here is pure.  A scalar is evaluated
+as a 1-element array, so it rounds as the same point inside a batch
+(numpy's ``**`` on a 0-d value can round differently from its array loop).
 
 Catalog (theta is the dependence parameter):
 
@@ -91,7 +93,7 @@ class GeneratorSpec:
 
 
 def _as_nonneg_t(t):
-    arr = np.asarray(t, dtype=float)
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(arr < 0.0) or np.any(np.isnan(arr)):
         raise ValidationError("t must be nonnegative")
     return arr
@@ -174,22 +176,22 @@ def _phi(g: GeneratorSpec, arr: np.ndarray) -> np.ndarray:
 def log_psi(g: GeneratorSpec, t):
     """log psi(t), computed in closed form so it never underflows."""
     out = _log_psi(g, _as_nonneg_t(t))
-    return out if np.ndim(t) else float(out)
+    return out if np.ndim(t) else float(out[0])
 
 
 def psi(g: GeneratorSpec, t):
     """Generator value psi(t) in [0, 1]; psi(0) = 1, nonincreasing."""
     out = _psi(g, _as_nonneg_t(t))
-    return out if np.ndim(t) else float(out)
+    return out if np.ndim(t) else float(out[0])
 
 
 def phi(g: GeneratorSpec, u):
     """Pseudo-inverse phi = psi^(-1) on (0, 1]; phi(1) = 0."""
-    arr = np.asarray(u, dtype=float)
+    arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(arr <= 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr)):
         raise ValidationError("u must lie in (0, 1]")
     out = _phi(g, arr)
-    return out if np.ndim(u) else float(out)
+    return out if np.ndim(u) else float(out[0])
 
 
 class LogShape(enum.Enum):

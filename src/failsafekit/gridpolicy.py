@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .models import (BULK_Q_HI, BULK_Q_LO, PROBE_POINTS, SHAPE_TOL, SemiParamModel,
-                     default_x_grid, sp_quantile)
+from .models import BULK_Q_HI, BULK_Q_LO, SHAPE_TOL, SemiParamModel, default_x_grid, sp_quantile
 from .preorders import DEFAULT_TOL
 
 
@@ -23,7 +22,6 @@ class GridPolicy:
     # class constants, the same for every policy, owned by the modules that use them
     q_lo = BULK_Q_LO
     q_hi = BULK_Q_HI
-    shape_x_points = PROBE_POINTS
     shape_tol = SHAPE_TOL
     preorder_tol = DEFAULT_TOL
 
@@ -34,6 +32,8 @@ class GridPolicy:
     def __post_init__(self):
         if self.curve_points < 2:
             raise ValidationError(f"curve_points must be at least 2, got {self.curve_points}")
+        if not (self.dominance_tol >= 0.0 and self.crossing_gap >= 0.0):  # NaN fails too
+            raise ValidationError("dominance and crossing tolerances must be nonnegative")
 
     def curve_grid(self, model: SemiParamModel, *theta_vectors) -> np.ndarray:
         """Log-spaced lifetime grid over the mixture bulk of all components."""

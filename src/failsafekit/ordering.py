@@ -54,21 +54,18 @@ class DominanceVerdict:
 
 
 def compare_curves(
-    cx: SurvivalCurve,
-    cy: SurvivalCurve,
-    tol: float = GridPolicy.dominance_tol,
-    crossing_gap: float = GridPolicy.crossing_gap,
+    cx: SurvivalCurve, cy: SurvivalCurve, policy: GridPolicy | None = None
 ) -> DominanceVerdict:
     """Pointwise verdict on cx vs cy over their (identical) grid.
 
-    Gaps within ``tol`` are ties.  A crossing is reported only when the gap
-    changes sign with magnitude above ``crossing_gap`` on both sides;
-    smaller wiggles leave the dominance verdict standing, X's first.
+    Gaps within ``policy.dominance_tol`` are ties.  A crossing needs the gap
+    to change sign beyond ``policy.crossing_gap`` on both sides; smaller
+    wiggles leave the dominance verdict standing, X's first.
     """
     if not np.array_equal(cx.xs, cy.xs):
         raise ValidationError("curves live on different grids")
-    if not (tol >= 0.0 and crossing_gap >= 0.0):  # NaN fails too
-        raise ValidationError("dominance and crossing tolerances must be nonnegative")
+    policy = policy or GridPolicy()
+    tol, crossing_gap = policy.dominance_tol, policy.crossing_gap
     xs = cx.xs
     gap = cx.values - cy.values  # finite: SurvivalCurve refuses NaN
     min_gap, max_gap = float(gap.min()), float(gap.max())
@@ -185,14 +182,13 @@ def verify(
     shape = classify_log_shape(sysX.generator)
     gen_check, gen_ok = (("generator_log_concave", is_log_concave) if row.log_concave
                          else ("generator_log_convex", is_log_convex))
+    v = (check_dpfr(mx.baseline) if row.sign is None
+         else survival_shape(mx, row.sign, policy.shape_x_grid, policy.shape_tol))
+    # the preorders are defined on positive vectors only; no other check reads theta
     if all(t > 0.0 for t in sysX.theta + sysY.theta):
-        v = (check_dpfr(mx.baseline) if row.sign is None
-             else survival_shape(mx, row.sign, policy.shape_x_grid, policy.shape_tol))
-        shape_ok = (v.holds, v.rule)
         order_ok = (holds(row.preorder, sysX.theta, sysY.theta, policy.preorder_tol),
                     f"{sysX.theta} vs {sysY.theta}")
     else:
-        shape_ok = (False, "nonpositive theta")
         order_ok = (False, f"{row.preorder.value} needs positive thetas")
     checks = (
         HypothesisCheck("shared_generator", sysX.generator == sysY.generator,
@@ -200,15 +196,14 @@ def verify(
         HypothesisCheck("shared_model", mx == my and sysX.n == sysY.n,
                         f"{mx.kind}/n={sysX.n} vs {my.kind}/n={sysY.n}"),
         HypothesisCheck(gen_check, gen_ok(shape), f"shape={shape.shape.value}: {shape.rule}"),
-        HypothesisCheck("survival_shape" if row.sign else "baseline_dpfr", *shape_ok),
+        HypothesisCheck("survival_shape" if row.sign else "baseline_dpfr", v.holds, v.rule),
         HypothesisCheck(row.preorder.value, *order_ok),
     )
     overall = all(c.holds for c in checks)
     if not overall:
         return ConditionReport(route, checks, overall, None)
     xs = policy.curve_grid(mx, sysX.theta, sysY.theta)
-    dominance = compare_curves(curve(sysX, xs), curve(sysY, xs),
-                               policy.dominance_tol, policy.crossing_gap)
+    dominance = compare_curves(curve(sysX, xs), curve(sysY, xs), policy)
     report = ConditionReport(route, checks, overall, dominance)
     if dominance.relation not in (Relation.X_DOMINATES_Y, Relation.TIES_WITHIN_TOL):
         raise InconsistencyError(

@@ -48,7 +48,7 @@ def holds(kind: Preorder, a, b, tol: float = DEFAULT_TOL) -> bool:
     side of ``b``'s, within ``tol``.  Majorization additionally requires
     equal totals.
     """
-    if tol < 0:
+    if not tol >= 0.0:  # NaN fails too
         raise ValidationError("tol must be nonnegative")
     sa, sb = _ascending(a, "a"), _ascending(b, "b")
     if sa.size != sb.size:

@@ -564,13 +564,24 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
     (_FIT + ["--subsets", "w1,w2;w3"], {}, "subsets must share size"),
     (["curve", "{spec}", "--config"], {}, "--config needs a path"),
     (["--config", "{conf}", "curve", "{spec}"], {}, "config must be a JSON object"),
+    (["preorder", "--a", "1,2,3", "--b", "1,2,3", "--tol", "nan"], {},
+     "tol must be nonnegative"),
+    # clayton is log-convex, so theorem 1's hypotheses fail before any curve is compared
+    (["verify", "t1", "{cx}", "{cy}", "--tol-crossing", "-1"], {},
+     "tolerances must be nonnegative"),
+    (["verify", "t1", "{spec}", "{spec}", "--tol-dominance", "nan"], {},
+     "tolerances must be nonnegative"),
 ], ids=["env-seed", "vector-twice", "vector-empty", "vector-non-numeric", "x-range",
         "curve-no-system", "curve-no-out", "subsets-empty-group", "subsets-one-group",
-        "subsets-unequal", "config-no-path", "config-not-object"])
+        "subsets-unequal", "config-no-path", "config-not-object", "preorder-nan-tol",
+        "verify-negative-tol", "verify-nan-tol"])
 def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env, fragment):
     sx, _ = gumbel_barnett_pair()
+    cx, cy = clayton_pair()
     files = {
         "spec": write_system(tmp_path / "s.json", sx),
+        "cx": write_system(tmp_path / "cx.json", cx),
+        "cy": write_system(tmp_path / "cy.json", cy),
         "vec": str(tmp_path / "vec.txt"),
         "conf": str(tmp_path / "conf.json"),
         "data": _write_wide_dataset(tmp_path / "wide.csv", cables=10, wires=4),

@@ -14,6 +14,7 @@ from failsafekit import (
     phi,
     psi,
 )
+from failsafekit.generators import FAMILIES
 
 ALL_SPECS = [
     GeneratorSpec("independence"),
@@ -70,18 +71,21 @@ def test_phi_clayton_inverse_of_psi_example():
     assert phi(GeneratorSpec("clayton", 1.0), 0.5) == pytest.approx(1.0, rel=1e-15)
 
 
+#: family -> a theta interval inside its range, for random generators
+THETA_RANGES = {
+    "clayton": (0.05, 10.0),
+    "gumbel": (1.0, 8.0),
+    "frank": (0.1, 500.0),
+    "amh": (-1.0, 0.95),
+    "gumbel_barnett": (0.05, 1.0),
+    "gumbel_hougaard": (1.05, 6.0),
+}
+
+
 def test_phi_roundtrip_random():
     rng = np.random.default_rng(2023)
-    ranges = {
-        "clayton": (0.05, 10.0),
-        "gumbel": (1.0, 8.0),
-        "frank": (0.1, 500.0),
-        "amh": (-1.0, 0.95),
-        "gumbel_barnett": (0.05, 1.0),
-        "gumbel_hougaard": (1.05, 6.0),
-    }
     count = 0
-    for family, (lo, hi) in ranges.items():
+    for family, (lo, hi) in THETA_RANGES.items():
         for _ in range(170):
             g = GeneratorSpec(family, float(rng.uniform(lo, hi)))
             u = float(rng.uniform(1e-6, 1.0))
@@ -95,6 +99,22 @@ def test_phi_rejects_out_of_range():
     for bad in (0.0, -0.1, 1.0001):
         with pytest.raises(ValidationError):
             phi(g, bad)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_scalar_calls_equal_the_same_point_in_a_batch(family):
+    # numpy's ** on a 0-d value can round differently from its array loop,
+    # so a scalar is evaluated as a 1-element array
+    rng = np.random.default_rng(22)
+    for _ in range(40):
+        g = (GeneratorSpec(family) if family == "independence"
+             else GeneratorSpec(family, float(rng.uniform(*THETA_RANGES[family]))))
+        ts, us = rng.uniform(0.0, 20.0, 25), rng.uniform(1e-6, 1.0, 25)
+        for fn, xs in ((psi, ts), (log_psi, ts), (phi, us)):
+            batch = fn(g, xs)
+            for x, want in zip(xs.tolist(), batch.tolist()):
+                got = fn(g, x)
+                assert type(got) is float and got == want, (fn.__name__, g, x)
 
 
 @pytest.mark.parametrize("g", ALL_SPECS, ids=lambda g: f"{g.family}-{g.theta}")

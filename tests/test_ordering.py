@@ -163,7 +163,7 @@ def test_compare_curves_matches_reference(tol, crossing_gap):
         signs = np.where(rng.random(m) < rng.choice([0.0, 0.05, 0.5, 0.95, 1.0]), -1.0, 1.0)
         gap = signs * 10.0 ** rng.uniform(lo, hi, m)
         cx, cy = SurvivalCurve(xs, base + gap), SurvivalCurve(xs, base)
-        got = compare_curves(cx, cy, tol, crossing_gap)
+        got = compare_curves(cx, cy, GridPolicy(dominance_tol=tol, crossing_gap=crossing_gap))
         assert got == _compare_curves_reference(cx, cy, tol, crossing_gap)
         seen.add(got.relation)
     assert seen == set(Relation)
@@ -172,9 +172,10 @@ def test_compare_curves_matches_reference(tol, crossing_gap):
 @pytest.mark.parametrize("tol, crossing_gap", [(-1e-10, 1e-8), (1e-10, -1e-8),
                                                (np.nan, 1e-8), (1e-10, np.nan)])
 def test_compare_curves_rejects_negative_or_nan_tolerances(tol, crossing_gap):
+    # the policy refuses them when it is built, so no comparison can use them
     c = exp_curve(1.0, np.linspace(0.1, 5.0, 50))
     with pytest.raises(ValidationError, match="nonnegative"):
-        compare_curves(c, c, tol, crossing_gap)
+        compare_curves(c, c, GridPolicy(dominance_tol=tol, crossing_gap=crossing_gap))
 
 
 # ----------------------------------------------------- verifier: first
@@ -209,9 +210,29 @@ def test_verify_nonpositive_theta_fails_shape_and_preorder():
     rep = verify_theorem1(SystemSpec(2, m, (-0.5, 1.0), gen),
                           SystemSpec(2, m, (0.5, 1.0), gen), FAST)
     assert not rep.overall and rep.dominance is None
-    assert rep.check("survival_shape").evidence == "nonpositive theta"
+    # the shape check reads the model alone: location moves up in theta
+    assert rep.check("survival_shape").evidence == (
+        "location: nondecreasing in theta, not nonincreasing")
+    assert rep.check("p_larger").evidence == "p_larger needs positive thetas"
     assert not rep.check("p_larger").holds
     assert rep.check("generator_log_concave").holds
+
+
+def test_verify_nonpositive_theta_fails_only_the_preorder():
+    # location over gen_pareto is DFR and nondecreasing in theta, whatever
+    # theta's sign; only reciprocal majorization needs positive vectors
+    m = SemiParamModel("location", BaselineSpec("gen_pareto", (1.0,)))
+    gen = GeneratorSpec("clayton", 2.0)
+    rep = verify_theorem2(SystemSpec(2, m, (-0.5, 1.0), gen),
+                          SystemSpec(2, m, (0.5, 1.0), gen), FAST)
+    assert not rep.overall and rep.dominance is None
+    shape = rep.check("survival_shape")
+    assert shape.holds
+    assert shape.evidence == "location: nondecreasing in theta; gen_pareto always DFR"
+    order = rep.check("reciprocal_majorize")
+    assert not order.holds
+    assert order.evidence == "reciprocal_majorize needs positive thetas"
+    assert all(c.holds for c in rep.checks if c is not order)
 
 
 def test_verify_mismatched_generator_reported_not_raised():

@@ -137,6 +137,16 @@ def test_survival_matches_direct_leave_one_out_sums(family, n):
         assert survival_x2n(sysd, float(xs[i])) == vals[i]
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_homogeneous_scalar_equals_the_same_point_in_a_batch(family):
+    gen = GeneratorSpec(family, FAMILY_THETAS[family])
+    us = np.random.default_rng(5).uniform(1e-6, 1.0, 400)
+    for n in (2, 3, 5):
+        batch = homogeneous_x2n(gen, us, n)
+        for u, want in zip(us.tolist(), batch.tolist()):
+            assert homogeneous_x2n(gen, u, n) == want, (n, u)
+
+
 def test_nan_marginal_survival_is_refused(monkeypatch):
     # the kernel checks the marginal matrix once and then trusts it, so a
     # NaN marginal must be refused there, not passed on to phi and psi
