@@ -290,6 +290,7 @@ def cmd_fit(args) -> int:
     # only, so the other subcommands start without it
     from .fitlab import (
         BootstrapRangeError,
+        TauRangeError,
         compare_to_reference,
         cvm_gof,
         fixed_shape_weibull_scale,
@@ -318,9 +319,11 @@ def cmd_fit(args) -> int:
             gofs[fam] = cvm_gof(fam, pseudo, boot_n=args.boot, seed=args.seed,
                                 method=args.copula_method)
             report["copula_gof"][fam] = gofs[fam].to_json()
-        except BootstrapRangeError as exc:
+        except (BootstrapRangeError, TauRangeError) as exc:
             print(f"skipped {fam}: {exc}", file=sys.stderr)
-            report["copula_gof"][fam] = {"family": fam, "theta": exc.theta, "skipped": str(exc)}
+            # a data tau outside the family's range leaves no theta to report
+            theta = {"theta": exc.theta} if isinstance(exc, BootstrapRangeError) else {}
+            report["copula_gof"][fam] = {"family": fam, **theta, "skipped": str(exc)}
     preferred = min(gofs, key=lambda fam: gofs[fam].statistic) if gofs else None
     report["preferred_copula"] = preferred
 
@@ -360,9 +363,9 @@ def cmd_fit(args) -> int:
         ]))
         atomic_write(os.path.join(args.out_dir, "copula_gof.csv"), _csv_text(
             [["copula", "theta", "statistic", "p_value"]]
-            + [[fam, g["theta"], g.get("statistic", ""), g.get("p_value", "")]
+            + [[fam, g.get("theta", ""), g.get("statistic", ""), g.get("p_value", "")]
                for fam, g in report["copula_gof"].items()]))
-    # a copula the bootstrap refused leaves a partial report
+    # a copula skipped for its tau or refused by the bootstrap leaves a partial report
     partial = any("skipped" in g for g in report["copula_gof"].values())
     return EXIT_VALIDATION if partial else EXIT_OK
 

@@ -7,22 +7,28 @@ Copula estimation defaults to Kendall-tau inversion (mean pairwise tau
 above two dimensions) with an optional pairwise pseudo-likelihood
 refinement.  Bootstrap replicate b always draws from child seed b of the
 master seed, so goodness-of-fit runs are reproducible as well.  The
-bootstrap ranks its replicates and computes their empirical copulas a
-block at a time (as many replicates as fit a fixed comparison-buffer
-budget), then fits and scores each replicate alone; p-values equal the
+bootstrap turns its replicates' draws into uniforms, ranks them and
+computes their empirical copulas and Kendall tau matrices a block at a
+time (as many replicates as fit a fixed comparison-buffer budget), then
+fits each replicate from its tau and scores it alone; p-values equal the
 one-replicate-at-a-time definition bit for bit.
 
 Average ranks come from one argsort per column, for a whole stack of
 matrices at once: a value whose ties fill sorted positions [s, e) has twice
-its average rank at s + 1 + e.  Kendall tau-b comes from the int8 sign
-tensor S[k, i, j] = sign(x[i, k] - x[j, k]): S S^T / 2 (pairs flattened)
-holds concordant minus discordant pairs for each column pair and the untied
-pairs of each column on its diagonal, which gives tau-b by SciPy's formula.
-Every count is an integer below 2**53, so both match
-``scipy.stats.rankdata`` and ``kendalltau`` bit for bit, without
-scipy.stats.  The empirical copula ANDs one count x count comparison per
-column and counts the hits as integers, so no bootstrap kernel holds a
-count x count x d or a count x count float tensor.
+its average rank at s + 1 + e.  Kendall tau-b comes from the signs
+S[k, p] = sign(x[i, k] - x[j, k]) over the count (count - 1) / 2 upper
+pairs p = (i, j), i < j, of each matrix of a stack: S S^T holds concordant
+minus discordant pairs for each column pair and the untied pairs of each
+column on its diagonal, which gives tau-b by SciPy's formula.  The Gram
+matrix is summed in float64 over chunks of matrices, or of one matrix's
+pairs, whose float signs fit the _TAU_BYTES budget, so no count x count
+sign matrix is formed.  Every count is an integer below 2**53, so both
+match ``scipy.stats.rankdata`` and ``kendalltau`` bit for bit, in any
+chunking and without scipy.stats; the bootstrap passes integer
+twice-ranks, whose signs are those of the values.  The empirical copula
+ANDs one count x count comparison per column and counts the hits as
+integers, so no bootstrap kernel holds a count x count x d or a
+count x count float tensor.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from scipy.special import spence
 from .errors import InconsistencyError, ValidationError
 from .generators import COPULA_FAMILIES, GeneratorSpec, _phi, _psi
 from .gridpolicy import GridPolicy
-from .mcsim import THETA_MAX, sample_copula
+from .mcsim import THETA_MAX, _draw_times, _to_uniforms
 from .models import _FAMILIES, FIT_FAMILIES, BaselineSpec, log_pdf
 from .ordering import ConditionReport, Relation, verify_theorem1
 from .preorders import Preorder, classify
@@ -216,17 +222,41 @@ def rank_models(results) -> ModelRanking:
     return ModelRanking(tuple(entries), tuple(r.aic - base for r in entries))
 
 
-def _kendall_tau_matrix(arr: np.ndarray) -> np.ndarray:
-    """Kendall tau-b of column i (as x) against column j (as y) at [i, j];
-    NaN in the row and column of a constant column, as in SciPy."""
-    cols = np.ascontiguousarray(arr.T)  # strided comparisons run at half speed
-    signs = (cols[:, :, None] > cols[:, None, :]).view(np.int8)
-    signs -= (cols[:, :, None] < cols[:, None, :]).view(np.int8)
-    flat = signs.reshape(cols.shape[0], -1).astype(float)
-    gram = flat @ flat.T / 2.0
-    root = np.sqrt(np.diag(gram))
+@functools.lru_cache(maxsize=8)  # 16 bytes a pair: 8 MB at n = 1000
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), read-only since every caller shares them."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+#: Bytes of the float64 sign buffer of ``_kendall_tau_matrix``: as many
+#: matrices of a stack, or as many of one matrix's pairs, as fit in it.
+_TAU_BYTES = 1 << 20
+
+
+def _kendall_tau_matrix(stack: np.ndarray) -> np.ndarray:
+    """Kendall tau-b of column i (as x) against column j (as y) at [b, i, j],
+    for each count x d matrix b of a (B, count, d) stack; NaN in the row and
+    column of a constant column, as in SciPy."""
+    size, count, d = stack.shape
+    cols = np.ascontiguousarray(stack.swapaxes(1, 2))  # strided takes run slower
+    first, second = _upper_pairs(count)
+    pairs = max(1, _TAU_BYTES // (8 * d))
+    per_chunk = max(1, pairs // max(first.size, 1))
+    gram = np.zeros((size, d, d))
+    for b in range(0, size, per_chunk):
+        x = cols[b:b + per_chunk]
+        for p in range(0, first.size, pairs):
+            # take runs several times faster here than fancy indexing
+            xi = np.take(x, first[p:p + pairs], axis=-1)
+            xj = np.take(x, second[p:p + pairs], axis=-1)
+            signs = ((xi > xj).view(np.int8) - (xi < xj).view(np.int8)).astype(float)
+            # exact integer sums, so the chunking cannot change the result
+            gram[b:b + per_chunk] += signs @ signs.swapaxes(1, 2)
+    root = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
     with np.errstate(invalid="ignore"):
-        return np.clip(gram / root[:, None] / root[None, :], -1.0, 1.0)
+        return np.clip(gram / root[..., :, None] / root[..., None, :], -1.0, 1.0)
 
 
 def _twice_ranks(stack: np.ndarray) -> np.ndarray:
@@ -301,19 +331,29 @@ def frank_tau(theta: float) -> float:
             + 4.0 * (math.pi ** 2 / 6.0 - float(spence(e))) / (theta * theta))
 
 
+class TauRangeError(ValidationError):
+    """A Kendall tau outside the range of a catalog family; carries the
+    ``family`` and ``tau``."""
+
+    def __init__(self, family: str, tau: float):
+        name = "frank (positive range)" if family == "frank" else family
+        super().__init__(f"{name} cannot attain tau={tau:.4f}")
+        self.family, self.tau = family, tau
+
+
 def tau_to_theta(family: str, tau: float) -> float:
     """Invert the tau(theta) relation of one catalog family."""
     if family == "clayton":
         if not 0.0 < tau < 1.0:
-            raise ValidationError(f"clayton cannot attain tau={tau:.4f}")
+            raise TauRangeError(family, tau)
         return 2.0 * tau / (1.0 - tau)
     if family == "gumbel":
         if not 0.0 <= tau < 1.0:
-            raise ValidationError(f"gumbel cannot attain tau={tau:.4f}")
+            raise TauRangeError(family, tau)
         return 1.0 / (1.0 - tau)
     if family == "frank":
         if not 0.0 < tau < 1.0:
-            raise ValidationError(f"frank (positive range) cannot attain tau={tau:.4f}")
+            raise TauRangeError(family, tau)
         # tau(theta) <= theta/9 (the series' leading term) and tau(theta) >= 1 - 4/theta
         # (the Debye integral is positive), so [8 tau, 8/(1 - tau)] brackets every
         # float tau in (0, 1)
@@ -352,14 +392,6 @@ def _bivariate_log_density(family: str, theta: float, u: np.ndarray, v: np.ndarr
         return log_pp - log_p(pu) - log_p(pv)
 
 
-@functools.cache
-def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(d, 1), read-only since every caller shares them."""
-    rows, cols = np.triu_indices(d, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
 def fit_copula(family: str, pseudo, method: str = "tau") -> float:
     """Estimate the dependence parameter from pseudo-observations.
 
@@ -374,16 +406,17 @@ def fit_copula(family: str, pseudo, method: str = "tau") -> float:
         raise ValidationError("pseudo-observations must lie strictly in (0, 1)")
     if family not in COPULA_FAMILIES:
         raise ValidationError(f"copula family must be one of {COPULA_FAMILIES}")
-    return _fit_theta(family, arr, method)
-
-
-def _fit_theta(family: str, arr: np.ndarray, method: str) -> float:
-    """``fit_copula`` on a count x d float array already known to lie in
-    (0, 1), for a catalog family."""
-    taus = _kendall_tau_matrix(arr)
+    taus = _kendall_tau_matrix(arr[None])[0]
     constant = np.flatnonzero(np.isnan(np.diag(taus)))
     if constant.size:
         raise ValidationError(f"column {constant[0]} is constant")
+    return _theta_from_taus(family, taus, arr, method)
+
+
+def _theta_from_taus(family: str, taus: np.ndarray, arr: np.ndarray, method: str) -> float:
+    """``fit_copula`` for a catalog family, given the Kendall tau matrix of
+    its count x d array ``arr``, which lies in (0, 1) and has no constant
+    column."""
     d = arr.shape[1]
     theta0 = tau_to_theta(family, float(np.mean(taus[_upper_pairs(d)])))
     if method == "tau":
@@ -471,10 +504,11 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
     """Cramer-von Mises distance to the fitted copula, with a parametric
     bootstrap p-value (theta refitted in every replicate).
 
-    Replicate b is sampled from child seed b.  Replicates are ranked and
-    their empirical copulas computed a block at a time, then fitted and
-    scored one by one, so the result equals a loop over replicates bit
-    for bit.
+    Replicate b is drawn from child seed b.  A block of draws is turned
+    into uniforms by one checked psi call, ranked, and given its empirical
+    copulas and Kendall tau matrices at once; each replicate is then
+    fitted from its tau and scored alone, so the result equals a loop over
+    replicates bit for bit.
     """
     if boot_n < 100:
         raise ValidationError("boot_n must be at least 100")
@@ -492,13 +526,16 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
     small = np.min_scalar_type(2 * count + 1)
     exceed = out_of_range = 0
     for start in range(0, boot_n, block):
-        samples = [sample_copula(g, d, count, int(s)).uniforms
-                   for s in child_seeds[start:start + block]]
-        twice = _twice_ranks(np.stack(samples))
-        cn = empirical_copula(twice.astype(small))
-        for ps, cn_b in zip(twice / 2.0 / (count + 1.0), cn):
+        times = np.stack([_draw_times(g, d, count, int(s))
+                          for s in child_seeds[start:start + block]])
+        twice = _twice_ranks(_to_uniforms(g, times))
+        narrow = twice.astype(small)
+        cn = empirical_copula(narrow)
+        # signs of ranks are the signs of the values
+        taus = _kendall_tau_matrix(narrow)
+        for ps, cn_b, taus_b in zip(twice / 2.0 / (count + 1.0), cn, taus):
             try:
-                theta_b = _fit_theta(family, ps, method)
+                theta_b = _theta_from_taus(family, taus_b, ps, method)
             except ValidationError:
                 # replicate tau outside range: score as extreme misfit
                 exceed += 1

@@ -24,6 +24,13 @@ row's V underflows or overflows with probability about exp(-708/theta):
 double; gumbel's measured rate is lower), 8e-4 at 100 and 3e-2 at 200.
 Such a row degenerates, so both stop at 50.  Frank's logarithmic-series
 frailty outgrows float64 above 700.
+
+``sample_copula`` is a per-seed draw, which makes every RNG call and
+returns E / V (E alone where there is no frailty: independence, gumbel at
+theta = 1, amh at theta = 0), followed by an elementwise transform, psi
+(or exp(-t)) and then the clip into (0, 1).  The transform of a stack of
+draws equals each draw's own, so the CvM bootstrap draws its replicates
+seed by seed and transforms a block of them with one checked psi call.
 """
 
 from __future__ import annotations
@@ -83,8 +90,15 @@ def _sample_log_series(r: float, count: int, rng) -> np.ndarray:
     return out
 
 
-def sample_copula(g: GeneratorSpec, n: int, count: int, seed: int) -> SampleBatch:
-    """Draw count rows of n dependent uniforms with copula generator g."""
+def _no_frailty(g: GeneratorSpec) -> bool:
+    """True where g's uniforms are exp(-E) alone: independence, gumbel at
+    theta = 1 and amh at theta = 0."""
+    return g.family == "independence" or (g.family, g.theta) in (("gumbel", 1.0), ("amh", 0.0))
+
+
+def _draw_times(g: GeneratorSpec, n: int, count: int, seed: int) -> np.ndarray:
+    """The count x n generator arguments E / V of one seed, or E where g has
+    no frailty; ``_to_uniforms`` turns them into uniforms."""
     if n < 1 or count < 1:
         raise ValidationError("n and count must be positive")
     limit = THETA_MAX.get(g.family)
@@ -95,12 +109,12 @@ def sample_copula(g: GeneratorSpec, n: int, count: int, seed: int) -> SampleBatc
         )
     rng = _rng(seed)
     e = rng.exponential(size=(count, n))
-    v = None  # no frailty: independent uniforms
+    if _no_frailty(g):
+        return e
     if g.family == "clayton":
         v = rng.gamma(shape=1.0 / g.theta, scale=g.theta, size=count)
     elif g.family == "gumbel":
-        if g.theta != 1.0:
-            v = _sample_positive_stable(1.0 / g.theta, count, rng)
+        v = _sample_positive_stable(1.0 / g.theta, count, rng)
     elif g.family == "frank":
         v = _sample_log_series(-g.theta, count, rng)
     elif g.family == "amh":
@@ -109,16 +123,26 @@ def sample_copula(g: GeneratorSpec, n: int, count: int, seed: int) -> SampleBatc
                 "amh with negative dependence has no positive frailty; "
                 "use the analytic survival path instead"
             )
-        if g.theta != 0.0:
-            v = 1.0 + np.floor(np.log(rng.random(count)) / np.log(g.theta))
-    elif g.family != "independence":
+        v = 1.0 + np.floor(np.log(rng.random(count)) / np.log(g.theta))
+    else:
         raise UnsupportedGeneratorError(
             f"{g.family} is not completely monotone: no frailty sampler exists; "
             "use the analytic survival path instead"
         )
-    u = np.exp(-e) if v is None else psi(g, e / v[:, None])
+    return e / v[:, None]
+
+
+def _to_uniforms(g: GeneratorSpec, times: np.ndarray) -> np.ndarray:
+    """Uniforms from ``_draw_times`` output of any shape, elementwise, so a
+    stack of draws transforms as each draw alone; psi checks its argument."""
+    u = np.exp(-times) if _no_frailty(g) else psi(g, times)
     # keep uniforms strictly inside (0, 1) for downstream inversion
-    u = np.clip(u, 1e-15, 1.0 - 1e-16)
+    return np.clip(u, 1e-15, 1.0 - 1e-16)
+
+
+def sample_copula(g: GeneratorSpec, n: int, count: int, seed: int) -> SampleBatch:
+    """Draw count rows of n dependent uniforms with copula generator g."""
+    u = _to_uniforms(g, _draw_times(g, n, count, seed))
     return SampleBatch(uniforms=u, seed=int(seed), generator=g)
 
 

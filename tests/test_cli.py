@@ -529,6 +529,32 @@ def test_fit_keeps_the_other_copulas_when_one_is_refused(tmp_path, capsys):
     assert report["preferred_copula"] == min(scored, key=scored.get)
 
 
+def test_fit_skips_a_copula_whose_tau_is_out_of_range(tmp_path, capsys):
+    # the two columns' Kendall tau is exactly 0: gumbel attains it at
+    # theta = 1, clayton and frank do not, and the report keeps gumbel
+    order = [1, 2, 7, 8, 6, 5, 4, 3]
+    path = tmp_path / "untied.csv"
+    path.write_text("\n".join(["w1,w2"] + [f"{300 + 10 * k}.5,{300 + 10 * j}.25"
+                                            for k, j in enumerate(order, 1)]))
+    out_dir = tmp_path / "out"
+    assert main(["fit", str(path), "--boot", "100", "--seed", "1",
+                 "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "skipped clayton: clayton cannot attain tau=0.0000" in err
+    assert "skipped frank: frank (positive range) cannot attain tau=0.0000" in err
+    assert "Traceback" not in err
+    report = json.loads((out_dir / "report.json").read_text())
+    _validator("fit_report.schema.json").validate(report)
+    gof = report["copula_gof"]
+    for fam in ("clayton", "frank"):
+        assert set(gof[fam]) == {"family", "skipped"}
+    assert gof["gumbel"]["theta"] == 1.0 and 0.0 <= gof["gumbel"]["p_value"] <= 1.0
+    assert report["preferred_copula"] == "gumbel"
+    assert [e["family"] for e in report["marginal_fits"]["ranking"]]
+    rows = (out_dir / "copula_gof.csv").read_text().splitlines()
+    assert rows[1] == "clayton,,," and rows[3] == "frank,,,"
+
+
 # ---------------------------------------------------------------- config
 def test_config_supplies_defaults_flags_override(tmp_path):
     conf = tmp_path / "conf.json"

@@ -243,28 +243,51 @@ def test_batched_ranks_refuse_the_first_failing_matrix():
         fitlab._twice_ranks(stack)
 
 
+def _tau_budgets(d):
+    """The default sign-buffer budget, and one of 128 pairs: several small
+    matrices per chunk, then a partial chunk, and a larger matrix's pairs
+    in chunks, the last one partial."""
+    return (fitlab._TAU_BYTES, 8 * d * 128)
+
+
 @pytest.mark.parametrize("tied", [False, True])
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_kendall_tau_matrix_equals_kendalltau_bitwise(d, tied):
+def test_kendall_tau_matrix_equals_kendalltau_bitwise(d, tied, monkeypatch):
     rng = np.random.default_rng(10 * d + tied)
     for m in (2, 3, 11, 60, 203):
-        x = _random_matrix(rng, m, d, tied)
-        tau = _kendall_tau_matrix(x)
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    ref = stats.kendalltau(x[:, i], x[:, j]).statistic
-                    assert float(tau[i, j]).hex() == float(ref).hex(), (m, i, j)
+        stack = np.stack([_random_matrix(rng, m, d, tied) for _ in range(5)])
+        ref = np.full((5, d, d), np.nan)
+        for b, i, j in np.ndindex(5, d, d):
+            if i != j:
+                ref[b, i, j] = stats.kendalltau(stack[b, :, i], stack[b, :, j]).statistic
+        for budget in _tau_budgets(d):
+            monkeypatch.setattr(fitlab, "_TAU_BYTES", budget)
+            taus = _kendall_tau_matrix(stack)
+            assert taus.shape == (5, d, d)
+            off = ~np.eye(d, dtype=bool)
+            assert ([float(t).hex() for t in taus[:, off].ravel()]
+                    == [float(t).hex() for t in ref[:, off].ravel()]), m
+            for x, tau in zip(stack, taus):
+                assert _kendall_tau_matrix(x[None]).tobytes() == tau.tobytes()
+            if np.all(np.ptp(stack, axis=1) > 0.0):
+                # signs of narrow integer twice-ranks are the signs of the values
+                twice = fitlab._twice_ranks(stack).astype(np.uint16)
+                assert _kendall_tau_matrix(twice).tobytes() == taus.tobytes()
 
 
-def test_kendall_tau_matrix_constant_column_is_nan():
-    x = np.random.default_rng(8).normal(size=(30, 4))
-    x[:, 2] = 1.5
-    tau = _kendall_tau_matrix(x)
-    assert np.all(np.isnan(tau[2])) and np.all(np.isnan(tau[:, 2]))
-    assert np.isnan(stats.kendalltau(x[:, 0], x[:, 2]).statistic)
-    ref = stats.kendalltau(x[:, 0], x[:, 3]).statistic
-    assert float(tau[0, 3]).hex() == float(ref).hex()
+def test_kendall_tau_matrix_constant_column_is_nan(monkeypatch):
+    rng = np.random.default_rng(8)
+    stack = rng.normal(size=(3, 30, 4))
+    stack[1, :, 2] = 1.5
+    for budget in _tau_budgets(4):
+        monkeypatch.setattr(fitlab, "_TAU_BYTES", budget)
+        taus = _kendall_tau_matrix(stack)
+        assert not np.any(np.isnan(taus[[0, 2]]))
+        x, tau = stack[1], taus[1]
+        assert np.all(np.isnan(tau[2])) and np.all(np.isnan(tau[:, 2]))
+        assert np.isnan(stats.kendalltau(x[:, 0], x[:, 2]).statistic)
+        ref = stats.kendalltau(x[:, 0], x[:, 3]).statistic
+        assert float(tau[0, 3]).hex() == float(ref).hex()
 
 
 # ------------------------------------------------------------ copula fit
@@ -599,10 +622,11 @@ def test_cvm_equals_one_replicate_at_a_time(family, theta, d, method, monkeypatc
 
 
 def test_cvm_memory_is_bounded_at_large_count():
-    # at m = 1000 the block is one replicate; the peak is one Kendall tau's
-    # (d, m, m) float sign matrix, 16 MB, plus its int8 signs: 18.05 MB while
-    # the bootstrap ran one replicate at a time, which the block may raise by
-    # at most its comparison-buffer budget
+    # at m = 1000 the block is one replicate.  The peak, 13.3 MB, is the
+    # cached upper-pair indices (two int64 arrays of 499 500, 8 MB) plus
+    # the Kendall tau kernel's pair chunks, whose float signs its budget
+    # caps at 1 MiB.  The bound is the 18.05 MB of the (d, m, m) float sign
+    # matrix that tau needed before, raised by the comparison-buffer budget
     ps = pseudo_observations(sample_copula(GeneratorSpec("clayton", 1.5), 2, 1000, 4).uniforms)
     tracemalloc.start()
     try:
@@ -617,7 +641,7 @@ def test_cvm_counts_out_of_range_replicates(monkeypatch):
     # near-independent clayton: many replicates refit a tau <= 0
     u = sample_copula(GeneratorSpec("clayton", 0.05), 2, 30, seed=9).uniforms
     raises = []
-    real_fit = fitlab._fit_theta  # the replicates' fit; fit_copula wraps it
+    real_fit = fitlab._theta_from_taus  # the replicates' fit; fit_copula calls it too
 
     def counting_fit(*args, **kwargs):
         try:
@@ -626,7 +650,7 @@ def test_cvm_counts_out_of_range_replicates(monkeypatch):
             raises.append(1)
             raise
 
-    monkeypatch.setattr(fitlab, "_fit_theta", counting_fit)
+    monkeypatch.setattr(fitlab, "_theta_from_taus", counting_fit)
     res = cvm_gof("clayton", pseudo_observations(u), boot_n=100, seed=9)
     assert res.out_of_range == len(raises) > 0
     assert res.to_json()["out_of_range"] == res.out_of_range

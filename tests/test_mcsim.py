@@ -21,7 +21,13 @@ from failsafekit import (
     survival_x2n,
 )
 from failsafekit.fitlab import frank_tau
-from failsafekit.mcsim import THETA_MAX, _sample_log_series, _sample_positive_stable
+from failsafekit.mcsim import (
+    THETA_MAX,
+    _draw_times,
+    _sample_log_series,
+    _sample_positive_stable,
+    _to_uniforms,
+)
 
 N_BIG = 100_000
 
@@ -111,6 +117,20 @@ def test_power_frailty_samplers_at_theta_max(family, tau):
     assert np.all((u > 0.0) & (u < 1.0))
     assert stats.kstest(u[:, 0], "uniform").pvalue > 0.001
     assert stats.kendalltau(u[:, 0], u[:, 1]).statistic == pytest.approx(tau, abs=0.01)
+
+
+@pytest.mark.parametrize("family,theta", [
+    ("clayton", 1.5), ("gumbel", 1.0), ("gumbel", 1.7), ("frank", 4.0), ("frank", 600.0),
+])
+def test_block_transform_equals_sample_copula_per_seed(family, theta):
+    # uniforms of a stack of per-seed draws, transformed at once, are each
+    # seed's sample_copula batch, byte for byte; 7 x 13 x 3 leaves partial
+    # SIMD vectors in every elementwise kernel
+    g = GeneratorSpec(family, theta)
+    seeds = np.random.SeedSequence(4).generate_state(7, dtype=np.uint64)
+    block = _to_uniforms(g, np.stack([_draw_times(g, 3, 13, int(s)) for s in seeds]))
+    for u, s in zip(block, seeds):
+        assert u.tobytes() == sample_copula(g, 3, 13, int(s)).uniforms.tobytes()
 
 
 def test_positive_stable_laplace_transform():
