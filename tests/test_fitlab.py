@@ -254,6 +254,7 @@ def _tau_budgets(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_kendall_tau_matrix_equals_kendalltau_bitwise(d, tied, monkeypatch):
     rng = np.random.default_rng(10 * d + tied)
+    off = ~np.eye(d, dtype=bool)
     for m in (2, 3, 11, 60, 203):
         stack = np.stack([_random_matrix(rng, m, d, tied) for _ in range(5)])
         ref = np.full((5, d, d), np.nan)
@@ -264,7 +265,6 @@ def test_kendall_tau_matrix_equals_kendalltau_bitwise(d, tied, monkeypatch):
             monkeypatch.setattr(fitlab, "_TAU_BYTES", budget)
             taus = _kendall_tau_matrix(stack)
             assert taus.shape == (5, d, d)
-            off = ~np.eye(d, dtype=bool)
             assert ([float(t).hex() for t in taus[:, off].ravel()]
                     == [float(t).hex() for t in ref[:, off].ravel()]), m
             for x, tau in zip(stack, taus):

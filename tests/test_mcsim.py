@@ -124,8 +124,8 @@ def test_power_frailty_samplers_at_theta_max(family, tau):
 ])
 def test_block_transform_equals_sample_copula_per_seed(family, theta):
     # uniforms of a stack of per-seed draws, transformed at once, are each
-    # seed's sample_copula batch, byte for byte; 7 x 13 x 3 leaves partial
-    # SIMD vectors in every elementwise kernel
+    # seed's sample_copula batch, byte for byte; a 13 x 3 draw is 39 values,
+    # so SIMD lanes split the stack differently from a single draw
     g = GeneratorSpec(family, theta)
     seeds = np.random.SeedSequence(4).generate_state(7, dtype=np.uint64)
     block = _to_uniforms(g, np.stack([_draw_times(g, 3, 13, int(s)) for s in seeds]))
