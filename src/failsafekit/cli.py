@@ -99,8 +99,14 @@ def load_dataset_csv(path: str):
     rows = list(csv.reader(io.StringIO(_read_text(path, "dataset"), newline="")))
     if len(rows) < 2:
         raise ValidationError("dataset CSV has no data rows")
-    header = [h.strip().lower() for h in rows[0]]
-    if set(header) == {"cable", "wire", "strength"}:
+    names = [name.strip() for name in rows[0]]
+    header = [name.lower() for name in names]
+    long_format = set(header) == {"cable", "wire", "strength"}
+    keys = header if long_format else names
+    repeated = next((key for i, key in enumerate(keys) if key in keys[:i]), None)
+    if repeated is not None:
+        raise ValidationError(f"dataset CSV header repeats column {repeated!r}")
+    if long_format:
         iw, iv = header.index("wire"), header.index("strength")
         obs: dict[str, list[float]] = {}
         for row in rows[1:]:
@@ -113,8 +119,7 @@ def load_dataset_csv(path: str):
             obs.setdefault(row[iw].strip(), []).append(value)
         return LifetimeDataset(obs)
     # wide: every column is a component
-    obs = {name.strip(): [] for name in rows[0]}
-    names = [name.strip() for name in rows[0]]
+    obs = {name: [] for name in names}
     for row in rows[1:]:
         if not row or all(not c.strip() for c in row):
             continue
@@ -446,12 +451,24 @@ def _build_parser(conf: dict | None = None) -> argparse.ArgumentParser:
 
 
 def _load_config(argv: list[str]) -> dict:
-    if "--config" not in argv:
+    """The flag defaults of ``--config PATH`` or ``--config=PATH``.  An
+    abbreviation such as ``--conf`` before the subcommand is refused:
+    argparse would take it for --config, which only this function reads."""
+    path, top = None, True  # top: no subcommand seen yet
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag == "--config":
+            path = value if eq else next(tokens, "")
+            if not path:
+                raise ValidationError("--config needs a path")
+        elif top and len(flag) > 2 and "--config".startswith(flag):
+            raise ValidationError(f"write --config in full, not {flag}")
+        elif not token.startswith("-"):
+            top = False
+    if path is None:
         return {}
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValidationError("--config needs a path")
-    conf = read_json(argv[idx + 1], "config")
+    conf = read_json(path, "config")
     if not isinstance(conf, dict):
         raise ValidationError("config must be a JSON object of flag defaults")
     return conf

@@ -16,16 +16,18 @@ one-replicate-at-a-time definition bit for bit.
 Average ranks come from one argsort per column, for a whole stack of
 matrices at once: a value whose ties fill sorted positions [s, e) has twice
 its average rank at s + 1 + e.  Kendall tau-b comes from the signs
-S[k, p] = sign(x[i, k] - x[j, k]) over the count (count - 1) / 2 upper
-pairs p = (i, j), i < j, of each matrix of a stack: S S^T holds concordant
+S[k, p] = sign(x[i, k] - x[j, k]) over the count (count - 1) / 2 pairs
+p = {i, j} of points of each matrix of a stack: S S^T holds concordant
 minus discordant pairs for each column pair and the untied pairs of each
-column on its diagonal, which gives tau-b by SciPy's formula.  The Gram
-matrix is summed in float64 over chunks of matrices, or of one matrix's
-pairs, whose float signs fit the _TAU_BYTES budget, so no count x count
-sign matrix is formed.  Every count is an integer below 2**53, so both
-match ``scipy.stats.rankdata`` and ``kendalltau`` bit for bit, in any
-chunking and without scipy.stats; the bootstrap passes integer
-twice-ranks, whose signs are those of the values.  The empirical copula
+column on its diagonal, which gives tau-b by SciPy's formula.  The pairs
+are the circular lags (i, i + k mod count), 0 < k <= count / 2, read as
+strided windows of the columns laid twice end to end, and the Gram matrix
+is summed in float64 over passes of as many lags as the _BLOCK_BYTES
+comparison budget holds, so no pair index or count x count sign matrix is
+stored.  Every count is an integer below 2**53, so both match
+``scipy.stats.rankdata`` and ``kendalltau`` bit for bit, in any chunking
+and without scipy.stats; the bootstrap passes integer twice-ranks, whose
+signs are those of the values.  The empirical copula
 ANDs one count x count comparison per column and counts the hits as
 integers, so no bootstrap kernel holds a count x count x d or a
 count x count float tensor.
@@ -33,12 +35,12 @@ count x count float tensor.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import optimize
 from scipy.special import spence
 
@@ -222,17 +224,11 @@ def rank_models(results) -> ModelRanking:
     return ModelRanking(tuple(entries), tuple(r.aic - base for r in entries))
 
 
-@functools.lru_cache(maxsize=8)  # 16 bytes a pair: 8 MB at n = 1000
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, 1), read-only since every caller shares them."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-#: Bytes of the float64 sign buffer of ``_kendall_tau_matrix``: as many
-#: matrices of a stack, or as many of one matrix's pairs, as fit in it.
-_TAU_BYTES = 1 << 20
+#: Comparisons one pass of the bootstrap may hold: the (B, count, count)
+#: empirical-copula buffer sets the block size B (22 replicates at
+#: count = 108, one from count = 363 up), and the Kendall tau kernel compares
+#: as many lag rows at once as fit it.
+_BLOCK_BYTES = 1 << 18
 
 
 def _kendall_tau_matrix(stack: np.ndarray) -> np.ndarray:
@@ -240,20 +236,24 @@ def _kendall_tau_matrix(stack: np.ndarray) -> np.ndarray:
     for each count x d matrix b of a (B, count, d) stack; NaN in the row and
     column of a constant column, as in SciPy."""
     size, count, d = stack.shape
-    cols = np.ascontiguousarray(stack.swapaxes(1, 2))  # strided takes run slower
-    first, second = _upper_pairs(count)
-    pairs = max(1, _TAU_BYTES // (8 * d))
-    per_chunk = max(1, pairs // max(first.size, 1))
+    cols = np.ascontiguousarray(stack.swapaxes(1, 2))
+    points = cols[:, :, None, :]
+    # lags[:, :, k, i] is point (i + k) mod count, so lags 1 .. count // 2
+    # pair every two points once, except that an even count's last lag pairs
+    # each point of its first half with one of its second half twice
+    lags = sliding_window_view(np.concatenate([cols, cols], axis=-1), count, axis=-1)
+    half = count // 2
+    step = max(1, _BLOCK_BYTES // (size * d * count))
     gram = np.zeros((size, d, d))
-    for b in range(0, size, per_chunk):
-        x = cols[b:b + per_chunk]
-        for p in range(0, first.size, pairs):
-            # take runs several times faster here than fancy indexing
-            xi = np.take(x, first[p:p + pairs], axis=-1)
-            xj = np.take(x, second[p:p + pairs], axis=-1)
-            signs = ((xi > xj).view(np.int8) - (xi < xj).view(np.int8)).astype(float)
-            # exact integer sums, so the chunking cannot change the result
-            gram[b:b + per_chunk] += signs @ signs.swapaxes(1, 2)
+    for k in range(1, half + 1, step):
+        rows = lags[:, :, k:min(k + step, half + 1)]
+        signs = ((points > rows).view(np.int8) - (points < rows).view(np.int8)).astype(float)
+        if k + step > half and count % 2 == 0:
+            signs[:, :, -1, half:] = 0.0  # the second copy of each half-lag pair
+        signs = signs.reshape(size, d, -1)
+        # exact integer sums, so the chunking cannot change the result
+        gram += signs @ signs.swapaxes(1, 2)
+        del signs  # so the next pass does not hold two passes' signs
     root = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
     with np.errstate(invalid="ignore"):
         return np.clip(gram / root[..., :, None] / root[..., None, :], -1.0, 1.0)
@@ -402,6 +402,8 @@ def fit_copula(family: str, pseudo, method: str = "tau") -> float:
     arr = np.asarray(pseudo, dtype=float)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValidationError("pseudo-observations must be count x d with d >= 2")
+    if arr.shape[0] < 2:
+        raise ValidationError("need a count x d matrix with count >= 2")
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValidationError("pseudo-observations must lie strictly in (0, 1)")
     if family not in COPULA_FAMILIES:
@@ -410,20 +412,20 @@ def fit_copula(family: str, pseudo, method: str = "tau") -> float:
     constant = np.flatnonzero(np.isnan(np.diag(taus)))
     if constant.size:
         raise ValidationError(f"column {constant[0]} is constant")
-    return _theta_from_taus(family, taus, arr, method)
+    return _theta_from_taus(family, taus, arr, method, np.triu_indices(arr.shape[1], 1))
 
 
-def _theta_from_taus(family: str, taus: np.ndarray, arr: np.ndarray, method: str) -> float:
+def _theta_from_taus(family: str, taus: np.ndarray, arr: np.ndarray, method: str,
+                     upper: tuple) -> float:
     """``fit_copula`` for a catalog family, given the Kendall tau matrix of
     its count x d array ``arr``, which lies in (0, 1) and has no constant
-    column."""
-    d = arr.shape[1]
-    theta0 = tau_to_theta(family, float(np.mean(taus[_upper_pairs(d)])))
+    column, and ``upper = np.triu_indices(d, 1)``."""
+    theta0 = tau_to_theta(family, float(np.mean(taus[upper])))
     if method == "tau":
         return theta0
     if method != "pseudo_likelihood":
         raise ValidationError("method must be 'tau' or 'pseudo_likelihood'")
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    pairs = list(zip(*upper))
     lo = {"clayton": 1e-6, "gumbel": 1.0 + 1e-9, "frank": 1e-6}[family]
 
     def neg(theta):
@@ -482,12 +484,6 @@ class GofResult:
         return asdict(self)
 
 
-#: Bytes of the (B, count, count) comparison buffer that sets the bootstrap
-#: block size B: 22 replicates at count = 108, and one from count = 363 up,
-#: so a large fit holds no more than one replicate's buffer, as before.
-_BLOCK_BYTES = 1 << 18
-
-
 class BootstrapRangeError(ValidationError):
     """The parametric bootstrap cannot sample the copula fitted to the data;
     carries the ``family`` and fitted ``theta``."""
@@ -524,6 +520,7 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
     # comparisons of narrow integers run about four times faster than of
     # floats, and twice-ranks order the points as the ranks do
     small = np.min_scalar_type(2 * count + 1)
+    upper = np.triu_indices(d, 1)
     exceed = out_of_range = 0
     for start in range(0, boot_n, block):
         times = np.stack([_draw_times(g, d, count, int(s))
@@ -535,7 +532,7 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
         taus = _kendall_tau_matrix(narrow)
         for ps, cn_b, taus_b in zip(twice / 2.0 / (count + 1.0), cn, taus):
             try:
-                theta_b = _theta_from_taus(family, taus_b, ps, method)
+                theta_b = _theta_from_taus(family, taus_b, ps, method, upper)
             except ValidationError:
                 # replicate tau outside range: score as extreme misfit
                 exceed += 1

@@ -568,6 +568,9 @@ def test_config_supplies_defaults_flags_override(tmp_path):
     assert main(["--config", str(conf), "curve", spec, "--x-min", "0.1",
                  "--x-max", "2.0", "--points", "11", "--out", str(out)]) == 0
     assert len(out.read_text().strip().splitlines()) == 12
+    assert main([f"--config={conf}", "curve", spec, "--x-min", "0.1",
+                 "--x-max", "2.0", "--out", str(out)]) == 0
+    assert len(out.read_text().strip().splitlines()) == 38
 
 
 # ------------------------------------------------------- exit codes, defaults
@@ -589,6 +592,7 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
     (_FIT + ["--subsets", "w1,w2"], {}, "needs at least two groups"),
     (_FIT + ["--subsets", "w1,w2;w3"], {}, "subsets must share size"),
     (["curve", "{spec}", "--config"], {}, "--config needs a path"),
+    (["--conf", "{conf}", "curve", "{spec}"], {}, "write --config in full, not --conf"),
     (["--config", "{conf}", "curve", "{spec}"], {}, "config must be a JSON object"),
     (["preorder", "--a", "1,2,3", "--b", "1,2,3", "--tol", "nan"], {},
      "tol must be nonnegative"),
@@ -599,8 +603,8 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
      "tolerances must be nonnegative"),
 ], ids=["env-seed", "vector-twice", "vector-empty", "vector-non-numeric", "x-range",
         "curve-no-system", "curve-no-out", "subsets-empty-group", "subsets-one-group",
-        "subsets-unequal", "config-no-path", "config-not-object", "preorder-nan-tol",
-        "verify-negative-tol", "verify-nan-tol"])
+        "subsets-unequal", "config-no-path", "config-abbreviated", "config-not-object",
+        "preorder-nan-tol", "verify-negative-tol", "verify-nan-tol"])
 def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env, fragment):
     sx, _ = gumbel_barnett_pair()
     cx, cy = clayton_pair()

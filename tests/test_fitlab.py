@@ -244,10 +244,12 @@ def test_batched_ranks_refuse_the_first_failing_matrix():
 
 
 def _tau_budgets(d):
-    """The default sign-buffer budget, and one of 128 pairs: several small
-    matrices per chunk, then a partial chunk, and a larger matrix's pairs
-    in chunks, the last one partial."""
-    return (fitlab._TAU_BYTES, 8 * d * 128)
+    """The default comparison budget, and one of seven lag rows of one
+    count-60 matrix: a stack of five such matrices then compares one lag at
+    a time, the half lag alone in the last pass, and one matrix ends in a
+    partial pass of lags 29 and 30; at count 203 the last pass is lag 101
+    alone."""
+    return (fitlab._BLOCK_BYTES, 7 * d * 60)
 
 
 @pytest.mark.parametrize("tied", [False, True])
@@ -262,7 +264,7 @@ def test_kendall_tau_matrix_equals_kendalltau_bitwise(d, tied, monkeypatch):
             if i != j:
                 ref[b, i, j] = stats.kendalltau(stack[b, :, i], stack[b, :, j]).statistic
         for budget in _tau_budgets(d):
-            monkeypatch.setattr(fitlab, "_TAU_BYTES", budget)
+            monkeypatch.setattr(fitlab, "_BLOCK_BYTES", budget)
             taus = _kendall_tau_matrix(stack)
             assert taus.shape == (5, d, d)
             assert ([float(t).hex() for t in taus[:, off].ravel()]
@@ -280,7 +282,7 @@ def test_kendall_tau_matrix_constant_column_is_nan(monkeypatch):
     stack = rng.normal(size=(3, 30, 4))
     stack[1, :, 2] = 1.5
     for budget in _tau_budgets(4):
-        monkeypatch.setattr(fitlab, "_TAU_BYTES", budget)
+        monkeypatch.setattr(fitlab, "_BLOCK_BYTES", budget)
         taus = _kendall_tau_matrix(stack)
         assert not np.any(np.isnan(taus[[0, 2]]))
         x, tau = stack[1], taus[1]
@@ -419,6 +421,12 @@ def test_fit_copula_rejects_nan():
     ps = np.array([[0.2, 0.4], [0.6, np.nan], [0.4, 0.2], [0.8, 0.6]])
     with pytest.raises(ValidationError, match="strictly in"):
         fit_copula("clayton", ps)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_fit_copula_refuses_fewer_than_two_rows(count):
+    with pytest.raises(ValidationError, match=re.escape("count >= 2")):
+        fit_copula("clayton", np.full((count, 2), 0.5))
 
 
 def test_fit_copula_names_constant_column():
@@ -622,11 +630,12 @@ def test_cvm_equals_one_replicate_at_a_time(family, theta, d, method, monkeypatc
 
 
 def test_cvm_memory_is_bounded_at_large_count():
-    # at m = 1000 the block is one replicate.  The peak, 13.3 MB, is the
-    # cached upper-pair indices (two int64 arrays of 499 500, 8 MB) plus
-    # the Kendall tau kernel's pair chunks, whose float signs its budget
-    # caps at 1 MiB.  The bound is the 18.05 MB of the (d, m, m) float sign
-    # matrix that tau needed before, raised by the comparison-buffer budget
+    # at m = 1000 the block is one replicate.  The peak, about 2.5 MB, is
+    # the Kendall tau kernel's pass of 131 lag rows of both columns: 262 000
+    # comparisons, the budget, held as 2.1 MB of float signs.  The empirical
+    # copula's two 1 MB comparison buffers stay below it.  The bound fails
+    # for a kernel that stores an upper-pair index table, 16 bytes a pair
+    # (8 MB here)
     ps = pseudo_observations(sample_copula(GeneratorSpec("clayton", 1.5), 2, 1000, 4).uniforms)
     tracemalloc.start()
     try:
@@ -634,7 +643,7 @@ def test_cvm_memory_is_bounded_at_large_count():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18.05e6 + fitlab._BLOCK_BYTES
+    assert peak < 5e6
 
 
 def test_cvm_counts_out_of_range_replicates(monkeypatch):
@@ -800,8 +809,13 @@ _WIDE_ROWS = "".join(f"{300 + i},{310 + i}\n" for i in range(5))
     ("cable,wire,strength\n" + "".join(f"c{i},w1,{300 + i}\nc{i},w2,{310 + i}\n"
                                         for i in range(5)) + "c5,w2,320\n",
      "components have unequal lengths"),
+    ("w1,w1,w2,w2\n" + _WIDE_ROWS.replace("\n", ",1,2\n"), "header repeats column 'w1'"),
+    ("w1,w1,w2\n" + _WIDE_ROWS.replace("\n", ",1\n"), "header repeats column 'w1'"),
+    ("cable,wire,strength,wire\n" + "".join(f"c{i},w1,{300 + i},w2\n" for i in range(5)),
+     "header repeats column 'wire'"),
 ], ids=["header-only", "short-wide-row", "non-numeric-cell",
-        "nonpositive", "unequal-lengths"])
+        "nonpositive", "unequal-lengths", "repeated-wide-pairs", "repeated-wide",
+        "repeated-long"])
 def test_load_dataset_rejects(tmp_path, text, fragment):
     path = tmp_path / "data.csv"
     path.write_text(text)
