@@ -27,7 +27,7 @@ from . import demos
 from .errors import InconsistencyError, UnsupportedGeneratorError, ValidationError
 from .generators import COPULA_FAMILIES, GeneratorSpec
 from .gridpolicy import GridPolicy
-from .mcsim import empirical_survival_x2n, sample_lifetimes
+from .mcsim import check_seed, empirical_survival_x2n, sample_lifetimes
 from .models import FIT_FAMILIES
 from .ordering import verify_prop_ls, verify_prop_mphrs, verify_theorem1, verify_theorem2
 from .preorders import DEFAULT_TOL, classify
@@ -46,9 +46,10 @@ def _default_seed() -> int:
     if raw is None:
         return 0
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
         raise ValidationError(f"{ENV_SEED} must be an integer, got {raw!r}") from exc
+    return check_seed(seed, ENV_SEED)
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -479,8 +480,8 @@ def main(argv=None) -> int:
     try:
         parser = _build_parser(_load_config(argv))
         args = parser.parse_args(argv)
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _default_seed()
+        if hasattr(args, "seed"):
+            args.seed = _default_seed() if args.seed is None else check_seed(args.seed, "--seed")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

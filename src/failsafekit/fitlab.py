@@ -2,7 +2,9 @@
 subset recommendation via the p-larger criterion.
 
 Marginal fits reuse the closed-form baseline densities and search the profile
-likelihood over the log shape, so every fit is deterministic.
+likelihood over the log shape, so every fit is deterministic; ``mle_fit``
+checks the data once, and each likelihood evaluation checks only its
+parameters.
 Copula estimation defaults to Kendall-tau inversion (mean pairwise tau
 above two dimensions) with an optional pairwise pseudo-likelihood
 refinement.  Bootstrap replicate b always draws from child seed b of the
@@ -10,8 +12,13 @@ master seed, so goodness-of-fit runs are reproducible as well.  The
 bootstrap turns its replicates' draws into uniforms, ranks them and
 computes their empirical copulas and Kendall tau matrices a block at a
 time (as many replicates as fit a fixed comparison-buffer budget), then
-fits each replicate from its tau and scores it alone; p-values equal the
-one-replicate-at-a-time definition bit for bit.
+inverts the block's mean taus to thetas at once and scores its replicates
+in one pass of phi and psi with theta as a column (frank's root search
+and the pseudo-likelihood refit still run per replicate).  Each
+replicate's theta and statistic equal its one-replicate-at-a-time
+evaluation bit for bit, also at the exponents where numpy's scalar ``**``
+skips pow (gumbel theta = 1 or 2, clayton theta = 1; see
+``generators._pow``), so p-values do too.
 
 Average ranks come from one argsort per column, for a whole stack of
 matrices at once: a value whose ties fill sorted positions [s, e) has twice
@@ -47,8 +54,8 @@ from scipy.special import spence
 from .errors import InconsistencyError, ValidationError
 from .generators import COPULA_FAMILIES, GeneratorSpec, _phi, _psi
 from .gridpolicy import GridPolicy
-from .mcsim import THETA_MAX, _draw_times, _to_uniforms
-from .models import _FAMILIES, FIT_FAMILIES, BaselineSpec, log_pdf
+from .mcsim import THETA_MAX, _draw_times, _to_uniforms, check_seed
+from .models import _FAMILIES, FIT_FAMILIES
 from .ordering import ConditionReport, Relation, verify_theorem1
 from .preorders import Preorder, classify
 
@@ -133,11 +140,14 @@ _PROFILE_RTOL = 1e-6
 
 
 def _loglik(family: str, params: tuple, data: np.ndarray) -> float:
-    try:
-        b = BaselineSpec(family, params)
-    except ValidationError:
+    """Log-likelihood of data that ``mle_fit`` has checked (positive and
+    finite); params that are not all finite and positive score
+    _LOGLIK_FLOOR, as do data the family gives no finite density."""
+    params = tuple(map(float, params))
+    if not all(math.isfinite(p) and p > 0.0 for p in params):
         return _LOGLIK_FLOOR
-    vals = log_pdf(b, data)
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        vals = _FAMILIES[family].log_pdf(data, *params)
     if not np.all(np.isfinite(vals)):
         return _LOGLIK_FLOOR
     return float(np.sum(vals))
@@ -341,32 +351,40 @@ class TauRangeError(ValidationError):
         self.family, self.tau = family, tau
 
 
-def tau_to_theta(family: str, tau: float) -> float:
-    """Invert the tau(theta) relation of one catalog family."""
+def _tau_thetas(family: str, taus: np.ndarray) -> np.ndarray:
+    """Invert the tau(theta) relation of one catalog family at every tau of
+    an array: NaN where tau leaves the family's range."""
+    if family not in COPULA_FAMILIES:
+        raise ValidationError(f"copula family must be one of {COPULA_FAMILIES}")
+    fits = ((taus >= 0.0) if family == "gumbel" else (taus > 0.0)) & (taus < 1.0)
+    t = taus[fits]
+    out = np.full(taus.shape, np.nan)
     if family == "clayton":
-        if not 0.0 < tau < 1.0:
-            raise TauRangeError(family, tau)
-        return 2.0 * tau / (1.0 - tau)
-    if family == "gumbel":
-        if not 0.0 <= tau < 1.0:
-            raise TauRangeError(family, tau)
-        return 1.0 / (1.0 - tau)
-    if family == "frank":
-        if not 0.0 < tau < 1.0:
-            raise TauRangeError(family, tau)
+        out[fits] = 2.0 * t / (1.0 - t)
+    elif family == "gumbel":
+        out[fits] = 1.0 / (1.0 - t)
+    else:
         # tau(theta) <= theta/9 (the series' leading term) and tau(theta) >= 1 - 4/theta
         # (the Debye integral is positive), so [8 tau, 8/(1 - tau)] brackets every
         # float tau in (0, 1)
-        return float(optimize.brentq(lambda th: frank_tau(th) - tau, 8.0 * tau,
-                                     8.0 / (1.0 - tau), xtol=_FRANK_XTOL))
-    raise ValidationError(f"copula family must be one of {COPULA_FAMILIES}")
+        out[fits] = [optimize.brentq(lambda th: frank_tau(th) - tau, 8.0 * tau,
+                                     8.0 / (1.0 - tau), xtol=_FRANK_XTOL)
+                     for tau in t.tolist()]
+    return out
+
+
+def tau_to_theta(family: str, tau: float) -> float:
+    """Invert the tau(theta) relation of one catalog family."""
+    theta = _tau_thetas(family, np.array([tau], dtype=float))[0]
+    if np.isnan(theta):
+        raise TauRangeError(family, tau)
+    return float(theta)
 
 
 def _bivariate_log_density(family: str, theta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """log c(u, v) = log psi''(phi(u)+phi(v)) - log|psi'(phi(u))| - log|psi'(phi(v))|;
     u and v are pseudo-observations, inside (0, 1), so phi runs unchecked."""
-    g = GeneratorSpec(family, theta)
-    pu, pv = _phi(g, u), _phi(g, v)
+    pu, pv = _phi(family, theta, u), _phi(family, theta, v)
     s = pu + pv
     # far in frank's tails log psi'' and log|psi'| both reach inf; their
     # difference is NaN, which fit_copula's objective scores as inf
@@ -412,19 +430,19 @@ def fit_copula(family: str, pseudo, method: str = "tau") -> float:
     constant = np.flatnonzero(np.isnan(np.diag(taus)))
     if constant.size:
         raise ValidationError(f"column {constant[0]} is constant")
-    return _theta_from_taus(family, taus, arr, method, np.triu_indices(arr.shape[1], 1))
-
-
-def _theta_from_taus(family: str, taus: np.ndarray, arr: np.ndarray, method: str,
-                     upper: tuple) -> float:
-    """``fit_copula`` for a catalog family, given the Kendall tau matrix of
-    its count x d array ``arr``, which lies in (0, 1) and has no constant
-    column, and ``upper = np.triu_indices(d, 1)``."""
+    upper = np.triu_indices(arr.shape[1], 1)
     theta0 = tau_to_theta(family, float(np.mean(taus[upper])))
     if method == "tau":
         return theta0
     if method != "pseudo_likelihood":
         raise ValidationError("method must be 'tau' or 'pseudo_likelihood'")
+    return _pseudo_likelihood_theta(family, theta0, arr, upper)
+
+
+def _pseudo_likelihood_theta(family: str, theta0: float, arr: np.ndarray, upper: tuple) -> float:
+    """The pairwise pseudo-likelihood estimate, searched from theta0 (the tau
+    estimate) up, for a count x d array ``arr`` inside (0, 1) and
+    ``upper = np.triu_indices(d, 1)``."""
     pairs = list(zip(*upper))
     lo = {"clayton": 1e-6, "gumbel": 1.0 + 1e-9, "frank": 1e-6}[family]
 
@@ -461,13 +479,17 @@ def empirical_copula(pseudo: np.ndarray) -> np.ndarray:
     return le.sum(axis=-2, dtype=np.min_scalar_type(count)) / count
 
 
-def _cvm_statistic(g: GeneratorSpec, pseudo: np.ndarray, cn: np.ndarray) -> float:
-    """sum (C_n - C_theta)^2 over the sample, with cn = C_n at its points.
-    Every caller passes a matrix inside (0, 1), checked by ``fit_copula`` or
-    made of ranks over (count + 1), so phi and psi run without their
-    argument checks."""
-    ct = _psi(g, np.sum(_phi(g, pseudo), axis=1))
-    return float(np.sum((cn - ct) ** 2))
+def _cvm_statistics(family: str, thetas: np.ndarray, pseudo: np.ndarray,
+                    cn: np.ndarray) -> np.ndarray:
+    """sum (C_n - C_theta)^2 over each sample of a (B, count, d) stack, at
+    its own theta of ``thetas`` (B,), with cn (B, count) = C_n at its points.
+    Every caller passes matrices inside (0, 1), checked by ``fit_copula``
+    or made of ranks over (count + 1), so phi and psi run without their
+    argument checks.  A theta column rounds as the scalar theta would, so
+    each sample's statistic equals its own evaluation bit for bit."""
+    th = thetas[:, None]
+    ct = _psi(family, th, np.sum(_phi(family, th[..., None], pseudo), axis=-1))
+    return np.sum((cn - ct) ** 2, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -500,22 +522,25 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
     """Cramer-von Mises distance to the fitted copula, with a parametric
     bootstrap p-value (theta refitted in every replicate).
 
-    Replicate b is drawn from child seed b.  A block of draws is turned
-    into uniforms by one checked psi call, ranked, and given its empirical
-    copulas and Kendall tau matrices at once; each replicate is then
-    fitted from its tau and scored alone, so the result equals a loop over
-    replicates bit for bit.
+    Replicate b is drawn from child seed b of the 64-bit ``seed``.  A
+    block of draws is turned into uniforms by one checked psi call,
+    ranked, and given its empirical copulas, Kendall tau matrices, thetas
+    and statistics at once, so the result equals a loop over replicates
+    bit for bit.  Only a replicate whose mean tau leaves the family's range
+    counts as out of range; any other error propagates.
     """
     if boot_n < 100:
         raise ValidationError("boot_n must be at least 100")
+    seed = check_seed(seed)
     arr = np.asarray(pseudo, dtype=float)
     theta = fit_copula(family, arr, method)
     if theta > THETA_MAX[family]:
         raise BootstrapRangeError(family, float(theta))
     g = GeneratorSpec(family, theta)
-    stat = _cvm_statistic(g, arr, empirical_copula(arr))
+    stat = float(_cvm_statistics(family, np.array([theta]), arr[None],
+                                 empirical_copula(arr)[None])[0])
     count, d = arr.shape
-    child_seeds = np.random.SeedSequence(int(seed)).generate_state(boot_n, dtype=np.uint64)
+    child_seeds = np.random.SeedSequence(seed).generate_state(boot_n, dtype=np.uint64)
     block = max(1, _BLOCK_BYTES // (count * count))
     # comparisons of narrow integers run about four times faster than of
     # floats, and twice-ranks order the points as the ranks do
@@ -527,21 +552,23 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
                           for s in child_seeds[start:start + block]])
         twice = _twice_ranks(_to_uniforms(g, times))
         narrow = twice.astype(small)
-        cn = empirical_copula(narrow)
-        # signs of ranks are the signs of the values
-        taus = _kendall_tau_matrix(narrow)
-        for ps, cn_b, taus_b in zip(twice / 2.0 / (count + 1.0), cn, taus):
-            try:
-                theta_b = _theta_from_taus(family, taus_b, ps, method, upper)
-            except ValidationError:
-                # replicate tau outside range: score as extreme misfit
-                exceed += 1
-                out_of_range += 1
-                continue
-            if _cvm_statistic(GeneratorSpec(family, theta_b), ps, cn_b) >= stat:
-                exceed += 1
-    return GofResult(family, float(theta), stat, exceed / boot_n, boot_n, out_of_range,
-                     int(seed))
+        # signs of ranks are the signs of the values.  Each row of mean tau
+        # is summed pairwise, as np.mean sums one replicate's, only where its
+        # taus lie contiguous
+        taus = np.ascontiguousarray(_kendall_tau_matrix(narrow)[:, upper[0], upper[1]])
+        thetas = _tau_thetas(family, taus.mean(axis=1))
+        # a replicate whose tau left the family's range scores as an extreme misfit
+        fitted = ~np.isnan(thetas)
+        out_of_range += int(np.count_nonzero(~fitted))
+        ps = twice[fitted] / 2.0 / (count + 1.0)
+        thetas = thetas[fitted]
+        if method == "pseudo_likelihood":
+            thetas = np.array([_pseudo_likelihood_theta(family, th, p, upper)
+                               for th, p in zip(thetas.tolist(), ps)])
+        scores = _cvm_statistics(family, thetas, ps, empirical_copula(narrow[fitted]))
+        exceed += int(np.count_nonzero(scores >= stat))
+    exceed += out_of_range
+    return GofResult(family, float(theta), stat, exceed / boot_n, boot_n, out_of_range, seed)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ GeneratorSpec values are immutable and freely shareable across
 concurrent callers; every function here is pure.  A scalar is evaluated
 as a 1-element array, so it rounds as the same point inside a batch
 (numpy's ``**`` on a 0-d value can round differently from its array loop).
+The unchecked kernels ``_phi``, ``_psi`` and ``_log_psi`` take theta as a
+scalar or as an array that broadcasts against their input, such as one
+theta per row, and an array theta gives each element the bits of its
+scalar theta.
 
 Catalog (theta is the dependence parameter):
 
@@ -99,89 +103,115 @@ def _as_nonneg_t(t):
     return arr
 
 
-def _frank_log_base(th: float, t: np.ndarray) -> np.ndarray:
-    """log(1 + c e^-t) with c = expm1(-th), shaped like t.
+#: The exponents at which numpy's ``**`` with a scalar exponent skips pow,
+#: with the operation it takes instead.
+_FAST_POWERS = ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal),
+                (1.0, np.positive), (0.0, np.ones_like))
+
+
+def _pow(x: np.ndarray, e):
+    """x ** e for a scalar e or an array e that broadcasts against x.
+
+    An array exponent goes through pow, which can round an ulp away from
+    the operations of _FAST_POWERS, so an array takes that operation
+    wherever it holds one of those exponents: the result equals the scalar
+    ``**`` element by element.
+    """
+    out = x ** e
+    if isinstance(e, np.ndarray):
+        for k, op in _FAST_POWERS:
+            hit = e == k
+            if hit.any():
+                out = np.where(hit, op(x), out)
+    return out
+
+
+def _frank_log_base(th, t: np.ndarray) -> np.ndarray:
+    """log(1 + c e^-t) with c = expm1(-th), shaped like t; th is a scalar or
+    an array that broadcasts against t.
 
     Where c e^-t <= -1/2 the sum cancels, so there it is formed as
     1 - e^-t + e^(-th-t) in log space; at t = 0 that is exactly -th, which
     keeps psi(0) = 1 for every theta.
     """
-    flat = t.reshape(-1)
-    out = np.expm1(-th) * np.exp(-flat)
+    out = np.expm1(-th) * np.exp(-t)
     far = out <= -0.5
     np.log1p(out, out=out)
+    if np.ndim(th):
+        th = np.broadcast_to(th, t.shape)[far]
     # in place on the far subset, which is most of a frailty sample
-    nt = -flat[far]
+    nt = -t[far]
     lg = np.expm1(nt)
     np.log(np.negative(lg, out=lg), out=lg)
     out[far] = np.logaddexp(lg, np.subtract(nt, th, out=nt), out=lg)
-    return out.reshape(t.shape)
-
-
-def _log_psi(g: GeneratorSpec, arr: np.ndarray) -> np.ndarray:
-    """log psi on an array already known to be nonnegative (no NaN)."""
-    th = g.theta
-    with np.errstate(over="ignore", divide="ignore", under="ignore"):
-        if g.family == "independence":
-            out = -arr
-        elif g.family == "clayton":
-            out = -np.log1p(th * arr) / th
-        elif g.family == "gumbel":
-            out = -(arr ** (1.0 / th))
-        elif g.family == "frank":
-            out = np.log(-_frank_log_base(th, arr)) - np.log(th)
-        elif g.family == "amh":
-            out = np.log1p(-th) - (arr + np.log1p(-th * np.exp(-arr)))
-        elif g.family == "gumbel_barnett":
-            out = (1.0 - np.exp(arr)) / th
-        elif g.family == "gumbel_hougaard":
-            out = 1.0 - (1.0 + arr) ** th
-        else:  # pragma: no cover
-            raise ValidationError(g.family)
     return out
 
 
-def _psi(g: GeneratorSpec, arr: np.ndarray) -> np.ndarray:
-    """psi on an array already known to be nonnegative (no NaN)."""
+def _log_psi(family: str, th, arr: np.ndarray) -> np.ndarray:
+    """log psi on an array already known to be nonnegative (no NaN); th is
+    the family's theta, a scalar or an array that broadcasts against arr."""
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        if family == "independence":
+            out = -arr
+        elif family == "clayton":
+            out = -np.log1p(th * arr) / th
+        elif family == "gumbel":
+            out = -_pow(arr, 1.0 / th)
+        elif family == "frank":
+            out = np.log(-_frank_log_base(th, arr)) - np.log(th)
+        elif family == "amh":
+            out = np.log1p(-th) - (arr + np.log1p(-th * np.exp(-arr)))
+        elif family == "gumbel_barnett":
+            out = (1.0 - np.exp(arr)) / th
+        elif family == "gumbel_hougaard":
+            out = 1.0 - _pow(1.0 + arr, th)
+        else:  # pragma: no cover
+            raise ValidationError(family)
+    return out
+
+
+def _psi(family: str, th, arr: np.ndarray) -> np.ndarray:
+    """psi on an array already known to be nonnegative (no NaN); th as in
+    ``_log_psi``."""
     with np.errstate(under="ignore"):
-        return np.exp(_log_psi(g, arr))
+        return np.exp(_log_psi(family, th, arr))
 
 
-def _phi(g: GeneratorSpec, arr: np.ndarray) -> np.ndarray:
-    """phi, capped at PHI_CAP, on an array already known to lie in (0, 1] (no NaN)."""
-    th = g.theta
+def _phi(family: str, th, arr: np.ndarray) -> np.ndarray:
+    """phi, capped at PHI_CAP, on an array already known to lie in (0, 1]
+    (no NaN); th as in ``_log_psi``."""
     with np.errstate(over="ignore", divide="ignore"):
-        if g.family == "independence":
+        if family == "independence":
             out = -np.log(arr)
-        elif g.family == "clayton":
-            out = (arr ** (-th) - 1.0) / th
-        elif g.family == "gumbel":
-            out = (-np.log(arr)) ** th
-        elif g.family == "frank":
+        elif family == "clayton":
+            out = (_pow(arr, -th) - 1.0) / th
+        elif family == "gumbel":
+            out = _pow(-np.log(arr), th)
+        elif family == "frank":
             # the ratio rounds to 1 once theta*u is large: there, subtract logs
             near = -np.log(np.expm1(-th * arr) / np.expm1(-th))
             far = np.log1p(-np.exp(-th)) - np.log1p(-np.exp(-th * arr))
             out = np.where(th * arr < math.log(2.0), near, far)
-        elif g.family == "amh":
+        elif family == "amh":
             out = np.log((1.0 - th * (1.0 - arr)) / arr)
-        elif g.family == "gumbel_barnett":
+        elif family == "gumbel_barnett":
             out = np.log1p(-th * np.log(arr))
-        elif g.family == "gumbel_hougaard":
-            out = (1.0 - np.log(arr)) ** (1.0 / th) - 1.0
+        elif family == "gumbel_hougaard":
+            out = _pow(1.0 - np.log(arr), 1.0 / th) - 1.0
         else:  # pragma: no cover
-            raise ValidationError(g.family)
+            raise ValidationError(family)
         return np.minimum(out, PHI_CAP)
 
 
 def log_psi(g: GeneratorSpec, t):
     """log psi(t), computed in closed form so it never underflows."""
-    out = _log_psi(g, _as_nonneg_t(t))
+    out = _log_psi(g.family, g.theta, _as_nonneg_t(t))
     return out if np.ndim(t) else float(out[0])
 
 
 def psi(g: GeneratorSpec, t):
     """Generator value psi(t) in [0, 1]; psi(0) = 1, nonincreasing."""
-    out = _psi(g, _as_nonneg_t(t))
+    out = _psi(g.family, g.theta, _as_nonneg_t(t))
     return out if np.ndim(t) else float(out[0])
 
 
@@ -190,7 +220,7 @@ def phi(g: GeneratorSpec, u):
     arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(arr <= 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr)):
         raise ValidationError("u must lie in (0, 1]")
-    out = _phi(g, arr)
+    out = _phi(g.family, g.theta, arr)
     return out if np.ndim(u) else float(out[0])
 
 

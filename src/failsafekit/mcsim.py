@@ -48,6 +48,14 @@ from .systems import SystemSpec
 THETA_MAX = {"clayton": 50.0, "gumbel": 50.0, "frank": 700.0}
 
 
+def check_seed(seed, name: str = "seed") -> int:
+    """seed as an int; a ValidationError naming it unless it is a 64-bit
+    seed, in [0, 2**64)."""
+    if not 0 <= int(seed) < 2 ** 64:
+        raise ValidationError(f"{name} must lie in [0, 2**64), got {seed}")
+    return int(seed)
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
@@ -142,8 +150,9 @@ def _to_uniforms(g: GeneratorSpec, times: np.ndarray) -> np.ndarray:
 
 def sample_copula(g: GeneratorSpec, n: int, count: int, seed: int) -> SampleBatch:
     """Draw count rows of n dependent uniforms with copula generator g."""
+    seed = check_seed(seed)
     u = _to_uniforms(g, _draw_times(g, n, count, seed))
-    return SampleBatch(uniforms=u, seed=int(seed), generator=g)
+    return SampleBatch(uniforms=u, seed=seed, generator=g)
 
 
 def sample_lifetimes(sys: SystemSpec, count: int, seed: int) -> np.ndarray:

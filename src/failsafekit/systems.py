@@ -136,7 +136,7 @@ def survival_x2n(sys: SystemSpec, x):
                               f"{sys.model.baseline.params} gave a NaN marginal survival")
     dead = np.all(margs <= SURVIVAL_FLOOR, axis=0)  # every component dead
     gen, n = sys.generator, sys.n
-    s = _phi(gen, np.clip(margs, SURVIVAL_FLOOR, 1.0, out=margs))  # capped inside phi
+    s = _phi(gen.family, gen.theta, np.clip(margs, SURVIVAL_FLOOR, 1.0, out=margs))  # capped inside phi
     # rows 0..n-1: leave-one-out sums as (prefix sum of the rows before i)
     # + (suffix sum of the rows after i); row n: the total.  Both add
     # nonnegative phi values only, so a point where one floored component
@@ -150,7 +150,7 @@ def survival_x2n(sys: SystemSpec, x):
     for i in range(n - 2, -1, -1):
         loo[i] += after
         after += s[i]
-    p = _psi(gen, loo)
+    p = _psi(gen.family, gen.theta, loo)
     # the psi terms add row by row too: numpy's sum over axis 0 does so for
     # two or more points but pairwise for one, so a scalar x would round
     # differently from the same point inside a grid

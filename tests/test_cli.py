@@ -601,10 +601,15 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
      "tolerances must be nonnegative"),
     (["verify", "t1", "{spec}", "{spec}", "--tol-dominance", "nan"], {},
      "tolerances must be nonnegative"),
+    (_FIT + ["--seed", "-1"], {}, "--seed must lie in [0, 2**64), got -1"),
+    (["simulate", "{spec}", "--count", "100", "--seed", "-1"], {},
+     "--seed must lie in [0, 2**64), got -1"),
+    (_FIT, {"FAILSAFEKIT_SEED": "-3"}, "FAILSAFEKIT_SEED must lie in [0, 2**64), got -3"),
 ], ids=["env-seed", "vector-twice", "vector-empty", "vector-non-numeric", "x-range",
         "curve-no-system", "curve-no-out", "subsets-empty-group", "subsets-one-group",
         "subsets-unequal", "config-no-path", "config-abbreviated", "config-not-object",
-        "preorder-nan-tol", "verify-negative-tol", "verify-nan-tol"])
+        "preorder-nan-tol", "verify-negative-tol", "verify-nan-tol", "fit-negative-seed",
+        "simulate-negative-seed", "env-negative-seed"])
 def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env, fragment):
     sx, _ = gumbel_barnett_pair()
     cx, cy = clayton_pair()

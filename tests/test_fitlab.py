@@ -35,7 +35,7 @@ from failsafekit.fitlab import (
     recommend_subset,
     tau_to_theta,
 )
-from failsafekit.fitlab import _kendall_tau_matrix, _make_result
+from failsafekit.fitlab import TauRangeError, _kendall_tau_matrix, _make_result
 
 
 # ------------------------------------------------------------------ MLE
@@ -120,6 +120,39 @@ def test_flat_burr_profile_is_not_converged():
     data = 1000.0 + np.random.default_rng(1).normal(0.0, 0.01, 200)
     assert not mle_fit("burr", data).converged
     assert mle_fit("weibull", data).converged
+
+
+#: mle_fit's params and loglik as float.hex on three seeded datasets,
+#: recorded before _loglik stopped building a BaselineSpec per evaluation.
+_MLE_PINNED = {
+    (0, "exponential"): (("0x1.0b9b979f0f489p-6",), "-0x1.142f5ffc68186p+9"),
+    (0, "gamma"): (("0x1.e732b2119b77cp+3", "0x1.fd49fbf7ca6a0p-3"), "-0x1.c02c5de47a768p+8"),
+    (0, "weibull"): (("0x1.0bc1aa8cf5406p+6", "0x1.2f33ed98127b5p+2"), "-0x1.bb703b0964ea0p+8"),
+    (0, "burr"): (("0x1.1d989014261e1p+7", "0x1.c1cbb48a8cdfep-10"), "-0x1.5e56d51d1e2e8p+9"),
+    (1, "exponential"): (("0x1.114887d194238p-3",), "-0x1.69b174e91d30ap+7"),
+    (1, "gamma"): (("0x1.bbc82e0bb7eedp+1", "0x1.d9be34d951f47p-2"), "-0x1.44f96823c2dfep+7"),
+    (1, "weibull"): (("0x1.0e55c5ea6caecp+3", "0x1.1d7c9882b9fe9p+1"), "-0x1.3fcf2b8b7456fp+7"),
+    (1, "burr"): (("0x1.7ecfe286fe498p+2", "0x1.6e9897a2e60a4p-4"), "-0x1.a6166bb96569dp+7"),
+    (2, "exponential"): (("0x1.31e6fa0d6b3bbp-1",), "-0x1.e4d1a24db4fc5p+5"),
+    (2, "gamma"): (("0x1.ca6c312b8ebcep+0", "0x1.11e441c760dd3p+0"), "-0x1.c97423e266898p+5"),
+    (2, "weibull"): (("0x1.d7ecfe6650d84p+0", "0x1.69ad2d671ad2ap+0"), "-0x1.ca1f82bdf7a12p+5"),
+    (2, "burr"): (("0x1.1ce29b23b9feap+1", "0x1.8c222309d7715p-1"), "-0x1.dd187bad0866ep+5"),
+}
+
+
+def _pinned_dataset(k):
+    if k == 0:
+        return 67.7 * np.random.default_rng(11).weibull(5.0, 108)
+    if k == 1:
+        return np.random.default_rng(12).gamma(2.5, 3.0, 60)
+    return np.exp(np.random.default_rng(13).normal(0.0, 0.8, 40))
+
+
+@pytest.mark.parametrize("k, family", sorted(_MLE_PINNED))
+def test_mle_fit_pinned_bitwise(k, family):
+    res = mle_fit(family, _pinned_dataset(k))
+    got = (tuple(float(v).hex() for v in res.params.values()), res.loglik.hex())
+    assert got == _MLE_PINNED[(k, family)]
 
 
 def test_mle_rejects_bad_data():
@@ -348,6 +381,30 @@ def test_frank_tau_round_trip(tau):
     theta = tau_to_theta("frank", tau)
     assert 0.0 < theta < np.inf
     assert abs(frank_tau(theta) - tau) <= 1e-12
+
+
+def test_tau_thetas_equal_tau_to_theta_per_element():
+    # the range edges: tau = 0 is gumbel's independence and outside the
+    # others' ranges; 1 - 2**-53 is the largest float tau below 1
+    taus = np.concatenate([[-0.5, -1e-300, 0.0, 5e-324, 1e-9, 1.0 / 3.0, 0.5, 1.0 - 2.0 ** -53,
+                            1.0, 1.5, np.nan], np.random.default_rng(5).uniform(-0.2, 1.0, 40)])
+    for family in ("clayton", "gumbel", "frank"):
+        thetas = fitlab._tau_thetas(family, taus)
+        for tau, theta in zip(taus.tolist(), thetas.tolist()):
+            try:
+                expected = tau_to_theta(family, tau)
+            except TauRangeError:
+                assert np.isnan(theta), (family, tau)
+                continue
+            assert theta.hex() == expected.hex(), (family, tau)
+            if family == "clayton":
+                assert theta.hex() == (2.0 * tau / (1.0 - tau)).hex()
+            elif family == "gumbel":
+                assert theta.hex() == (1.0 / (1.0 - tau)).hex()
+    assert fitlab._tau_thetas("gumbel", np.array([0.0]))[0] == 1.0
+    for family in ("clayton", "frank"):
+        assert np.isnan(fitlab._tau_thetas(family, np.array([0.0, 1.0]))).all()
+        assert np.isfinite(fitlab._tau_thetas(family, np.array([1.0 - 2.0 ** -53]))).all()
 
 
 def test_frank_small_tau_is_theta_over_9():
@@ -629,6 +686,51 @@ def test_cvm_equals_one_replicate_at_a_time(family, theta, d, method, monkeypatc
             fitted.hex(), stat.hex(), (exceed / boot_n).hex(), out_of_range)
 
 
+@pytest.mark.parametrize("family, thetas", [
+    ("clayton", [1.0, 0.4, 3.0]), ("gumbel", [2.0, 1.0, 1.7]), ("frank", [0.5, 4.0, 30.0]),
+])
+def test_cvm_statistics_equal_the_scalar_kernel_bitwise(family, thetas):
+    # clayton 1 and gumbel 2 are exponents at which numpy's scalar ** skips pow
+    stack = fitlab._twice_ranks(np.random.default_rng(3).random((12, 24, 3))) / 2.0 / 25.0
+    cn = empirical_copula(stack)
+    got = fitlab._cvm_statistics(family, np.array(thetas * 4), stack, cn)
+    for th, p, c, stat in zip(thetas * 4, stack, cn, got.tolist()):
+        g = GeneratorSpec(family, th)
+        assert stat.hex() == float(np.sum((c - psi(g, np.sum(phi(g, p), axis=1))) ** 2)).hex()
+
+
+def test_cvm_replicate_statistics_equal_one_at_a_time_at_gumbel_theta_2(monkeypatch):
+    # at m = 9 a replicate's tau is 1/2 exactly when 27 of its 36 pairs
+    # concord, and gumbel then refits theta = 2
+    seen = []
+    real = fitlab._cvm_statistics
+
+    def recording(family, thetas, pseudo, cn):
+        out = real(family, thetas, pseudo, cn)
+        seen.extend(zip(thetas.tolist(), pseudo, cn, out.tolist()))
+        return out
+
+    monkeypatch.setattr(fitlab, "_cvm_statistics", recording)
+    ps = pseudo_observations(sample_copula(GeneratorSpec("gumbel", 2.0), 2, 9, seed=9).uniforms)
+    cvm_gof("gumbel", ps, boot_n=300, seed=9)
+    assert sum(th == 2.0 for th, *_ in seen) > 10
+    for th, p, c, stat in seen:
+        g = GeneratorSpec("gumbel", th)
+        assert stat.hex() == float(np.sum((c - psi(g, np.sum(phi(g, p), axis=1))) ** 2)).hex()
+
+
+def test_cvm_mean_tau_rounds_as_one_replicate_at_a_time():
+    # d = 6 averages 15 taus, which np.mean sums pairwise for one replicate.
+    # Near independence some replicates' mean tau is 0 or within rounding of
+    # it, so a block mean summed in another order moves the out-of-range count
+    ps = pseudo_observations(sample_copula(GeneratorSpec("clayton", 0.05), 6, 8, seed=11).uniforms)
+    seeds = np.random.SeedSequence(11).generate_state(104, dtype=np.uint64)
+    _, _, outcomes = _cvm_by_definition("clayton", ps, seeds, "tau")
+    exceed, out_of_range = np.sum(outcomes, axis=0)
+    res = cvm_gof("clayton", ps, boot_n=104, seed=11)
+    assert (res.p_value.hex(), res.out_of_range) == ((exceed / 104).hex(), out_of_range)
+
+
 def test_cvm_memory_is_bounded_at_large_count():
     # at m = 1000 the block is one replicate.  The peak, about 2.5 MB, is
     # the Kendall tau kernel's pass of 131 lag rows of both columns: 262 000
@@ -646,24 +748,41 @@ def test_cvm_memory_is_bounded_at_large_count():
     assert peak < 5e6
 
 
-def test_cvm_counts_out_of_range_replicates(monkeypatch):
-    # near-independent clayton: many replicates refit a tau <= 0
+def test_cvm_counts_out_of_range_replicates():
+    # near-independent clayton: many replicates refit a tau <= 0.  The
+    # one-at-a-time reference counts the replicates whose fit_copula raises
     u = sample_copula(GeneratorSpec("clayton", 0.05), 2, 30, seed=9).uniforms
-    raises = []
-    real_fit = fitlab._theta_from_taus  # the replicates' fit; fit_copula calls it too
-
-    def counting_fit(*args, **kwargs):
-        try:
-            return real_fit(*args, **kwargs)
-        except ValidationError:
-            raises.append(1)
-            raise
-
-    monkeypatch.setattr(fitlab, "_theta_from_taus", counting_fit)
-    res = cvm_gof("clayton", pseudo_observations(u), boot_n=100, seed=9)
-    assert res.out_of_range == len(raises) > 0
+    ps = pseudo_observations(u)
+    seeds = np.random.SeedSequence(9).generate_state(100, dtype=np.uint64)
+    expected = sum(out for _, out in _cvm_by_definition("clayton", ps, seeds, "tau")[2])
+    res = cvm_gof("clayton", ps, boot_n=100, seed=9)
+    assert res.out_of_range == expected > 0
     assert res.to_json()["out_of_range"] == res.out_of_range
     assert res.p_value.hex() == "0x1.5c28f5c28f5c3p-2"  # as before the count existed
+
+
+def test_cvm_propagates_replicate_errors_other_than_tau_range(monkeypatch):
+    # only a tau outside the family's range counts as an extreme misfit
+    real = fitlab._pseudo_likelihood_theta
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) > 1:  # the first call fits the data, the others replicates
+            raise ValidationError("replicate refit failed")
+        return real(*args)
+
+    monkeypatch.setattr(fitlab, "_pseudo_likelihood_theta", failing)
+    u = sample_copula(GeneratorSpec("clayton", 1.0), 2, 30, seed=2).uniforms
+    with pytest.raises(ValidationError, match="replicate refit failed"):
+        cvm_gof("clayton", pseudo_observations(u), boot_n=100, seed=2, method="pseudo_likelihood")
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_cvm_refuses_a_seed_outside_64_bits(seed):
+    u = sample_copula(GeneratorSpec("clayton", 1.0), 2, 30, seed=2).uniforms
+    with pytest.raises(ValidationError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+        cvm_gof("clayton", pseudo_observations(u), boot_n=100, seed=seed)
 
 
 # --------------------------------------------------------------- subsets

@@ -14,6 +14,7 @@ from failsafekit import (
     phi,
     psi,
 )
+from failsafekit import generators
 from failsafekit.generators import FAMILIES
 
 ALL_SPECS = [
@@ -263,3 +264,31 @@ def test_log_psi_no_underflow():
     lp = log_psi(g, 50.0)
     assert np.isfinite(lp) and lp < -1e20
     assert psi(g, 50.0) == 0.0
+
+
+# --------------------------------------------------------- theta columns
+_COLUMN_THETAS = {
+    # clayton 1 and gumbel 2 are exponents (-1; 2 and 1/2) at which numpy's
+    # scalar ** takes another operation than pow; gumbel 1 is exponent 1
+    "clayton": [1.0, 2.0, 0.5, 1e-3, 49.0],
+    "gumbel": [1.0, 2.0, 1.5, 3.7, 50.0],
+    "frank": [0.01, 0.7, 4.0, 30.0, 300.0],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_COLUMN_THETAS))
+def test_theta_column_equals_scalar_theta_bitwise(family):
+    rng = np.random.default_rng(len(family))
+    lo = 1.0 if family == "gumbel" else 0.01
+    th = np.array(_COLUMN_THETAS[family] + list(rng.uniform(lo, 20.0, 15)))
+    u = np.concatenate([rng.random((th.size, 300)), np.ones((th.size, 1)),
+                        np.full((th.size, 1), 1e-300)], axis=1)
+    t = np.concatenate([rng.exponential(size=(th.size, 300)) * rng.choice([1e-3, 1.0, 30.0], (th.size, 300)),
+                        np.zeros((th.size, 1))], axis=1)
+    if family == "frank":  # both far branches are taken
+        assert (th[:, None] * u >= math.log(2.0)).any()
+        assert (np.expm1(-th[:, None]) * np.exp(-t) <= -0.5).any()
+    for fn, x in ((generators._phi, u), (generators._psi, t), (generators._log_psi, t)):
+        column = fn(family, th[:, None], x)
+        scalar = np.stack([fn(family, float(v), row) for v, row in zip(th, x)])
+        assert column.tobytes() == scalar.tobytes(), fn.__name__

@@ -47,6 +47,13 @@ def test_reproducible_batches():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_sample_copula_refuses_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValidationError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+        sample_copula(GeneratorSpec("clayton", 2.0), 2, 10, seed=seed)
+    assert sample_copula(GeneratorSpec("clayton", 2.0), 2, 10, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
 def test_independence_tau_near_zero():
     u = sample_copula(GeneratorSpec("independence"), 2, N_BIG, seed=1).uniforms
     tau = stats.kendalltau(u[:, 0], u[:, 1]).statistic
