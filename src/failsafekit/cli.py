@@ -28,7 +28,7 @@ from .errors import InconsistencyError, UnsupportedGeneratorError, ValidationErr
 from .generators import COPULA_FAMILIES, GeneratorSpec
 from .gridpolicy import GridPolicy
 from .mcsim import check_seed, empirical_survival_x2n, sample_lifetimes
-from .models import FIT_FAMILIES
+from .models import FIT_FAMILIES, bulk_grid, linear_grid
 from .ordering import verify_prop_ls, verify_prop_mphrs, verify_theorem1, verify_theorem2
 from .preorders import DEFAULT_TOL, classify
 from .systems import SystemSpec, default_grid, survival_x2n, wire_system
@@ -191,12 +191,8 @@ def _grid_for(sys_specs, args) -> np.ndarray:
         missing = "--x-max" if args.x_max is None else "--x-min"
         raise ValidationError(f"--x-min and --x-max go together: {missing} is missing")
     if args.x_min is not None:
-        if not 0.0 <= args.x_min < args.x_max:
-            raise ValidationError("need 0 <= x-min < x-max")
-        lo = args.x_min if args.x_min > 0 else args.x_max / args.points
-        return np.linspace(lo, args.x_max, args.points)
-    return GridPolicy(curve_points=args.points)._bulk_grid(
-        [(s.model, s.theta) for s in sys_specs])
+        return linear_grid(args.x_min, args.x_max, args.points)
+    return bulk_grid([(s.model, s.theta) for s in sys_specs], args.points)
 
 
 def _pair_columns(sys_x, sys_y, xs) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .generators import GeneratorSpec
 from .gridpolicy import GridPolicy
-from .models import BaselineSpec, SemiParamModel
+from .models import BaselineSpec, SemiParamModel, linear_grid
 from .systems import SystemSpec, wire_system
 
 
@@ -29,7 +29,7 @@ def load_reference_manifest() -> dict:
 
 #: 1000-point grid over (0, 10], shared by the first two demos.
 def demo_grid(points: int = 1000) -> np.ndarray:
-    return np.linspace(10.0 / points, 10.0, points)
+    return linear_grid(0.0, 10.0, points)
 
 
 def gumbel_barnett_pair() -> tuple[SystemSpec, SystemSpec]:

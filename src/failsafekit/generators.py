@@ -98,7 +98,7 @@ class GeneratorSpec:
 
 def _as_nonneg_t(t):
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
+    if not np.all(arr >= 0.0):  # NaN fails the comparison
         raise ValidationError("t must be nonnegative")
     return arr
 
@@ -188,10 +188,13 @@ def _phi(family: str, th, arr: np.ndarray) -> np.ndarray:
         elif family == "gumbel":
             out = _pow(-np.log(arr), th)
         elif family == "frank":
-            # the ratio rounds to 1 once theta*u is large: there, subtract logs
-            near = -np.log(np.expm1(-th * arr) / np.expm1(-th))
-            far = np.log1p(-np.exp(-th)) - np.log1p(-np.exp(-th * arr))
-            out = np.where(th * arr < math.log(2.0), near, far)
+            # the ratio rounds to 1 once theta*u is large: there, and only there
+            # (at theta near 0 it is log1p(-1) - log1p(-1)), subtract logs
+            tu = th * arr
+            out = -np.log(np.expm1(-tu) / np.expm1(-th))
+            far = tu >= math.log(2.0)
+            thf = np.broadcast_to(th, tu.shape)[far] if np.ndim(th) else th
+            out[far] = np.log1p(-np.exp(-thf)) - np.log1p(-np.exp(-tu[far]))
         elif family == "amh":
             out = np.log((1.0 - th * (1.0 - arr)) / arr)
         elif family == "gumbel_barnett":
@@ -218,7 +221,7 @@ def psi(g: GeneratorSpec, t):
 def phi(g: GeneratorSpec, u):
     """Pseudo-inverse phi = psi^(-1) on (0, 1]; phi(1) = 0."""
     arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(arr <= 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr)):
+    if not np.all((arr > 0.0) & (arr <= 1.0)):  # NaN fails both comparisons
         raise ValidationError("u must lie in (0, 1]")
     out = _phi(g.family, g.theta, arr)
     return out if np.ndim(u) else float(out[0])

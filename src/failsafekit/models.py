@@ -47,7 +47,9 @@ forms, not grid probes.  Each family record carries its DFR rule
 gen_gamma: Glaser 1980, JASA 75:667), and each kind its direction in
 theta: F(x; theta) is nonincreasing in theta for scale, phr, mphrs and ls,
 and nondecreasing for location.  The one case without a rule, mphrs with
-alpha > 1, probes the hazard of its transformed model on a lifetime grid.
+alpha > 1, probes the hazard of its transformed model on a lifetime grid:
+``bulk_grid``, log-spaced over bulk quantiles with one floor at 1e-9 of its
+top, builds every such grid, and ``linear_grid`` any explicit range.
 Everything is pure and reentrant; model values are immutable.
 """
 
@@ -552,13 +554,38 @@ BULK_Q_LO, BULK_Q_HI = 0.001, 0.999
 PROBE_POINTS = 200
 
 
-def default_x_grid(b: BaselineSpec):
-    """PROBE_POINTS log-spaced lifetimes over the baseline's bulk quantile range."""
-    lo, hi = quantile(b, BULK_Q_LO), quantile(b, BULK_Q_HI)
+def _check_points(points: int) -> None:
+    if points < 2:
+        raise ValidationError(f"curve_points must be at least 2, got {points}")
+
+
+def bulk_grid(entries, points: int) -> np.ndarray:
+    """``points`` log-spaced lifetimes from the smallest BULK_Q_LO to the largest
+    BULK_Q_HI quantile over every (model, thetas) entry, floored at hi * 1e-9."""
+    _check_points(points)
+    # one quantile call per entry for both ends: gamma's inverse costs per call
+    ends = [sp_quantile(m, [[BULK_Q_LO], [BULK_Q_HI]], th) for m, th in entries]
+    lo = np.min([np.min(q[0]) for q in ends])
+    hi = np.max([np.max(q[1]) for q in ends])
     if not (np.isfinite(lo) and 0.0 < hi < np.inf):
-        raise ValidationError(f"{b.family}{b.params} has no finite positive bulk quantile "
-                              f"range [{lo:.3g}, {hi:.3g}] for a probe grid")
-    return np.geomspace(max(lo, hi * 1e-12), hi, PROBE_POINTS)
+        names = ", ".join(dict.fromkeys(
+            f"{m.kind} {m.baseline.family}{m.baseline.params}" for m, _ in entries))
+        raise ValidationError(f"{names} has no finite positive bulk quantile range "
+                              f"[{lo:.3g}, {hi:.3g}] for a lifetime grid")
+    return np.geomspace(max(lo, hi * 1e-9), hi, points)
+
+
+def linear_grid(x_min: float, x_max: float, points: int) -> np.ndarray:
+    """``points`` evenly spaced lifetimes over [x_min, x_max], from x_max / points if x_min is 0."""
+    if not 0.0 <= x_min < x_max:  # NaN fails the comparison
+        raise ValidationError("need 0 <= x-min < x-max")
+    _check_points(points)
+    return np.linspace(x_min if x_min > 0 else x_max / points, x_max, points)
+
+
+def default_x_grid(b: BaselineSpec):
+    """The baseline's bulk grid at PROBE_POINTS, via its scale model at theta = 1."""
+    return bulk_grid([(SemiParamModel("scale", b), 1.0)], PROBE_POINTS)
 
 
 def check_dfr(b: BaselineSpec) -> ShapeVerdict:

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ValidationError
 from .generators import GeneratorSpec, SURVIVAL_FLOOR, _phi, _psi, phi, psi
 from .gridpolicy import GridPolicy
-from .models import BaselineSpec, SemiParamModel, _sp_survival, sp_survival
+from .models import BaselineSpec, SemiParamModel, _sp_survival, bulk_grid, sp_survival
 
 #: Values this close to the [0, 1] bounds are clamped onto them.
 CLAMP_TOL = 1e-10
@@ -165,8 +165,8 @@ def survival_x2n(sys: SystemSpec, x):
 
 
 def default_grid(sys: SystemSpec, points: int = GridPolicy.curve_points) -> np.ndarray:
-    """Log-spaced grid over the mixture bulk of the component lifetimes."""
-    return GridPolicy(curve_points=points).curve_grid(sys.model, sys.theta)
+    """``models.bulk_grid`` over the component lifetimes."""
+    return bulk_grid([(sys.model, sys.theta)], points)
 
 
 def curve(sys: SystemSpec, xs) -> SurvivalCurve:

@@ -99,6 +99,15 @@ def test_curve_paired_gap_nonnegative(demo_files, tmp_path):
     assert gaps.min() >= -1e-10
 
 
+def test_curve_explicit_range_is_the_demo_grid(demo_files, tmp_path):
+    from failsafekit.demos import demo_grid
+    out = tmp_path / "pair.csv"
+    assert main(["curve", demo_files["gb_x"], "--paired", demo_files["gb_y"], "--x-min", "0",
+                 "--x-max", "10", "--points", "1000", "--out", str(out)]) == 0
+    xs = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+    assert xs.tobytes() == demo_grid(1000).tobytes()
+
+
 def test_curve_single_matches_library(demo_files, tmp_path):
     from failsafekit import survival_x2n
     from failsafekit.demos import gumbel_barnett_pair
@@ -586,6 +595,10 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
     (["preorder", "--a", "1,x", "--b", "1,2"], {}, "vector a has non-numeric entries"),
     (["curve", "{spec}", "--x-min", "2", "--x-max", "1", "--out", "{out}"], {},
      "need 0 <= x-min < x-max"),
+    (["curve", "{spec}", "--x-min", "0", "--x-max", "10", "--points", "0", "--out", "{out}"], {},
+     "curve_points must be at least 2, got 0"),
+    (["curve", "{spec}", "--points", "1", "--out", "{out}"], {},
+     "curve_points must be at least 2, got 1"),
     (["curve", "--out", "{out}"], {}, "system.json required"),
     (["curve", "{spec}"], {}, "curve output needs --out"),
     (_FIT + ["--subsets", "w1,w2;"], {}, "empty subset in --subsets"),
@@ -606,6 +619,7 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
      "--seed must lie in [0, 2**64), got -1"),
     (_FIT, {"FAILSAFEKIT_SEED": "-3"}, "FAILSAFEKIT_SEED must lie in [0, 2**64), got -3"),
 ], ids=["env-seed", "vector-twice", "vector-empty", "vector-non-numeric", "x-range",
+        "x-range-no-points", "bulk-one-point",
         "curve-no-system", "curve-no-out", "subsets-empty-group", "subsets-one-group",
         "subsets-unequal", "config-no-path", "config-abbreviated", "config-not-object",
         "preorder-nan-tol", "verify-negative-tol", "verify-nan-tol", "fit-negative-seed",

@@ -534,6 +534,16 @@ def test_cvm_frank_replicates_with_strong_dependence(theta, seed):
     assert 0.0 <= res.p_value <= 1.0 and res.bootstrap_n == 100
 
 
+def test_cvm_frank_refit_near_zero_theta_is_silent():
+    # a replicate whose mean tau is rounding residue above 0 refits theta
+    # ~ 1.7e-17, where frank's far phi branch would warn if evaluated
+    u = sample_copula(GeneratorSpec("clayton", 0.05), 6, 8, seed=11).uniforms
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = cvm_gof("frank", u, boot_n=104, seed=11)
+    assert res.bootstrap_n == 104 and 0.0 <= res.p_value <= 1.0
+
+
 def test_cvm_frank_sample_beyond_float_p():
     # at theta = 40 the frailty's p = 1 - e^-theta rounds to 1 in float64
     u = sample_copula(GeneratorSpec("frank", 40.0), 3, 60, seed=1).uniforms

@@ -72,6 +72,36 @@ def test_phi_clayton_inverse_of_psi_example():
     assert phi(GeneratorSpec("clayton", 1.0), 0.5) == pytest.approx(1.0, rel=1e-15)
 
 
+def test_phi_rejects_u_outside_unit_interval():
+    g = GeneratorSpec("clayton", 1.0)
+    for u in (0.0, -0.5, 1.5, np.nan, np.array([0.5, np.nan]), np.array([0.5, 0.0])):
+        with pytest.raises(ValidationError, match=r"u must lie in \(0, 1\]"):
+            phi(g, u)
+
+
+def _frank_phi_both_branches(th, u):
+    """frank's phi with both branches evaluated everywhere, then selected."""
+    with np.errstate(all="ignore"):
+        near = -np.log(np.expm1(-th * u) / np.expm1(-th))
+        far = np.log1p(-np.exp(-th)) - np.log1p(-np.exp(-th * u))
+        return np.minimum(np.where(th * u < math.log(2.0), near, far), generators.PHI_CAP)
+
+
+def test_frank_phi_evaluates_each_branch_where_selected():
+    # a refit theta of rounding residue above 0: the far branch would be
+    # log1p(-1) - log1p(-1) and warn, though the near branch is selected
+    us = np.concatenate([np.geomspace(1e-300, 1.0, 300), np.linspace(1e-3, 1.0, 300)])
+    thetas = np.array([1.7e-17, 1e-9, 0.01, 0.5, math.log(2.0), 1.0, 5.0, 40.0, 500.0, 800.0])
+    with np.errstate(invalid="raise"):
+        got = [generators._phi("frank", th, us) for th in thetas]
+        column = generators._phi("frank", thetas[:, None], us)
+    want = _frank_phi_both_branches(thetas[:, None], us)
+    finite = np.isfinite(want)
+    assert finite.mean() > 0.9
+    for out in (np.array(got), column):
+        np.testing.assert_array_equal(out[finite], want[finite])
+
+
 #: family -> a theta interval inside its range, for random generators
 THETA_RANGES = {
     "clayton": (0.05, 10.0),

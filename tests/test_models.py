@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 from failsafekit import (
     BaselineSpec,
     GeneratorSpec,
+    GridPolicy,
     SemiParamModel,
     SystemSpec,
     ValidationError,
@@ -26,8 +28,11 @@ from failsafekit.models import (
     _FAMILIES,
     BASELINE_FAMILIES,
     GAMMA_SHAPE_MAX,
+    PROBE_POINTS,
+    bulk_grid,
     default_x_grid,
     inverse_log_sf,
+    linear_grid,
     log_pdf,
     log_sf,
     pdf,
@@ -420,14 +425,22 @@ def test_dpfr_verdicts():
 
 
 def test_dpfr_grid_validation():
-    # the lifetime grid that remains (the mphrs alpha > 1 hazard probe) still
-    # refuses a baseline without a finite positive bulk: burr(0.05, 0.05) has
-    # an infinite 0.999 quantile, burr(0.01, 1e10) both quantiles at 0
+    # the lifetime grid that remains (the mphrs alpha > 1 hazard probe, the
+    # bulk grid of the baseline alone) still refuses a baseline without a
+    # finite positive bulk: burr(0.05, 0.05) has an infinite 0.999 quantile,
+    # burr(0.01, 1e10) both quantiles at 0
     heavy = BaselineSpec("burr", (0.05, 0.05))
-    with pytest.raises(ValidationError, match="burr"):
-        default_x_grid(heavy)
-    with pytest.raises(ValidationError, match="burr"):
-        default_x_grid(BaselineSpec("burr", (0.01, 1e10)))
+    flat = BaselineSpec("burr", (0.01, 1e10))
+    for b in (heavy, flat):
+        msg = re.escape(f"scale burr{b.params} has no finite positive bulk quantile range")
+        with pytest.raises(ValidationError, match=msg):
+            bulk_grid([(SemiParamModel("scale", b), 1.0)], PROBE_POINTS)
+        with pytest.raises(ValidationError, match=msg):
+            default_x_grid(b)
+    # one message names every model of the grid, once each
+    ok = SemiParamModel("scale", BaselineSpec("weibull", (1.0, 0.8)))
+    with pytest.raises(ValidationError, match=r"^scale weibull\(1.0, 0.8\), phr burr"):
+        bulk_grid([(ok, (1.0, 2.0)), (SemiParamModel("phr", heavy), 1.0), (ok, 3.0)], 50)
     with pytest.raises(ValidationError, match="burr"):
         check_theorem1_condition2(SemiParamModel("mphrs", heavy, alpha=2.0, lam=1.0))
     # DPFR needs no grid at all: it fails by proof
@@ -435,6 +448,49 @@ def test_dpfr_grid_validation():
     with pytest.raises(ValidationError, match="fewer than 3 finite points"):
         check_theorem1_condition2(SemiParamModel("mphrs", heavy, alpha=2.0, lam=1.0),
                                   grid=lambda m: np.full(100, np.nan))
+
+
+@pytest.mark.parametrize("b", ALL_BASELINES, ids=_ids)
+def test_probe_grid_is_the_bulk_rule_over_the_baseline(b):
+    m = SemiParamModel("mphrs", b, alpha=2.5, lam=0.7)
+    grid = GridPolicy().shape_x_grid(m)
+    np.testing.assert_array_equal(grid, bulk_grid([(SemiParamModel("scale", b), 1.0)],
+                                                  PROBE_POINTS))
+    np.testing.assert_array_equal(grid, default_x_grid(b))
+    # the scale model at theta = 1 has the baseline's quantiles bit for bit
+    lo, hi = quantile(b, 0.001), quantile(b, 0.999)
+    assert grid.size == PROBE_POINTS and grid[-1] == hi
+    assert grid[0] == max(lo, hi * 1e-9)
+
+
+def test_probe_grid_floor_binds_on_a_heavy_tail():
+    # gen_pareto(3): q(0.001) ~ 1e-3 lies below 1e-9 q(0.999) ~ 0.33, so the
+    # grid starts at the one floor
+    b = BaselineSpec("gen_pareto", (3.0,))
+    lo, hi = quantile(b, 0.001), quantile(b, 0.999)
+    assert lo < hi * 1e-9
+    grid = default_x_grid(b)
+    assert grid[0] == hi * 1e-9 and grid[-1] == hi
+
+
+@pytest.mark.parametrize("points", [1, 0, -3])
+def test_grid_builders_need_two_points(points):
+    m = SemiParamModel("scale", BaselineSpec("weibull", (1.0, 0.8)))
+    for build in (lambda: bulk_grid([(m, 1.0)], points), lambda: linear_grid(0.0, 10.0, points)):
+        with pytest.raises(ValidationError, match="curve_points must be at least 2"):
+            build()
+
+
+@pytest.mark.parametrize("x_min, x_max", [(2.0, 1.0), (1.0, 1.0), (-0.5, 1.0), (math.nan, 1.0),
+                                          (0.0, math.nan)])
+def test_linear_grid_needs_an_ordered_nonnegative_range(x_min, x_max):
+    with pytest.raises(ValidationError, match="need 0 <= x-min < x-max"):
+        linear_grid(x_min, x_max, 10)
+
+
+def test_linear_grid_starts_above_zero():
+    np.testing.assert_array_equal(linear_grid(0.0, 10.0, 1000), np.linspace(0.01, 10.0, 1000))
+    np.testing.assert_array_equal(linear_grid(0.1, 5.0, 50), np.linspace(0.1, 5.0, 50))
 
 
 # ----------------------------------------------- theorem shape checks

@@ -23,7 +23,7 @@ from failsafekit.cli import load_system, write_curve_csv
 from failsafekit.demos import clayton_pair, demo_grid, gumbel_barnett_pair
 from failsafekit.generators import FAMILIES, PHI_CAP, SURVIVAL_FLOOR, phi, psi
 from failsafekit.gridpolicy import GridPolicy
-from failsafekit.models import sp_quantile, sp_survival
+from failsafekit.models import BULK_Q_HI, BULK_Q_LO, sp_quantile, sp_survival
 
 
 # ---------------------------------------------------------------- oracle
@@ -252,8 +252,8 @@ def _per_theta_curve_grid(policy, model, *theta_vectors):
     los, his = [], []
     for thetas in theta_vectors:
         for th in thetas:
-            los.append(sp_quantile(model, policy.q_lo, float(th)))
-            his.append(sp_quantile(model, policy.q_hi, float(th)))
+            los.append(sp_quantile(model, BULK_Q_LO, float(th)))
+            his.append(sp_quantile(model, BULK_Q_HI, float(th)))
     lo, hi = min(los), max(his)
     return np.geomspace(max(lo, hi * 1e-9), hi, policy.curve_points)
 
