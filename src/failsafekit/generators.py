@@ -188,13 +188,12 @@ def _phi(family: str, th, arr: np.ndarray) -> np.ndarray:
         elif family == "gumbel":
             out = _pow(-np.log(arr), th)
         elif family == "frank":
-            # the ratio rounds to 1 once theta*u is large: there, and only there
-            # (at theta near 0 it is log1p(-1) - log1p(-1)), subtract logs
-            tu = th * arr
-            out = -np.log(np.expm1(-tu) / np.expm1(-th))
-            far = tu >= math.log(2.0)
-            thf = np.broadcast_to(th, tu.shape)[far] if np.ndim(th) else th
-            out[far] = np.log1p(-np.exp(-thf)) - np.log1p(-np.exp(-tu[far]))
+            # the ratio rounds to 1 once theta*u is large: there, subtract logs
+            # (at theta near 0 that branch is -inf + inf, but not selected)
+            near = -np.log(np.expm1(-th * arr) / np.expm1(-th))
+            with np.errstate(invalid="ignore"):
+                far = np.log1p(-np.exp(-th)) - np.log1p(-np.exp(-th * arr))
+            out = np.where(th * arr < math.log(2.0), near, far)
         elif family == "amh":
             out = np.log((1.0 - th * (1.0 - arr)) / arr)
         elif family == "gumbel_barnett":

@@ -1,5 +1,4 @@
-"""Shared grid and tolerance policy for probes, curves and verdicts; the
-grids themselves are ``models.bulk_grid``'s."""
+"""Shared grid and tolerance policy for probes, curves and verdicts."""
 
 from __future__ import annotations
 

@@ -47,9 +47,9 @@ forms, not grid probes.  Each family record carries its DFR rule
 gen_gamma: Glaser 1980, JASA 75:667), and each kind its direction in
 theta: F(x; theta) is nonincreasing in theta for scale, phr, mphrs and ls,
 and nondecreasing for location.  The one case without a rule, mphrs with
-alpha > 1, probes the hazard of its transformed model on a lifetime grid:
-``bulk_grid``, log-spaced over bulk quantiles with one floor at 1e-9 of its
-top, builds every such grid, and ``linear_grid`` any explicit range.
+alpha > 1, probes the hazard of its transformed model on a lifetime grid.
+``bulk_grid``, log-spaced over bulk quantiles, builds every such grid and
+every default curve grid, and ``linear_grid`` any explicit range.
 Everything is pure and reentrant; model values are immutable.
 """
 
@@ -552,6 +552,8 @@ class ShapeVerdict:
 SHAPE_TOL = 1e-9
 BULK_Q_LO, BULK_Q_HI = 0.001, 0.999
 PROBE_POINTS = 200
+#: Bulk grid floors as fractions of the top quantile: curves, and the deeper hazard probe.
+CURVE_FLOOR, PROBE_FLOOR = 1e-9, 1e-12
 
 
 def _check_points(points: int) -> None:
@@ -559,9 +561,9 @@ def _check_points(points: int) -> None:
         raise ValidationError(f"curve_points must be at least 2, got {points}")
 
 
-def bulk_grid(entries, points: int) -> np.ndarray:
+def bulk_grid(entries, points: int, floor: float = CURVE_FLOOR) -> np.ndarray:
     """``points`` log-spaced lifetimes from the smallest BULK_Q_LO to the largest
-    BULK_Q_HI quantile over every (model, thetas) entry, floored at hi * 1e-9."""
+    BULK_Q_HI quantile over every (model, thetas) entry, floored at hi * floor."""
     _check_points(points)
     # one quantile call per entry for both ends: gamma's inverse costs per call
     ends = [sp_quantile(m, [[BULK_Q_LO], [BULK_Q_HI]], th) for m, th in entries]
@@ -572,7 +574,7 @@ def bulk_grid(entries, points: int) -> np.ndarray:
             f"{m.kind} {m.baseline.family}{m.baseline.params}" for m, _ in entries))
         raise ValidationError(f"{names} has no finite positive bulk quantile range "
                               f"[{lo:.3g}, {hi:.3g}] for a lifetime grid")
-    return np.geomspace(max(lo, hi * 1e-9), hi, points)
+    return np.geomspace(max(lo, hi * floor), hi, points)
 
 
 def linear_grid(x_min: float, x_max: float, points: int) -> np.ndarray:
@@ -584,8 +586,8 @@ def linear_grid(x_min: float, x_max: float, points: int) -> np.ndarray:
 
 
 def default_x_grid(b: BaselineSpec):
-    """The baseline's bulk grid at PROBE_POINTS, via its scale model at theta = 1."""
-    return bulk_grid([(SemiParamModel("scale", b), 1.0)], PROBE_POINTS)
+    """The hazard probe's bulk grid over the baseline, via its scale model at theta = 1."""
+    return bulk_grid([(SemiParamModel("scale", b), 1.0)], PROBE_POINTS, PROBE_FLOOR)
 
 
 def check_dfr(b: BaselineSpec) -> ShapeVerdict:

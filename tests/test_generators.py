@@ -87,7 +87,7 @@ def _frank_phi_both_branches(th, u):
         return np.minimum(np.where(th * u < math.log(2.0), near, far), generators.PHI_CAP)
 
 
-def test_frank_phi_evaluates_each_branch_where_selected():
+def test_frank_phi_near_zero_theta_is_silent():
     # a refit theta of rounding residue above 0: the far branch would be
     # log1p(-1) - log1p(-1) and warn, though the near branch is selected
     us = np.concatenate([np.geomspace(1e-300, 1.0, 300), np.linspace(1e-3, 1.0, 300)])

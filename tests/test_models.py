@@ -28,6 +28,7 @@ from failsafekit.models import (
     _FAMILIES,
     BASELINE_FAMILIES,
     GAMMA_SHAPE_MAX,
+    PROBE_FLOOR,
     PROBE_POINTS,
     bulk_grid,
     default_x_grid,
@@ -455,22 +456,37 @@ def test_probe_grid_is_the_bulk_rule_over_the_baseline(b):
     m = SemiParamModel("mphrs", b, alpha=2.5, lam=0.7)
     grid = GridPolicy().shape_x_grid(m)
     np.testing.assert_array_equal(grid, bulk_grid([(SemiParamModel("scale", b), 1.0)],
-                                                  PROBE_POINTS))
+                                                  PROBE_POINTS, PROBE_FLOOR))
     np.testing.assert_array_equal(grid, default_x_grid(b))
     # the scale model at theta = 1 has the baseline's quantiles bit for bit
     lo, hi = quantile(b, 0.001), quantile(b, 0.999)
     assert grid.size == PROBE_POINTS and grid[-1] == hi
-    assert grid[0] == max(lo, hi * 1e-9)
+    assert grid[0] == max(lo, hi * 1e-12)
 
 
-def test_probe_grid_floor_binds_on_a_heavy_tail():
-    # gen_pareto(3): q(0.001) ~ 1e-3 lies below 1e-9 q(0.999) ~ 0.33, so the
-    # grid starts at the one floor
+def test_probe_grid_reaches_below_the_curve_floor():
+    # gen_pareto(3): q(0.001) ~ 1e-3 lies below 1e-9 q(0.999) ~ 0.33, so a
+    # curve grid starts at its floor, while the probe starts at q(0.001)
     b = BaselineSpec("gen_pareto", (3.0,))
     lo, hi = quantile(b, 0.001), quantile(b, 0.999)
-    assert lo < hi * 1e-9
-    grid = default_x_grid(b)
-    assert grid[0] == hi * 1e-9 and grid[-1] == hi
+    assert hi * 1e-12 < lo < hi * 1e-9
+    curve = bulk_grid([(SemiParamModel("scale", b), 1.0)], 1000)
+    assert curve[0] == hi * 1e-9 and curve[-1] == hi
+    probe = default_x_grid(b)
+    assert probe[0] == lo and probe[-1] == hi
+
+
+def test_probe_sees_a_hazard_rise_below_the_curve_floor():
+    # burr(3.28, 0.1) is not DFR; between q(0.001) ~ 0.25 and 1e-9 q(0.999)
+    # ~ 1.4 the hazard of this mphrs model rises, which the probe must see
+    m = SemiParamModel("mphrs", BaselineSpec("burr", (3.28, 0.1)), alpha=2.87, lam=0.733)
+    assert not check_dfr(m.baseline).holds
+    v = check_theorem1_condition2(m)
+    assert not v.holds and "in [0.246, 1.4e+09]" in v.rule
+    # on a grid floored at 1e-9 q(0.999) the rise is out of sight
+    at_curve_floor = check_theorem1_condition2(m, grid=lambda mm: bulk_grid(
+        [(SemiParamModel("scale", mm.baseline), 1.0)], PROBE_POINTS))
+    assert at_curve_floor.holds and "in [1.4, 1.4e+09]" in at_curve_floor.rule
 
 
 @pytest.mark.parametrize("points", [1, 0, -3])
