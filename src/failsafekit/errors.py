@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one check of a
+spec's scalar fields that raises it."""
+
+import math
+import numbers
 
 
 class FailsafeKitError(Exception):
@@ -30,3 +34,19 @@ class InconsistencyError(FailsafeKitError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+def real_number(value, what: str) -> float:
+    """value as a Python float, when it is a real number: a Python or numpy
+    int or float, not a bool.  Anything else (a string, None, a bool, a
+    list) is a ValidationError naming ``what``, as the JSON schemas type
+    these fields "number".  An int too large for a float becomes the
+    infinity of its sign, for the caller's finiteness check to refuse."""
+    if isinstance(value, float):  # Python's and numpy's float64
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf

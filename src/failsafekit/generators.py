@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, real_number
 
 #: Survival values are floored here before phi to avoid infinities.
 SURVIVAL_FLOOR = 1e-300
@@ -66,17 +66,18 @@ class GeneratorSpec:
     theta: float | None = None
 
     def __post_init__(self):
-        if self.family not in _RANGES:
+        if not isinstance(self.family, str) or self.family not in _RANGES:
             raise ValidationError(f"unknown generator family {self.family!r}")
         if self.family == "independence":
             if self.theta is not None:
                 raise ValidationError("independence takes no parameter")
             return
-        if self.theta is None or not np.isfinite(self.theta):
+        theta = None if self.theta is None else real_number(self.theta, f"{self.family} theta")
+        if theta is None or not math.isfinite(theta):
             raise ValidationError(f"{self.family} requires a finite theta")
         lo, hi, lo_c, hi_c = _RANGES[self.family]
-        ok_lo = self.theta >= lo if lo_c else self.theta > lo
-        ok_hi = self.theta <= hi if hi_c else self.theta < hi
+        ok_lo = theta >= lo if lo_c else theta > lo
+        ok_hi = theta <= hi if hi_c else theta < hi
         if not (ok_lo and ok_hi):
             raise ValidationError(
                 f"{self.family} parameter {self.theta} outside its range "

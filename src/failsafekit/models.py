@@ -62,7 +62,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, real_number
 
 
 def _log1mexp(a):
@@ -181,19 +181,31 @@ def _log_gammaincc(a: float, x, lx):
 
 
 def _horner(z, coef):
-    s = coef[0]
-    for c in coef[1:]:
-        s = s * z + c
+    """The polynomial with coefficients coef (highest power first, at least
+    two) at z; on an array, in place in one buffer."""
+    s = coef[0] * z
+    s += coef[1]
+    for c in coef[2:]:
+        s *= z
+        s += c
     return s
 
 
 def _legendre_fraction(x, a, depth):
-    """x^-a e^x Gamma(a) Q(a, x), backward from ``depth`` levels."""
+    """x^-a e^x Gamma(a) Q(a, x), backward from ``depth`` levels; on an
+    array, in place in two buffers."""
     b = x + (2 * depth + 1 - a)
-    f = b
+    if isinstance(b, float):
+        f = b
+        for k in range(depth, 0, -1):
+            b -= 2.0
+            f = b - k * (k - a) / f
+        return f
+    f, q = b.copy(), np.empty_like(b)
     for k in range(depth, 0, -1):
-        b = b - 2.0
-        f = b - k * (k - a) / f
+        b -= 2.0
+        np.divide(k * (k - a), f, out=q)
+        np.subtract(b, q, out=f)
     return f
 
 
@@ -332,15 +344,15 @@ class BaselineSpec:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise ValidationError(f"unknown baseline family {self.family!r}")
         names = _FAMILIES[self.family].names
-        params = tuple(float(p) for p in self.params)
+        params = tuple(real_number(p, f"{self.family} parameter") for p in self.params)
         if len(params) != len(names):
             raise ValidationError(
                 f"{self.family} takes {len(names)} parameters {names}, got {len(params)}"
             )
-        if any(not np.isfinite(p) or p <= 0.0 for p in params):
+        if any(not math.isfinite(p) or p <= 0.0 for p in params):
             raise ValidationError(f"{self.family} parameters must be positive, got {params}")
         object.__setattr__(self, "params", params)
 
@@ -351,6 +363,8 @@ class BaselineSpec:
     def from_json(cls, obj: dict) -> "BaselineSpec":
         if not isinstance(obj, dict) or "family" not in obj or "params" not in obj:
             raise ValidationError("baseline spec must carry 'family' and 'params'")
+        if not isinstance(obj["params"], list):
+            raise ValidationError("baseline params must be an array of numbers")
         return cls(family=obj["family"], params=tuple(obj["params"]))
 
 
@@ -436,15 +450,17 @@ class SemiParamModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown model kind {self.kind!r}")
+        alpha, lam = (None if v is None else real_number(v, f"{self.kind} {name}")
+                      for v, name in ((self.alpha, "alpha"), (self.lam, "lambda")))
         if self.kind == "mphrs":
-            if self.alpha is None or self.lam is None:
+            if alpha is None or lam is None:
                 raise ValidationError("mphrs requires fixed alpha and lambda")
-            if not (np.isfinite(self.alpha) and self.alpha > 0.0):
+            if not (math.isfinite(alpha) and alpha > 0.0):
                 raise ValidationError("mphrs alpha must be positive")
-            if not (np.isfinite(self.lam) and self.lam > 0.0):
+            if not (math.isfinite(lam) and lam > 0.0):
                 raise ValidationError("mphrs lambda must be positive")
         elif self.kind == "ls":
-            if self.lam is None or not np.isfinite(self.lam):
+            if lam is None or not math.isfinite(lam):
                 raise ValidationError("ls requires a finite fixed lambda")
             if self.alpha is not None:
                 raise ValidationError("ls takes no alpha")
@@ -468,6 +484,8 @@ class SemiParamModel:
         if not isinstance(obj, dict) or "kind" not in obj or "baseline" not in obj:
             raise ValidationError("model spec must carry 'kind' and 'baseline'")
         fixed = obj.get("fixed", {})
+        if not isinstance(fixed, dict):
+            raise ValidationError("model fixed must be an object")
         return cls(
             kind=obj["kind"],
             baseline=BaselineSpec.from_json(obj["baseline"]),

@@ -5,12 +5,23 @@ vectors; each defining prefix inequality is relaxed by an absolute
 tolerance that only absorbs float noise (the relations themselves are
 exact).  Everything here is a pure function of immutable inputs and safe
 under concurrent callers.
+
+The vectors the audits compare hold a handful of parameters, so the
+relations are computed on Python floats: a numpy call on so few numbers
+costs far more than the arithmetic.  Prefix sums, products and reciprocal
+sums are taken left to right with ``itertools.accumulate``, which is the
+order in which numpy's 1-d ``cumsum`` and ``cumprod`` add and multiply,
+and each step is the same IEEE double operation, so every prefix, and so
+every comparison with ``tol``, has the bits the numpy form would give.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,13 +42,23 @@ class Preorder(enum.Enum):
 POSITIVE_ONLY = frozenset({Preorder.P_LARGER, Preorder.RECIPROCAL_MAJORIZE})
 
 
-def _ascending(v, name: str) -> np.ndarray:
+def _ascending(v, name: str) -> list[float]:
+    """v as an ascending list of finite Python floats."""
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValidationError(f"{name} must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
+    xs = arr.tolist()
+    if not all(map(math.isfinite, xs)):
         raise ValidationError(f"{name} contains non-finite entries")
-    return np.sort(arr)
+    xs.sort()
+    return xs
+
+
+def _checked_pair(a, b) -> tuple[list[float], list[float]]:
+    sa, sb = _ascending(a, "a"), _ascending(b, "b")
+    if len(sa) != len(sb):
+        raise ValidationError(f"length mismatch: {len(sa)} != {len(sb)}")
+    return sa, sb
 
 
 def holds(kind: Preorder, a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -50,23 +71,24 @@ def holds(kind: Preorder, a, b, tol: float = DEFAULT_TOL) -> bool:
     """
     if not tol >= 0.0:  # NaN fails too
         raise ValidationError("tol must be nonnegative")
-    sa, sb = _ascending(a, "a"), _ascending(b, "b")
-    if sa.size != sb.size:
-        raise ValidationError(f"length mismatch: {sa.size} != {sb.size}")
+    sa, sb = _checked_pair(a, b)
     if kind in POSITIVE_ONLY and (sa[0] <= 0.0 or sb[0] <= 0.0):
         raise ValidationError(f"{kind.value} requires strictly positive entries")
 
     if kind is Preorder.MAJORIZE:
-        ca, cb = np.cumsum(sa), np.cumsum(sb)
-        return bool(np.all(ca[:-1] <= cb[:-1] + tol) and abs(ca[-1] - cb[-1]) <= tol)
+        ca, cb = list(accumulate(sa)), list(accumulate(sb))
+        return (all(x <= y + tol for x, y in zip(ca[:-1], cb[:-1]))
+                and bool(abs(ca[-1] - cb[-1]) <= tol))
     if kind is Preorder.WEAK_SUPER:
-        return bool(np.all(np.cumsum(sa) <= np.cumsum(sb) + tol))
+        return all(x <= y + tol for x, y in zip(accumulate(sa), accumulate(sb)))
     if kind is Preorder.WEAK_SUB:
-        return bool(np.all(np.cumsum(sa) >= np.cumsum(sb) - tol))
+        return all(x >= y - tol for x, y in zip(accumulate(sa), accumulate(sb)))
     if kind is Preorder.P_LARGER:
-        return bool(np.all(np.cumprod(sa) <= np.cumprod(sb) + tol))
+        pa, pb = accumulate(sa, operator.mul), accumulate(sb, operator.mul)
+        return all(x <= y + tol for x, y in zip(pa, pb))
     if kind is Preorder.RECIPROCAL_MAJORIZE:
-        return bool(np.all(np.cumsum(1.0 / sa) >= np.cumsum(1.0 / sb) - tol))
+        ra, rb = accumulate(1.0 / x for x in sa), accumulate(1.0 / x for x in sb)
+        return all(x >= y - tol for x, y in zip(ra, rb))
     raise ValidationError(f"unknown preorder {kind!r}")
 
 
@@ -104,9 +126,7 @@ class OrderReport:
 
 def classify(a, b, tol: float = DEFAULT_TOL) -> OrderReport:
     """Evaluate all ten (kind, direction) relations between a and b."""
-    sa, sb = _ascending(a, "a"), _ascending(b, "b")
-    if sa.size != sb.size:
-        raise ValidationError(f"length mismatch: {sa.size} != {sb.size}")
+    sa, sb = _checked_pair(a, b)
     positive = sa[0] > 0.0 and sb[0] > 0.0
     forward, reverse = {}, {}
     skipped = []

@@ -28,11 +28,13 @@ functions repeat on every call.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, real_number
 from .generators import GeneratorSpec, SURVIVAL_FLOOR, _phi, _psi, phi, psi
 from .gridpolicy import GridPolicy
 from .models import BaselineSpec, SemiParamModel, _sp_survival, bulk_grid, sp_survival
@@ -51,14 +53,22 @@ class SystemSpec:
     generator: GeneratorSpec
 
     def __post_init__(self):
-        if self.n < 2:
+        n = self.n
+        if isinstance(n, float) and n.is_integer():  # a JSON Schema integer, as 3.0
+            n = int(n)
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValidationError(f"system n must be an integer, got {self.n!r}")
+        if n < 2:
             raise ValidationError("a system needs at least 2 components")
-        theta = tuple(float(t) for t in self.theta)
-        if len(theta) != self.n:
-            raise ValidationError(f"theta length {len(theta)} != n={self.n}")
+        theta = tuple(real_number(t, "system theta entry") for t in self.theta)
+        if len(theta) != n:
+            raise ValidationError(f"theta length {len(theta)} != n={n}")
+        # SemiParamModel.theta_in_domain, on Python floats in one pass
+        location = self.model.kind == "location"
         for t in theta:
-            if not self.model.theta_in_domain(t):
+            if not (math.isfinite(t) and (t > 0.0 or location)):
                 raise ValidationError(f"theta {t} outside the {self.model.kind} domain")
+        object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "theta", theta)
 
     def to_json(self) -> dict:
@@ -76,8 +86,10 @@ class SystemSpec:
         for key in ("n", "generator", "model", "theta"):
             if key not in obj:
                 raise ValidationError(f"system spec missing {key!r}")
+        if not isinstance(obj["theta"], list):
+            raise ValidationError("system theta must be an array of numbers")
         return cls(
-            n=int(obj["n"]),
+            n=obj["n"],
             model=SemiParamModel.from_json(obj["model"]),
             theta=tuple(obj["theta"]),
             generator=GeneratorSpec.from_json(obj["generator"]),

@@ -665,3 +665,89 @@ def test_flag_defaults_are_the_policy_defaults():
         policy.curve_points, policy.dominance_tol, policy.crossing_gap)
     assert parser.parse_args(["curve"]).points == policy.curve_points
     assert parser.parse_args(["preorder"]).tol == DEFAULT_TOL == policy.preorder_tol
+
+
+# ------------------------------------------------- malformed spec values
+def _malformed(spec, case):
+    """spec (a system spec's JSON) with the one value of ``case`` broken."""
+    if case == "generator-theta-string":
+        spec["generator"]["theta"] = "2"
+    elif case == "generator-theta-bool":
+        spec["generator"]["theta"] = True
+    elif case == "theta-entry-string":
+        spec["theta"][1] = "a"
+    elif case == "theta-entry-bool":
+        spec["theta"][1] = True
+    elif case == "theta-null":
+        spec["theta"] = None
+    elif case == "baseline-param-string":
+        spec["model"]["baseline"]["params"] = ["x"]
+    elif case == "baseline-params-number":
+        spec["model"]["baseline"]["params"] = 1.0
+    elif case == "baseline-family-list":
+        spec["model"]["baseline"]["family"] = ["exponential"]
+    elif case == "n-string":
+        spec["n"] = "3.5"
+    elif case == "n-fraction":
+        spec["n"] = 3.7
+    elif case == "n-bool":
+        spec["n"] = True
+    elif case == "alpha-string":
+        spec["model"] = {**spec["model"], "kind": "mphrs",
+                         "fixed": {"alpha": "x", "lambda": 1.0}}
+    elif case == "lambda-bool":
+        spec["model"] = {**spec["model"], "kind": "ls", "fixed": {"lambda": False}}
+    elif case == "fixed-list":
+        spec["model"] = {**spec["model"], "kind": "ls", "fixed": [1.0]}
+    return spec
+
+
+_MALFORMED = {
+    "generator-theta-string": "clayton theta must be a number, got '2'",
+    "generator-theta-bool": "clayton theta must be a number, got True",
+    "theta-entry-string": "system theta entry must be a number, got 'a'",
+    "theta-entry-bool": "system theta entry must be a number, got True",
+    "theta-null": "system theta must be an array of numbers",
+    "baseline-param-string": "exponential parameter must be a number, got 'x'",
+    "baseline-params-number": "baseline params must be an array of numbers",
+    "baseline-family-list": "unknown baseline family ['exponential']",
+    "n-string": "system n must be an integer, got '3.5'",
+    "n-fraction": "system n must be an integer, got 3.7",
+    "n-bool": "system n must be an integer, got True",
+    "alpha-string": "mphrs alpha must be a number, got 'x'",
+    "lambda-bool": "ls lambda must be a number, got False",
+    "fixed-list": "model fixed must be an object",
+}
+
+
+@pytest.mark.parametrize("command", ["curve", "verify", "simulate"])
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_spec_value_exit_2(tmp_path, capsys, command, case):
+    m = SemiParamModel("scale", BaselineSpec("exponential", (1.0,)))
+    good = SystemSpec(3, m, (1.0, 2.0, 3.0), GeneratorSpec("clayton", 2.0))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_malformed(good.to_json(), case)))
+    assert not _validator("system.schema.json").is_valid(json.loads(bad.read_text()))
+    out = tmp_path / "out.csv"
+    argv = {
+        "curve": ["curve", str(bad), "--out", str(out)],
+        "verify": ["verify", "t1", str(bad), write_system(tmp_path / "good.json", good)],
+        "simulate": ["simulate", str(bad), "--count", "10", "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {_MALFORMED[case]}"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_integral_float_n_is_a_json_schema_integer(tmp_path):
+    m = SemiParamModel("scale", BaselineSpec("exponential", (1.0,)))
+    good = SystemSpec(3, m, (1.0, 2.0, 3.0), GeneratorSpec("clayton", 2.0))
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({**good.to_json(), "n": 3.0}))
+    assert _validator("system.schema.json").is_valid(json.loads(spec.read_text()))
+    assert main(["curve", str(spec), "--out", str(tmp_path / "c.csv")]) == 0
+    assert main(["curve", write_system(tmp_path / "g.json", good),
+                 "--out", str(tmp_path / "g.csv")]) == 0
+    assert (tmp_path / "c.csv").read_text() == (tmp_path / "g.csv").read_text()

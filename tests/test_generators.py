@@ -322,3 +322,21 @@ def test_theta_column_equals_scalar_theta_bitwise(family):
         column = fn(family, th[:, None], x)
         scalar = np.stack([fn(family, float(v), row) for v, row in zip(th, x)])
         assert column.tobytes() == scalar.tobytes(), fn.__name__
+
+
+def test_generator_accepts_numpy_scalars():
+    assert GeneratorSpec("clayton", np.int64(3)).theta == 3
+    assert GeneratorSpec("amh", np.float64(-0.5)).theta == -0.5
+
+
+@pytest.mark.parametrize("family, theta, message", [
+    ("clayton", np.nan, "clayton requires a finite theta"),
+    ("clayton", np.float64(np.inf), "clayton requires a finite theta"),
+    ("clayton", None, "clayton requires a finite theta"),
+    ("clayton", -2.0, "clayton parameter -2.0 outside its range (0.0, inf)"),
+    ("amh", np.float64(1.5), "amh parameter 1.5 outside its range [-1.0, 1.0)"),
+], ids=["nan", "inf", "none", "negative", "amh-above"])
+def test_generator_refusals_keep_their_messages(family, theta, message):
+    with pytest.raises(ValidationError) as err:
+        GeneratorSpec(family, theta)
+    assert str(err.value) == message

@@ -670,3 +670,33 @@ def test_json_roundtrip():
     assert SemiParamModel.from_json(m.to_json()) == m
     m2 = SemiParamModel("scale", BaselineSpec("exponential", (2.0,)))
     assert SemiParamModel.from_json(m2.to_json()) == m2
+
+
+def test_constructors_accept_numpy_scalars():
+    b = BaselineSpec("weibull", (np.float64(1.5), np.int64(2)))
+    assert b.params == (1.5, 2.0) and all(type(p) is float for p in b.params)
+    exp = BaselineSpec("exponential", (1.0,))
+    m = SemiParamModel("mphrs", exp, alpha=np.float64(2.0), lam=np.int64(3))
+    assert (m.alpha, m.lam) == (2.0, 3)
+    assert SemiParamModel("ls", exp, lam=np.int64(-2)).lam == -2
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: BaselineSpec("weibull", (np.nan, 2.0)),
+     "weibull parameters must be positive, got (nan, 2.0)"),
+    (lambda: BaselineSpec("weibull", (np.float64(np.inf), 2.0)),
+     "weibull parameters must be positive, got (inf, 2.0)"),
+    (lambda: BaselineSpec("weibull", (1.0, 0)),
+     "weibull parameters must be positive, got (1.0, 0.0)"),
+    (lambda: SemiParamModel("mphrs", BaselineSpec("exponential", (1.0,)), alpha=np.nan, lam=1.0),
+     "mphrs alpha must be positive"),
+    (lambda: SemiParamModel("mphrs", BaselineSpec("exponential", (1.0,)),
+                            alpha=np.float64(2.0), lam=np.inf),
+     "mphrs lambda must be positive"),
+    (lambda: SemiParamModel("ls", BaselineSpec("exponential", (1.0,)), lam=np.nan),
+     "ls requires a finite fixed lambda"),
+], ids=["param-nan", "param-inf", "param-zero", "alpha-nan", "lambda-inf", "ls-lambda-nan"])
+def test_constructors_refuse_nonfinite_values(make, message):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert str(err.value) == message

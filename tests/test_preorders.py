@@ -223,3 +223,110 @@ def test_report_json_shape():
     assert set(blob["relations"]) == {k.value for k in Preorder}
     assert blob["relations"]["majorize"]["a_over_b"] is True
     assert blob["ascending_a"] == [1.0, 3.0]
+
+
+# ------------------------------------------------- numpy reference form
+def numpy_holds(kind, a, b, tol):
+    """The relations in numpy: prefix sums and products of np.sort by
+    np.cumsum and np.cumprod.  holds works on Python floats and must give
+    the same answer everywhere, at the tolerance edge too."""
+    sa, sb = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
+    if kind is Preorder.MAJORIZE:
+        ca, cb = np.cumsum(sa), np.cumsum(sb)
+        return bool(np.all(ca[:-1] <= cb[:-1] + tol) and abs(ca[-1] - cb[-1]) <= tol)
+    if kind is Preorder.WEAK_SUPER:
+        return bool(np.all(np.cumsum(sa) <= np.cumsum(sb) + tol))
+    if kind is Preorder.WEAK_SUB:
+        return bool(np.all(np.cumsum(sa) >= np.cumsum(sb) - tol))
+    if kind is Preorder.P_LARGER:
+        return bool(np.all(np.cumprod(sa) <= np.cumprod(sb) + tol))
+    return bool(np.all(np.cumsum(1.0 / sa) >= np.cumsum(1.0 / sb) - tol))
+
+
+def _reference_pairs(seed=11, count=90):
+    """Independent log-uniform pairs, and permutations scaled entry by
+    entry by 1 +- 1e-13 or 1 +- 1e-12, which sit on the tolerance edges."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(1, 9))
+        a = np.exp(rng.uniform(np.log(0.1), np.log(3.0), n))
+        if i % 3 == 0:
+            b = np.exp(rng.uniform(np.log(0.1), np.log(3.0), n))
+        else:
+            rel = 1e-13 if i % 3 == 1 else 1e-12
+            b = rng.permutation(a) * (1.0 + rel * rng.choice([-1.0, 1.0], n))
+        yield a, b
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9])
+def test_holds_matches_the_numpy_reference(tol):
+    answers = set()
+    for a, b in _reference_pairs():
+        for kind in Preorder:
+            for x, y in ((a, b), (b, a)):
+                got = holds(kind, x, y, tol)
+                assert type(got) is bool
+                assert got == numpy_holds(kind, x, y, tol), (kind, x.tolist(), y.tolist(), tol)
+                answers.add(got)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9])
+def test_classify_matches_the_numpy_reference(tol):
+    for a, b in _reference_pairs(seed=12, count=40):
+        rep = classify(a, b, tol)
+        assert rep.ascending_a == tuple(np.sort(a).tolist())
+        assert rep.ascending_b == tuple(np.sort(b).tolist())
+        assert all(type(v) is float for v in rep.ascending_a + rep.ascending_b)
+        for kind in Preorder:
+            assert rep.forward[kind] == numpy_holds(kind, a, b, tol)
+            assert rep.reverse[kind] == numpy_holds(kind, b, a, tol)
+
+
+def test_long_vectors_match_the_numpy_reference():
+    rng = np.random.default_rng(13)
+    a = rng.uniform(0.5, 2.0, 2000)
+    b = rng.permutation(a) * (1.0 + rng.uniform(-1e-13, 1e-13, a.size))
+    for kind in Preorder:
+        for tol in (0.0, 1e-12):
+            assert holds(kind, a, b, tol) == numpy_holds(kind, a, b, tol)
+            assert holds(kind, b, a, tol) == numpy_holds(kind, b, a, tol)
+
+
+_ONES = (1.0, 1.0)
+
+
+@pytest.mark.parametrize("kind, a, b, tol, message", [
+    (Preorder.MAJORIZE, [[1.0, 2.0]], [1.0, 2.0], 0.0, "a must be a non-empty 1-d vector"),
+    (Preorder.MAJORIZE, 1.0, [1.0], 0.0, "a must be a non-empty 1-d vector"),
+    (Preorder.WEAK_SUB, [1.0], [], 0.0, "b must be a non-empty 1-d vector"),
+    (Preorder.WEAK_SUB, (1.0, np.nan), _ONES, 0.0, "a contains non-finite entries"),
+    (Preorder.WEAK_SUPER, _ONES, (np.inf, 1.0), 0.0, "b contains non-finite entries"),
+    (Preorder.WEAK_SUPER, (-np.inf, 1.0), _ONES, 0.0, "a contains non-finite entries"),
+    (Preorder.MAJORIZE, (1.0, 2.0), (1.0, 2.0, 3.0), 0.0, "length mismatch: 2 != 3"),
+    (Preorder.P_LARGER, (0.0, 1.0), _ONES, 0.0, "p_larger requires strictly positive entries"),
+    (Preorder.RECIPROCAL_MAJORIZE, _ONES, (-1.0, 1.0), 0.0,
+     "reciprocal_majorize requires strictly positive entries"),
+    (Preorder.MAJORIZE, _ONES, _ONES, -1e-3, "tol must be nonnegative"),
+    (Preorder.MAJORIZE, _ONES, _ONES, np.nan, "tol must be nonnegative"),
+], ids=["2-d", "0-d", "empty", "nan", "inf", "-inf", "length", "p-larger-zero",
+        "rm-negative", "negative-tol", "nan-tol"])
+def test_holds_error_messages(kind, a, b, tol, message):
+    with pytest.raises(ValidationError) as err:
+        holds(kind, a, b, tol)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("a, b, tol, message", [
+    ([[1.0, 2.0]], [1.0, 2.0], 0.0, "a must be a non-empty 1-d vector"),
+    ([1.0], [], 0.0, "b must be a non-empty 1-d vector"),
+    ((1.0, np.nan), _ONES, 0.0, "a contains non-finite entries"),
+    (_ONES, (np.inf, 1.0), 0.0, "b contains non-finite entries"),
+    ((1.0, 2.0), (1.0, 2.0, 3.0), 0.0, "length mismatch: 2 != 3"),
+    (_ONES, _ONES, -1e-3, "tol must be nonnegative"),
+    (_ONES, _ONES, np.nan, "tol must be nonnegative"),
+], ids=["2-d", "empty", "nan", "inf", "length", "negative-tol", "nan-tol"])
+def test_classify_error_messages(a, b, tol, message):
+    with pytest.raises(ValidationError) as err:
+        classify(a, b, tol)
+    assert str(err.value) == message

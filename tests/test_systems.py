@@ -371,3 +371,26 @@ def test_curve_csv_full_precision(tmp_path):
     assert lines[0] == "x,survival"
     parsed = [float(line.split(",")[1]) for line in lines[1:]]
     assert parsed == list(vals)  # 17 significant digits round-trip exactly
+
+
+def test_system_accepts_numpy_scalars():
+    exp = BaselineSpec("exponential", (1.0,))
+    loc = SemiParamModel("location", exp)
+    for theta in (np.array([-3.0, 1.0]), (np.int64(-3), np.float32(1.0))):
+        s = SystemSpec(np.int64(2), loc, theta, GeneratorSpec("independence"))
+        assert (s.n, s.theta) == (2, (-3.0, 1.0))
+        assert type(s.n) is int and all(type(t) is float for t in s.theta)
+
+
+@pytest.mark.parametrize("kind, theta, message", [
+    ("scale", (np.nan, 1.0), "theta nan outside the scale domain"),
+    ("scale", (np.float64(-np.inf), 1.0), "theta -inf outside the scale domain"),
+    ("scale", (0.0, 1.0), "theta 0.0 outside the scale domain"),
+    ("phr", (1.0, -2), "theta -2.0 outside the phr domain"),
+    ("location", (-3.0, np.inf), "theta inf outside the location domain"),
+], ids=["nan", "-inf", "zero", "negative", "location-inf"])
+def test_system_refuses_theta_outside_the_domain(kind, theta, message):
+    m = SemiParamModel(kind, BaselineSpec("exponential", (1.0,)))
+    with pytest.raises(ValidationError) as err:
+        SystemSpec(2, m, theta, GeneratorSpec("independence"))
+    assert str(err.value) == message
