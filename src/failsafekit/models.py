@@ -181,31 +181,19 @@ def _log_gammaincc(a: float, x, lx):
 
 
 def _horner(z, coef):
-    """The polynomial with coefficients coef (highest power first, at least
-    two) at z; on an array, in place in one buffer."""
-    s = coef[0] * z
-    s += coef[1]
-    for c in coef[2:]:
-        s *= z
-        s += c
+    s = coef[0]
+    for c in coef[1:]:
+        s = s * z + c
     return s
 
 
 def _legendre_fraction(x, a, depth):
-    """x^-a e^x Gamma(a) Q(a, x), backward from ``depth`` levels; on an
-    array, in place in two buffers."""
+    """x^-a e^x Gamma(a) Q(a, x), backward from ``depth`` levels."""
     b = x + (2 * depth + 1 - a)
-    if isinstance(b, float):
-        f = b
-        for k in range(depth, 0, -1):
-            b -= 2.0
-            f = b - k * (k - a) / f
-        return f
-    f, q = b.copy(), np.empty_like(b)
+    f = b
     for k in range(depth, 0, -1):
-        b -= 2.0
-        np.divide(k * (k - a), f, out=q)
-        np.subtract(b, q, out=f)
+        b = b - 2.0
+        f = b - k * (k - a) / f
     return f
 
 

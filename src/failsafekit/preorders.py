@@ -6,9 +6,13 @@ tolerance that only absorbs float noise (the relations themselves are
 exact).  Everything here is a pure function of immutable inputs and safe
 under concurrent callers.
 
-The vectors the audits compare hold a handful of parameters, so the
-relations are computed on Python floats: a numpy call on so few numbers
-costs far more than the arithmetic.  Prefix sums, products and reciprocal
+The vectors the audits compare hold a system's n parameters, a handful in
+practice, so the relations are computed on Python floats: a numpy call on
+so few numbers costs far more than the arithmetic.  The price is paid on
+long vectors, which reach this module through ``failsafekit preorder
+--a-file/--b-file`` or a large ``SystemSpec.n``: from about 70 entries on,
+``holds`` is slower than the numpy form was, about 5x at 10^4 entries
+(5 ms instead of 1 ms).  Prefix sums, products and reciprocal
 sums are taken left to right with ``itertools.accumulate``, which is the
 order in which numpy's 1-d ``cumsum`` and ``cumprod`` add and multiply,
 and each step is the same IEEE double operation, so every prefix, and so

@@ -28,7 +28,6 @@ functions repeat on every call.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -63,11 +62,10 @@ class SystemSpec:
         theta = tuple(real_number(t, "system theta entry") for t in self.theta)
         if len(theta) != n:
             raise ValidationError(f"theta length {len(theta)} != n={n}")
-        # SemiParamModel.theta_in_domain, on Python floats in one pass
-        location = self.model.kind == "location"
-        for t in theta:
-            if not (math.isfinite(t) and (t > 0.0 or location)):
-                raise ValidationError(f"theta {t} outside the {self.model.kind} domain")
+        ok = self.model.theta_in_domain(theta)
+        if not ok.all():
+            t = theta[int(np.argmin(ok))]  # the first entry outside
+            raise ValidationError(f"theta {t} outside the {self.model.kind} domain")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "theta", theta)
 
