@@ -389,9 +389,9 @@ def _build_parser(conf: dict | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preorder", help="classify two parameter vectors under the five preorders")
-    p.add_argument("--a", help="inline vector, e.g. '0.1,0.2,0.3'")
+    p.add_argument("--a", help="inline vector, e.g. '0.1,0.2,0.3'; write -1,2,3 as --a=-1,2,3")
     p.add_argument("--a-file", help="file with whitespace/comma separated entries")
-    p.add_argument("--b")
+    p.add_argument("--b", help="inline vector, as --a: write -1,2,3 as --b=-1,2,3")
     p.add_argument("--b-file")
     p.add_argument("--tol", type=float, default=d("tol", DEFAULT_TOL))
     p.add_argument("--out")

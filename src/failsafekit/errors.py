@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package, and the one check of a
-spec's scalar fields that raises it."""
+"""Exception hierarchy shared across the package, the one check of a
+spec's scalar fields that raises it, and their JSON-ready form."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class FailsafeKitError(Exception):
@@ -50,3 +52,9 @@ def real_number(value, what: str) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def plain_number(value):
+    """value, or the equal Python number of a numpy scalar, which json
+    cannot write; a spec echoes any other value as given."""
+    return value.item() if isinstance(value, np.generic) else value

@@ -53,7 +53,6 @@ from scipy.special import spence
 
 from .errors import InconsistencyError, ValidationError
 from .generators import COPULA_FAMILIES, GeneratorSpec, _phi, _psi
-from .gridpolicy import GridPolicy
 from .mcsim import THETA_MAX, _draw_times, _to_uniforms, check_seed
 from .models import _FAMILIES, FIT_FAMILIES
 from .ordering import ConditionReport, Relation, verify_theorem1
@@ -397,7 +396,7 @@ def _bivariate_log_density(family: str, theta: float, u: np.ndarray, v: np.ndarr
             log_pp = (np.log(a) + (a - 2.0) * np.log(s) - s ** a
                       + np.log(a * s ** a + (1.0 - a)))
             log_p = lambda t: np.log(a) + (a - 1.0) * np.log(t) - t ** a
-        elif family == "frank":
+        else:  # frank; tau_to_theta refused any family outside COPULA_FAMILIES
             c = np.expm1(-theta)
             ce = c * np.exp(-s)
             log_pp = np.log(-c) - s - 2.0 * np.log1p(ce) - np.log(theta)
@@ -405,8 +404,6 @@ def _bivariate_log_density(family: str, theta: float, u: np.ndarray, v: np.ndarr
             def log_p(t):
                 cet = c * np.exp(-t)
                 return np.log(-cet) - np.log(theta) - np.log1p(cet)
-        else:
-            raise ValidationError(f"no bivariate density for {family}")
         return log_pp - log_p(pu) - log_p(pv)
 
 
@@ -424,8 +421,6 @@ def fit_copula(family: str, pseudo, method: str = "tau") -> float:
         raise ValidationError("need a count x d matrix with count >= 2")
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValidationError("pseudo-observations must lie strictly in (0, 1)")
-    if family not in COPULA_FAMILIES:
-        raise ValidationError(f"copula family must be one of {COPULA_FAMILIES}")
     taus = _kendall_tau_matrix(arr[None])[0]
     constant = np.flatnonzero(np.isnan(np.diag(taus)))
     if constant.size:
@@ -621,7 +616,7 @@ def recommend_subset(systems: dict) -> SubsetRecommendation:
     certificates: dict = {}
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
-            rep = classify(systems[a].theta, systems[b].theta, GridPolicy.preorder_tol)
+            rep = classify(systems[a].theta, systems[b].theta)
             fwd = rep.forward[Preorder.P_LARGER]
             rev = rep.reverse[Preorder.P_LARGER]
             if not fwd and not rev:

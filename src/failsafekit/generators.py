@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, real_number
+from .errors import ValidationError, plain_number, real_number
 
 #: Survival values are floored here before phi to avoid infinities.
 SURVIVAL_FLOOR = 1e-300
@@ -83,6 +83,7 @@ class GeneratorSpec:
                 f"{self.family} parameter {self.theta} outside its range "
                 f"{'[' if lo_c else '('}{lo}, {hi}{']' if hi_c else ')'}"
             )
+        object.__setattr__(self, "theta", plain_number(self.theta))
 
     def to_json(self) -> dict:
         out = {"family": self.family}
@@ -257,12 +258,17 @@ _LOG_SHAPES = {
 }
 
 
+def is_independence(g: GeneratorSpec) -> bool:
+    """True where psi(t) = exp(-t): independence, gumbel(1) and amh(0)."""
+    return g.family == "independence" or (g.family, g.theta) in (("gumbel", 1.0), ("amh", 0.0))
+
+
 def classify_log_shape(g: GeneratorSpec) -> LogShapeReport:
     """Classify log psi as concave, convex or linear on (0, inf), from the
-    catalog's closed forms: independence, and gumbel and amh where they
-    reduce to it, are linear."""
+    catalog's closed forms: every generator of ``is_independence`` is
+    linear."""
     th = g.theta
-    if (g.family, th) in (("gumbel", 1.0), ("amh", 0.0)):
+    if th is not None and is_independence(g):
         return LogShapeReport(LogShape.BOTH, f"{g.family}({th:g}) is independence: "
                                              "log psi = -t is linear")
     if g.family == "amh":

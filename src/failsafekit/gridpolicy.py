@@ -1,4 +1,4 @@
-"""Shared grid and tolerance policy for probes, curves and verdicts."""
+"""The grids and dominance tolerances of one verdict."""
 
 from __future__ import annotations
 
@@ -7,21 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .models import SHAPE_TOL, SemiParamModel, _check_points, bulk_grid, default_x_grid
-from .preorders import DEFAULT_TOL
+from .models import SemiParamModel, _check_points, bulk_grid, default_x_grid
 
 
 @dataclass(frozen=True)
 class GridPolicy:
-    """Point counts and tolerances used by the verifiers.
-
-    One policy object travels through a verification so the hypothesis
-    probe and the dominance confirmation share consistent grids.
-    """
-
-    # class constants, the same for every policy, owned by the modules that use them
-    shape_tol = SHAPE_TOL
-    preorder_tol = DEFAULT_TOL
+    """The curve grid and dominance tolerances of a verdict, and the grid
+    of the one shape probe left; the shape and preorder tolerances are
+    ``models.SHAPE_TOL`` and ``preorders.DEFAULT_TOL``, not policy."""
 
     curve_points: int = 1000
     dominance_tol: float = 1e-10

@@ -26,9 +26,9 @@ Such a row degenerates, so both stop at 50.  Frank's logarithmic-series
 frailty outgrows float64 above 700.
 
 ``sample_copula`` is a per-seed draw, which makes every RNG call and
-returns E / V (E alone where there is no frailty: independence, gumbel at
-theta = 1, amh at theta = 0), followed by an elementwise transform, psi
-(or exp(-t)) and then the clip into (0, 1).  The transform of a stack of
+returns E / V (E alone where ``generators.is_independence`` holds, as
+there is no frailty), followed by an elementwise transform, psi (or
+exp(-t)) and then the clip into (0, 1).  The transform of a stack of
 draws equals each draw's own, so the CvM bootstrap draws its replicates
 seed by seed and transforms a block of them with one checked psi call.
 """
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedGeneratorError, ValidationError
-from .generators import GeneratorSpec, psi
+from .generators import GeneratorSpec, is_independence, psi
 from .models import _log1mexp, sp_inverse_log_survival
 from .systems import SystemSpec
 
@@ -98,12 +98,6 @@ def _sample_log_series(r: float, count: int, rng) -> np.ndarray:
     return out
 
 
-def _no_frailty(g: GeneratorSpec) -> bool:
-    """True where g's uniforms are exp(-E) alone: independence, gumbel at
-    theta = 1 and amh at theta = 0."""
-    return g.family == "independence" or (g.family, g.theta) in (("gumbel", 1.0), ("amh", 0.0))
-
-
 def _draw_times(g: GeneratorSpec, n: int, count: int, seed: int) -> np.ndarray:
     """The count x n generator arguments E / V of one seed, or E where g has
     no frailty; ``_to_uniforms`` turns them into uniforms."""
@@ -117,7 +111,7 @@ def _draw_times(g: GeneratorSpec, n: int, count: int, seed: int) -> np.ndarray:
         )
     rng = _rng(seed)
     e = rng.exponential(size=(count, n))
-    if _no_frailty(g):
+    if is_independence(g):
         return e
     if g.family == "clayton":
         v = rng.gamma(shape=1.0 / g.theta, scale=g.theta, size=count)
@@ -143,7 +137,7 @@ def _draw_times(g: GeneratorSpec, n: int, count: int, seed: int) -> np.ndarray:
 def _to_uniforms(g: GeneratorSpec, times: np.ndarray) -> np.ndarray:
     """Uniforms from ``_draw_times`` output of any shape, elementwise, so a
     stack of draws transforms as each draw alone; psi checks its argument."""
-    u = np.exp(-times) if _no_frailty(g) else psi(g, times)
+    u = np.exp(-times) if is_independence(g) else psi(g, times)
     # keep uniforms strictly inside (0, 1) for downstream inversion
     return np.clip(u, 1e-15, 1.0 - 1e-16)
 

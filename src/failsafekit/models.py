@@ -62,7 +62,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, real_number
+from .errors import ValidationError, plain_number, real_number
 
 
 def _log1mexp(a):
@@ -454,6 +454,8 @@ class SemiParamModel:
                 raise ValidationError("ls takes no alpha")
         elif self.alpha is not None or self.lam is not None:
             raise ValidationError(f"{self.kind} takes no fixed parameters")
+        object.__setattr__(self, "alpha", plain_number(self.alpha))
+        object.__setattr__(self, "lam", plain_number(self.lam))
 
     def theta_in_domain(self, theta):
         """Whether theta (elementwise for an array) is finite, and positive

@@ -183,10 +183,10 @@ def verify(
     gen_check, gen_ok = (("generator_log_concave", is_log_concave) if row.log_concave
                          else ("generator_log_convex", is_log_convex))
     v = (check_dpfr(mx.baseline) if row.sign is None
-         else survival_shape(mx, row.sign, policy.shape_x_grid, policy.shape_tol))
+         else survival_shape(mx, row.sign, policy.shape_x_grid))
     # the preorders are defined on positive vectors only; no other check reads theta
     if all(t > 0.0 for t in sysX.theta + sysY.theta):
-        order_ok = (holds(row.preorder, sysX.theta, sysY.theta, policy.preorder_tol),
+        order_ok = (holds(row.preorder, sysX.theta, sysY.theta),
                     f"{sysX.theta} vs {sysY.theta}")
     else:
         order_ok = (False, f"{row.preorder.value} needs positive thetas")

@@ -67,6 +67,14 @@ def test_preorder_equal_vectors_all_relations(capsys):
         assert rel["a_over_b"] is True and rel["b_over_a"] is True
 
 
+def test_preorder_negative_vector_in_equals_form(capsys):
+    # "--a -1,2,3" would read -1,2,3 as an option; the help says to write --a=-1,2,3
+    assert main(["preorder", "--a=-1,2,3", "--b=0.5,2,3"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["skipped"] == ["p_larger", "reciprocal_majorize"]
+    assert rep["ascending_a"] == [-1.0, 2.0, 3.0]
+
+
 def test_preorder_mismatched_lengths_exit_2(capsys):
     assert main(["preorder", "--a", "1,2", "--b", "1,2,3"]) == 2
 
@@ -664,7 +672,7 @@ def test_flag_defaults_are_the_policy_defaults():
     assert (verify.points, verify.tol_dominance, verify.tol_crossing) == (
         policy.curve_points, policy.dominance_tol, policy.crossing_gap)
     assert parser.parse_args(["curve"]).points == policy.curve_points
-    assert parser.parse_args(["preorder"]).tol == DEFAULT_TOL == policy.preorder_tol
+    assert parser.parse_args(["preorder"]).tol == DEFAULT_TOL
 
 
 # ------------------------------------------------- malformed spec values

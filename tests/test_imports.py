@@ -129,3 +129,24 @@ def test_only_the_cli_does_file_io():
                 offenders += [f"{path.name}:{node.lineno} imports {n}" for n in names
                               if n.split(".")[0] in ("csv", "tempfile")]
     assert offenders == []
+
+
+def test_every_imported_name_is_used():
+    # a deletion that leaves an import behind shows up here; __init__
+    # imports to re-export, so it is left out
+    unused = []
+    for path in sorted((SRC / "failsafekit").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({(a.asname or a.name.split(".")[0]): node.lineno
+                                 for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({(a.asname or a.name): node.lineno for a in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} imports {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -7,10 +7,12 @@ from scipy import stats
 from failsafekit import (
     BaselineSpec,
     GeneratorSpec,
+    LogShape,
     SemiParamModel,
     SystemSpec,
     UnsupportedGeneratorError,
     ValidationError,
+    classify_log_shape,
     empirical_survival_x2n,
     phi,
     psi,
@@ -21,6 +23,7 @@ from failsafekit import (
     survival_x2n,
 )
 from failsafekit.fitlab import frank_tau
+from failsafekit.generators import is_independence
 from failsafekit.mcsim import (
     THETA_MAX,
     _draw_times,
@@ -52,6 +55,16 @@ def test_sample_copula_refuses_a_seed_outside_64_bits(seed):
     with pytest.raises(ValidationError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
         sample_copula(GeneratorSpec("clayton", 2.0), 2, 10, seed=seed)
     assert sample_copula(GeneratorSpec("clayton", 2.0), 2, 10, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("g", [GeneratorSpec("gumbel", 1.0), GeneratorSpec("amh", 0.0)])
+def test_independence_reductions_sample_as_independence(g):
+    # gumbel(1) and amh(0) are the independence copula: one predicate says
+    # so to the sampler and to the log-shape table
+    assert is_independence(g)
+    want = sample_copula(GeneratorSpec("independence"), 3, 500, seed=9).uniforms
+    assert sample_copula(g, 3, 500, seed=9).uniforms.tobytes() == want.tobytes()
+    assert classify_log_shape(g).shape is LogShape.BOTH
 
 
 def test_independence_tau_near_zero():

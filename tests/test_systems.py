@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -346,7 +347,6 @@ def test_bounds_reject_nonpositive_theta():
 def test_system_json_roundtrip(tmp_path):
     sx, _ = gumbel_barnett_pair()
     path = tmp_path / "sys.json"
-    import json
     path.write_text(json.dumps(sx.to_json()))
     assert load_system(str(path)) == sx
 
@@ -380,6 +380,20 @@ def test_system_accepts_numpy_scalars():
         s = SystemSpec(np.int64(2), loc, theta, GeneratorSpec("independence"))
         assert (s.n, s.theta) == (2, (-3.0, 1.0))
         assert type(s.n) is int and all(type(t) is float for t in s.theta)
+
+
+@pytest.mark.parametrize("gen_theta, alpha, lam", [
+    (np.int64(3), np.int32(1), np.int64(2)),
+    (np.float64(3.5), np.float32(0.5), np.float16(2.0)),
+], ids=["numpy-int", "numpy-float"])
+def test_numpy_scalar_spec_fields_survive_json(gen_theta, alpha, lam):
+    m = SemiParamModel("mphrs", BaselineSpec("weibull", (1.0, 1.5)), alpha, lam)
+    s = SystemSpec(2, m, (np.float32(0.5), np.int64(2)), GeneratorSpec("clayton", gen_theta))
+    back = SystemSpec.from_json(json.loads(json.dumps(s.to_json())))
+    assert back == s
+    assert (back.generator.theta, back.model.alpha, back.model.lam) == (gen_theta, alpha, lam)
+    # a Python int stays an int, so a CLI spec's echo keeps its "3"
+    assert GeneratorSpec("clayton", 3).to_json() == {"family": "clayton", "theta": 3}
 
 
 @pytest.mark.parametrize("kind, theta, message", [

@@ -118,11 +118,11 @@ def test_condition2_probes_take_grids_positionally(monkeypatch, route, pair, pro
     report = getattr(ordering, route)(sx, sy, policy)
     assert calls == []
 
-    verdict = record(sx.model, policy.shape_x_grid, policy.shape_tol)
+    verdict = record(sx.model, policy.shape_x_grid, models.SHAPE_TOL)
     args, kwargs = calls[0]
     assert kwargs == {} and len(args) == 3
     model, grid, tol = args
-    assert model == sx.model and tol == policy.shape_tol
+    assert model == sx.model and tol == models.SHAPE_TOL
     assert np.shape(grid(model)) == (models.PROBE_POINTS,)
     shape = next(c for c in report.checks if c.name == "survival_shape")
     assert (shape.holds, shape.evidence) == (verdict.holds, verdict.rule)
