@@ -42,13 +42,11 @@ EXIT_INCONSISTENT = 3
 
 
 def _default_seed() -> int:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return 0
+    seed = os.environ.get(ENV_SEED, "0")
     try:
-        seed = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{ENV_SEED} must be an integer, got {raw!r}") from exc
+        seed = int(seed)
+    except ValueError:
+        pass  # check_seed refuses the text, naming the variable
     return check_seed(seed, ENV_SEED)
 
 
@@ -97,7 +95,8 @@ def load_dataset_csv(path: str):
     per wire), auto-detected by header, as a ``fitlab.LifetimeDataset``."""
     from .fitlab import LifetimeDataset  # loaded by the fit subcommand only
 
-    rows = list(csv.reader(io.StringIO(_read_text(path, "dataset"), newline="")))
+    rows = [row for row in csv.reader(io.StringIO(_read_text(path, "dataset"), newline=""))
+            if any(cell.strip() for cell in row)]  # blank rows are skipped
     if len(rows) < 2:
         raise ValidationError("dataset CSV has no data rows")
     names = [name.strip() for name in rows[0]]
@@ -111,8 +110,6 @@ def load_dataset_csv(path: str):
         iw, iv = header.index("wire"), header.index("strength")
         obs: dict[str, list[float]] = {}
         for row in rows[1:]:
-            if not row or all(not c.strip() for c in row):
-                continue
             try:
                 value = float(row[iv])
             except (ValueError, IndexError) as exc:
@@ -122,8 +119,6 @@ def load_dataset_csv(path: str):
     # wide: every column is a component
     obs = {name: [] for name in names}
     for row in rows[1:]:
-        if not row or all(not c.strip() for c in row):
-            continue
         if len(row) != len(names):
             raise ValidationError(f"wide-format row length mismatch: {row!r}")
         for name, cell in zip(names, row):
@@ -377,8 +372,11 @@ def _build_parser(conf: dict | None = None) -> argparse.ArgumentParser:
     policy = GridPolicy()
 
     def d(key, default):
-        # config supplies defaults; explicit flags still win
-        return conf.get(key, conf.get(key.replace("_", "-"), default))
+        # config supplies defaults; explicit flags still win.  A value goes in as
+        # text, which argparse converts and refuses as it would on the command
+        # line, except a list flag's value and a null for an unset flag
+        value = conf.get(key, conf.get(key.replace("_", "-"), default))
+        return value if isinstance(default, list) or value is default is None else str(value)
 
     parser = argparse.ArgumentParser(
         prog="failsafekit",

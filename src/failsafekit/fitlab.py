@@ -61,23 +61,25 @@ from .preorders import Preorder, classify
 MIN_OBSERVATIONS = 5
 
 
+def _strengths(data, what: str = "data", minimum: int = MIN_OBSERVATIONS) -> np.ndarray:
+    """data as a float64 array, unless it breaks the one rule for a strength
+    sample: 1-d, positive and finite, with at least ``minimum`` values."""
+    arr = np.asarray(data, dtype=float)
+    if arr.ndim != 1 or arr.size < minimum:
+        raise ValidationError(f"{what} needs at least {minimum} observations in a 1-d array")
+    if not np.all((arr > 0.0) & (arr < np.inf)):  # NaN fails both comparisons
+        raise ValidationError(f"{what} has nonpositive or non-finite values")
+    return arr
+
+
 class LifetimeDataset:
     """Positive observations per component label."""
 
     def __init__(self, observations: dict):
         if not observations:
             raise ValidationError("dataset has no components")
-        clean = {}
-        for label, values in observations.items():
-            arr = np.asarray(values, dtype=float)
-            if arr.ndim != 1 or arr.size < MIN_OBSERVATIONS:
-                raise ValidationError(
-                    f"component {label!r} needs at least {MIN_OBSERVATIONS} observations"
-                )
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-                raise ValidationError(f"component {label!r} has nonpositive or non-finite values")
-            clean[str(label)] = arr
-        self.observations = clean
+        self.observations = {str(label): _strengths(values, f"component {label!r}")
+                             for label, values in observations.items()}
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -162,8 +164,7 @@ def _burr_inner(x: np.ndarray, c: float) -> tuple:
 # on (gamma's moments of x / max x cannot overflow); inner(x, shape) is the
 # full parameter tuple, the other parameter maximised in closed form.
 _PROFILES = {
-    "weibull": (lambda x: -np.log(np.std(np.log(x))),
-                lambda x, b: (fixed_shape_weibull_scale(x, b), b)),
+    "weibull": (lambda x: -np.log(np.std(np.log(x))), lambda x, b: (_weibull_scale(x, b), b)),
     "gamma": (lambda x: np.log(np.mean(x / x.max()) ** 2 / np.var(x / x.max())),
               lambda x, k: (k, k / np.mean(x))),
     "burr": (lambda x: -np.log(np.std(np.log(x))), _burr_inner),
@@ -174,11 +175,7 @@ def mle_fit(family: str, data) -> FitResult:
     """Maximum-likelihood fit; two-parameter families by profile likelihood."""
     if family not in FIT_FAMILIES:
         raise ValidationError(f"family must be one of {FIT_FAMILIES}")
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 1 or arr.size < MIN_OBSERVATIONS:
-        raise ValidationError(f"need at least {MIN_OBSERVATIONS} observations")
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise ValidationError("data must be positive and finite")
+    arr = _strengths(data)
     if np.ptp(np.log(arr)) == 0.0:  # equal logs would leave sd(log x) at 0
         raise ValidationError("degenerate data: all observations equal")
     digest = _digest(arr)
@@ -651,15 +648,17 @@ def recommend_subset(systems: dict) -> SubsetRecommendation:
     )
 
 
-def fixed_shape_weibull_scale(data, shape: float) -> float:
-    """Closed-form per-component Weibull scale MLE with a shared shape."""
-    arr = np.asarray(data, dtype=float)
-    if arr.size == 0 or np.any(arr <= 0.0):
-        raise ValidationError("data must be positive")
-    if shape <= 0.0:
-        raise ValidationError("shape must be positive")
+def _weibull_scale(arr: np.ndarray, shape: float) -> float:
+    """The closed form of ``fixed_shape_weibull_scale`` on checked data."""
     top = float(np.max(arr))  # x / top <= 1, so the power cannot overflow
     return float(top * np.mean((arr / top) ** shape) ** (1.0 / shape))
+
+
+def fixed_shape_weibull_scale(data, shape: float) -> float:
+    """Closed-form per-component Weibull scale MLE with a shared shape."""
+    if not 0.0 < shape < np.inf:  # NaN fails both comparisons
+        raise ValidationError("shape must be positive and finite")
+    return _weibull_scale(_strengths(data, minimum=1), shape)
 
 
 def _check_manifest(manifest) -> None:

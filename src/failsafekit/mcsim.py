@@ -42,15 +42,17 @@ import numpy as np
 from .errors import UnsupportedGeneratorError, ValidationError
 from .generators import GeneratorSpec, is_independence, psi
 from .models import _log1mexp, sp_inverse_log_survival
-from .systems import SystemSpec
+from .systems import SystemSpec, _lifetimes
 
 #: Largest theta each frailty sampler takes (see the module docstring).
 THETA_MAX = {"clayton": 50.0, "gumbel": 50.0, "frank": 700.0}
 
 
 def check_seed(seed, name: str = "seed") -> int:
-    """seed as an int; a ValidationError naming it unless it is a 64-bit
-    seed, in [0, 2**64)."""
+    """seed as an int; a ValidationError naming it unless it is a Python or
+    numpy integer, not a bool, in [0, 2**64)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {seed!r}")
     if not 0 <= int(seed) < 2 ** 64:
         raise ValidationError(f"{name} must lie in [0, 2**64), got {seed}")
     return int(seed)
@@ -177,7 +179,6 @@ def empirical_survival_x2n(lifetimes: np.ndarray, x):
     if arr.size == 0:
         raise ValidationError("lifetimes matrix is empty")
     second = second_smallest(arr)
-    xs = np.asarray(x, dtype=float)
-    vals = np.mean(second[:, None] > np.atleast_1d(xs)[None, :], axis=0)
+    vals = np.mean(second[:, None] > np.atleast_1d(_lifetimes(x))[None, :], axis=0)
     return vals if np.ndim(x) else float(vals[0])
 

@@ -19,11 +19,13 @@ axis only n long, one point at a time.  Every reduction over the
 components is a row-by-row add in component order, whatever the number
 of points, so a scalar x rounds exactly as the same point inside a grid.
 
-Check once: x is checked at the entry and the marginal matrix once for
-NaN; after that, clipping puts every survival in [SURVIVAL_FLOOR, 1] and
-the sums add nonnegative phi values, so phi and psi run through the
-generators' private kernels, which skip the argument checks the public
-functions repeat on every call.
+Check once: ``_lifetimes`` checks every lifetime argument x (here and in
+``mcsim``) and ``SurvivalCurve`` every grid, so ``curve`` checks nothing
+itself, and the marginal matrix is checked once for NaN.  After that,
+clipping puts every survival in [SURVIVAL_FLOOR, 1] and the sums add
+nonnegative phi values, so phi and psi run through the generators'
+private kernels, which skip the argument checks the public functions
+repeat on every call.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from .errors import ValidationError, real_number
 from .generators import GeneratorSpec, SURVIVAL_FLOOR, _phi, _psi, phi, psi
 from .gridpolicy import GridPolicy
-from .models import BaselineSpec, SemiParamModel, _sp_survival, bulk_grid, sp_survival
+from .models import BaselineSpec, SemiParamModel, _sp_survival, bulk_grid
 
 #: Values this close to the [0, 1] bounds are clamped onto them.
 CLAMP_TOL = 1e-10
@@ -101,13 +103,13 @@ def wire_system(scale: float, shape: float, wire_scales, generator: GeneratorSpe
     return SystemSpec(len(wire_scales), model, tuple(scale / s for s in wire_scales), generator)
 
 
-def _checked_grid(xs) -> np.ndarray:
-    """xs as a read-only float64 copy of a 1-d, positive, strictly increasing grid."""
-    xs = np.array(xs, dtype=float)
-    if xs.ndim != 1 or xs.size < 2 or not (xs[0] > 0.0 and np.all(np.diff(xs) > 0.0)):
-        raise ValidationError("xs must be a strictly increasing positive grid of length >= 2")
-    xs.flags.writeable = False
-    return xs
+def _lifetimes(x) -> np.ndarray:
+    """x as a float64 array, unless it breaks the one rule for a lifetime
+    argument: a nonnegative number or 1-d array, with no NaN."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim > 1 or not np.all(arr >= 0.0):  # NaN fails the comparison
+        raise ValidationError("x must be a nonnegative number or 1-d array, with no NaN")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +121,9 @@ class SurvivalCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        xs = _checked_grid(self.xs)
+        xs = np.array(self.xs, dtype=float)
+        if xs.ndim != 1 or xs.size < 2 or not (xs[0] > 0.0 and np.all(np.diff(xs) > 0.0)):
+            raise ValidationError("xs must be a strictly increasing positive grid of length >= 2")
         vals = np.array(self.values, dtype=float)
         if vals.shape != xs.shape:
             raise ValidationError("curve needs one survival value per grid point")
@@ -128,19 +132,16 @@ class SurvivalCurve:
             raise ValidationError("survival values leave [0, 1] or are NaN")
         if np.any(np.diff(vals) > CLAMP_TOL):
             raise ValidationError("survival values are not nonincreasing")
-        vals.flags.writeable = False
+        xs.flags.writeable = vals.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", vals)
 
 
 def survival_x2n(sys: SystemSpec, x):
     """Fail-safe system survival at x (second-smallest order statistic)."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr >= 0.0):  # NaN fails the comparison
-        raise ValidationError("x must be nonnegative")
-    # the marginals, one row per component; x passed the check above, so
-    # they skip sp_survival's NaN check
-    margs = _sp_survival(sys.model, np.atleast_1d(arr), np.asarray(sys.theta)[:, None])
+    # the marginals, one row per component; x holds no NaN, so they skip
+    # sp_survival's NaN check
+    margs = _sp_survival(sys.model, np.atleast_1d(_lifetimes(x)), np.asarray(sys.theta)[:, None])
     if np.isnan(margs).any():
         raise ValidationError(f"{sys.model.kind} model over {sys.model.baseline.family}"
                               f"{sys.model.baseline.params} gave a NaN marginal survival")
@@ -180,8 +181,7 @@ def default_grid(sys: SystemSpec, points: int = GridPolicy.curve_points) -> np.n
 
 
 def curve(sys: SystemSpec, xs) -> SurvivalCurve:
-    """Fail-safe survival curve on xs, a required strictly increasing grid."""
-    xs = _checked_grid(xs)  # before survival_x2n, whose x check says less
+    """Fail-safe survival curve on xs; ``SurvivalCurve`` checks the grid."""
     return SurvivalCurve(xs, survival_x2n(sys, xs))
 
 
@@ -198,7 +198,7 @@ def _homogeneous_bound(sys: SystemSpec, x, order: str, mean) -> np.ndarray:
     th = np.asarray(sys.theta)
     if np.any(th <= 0.0):
         raise ValidationError(f"{order} bound needs positive thetas")
-    margs = sp_survival(sys.model, np.asarray(x, dtype=float), float(mean(th)))
+    margs = _sp_survival(sys.model, _lifetimes(x), float(mean(th)))
     return homogeneous_x2n(sys.generator, margs, sys.n)
 
 

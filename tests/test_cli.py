@@ -575,7 +575,8 @@ def test_fit_skips_a_copula_whose_tau_is_out_of_range(tmp_path, capsys):
 # ---------------------------------------------------------------- config
 def test_config_supplies_defaults_flags_override(tmp_path):
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"points": 37}))
+    # a null for a flag whose default is None leaves it unset
+    conf.write_text(json.dumps({"points": 37, "x_min": None, "x_max": None}))
     sx, _ = gumbel_barnett_pair()
     spec = write_system(tmp_path / "s.json", sx)
     out = tmp_path / "c.csv"
@@ -588,6 +589,46 @@ def test_config_supplies_defaults_flags_override(tmp_path):
     assert main([f"--config={conf}", "curve", spec, "--x-min", "0.1",
                  "--x-max", "2.0", "--out", str(out)]) == 0
     assert len(out.read_text().strip().splitlines()) == 38
+    assert main(["--config", str(conf), "curve", spec, "--out", str(out)]) == 0
+    assert len(out.read_text().strip().splitlines()) == 38
+
+
+_SIM = ["simulate", "{sim}", "--count", "100", "--out", "{out}"]
+
+
+@pytest.mark.parametrize("argv, conf, flag", [
+    (["curve", "{spec}", "--out", "{out}"], {"points": 37.5}, "--points"),
+    (["curve", "{spec}", "--out", "{out}"], {"points": None}, "--points"),
+    (["preorder", "--a", "1,2", "--b", "1,2", "--out", "{out}"], {"tol": [0.1]}, "--tol"),
+    (["verify", "t1", "{spec}", "{spec}", "--out", "{out}"], {"tol_dominance": [1]},
+     "--tol-dominance"),
+    (_SIM, {"seed": 1.5}, "--seed"),
+    (_SIM, {"seed": True}, "--seed"),
+], ids=["points-float", "points-null", "tol-list", "tol-dominance-list", "seed-float",
+        "seed-bool"])
+def test_mistyped_config_value_exit_2_naming_the_flag(tmp_path, capsys, argv, conf, flag):
+    # argparse converts only string defaults, so a config value must reach it
+    # as text to be converted and refused as on the command line
+    sx, _ = gumbel_barnett_pair()
+    m = SemiParamModel("scale", BaselineSpec("exponential", (1.0,)))
+    files = {
+        "spec": write_system(tmp_path / "s.json", sx),
+        "sim": write_system(tmp_path / "sim.json",
+                            SystemSpec(2, m, (1.0, 2.0), GeneratorSpec("independence"))),
+        "out": str(tmp_path / "out"),
+    }
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), *(a.format(**files) for a in argv)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+    # an explicit flag still wins over the config value
+    value = {"--points": "11", "--tol": "0.1", "--tol-dominance": "1", "--seed": "1"}[flag]
+    assert main(["--config", str(path), *(a.format(**files) for a in argv),
+                 flag, value]) in (0, 1)
+    assert Path(files["out"]).exists()
 
 
 # ------------------------------------------------------- exit codes, defaults

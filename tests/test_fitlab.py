@@ -922,6 +922,19 @@ def test_load_rejects_malformed(tmp_path):
         load_dataset_csv(str(tmp_path / "missing.csv"))
 
 
+@pytest.mark.parametrize("data, shape, fragment", [
+    ([300.0, np.nan, 310.0], 4.0, "data has nonpositive or non-finite values"),
+    ([300.0, np.inf, 310.0], 4.0, "data has nonpositive or non-finite values"),
+    ([300.0, 310.0], np.nan, "shape must be positive and finite"),
+    ([300.0, 310.0], np.inf, "shape must be positive and finite"),
+], ids=["nan-data", "inf-data", "nan-shape", "inf-shape"])
+def test_fixed_shape_weibull_scale_refuses_non_finite_input(data, shape, fragment):
+    # NaN and inf pass a positivity check, and the closed form turns them into
+    # a NaN or a meaningless scale
+    with pytest.raises(ValidationError, match=fragment):
+        fixed_shape_weibull_scale(data, shape)
+
+
 def test_dataset_minimum_observations():
     with pytest.raises(ValidationError):
         LifetimeDataset({"w1": [1.0, 2.0, 3.0]})

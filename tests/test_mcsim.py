@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -55,6 +56,16 @@ def test_sample_copula_refuses_a_seed_outside_64_bits(seed):
     with pytest.raises(ValidationError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
         sample_copula(GeneratorSpec("clayton", 2.0), 2, 10, seed=seed)
     assert sample_copula(GeneratorSpec("clayton", 2.0), 2, 10, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("seed", [2.9, 1.0, "5", True, None])
+def test_sample_copula_refuses_a_seed_that_is_not_an_integer(seed):
+    # a seed is an integer: int() would truncate 2.9 to 2 and read "5" and True
+    message = f"seed must be an integer, got {seed!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        sample_copula(GeneratorSpec("clayton", 2.0), 2, 3, seed=seed)
+    for ok in (np.int64(3), np.uint64(2 ** 64 - 1)):
+        assert sample_copula(GeneratorSpec("clayton", 2.0), 2, 3, seed=ok).seed == int(ok)
 
 
 @pytest.mark.parametrize("g", [GeneratorSpec("gumbel", 1.0), GeneratorSpec("amh", 0.0)])

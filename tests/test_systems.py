@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from failsafekit import (
     ValidationError,
     curve,
     default_grid,
+    empirical_survival_x2n,
     homogeneous_x2n,
     lower_bound_plarger,
     lower_bound_rm,
+    schur_condition_probe,
     survival_x2n,
     systems,
 )
@@ -205,22 +208,53 @@ def test_curve_rejects_unsorted_grid():
         curve(sx, np.array([1.0, 0.5, 2.0]))
 
 
+X_RULE = "x must be a nonnegative number or 1-d array, with no NaN"
+GRID_RULE = "xs must be a strictly increasing positive grid of length >= 2"
+
+# name -> (grid, the rule that curve reports): curve has no grid check of its
+# own, so survival_x2n refuses what breaks the lifetime rule first and
+# SurvivalCurve the rest
 BAD_GRIDS = {
-    "2-d": np.array([[0.5, 1.0], [1.5, 2.0]]),
-    "1-point": np.array([1.0]),
-    "zero": np.array([0.0, 0.5, 1.0]),
-    "negative": np.array([-1.0, 0.5, 1.0]),
+    "2-d": (np.array([[0.5, 1.0], [1.5, 2.0]]), X_RULE),
+    "1-point": (np.array([1.0]), GRID_RULE),
+    "zero": (np.array([0.0, 0.5, 1.0]), GRID_RULE),
+    "negative": (np.array([-1.0, 0.5, 1.0]), X_RULE),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_GRIDS))
 def test_curve_and_survival_curve_reject_bad_grids(name):
     sx, _ = gumbel_barnett_pair()
-    xs = BAD_GRIDS[name]
-    with pytest.raises(ValidationError):
+    xs, rule = BAD_GRIDS[name]
+    with pytest.raises(ValidationError, match=re.escape(rule)):
         curve(sx, xs)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=re.escape(GRID_RULE)):
         SurvivalCurve(xs, np.full(xs.shape, 0.5))
+
+
+# every entry point that takes a lifetime argument, on the 5-component demo
+LIFETIME_ENTRIES = {
+    "survival_x2n": survival_x2n,
+    "empirical_survival_x2n": lambda sysd, x: empirical_survival_x2n(np.ones((10, sysd.n)), x),
+    "lower_bound_plarger": lower_bound_plarger,
+    "lower_bound_rm": lower_bound_rm,
+    "schur_condition_probe": lambda sysd, x: schur_condition_probe(sysd, xs=x),
+}
+BAD_LIFETIMES = {
+    "nan": np.nan,
+    "negative": -1.0,
+    "2-d": np.ones((2, 3)),
+    "n-by-1": np.ones((5, 1)),  # one row per component, not a grid
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_LIFETIMES))
+@pytest.mark.parametrize("entry", sorted(LIFETIME_ENTRIES))
+def test_every_lifetime_entry_refuses_bad_x_alike(entry, bad):
+    sx, _ = gumbel_barnett_pair()
+    assert sx.n == 5
+    with pytest.raises(ValidationError, match=re.escape(X_RULE)):
+        LIFETIME_ENTRIES[entry](sx, BAD_LIFETIMES[bad])
 
 
 def test_curve_arrays_are_read_only_copies():
