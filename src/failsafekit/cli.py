@@ -283,8 +283,7 @@ def _parse_subsets(raw: str, labels) -> dict[str, tuple[str, ...]]:
 
 
 def cmd_fit(args) -> int:
-    # fitlab (and the scipy optimize and special it needs) loads here
-    # only, so the other subcommands start without it
+    # fitlab loads here only, so the other subcommands start without it
     from .fitlab import (
         BootstrapRangeError,
         TauRangeError,
@@ -367,6 +366,29 @@ def cmd_fit(args) -> int:
     return EXIT_VALIDATION if partial else EXIT_OK
 
 
+#: The fit flags with choices.  argparse checks choices only for a value
+#: given on the command line, so ``_check_fit_choices`` checks a config value.
+_FIT_CHOICES = {"families": FIT_FAMILIES, "copulas": COPULA_FAMILIES,
+                "copula_method": ("tau", "pseudo_likelihood")}
+
+
+def _check_fit_choices(parser: argparse.ArgumentParser, args) -> None:
+    """Refuse a fit flag value outside its choices, as argparse refuses one
+    on the command line: exit 2 with a message naming the flag.  A list
+    flag's config value must be a nonempty JSON list of names."""
+    for dest, choices in _FIT_CHOICES.items():
+        value = getattr(args, dest)
+        flag = "--" + dest.replace("_", "-")
+        if dest == "copula_method":
+            value = [value]
+        elif not isinstance(value, list) or not value:
+            parser.error(f"argument {flag}: expected a nonempty list of names, got {value!r}")
+        for v in value:
+            if v not in choices:
+                parser.error(f"argument {flag}: invalid choice: {v!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
+
+
 def _build_parser(conf: dict | None = None) -> argparse.ArgumentParser:
     conf = conf or {}
     policy = GridPolicy()
@@ -428,11 +450,11 @@ def _build_parser(conf: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="marginal fits, copula goodness of fit, subset advice")
     p.add_argument("data", help="CSV: long (cable,wire,strength) or wide (one column per wire)")
     p.add_argument("--families", nargs="+", default=d("families", list(FIT_FAMILIES)),
-                   choices=FIT_FAMILIES)
+                   choices=_FIT_CHOICES["families"])
     p.add_argument("--copulas", nargs="+", default=d("copulas", list(COPULA_FAMILIES)),
-                   choices=COPULA_FAMILIES)
+                   choices=_FIT_CHOICES["copulas"])
     p.add_argument("--copula-method", default=d("copula_method", "tau"),
-                   choices=("tau", "pseudo_likelihood"))
+                   choices=_FIT_CHOICES["copula_method"])
     p.add_argument("--boot", type=int, default=d("boot", 200))
     p.add_argument("--seed", type=int, default=d("seed", None))
     p.add_argument("--subsets", default=d("subsets", None),
@@ -474,6 +496,8 @@ def main(argv=None) -> int:
     try:
         parser = _build_parser(_load_config(argv))
         args = parser.parse_args(argv)
+        if args.command == "fit":
+            _check_fit_choices(parser, args)
         if hasattr(args, "seed"):
             args.seed = _default_seed() if args.seed is None else check_seed(args.seed, "--seed")
         return args.func(args)

@@ -4,7 +4,8 @@ subset recommendation via the p-larger criterion.
 Marginal fits reuse the closed-form baseline densities and search the profile
 likelihood over the log shape, so every fit is deterministic; ``mle_fit``
 checks the data once, and each likelihood evaluation checks only its
-parameters.
+parameters.  The scalar searches (bounded Brent, brentq) and the
+dilogarithm are ``scalar``'s ports of SciPy's, so fitting loads no scipy.
 Copula estimation defaults to Kendall-tau inversion (mean pairwise tau
 above two dimensions) with an optional pairwise pseudo-likelihood
 refinement.  Bootstrap replicate b always draws from child seed b of the
@@ -48,15 +49,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import optimize
-from scipy.special import spence
 
-from .errors import InconsistencyError, ValidationError
+from .errors import InconsistencyError, ValidationError, real_number
 from .generators import COPULA_FAMILIES, GeneratorSpec, _phi, _psi
 from .mcsim import THETA_MAX, _draw_times, _to_uniforms, check_seed
 from .models import _FAMILIES, FIT_FAMILIES
 from .ordering import ConditionReport, Relation, verify_theorem1
 from .preorders import Preorder, classify
+from .scalar import brentq, minimize_bounded, spence
 
 MIN_OBSERVATIONS = 5
 
@@ -64,7 +64,10 @@ MIN_OBSERVATIONS = 5
 def _strengths(data, what: str = "data", minimum: int = MIN_OBSERVATIONS) -> np.ndarray:
     """data as a float64 array, unless it breaks the one rule for a strength
     sample: 1-d, positive and finite, with at least ``minimum`` values."""
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:  # text, None entries, ragged rows
+        raise ValidationError(f"{what} must be numbers in a 1-d array") from exc
     if arr.ndim != 1 or arr.size < minimum:
         raise ValidationError(f"{what} needs at least {minimum} observations in a 1-d array")
     if not np.all((arr > 0.0) & (arr < np.inf)):  # NaN fails both comparisons
@@ -188,17 +191,15 @@ def mle_fit(family: str, data) -> FitResult:
 
     centre, inner = _PROFILES[family]
     lo, hi = centre(arr) + np.log([1e-3, 1e3])  # shapes within a factor 1e3
-    res = optimize.minimize_scalar(
-        lambda s: -_loglik(family, inner(arr, np.exp(s)), arr),
-        bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-    if res.fun >= -_LOGLIK_FLOOR:
+    x, fun, success = minimize_bounded(
+        lambda s: -_loglik(family, inner(arr, np.exp(s)), arr), lo, hi, xatol=1e-10)
+    if fun >= -_LOGLIK_FLOOR:
         raise ValidationError(f"{family} fit found no finite likelihood")
-    params = dict(zip(_FAMILIES[family].names, map(float, inner(arr, np.exp(res.x)))))
+    params = dict(zip(_FAMILIES[family].names, map(float, inner(arr, np.exp(x)))))
     # a profile that is flat out to the interval ends leaves the shape unidentified
-    rise = -res.fun - max(_loglik(family, inner(arr, np.exp(b)), arr) for b in (lo, hi))
-    converged = bool(res.success and lo + 1e-6 < res.x < hi - 1e-6
-                     and rise > _PROFILE_RTOL * abs(res.fun))
-    return _make_result(family, params, -res.fun, n, converged, digest)
+    rise = -fun - max(_loglik(family, inner(arr, np.exp(b)), arr) for b in (lo, hi))
+    converged = bool(success and lo + 1e-6 < x < hi - 1e-6 and rise > _PROFILE_RTOL * abs(fun))
+    return _make_result(family, params, -fun, n, converged, digest)
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,7 @@ _FRANK_SERIES = (
     -4.142607044872499e-17, 9.580874484104748e-19, -2.2327143497300036e-20,
 )
 _FRANK_SERIES_MAX = 1.5
-_FRANK_XTOL = np.finfo(float).tiny  # leaves brentq's relative tolerance in charge
+_FRANK_XTOL = float(np.finfo(float).tiny)  # leaves brentq's relative tolerance in charge
 
 
 def frank_tau(theta: float) -> float:
@@ -323,7 +324,8 @@ def frank_tau(theta: float) -> float:
     Below _FRANK_SERIES_MAX, tau's own Bernoulli series, so 1 - 1 never
     cancels; above it, the first Debye function in closed form,
     theta D_1(theta) = pi^2/6 + theta log(1 - e^-theta) - Li_2(e^-theta),
-    with Li_2(e^-theta) = spence(1 - e^-theta) (Genest 1987; Nelsen 2006, 5.1).
+    with Li_2(e^-theta) = spence(1 - e^-theta) (Genest 1987; Nelsen 2006, 5.1),
+    the Cephes dilogarithm of ``scalar``, bit for bit SciPy's.
     """
     if theta <= 0.0:
         raise ValidationError("frank theta must be positive")
@@ -334,7 +336,7 @@ def frank_tau(theta: float) -> float:
         return theta * acc
     e = -math.expm1(-theta)  # 1 - e^-theta
     return (1.0 - 4.0 / theta + 4.0 * math.log(e) / theta
-            + 4.0 * (math.pi ** 2 / 6.0 - float(spence(e))) / (theta * theta))
+            + 4.0 * (math.pi ** 2 / 6.0 - spence(e)) / (theta * theta))
 
 
 class TauRangeError(ValidationError):
@@ -363,8 +365,8 @@ def _tau_thetas(family: str, taus: np.ndarray) -> np.ndarray:
         # tau(theta) <= theta/9 (the series' leading term) and tau(theta) >= 1 - 4/theta
         # (the Debye integral is positive), so [8 tau, 8/(1 - tau)] brackets every
         # float tau in (0, 1)
-        out[fits] = [optimize.brentq(lambda th: frank_tau(th) - tau, 8.0 * tau,
-                                     8.0 / (1.0 - tau), xtol=_FRANK_XTOL)
+        out[fits] = [brentq(lambda th: frank_tau(th) - tau, 8.0 * tau, 8.0 / (1.0 - tau),
+                            xtol=_FRANK_XTOL)
                      for tau in t.tolist()]
     return out
 
@@ -449,11 +451,7 @@ def _pseudo_likelihood_theta(family: str, theta0: float, arr: np.ndarray, upper:
             total += float(np.sum(vals))
         return -total
 
-    res = optimize.minimize_scalar(
-        neg, bounds=(lo, max(theta0 * 10.0, lo + 50.0)), method="bounded",
-        options={"xatol": 1e-8},
-    )
-    return float(res.x)
+    return minimize_bounded(neg, lo, max(theta0 * 10.0, lo + 50.0), xatol=1e-8)[0]
 
 
 def empirical_copula(pseudo: np.ndarray) -> np.ndarray:
@@ -656,6 +654,7 @@ def _weibull_scale(arr: np.ndarray, shape: float) -> float:
 
 def fixed_shape_weibull_scale(data, shape: float) -> float:
     """Closed-form per-component Weibull scale MLE with a shared shape."""
+    shape = real_number(shape, "shape")
     if not 0.0 < shape < np.inf:  # NaN fails both comparisons
         raise ValidationError("shape must be positive and finite")
     return _weibull_scale(_strengths(data, minimum=1), shape)

@@ -25,7 +25,8 @@ from .generators import classify_log_shape, is_log_concave, is_log_convex
 from .gridpolicy import GridPolicy
 from .models import check_dpfr, survival_shape
 from .preorders import Preorder, holds
-from .systems import SurvivalCurve, SystemSpec, curve, default_grid, survival_x2n
+from .systems import (SurvivalCurve, SystemSpec, _lifetimes, curve, default_grid,
+                      survival_x2n)
 
 
 class Relation(enum.Enum):
@@ -257,7 +258,7 @@ def schur_condition_probe(sys: SystemSpec, step: float = 1e-5, xs=None) -> float
     if np.any(th <= 0.0):
         raise ValidationError("log-parameter probe needs positive thetas")
     a = np.log(th)
-    xs = default_grid(sys) if xs is None else np.asarray(xs, dtype=float)
+    xs = default_grid(sys) if xs is None else _lifetimes(xs)
 
     partials = np.empty((xs.size, sys.n))
     for i in range(sys.n):

@@ -19,13 +19,13 @@ axis only n long, one point at a time.  Every reduction over the
 components is a row-by-row add in component order, whatever the number
 of points, so a scalar x rounds exactly as the same point inside a grid.
 
-Check once: ``_lifetimes`` checks every lifetime argument x (here and in
-``mcsim``) and ``SurvivalCurve`` every grid, so ``curve`` checks nothing
-itself, and the marginal matrix is checked once for NaN.  After that,
-clipping puts every survival in [SURVIVAL_FLOOR, 1] and the sums add
-nonnegative phi values, so phi and psi run through the generators'
-private kernels, which skip the argument checks the public functions
-repeat on every call.
+Check once: ``_lifetimes`` checks every lifetime argument x (here, in
+``mcsim`` and in the Schur probe of ``ordering``) and ``SurvivalCurve``
+every grid, so ``curve`` checks nothing itself, and the marginal matrix is
+checked once for NaN.  After that, clipping puts every survival in
+[SURVIVAL_FLOOR, 1] and the sums add nonnegative phi values, so phi and psi
+run through the generators' private kernels, which skip the argument checks
+the public functions repeat on every call.
 """
 
 from __future__ import annotations
@@ -106,9 +106,13 @@ def wire_system(scale: float, shape: float, wire_scales, generator: GeneratorSpe
 def _lifetimes(x) -> np.ndarray:
     """x as a float64 array, unless it breaks the one rule for a lifetime
     argument: a nonnegative number or 1-d array, with no NaN."""
-    arr = np.asarray(x, dtype=float)
+    rule = "x must be a nonnegative number or 1-d array, with no NaN"
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:  # text, ragged rows
+        raise ValidationError(rule) from exc
     if arr.ndim > 1 or not np.all(arr >= 0.0):  # NaN fails the comparison
-        raise ValidationError("x must be a nonnegative number or 1-d array, with no NaN")
+        raise ValidationError(rule)
     return arr
 
 

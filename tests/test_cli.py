@@ -631,6 +631,37 @@ def test_mistyped_config_value_exit_2_naming_the_flag(tmp_path, capsys, argv, co
     assert Path(files["out"]).exists()
 
 
+@pytest.mark.parametrize("conf, flag, typed, good", [
+    ({"families": "weibull"}, "--families", None, "weibull"),
+    ({"copulas": ["clayton", "t"]}, "--copulas", ["clayton", "t"], "gumbel"),
+    ({"copula_method": "bogus"}, "--copula-method", ["bogus"], "tau"),
+], ids=["families-string", "copulas-unknown", "copula-method-unknown"])
+def test_fit_config_value_outside_choices_exit_2_naming_the_flag(tmp_path, capsys, conf, flag,
+                                                                  typed, good):
+    # argparse checks choices only on the command line, so a config value
+    # would reach fitlab unchecked, a string read character by character
+    data = _write_wide_dataset(tmp_path / "wide.csv", cables=10, wires=4)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    out = tmp_path / "out"
+    argv = ["fit", data, "--boot", "100", "--out-dir", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert f"argument {flag}: " in err
+    if typed is None:
+        assert "expected a nonempty list of names, got 'weibull'" in err
+    else:  # the message argparse gives the same value typed as the flag
+        with pytest.raises(SystemExit):
+            main([*argv, flag, *typed])
+        assert capsys.readouterr().err.splitlines()[-1].endswith(err.partition("error: ")[2])
+    assert not out.exists()
+    # an explicit flag still wins over the config value
+    assert main(["--config", str(path), *argv, flag, good]) == 0
+    assert (out / "report.json").exists()
+
+
 # ------------------------------------------------------- exit codes, defaults
 _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boot", "100"]
 

@@ -935,6 +935,17 @@ def test_fixed_shape_weibull_scale_refuses_non_finite_input(data, shape, fragmen
         fixed_shape_weibull_scale(data, shape)
 
 
+@pytest.mark.parametrize("data, shape, fragment", [
+    ([300.0, 310.0], "2", "shape must be a number, got '2'"),
+    ([300.0, 310.0], None, "shape must be a number, got None"),
+    (["300", "x"], 4.0, "data must be numbers in a 1-d array"),
+    ([300.0, [310.0, 320.0]], 4.0, "data must be numbers in a 1-d array"),
+], ids=["text-shape", "none-shape", "text-data", "ragged-data"])
+def test_fixed_shape_weibull_scale_refuses_non_numeric_input(data, shape, fragment):
+    with pytest.raises(ValidationError, match=re.escape(fragment)):
+        fixed_shape_weibull_scale(data, shape)
+
+
 def test_dataset_minimum_observations():
     with pytest.raises(ValidationError):
         LifetimeDataset({"w1": [1.0, 2.0, 3.0]})

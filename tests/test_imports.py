@@ -1,13 +1,12 @@
 """Import graph of the command-line start-up path, and the public names.
 
 Each CLI call starts a fresh interpreter, so every subcommand should load
-only the layers it runs: fitlab (and the scipy optimize and special it
-needs) loads under ``fit`` only, and no other subcommand loads scipy at
-all, gamma and gen_gamma baselines included, since their incomplete gamma
-is numpy code in ``models``.  fitlab itself computes ranks and Kendall tau
-without scipy.stats, and frank's Kendall tau without scipy.integrate.
-These checks run in a child interpreter, since the test process itself has
-long since imported everything.
+only the layers it runs: fitlab loads under ``fit`` only.  No subcommand
+loads scipy at all: gamma and gen_gamma baselines compute their incomplete
+gamma in ``models``, and fitlab computes ranks and Kendall tau with numpy
+and takes its scalar searches and the dilogarithm from ``scalar``.  These
+checks run in a child interpreter, since the test process itself has long
+since imported everything.
 """
 
 import ast
@@ -94,10 +93,32 @@ assert cli.main({args + ["--out", "child.csv"]!r}) == 0
     assert child.count(b"\n") == 301
 
 
-def test_fitlab_import_loads_no_scipy_stats(tmp_path):
-    loaded = _heavy_modules_after("import failsafekit.fitlab", tmp_path)
-    assert "failsafekit.fitlab" in loaded
-    assert [m for m in loaded if m.startswith(("scipy.stats", "scipy.integrate"))] == []
+def test_fitlab_import_loads_no_scipy(tmp_path):
+    assert _heavy_modules_after("import failsafekit.fitlab", tmp_path) == ["failsafekit.fitlab"]
+
+
+def test_fit_subcommand_loads_no_scipy(tmp_path):
+    # both copula methods, so the bounded search, frank's brentq and the
+    # dilogarithm all run
+    code = """
+import numpy as np
+from failsafekit import cli
+from failsafekit.generators import GeneratorSpec
+from failsafekit.mcsim import sample_copula
+
+u = sample_copula(GeneratorSpec("clayton", 1.5), 4, 40, seed=1).uniforms
+rows = ["w1,w2,w3,w4"] + [",".join(f"{v:.6f}" for v in 341.0 * (-np.log1p(-r)) ** 0.2)
+                          for r in u]
+with open("wide.csv", "w") as fh:
+    fh.write("\\n".join(rows))
+codes = [cli.main(["fit", "wide.csv", "--boot", "100", "--seed", "1", "--copula-method",
+                   method, "--out-dir", method]) for method in ("tau", "pseudo_likelihood")]
+assert codes == [0, 0], codes
+"""
+    assert _heavy_modules_after(code, tmp_path) == ["failsafekit.fitlab"]
+    for method in ("tau", "pseudo_likelihood"):
+        report = json.loads((tmp_path / method / "report.json").read_text())
+        assert sorted(report["copula_gof"]) == ["clayton", "frank", "gumbel"]
 
 
 def test_fitlab_names_still_resolve():

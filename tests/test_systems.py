@@ -245,6 +245,8 @@ BAD_LIFETIMES = {
     "negative": -1.0,
     "2-d": np.ones((2, 3)),
     "n-by-1": np.ones((5, 1)),  # one row per component, not a grid
+    "text": "a",
+    "ragged": [1.0, [2.0, 3.0]],
 }
 
 
