@@ -366,27 +366,24 @@ def cmd_fit(args) -> int:
     return EXIT_VALIDATION if partial else EXIT_OK
 
 
-#: The fit flags with choices.  argparse checks choices only for a value
-#: given on the command line, so ``_check_fit_choices`` checks a config value.
-_FIT_CHOICES = {"families": FIT_FAMILIES, "copulas": COPULA_FAMILIES,
-                "copula_method": ("tau", "pseudo_likelihood")}
-
-
-def _check_fit_choices(parser: argparse.ArgumentParser, args) -> None:
-    """Refuse a fit flag value outside its choices, as argparse refuses one
-    on the command line: exit 2 with a message naming the flag.  A list
-    flag's config value must be a nonempty JSON list of names."""
-    for dest, choices in _FIT_CHOICES.items():
-        value = getattr(args, dest)
-        flag = "--" + dest.replace("_", "-")
-        if dest == "copula_method":
-            value = [value]
-        elif not isinstance(value, list) or not value:
-            parser.error(f"argument {flag}: expected a nonempty list of names, got {value!r}")
-        for v in value:
-            if v not in choices:
-                parser.error(f"argument {flag}: invalid choice: {v!r} "
-                             f"(choose from {', '.join(map(repr, choices))})")
+def _check_config_choices(parser: argparse.ArgumentParser, args) -> None:
+    """Refuse a config value outside its flag's choices, as argparse refuses
+    one typed on the command line, which is the only place it checks them:
+    exit 2 through ``parser`` with argparse's message naming the flag.  A
+    list flag's config value must be a nonempty JSON list of names."""
+    for action in parser._actions:
+        if action.choices is None or not action.option_strings:
+            continue
+        value = getattr(args, action.dest)
+        values = value if action.nargs == "+" else [value]
+        try:
+            if not isinstance(values, list) or not values:
+                raise argparse.ArgumentError(
+                    action, f"expected a nonempty list of names, got {value!r}")
+            for v in values:
+                parser._check_value(action, v)
+        except argparse.ArgumentError as err:
+            parser.error(str(err))
 
 
 def _build_parser(conf: dict | None = None) -> argparse.ArgumentParser:
@@ -450,11 +447,11 @@ def _build_parser(conf: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="marginal fits, copula goodness of fit, subset advice")
     p.add_argument("data", help="CSV: long (cable,wire,strength) or wide (one column per wire)")
     p.add_argument("--families", nargs="+", default=d("families", list(FIT_FAMILIES)),
-                   choices=_FIT_CHOICES["families"])
+                   choices=FIT_FAMILIES)
     p.add_argument("--copulas", nargs="+", default=d("copulas", list(COPULA_FAMILIES)),
-                   choices=_FIT_CHOICES["copulas"])
+                   choices=COPULA_FAMILIES)
     p.add_argument("--copula-method", default=d("copula_method", "tau"),
-                   choices=_FIT_CHOICES["copula_method"])
+                   choices=("tau", "pseudo_likelihood"))
     p.add_argument("--boot", type=int, default=d("boot", 200))
     p.add_argument("--seed", type=int, default=d("seed", None))
     p.add_argument("--subsets", default=d("subsets", None),
@@ -463,7 +460,7 @@ def _build_parser(conf: dict | None = None) -> argparse.ArgumentParser:
                    default=d("reference", None),
                    help="compare against a manifest (default: bundled reference)")
     p.add_argument("--out-dir", default=d("out_dir", None))
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=cmd_fit, parser=p)
     return parser
 
 
@@ -497,7 +494,7 @@ def main(argv=None) -> int:
         parser = _build_parser(_load_config(argv))
         args = parser.parse_args(argv)
         if args.command == "fit":
-            _check_fit_choices(parser, args)
+            _check_config_choices(args.parser, args)
         if hasattr(args, "seed"):
             args.seed = _default_seed() if args.seed is None else check_seed(args.seed, "--seed")
         return args.func(args)

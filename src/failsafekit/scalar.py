@@ -31,6 +31,7 @@ from .errors import ValidationError
 
 _SQRT_EPS = math.sqrt(2.2e-16)  # SciPy's constant, not sqrt of the float epsilon
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_BOUNDED_MAXITER = 500  # SciPy's default for the bounded search
 
 
 def _value(func, x) -> float:
@@ -40,11 +41,10 @@ def _value(func, x) -> float:
     return fx
 
 
-def minimize_bounded(func, lo: float, hi: float, xatol: float,
-                     maxiter: int = 500) -> tuple[float, float, bool]:
+def minimize_bounded(func, lo: float, hi: float, xatol: float) -> tuple[float, float, bool]:
     """(x, func(x), success) for a local minimum of func on [lo, hi] to
     within xatol, by golden-section and parabolic steps; success is False
-    when maxiter evaluations (SciPy's default 500) ran out first."""
+    when 500 evaluations ran out first."""
     a, b = float(lo), float(hi)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValidationError("search bounds must be finite")
@@ -106,7 +106,7 @@ def minimize_bounded(func, lo: float, hi: float, xatol: float,
         xm = 0.5 * (a + b)
         tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
-        if num >= maxiter:
+        if num >= _BOUNDED_MAXITER:
             return xf, fx, False
     return xf, fx, True
 

@@ -77,8 +77,9 @@ def _samples():
 
 @pytest.mark.parametrize("family", ["weibull", "gamma", "burr"])
 @pytest.mark.parametrize("maxiter", [500, 6], ids=["converging", "maxiter-reached"])
-def test_bounded_search_matches_scipy_on_mle_profiles(family, maxiter):
+def test_bounded_search_matches_scipy_on_mle_profiles(family, maxiter, monkeypatch):
     pytest.importorskip("scipy.optimize")
+    monkeypatch.setattr(scalar, "_BOUNDED_MAXITER", maxiter)
     successes = set()
     for data in _samples():
         centre, inner = fitlab._PROFILES[family]
@@ -87,7 +88,7 @@ def test_bounded_search_matches_scipy_on_mle_profiles(family, maxiter):
         def neg(s):
             return -fitlab._loglik(family, inner(data, np.exp(s)), data)
 
-        got = scalar.minimize_bounded(neg, lo, hi, xatol=1e-10, maxiter=maxiter)
+        got = scalar.minimize_bounded(neg, lo, hi, xatol=1e-10)
         want = _scipy_bounded(neg, lo, hi, xatol=1e-10, maxiter=maxiter)
         assert (*_hex(got[:2]), got[2]) == (*_hex(want[:2]), want[2])
         successes.add(got[2])
