@@ -66,6 +66,7 @@ from .systems import (
     SurvivalCurve,
     SystemSpec,
     curve,
+    curves,
     default_grid,
     homogeneous_x2n,
     lower_bound_plarger,
@@ -104,6 +105,7 @@ __all__ = [
     "classify_log_shape",
     "compare_curves",
     "curve",
+    "curves",
     "default_grid",
     "empirical_survival_x2n",
     "hazard",

@@ -316,6 +316,11 @@ _FRANK_SERIES = (
 )
 _FRANK_SERIES_MAX = 1.5
 _FRANK_XTOL = float(np.finfo(float).tiny)  # leaves brentq's relative tolerance in charge
+#: Below this tau, frank's theta is 9 tau.  tau = theta/9 - theta^3/900 + O(theta^5)
+#: rounds to theta/9 once theta < 7e-8, and far below that, under about
+#: 7.2e-156, brentq's bracket spans so many binades that its 100 iterations
+#: mostly run out.
+_FRANK_TAU_LINEAR = 1e-155
 
 
 def frank_tau(theta: float) -> float:
@@ -365,8 +370,9 @@ def _tau_thetas(family: str, taus: np.ndarray) -> np.ndarray:
         # tau(theta) <= theta/9 (the series' leading term) and tau(theta) >= 1 - 4/theta
         # (the Debye integral is positive), so [8 tau, 8/(1 - tau)] brackets every
         # float tau in (0, 1)
-        out[fits] = [brentq(lambda th: frank_tau(th) - tau, 8.0 * tau, 8.0 / (1.0 - tau),
-                            xtol=_FRANK_XTOL)
+        out[fits] = [9.0 * tau if tau < _FRANK_TAU_LINEAR
+                     else brentq(lambda th: frank_tau(th) - tau, 8.0 * tau, 8.0 / (1.0 - tau),
+                                 xtol=_FRANK_XTOL)
                      for tau in t.tolist()]
     return out
 

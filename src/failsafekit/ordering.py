@@ -25,8 +25,7 @@ from .generators import classify_log_shape, is_log_concave, is_log_convex
 from .gridpolicy import GridPolicy
 from .models import check_dpfr, survival_shape
 from .preorders import Preorder, holds
-from .systems import (SurvivalCurve, SystemSpec, _lifetimes, curve, default_grid,
-                      survival_x2n)
+from .systems import SurvivalCurve, SystemSpec, _lifetimes, _survivals, curves, default_grid
 
 
 class Relation(enum.Enum):
@@ -204,7 +203,8 @@ def verify(
     if not overall:
         return ConditionReport(route, checks, overall, None)
     xs = policy.curve_grid(mx, sysX.theta, sysY.theta)
-    dominance = compare_curves(curve(sysX, xs), curve(sysY, xs), policy)
+    # the hypotheses above hold, so the two systems share model, generator and n
+    dominance = compare_curves(*curves((sysX, sysY), xs), policy)
     report = ConditionReport(route, checks, overall, dominance)
     if dominance.relation not in (Relation.X_DOMINATES_Y, Relation.TIES_WITHIN_TOL):
         raise InconsistencyError(
@@ -260,14 +260,16 @@ def schur_condition_probe(sys: SystemSpec, step: float = 1e-5, xs=None) -> float
     a = np.log(th)
     xs = default_grid(sys) if xs is None else _lifetimes(xs)
 
-    partials = np.empty((xs.size, sys.n))
+    # a moved up, then down, in each entry in turn; each SystemSpec checks its
+    # theta, and one kernel pass evaluates all 2n systems
+    h = step * (1.0 + np.abs(a))
+    specs = []
     for i in range(sys.n):
-        h = step * (1.0 + abs(a[i]))
-        hi = a.copy(); hi[i] += h
-        lo = a.copy(); lo[i] -= h
-        s_hi = survival_x2n(SystemSpec(sys.n, sys.model, tuple(np.exp(hi)), sys.generator), xs)
-        s_lo = survival_x2n(SystemSpec(sys.n, sys.model, tuple(np.exp(lo)), sys.generator), xs)
-        partials[:, i] = (s_hi - s_lo) / (2.0 * h)
+        for move in (h[i], -h[i]):
+            shifted = a.copy(); shifted[i] += move
+            specs.append(SystemSpec(sys.n, sys.model, tuple(np.exp(shifted)), sys.generator))
+    s = _survivals(specs, np.atleast_1d(xs)).reshape(sys.n, 2, -1)
+    partials = ((s[:, 0] - s[:, 1]) / (2.0 * h)[:, None]).T
 
     p, q = np.triu_indices(sys.n, 1)
     prod = (a[p] - a[q]) * (partials[:, p] - partials[:, q])

@@ -411,6 +411,16 @@ def test_frank_small_tau_is_theta_over_9():
     assert tau_to_theta("frank", 1e-9) == pytest.approx(9e-9, rel=1e-9)
 
 
+def test_frank_inverts_every_tiny_tau():
+    # before theta = 9 tau took over below _FRANK_TAU_LINEAR, 191 of these
+    # raised: the root search ran out of its 100 iterations below 7.2e-156
+    for tau in np.logspace(-300, -3, 400).tolist():
+        theta = tau_to_theta("frank", tau)
+        if tau < fitlab._FRANK_TAU_LINEAR:
+            assert theta == 9.0 * tau
+        assert frank_tau(theta) == pytest.approx(tau, rel=1e-14, abs=0.0)
+
+
 def test_tau_out_of_range_rejected():
     for fam in ("clayton", "gumbel", "frank"):
         with pytest.raises(ValidationError):

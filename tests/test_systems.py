@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from failsafekit import (
     SystemSpec,
     ValidationError,
     curve,
+    curves,
     default_grid,
     empirical_survival_x2n,
     homogeneous_x2n,
@@ -22,12 +24,15 @@ from failsafekit import (
     schur_condition_probe,
     survival_x2n,
     systems,
+    verify_theorem1,
 )
 from failsafekit.cli import load_system, write_curve_csv
 from failsafekit.demos import clayton_pair, demo_grid, gumbel_barnett_pair
 from failsafekit.generators import FAMILIES, PHI_CAP, SURVIVAL_FLOOR, phi, psi
 from failsafekit.gridpolicy import GridPolicy
-from failsafekit.models import BULK_Q_HI, BULK_Q_LO, sp_quantile, sp_survival
+from failsafekit import models
+from failsafekit.models import (BASELINE_FAMILIES, BULK_Q_HI, BULK_Q_LO, sp_quantile,
+                                sp_survival)
 
 
 # ---------------------------------------------------------------- oracle
@@ -176,6 +181,114 @@ def test_floored_component_keeps_the_others_digits(position):
     assert_allclose(got, direct_loo_x2n(sysd, [1.0]), rtol=0, atol=LOO_TOL)
     others = psi(gen, phi(gen, np.exp(-1.0)) + phi(gen, np.exp(-2.0)))
     assert got[0] == pytest.approx(others, rel=1e-15)
+
+
+# ------------------------------------------------ the kernel over k systems
+BASELINE_PARAMS = {"exponential": (1.3,), "weibull": (1.2, 0.7), "exp_weibull": (0.8, 1.5),
+                   "burr": (1.5, 0.8), "gen_pareto": (0.7,), "gen_gamma": (0.6, 0.5),
+                   "gamma": (0.7, 1.3)}
+KIND_NUISANCES = {"scale": {}, "phr": {}, "location": {}, "mphrs": {"alpha": 0.4, "lam": 1.7},
+                  "ls": {"lam": 0.3}}
+
+
+def unblocked(monkeypatch, fn, *args):
+    """fn(*args) with the whole grid in one block of the survival kernel."""
+    with monkeypatch.context() as m:
+        m.setattr(systems, "_BLOCK_BYTES", 1 << 62)
+        return fn(*args)
+
+
+@pytest.mark.parametrize("kind", KIND_NUISANCES)
+@pytest.mark.parametrize("family", BASELINE_FAMILIES)
+def test_curves_equal_per_system_survival_bit_for_bit(family, kind):
+    model = SemiParamModel(kind, BaselineSpec(family, BASELINE_PARAMS[family]),
+                           **KIND_NUISANCES[kind])
+    for gen_family in FAMILIES:
+        gen = GeneratorSpec(gen_family, FAMILY_THETAS[gen_family])
+        sx = SystemSpec(4, model, (0.5, 1.0, 2.0, 3.0), gen)
+        sy = SystemSpec(4, model, (0.7, 1.1, 1.5, 2.5), gen)
+        xs = GridPolicy().curve_grid(model, sx.theta, sy.theta)
+        for sysd, c in zip((sx, sy), curves((sx, sy), xs)):
+            assert c.values.tobytes() == survival_x2n(sysd, xs).tobytes(), gen_family
+            assert c.xs.tobytes() == xs.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 60])
+def test_block_edges_change_no_value(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    model = SemiParamModel("scale", BaselineSpec("weibull", (1.0, 0.8)))
+    gen = GeneratorSpec("gumbel_hougaard", 1.5)
+    pair = tuple(SystemSpec(n, model, tuple(rng.uniform(0.5, 3.0, n)), gen) for _ in range(2))
+    block = systems._block_columns(n, 2)
+    for size in (1, block - 1, block, block + 1):
+        xs = np.geomspace(0.01, 10.0, size)
+        vals = systems._survivals(pair, xs)
+        assert vals.tobytes() == unblocked(monkeypatch, systems._survivals, pair, xs).tobytes()
+        # one system's blocks are twice as wide, and a scalar is a block of its own
+        for sysd, row in zip(pair, vals):
+            assert survival_x2n(sysd, xs).tobytes() == row.tobytes()
+        for i in {0, block - 2, block - 1, size - 1}:
+            if 0 <= i < size:
+                assert survival_x2n(pair[1], float(xs[i])) == vals[1, i]
+
+
+def test_gamma_small_blocks_take_the_scalar_path_to_the_same_bits(monkeypatch):
+    # the last block of a block + 1 grid holds one column, 2 x 2 points of
+    # Legendre's fraction: _small_or_vector evaluates those in Python floats,
+    # the same points in one whole-grid block in numpy
+    sizes = []
+
+    def record(fn, xs, *args):
+        sizes.append(xs.size)
+        return small_or_vector(fn, xs, *args)
+
+    small_or_vector = models._small_or_vector
+    monkeypatch.setattr(models, "_small_or_vector", record)
+    model = SemiParamModel("scale", BaselineSpec("gamma", (0.7, 1.3)))
+    gen = GeneratorSpec("clayton", 2.0)
+    pair = (SystemSpec(2, model, (0.5, 2.0), gen), SystemSpec(2, model, (0.8, 1.5), gen))
+    xs = np.geomspace(0.01, 10.0, systems._block_columns(2, 2) + 1)
+    vals = systems._survivals(pair, xs)
+    assert min(sizes) <= 16
+    sizes.clear()
+    assert vals.tobytes() == unblocked(monkeypatch, systems._survivals, pair, xs).tobytes()
+    assert min(sizes) > 16
+
+
+def test_curves_refuse_systems_that_do_not_share_the_kernel():
+    sx, sy = gumbel_barnett_pair()
+    xs = demo_grid(50)
+    other_gen = SystemSpec(sy.n, sy.model, sy.theta, GeneratorSpec("clayton", 2.0))
+    other_model = SystemSpec(sy.n, SemiParamModel("phr", sy.model.baseline), sy.theta,
+                             sy.generator)
+    other_n = SystemSpec(sy.n + 1, sy.model, sy.theta + (1.0,), sy.generator)
+    for other in (other_gen, other_model, other_n):
+        with pytest.raises(ValidationError, match="one model, generator and n"):
+            curves((sx, other), xs)
+    with pytest.raises(ValidationError, match="at least one system"):
+        curves((), xs)
+    assert curves((sx,), xs)[0].values.tobytes() == curve(sx, xs).values.tobytes()
+
+
+def test_verdict_memory_is_bounded_at_large_n():
+    # n = 50 over gen_gamma: the blocked pass of both systems peaks at about
+    # 2.5 MB, most of it the incomplete gamma's temporaries on one block; the
+    # same pass over the whole grid in one block peaks at 6.8 MB
+    rng = np.random.default_rng(4)
+    model = SemiParamModel("scale", BaselineSpec("gen_gamma", (0.5, 0.4)))
+    gen = GeneratorSpec("gumbel_hougaard", 2.0)
+    ta = np.exp(rng.uniform(np.log(0.1), np.log(3.0), 50))
+    sx = SystemSpec(50, model, tuple(ta), gen)
+    sy = SystemSpec(50, model, tuple(ta * rng.uniform(1.0, 2.0, 50)), gen)
+    verify_theorem1(sx, sy)  # plan and cache the incomplete gamma first
+    tracemalloc.start()
+    try:
+        report = verify_theorem1(sx, sy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.overall and report.dominance is not None
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------- curve
