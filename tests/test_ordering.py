@@ -13,6 +13,7 @@ from failsafekit import (
     ValidationError,
     compare_curves,
     curve,
+    curves,
     default_grid,
     schur_condition_probe,
     verify_prop_ls,
@@ -478,3 +479,91 @@ def test_report_json_shapes():
     assert {c["name"] for c in blob["checks"]} == {
         "shared_generator", "shared_model", "generator_log_concave",
         "survival_shape", "p_larger"}
+
+
+# ------------------------------------------------- bitwise verdict pins
+# Verdicts pinned by float.hex, so a change to the survival kernel, the
+# bulk grid, the marginals or the comparison that moves any bit shows here.
+# Every audit baseline family (gen_gamma once with a = q/p below 1 and once
+# above, so both its series and its fraction run element by element in the
+# n = 4 bulk quantiles and as vectors on the grid) under each log-concave
+# generator, at n = 4 and n = 30, and the README's theorem-2 crossing.
+PIN_BASELINES = {
+    "exp_weibull": BaselineSpec("exp_weibull", (0.6, 0.45)),
+    "gen_pareto": BaselineSpec("gen_pareto", (1.7,)),
+    "burr": BaselineSpec("burr", (0.7, 1.9)),
+    "gen_gamma_a_lt_1": BaselineSpec("gen_gamma", (0.9, 0.35)),
+    "gen_gamma_a_gt_1": BaselineSpec("gen_gamma", (0.4, 0.95)),
+}
+PIN_GENERATORS = {
+    "gumbel_barnett": GeneratorSpec("gumbel_barnett", 0.5),
+    "gumbel_hougaard": GeneratorSpec("gumbel_hougaard", 2.0),
+    "amh": GeneratorSpec("amh", -0.5),
+}
+VERDICT_PINS = {
+    ('exp_weibull', 'gumbel_barnett', 4): ('y_dominates_x', '-0x1.1345cfe19cef2p-3', '-0x0.00000000042d9p-1022', ()),
+    ('exp_weibull', 'gumbel_barnett', 30): ('y_dominates_x', '-0x1.144bb1d6177e0p-5', '0x0.0p+0', ()),
+    ('exp_weibull', 'gumbel_hougaard', 4): ('x_dominates_y', '0x1.451c3dee3c7a3p-82', '0x1.8ea5084174c60p-5', ()),
+    ('exp_weibull', 'gumbel_hougaard', 30): ('y_dominates_x', '-0x1.562344a1fba00p-8', '0x0.0p+0', ()),
+    ('exp_weibull', 'amh', 4): ('x_dominates_y', '0x1.48d8b60974396p-42', '0x1.07f3903c431bcp-4', ()),
+    ('exp_weibull', 'amh', 30): ('y_dominates_x', '-0x1.ab7c72e761880p-5', '-0x1.f0e90b2de5160p-725', ()),
+    ('gen_pareto', 'gumbel_barnett', 4): ('x_dominates_y', '0x1.6948e0bbc02acp-283', '0x1.53de518208a0cp-3', ()),
+    ('gen_pareto', 'gumbel_barnett', 30): ('x_dominates_y', '0x0.0p+0', '0x1.423046cca6f5cp-2', ()),
+    ('gen_pareto', 'gumbel_hougaard', 4): ('x_dominates_y', '0x1.96fd2fc058017p-63', '0x1.4d7a676b65cfap-2', ()),
+    ('gen_pareto', 'gumbel_hougaard', 30): ('x_dominates_y', '0x0.0p+0', '0x1.4e48e26454628p-3', ()),
+    ('gen_pareto', 'amh', 4): ('crossing', '-0x1.bc3f8f9137000p-11', '0x1.98c05f5598be0p-5', (('0x1.bca5a90f71e4bp-3', '0x1.c5f79affad13cp-3'),)),
+    ('gen_pareto', 'amh', 30): ('y_dominates_x', '-0x1.d7cc091a9aa20p-4', '-0x1.df4f1793aba85p-341', ()),
+    ('burr', 'gumbel_barnett', 4): ('crossing', '-0x1.ac75d26178ef0p-15', '0x1.51794bebb5dd0p-5', (('0x1.bd77a292e8a28p+0', '0x1.c5d4bdd3ee15cp+0'),)),
+    ('burr', 'gumbel_barnett', 30): ('x_dominates_y', '0x0.0p+0', '0x1.3705217a83b00p-7', ()),
+    ('burr', 'gumbel_hougaard', 4): ('x_dominates_y', '0x1.6de3c4e8edb1dp-61', '0x1.fc83bee19b7d4p-3', ()),
+    ('burr', 'gumbel_hougaard', 30): ('x_dominates_y', '0x0.0p+0', '0x1.44ed08564f580p-4', ()),
+    ('burr', 'amh', 4): ('y_dominates_x', '-0x1.44e97bb479330p-5', '-0x1.44d6e35840420p-40', ()),
+    ('burr', 'amh', 30): ('x_dominates_y', '0x1.a2b7cb90c51d9p-388', '0x1.630371d1ba0e0p-3', ()),
+    ('gen_gamma_a_lt_1', 'gumbel_barnett', 4): ('x_dominates_y', '0x1.eede281de363fp-560', '0x1.966123af59b2ap-2', ()),
+    ('gen_gamma_a_lt_1', 'gumbel_barnett', 30): ('x_dominates_y', '0x0.0p+0', '0x1.14f2e28930190p-3', ()),
+    ('gen_gamma_a_lt_1', 'gumbel_hougaard', 4): ('x_dominates_y', '0x1.473570f2d4facp-133', '0x1.bcf77ae7e8f20p-5', ()),
+    ('gen_gamma_a_lt_1', 'gumbel_hougaard', 30): ('y_dominates_x', '-0x1.ff46002270640p-5', '0x0.0p+0', ()),
+    ('gen_gamma_a_lt_1', 'amh', 4): ('y_dominates_x', '-0x1.db263fa6252a0p-5', '-0x1.2d36061e88b5cp-58', ()),
+    ('gen_gamma_a_lt_1', 'amh', 30): ('x_dominates_y', '0x1.be58f3d37b792p-1012', '0x1.3758c86ac13a0p-3', ()),
+    ('gen_gamma_a_gt_1', 'gumbel_barnett', 4): ('x_dominates_y', '0x1.cacb566a30d2fp-475', '0x1.703a8133fdf9ep-2', ()),
+    ('gen_gamma_a_gt_1', 'gumbel_barnett', 30): ('x_dominates_y', '0x0.0p+0', '0x1.9baf97c15bdc0p-5', ()),
+    ('gen_gamma_a_gt_1', 'gumbel_hougaard', 4): ('x_dominates_y', '0x1.922b19fe64069p-74', '0x1.f28a45542d644p-2', ()),
+    ('gen_gamma_a_gt_1', 'gumbel_hougaard', 30): ('y_dominates_x', '-0x1.234413a6c8fc0p-5', '0x0.0p+0', ()),
+    ('gen_gamma_a_gt_1', 'amh', 4): ('y_dominates_x', '-0x1.5f669bc49c73dp-2', '-0x1.f950dae9ae1adp-40', ()),
+    ('gen_gamma_a_gt_1', 'amh', 30): ('x_dominates_y', '0x1.e42b0b9d7dc9cp-757', '0x1.8773975bd76c0p-5', ()),
+    'readme_t2': ('crossing', '-0x1.daf8b9d215c00p-6', '0x1.b850f4edd64c0p-6', (('0x1.a2200a7bf5cc0p+1', '0x1.a506f7b442ebap+1'),)),
+}
+
+
+def _pin(v):
+    return (v.relation.value, v.min_gap.hex(), v.max_gap.hex(),
+            tuple((a.hex(), b.hex()) for a, b in v.crossings))
+
+
+def _pin_pair(base, gen, n):
+    """Two scale systems with thetas log-uniform in [0.1, 3], seeded per case."""
+    rng = np.random.default_rng([n, list(PIN_BASELINES).index(base),
+                                 list(PIN_GENERATORS).index(gen)])
+    m = SemiParamModel("scale", PIN_BASELINES[base])
+    ta, tb = np.exp(rng.uniform(np.log(0.1), np.log(3.0), (2, n)))
+    return (SystemSpec(n, m, tuple(ta.tolist()), PIN_GENERATORS[gen]),
+            SystemSpec(n, m, tuple(tb.tolist()), PIN_GENERATORS[gen]))
+
+
+@pytest.mark.parametrize("case", [k for k in VERDICT_PINS if k != "readme_t2"],
+                         ids=lambda k: "-".join(map(str, k)))
+def test_verdict_bits_pinned(case):
+    # the verdict an audit op reaches once its hypotheses hold: both curves
+    # on the policy grid, compared under the default tolerances
+    sx, sy = _pin_pair(*case)
+    xs = GridPolicy().curve_grid(sx.model, sx.theta, sy.theta)
+    assert _pin(compare_curves(*curves((sx, sy), xs))) == VERDICT_PINS[case]
+
+
+def test_readme_theorem2_crossing_bits_pinned():
+    m = SemiParamModel("location", BaselineSpec("gen_pareto", (1.0,)))
+    gen = GeneratorSpec("clayton", 2.0)
+    with pytest.raises(InconsistencyError) as exc:
+        verify_theorem2(SystemSpec(3, m, (1.0, 2.0, 4.0), gen),
+                        SystemSpec(3, m, (1.5, 2.0, 3.0), gen))
+    assert _pin(exc.value.report.dominance) == VERDICT_PINS["readme_t2"]
