@@ -181,19 +181,30 @@ def _log_gammaincc(a: float, x, lx):
 
 
 def _horner(z, coef):
-    s = coef[0]
-    for c in coef[1:]:
-        s = s * z + c
+    """The polynomial with coefficients coef (highest power first, at least
+    two) at z; an array is updated in place, a float rebound."""
+    s = coef[0] * z + coef[1]
+    for c in coef[2:]:
+        s *= z
+        s += c
     return s
 
 
 def _legendre_fraction(x, a, depth):
-    """x^-a e^x Gamma(a) Q(a, x), backward from ``depth`` levels."""
+    """x^-a e^x Gamma(a) Q(a, x), backward from ``depth`` levels; an array
+    x is walked in place, in the same operations as a float."""
     b = x + (2 * depth + 1 - a)
-    f = b
+    if isinstance(b, float):
+        f = b
+        for k in range(depth, 0, -1):
+            b -= 2.0
+            f = b - k * (k - a) / f
+        return f
+    f = b.copy()
     for k in range(depth, 0, -1):
-        b = b - 2.0
-        f = b - k * (k - a) / f
+        b -= 2.0
+        np.divide(k * (k - a), f, out=f)
+        np.subtract(b, f, out=f)
     return f
 
 
@@ -575,14 +586,28 @@ def bulk_grid(entries, points: int, floor: float = CURVE_FLOOR) -> np.ndarray:
     _check_points(points)
     # one quantile call per entry for both ends: gamma's inverse costs per call
     ends = [sp_quantile(m, [[BULK_Q_LO], [BULK_Q_HI]], th) for m, th in entries]
-    lo = np.min([np.min(q[0]) for q in ends])
-    hi = np.max([np.max(q[1]) for q in ends])
+    ends = ends[0] if len(ends) == 1 else np.concatenate(ends, axis=1)
+    lo, hi = ends[0].min(), ends[1].max()  # NaN propagates to the check below
     if not (np.isfinite(lo) and 0.0 < hi < np.inf):
         names = ", ".join(dict.fromkeys(
             f"{m.kind} {m.baseline.family}{m.baseline.params}" for m, _ in entries))
         raise ValidationError(f"{names} has no finite positive bulk quantile range "
                               f"[{lo:.3g}, {hi:.3g}] for a lifetime grid")
-    return np.geomspace(max(lo, hi * floor), hi, points)
+    return _geomspace(max(lo, hi * floor), hi, points)
+
+
+def _geomspace(lo, hi, points: int) -> np.ndarray:
+    """``np.geomspace(lo, hi, points)`` bit for bit, for scalar ends
+    0 < lo <= hi and points >= 2, without its array handling: the same
+    steps as its ``linspace`` over log10, then both ends restored."""
+    l0, l1 = np.log10(lo), np.log10(hi)
+    y = np.arange(points, dtype=float)
+    y *= (l1 - l0) / (points - 1)
+    y += l0
+    y[-1] = l1
+    out = np.power(10.0, y)
+    out[0], out[-1] = lo, hi
+    return out
 
 
 def linear_grid(x_min: float, x_max: float, points: int) -> np.ndarray:

@@ -62,7 +62,8 @@ def compare_curves(
     to change sign beyond ``policy.crossing_gap`` on both sides; smaller
     wiggles leave the dominance verdict standing, X's first.
     """
-    if not np.array_equal(cx.xs, cy.xs):
+    # the curves of one ``curves`` call share their grid object
+    if cx.xs is not cy.xs and not np.array_equal(cx.xs, cy.xs):
         raise ValidationError("curves live on different grids")
     policy = policy or GridPolicy()
     tol, crossing_gap = policy.dominance_tol, policy.crossing_gap
@@ -85,14 +86,12 @@ def compare_curves(
 
 
 def _bracket_crossings(xs, gap, thresh) -> tuple[tuple[float, float], ...]:
-    """Intervals bracketing sign changes whose ends both exceed thresh."""
+    """Intervals bracketing sign changes whose ends both exceed thresh:
+    consecutive points beyond thresh whose signs differ."""
     sig = np.where(gap > thresh, 1, np.where(gap < -thresh, -1, 0))
-    idx = np.nonzero(sig)[0]
-    out = []
-    for a, b in zip(idx[:-1], idx[1:]):
-        if sig[a] != sig[b]:
-            out.append((float(xs[a]), float(xs[b])))
-    return tuple(out)
+    idx = np.flatnonzero(sig)
+    turn = np.flatnonzero(sig[idx[:-1]] != sig[idx[1:]])
+    return tuple(zip(xs[idx[turn]].tolist(), xs[idx[turn + 1]].tolist()))
 
 
 @dataclass(frozen=True)

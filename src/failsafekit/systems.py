@@ -29,17 +29,20 @@ k.  Every step is elementwise along the grid, so neither the block edges
 nor the number of systems per call change a value.
 
 Check once: ``_lifetimes`` checks every lifetime argument x (here, in
-``mcsim`` and in the Schur probe of ``ordering``) and ``SurvivalCurve``
-every grid, so ``curve`` and ``curves`` check nothing more of it, and each
-block of the marginal matrix is checked once for NaN.  After that,
-clipping puts every survival in [SURVIVAL_FLOOR, 1] and the sums add
-nonnegative phi values, so phi and psi run through the generators' private
-kernels, which skip the argument checks the public functions repeat on
-every call.
+``mcsim`` and in the Schur probe of ``ordering``) and ``_grid`` every
+survival grid: ``SurvivalCurve`` checks its own, and ``curves`` its one
+grid once per call, which all of its curves share.  Each block of the
+marginal matrix is checked once for NaN, by its minimum, and its minimum
+and maximum decide whether the dead-point mask and the clip are needed at
+all.  After that, every survival lies in [SURVIVAL_FLOOR, 1] and the sums
+add nonnegative phi values, so phi and psi run through the generators'
+private kernels, which skip the argument checks the public functions
+repeat on every call.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -130,6 +133,17 @@ def _lifetimes(x) -> np.ndarray:
     return arr
 
 
+def _grid(xs) -> np.ndarray:
+    """xs as a new read-only float64 array, unless it is not a strictly
+    increasing positive grid of two or more points."""
+    xs = np.array(xs, dtype=float)
+    # NaN fails the comparisons, and a difference next to it is NaN too
+    if xs.ndim != 1 or xs.size < 2 or not (xs[0] > 0.0 and (xs[1:] - xs[:-1]).min() > 0.0):
+        raise ValidationError("xs must be a strictly increasing positive grid of length >= 2")
+    xs.flags.writeable = False
+    return xs
+
+
 @dataclass(frozen=True, eq=False)
 class SurvivalCurve:
     """A lifetime grid and its survival values, as read-only float64 arrays:
@@ -139,18 +153,26 @@ class SurvivalCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        xs = np.array(self.xs, dtype=float)
-        if xs.ndim != 1 or xs.size < 2 or not (xs[0] > 0.0 and np.all(np.diff(xs) > 0.0)):
-            raise ValidationError("xs must be a strictly increasing positive grid of length >= 2")
-        vals = np.array(self.values, dtype=float)
+        self._set(_grid(self.xs), np.array(self.values, dtype=float))
+
+    @classmethod
+    def _on_grid(cls, xs: np.ndarray, values: np.ndarray) -> "SurvivalCurve":
+        """A curve on a grid already checked by ``_grid``, which it shares,
+        and on values it owns, which it checks but does not copy."""
+        curve = object.__new__(cls)
+        curve._set(xs, values)
+        return curve
+
+    def _set(self, xs, vals):
         if vals.shape != xs.shape:
             raise ValidationError("curve needs one survival value per grid point")
-        # NaN fails both comparisons, so it is refused with the out-of-range values
-        if not np.all((vals >= -CLAMP_TOL) & (vals <= 1.0 + CLAMP_TOL)):
+        # NaN propagates through min and max, so it is refused with the
+        # out-of-range values
+        if not (vals.min() >= -CLAMP_TOL and vals.max() <= 1.0 + CLAMP_TOL):
             raise ValidationError("survival values leave [0, 1] or are NaN")
-        if np.any(np.diff(vals) > CLAMP_TOL):
+        if (vals[1:] - vals[:-1]).max() > CLAMP_TOL:
             raise ValidationError("survival values are not nonincreasing")
-        xs.flags.writeable = vals.flags.writeable = False
+        vals.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", vals)
 
@@ -174,11 +196,17 @@ def _survivals(systems, x: np.ndarray) -> np.ndarray:
         # so they skip sp_survival's NaN check
         xb = x[start:start + step]
         margs = _sp_survival(model, xb, theta).reshape(n, k, xb.size)
-        if np.isnan(margs).any():
+        # min is NaN if any marginal is; min and max say which of the masks
+        # and clips below can change a value (initial: an empty x)
+        lo, hi = margs.min(initial=1.0), margs.max(initial=0.0)
+        if math.isnan(lo):
             raise ValidationError(f"{model.kind} model over {model.baseline.family}"
                                   f"{model.baseline.params} gave a NaN marginal survival")
-        dead = np.all(margs <= SURVIVAL_FLOOR, axis=0)  # every component dead
-        s = _phi(gen.family, gen.theta, np.clip(margs, SURVIVAL_FLOOR, 1.0, out=margs))  # capped inside phi
+        # every component dead: a mask only where some marginal is floored
+        dead = (margs <= SURVIVAL_FLOOR).all(axis=0) if lo <= SURVIVAL_FLOOR else False
+        if lo < SURVIVAL_FLOOR or hi > 1.0:
+            np.clip(margs, SURVIVAL_FLOOR, 1.0, out=margs)
+        s = _phi(gen.family, gen.theta, margs)  # capped inside phi
         # rows 0..n-1: leave-one-out sums as (prefix sum of the rows before i)
         # + (suffix sum of the rows after i); row n: the total.  Both add
         # nonnegative phi values only, so a point where one floored component
@@ -201,8 +229,12 @@ def _survivals(systems, x: np.ndarray) -> np.ndarray:
         for i in range(2, n):
             vals += p[i]
         vals -= (n - 1) * p[n]
-        np.copyto(vals, 1.0, where=(vals > 1.0) & (vals <= 1.0 + CLAMP_TOL))
-        np.copyto(vals, 0.0, where=((vals < 0.0) & (vals >= -CLAMP_TOL)) | dead)
+        # each clamp runs only where its mask can hold a True (a NaN, whose
+        # neighbours it would still clamp, fails the comparisons and runs both)
+        if not vals.max(initial=0.0) <= 1.0:
+            np.copyto(vals, 1.0, where=(vals > 1.0) & (vals <= 1.0 + CLAMP_TOL))
+        if not vals.min(initial=1.0) >= 0.0 or (dead is not False and dead.any()):
+            np.copyto(vals, 0.0, where=((vals < 0.0) & (vals >= -CLAMP_TOL)) | dead)
         blocks.append(vals)
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
@@ -232,7 +264,9 @@ def curves(systems, xs) -> tuple[SurvivalCurve, ...]:
     if any((s.model, s.generator, s.n) != (first.model, first.generator, first.n)
            for s in systems):
         raise ValidationError("curves needs systems with one model, generator and n")
-    return tuple(SurvivalCurve(xs, v) for v in _survivals(systems, np.atleast_1d(_lifetimes(xs))))
+    # the one grid check of the call; every curve shares the checked grid
+    grid = _grid(np.atleast_1d(_lifetimes(xs)))
+    return tuple(SurvivalCurve._on_grid(grid, v) for v in _survivals(systems, grid))
 
 
 def homogeneous_x2n(gen: GeneratorSpec, u, n: int):

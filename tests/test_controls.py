@@ -1,0 +1,96 @@
+"""Proven results as controls for the audit engine.
+
+Each control is a configuration whose conclusion is known to hold, so a
+refutation there would be the engine's fault, not the theorem's: seeded
+randomized draws with no violation tolerated beyond the verdict slack.
+"""
+
+import numpy as np
+import pytest
+
+from failsafekit import (
+    BaselineSpec,
+    GeneratorSpec,
+    GridPolicy,
+    Preorder,
+    Relation,
+    SemiParamModel,
+    SystemSpec,
+    compare_curves,
+    curves,
+    holds,
+    homogeneous_x2n,
+    sp_survival,
+    survival_x2n,
+)
+from failsafekit.generators import FAMILIES
+
+POLICY = GridPolicy()
+DFR_AND_IFR_BASELINES = (
+    BaselineSpec("exponential", (1.0,)),
+    BaselineSpec("weibull", (1.0, 0.7)),
+    BaselineSpec("weibull", (1.0, 2.0)),
+    BaselineSpec("gamma", (2.0, 1.0)),
+)
+
+
+def _verdict(sx, sy):
+    xs = POLICY.curve_grid(sx.model, sx.theta, sy.theta)
+    return compare_curves(*curves((sx, sy), xs), POLICY)
+
+
+def _more_even(rng, lam):
+    """lam times a random doubly stochastic matrix, a mix of permutations
+    (Birkhoff), so lam majorizes the result."""
+    weights = rng.dirichlet(np.ones(3))
+    return sum(w * lam[rng.permutation(lam.size)] for w in weights)
+
+
+def test_a_majorized_hazards_under_independence():
+    # Pledger & Proschan (1971); Proschan & Sethuraman (1976, J. Multivariate
+    # Anal. 6:608): independent proportional hazards, lambda majorizing
+    # lambda*, give X_{2:n} >=_st Y_{2:n}
+    rng = np.random.default_rng(8)
+    gen = GeneratorSpec("independence")
+    for i in range(200):
+        n = int(rng.integers(2, 8))
+        lam = np.exp(rng.uniform(np.log(0.2), np.log(5.0), n))
+        lam_star = _more_even(rng, lam)
+        assert holds(Preorder.MAJORIZE, lam, lam_star)
+        model = SemiParamModel("phr", DFR_AND_IFR_BASELINES[i % len(DFR_AND_IFR_BASELINES)])
+        sx = SystemSpec(n, model, tuple(lam.tolist()), gen)
+        sy = SystemSpec(n, model, tuple(lam_star.tolist()), gen)
+        v = _verdict(sx, sy)
+        assert v.relation in (Relation.X_DOMINATES_Y, Relation.TIES_WITHIN_TOL), (sx, sy, v)
+
+
+def test_c_permuted_theta_ties():
+    # Archimedean copulas are exchangeable, so permuting theta changes no
+    # survival; the sums run in component order, so the gaps are rounding
+    rng = np.random.default_rng(9)
+    for i in range(100):
+        n = int(rng.integers(2, 8))
+        theta = np.exp(rng.uniform(np.log(0.1), np.log(3.0), n))
+        gen = GeneratorSpec("gumbel", float(rng.uniform(1.1, 4.0)))
+        model = SemiParamModel("scale", DFR_AND_IFR_BASELINES[i % len(DFR_AND_IFR_BASELINES)])
+        sx = SystemSpec(n, model, tuple(theta.tolist()), gen)
+        sy = SystemSpec(n, model, tuple(theta[rng.permutation(n)].tolist()), gen)
+        v = _verdict(sx, sy)
+        assert v.relation is Relation.TIES_WITHIN_TOL, (sx, sy, v)
+
+
+#: A parameter inside each generator family's range.
+FAMILY_THETAS = {"independence": None, "clayton": 2.0, "gumbel": 2.0, "frank": 4.0,
+                 "amh": 0.5, "gumbel_barnett": 0.3, "gumbel_hougaard": 1.5}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_e_equal_theta_is_the_homogeneous_closed_form(family, n):
+    gen = GeneratorSpec(family, FAMILY_THETAS[family])
+    for b in DFR_AND_IFR_BASELINES:
+        model = SemiParamModel("scale", b)
+        sysd = SystemSpec(n, model, (1.7,) * n, gen)
+        xs = POLICY.curve_grid(model, sysd.theta)
+        want = homogeneous_x2n(gen, sp_survival(model, xs, 1.7), n)
+        np.testing.assert_allclose(survival_x2n(sysd, xs), want, rtol=0.0, atol=1e-13)

@@ -26,7 +26,14 @@ from failsafekit import (
 )
 from failsafekit.models import (
     _FAMILIES,
+    _gamma_plan,
+    _geomspace,
+    _horner,
+    _legendre_fraction,
     BASELINE_FAMILIES,
+    BULK_Q_HI,
+    BULK_Q_LO,
+    CURVE_FLOOR,
     GAMMA_SHAPE_MAX,
     PROBE_FLOOR,
     PROBE_POINTS,
@@ -487,6 +494,61 @@ def test_probe_sees_a_hazard_rise_below_the_curve_floor():
     at_curve_floor = check_theorem1_condition2(m, grid=lambda mm: bulk_grid(
         [(SemiParamModel("scale", mm.baseline), 1.0)], PROBE_POINTS))
     assert at_curve_floor.holds and "in [1.4, 1.4e+09]" in at_curve_floor.rule
+
+
+def test_bulk_grid_steps_equal_geomspace_bit_for_bit():
+    # random ends from 1e-12 to 1e3 with spans up to 1e12, 2 to 3000 points
+    rng = np.random.default_rng(33)
+    for _ in range(3000):
+        lo = 10.0 ** rng.uniform(-12.0, 3.0)
+        hi = lo * 10.0 ** rng.uniform(0.0, 12.0)
+        points = int(rng.integers(2, 3001) if rng.random() < 0.2 else rng.integers(2, 60))
+        assert _geomspace(lo, hi, points).tobytes() == np.geomspace(lo, hi, points).tobytes()
+    assert _geomspace(2.0, 2.0, 5).tobytes() == np.geomspace(2.0, 2.0, 5).tobytes()
+
+
+@pytest.mark.parametrize("b", ALL_BASELINES, ids=_ids)
+def test_bulk_grid_is_geomspace_over_its_ends(b):
+    m = SemiParamModel("scale", b)
+    theta = (0.3, 1.0, 4.0)
+    lo = min(sp_quantile(m, BULK_Q_LO, t) for t in theta)
+    hi = max(sp_quantile(m, BULK_Q_HI, t) for t in theta)
+    for points in (2, 17, 1000):
+        want = np.geomspace(max(lo, hi * CURVE_FLOOR), hi, points)
+        assert bulk_grid([(m, theta)], points).tobytes() == want.tobytes()
+
+
+def _horner_allocating(z, coef):
+    s = coef[0]
+    for c in coef[1:]:
+        s = s * z + c
+    return s
+
+
+def _legendre_fraction_allocating(x, a, depth):
+    b = x + (2 * depth + 1 - a)
+    f = b
+    for k in range(depth, 0, -1):
+        b = b - 2.0
+        f = b - k * (k - a) / f
+    return f
+
+
+@pytest.mark.parametrize("a", [0.003, 0.35, 1.0, 2.375, 40.0, 1e4])
+def test_gamma_kernels_in_place_equal_the_allocating_form(a):
+    # the in-place vector walk runs the allocating form's operations in its
+    # order, so every element has the same bits, as in the Python-float path
+    coef, depth = _gamma_plan(a)
+    rng = np.random.default_rng(int(a * 1000))
+    z = rng.uniform(0.0, 1.0, 300)
+    x = (a + 1.0) * np.exp(rng.uniform(0.0, 5.0, 300))
+    for fn, ref, arr, args in ((_horner, _horner_allocating, z, (coef,)),
+                               (_legendre_fraction, _legendre_fraction_allocating, x, (a, depth))):
+        given = arr.copy()
+        got = fn(arr, *args)
+        assert got.tobytes() == ref(arr, *args).tobytes()
+        assert arr.tobytes() == given.tobytes()  # the argument is left alone
+        assert got.tobytes() == np.array([fn(v, *args) for v in arr.tolist()]).tobytes()
 
 
 @pytest.mark.parametrize("points", [1, 0, -3])

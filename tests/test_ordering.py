@@ -170,6 +170,35 @@ def test_compare_curves_matches_reference(tol, crossing_gap):
     assert seen == set(Relation)
 
 
+def _bracket_crossings_loop(xs, gap, thresh):
+    """_bracket_crossings as a loop over consecutive points beyond thresh,
+    kept as the reference of its vector form."""
+    sig = np.where(gap > thresh, 1, np.where(gap < -thresh, -1, 0))
+    idx = np.nonzero(sig)[0]
+    out = []
+    for a, b in zip(idx[:-1], idx[1:]):
+        if sig[a] != sig[b]:
+            out.append((float(xs[a]), float(xs[b])))
+    return tuple(out)
+
+
+def test_bracket_crossings_match_the_loop():
+    # gaps mixing exact zeros, sub-threshold values of both signs and values
+    # beyond the threshold, including none and one beyond it
+    rng = np.random.default_rng(33)
+    thresh = GridPolicy.crossing_gap
+    for _ in range(3000):
+        m = int(rng.integers(1, 60))
+        xs = np.sort(rng.uniform(0.0, 10.0, m))
+        scale = 10.0 ** rng.uniform(-12.0, -4.0, m)
+        gap = rng.choice([-1.0, 0.0, 1.0], m, p=rng.dirichlet(np.ones(3))) * scale
+        if rng.random() < 0.1:
+            gap[rng.integers(0, m)] = thresh  # on the threshold is not beyond it
+        got = _bracket_crossings(xs, gap, thresh)
+        assert got == _bracket_crossings_loop(xs, gap, thresh)
+        assert all(type(v) is float for pair in got for v in pair)
+
+
 @pytest.mark.parametrize("tol, crossing_gap", [(-1e-10, 1e-8), (1e-10, -1e-8),
                                                (np.nan, 1e-8), (1e-10, np.nan)])
 def test_compare_curves_rejects_negative_or_nan_tolerances(tol, crossing_gap):

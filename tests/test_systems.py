@@ -428,6 +428,53 @@ def test_curve_grid_batched_quantiles_match_per_theta_loop(model, tx, ty):
         assert got.tobytes() == want.tobytes()
 
 
+# name -> (grid, values, the message SurvivalCurve gives, the message curves
+# gives with its kernel's values replaced): curves refuses what breaks the
+# lifetime rule before its grid check, and checks values as SurvivalCurve
+BAD_CURVES = {
+    "repeated point": ((1.0, 1.0, 2.0), (0.6, 0.5, 0.4), GRID_RULE, GRID_RULE),
+    "decreasing grid": ((1.0, 3.0, 2.0), (0.6, 0.5, 0.4), GRID_RULE, GRID_RULE),
+    "nan in grid": ((1.0, np.nan, 2.0), (0.6, 0.5, 0.4), GRID_RULE, X_RULE),
+    "2-d grid": (((0.5, 1.0), (1.5, 2.0)), ((0.6, 0.5), (0.4, 0.3)), GRID_RULE, X_RULE),
+    "short values": ((1.0, 2.0, 3.0), (0.6, 0.5), "one survival value per grid point", None),
+    "nan value": ((1.0, 2.0, 3.0), (0.6, np.nan, 0.4), "leave [0, 1] or are NaN", None),
+    "above one": ((1.0, 2.0, 3.0), (1.0 + 2e-10, 0.5, 0.4), "leave [0, 1] or are NaN", None),
+    "below zero": ((1.0, 2.0, 3.0), (0.6, 0.5, -2e-10), "leave [0, 1] or are NaN", None),
+    "rising": ((1.0, 2.0, 3.0), (0.6, 0.5, 0.5 + 2e-10), "are not nonincreasing", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CURVES))
+def test_survival_curve_and_curves_refuse_bad_curves_alike(name, monkeypatch):
+    xs, values, rule, curves_rule = BAD_CURVES[name]
+    with pytest.raises(ValidationError, match=re.escape(rule)):
+        SurvivalCurve(xs, values)
+    monkeypatch.setattr(systems, "_survivals", lambda systems_, x: np.array([values, values]))
+    with pytest.raises(ValidationError, match=re.escape(curves_rule or rule)):
+        curves(gumbel_barnett_pair(), xs)
+
+
+def test_survival_curves_accept_values_within_the_clamp_tolerance(monkeypatch):
+    xs, values = (1.0, 2.0, 3.0), (1.0 + 5e-11, 1.0 + 5e-11 + 5e-11, -5e-11)
+    assert SurvivalCurve(xs, values).values.tolist() == list(values)
+    monkeypatch.setattr(systems, "_survivals", lambda systems_, x: np.array([values]))
+    assert curves(gumbel_barnett_pair()[:1], xs)[0].values.tolist() == list(values)
+
+
+def test_curves_of_one_call_share_one_read_only_grid():
+    sx, sy = gumbel_barnett_pair()
+    xs = demo_grid(50)
+    cx, cy = curves((sx, sy), xs)
+    assert cx.xs is cy.xs
+    for arr in (cx.xs, cx.values, cy.values):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    xs[0] = 0.5  # the caller's grid stays writeable and is not shared
+    assert cx.xs[0] == demo_grid(50)[0]
+    # a public construction keeps its own copy
+    assert SurvivalCurve(cx.xs, cx.values).xs is not cx.xs
+
+
 def test_survival_curve_validation():
     with pytest.raises(ValidationError):
         SurvivalCurve(xs=(1.0, 2.0), values=(0.2, 0.4))  # increasing values
