@@ -9,7 +9,8 @@ as a 1-element array, so it rounds as the same point inside a batch
 The unchecked kernels ``_phi``, ``_psi`` and ``_log_psi`` take theta as a
 scalar or as an array that broadcasts against their input, such as one
 theta per row, and an array theta gives each element the bits of its
-scalar theta.
+scalar theta.  For every family ``_phi`` is +inf at u = 0 and ``_psi``
+exactly 0 at t = +inf, with no warning: IEEE limits carry dead components.
 
 Catalog (theta is the dependence parameter):
 
@@ -31,12 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, plain_number, real_number
-
-#: Survival values are floored here before phi to avoid infinities.
-SURVIVAL_FLOOR = 1e-300
-#: phi values are capped here; psi of the cap is 0 for every family and
-#: row sums of capped values stay finite in float64.
-PHI_CAP = 1e300
 
 #: family -> (lo, hi, lo_closed, hi_closed) of its parameter range
 _RANGES = {
@@ -180,8 +175,8 @@ def _psi(family: str, th, arr: np.ndarray) -> np.ndarray:
 
 
 def _phi(family: str, th, arr: np.ndarray) -> np.ndarray:
-    """phi, capped at PHI_CAP, on an array already known to lie in (0, 1]
-    (no NaN); th as in ``_log_psi``."""
+    """phi on an array already known to lie in [0, 1] (no NaN), +inf at
+    u = 0; th as in ``_log_psi``."""
     with np.errstate(over="ignore", divide="ignore"):
         if family == "independence":
             out = -np.log(arr)
@@ -204,7 +199,7 @@ def _phi(family: str, th, arr: np.ndarray) -> np.ndarray:
             out = _pow(1.0 - np.log(arr), 1.0 / th) - 1.0
         else:  # pragma: no cover
             raise ValidationError(family)
-        return np.minimum(out, PHI_CAP)
+    return out
 
 
 def log_psi(g: GeneratorSpec, t):

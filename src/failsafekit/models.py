@@ -297,9 +297,9 @@ _FAMILIES = {
         lambda t, a, bb: np.log(bb / a) + (bb - 1.0) * np.log(t / a) - (t / a) ** bb,
         lambda ls, a, bb: a * (-ls) ** (1.0 / bb),
         lambda a, bb: {"shape": bb}),
-    "exp_weibull": _Family(  # sf = -expm1(beta log z)
+    "exp_weibull": _Family(  # sf = -expm1(beta log z), 1 at t = 0 (log z = -inf)
         ("alpha", "beta"),
-        lambda t, al, be: np.where(t > 0.0, np.log(-np.expm1(be * _log_z(t, al))), 0.0),
+        lambda t, al, be: np.log(-np.expm1(be * _log_z(t, al))),
         lambda t, al, be: (np.log(al * be) + (al - 1.0) * np.log(t) - t ** al
                            + (be - 1.0) * _log_z(t, al)),
         lambda ls, al, be: (-_log1mexp(_log1mexp(ls) / be)) ** (1.0 / al),

@@ -32,12 +32,13 @@ Check once: ``_lifetimes`` checks every lifetime argument x (here, in
 ``mcsim`` and in the Schur probe of ``ordering``) and ``_grid`` every
 survival grid: ``SurvivalCurve`` checks its own, and ``curves`` its one
 grid once per call, which all of its curves share.  Each block of the
-marginal matrix is checked once for NaN, by its minimum, and its minimum
-and maximum decide whether the dead-point mask and the clip are needed at
-all.  After that, every survival lies in [SURVIVAL_FLOOR, 1] and the sums
-add nonnegative phi values, so phi and psi run through the generators'
-private kernels, which skip the argument checks the public functions
-repeat on every call.
+marginal matrix is checked once for NaN, by its minimum, and its maximum
+decides whether the clip above 1 is needed at all.  After that, every
+survival lies in [0, 1] and the sums add nonnegative phi values, so phi
+and psi run through the generators' private kernels, which skip the
+argument checks the public functions repeat on every call.  A dead
+component (u = 0, phi = +inf) drops out of every term that holds it, as
+psi(+inf) = 0, and a point where every component is dead sums to 0.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, real_number
-from .generators import GeneratorSpec, SURVIVAL_FLOOR, _phi, _psi, phi, psi
+from .generators import GeneratorSpec, _phi, _psi
 from .gridpolicy import GridPolicy
 from .models import BaselineSpec, SemiParamModel, _sp_survival, bulk_grid
 
@@ -196,22 +197,19 @@ def _survivals(systems, x: np.ndarray) -> np.ndarray:
         # so they skip sp_survival's NaN check
         xb = x[start:start + step]
         margs = _sp_survival(model, xb, theta).reshape(n, k, xb.size)
-        # min is NaN if any marginal is; min and max say which of the masks
-        # and clips below can change a value (initial: an empty x)
-        lo, hi = margs.min(initial=1.0), margs.max(initial=0.0)
-        if math.isnan(lo):
+        # min is NaN if any marginal is (initial: an empty x); the max says
+        # whether the clip can change a value
+        if math.isnan(margs.min(initial=1.0)):
             raise ValidationError(f"{model.kind} model over {model.baseline.family}"
                                   f"{model.baseline.params} gave a NaN marginal survival")
-        # every component dead: a mask only where some marginal is floored
-        dead = (margs <= SURVIVAL_FLOOR).all(axis=0) if lo <= SURVIVAL_FLOOR else False
-        if lo < SURVIVAL_FLOOR or hi > 1.0:
-            np.clip(margs, SURVIVAL_FLOOR, 1.0, out=margs)
-        s = _phi(gen.family, gen.theta, margs)  # capped inside phi
+        if margs.max(initial=0.0) > 1.0:
+            np.minimum(margs, 1.0, out=margs)
+        s = _phi(gen.family, gen.theta, margs)  # +inf for a dead component
         # rows 0..n-1: leave-one-out sums as (prefix sum of the rows before i)
         # + (suffix sum of the rows after i); row n: the total.  Both add
-        # nonnegative phi values only, so a point where one floored component
-        # (phi at PHI_CAP) dominates keeps the other terms' digits, which
-        # tot - s[i] would cancel away.
+        # nonnegative phi values only, so a component whose phi dominates
+        # (or is +inf) leaves the other terms' digits in the one sum without
+        # it, which tot - s[i] would cancel away (or make NaN).
         loo = np.empty((n + 1,) + s.shape[1:])
         loo[0] = 0.0
         for i in range(1, n + 1):
@@ -233,8 +231,8 @@ def _survivals(systems, x: np.ndarray) -> np.ndarray:
         # neighbours it would still clamp, fails the comparisons and runs both)
         if not vals.max(initial=0.0) <= 1.0:
             np.copyto(vals, 1.0, where=(vals > 1.0) & (vals <= 1.0 + CLAMP_TOL))
-        if not vals.min(initial=1.0) >= 0.0 or (dead is not False and dead.any()):
-            np.copyto(vals, 0.0, where=((vals < 0.0) & (vals >= -CLAMP_TOL)) | dead)
+        if not vals.min(initial=1.0) >= 0.0:
+            np.copyto(vals, 0.0, where=(vals < 0.0) & (vals >= -CLAMP_TOL))
         blocks.append(vals)
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
@@ -270,11 +268,15 @@ def curves(systems, xs) -> tuple[SurvivalCurve, ...]:
 
 
 def homogeneous_x2n(gen: GeneratorSpec, u, n: int):
-    """Closed form for n identical marginals u: n psi((n-1)phi(u)) - (n-1)psi(n phi(u))."""
-    uu = np.clip(np.asarray(u, dtype=float), SURVIVAL_FLOOR, 1.0)
-    p = phi(gen, uu)
-    vals = n * psi(gen, (n - 1) * p) - (n - 1) * psi(gen, n * p)
-    return vals if np.ndim(u) else float(vals)
+    """Closed form for n identical marginals u, clipped into [0, 1]:
+    n psi((n-1)phi(u)) - (n-1)psi(n phi(u)), which is 0 at u = 0."""
+    uu = np.clip(np.atleast_1d(np.asarray(u, dtype=float)), 0.0, 1.0)
+    if np.isnan(uu).any():
+        raise ValidationError("u contains NaN")
+    f, th = gen.family, gen.theta
+    p = _phi(f, th, uu)
+    vals = n * _psi(f, th, (n - 1) * p) - (n - 1) * _psi(f, th, n * p)
+    return vals if np.ndim(u) else float(vals[0])
 
 
 def _homogeneous_bound(sys: SystemSpec, x, order: str, mean) -> np.ndarray:

@@ -79,12 +79,36 @@ def test_phi_rejects_u_outside_unit_interval():
             phi(g, u)
 
 
+#: family -> thetas at both ends of its range and inside it
+EDGE_THETAS = {
+    "independence": [None],
+    "clayton": [5e-324, 2.0, 1.7e308],
+    "gumbel": [1.0, 2.0, 1.7e308],
+    "frank": [5e-324, 4.0, 1.7e308],
+    "amh": [-1.0, 0.5, 1.0 - 2.0 ** -53],
+    "gumbel_barnett": [5e-324, 0.3, 1.0],
+    "gumbel_hougaard": [1.0 + 2.0 ** -52, 1.5, 1.7e308],
+}
+
+
+@pytest.mark.parametrize("family, theta", [(f, th) for f in FAMILIES for th in EDGE_THETAS[f]])
+def test_ieee_limits_carry_a_dead_component(family, theta):
+    # the survival kernel relies on these: u = 0 gives phi = +inf, and a sum
+    # that holds it gives psi = 0, for a scalar and a column theta alike,
+    # with no floating-point warning (pytest raises RuntimeWarning)
+    g = GeneratorSpec(family, theta)
+    for th in (g.theta, np.full((2, 1), g.theta) if g.theta is not None else None):
+        assert np.all(generators._phi(family, th, np.zeros((2, 3))) == np.inf)
+        assert np.all(generators._psi(family, th, np.full((2, 3), np.inf)) == 0.0)
+    assert psi(g, np.inf) == 0.0 and log_psi(g, np.inf) == -np.inf
+
+
 def _frank_phi_both_branches(th, u):
     """frank's phi with both branches evaluated everywhere, then selected."""
     with np.errstate(all="ignore"):
         near = -np.log(np.expm1(-th * u) / np.expm1(-th))
         far = np.log1p(-np.exp(-th)) - np.log1p(-np.exp(-th * u))
-        return np.minimum(np.where(th * u < math.log(2.0), near, far), generators.PHI_CAP)
+        return np.where(th * u < math.log(2.0), near, far)
 
 
 def test_frank_phi_near_zero_theta_is_silent():

@@ -30,6 +30,7 @@ from failsafekit.models import (
     _geomspace,
     _horner,
     _legendre_fraction,
+    _log_z,
     BASELINE_FAMILIES,
     BULK_Q_HI,
     BULK_Q_LO,
@@ -206,6 +207,18 @@ def test_exp_weibull_lower_tail_keeps_its_digits():
     assert x == pytest.approx(5.47e-45, rel=1e-3)
     assert abs(sf(b, x) - 0.999) <= 1e-15
     assert np.isfinite(log_pdf(b, quantile(b, 1e-8)))
+
+
+@pytest.mark.parametrize("params", [(0.3295, 0.2057), (0.9, 0.9), (1.0, 2.0), (2.5, 0.3), (3.0, 4.0)])
+def test_exp_weibull_log_sf_is_zero_at_the_origin_without_a_guard(params):
+    # at t = 0, log z = -inf and the closed form is log(-expm1(-inf)) = log 1 =
+    # +0.0; every t > 0 takes the same operations as the guarded expression
+    al, be = params
+    t = np.array([0.0, 5e-324, 1e-300, 1e-30, 1e-3, 0.5, 1.0, 3.0, 40.0, 1e3])
+    with np.errstate(all="ignore"):
+        old = np.where(t > 0.0, np.log(-np.expm1(be * _log_z(t, al))), 0.0)
+    got = log_sf(BaselineSpec("exp_weibull", params), t)
+    assert got.tobytes() == old.tobytes()
 
 
 # ------------------------------------------------------------- sp model

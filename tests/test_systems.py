@@ -28,7 +28,7 @@ from failsafekit import (
 )
 from failsafekit.cli import load_system, write_curve_csv
 from failsafekit.demos import clayton_pair, demo_grid, gumbel_barnett_pair
-from failsafekit.generators import FAMILIES, PHI_CAP, SURVIVAL_FLOOR, phi, psi
+from failsafekit.generators import FAMILIES, _phi, phi, psi
 from failsafekit.gridpolicy import GridPolicy
 from failsafekit import models
 from failsafekit.models import (BASELINE_FAMILIES, BULK_Q_HI, BULK_Q_LO, sp_quantile,
@@ -108,8 +108,11 @@ def test_homogeneous_closed_form_matches_general():
 
 
 def test_underflowed_components_give_zero():
-    sysd = scale_exp_system(GeneratorSpec("clayton", 1.0), (1.0, 1.0, 1.0))
-    assert survival_x2n(sysd, 800.0) == 0.0
+    # every marginal is exp(-800) = 0, so every phi is +inf and psi(+inf) = 0
+    for family in FAMILIES:
+        sysd = scale_exp_system(GeneratorSpec(family, FAMILY_THETAS[family]), (1.0, 1.0, 1.0))
+        assert survival_x2n(sysd, 800.0) == 0.0, family
+        assert survival_x2n(sysd, np.array([0.5, 800.0]))[1] == 0.0, family
 
 
 # ------------------------------------------------- leave-one-out sums
@@ -122,13 +125,13 @@ FAMILY_THETAS = {"independence": None, "clayton": 2.0, "gumbel": 2.0, "frank": 4
 
 def direct_loo_x2n(sysd, xs):
     """survival_x2n with each leave-one-out sum taken directly over the
-    other columns, one np.delete copy per component."""
+    other columns, one np.delete copy per component; a dead component
+    (u = 0) has phi = +inf, which psi maps to 0."""
     gen, n = sysd.generator, sysd.n
     margs = sp_survival(sysd.model, xs, np.asarray(sysd.theta)[:, None]).T  # a column per component
-    s = phi(gen, np.clip(margs, SURVIVAL_FLOOR, 1.0))
+    s = _phi(gen.family, gen.theta, margs)
     loo = np.stack([np.sum(np.delete(s, i, axis=1), axis=1) for i in range(n)], axis=1)
-    vals = psi(gen, loo).sum(axis=1) - (n - 1) * psi(gen, np.sum(s, axis=1))
-    return np.where(np.all(margs <= SURVIVAL_FLOOR, axis=1), 0.0, vals)
+    return psi(gen, loo).sum(axis=1) - (n - 1) * psi(gen, np.sum(s, axis=1))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -169,18 +172,52 @@ def test_nan_marginal_survival_is_refused(monkeypatch):
 
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_floored_component_keeps_the_others_digits(position):
-    # one survival underflows to SURVIVAL_FLOOR, so its phi sits at PHI_CAP
-    # and dominates the row total; the term that leaves it out is the other
-    # two components' series survival and must keep all its digits
-    gen = GeneratorSpec("clayton", 2.0)
+    # one survival underflows to 0, so its phi is +inf and every term that
+    # holds it is psi(+inf) = 0; the term that leaves it out is the other
+    # two components' series survival, exactly
     thetas = [1.0, 2.0]
     thetas.insert(position, 1000.0)
-    sysd = scale_exp_system(gen, thetas)
-    assert phi(gen, SURVIVAL_FLOOR) == PHI_CAP
-    got = survival_x2n(sysd, np.array([1.0]))
-    assert_allclose(got, direct_loo_x2n(sysd, [1.0]), rtol=0, atol=LOO_TOL)
-    others = psi(gen, phi(gen, np.exp(-1.0)) + phi(gen, np.exp(-2.0)))
-    assert got[0] == pytest.approx(others, rel=1e-15)
+    for family in FAMILIES:
+        gen = GeneratorSpec(family, FAMILY_THETAS[family])
+        sysd = scale_exp_system(gen, thetas)
+        got = survival_x2n(sysd, np.array([1.0]))
+        assert_allclose(got, direct_loo_x2n(sysd, [1.0]), rtol=0, atol=LOO_TOL)
+        others = psi(gen, phi(gen, np.exp(-1.0)) + phi(gen, np.exp(-2.0)))
+        assert 0.0 < got[0] == others, family
+
+
+def test_overflowed_phi_reads_the_tail_not_a_plateau():
+    # clayton(2) has psi(1e300) = 7.1e-151, so a phi capped at 1e300 read a
+    # plateau of 9.14e-151 and 6.84e-151 over this tail; the 2000-digit
+    # values fall from 5.64e-151 at x = 9.3 to 1.6e-276 at x = 12.6
+    m = SemiParamModel("scale", BaselineSpec("weibull", (1.0, 2.0)))
+    sysd = SystemSpec(4, m, (1.0, 1.5, 2.0, 2.5), GeneratorSpec("clayton", 2.0))
+    assert survival_x2n(sysd, 9.3) == pytest.approx(5.64262307776017e-151, rel=1e-9)
+    assert survival_x2n(sysd, 12.6) <= 1e-270
+
+
+@pytest.mark.parametrize("gen_theta, bound", [(35.0, 1e-9), (50.0, 6e-7)])
+def test_large_theta_clayton_tail_against_mpmath(gen_theta, bound):
+    # phi overflows in the upper tail at these thetas; a reference that sums
+    # each leave-one-out set directly needs no cancellation, so 60 and 120
+    # digits agree (and equal a 3000-digit reference to the double)
+    mp = pytest.importorskip("mpmath")
+    thetas = (0.4, 0.9, 1.3, 2.2)
+    m = SemiParamModel("scale", BaselineSpec("weibull", (1.0, 1.5)))
+    xs = np.geomspace(0.05, 8.0, 120)
+    got = survival_x2n(SystemSpec(4, m, thetas, GeneratorSpec("clayton", gen_theta)), xs)
+
+    def reference(x, dps):
+        with mp.workdps(dps):
+            g = mp.mpf(gen_theta)
+            # phi(u) = (u^-g - 1)/g at u = exp(-(theta x)^1.5); psi = (1 + g t)^(-1/g)
+            s = [mp.expm1(g * (mp.mpf(t) * mp.mpf(x)) ** 1.5) / g for t in thetas]
+            psi_ = [mp.exp(-mp.log1p(g * mp.fsum(s[:i] + s[i + 1:])) / g) for i in range(4)]
+            return float(mp.fsum(psi_) - 3 * mp.exp(-mp.log1p(g * mp.fsum(s)) / g))
+
+    want = np.array([reference(x, 60) for x in xs])
+    assert_allclose(want, [reference(x, 120) for x in xs], rtol=1e-15, atol=0)
+    assert np.abs(got - want).max() <= bound
 
 
 # ------------------------------------------------ the kernel over k systems
