@@ -10,12 +10,12 @@ Copula estimation defaults to Kendall-tau inversion (mean pairwise tau
 above two dimensions) with an optional pairwise pseudo-likelihood
 refinement.  Bootstrap replicate b always draws from child seed b of the
 master seed, so goodness-of-fit runs are reproducible as well.  The
-bootstrap turns its replicates' draws into uniforms, ranks them and
-computes their empirical copulas and Kendall tau matrices a block at a
-time (as many replicates as fit a fixed comparison-buffer budget), then
-inverts the block's mean taus to thetas at once and scores its replicates
-in one pass of phi and psi with theta as a column (frank's root search
-and the pseudo-likelihood refit still run per replicate).  Each
+bootstrap ranks its draws E / V, negated (psi is decreasing), and gives
+them empirical copulas and Kendall tau matrices a block at a time (as
+many replicates as fit a fixed comparison-buffer budget), then inverts
+the block's mean taus to thetas at once and scores its replicates in one
+pass of phi and psi with theta as a column (frank's root search and the
+pseudo-likelihood refit still run per replicate).  Each
 replicate's theta and statistic equal its one-replicate-at-a-time
 evaluation bit for bit, also at the exponents where numpy's scalar ``**``
 skips pow (gumbel theta = 1 or 2, clayton theta = 1; see
@@ -52,7 +52,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InconsistencyError, ValidationError, real_number
 from .generators import COPULA_FAMILIES, GeneratorSpec, _phi, _psi
-from .mcsim import THETA_MAX, _draw_times, _to_uniforms, check_seed
+from .mcsim import THETA_MAX, _draw_times, check_seed
 from .models import _FAMILIES, FIT_FAMILIES
 from .ordering import ConditionReport, Relation, verify_theorem1
 from .preorders import Preorder, classify
@@ -519,11 +519,11 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
     bootstrap p-value (theta refitted in every replicate).
 
     Replicate b is drawn from child seed b of the 64-bit ``seed``.  A
-    block of draws is turned into uniforms by one checked psi call,
-    ranked, and given its empirical copulas, Kendall tau matrices, thetas
-    and statistics at once, so the result equals a loop over replicates
-    bit for bit.  Only a replicate whose mean tau leaves the family's range
-    counts as out of range; any other error propagates.
+    block of draws is ranked as drawn, negated, and given its empirical
+    copulas, Kendall tau matrices, thetas and statistics at once, so the
+    result equals a loop over replicates bit for bit.  Only a replicate
+    whose mean tau leaves the family's range counts as out of range; any
+    other error propagates.
     """
     if boot_n < 100:
         raise ValidationError("boot_n must be at least 100")
@@ -546,7 +546,8 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
     for start in range(0, boot_n, block):
         times = np.stack([_draw_times(g, d, count, int(s))
                           for s in child_seeds[start:start + block]])
-        twice = _twice_ranks(_to_uniforms(g, times))
+        # -t ranks as the uniforms psi(t) do; a t of +inf (u = 0) ranks lowest
+        twice = _twice_ranks(-np.minimum(times, np.finfo(float).max))
         narrow = twice.astype(small)
         # signs of ranks are the signs of the values.  Each row of mean tau
         # is summed pairwise, as np.mean sums one replicate's, only where its

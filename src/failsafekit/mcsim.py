@@ -27,10 +27,11 @@ frailty outgrows float64 above 700.
 
 ``sample_copula`` is a per-seed draw, which makes every RNG call and
 returns E / V (E alone where ``generators.is_independence`` holds, as
-there is no frailty), followed by an elementwise transform, psi (or
-exp(-t)) and then the clip into (0, 1).  The transform of a stack of
-draws equals each draw's own, so the CvM bootstrap draws its replicates
-seed by seed and transforms a block of them with one checked psi call.
+there is no frailty; psi is then exp(-t) bit for bit), followed by psi
+and the clip into (0, 1).  A V that underflows to 0 gives E / V = +inf,
+whose uniform psi(+inf) = 0 the clip lifts to 1e-15.  psi is decreasing,
+so the CvM bootstrap ranks its draws E / V, negated, and forms no
+uniform.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _sample_log_series(r: float, count: int, rng) -> np.ndarray:
 
 def _draw_times(g: GeneratorSpec, n: int, count: int, seed: int) -> np.ndarray:
     """The count x n generator arguments E / V of one seed, or E where g has
-    no frailty; ``_to_uniforms`` turns them into uniforms."""
+    no frailty; psi of them are the uniforms."""
     if n < 1 or count < 1:
         raise ValidationError("n and count must be positive")
     limit = THETA_MAX.get(g.family)
@@ -133,21 +134,16 @@ def _draw_times(g: GeneratorSpec, n: int, count: int, seed: int) -> np.ndarray:
             f"{g.family} is not completely monotone: no frailty sampler exists; "
             "use the analytic survival path instead"
         )
-    return e / v[:, None]
-
-
-def _to_uniforms(g: GeneratorSpec, times: np.ndarray) -> np.ndarray:
-    """Uniforms from ``_draw_times`` output of any shape, elementwise, so a
-    stack of draws transforms as each draw alone; psi checks its argument."""
-    u = np.exp(-times) if is_independence(g) else psi(g, times)
-    # keep uniforms strictly inside (0, 1) for downstream inversion
-    return np.clip(u, 1e-15, 1.0 - 1e-16)
+    # a V that underflows to 0 gives t = +inf, whose uniform psi(+inf) is 0
+    with np.errstate(divide="ignore", over="ignore"):
+        return e / v[:, None]
 
 
 def sample_copula(g: GeneratorSpec, n: int, count: int, seed: int) -> SampleBatch:
     """Draw count rows of n dependent uniforms with copula generator g."""
     seed = check_seed(seed)
-    u = _to_uniforms(g, _draw_times(g, n, count, seed))
+    # psi checks t; the clip keeps uniforms inside (0, 1) for inversion
+    u = np.clip(psi(g, _draw_times(g, n, count, seed)), 1e-15, 1.0 - 1e-16)
     return SampleBatch(uniforms=u, seed=seed, generator=g)
 
 

@@ -35,7 +35,7 @@ log F(x; theta) = p log F(a (x - c)):
     phr        (1, 0, theta)      F(x)^theta                theta > 0
     location   (1, theta, 1)      F(x - theta)              theta real
     mphrs      (theta, 0, lam)    w = F(theta x)^lam, then
-               alpha w / (1 - (1-alpha) w), fixed alpha > 0, lam > 0
+               alpha w / (alpha w + 1 - w), fixed alpha > 0, lam > 0
     ls         (theta, lam, 1)    F(theta (x - lam))        theta > 0, fixed lam
 
 theta may be an array that broadcasts against x, so one call evaluates a
@@ -515,7 +515,8 @@ def _sp_survival(m: SemiParamModel, x, theta):
     with np.errstate(under="ignore"):
         out = np.exp(_log_w(m, x, theta))
     if m.kind == "mphrs":
-        out = m.alpha * out / (1.0 - (1.0 - m.alpha) * out)
+        # the denominator is never below the numerator: no value rounds above 1
+        out = m.alpha * out / (m.alpha * out + (1.0 - out))
     return out
 
 

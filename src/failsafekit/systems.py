@@ -32,13 +32,13 @@ Check once: ``_lifetimes`` checks every lifetime argument x (here, in
 ``mcsim`` and in the Schur probe of ``ordering``) and ``_grid`` every
 survival grid: ``SurvivalCurve`` checks its own, and ``curves`` its one
 grid once per call, which all of its curves share.  Each block of the
-marginal matrix is checked once for NaN, by its minimum, and its maximum
-decides whether the clip above 1 is needed at all.  After that, every
-survival lies in [0, 1] and the sums add nonnegative phi values, so phi
-and psi run through the generators' private kernels, which skip the
-argument checks the public functions repeat on every call.  A dead
-component (u = 0, phi = +inf) drops out of every term that holds it, as
-psi(+inf) = 0, and a point where every component is dead sums to 0.
+marginal matrix is checked once for NaN, by its minimum.  Every marginal
+survival lies in [0, 1] by construction, the mphrs map's too, and the
+sums add nonnegative phi values, so phi and psi run through the
+generators' private kernels, which skip the argument checks the public
+functions repeat on every call.  A dead component (u = 0, phi = +inf)
+drops out of every term that holds it, as psi(+inf) = 0, and a point
+where every component is dead sums to 0.
 """
 
 from __future__ import annotations
@@ -197,13 +197,10 @@ def _survivals(systems, x: np.ndarray) -> np.ndarray:
         # so they skip sp_survival's NaN check
         xb = x[start:start + step]
         margs = _sp_survival(model, xb, theta).reshape(n, k, xb.size)
-        # min is NaN if any marginal is (initial: an empty x); the max says
-        # whether the clip can change a value
+        # min is NaN if any marginal is (initial: an empty x)
         if math.isnan(margs.min(initial=1.0)):
             raise ValidationError(f"{model.kind} model over {model.baseline.family}"
                                   f"{model.baseline.params} gave a NaN marginal survival")
-        if margs.max(initial=0.0) > 1.0:
-            np.minimum(margs, 1.0, out=margs)
         s = _phi(gen.family, gen.theta, margs)  # +inf for a dead component
         # rows 0..n-1: leave-one-out sums as (prefix sum of the rows before i)
         # + (suffix sum of the rows after i); row n: the total.  Both add

@@ -24,6 +24,7 @@ from failsafekit import (
     survival_x2n,
 )
 from failsafekit.generators import FAMILIES
+from failsafekit.models import _KIND_MAP
 
 POLICY = GridPolicy()
 DFR_AND_IFR_BASELINES = (
@@ -60,6 +61,38 @@ def test_a_majorized_hazards_under_independence():
         model = SemiParamModel("phr", DFR_AND_IFR_BASELINES[i % len(DFR_AND_IFR_BASELINES)])
         sx = SystemSpec(n, model, tuple(lam.tolist()), gen)
         sy = SystemSpec(n, model, tuple(lam_star.tolist()), gen)
+        v = _verdict(sx, sy)
+        assert v.relation in (Relation.X_DOMINATES_Y, Relation.TIES_WITHIN_TOL), (sx, sy, v)
+
+
+#: One draw from each generator range the randomized audit uses.
+AUDIT_GENERATORS = (
+    lambda rng: GeneratorSpec("independence"),
+    lambda rng: GeneratorSpec("clayton", float(rng.uniform(0.5, 6.0))),
+    lambda rng: GeneratorSpec("gumbel", float(rng.uniform(1.1, 4.0))),
+    lambda rng: GeneratorSpec("frank", float(rng.uniform(0.5, 8.0))),
+    lambda rng: GeneratorSpec("amh", float(rng.uniform(0.0, 0.9))),
+)
+
+
+def test_b_componentwise_ordered_theta_couples():
+    # coupling: one copula draw U gives both systems' lifetimes through
+    # their quantile maps, and a componentwise larger theta moves every
+    # lifetime one way (down for scale and phr, up for location), so the
+    # second-smallest lifetime moves that way too, for every copula
+    rng = np.random.default_rng(10)
+    kinds = ("scale", "phr", "location")
+    for i in range(600):
+        n = int(rng.integers(2, 8))
+        theta_x = np.exp(rng.uniform(np.log(0.2), np.log(5.0), n))
+        theta_y = (theta_x * rng.uniform(1.0, 2.0, n))[rng.permutation(n)]
+        kind = kinds[i % len(kinds)]
+        model = SemiParamModel(kind, DFR_AND_IFR_BASELINES[i % len(DFR_AND_IFR_BASELINES)])
+        gen = AUDIT_GENERATORS[i % len(AUDIT_GENERATORS)](rng)
+        sx = SystemSpec(n, model, tuple(theta_x.tolist()), gen)
+        sy = SystemSpec(n, model, tuple(theta_y.tolist()), gen)
+        if _KIND_MAP[kind][1] == "nondecreasing":  # larger theta survives longer
+            sx, sy = sy, sx
         v = _verdict(sx, sy)
         assert v.relation in (Relation.X_DOMINATES_Y, Relation.TIES_WITHIN_TOL), (sx, sy, v)
 

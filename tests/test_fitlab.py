@@ -36,6 +36,7 @@ from failsafekit.fitlab import (
     tau_to_theta,
 )
 from failsafekit.fitlab import TauRangeError, _kendall_tau_matrix, _make_result
+from failsafekit.mcsim import _draw_times
 
 
 # ------------------------------------------------------------------ MLE
@@ -706,6 +707,22 @@ def test_cvm_equals_one_replicate_at_a_time(family, theta, d, method, monkeypatc
             fitted.hex(), stat.hex(), (exceed / boot_n).hex(), out_of_range)
 
 
+def test_cvm_ranks_an_infinite_time_as_its_zero_uniform():
+    # clayton's Gamma(1/theta) frailty underflows to 0 about once in 1e7 rows
+    # at theta = 44, where E / V is +inf and the uniform psi(+inf) = 0;
+    # replicate 41 of master seed 10560 draws such a row.  The bootstrap ranks
+    # it below every finite time, as pseudo_observations ranks that uniform,
+    # and the draw raises no RuntimeWarning (an error under pytest)
+    ps = pseudo_observations(sample_copula(GeneratorSpec("clayton", 45.0), 2, 24, 19).uniforms)
+    seeds = np.random.SeedSequence(10560).generate_state(100, dtype=np.uint64)
+    fitted, stat, outcomes = _cvm_by_definition("clayton", ps, seeds, "tau")
+    assert np.isinf(_draw_times(GeneratorSpec("clayton", fitted), 2, 24, int(seeds[41]))).any()
+    res = cvm_gof("clayton", ps, boot_n=100, seed=10560)
+    exceed, out_of_range = np.sum(outcomes, axis=0)
+    assert (res.theta.hex(), res.statistic.hex(), res.p_value.hex(), res.out_of_range) == (
+        fitted.hex(), stat.hex(), (exceed / 100).hex(), out_of_range)
+
+
 @pytest.mark.parametrize("family, thetas", [
     ("clayton", [1.0, 0.4, 3.0]), ("gumbel", [2.0, 1.0, 1.7]), ("frank", [0.5, 4.0, 30.0]),
 ])
@@ -1004,3 +1021,20 @@ def test_manifest_loads_and_has_tolerances():
     assert manifest["marginal_aic_order"][0] == "weibull"
     assert manifest["preferred_copula"] == "clayton"
     assert manifest["tolerances"] == {"theta": 0.1, "p_value": 0.1}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fit_copula("clayton", np.full((5, 1), 0.5)),
+     "pseudo-observations must be count x d with d >= 2"),
+    (lambda: fit_copula("clayton", [[0.2, 0.2], [0.4, 0.6], [0.6, 0.4], [0.8, 0.8]], "moments"),
+     "method must be 'tau' or 'pseudo_likelihood'"),
+    (lambda: tau_to_theta("amh", 0.2), "copula family must be one of ('clayton', 'gumbel', 'frank')"),
+    (lambda: rank_models([]), "nothing to rank"),
+    (lambda: pseudo_observations([[0.3, 0.6]]), "need a count x d matrix with count >= 2"),
+    (lambda: LifetimeDataset({}), "dataset has no components"),
+], ids=["fit-one-column", "fit-unknown-method", "tau-unknown-family", "rank-nothing",
+        "pseudo-one-row", "dataset-empty"])
+def test_fitting_refusals_keep_their_messages(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message

@@ -364,3 +364,10 @@ def test_generator_refusals_keep_their_messages(family, theta, message):
     with pytest.raises(ValidationError) as err:
         GeneratorSpec(family, theta)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("obj", [None, [], {"theta": 2.0}], ids=["none", "list", "no-family"])
+def test_generator_from_json_refuses_a_malformed_object(obj):
+    with pytest.raises(ValidationError) as err:
+        GeneratorSpec.from_json(obj)
+    assert str(err.value) == "generator spec must be an object with a 'family'"

@@ -23,14 +23,13 @@ from failsafekit import (
     sp_survival,
     survival_x2n,
 )
-from failsafekit.fitlab import frank_tau
+from failsafekit.fitlab import _twice_ranks, frank_tau
 from failsafekit.generators import is_independence
 from failsafekit.mcsim import (
     THETA_MAX,
     _draw_times,
     _sample_log_series,
     _sample_positive_stable,
-    _to_uniforms,
 )
 
 N_BIG = 100_000
@@ -152,16 +151,32 @@ def test_power_frailty_samplers_at_theta_max(family, tau):
 
 @pytest.mark.parametrize("family,theta", [
     ("clayton", 1.5), ("gumbel", 1.0), ("gumbel", 1.7), ("frank", 4.0), ("frank", 600.0),
+    *THETA_MAX.items(),
 ])
-def test_block_transform_equals_sample_copula_per_seed(family, theta):
-    # uniforms of a stack of per-seed draws, transformed at once, are each
-    # seed's sample_copula batch, byte for byte; a 13 x 3 draw is 39 values,
-    # so SIMD lanes split the stack differently from a single draw
+def test_bootstrap_ranks_equal_sample_copula_ranks_per_seed(family, theta):
+    # psi is decreasing, so the CvM bootstrap ranks a stack of per-seed draws
+    # E / V negated instead of their uniforms: the twice-ranks equal those of
+    # each seed's sample_copula batch
     g = GeneratorSpec(family, theta)
     seeds = np.random.SeedSequence(4).generate_state(7, dtype=np.uint64)
-    block = _to_uniforms(g, np.stack([_draw_times(g, 3, 13, int(s)) for s in seeds]))
-    for u, s in zip(block, seeds):
-        assert u.tobytes() == sample_copula(g, 3, 13, int(s)).uniforms.tobytes()
+    block = _twice_ranks(-np.stack([_draw_times(g, 3, 13, int(s)) for s in seeds]))
+    for twice, s in zip(block, seeds):
+        u = sample_copula(g, 3, 13, int(s)).uniforms
+        assert np.array_equal(twice, _twice_ranks(u[None])[0])
+
+
+@pytest.mark.parametrize("n, count", [(0, 10), (3, 0), (-1, 5)])
+def test_sample_copula_refuses_no_components_or_no_rows(n, count):
+    with pytest.raises(ValidationError) as err:
+        sample_copula(GeneratorSpec("clayton", 2.0), n, count, seed=1)
+    assert str(err.value) == "n and count must be positive"
+
+
+@pytest.mark.parametrize("lifetimes", [np.ones((4, 1)), np.ones(4)], ids=["one-column", "1-d"])
+def test_second_smallest_needs_two_columns(lifetimes):
+    with pytest.raises(ValidationError) as err:
+        second_smallest(lifetimes)
+    assert str(err.value) == "lifetimes must be a matrix with >= 2 columns"
 
 
 def test_positive_stable_laplace_transform():

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -260,6 +261,43 @@ def test_sp_survival_in_unit_interval_and_monotone(b):
         vals = sp_survival(m, xs, theta * rng.uniform(0.8, 1.2))
         assert np.all((vals >= 0.0) & (vals <= 1.0))
         assert np.all(np.diff(vals) <= 1e-12)
+
+
+def test_mphrs_survival_at_origin_never_rounds_above_one():
+    # w = 1 at x = 0; the map alpha w / (alpha w + (1 - w)) is then alpha / alpha
+    b = BaselineSpec("weibull", (1.0, 2.0))
+    for alpha in np.linspace(0.01, 5.0, 500).tolist():
+        m = SemiParamModel("mphrs", b, alpha=alpha, lam=1.3)
+        assert sp_survival(m, 0.0, 0.7) <= 1.0, alpha
+
+
+def test_mphrs_map_is_exact_to_rounding_near_w_one():
+    # theta = lam = 1 over exponential(1), so w = sf(b, x), within 1e-3 of 1
+    # here: the map's relative error against exact rational arithmetic on
+    # the same w stays within two ulps
+    b = BaselineSpec("exponential", (1.0,))
+    xs = np.concatenate([[0.0, 5e-324], np.geomspace(1e-18, 1e-3, 60)])
+    ws = [Fraction(w) for w in sf(b, xs).tolist()]
+    for alpha in np.geomspace(1e-3, 1.0, 40).tolist():
+        got = sp_survival(SemiParamModel("mphrs", b, alpha=alpha, lam=1.0), xs, 1.0)
+        a = Fraction(alpha)
+        for g, w in zip(got.tolist(), ws):
+            exact = a * w / (a * w + 1 - w)
+            assert abs(Fraction(g) - exact) <= Fraction(4.5e-16) * exact, (alpha, float(w))
+
+
+@pytest.mark.parametrize("b", ALL_BASELINES, ids=_ids)
+def test_sp_survival_in_unit_interval_at_the_extremes(b):
+    # the survival kernel relies on this: it clips no marginal
+    xs = np.array([0.0, 5e-324, 1e300, math.inf])
+    kinds = [
+        ("scale", {}, 1.3), ("phr", {}, 0.7), ("location", {}, 0.3), ("location", {}, -0.3),
+        ("mphrs", {"alpha": 0.1, "lam": 1.3}, 0.9), ("mphrs", {"alpha": 3.7, "lam": 0.4}, 2.0),
+        ("ls", {"lam": 0.5}, 1.1), ("ls", {"lam": -0.5}, 1.1),
+    ]
+    for kind, fixed, theta in kinds:
+        vals = sp_survival(SemiParamModel(kind, b, **fixed), xs, theta)
+        assert np.all((vals >= 0.0) & (vals <= 1.0)), (kind, fixed, vals)
 
 
 def test_burr_log_forms_finite_where_power_overflows():
@@ -772,6 +810,32 @@ def test_constructors_accept_numpy_scalars():
      "ls requires a finite fixed lambda"),
 ], ids=["param-nan", "param-inf", "param-zero", "alpha-nan", "lambda-inf", "ls-lambda-nan"])
 def test_constructors_refuse_nonfinite_values(make, message):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SemiParamModel("frailty", BaselineSpec("exponential", (1.0,))),
+     "unknown model kind 'frailty'"),
+    (lambda: SemiParamModel("ls", BaselineSpec("exponential", (1.0,)), alpha=0.5, lam=1.0),
+     "ls takes no alpha"),
+    (lambda: sp_survival(SemiParamModel("scale", BaselineSpec("exponential", (1.0,))),
+                         [0.5, math.nan], 1.0), "x contains NaN"),
+    (lambda: BaselineSpec.from_json(["weibull", [1.0, 2.0]]),
+     "baseline spec must carry 'family' and 'params'"),
+    (lambda: BaselineSpec.from_json({"family": "weibull"}),
+     "baseline spec must carry 'family' and 'params'"),
+    (lambda: BaselineSpec.from_json({"family": "weibull", "params": 1.0}),
+     "baseline params must be an array of numbers"),
+    (lambda: SemiParamModel.from_json("scale"), "model spec must carry 'kind' and 'baseline'"),
+    (lambda: SemiParamModel.from_json({"kind": "scale"}),
+     "model spec must carry 'kind' and 'baseline'"),
+    (lambda: SemiParamModel.from_json({"kind": "mphrs", "fixed": [0.5, 1.0], "baseline": {
+        "family": "exponential", "params": [1.0]}}), "model fixed must be an object"),
+], ids=["unknown-kind", "ls-alpha", "nan-x", "baseline-list", "baseline-no-params",
+        "baseline-params-number", "model-text", "model-no-baseline", "model-fixed-list"])
+def test_model_refusals_keep_their_messages(make, message):
     with pytest.raises(ValidationError) as err:
         make()
     assert str(err.value) == message

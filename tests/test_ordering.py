@@ -22,7 +22,7 @@ from failsafekit import (
     verify_theorem2,
 )
 from failsafekit.demos import clayton_pair, demo_grid, gumbel_barnett_pair
-from failsafekit.ordering import DominanceVerdict, _bracket_crossings
+from failsafekit.ordering import ConditionReport, DominanceVerdict, _bracket_crossings
 
 FAST = GridPolicy(curve_points=400)
 
@@ -596,3 +596,18 @@ def test_readme_theorem2_crossing_bits_pinned():
         verify_theorem2(SystemSpec(3, m, (1.0, 2.0, 4.0), gen),
                         SystemSpec(3, m, (1.5, 2.0, 3.0), gen))
     assert _pin(exc.value.report.dominance) == VERDICT_PINS["readme_t2"]
+
+
+def test_schur_probe_refuses_a_nonpositive_theta():
+    m = SemiParamModel("location", BaselineSpec("gen_pareto", (1.0,)))
+    for theta in ((-0.5, 1.0, 2.0), (0.0, 1.0, 2.0)):
+        with pytest.raises(ValidationError) as err:
+            schur_condition_probe(SystemSpec(3, m, theta, GeneratorSpec("clayton", 2.0)))
+        assert str(err.value) == "log-parameter probe needs positive thetas"
+
+
+def test_condition_report_refuses_an_unknown_check():
+    report = ConditionReport("theorem1", (), False, None)
+    with pytest.raises(KeyError) as err:
+        report.check("condition_9")
+    assert err.value.args == ("condition_9",)

@@ -61,6 +61,16 @@ def test_survival_at_zero_is_one():
     assert survival_x2n(sysd, 0.0) == pytest.approx(1.0)
 
 
+def test_mphrs_system_at_zero_is_one_without_a_clip():
+    # alpha = 0.1 at w = 1: alpha / (1 - (1 - alpha)) rounds to 1 + 2e-16, and
+    # gumbel's phi of that is NaN; the kernel clips no marginal, so the map
+    # itself must stay in [0, 1].  pytest raises a RuntimeWarning as an error
+    m = SemiParamModel("mphrs", BaselineSpec("weibull", (1.0, 2.0)), alpha=0.1, lam=1.3)
+    sysd = SystemSpec(3, m, (0.5, 0.7, 0.9), GeneratorSpec("gumbel", 1.7))
+    assert survival_x2n(sysd, np.array([0.0, 1e-300])).tolist() == [1.0, 1.0]
+    assert survival_x2n(sysd, 0.0) == survival_x2n(sysd, 1e-300) == 1.0
+
+
 def test_independence_two_components_inclusion_exclusion():
     # survivals 0.5, 0.5 at x = log 2 under unit-rate exponentials
     sysd = scale_exp_system(GeneratorSpec("independence"), (1.0, 1.0))
@@ -641,3 +651,29 @@ def test_system_refuses_theta_outside_the_domain(kind, theta, message):
     with pytest.raises(ValidationError) as err:
         SystemSpec(2, m, theta, GeneratorSpec("independence"))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([], "system spec must be an object"),
+    ({"n": 2, "model": {}, "theta": [1.0, 2.0]}, "system spec missing 'generator'"),
+    ({"n": 2, "generator": {"family": "independence"}, "model": {}, "theta": 1.0},
+     "system theta must be an array of numbers"),
+], ids=["list", "no-generator", "theta-number"])
+def test_system_from_json_refuses_a_malformed_object(obj, message):
+    with pytest.raises(ValidationError) as err:
+        SystemSpec.from_json(obj)
+    assert str(err.value) == message
+
+
+def test_homogeneous_x2n_refuses_a_nan_u():
+    with pytest.raises(ValidationError) as err:
+        homogeneous_x2n(GeneratorSpec("clayton", 2.0), [0.5, np.nan], 3)
+    assert str(err.value) == "u contains NaN"
+
+
+def test_write_curve_csv_refuses_columns_of_other_lengths(tmp_path):
+    path = tmp_path / "curve.csv"
+    with pytest.raises(ValidationError) as err:
+        write_curve_csv(str(path), [1.0, 2.0], {"a": [0.9, 0.5], "b": [0.9]})
+    assert str(err.value) == "column length mismatch"
+    assert not path.exists()
