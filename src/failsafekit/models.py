@@ -46,10 +46,12 @@ forms, not grid probes.  Each family record carries its DFR rule
 (exp_weibull: Mudholkar & Srivastava 1993, IEEE Trans. Reliab. 42:299;
 gen_gamma: Glaser 1980, JASA 75:667), and each kind its direction in
 theta: F(x; theta) is nonincreasing in theta for scale, phr, mphrs and ls,
-and nondecreasing for location.  The one case without a rule, mphrs with
-alpha > 1, probes the hazard of its transformed model on a lifetime grid.
-``bulk_grid``, log-spaced over bulk quantiles, builds every such grid and
-every default curve grid, and ``linear_grid`` any explicit range.
+and nondecreasing for location.  mphrs with alpha > 1 fails by rule over a
+non-DFR baseline; over a DFR one, the one case without a rule, it probes the
+hazard of its transformed model on a lifetime grid.  ``bulk_grid`` builds
+that grid and every default curve grid, log-spaced over the components' own
+bulk quantiles (from CURVE_FLOOR times the top one only where the bulk
+reaches 0), and ``linear_grid`` any explicit range.
 Everything is pure and reentrant; model values are immutable.
 """
 
@@ -572,8 +574,8 @@ class ShapeVerdict:
 SHAPE_TOL = 1e-9
 BULK_Q_LO, BULK_Q_HI = 0.001, 0.999
 PROBE_POINTS = 200
-#: Bulk grid floors as fractions of the top quantile: curves, and the deeper hazard probe.
-CURVE_FLOOR, PROBE_FLOOR = 1e-9, 1e-12
+#: The start of a bulk grid whose lowest quantile is not positive, as a fraction of its top.
+CURVE_FLOOR = 1e-9
 
 
 def _check_points(points: int) -> None:
@@ -581,9 +583,9 @@ def _check_points(points: int) -> None:
         raise ValidationError(f"curve_points must be at least 2, got {points}")
 
 
-def bulk_grid(entries, points: int, floor: float = CURVE_FLOOR) -> np.ndarray:
-    """``points`` log-spaced lifetimes from the smallest BULK_Q_LO to the largest
-    BULK_Q_HI quantile over every (model, thetas) entry, floored at hi * floor."""
+def bulk_grid(entries, points: int) -> np.ndarray:
+    """``points`` log-spaced lifetimes from the smallest BULK_Q_LO (if positive, else
+    hi * CURVE_FLOOR) to the largest BULK_Q_HI quantile over every (model, thetas) entry."""
     _check_points(points)
     # one quantile call per entry for both ends: gamma's inverse costs per call
     ends = [sp_quantile(m, [[BULK_Q_LO], [BULK_Q_HI]], th) for m, th in entries]
@@ -594,7 +596,7 @@ def bulk_grid(entries, points: int, floor: float = CURVE_FLOOR) -> np.ndarray:
             f"{m.kind} {m.baseline.family}{m.baseline.params}" for m, _ in entries))
         raise ValidationError(f"{names} has no finite positive bulk quantile range "
                               f"[{lo:.3g}, {hi:.3g}] for a lifetime grid")
-    return _geomspace(max(lo, hi * floor), hi, points)
+    return _geomspace(lo if lo > 0.0 else hi * CURVE_FLOOR, hi, points)
 
 
 def _geomspace(lo, hi, points: int) -> np.ndarray:
@@ -621,7 +623,7 @@ def linear_grid(x_min: float, x_max: float, points: int) -> np.ndarray:
 
 def default_x_grid(b: BaselineSpec):
     """The hazard probe's bulk grid over the baseline, via its scale model at theta = 1."""
-    return bulk_grid([(SemiParamModel("scale", b), 1.0)], PROBE_POINTS, PROBE_FLOOR)
+    return bulk_grid([(SemiParamModel("scale", b), 1.0)], PROBE_POINTS)
 
 
 def check_dfr(b: BaselineSpec) -> ShapeVerdict:
@@ -644,10 +646,16 @@ def check_dpfr(b: BaselineSpec) -> ShapeVerdict:
 def _model_dfr(m: SemiParamModel, grid, tol: float) -> ShapeVerdict:
     """The transformed model's DFR.  Every kind keeps the baseline's hazard
     shape (mphrs: the Marshall-Olkin map divides it by 1 - (1-alpha) w,
-    which grows in x for alpha <= 1), except mphrs with alpha > 1: there the
+    which grows in x for alpha <= 1), except mphrs with alpha > 1.  There the
+    hazard lam h0 / (1 + (alpha-1) w) is the baseline's times a factor that
+    grows in x, so a non-DFR baseline decides it by rule; over a DFR one the
     hazard of F(x; 1), a scale family in theta, is probed on grid(m)."""
+    base = check_dfr(m.baseline)
     if m.kind != "mphrs" or m.alpha <= 1.0:
-        return check_dfr(m.baseline)
+        return base
+    if not base.holds:
+        return ShapeVerdict("dfr", False, f"mphrs alpha {m.alpha:.6g} > 1 keeps a hazard "
+                                          f"rise of the baseline: {base.rule}")
     xs = np.asarray(grid(m), dtype=float)
     ls = log_sf(m.baseline, xs)
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):

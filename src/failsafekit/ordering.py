@@ -183,8 +183,11 @@ def verify(
                          else ("generator_log_convex", is_log_convex))
     v = (check_dpfr(mx.baseline) if row.sign is None
          else survival_shape(mx, row.sign, policy.shape_x_grid))
-    # the preorders are defined on positive vectors only; no other check reads theta
-    if all(t > 0.0 for t in sysX.theta + sysY.theta):
+    # the preorders compare positive vectors of one length; no other check reads theta
+    if sysX.n != sysY.n:
+        order_ok = (False, f"{row.preorder.value} needs thetas of one length, "
+                           f"got {sysX.n} and {sysY.n}")
+    elif all(t > 0.0 for t in sysX.theta + sysY.theta):
         order_ok = (holds(row.preorder, sysX.theta, sysY.theta),
                     f"{sysX.theta} vs {sysY.theta}")
     else:

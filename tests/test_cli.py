@@ -226,6 +226,18 @@ def test_verify_t2_counterexample_exit_3(tmp_path, capsys):
     assert "INCONSISTENT" in captured.err
 
 
+def test_verify_systems_of_different_n_exit_1(demo_files, tmp_path, capsys):
+    sx, sy = gumbel_barnett_pair()
+    short = write_system(tmp_path / "short.json",
+                         SystemSpec(4, sy.model, sy.theta[:4], sy.generator))
+    assert main(["verify", "t1", demo_files["gb_x"], short, "--points", "200"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["overall"] is False and rep["dominance"] is None
+    failed = {c["name"] for c in rep["checks"] if not c["holds"]}
+    assert {"shared_model", "p_larger"} <= failed
+    _validator("condition_report.schema.json").validate(rep)
+
+
 def test_verify_malformed_exit_2(demo_files, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[]")

@@ -3,7 +3,11 @@
 Each control is a configuration whose conclusion is known to hold, so a
 refutation there would be the engine's fault, not the theorem's: seeded
 randomized draws with no violation tolerated beyond the verdict slack.
+Control f is two-sided: a proven threshold, below which the engine must
+refute.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from failsafekit import (
     survival_x2n,
 )
 from failsafekit.generators import FAMILIES
-from failsafekit.models import _KIND_MAP
+from failsafekit.models import _KIND_MAP, inverse_log_sf
 
 POLICY = GridPolicy()
 DFR_AND_IFR_BASELINES = (
@@ -127,3 +131,61 @@ def test_e_equal_theta_is_the_homogeneous_closed_form(family, n):
         xs = POLICY.curve_grid(model, sysd.theta)
         want = homogeneous_x2n(gen, sp_survival(model, xs, 1.7), n)
         np.testing.assert_allclose(survival_x2n(sysd, xs), want, rtol=0.0, atol=1e-13)
+
+
+def test_f_paltanea_threshold_under_independence():
+    # Paltanea (2008, J. Statist. Plann. Inference 138:1993): independent
+    # exponential components with rates lambda, against n of rate mu, give
+    # X_{2:n} >=_st Y_{2:n} iff mu >= mu* = sqrt(e2(lambda) / C(n, 2)), e2 the
+    # second elementary symmetric sum; 1% either side of mu* decides the verdict
+    rng = np.random.default_rng(12)
+    gen = GeneratorSpec("independence")
+    model = SemiParamModel("phr", BaselineSpec("exponential", (1.0,)))
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        lam = np.exp(rng.uniform(np.log(0.2), np.log(5.0), n))
+        e2 = (lam.sum() ** 2 - (lam ** 2).sum()) / 2.0
+        mu_star = math.sqrt(e2 / math.comb(n, 2))
+        sx = SystemSpec(n, model, tuple(lam.tolist()), gen)
+        above = _verdict(sx, SystemSpec(n, model, (mu_star * 1.01,) * n, gen))
+        assert above.relation in (Relation.X_DOMINATES_Y, Relation.TIES_WITHIN_TOL), (sx, above)
+        below = _verdict(sx, SystemSpec(n, model, (mu_star * 0.99,) * n, gen))
+        assert below.relation in (Relation.CROSSING, Relation.Y_DOMINATES_X), (sx, below)
+
+
+#: Under phr, u_i = exp(-theta_i H(x)) with H the baseline's cumulative
+#: hazard, so every baseline is one increasing time change of exponential(1).
+PHR_BASELINES = DFR_AND_IFR_BASELINES + (
+    BaselineSpec("gen_pareto", (1.0,)),
+    BaselineSpec("gen_pareto", (3.0,)),
+    BaselineSpec("burr", (2.0, 1.0)),
+    BaselineSpec("burr", (0.5, 0.5)),
+)
+#: Gaps at one cumulative hazard may differ by the rounding of the survival
+#: kernel and of H(H^-1(h)) alone; the largest measured was 7.1e-15.
+TIME_CHANGE_GAP_TOL = 1e-13
+
+
+def test_g_phr_verdicts_do_not_depend_on_the_baseline():
+    # a time change moves no relation: the bulk quantiles sit at one H for
+    # every baseline, so each grid spans one cumulative-hazard range, and
+    # the gaps at a shared H agree up to rounding
+    rng = np.random.default_rng(11)
+    h = np.geomspace(1e-4, 30.0, 200)
+    for _ in range(40):
+        n = int(rng.integers(2, 8))
+        lam_x = np.exp(rng.uniform(np.log(0.2), np.log(5.0), n))
+        lam_y = (lam_x * rng.uniform(0.5, 2.0, n))[rng.permutation(n)]
+        for draw in AUDIT_GENERATORS:
+            gen = draw(rng)
+            relations, gaps = set(), []
+            for b in PHR_BASELINES:
+                model = SemiParamModel("phr", b)
+                pair = (SystemSpec(n, model, tuple(lam_x.tolist()), gen),
+                        SystemSpec(n, model, tuple(lam_y.tolist()), gen))
+                relations.add(_verdict(*pair).relation)
+                cx, cy = curves(pair, inverse_log_sf(b, -h))
+                gaps.append(cx.values - cy.values)
+            assert len(relations) == 1, (lam_x, lam_y, gen, relations)
+            spread = max(np.abs(g - gaps[0]).max() for g in gaps)
+            assert spread <= TIME_CHANGE_GAP_TOL, (lam_x, lam_y, gen, spread)

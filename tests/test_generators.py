@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -273,17 +274,21 @@ def test_catalog_range_ends_are_generators(family, theta):
 @pytest.mark.parametrize("theta", [15.0, 40.0, 500.0])
 def test_frank_exact_near_zero(theta):
     # log(1 + (e^-theta - 1) e^-t) cancels near t = 0 once theta is large;
-    # psi must stay accurate there (reference: 50-digit mpmath)
-    mp = pytest.importorskip("mpmath")
+    # psi must stay accurate there (reference: decimal at 60 digits, which
+    # 120 digits confirm)
     g = GeneratorSpec("frank", theta)
     ts = np.concatenate([[0.0], np.geomspace(1e-10, 60.0, 80)])
     assert psi(g, 0.0) == 1.0
-    with mp.workdps(50):
-        th = mp.mpf(theta)
-        for t, v in zip(ts, psi(g, ts)):
-            tt = mp.mpf(float(t))
-            want = -mp.log(-mp.expm1(-tt) + mp.exp(-th - tt)) / th
-            assert abs(v - want) <= 1e-14 * abs(want), (t, v)
+
+    def reference(t, digits):
+        with localcontext(prec=digits):
+            th, tt = Decimal(theta), Decimal(t)
+            return -(1 - (-tt).exp() + (-th - tt).exp()).ln() / th
+
+    for t, v in zip(ts[1:].tolist(), psi(g, ts[1:])):
+        want = reference(t, 60)
+        assert abs(want - reference(t, 120)) <= Decimal("1e-20") * abs(want), t
+        assert abs(v - float(want)) <= 1e-14 * abs(float(want)), (t, v)
 
 
 # ------------------------------------------------------------ validity

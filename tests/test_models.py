@@ -37,7 +37,6 @@ from failsafekit.models import (
     BULK_Q_LO,
     CURVE_FLOOR,
     GAMMA_SHAPE_MAX,
-    PROBE_FLOOR,
     PROBE_POINTS,
     bulk_grid,
     default_x_grid,
@@ -514,37 +513,39 @@ def test_probe_grid_is_the_bulk_rule_over_the_baseline(b):
     m = SemiParamModel("mphrs", b, alpha=2.5, lam=0.7)
     grid = GridPolicy().shape_x_grid(m)
     np.testing.assert_array_equal(grid, bulk_grid([(SemiParamModel("scale", b), 1.0)],
-                                                  PROBE_POINTS, PROBE_FLOOR))
+                                                  PROBE_POINTS))
     np.testing.assert_array_equal(grid, default_x_grid(b))
     # the scale model at theta = 1 has the baseline's quantiles bit for bit
     lo, hi = quantile(b, 0.001), quantile(b, 0.999)
     assert grid.size == PROBE_POINTS and grid[-1] == hi
-    assert grid[0] == max(lo, hi * 1e-12)
+    assert grid[0] == lo
 
 
 def test_probe_grid_reaches_below_the_curve_floor():
-    # gen_pareto(3): q(0.001) ~ 1e-3 lies below 1e-9 q(0.999) ~ 0.33, so a
-    # curve grid starts at its floor, while the probe starts at q(0.001)
+    # gen_pareto(3): q(0.001) ~ 1e-3 lies below CURVE_FLOOR q(0.999) ~ 0.33,
+    # and both the curve grid and the probe start at q(0.001), not at the floor
     b = BaselineSpec("gen_pareto", (3.0,))
     lo, hi = quantile(b, 0.001), quantile(b, 0.999)
-    assert hi * 1e-12 < lo < hi * 1e-9
+    assert 0.0 < lo < hi * CURVE_FLOOR
     curve = bulk_grid([(SemiParamModel("scale", b), 1.0)], 1000)
-    assert curve[0] == hi * 1e-9 and curve[-1] == hi
+    assert curve[0] == lo and curve[-1] == hi
     probe = default_x_grid(b)
     assert probe[0] == lo and probe[-1] == hi
 
 
 def test_probe_sees_a_hazard_rise_below_the_curve_floor():
-    # burr(3.28, 0.1) is not DFR; between q(0.001) ~ 0.25 and 1e-9 q(0.999)
-    # ~ 1.4 the hazard of this mphrs model rises, which the probe must see
-    m = SemiParamModel("mphrs", BaselineSpec("burr", (3.28, 0.1)), alpha=2.87, lam=0.733)
-    assert not check_dfr(m.baseline).holds
+    # gen_pareto(3) is DFR, so the probe decides this mphrs model; its hazard
+    # rises between q(0.001) = 0.001 and CURVE_FLOOR q(0.999) ~ 0.333, which
+    # the probe must see
+    m = SemiParamModel("mphrs", BaselineSpec("gen_pareto", (3.0,)), alpha=10.0, lam=20.0)
+    assert check_dfr(m.baseline).holds
     v = check_theorem1_condition2(m)
-    assert not v.holds and "in [0.246, 1.4e+09]" in v.rule
-    # on a grid floored at 1e-9 q(0.999) the rise is out of sight
-    at_curve_floor = check_theorem1_condition2(m, grid=lambda mm: bulk_grid(
-        [(SemiParamModel("scale", mm.baseline), 1.0)], PROBE_POINTS))
-    assert at_curve_floor.holds and "in [1.4, 1.4e+09]" in at_curve_floor.rule
+    assert not v.holds and "in [0.001, 3.33e+08], worst relative rise 4.347e-02" in v.rule
+    # on a grid that starts at CURVE_FLOOR q(0.999) the rise is out of sight
+    hi = quantile(m.baseline, BULK_Q_HI)
+    at_curve_floor = check_theorem1_condition2(
+        m, grid=lambda mm: np.geomspace(hi * CURVE_FLOOR, hi, PROBE_POINTS))
+    assert at_curve_floor.holds and "in [0.333, 3.33e+08]" in at_curve_floor.rule
 
 
 def test_bulk_grid_steps_equal_geomspace_bit_for_bit():
@@ -565,7 +566,7 @@ def test_bulk_grid_is_geomspace_over_its_ends(b):
     lo = min(sp_quantile(m, BULK_Q_LO, t) for t in theta)
     hi = max(sp_quantile(m, BULK_Q_HI, t) for t in theta)
     for points in (2, 17, 1000):
-        want = np.geomspace(max(lo, hi * CURVE_FLOOR), hi, points)
+        want = np.geomspace(lo if lo > 0.0 else hi * CURVE_FLOOR, hi, points)
         assert bulk_grid([(m, theta)], points).tobytes() == want.tobytes()
 
 
@@ -696,6 +697,27 @@ def test_mphrs_dfr_by_rule_up_to_alpha_1_and_probed_above():
     # hazard 1/((1 + x)(1 + (1 + x)^-1)) = 1/(2 + x)
     m = SemiParamModel("mphrs", BaselineSpec("gen_pareto", (1.0,)), alpha=2.0, lam=1.0)
     assert check_theorem1_condition2(m, grid).holds
+
+
+def test_mphrs_over_a_non_dfr_baseline_fails_by_rule_before_any_probe():
+    # exp_weibull(0.341, 2.965) is not DFR (alpha beta = 1.01), and alpha > 1
+    # multiplies its hazard by 1/(1 + (alpha - 1) w), which grows in x, so the
+    # model is not DFR either; its hazard rises below q(0.001), where the
+    # probe grid [0.00125, 444] does not look
+    b = BaselineSpec("exp_weibull", (0.341, 2.965))
+    m = SemiParamModel("mphrs", b, alpha=4.27, lam=0.634)
+    calls = []
+    v = check_theorem1_condition2(m, lambda mm: calls.append(mm) or default_x_grid(b))
+    assert calls == [] and not v.holds
+    assert v.rule == ("mphrs: nonincreasing in theta; mphrs alpha 4.27 > 1 keeps a hazard rise "
+                      "of the baseline: exp_weibull alpha 0.341 <= 1; alpha*beta 1.01107 > 1")
+    # the probe alone would have certified it
+    xs = default_x_grid(b)
+    ls = log_sf(b, xs)
+    h = m.lam * np.exp(log_pdf(b, xs) - ls) / (1.0 + (m.alpha - 1.0) * np.exp(m.lam * ls))
+    worst = np.max(np.diff(h) / (1.0 + h[:-1] + h[1:]))
+    assert f"{xs[0]:.3g} {xs[-1]:.3g}" == "0.00125 444"
+    assert -2e-4 < worst < -1e-4
 
 
 def test_sp_log_survival_matches_log_of_survival():
