@@ -37,8 +37,8 @@ from .mcsim import (
 )
 from .models import (
     BaselineSpec,
+    HypothesisCheck,
     SemiParamModel,
-    ShapeVerdict,
     check_dfr,
     check_dpfr,
     check_theorem1_condition2,
@@ -52,7 +52,6 @@ from .models import (
 from .ordering import (
     ConditionReport,
     DominanceVerdict,
-    HypothesisCheck,
     Relation,
     compare_curves,
     schur_condition_probe,
@@ -92,7 +91,6 @@ __all__ = [
     "Relation",
     "SampleBatch",
     "SemiParamModel",
-    "ShapeVerdict",
     "SurvivalCurve",
     "SystemSpec",
     "UnsupportedGeneratorError",

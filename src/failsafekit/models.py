@@ -42,23 +42,24 @@ theta may be an array that broadcasts against x, so one call evaluates a
 whole (parameter x lifetime) matrix.
 
 The shape hypotheses of the comparison results are decided from closed
-forms, not grid probes.  Each family record carries its DFR rule
-(exp_weibull: Mudholkar & Srivastava 1993, IEEE Trans. Reliab. 42:299;
-gen_gamma: Glaser 1980, JASA 75:667), and each kind its direction in
-theta: F(x; theta) is nonincreasing in theta for scale, phr, mphrs and ls,
-and nondecreasing for location.  mphrs with alpha > 1 fails by rule over a
-non-DFR baseline; over a DFR one, the one case without a rule, it probes the
-hazard of its transformed model on a lifetime grid.  ``bulk_grid`` builds
-that grid and every default curve grid, log-spaced over the components' own
-bulk quantiles (from CURVE_FLOOR times the top one only where the bulk
-reaches 0), and ``linear_grid`` any explicit range.
+forms, not grid probes, as the ``HypothesisCheck`` records ``ordering.verify``
+reports (``check_dfr``, ``check_dpfr``, ``survival_shape``).  Each family
+record carries its DFR rule (exp_weibull: Mudholkar & Srivastava 1993, IEEE
+Trans. Reliab. 42:299; gen_gamma: Glaser 1980, JASA 75:667), and each kind
+its direction in theta: F(x; theta) is nonincreasing in theta for scale,
+phr, mphrs and ls, and nondecreasing for location.  mphrs with alpha > 1
+fails by rule over a non-DFR baseline; over a DFR one, the one case without
+a rule, it probes the hazard of its transformed model on a lifetime grid.
+``bulk_grid`` builds that grid and every default curve grid, log-spaced over
+the components' own bulk quantiles (from CURVE_FLOOR times the top one only
+where the bulk reaches 0), and ``linear_grid`` any explicit range.
 Everything is pure and reentrant; model values are immutable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -561,12 +562,13 @@ def sp_quantile(m: SemiParamModel, prob, theta: float):
 
 
 @dataclass(frozen=True)
-class ShapeVerdict:
-    """A shape hypothesis and the rule that decided it."""
-
-    property: str
+class HypothesisCheck:
+    name: str
     holds: bool
-    rule: str
+    evidence: str
+
+    def to_json(self) -> dict:
+        return asdict(self)
 
 
 #: Shape probe defaults: the slack on a relative hazard rise (float noise), the
@@ -626,37 +628,44 @@ def default_x_grid(b: BaselineSpec):
     return bulk_grid([(SemiParamModel("scale", b), 1.0)], PROBE_POINTS)
 
 
-def check_dfr(b: BaselineSpec) -> ShapeVerdict:
+def check_dfr(b: BaselineSpec) -> HypothesisCheck:
     """Decreasing failure rate, from the family's closed-form rule."""
     terms = _FAMILIES[b.family].dfr(*b.params)
     rule = "; ".join(f"{k} {v:.6g} {'<=' if v <= 1.0 else '>'} 1" for k, v in terms.items())
-    return ShapeVerdict("dfr", all(v <= 1.0 for v in terms.values()),
-                        f"{b.family} {rule or 'always DFR'}")
+    return HypothesisCheck("baseline_dfr", all(v <= 1.0 for v in terms.values()),
+                           f"{b.family} {rule or 'always DFR'}")
 
 
-def check_dpfr(b: BaselineSpec) -> ShapeVerdict:
+def check_dpfr(b: BaselineSpec) -> HypothesisCheck:
     """Decreasing proportional failure rate, x*hazard(x) nonincreasing on
     (0, inf): no lifetime law has it, so this always fails with the proof."""
-    return ShapeVerdict("dpfr", False, (
+    return HypothesisCheck("baseline_dpfr", False, (
         f"{b.family}: no lifetime law with S(0) = 1 has x*h(x) nonincreasing on "
         "(0, inf); x*h >= c > 0 on (0, x0] makes the integral of h over (eps, x0) "
         "at least c log(x0/eps), which diverges as eps -> 0, so S(x0) = 0"))
 
 
-def _model_dfr(m: SemiParamModel, grid, tol: float) -> ShapeVerdict:
-    """The transformed model's DFR.  Every kind keeps the baseline's hazard
-    shape (mphrs: the Marshall-Olkin map divides it by 1 - (1-alpha) w,
-    which grows in x for alpha <= 1), except mphrs with alpha > 1.  There the
-    hazard lam h0 / (1 + (alpha-1) w) is the baseline's times a factor that
-    grows in x, so a non-DFR baseline decides it by rule; over a DFR one the
-    hazard of F(x; 1), a scale family in theta, is probed on grid(m)."""
-    base = check_dfr(m.baseline)
+def survival_shape(m: SemiParamModel, sign: str, grid=None, tol: float = SHAPE_TOL) -> HypothesisCheck:
+    """F(x; theta) moves in ``sign`` ('nonincreasing' or 'nondecreasing') as
+    theta grows, and the transformed model is DFR.  Every kind keeps the
+    baseline's hazard shape (mphrs: the Marshall-Olkin map divides it by
+    1 - (1-alpha) w, which grows in x for alpha <= 1), except mphrs with
+    alpha > 1.  There the hazard lam h0 / (1 + (alpha-1) w) is the baseline's
+    times a factor that grows in x, so a non-DFR baseline decides it by rule;
+    over a DFR one the hazard of F(x; 1), a scale family in theta, is probed
+    on ``grid(m)`` (default: the baseline's bulk).  No other case evaluates
+    the model."""
+    kind_sign = _KIND_MAP[m.kind][1]
+    if kind_sign != sign:
+        return HypothesisCheck("survival_shape", False,
+                               f"{m.kind}: {kind_sign} in theta, not {sign}")
+    lead, base = f"{m.kind}: {sign} in theta; ", check_dfr(m.baseline)
     if m.kind != "mphrs" or m.alpha <= 1.0:
-        return base
+        return HypothesisCheck("survival_shape", base.holds, lead + base.evidence)
     if not base.holds:
-        return ShapeVerdict("dfr", False, f"mphrs alpha {m.alpha:.6g} > 1 keeps a hazard "
-                                          f"rise of the baseline: {base.rule}")
-    xs = np.asarray(grid(m), dtype=float)
+        return HypothesisCheck("survival_shape", False, f"{lead}mphrs alpha {m.alpha:.6g} > 1 "
+                               f"keeps a hazard rise of the baseline: {base.evidence}")
+    xs = np.asarray(grid(m) if grid else default_x_grid(m.baseline), dtype=float)
     ls = log_sf(m.baseline, xs)
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         h = np.exp(np.log(m.lam) + log_pdf(m.baseline, xs) - ls
@@ -666,31 +675,18 @@ def _model_dfr(m: SemiParamModel, grid, tol: float) -> ShapeVerdict:
         raise ValidationError(f"mphrs hazard probe: fewer than 3 finite points on "
                               f"{xs.size} grid points")
     worst = float(np.max(np.diff(h) / (1.0 + h[:-1] + h[1:])))
-    return ShapeVerdict("dfr", worst <= tol, (
-        f"mphrs alpha {m.alpha:.6g} > 1, no rule: hazard of F(x; 1) on {h.size} points "
+    return HypothesisCheck("survival_shape", worst <= tol, (
+        f"{lead}mphrs alpha {m.alpha:.6g} > 1, no rule: hazard of F(x; 1) on {h.size} points "
         f"in [{xs[0]:.3g}, {xs[-1]:.3g}], worst relative rise {worst:.3e}"))
 
 
-def survival_shape(m: SemiParamModel, sign: str, grid=None, tol: float = SHAPE_TOL) -> ShapeVerdict:
-    """F(x; theta) moves in ``sign`` ('nonincreasing' or 'nondecreasing') as
-    theta grows, and the transformed model is DFR.  ``grid(m)`` gives the
-    lifetimes of the mphrs alpha > 1 hazard probe (default: the baseline's
-    bulk); no other case evaluates the model."""
-    prop = f"{sign}_in_theta_and_model_dfr"
-    kind_sign = _KIND_MAP[m.kind][1]
-    if kind_sign != sign:
-        return ShapeVerdict(prop, False, f"{m.kind}: {kind_sign} in theta, not {sign}")
-    dfr = _model_dfr(m, grid or (lambda mm: default_x_grid(mm.baseline)), tol)
-    return ShapeVerdict(prop, dfr.holds, f"{m.kind}: {sign} in theta; {dfr.rule}")
-
-
-def check_theorem1_condition2(m: SemiParamModel, grid=None, tol: float = SHAPE_TOL) -> ShapeVerdict:
+def check_theorem1_condition2(m: SemiParamModel, grid=None, tol: float = SHAPE_TOL) -> HypothesisCheck:
     """Shape requirement paired with log-concave generators: F(x; theta)
     nonincreasing in theta and a DFR model (see ``survival_shape``)."""
     return survival_shape(m, "nonincreasing", grid, tol)
 
 
-def check_theorem2_condition2(m: SemiParamModel, grid=None, tol: float = SHAPE_TOL) -> ShapeVerdict:
+def check_theorem2_condition2(m: SemiParamModel, grid=None, tol: float = SHAPE_TOL) -> HypothesisCheck:
     """Shape requirement paired with log-convex generators: F(x; theta)
     nondecreasing and log-convex in theta.  Only location moves up in theta,
     and there log F(x - theta) is convex in theta iff the baseline is DFR."""

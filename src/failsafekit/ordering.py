@@ -16,14 +16,14 @@ own audit.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InconsistencyError, ValidationError
 from .generators import classify_log_shape, is_log_concave, is_log_convex
 from .gridpolicy import GridPolicy
-from .models import check_dpfr, survival_shape
+from .models import HypothesisCheck, check_dpfr, survival_shape
 from .preorders import Preorder, holds
 from .systems import SurvivalCurve, SystemSpec, _lifetimes, _survivals, curves, default_grid
 
@@ -95,16 +95,6 @@ def _bracket_crossings(xs, gap, thresh) -> tuple[tuple[float, float], ...]:
 
 
 @dataclass(frozen=True)
-class HypothesisCheck:
-    name: str
-    holds: bool
-    evidence: str
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
 class ConditionReport:
     """Named hypothesis checks plus the confirmed dominance verdict."""
 
@@ -134,15 +124,14 @@ class _Route:
 
     ``log_concave`` picks the generator hypothesis (else log-convex);
     ``sign`` is the direction F(x; theta) must move in theta, checked with
-    the model's DFR and reported as ``survival_shape``; a row with a
-    ``kind`` has no sign and checks ``baseline_dpfr`` instead, and restricts
-    both systems to one shared model of that kind.
+    the model's DFR as ``survival_shape``; a proposition row has no sign and
+    checks ``baseline_dpfr`` instead, which fails for every baseline, so it
+    certifies no pair of any kind.
     """
 
     log_concave: bool
     sign: str | None
     preorder: Preorder
-    kind: str | None = None
 
 
 #: The two comparison theorems and the two model propositions.  Checks call
@@ -150,8 +139,8 @@ class _Route:
 ROUTES = {
     "theorem1": _Route(True, "nonincreasing", Preorder.P_LARGER),
     "theorem2": _Route(False, "nondecreasing", Preorder.RECIPROCAL_MAJORIZE),
-    "prop_mphrs": _Route(True, None, Preorder.P_LARGER, kind="mphrs"),
-    "prop_ls": _Route(True, None, Preorder.P_LARGER, kind="ls"),
+    "prop_mphrs": _Route(True, None, Preorder.P_LARGER),
+    "prop_ls": _Route(True, None, Preorder.P_LARGER),
 }
 
 
@@ -164,25 +153,18 @@ def verify(
     """Check the hypotheses of ``ROUTES[route]`` and confirm its conclusion.
 
     Checks, in order: shared generator, shared model, generator log-shape,
-    survival/baseline shape, parameter preorder.  If all hold, both curves
-    are evaluated on the policy grid and X must dominate Y or tie; anything
-    else raises InconsistencyError with the report.
+    survival/baseline shape, parameter preorder; a failed one is reported,
+    never raised.  If all hold, both curves are evaluated on the policy grid
+    and X must dominate Y or tie; anything else raises InconsistencyError.
     """
     row = ROUTES[route]
     policy = policy or GridPolicy()
     mx, my = sysX.model, sysY.model
-    if row.kind is not None:
-        if mx.kind != row.kind or my.kind != row.kind:
-            raise ValidationError(f"both systems must use the {row.kind} kind")
-        if mx != my:
-            raise ValidationError(f"mismatched fixed {row.kind} parameters")
-        if row.kind == "mphrs" and not (0.0 < mx.alpha <= 1.0):
-            raise ValidationError("fixed alpha must lie in (0, 1]")
     shape = classify_log_shape(sysX.generator)
     gen_check, gen_ok = (("generator_log_concave", is_log_concave) if row.log_concave
                          else ("generator_log_convex", is_log_convex))
-    v = (check_dpfr(mx.baseline) if row.sign is None
-         else survival_shape(mx, row.sign, policy.shape_x_grid))
+    model_shape = (check_dpfr(mx.baseline) if row.sign is None
+                   else survival_shape(mx, row.sign, policy.shape_x_grid))
     # the preorders compare positive vectors of one length; no other check reads theta
     if sysX.n != sysY.n:
         order_ok = (False, f"{row.preorder.value} needs thetas of one length, "
@@ -196,9 +178,10 @@ def verify(
         HypothesisCheck("shared_generator", sysX.generator == sysY.generator,
                         f"{sysX.generator.to_json()} vs {sysY.generator.to_json()}"),
         HypothesisCheck("shared_model", mx == my and sysX.n == sysY.n,
-                        f"{mx.kind}/n={sysX.n} vs {my.kind}/n={sysY.n}"),
+                        f"{mx.kind}/n={sysX.n} vs {my.kind}/n={sysY.n}" if mx == my
+                        else f"{mx.to_json()} vs {my.to_json()}"),
         HypothesisCheck(gen_check, gen_ok(shape), f"shape={shape.shape.value}: {shape.rule}"),
-        HypothesisCheck("survival_shape" if row.sign else "baseline_dpfr", v.holds, v.rule),
+        model_shape,
         HypothesisCheck(row.preorder.value, *order_ok),
     )
     overall = all(c.holds for c in checks)

@@ -62,6 +62,17 @@ CLAMP_TOL = 1e-10
 _BLOCK_BYTES = 1 << 17
 
 
+def _system_n(n) -> int:
+    """A component count as an int; anything but an integer >= 2 is refused."""
+    if isinstance(n, float) and n.is_integer():  # a JSON Schema integer, as 3.0
+        n = int(n)
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValidationError(f"system n must be an integer, got {n!r}")
+    if n < 2:
+        raise ValidationError("a system needs at least 2 components")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """n components: one model, one parameter vector, one generator."""
@@ -72,13 +83,7 @@ class SystemSpec:
     generator: GeneratorSpec
 
     def __post_init__(self):
-        n = self.n
-        if isinstance(n, float) and n.is_integer():  # a JSON Schema integer, as 3.0
-            n = int(n)
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise ValidationError(f"system n must be an integer, got {self.n!r}")
-        if n < 2:
-            raise ValidationError("a system needs at least 2 components")
+        n = _system_n(self.n)
         theta = tuple(real_number(t, "system theta entry") for t in self.theta)
         if len(theta) != n:
             raise ValidationError(f"theta length {len(theta)} != n={n}")
@@ -86,7 +91,7 @@ class SystemSpec:
         if not ok.all():
             t = theta[int(np.argmin(ok))]  # the first entry outside
             raise ValidationError(f"theta {t} outside the {self.model.kind} domain")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "theta", theta)
 
     def to_json(self) -> dict:
@@ -265,11 +270,13 @@ def curves(systems, xs) -> tuple[SurvivalCurve, ...]:
 
 
 def homogeneous_x2n(gen: GeneratorSpec, u, n: int):
-    """Closed form for n identical marginals u, clipped into [0, 1]:
-    n psi((n-1)phi(u)) - (n-1)psi(n phi(u)), which is 0 at u = 0."""
-    uu = np.clip(np.atleast_1d(np.asarray(u, dtype=float)), 0.0, 1.0)
-    if np.isnan(uu).any():
-        raise ValidationError("u contains NaN")
+    """Closed form for n identical marginals u in [0, 1], NaN refused, and an n
+    ``SystemSpec`` takes: n psi((n-1)phi(u)) - (n-1)psi(n phi(u)), 0 at u = 0."""
+    n = _system_n(n)
+    uu = np.atleast_1d(np.asarray(u, dtype=float))
+    ok = (uu >= 0.0) & (uu <= 1.0)  # NaN fails both
+    if not ok.all():
+        raise ValidationError(f"u {uu[np.argmin(ok)]} outside [0, 1]")
     f, th = gen.family, gen.theta
     p = _phi(f, th, uu)
     vals = n * _psi(f, th, (n - 1) * p) - (n - 1) * _psi(f, th, n * p)

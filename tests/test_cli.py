@@ -297,7 +297,7 @@ def test_curve_gamma_shape_beyond_kernel_limit_exit_2(tmp_path, capsys):
     assert "incomplete gamma shape 20000 is outside (0, 10000]" in capsys.readouterr().err
 
 
-def test_verify_p_mphrs_mismatched_fixed_exit_2(tmp_path, capsys):
+def test_verify_p_mphrs_mismatched_fixed_exit_1(tmp_path, capsys):
     from failsafekit import BaselineSpec, GeneratorSpec, SemiParamModel, SystemSpec
     b = BaselineSpec("gen_gamma", (0.5, 0.5))
     gen = GeneratorSpec("gumbel_barnett", 0.5)
@@ -305,7 +305,10 @@ def test_verify_p_mphrs_mismatched_fixed_exit_2(tmp_path, capsys):
     my = SemiParamModel("mphrs", b, alpha=0.7, lam=1.0)
     fx = write_system(tmp_path / "x.json", SystemSpec(2, mx, (0.5, 1.0), gen))
     fy = write_system(tmp_path / "y.json", SystemSpec(2, my, (0.5, 1.0), gen))
-    assert main(["verify", "p-mphrs", fx, fy]) == 2
+    assert main(["verify", "p-mphrs", fx, fy]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"] if not c["holds"]] == [
+        "shared_model", "baseline_dpfr"]
 
 
 # -------------------------------------------------------------- simulate

@@ -11,6 +11,7 @@ from failsafekit import (
     BaselineSpec,
     GeneratorSpec,
     GridPolicy,
+    HypothesisCheck,
     SemiParamModel,
     SystemSpec,
     ValidationError,
@@ -410,17 +411,18 @@ def test_fixed_parameter_validation():
 # ------------------------------------------------------------ DFR/DPFR
 def test_dfr_verdicts():
     v = check_dfr(BaselineSpec("gen_pareto", (0.5,)))
-    assert v.holds and v.rule == "gen_pareto always DFR"
+    assert v.name == "baseline_dfr"
+    assert v.holds and v.evidence == "gen_pareto always DFR"
     assert check_dfr(BaselineSpec("exponential", (1.0,))).holds  # constant hazard
     v = check_dfr(BaselineSpec("weibull", (1.0, 2.0)))
-    assert not v.holds and v.rule == "weibull shape 2 > 1"
+    assert not v.holds and v.evidence == "weibull shape 2 > 1"
     v = check_dfr(BaselineSpec("weibull", (1.3, 0.8)))
-    assert v.holds and v.rule == "weibull shape 0.8 <= 1"
+    assert v.holds and v.evidence == "weibull shape 0.8 <= 1"
     # boundaries: shape 1 is the exponential, burr c = 1 has hazard k / (1 + x)
     assert check_dfr(BaselineSpec("gamma", (1.0, 2.0))).holds
     assert check_dfr(BaselineSpec("burr", (1.0, 3.0))).holds
     v = check_dfr(BaselineSpec("exp_weibull", (0.5, 2.5)))
-    assert not v.holds and v.rule == "exp_weibull alpha 0.5 <= 1; alpha*beta 1.25 > 1"
+    assert not v.holds and v.evidence == "exp_weibull alpha 0.5 <= 1; alpha*beta 1.25 > 1"
     assert check_dfr(BaselineSpec("gen_gamma", (1.0, 1.0))).holds
 
 
@@ -478,8 +480,9 @@ def test_dpfr_verdicts():
     # burr(0.1486, 0.1756) was the one certificate of the former grid probe
     for b in [BaselineSpec("burr", (0.1486, 0.1756))] + ALL_BASELINES:
         v = check_dpfr(b)
-        assert not v.holds and v.rule.startswith(f"{b.family}: no lifetime law with S(0) = 1")
-        assert "diverges" in v.rule
+        assert v.name == "baseline_dpfr"
+        assert not v.holds and v.evidence.startswith(f"{b.family}: no lifetime law with S(0) = 1")
+        assert "diverges" in v.evidence
 
 
 def test_dpfr_grid_validation():
@@ -540,12 +543,12 @@ def test_probe_sees_a_hazard_rise_below_the_curve_floor():
     m = SemiParamModel("mphrs", BaselineSpec("gen_pareto", (3.0,)), alpha=10.0, lam=20.0)
     assert check_dfr(m.baseline).holds
     v = check_theorem1_condition2(m)
-    assert not v.holds and "in [0.001, 3.33e+08], worst relative rise 4.347e-02" in v.rule
+    assert not v.holds and "in [0.001, 3.33e+08], worst relative rise 4.347e-02" in v.evidence
     # on a grid that starts at CURVE_FLOOR q(0.999) the rise is out of sight
     hi = quantile(m.baseline, BULK_Q_HI)
     at_curve_floor = check_theorem1_condition2(
         m, grid=lambda mm: np.geomspace(hi * CURVE_FLOOR, hi, PROBE_POINTS))
-    assert at_curve_floor.holds and "in [0.333, 3.33e+08]" in at_curve_floor.rule
+    assert at_curve_floor.holds and "in [0.333, 3.33e+08]" in at_curve_floor.evidence
 
 
 def test_bulk_grid_steps_equal_geomspace_bit_for_bit():
@@ -634,7 +637,7 @@ def test_condition1_scale_over_dfr_baselines():
 def test_condition1_fails_for_increasing_hazard():
     m = SemiParamModel("scale", BaselineSpec("weibull", (1.0, 2.0)))
     v = check_theorem1_condition2(m)
-    assert not v.holds and v.rule == "scale: nonincreasing in theta; weibull shape 2 > 1"
+    assert not v.holds and v.evidence == "scale: nonincreasing in theta; weibull shape 2 > 1"
 
 
 def test_condition1_fails_for_location_kind():
@@ -642,7 +645,7 @@ def test_condition1_fails_for_location_kind():
     m = SemiParamModel("location", BaselineSpec("gen_pareto", (1.0,)))
     v = check_theorem1_condition2(m)
     assert not v.holds
-    assert v.rule == "location: nondecreasing in theta, not nonincreasing"
+    assert v.evidence == "location: nondecreasing in theta, not nonincreasing"
 
 
 def test_dfr_implies_condition1_over_catalog():
@@ -665,7 +668,7 @@ def test_condition2_location_over_gp_holds():
     m = SemiParamModel("location", BaselineSpec("gen_pareto", (1.0,)))
     v = check_theorem2_condition2(m)
     assert v.holds, v
-    assert v.rule == "location: nondecreasing in theta; gen_pareto always DFR"
+    assert v.evidence == "location: nondecreasing in theta; gen_pareto always DFR"
 
 
 def test_condition2_fails_for_scale_and_phr():
@@ -685,14 +688,14 @@ def test_mphrs_dfr_by_rule_up_to_alpha_1_and_probed_above():
         return np.geomspace(1e-3, 50.0, 300)
 
     v = check_theorem1_condition2(SemiParamModel("mphrs", b, alpha=0.4, lam=1.3), grid)
-    assert v.holds and v.rule == "mphrs: nonincreasing in theta; weibull shape 0.8 <= 1"
+    assert v.holds and v.evidence == "mphrs: nonincreasing in theta; weibull shape 0.8 <= 1"
     assert calls == []  # the rule decides; no grid is built
     # alpha > 1 divides the hazard by 1 + (alpha - 1) w, which falls in x: an
     # exponential baseline's flat hazard lam*rate/(1 + (alpha-1) e^(-lam*rate*x)) rises
     m = SemiParamModel("mphrs", BaselineSpec("exponential", (1.0,)), alpha=3.0, lam=1.0)
     v = check_theorem1_condition2(m, grid)
     assert calls == [m] and not v.holds
-    assert v.rule.startswith("mphrs: nonincreasing in theta; mphrs alpha 3 > 1, no rule")
+    assert v.evidence.startswith("mphrs: nonincreasing in theta; mphrs alpha 3 > 1, no rule")
     # a steep enough DFR baseline stays DFR: gen_pareto(1), lam 1, alpha 2 has
     # hazard 1/((1 + x)(1 + (1 + x)^-1)) = 1/(2 + x)
     m = SemiParamModel("mphrs", BaselineSpec("gen_pareto", (1.0,)), alpha=2.0, lam=1.0)
@@ -709,7 +712,7 @@ def test_mphrs_over_a_non_dfr_baseline_fails_by_rule_before_any_probe():
     calls = []
     v = check_theorem1_condition2(m, lambda mm: calls.append(mm) or default_x_grid(b))
     assert calls == [] and not v.holds
-    assert v.rule == ("mphrs: nonincreasing in theta; mphrs alpha 4.27 > 1 keeps a hazard rise "
+    assert v.evidence == ("mphrs: nonincreasing in theta; mphrs alpha 4.27 > 1 keeps a hazard rise "
                       "of the baseline: exp_weibull alpha 0.341 <= 1; alpha*beta 1.01107 > 1")
     # the probe alone would have certified it
     xs = default_x_grid(b)
@@ -796,8 +799,7 @@ def test_condition2_verdicts_pinned(name):
     m, want1, want2 = PINNED_CHECKS[name]
     for check, (holds, rule) in ((check_theorem1_condition2, want1),
                                  (check_theorem2_condition2, want2)):
-        v = check(m)
-        assert (v.holds, v.rule) == (holds, rule), check.__name__
+        assert check(m) == HypothesisCheck("survival_shape", holds, rule), check.__name__
 
 
 def test_json_roundtrip():

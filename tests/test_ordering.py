@@ -22,7 +22,9 @@ from failsafekit import (
     verify_theorem2,
 )
 from failsafekit.demos import clayton_pair, demo_grid, gumbel_barnett_pair
-from failsafekit.ordering import ConditionReport, DominanceVerdict, _bracket_crossings
+from failsafekit.models import check_dpfr, survival_shape
+from failsafekit.ordering import (ROUTES, ConditionReport, DominanceVerdict, _bracket_crossings,
+                                  verify)
 
 FAST = GridPolicy(curve_points=400)
 
@@ -363,8 +365,7 @@ def test_verify_second_identical_systems_tie():
 
 
 # ------------------------------------------------- proposition verifiers
-def _mphrs_pair(alpha=0.5, lam=1.0):
-    b = BaselineSpec("gen_gamma", (0.5, 0.5))
+def _mphrs_pair(b=BaselineSpec("gen_gamma", (0.5, 0.5)), alpha=0.5, lam=1.0):
     m = SemiParamModel("mphrs", b, alpha=alpha, lam=lam)
     gen = GeneratorSpec("gumbel_barnett", 0.5)
     sx = SystemSpec(3, m, (0.3, 0.8, 1.5), gen)
@@ -393,17 +394,53 @@ def test_prop_mphrs_conclusion_also_fails_for_this_pair():
     assert gap.min() < -1e-5
 
 
-def test_prop_mphrs_alpha_validation():
+def test_prop_mphrs_alpha_above_1_fails_baseline_dpfr():
+    # no baseline is DPFR, so alpha > 1 needs no check of its own
     sx, sy = _mphrs_pair(alpha=1.5)
-    with pytest.raises(ValidationError):
-        verify_prop_mphrs(sx, sy, FAST)
+    rep = verify_prop_mphrs(sx, sy, FAST)
+    assert not rep.overall and rep.dominance is None
+    assert [c.name for c in rep.checks if not c.holds] == ["baseline_dpfr"]
 
 
-def test_prop_mphrs_wrong_kind_rejected():
+def test_prop_mphrs_wrong_kind_fails_baseline_dpfr():
+    # either proposition on a scale model: its baseline is no more DPFR than any
     m = SemiParamModel("scale", BaselineSpec("exponential", (1.0,)))
     s = SystemSpec(2, m, (1.0, 2.0), GeneratorSpec("independence"))
-    with pytest.raises(ValidationError):
-        verify_prop_mphrs(s, s, FAST)
+    for verifier in (verify_prop_mphrs, verify_prop_ls):
+        rep = verifier(s, s, FAST)
+        assert not rep.overall and rep.dominance is None
+        assert [c.name for c in rep.checks if not c.holds] == ["baseline_dpfr"]
+
+
+def _ls_pair():
+    m = SemiParamModel("ls", BaselineSpec("gen_gamma", (0.5, 0.5)), lam=1.0)
+    gen = GeneratorSpec("gumbel_barnett", 0.5)
+    return SystemSpec(3, m, (0.3, 0.8, 1.5), gen), SystemSpec(3, m, (0.5, 0.8, 1.0), gen)
+
+
+def _location_pair():
+    m = SemiParamModel("location", BaselineSpec("gen_pareto", (1.0,)))
+    s = SystemSpec(3, m, (1.0, 2.0, 4.0), GeneratorSpec("clayton", 2.0))
+    return s, s
+
+
+def _mphrs_probe_pair():
+    # alpha > 1 over a DFR baseline: the one shape case decided on a grid
+    return _mphrs_pair(BaselineSpec("weibull", (1.0, 0.8)), alpha=3.0)
+
+
+#: One pair per ROUTES row; a row added without a pair fails below.
+ROUTE_PAIRS = {"theorem1": _mphrs_probe_pair, "theorem2": _location_pair,
+               "prop_mphrs": _mphrs_pair, "prop_ls": _ls_pair}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_verify_reports_the_shape_deciders_record(route):
+    sx, sy = ROUTE_PAIRS[route]()
+    sign = ROUTES[route].sign
+    want = (check_dpfr(sx.model.baseline) if sign is None
+            else survival_shape(sx.model, sign, FAST.shape_x_grid))
+    assert verify(route, sx, sy, FAST).checks[3] == want
 
 
 def test_prop_ls_dpfr_fails_and_exponential_example():
@@ -463,13 +500,29 @@ def test_verify_evidence_names_the_deciding_rules():
         "shape=log_concave: log psi = (1 - e^t)/theta is concave")
 
 
-def test_prop_ls_mismatched_lambda_rejected():
+def test_prop_ls_mismatched_lambda_fails_shared_model():
     b = BaselineSpec("gen_gamma", (0.5, 0.5))
     gen = GeneratorSpec("gumbel_barnett", 0.5)
     sx = SystemSpec(2, SemiParamModel("ls", b, lam=1.0), (0.5, 1.0), gen)
     sy = SystemSpec(2, SemiParamModel("ls", b, lam=2.0), (0.5, 1.0), gen)
-    with pytest.raises(ValidationError):
-        verify_prop_ls(sx, sy, FAST)
+    rep = verify_prop_ls(sx, sy, FAST)
+    assert not rep.overall and rep.dominance is None
+    assert [c.name for c in rep.checks if not c.holds] == ["shared_model", "baseline_dpfr"]
+    assert rep.check("shared_model").evidence == (
+        "{'kind': 'ls', 'baseline': {'family': 'gen_gamma', 'params': [0.5, 0.5]}, "
+        "'fixed': {'lambda': 1.0}} vs {'kind': 'ls', 'baseline': {'family': "
+        "'gen_gamma', 'params': [0.5, 0.5]}, 'fixed': {'lambda': 2.0}}")
+
+
+def test_verify_shared_model_evidence_names_both_models():
+    gen = GeneratorSpec("clayton", 2.0)
+    sx, sy = (SystemSpec(3, SemiParamModel("scale", BaselineSpec("weibull", (1.0, shape))),
+                         (0.5, 1.0, 2.0), gen) for shape in (0.8, 0.7))
+    rep = verify_theorem1(sx, sy, FAST)
+    assert not rep.check("shared_model").holds
+    assert rep.check("shared_model").evidence == (
+        "{'kind': 'scale', 'baseline': {'family': 'weibull', 'params': [1.0, 0.8]}} vs "
+        "{'kind': 'scale', 'baseline': {'family': 'weibull', 'params': [1.0, 0.7]}}")
 
 
 def test_ls_survival_flat_below_location():

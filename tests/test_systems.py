@@ -669,7 +669,31 @@ def test_system_from_json_refuses_a_malformed_object(obj, message):
 def test_homogeneous_x2n_refuses_a_nan_u():
     with pytest.raises(ValidationError) as err:
         homogeneous_x2n(GeneratorSpec("clayton", 2.0), [0.5, np.nan], 3)
-    assert str(err.value) == "u contains NaN"
+    assert str(err.value) == "u nan outside [0, 1]"
+
+
+@pytest.mark.parametrize("u", [1.5, -0.2])
+def test_homogeneous_x2n_refuses_a_u_outside_0_1(u):
+    # the closed form clipped these to 1 and 0
+    with pytest.raises(ValidationError) as err:
+        homogeneous_x2n(GeneratorSpec("clayton", 2.0), u, 3)
+    assert str(err.value) == f"u {u} outside [0, 1]"
+
+
+@pytest.mark.parametrize("n", [1, 0, 2.5, True], ids=["1", "0", "2.5", "bool"])
+def test_homogeneous_x2n_refuses_the_n_a_system_refuses(n):
+    # n = 0 evaluated to NaN with a RuntimeWarning, the others to a number
+    with pytest.raises(ValidationError) as err:
+        homogeneous_x2n(GeneratorSpec("clayton", 2.0), 0.5, n)
+    with pytest.raises(ValidationError) as spec_err:
+        SystemSpec(n, SemiParamModel("scale", BaselineSpec("exponential", (1.0,))),
+                   (1.0, 2.0), GeneratorSpec("clayton", 2.0))
+    assert str(err.value) == str(spec_err.value)
+
+
+def test_homogeneous_x2n_takes_an_integral_float_n():
+    gen = GeneratorSpec("clayton", 2.0)
+    assert homogeneous_x2n(gen, 0.5, 3.0) == homogeneous_x2n(gen, 0.5, 3)
 
 
 def test_write_curve_csv_refuses_columns_of_other_lengths(tmp_path):

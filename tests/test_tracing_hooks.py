@@ -7,8 +7,8 @@ counters read the positional arguments of the calls they wrap, so a traced
 run of the verifiers must go through without an error and report every
 per-layer metric that BENCHMARK.json lists.  The ``.cells`` counters of the
 two condition-2 probes read the probes' positional arguments, so the
-verifiers must leave the probes alone and decide the same verdict the probes
-give when called positionally.
+verifiers must leave the probes alone and report the same record the probes
+return when called positionally.
 """
 
 import importlib
@@ -99,7 +99,7 @@ def test_traced_verifiers_report_every_layer(tracing):
 def test_condition2_probes_take_grids_positionally(monkeypatch, route, pair, probe):
     """The ``.cells`` counters read a probe's args[1] and args[2]: verify
     must not call the probe (it reads the shape tables directly), and the
-    probe called as (model, grid, tol) positionally must give the verdict
+    probe called as (model, grid, tol) positionally must return the record
     verify reports as ``survival_shape``."""
     from failsafekit import demos, models, ordering
     from failsafekit.gridpolicy import GridPolicy
@@ -124,5 +124,4 @@ def test_condition2_probes_take_grids_positionally(monkeypatch, route, pair, pro
     model, grid, tol = args
     assert model == sx.model and tol == models.SHAPE_TOL
     assert np.shape(grid(model)) == (models.PROBE_POINTS,)
-    shape = next(c for c in report.checks if c.name == "survival_shape")
-    assert (shape.holds, shape.evidence) == (verdict.holds, verdict.rule)
+    assert report.check("survival_shape") == verdict
