@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, the one check of a
-spec's scalar fields that raises it, and their JSON-ready form."""
+"""Exception hierarchy shared across the package, the checks of a spec's
+scalar fields that raise it, and their JSON-ready form."""
 
 import math
 import numbers
@@ -52,6 +52,17 @@ def real_number(value, what: str) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def whole_number(value, what: str) -> int:
+    """value as a Python int, when it is an integer: a Python or numpy int,
+    or a float of integral value (a JSON Schema integer, as 3.0), not a
+    bool.  Anything else is a ValidationError naming ``what``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def plain_number(value):

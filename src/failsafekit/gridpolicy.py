@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, real_number
 from .models import SemiParamModel, _check_points, bulk_grid, default_x_grid
 
 
@@ -21,7 +21,9 @@ class GridPolicy:
     crossing_gap: float = 1e-8
 
     def __post_init__(self):
-        _check_points(self.curve_points)
+        object.__setattr__(self, "curve_points", _check_points(self.curve_points))
+        for name in ("dominance_tol", "crossing_gap"):
+            object.__setattr__(self, name, real_number(getattr(self, name), name))
         if not (self.dominance_tol >= 0.0 and self.crossing_gap >= 0.0):  # NaN fails too
             raise ValidationError("dominance and crossing tolerances must be nonnegative")
 

@@ -11,6 +11,17 @@ Verifiers never claim dominance from hypotheses alone: when every
 hypothesis verifies they evaluate both curves and confirm on the grid,
 escalating disagreement as InconsistencyError.  The implementation is its
 own audit.
+
+A verdict reads the min and max of the gap S_X - S_Y over the policy grid.
+When the grid fits in one block of the survival kernel it is evaluated in
+one call.  A wider grid is evaluated in two: every _STRIDE-th point and
+the last first, then the interior of each interval that could still hold
+the min or the max gap.  Both survivals are nonincreasing, so on
+[x_a, x_b] the gap lies in [S_X(x_b) - S_Y(x_a), S_X(x_a) - S_Y(x_b)],
+widened by a slack of 2 ``systems.CLAMP_TOL`` for the rounding rises the
+curve checks let through.  Every point gets the same bits in any call, so
+the verdict equals the one from the whole grid; a crossing is still
+bracketed on the whole grid.
 """
 
 from __future__ import annotations
@@ -25,7 +36,12 @@ from .generators import classify_log_shape, is_log_concave, is_log_convex
 from .gridpolicy import GridPolicy
 from .models import HypothesisCheck, check_dpfr, survival_shape
 from .preorders import Preorder, holds
-from .systems import SurvivalCurve, SystemSpec, _lifetimes, _survivals, curves, default_grid
+from .systems import (CLAMP_TOL, SurvivalCurve, SystemSpec, _block_columns, _check_survival,
+                      _grid, _lifetimes, _survivals, curves, default_grid)
+
+#: A verdict over more than one kernel block first evaluates every _STRIDE-th
+#: grid point and the last; see ``_grid_verdict``.
+_STRIDE = 8
 
 
 class Relation(enum.Enum):
@@ -66,23 +82,64 @@ def compare_curves(
     if cx.xs is not cy.xs and not np.array_equal(cx.xs, cy.xs):
         raise ValidationError("curves live on different grids")
     policy = policy or GridPolicy()
-    tol, crossing_gap = policy.dominance_tol, policy.crossing_gap
     xs = cx.xs
     gap = cx.values - cy.values  # finite: SurvivalCurve refuses NaN
     min_gap, max_gap = float(gap.min()), float(gap.max())
-    wiggle = max(tol, crossing_gap)
-    crossings = ()
-    if max_gap <= tol and min_gap >= -tol:
-        relation = Relation.TIES_WITHIN_TOL
-    elif max_gap > tol and min_gap >= -wiggle:
-        relation = Relation.X_DOMINATES_Y
-    elif max_gap <= wiggle:
-        relation = Relation.Y_DOMINATES_X
-    else:
-        # both signs reach beyond crossing_gap, so some pair brackets a change
-        relation = Relation.CROSSING
-        crossings = _bracket_crossings(xs, gap, crossing_gap)
+    relation = _relation(min_gap, max_gap, policy)
+    # both signs reach beyond crossing_gap, so some pair brackets a change
+    crossings = (_bracket_crossings(xs, gap, policy.crossing_gap)
+                 if relation is Relation.CROSSING else ())
     return DominanceVerdict(relation, min_gap, max_gap, crossings, xs.size)
+
+
+def _relation(min_gap: float, max_gap: float, policy: GridPolicy) -> Relation:
+    """The relation of a gap that spans [min_gap, max_gap] under policy.
+
+    CROSSING is max_gap > wiggle and min_gap < -wiggle, so the extremes of
+    any subset of the points that shows it show it on the whole grid too.
+    """
+    tol = policy.dominance_tol
+    wiggle = max(tol, policy.crossing_gap)
+    if max_gap <= tol and min_gap >= -tol:
+        return Relation.TIES_WITHIN_TOL
+    if max_gap > tol and min_gap >= -wiggle:
+        return Relation.X_DOMINATES_Y
+    if max_gap <= wiggle:
+        return Relation.Y_DOMINATES_X
+    return Relation.CROSSING  # NaN too, which the full grid then refuses
+
+
+def _grid_verdict(systems, xs: np.ndarray, policy: GridPolicy) -> DominanceVerdict:
+    """``compare_curves(*curves(systems, xs), policy)`` for the two systems
+    of a verdict, from the two passes of the module docstring when the grid
+    spans more than one kernel block."""
+    if _block_columns(systems[0].n, len(systems)) >= xs.size:  # one kernel block
+        return compare_curves(*curves(systems, xs), policy)
+    grid = _grid(xs)
+    coarse = np.r_[0:grid.size - 1:_STRIDE, grid.size - 1]
+    sx, sy = _survivals(systems, grid[coarse])
+    gap = sx - sy
+    lo, hi = gap.min(), gap.max()
+    if _relation(lo, hi, policy) is not Relation.CROSSING:
+        slack = 2.0 * CLAMP_TOL
+        reach = (sx[1:] - sy[:-1] - slack <= lo) | (sx[:-1] - sy[1:] + slack >= hi)
+        # every point but the last, flagged by the interval it starts or lies in
+        inside = np.repeat(reach, np.diff(coarse))
+        inside[coarse[:-1]] = False
+        fine = np.flatnonzero(inside)
+        vals = np.empty((2, grid.size))
+        vals[:, coarse] = sx, sy
+        vals[:, fine] = _survivals(systems, grid[fine])
+        vals = vals[:, np.sort(np.concatenate((coarse, fine)))]
+        for v in vals:  # the SurvivalCurve checks, on every evaluated point in x order
+            _check_survival(v)
+        gap = vals[0] - vals[1]
+        min_gap, max_gap = float(gap.min()), float(gap.max())
+        relation = _relation(min_gap, max_gap, policy)
+        if relation is not Relation.CROSSING:
+            return DominanceVerdict(relation, min_gap, max_gap, (), grid.size)
+    # a crossing is bracketed on the whole grid
+    return compare_curves(*curves(systems, grid), policy)
 
 
 def _bracket_crossings(xs, gap, thresh) -> tuple[tuple[float, float], ...]:
@@ -189,7 +246,7 @@ def verify(
         return ConditionReport(route, checks, overall, None)
     xs = policy.curve_grid(mx, sysX.theta, sysY.theta)
     # the hypotheses above hold, so the two systems share model, generator and n
-    dominance = compare_curves(*curves((sysX, sysY), xs), policy)
+    dominance = _grid_verdict((sysX, sysY), xs, policy)
     report = ConditionReport(route, checks, overall, dominance)
     if dominance.relation not in (Relation.X_DOMINATES_Y, Relation.TIES_WITHIN_TOL):
         raise InconsistencyError(

@@ -44,12 +44,11 @@ where every component is dead sums to 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, real_number
+from .errors import ValidationError, real_number, whole_number
 from .generators import GeneratorSpec, _phi, _psi
 from .gridpolicy import GridPolicy
 from .models import BaselineSpec, SemiParamModel, _sp_survival, bulk_grid
@@ -64,13 +63,10 @@ _BLOCK_BYTES = 1 << 17
 
 def _system_n(n) -> int:
     """A component count as an int; anything but an integer >= 2 is refused."""
-    if isinstance(n, float) and n.is_integer():  # a JSON Schema integer, as 3.0
-        n = int(n)
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValidationError(f"system n must be an integer, got {n!r}")
+    n = whole_number(n, "system n")
     if n < 2:
         raise ValidationError("a system needs at least 2 components")
-    return int(n)
+    return n
 
 
 @dataclass(frozen=True)
@@ -172,15 +168,21 @@ class SurvivalCurve:
     def _set(self, xs, vals):
         if vals.shape != xs.shape:
             raise ValidationError("curve needs one survival value per grid point")
-        # NaN propagates through min and max, so it is refused with the
-        # out-of-range values
-        if not (vals.min() >= -CLAMP_TOL and vals.max() <= 1.0 + CLAMP_TOL):
-            raise ValidationError("survival values leave [0, 1] or are NaN")
-        if (vals[1:] - vals[:-1]).max() > CLAMP_TOL:
-            raise ValidationError("survival values are not nonincreasing")
+        _check_survival(vals)
         vals.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", vals)
+
+
+def _check_survival(vals: np.ndarray) -> None:
+    """Refuse survival values, two or more in x order, that leave [0, 1] or
+    rise by more than CLAMP_TOL."""
+    # NaN propagates through min and max, so it is refused with the
+    # out-of-range values
+    if not (vals.min() >= -CLAMP_TOL and vals.max() <= 1.0 + CLAMP_TOL):
+        raise ValidationError("survival values leave [0, 1] or are NaN")
+    if (vals[1:] - vals[:-1]).max() > CLAMP_TOL:
+        raise ValidationError("survival values are not nonincreasing")
 
 
 def _block_columns(n: int, k: int) -> int:

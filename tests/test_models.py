@@ -614,6 +614,14 @@ def test_grid_builders_need_two_points(points):
             build()
 
 
+@pytest.mark.parametrize("points", [4.5, 1000.5, False, "10"])
+def test_grid_builders_need_an_integer_point_count(points):
+    m = SemiParamModel("scale", BaselineSpec("weibull", (1.0, 0.8)))
+    for build in (lambda: bulk_grid([(m, 1.0)], points), lambda: linear_grid(0.0, 1.0, points)):
+        with pytest.raises(ValidationError, match="curve_points must be an integer"):
+            build()
+
+
 @pytest.mark.parametrize("x_min, x_max", [(2.0, 1.0), (1.0, 1.0), (-0.5, 1.0), (math.nan, 1.0),
                                           (0.0, math.nan)])
 def test_linear_grid_needs_an_ordered_nonnegative_range(x_min, x_max):

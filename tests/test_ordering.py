@@ -21,10 +21,11 @@ from failsafekit import (
     verify_theorem1,
     verify_theorem2,
 )
+from failsafekit import ordering, systems
 from failsafekit.demos import clayton_pair, demo_grid, gumbel_barnett_pair
 from failsafekit.models import check_dpfr, survival_shape
 from failsafekit.ordering import (ROUTES, ConditionReport, DominanceVerdict, _bracket_crossings,
-                                  verify)
+                                  _grid_verdict, verify)
 
 FAST = GridPolicy(curve_points=400)
 
@@ -531,6 +532,115 @@ def test_ls_survival_flat_below_location():
     from failsafekit import sp_survival
     assert sp_survival(m, 0.5, 2.0) == 1.0
     assert sp_survival(m, 1.0, 2.0) == 1.0
+
+
+# ------------------------------------- verdicts on multi-block grids
+# A grid wider than one kernel block is evaluated in two passes; the verdict
+# must equal the one from every point of the grid, field for field.
+LOG_CONCAVE = (GeneratorSpec("gumbel_barnett", 0.5), GeneratorSpec("gumbel_hougaard", 2.0),
+               GeneratorSpec("amh", -0.5))
+DFR_BASELINES = (BaselineSpec("exp_weibull", (0.6, 0.45)), BaselineSpec("gen_pareto", (1.7,)),
+                 BaselineSpec("burr", (0.7, 1.9)), BaselineSpec("gen_gamma", (0.9, 0.35)))
+# theorem-2 pairs over location gen_pareto(1) under clayton(2), whose
+# hypotheses hold: Y above X, and a crossing
+T2_Y_ABOVE = ((1.56, 0.58, 0.26, 0.12, 0.37, 0.4, 0.12, 0.12, 2.99, 0.92, 0.22),
+              (0.44, 2.75, 2.12, 1.77, 0.38, 0.53, 1.0, 0.12, 0.66, 0.25, 1.99))
+T2_CROSSING = ((0.12, 1.01, 1.93, 0.22, 2.1, 1.94, 0.11, 1.11, 0.1, 0.55, 0.44, 0.2),
+               (0.3, 1.55, 0.29, 0.17, 1.08, 0.46, 1.51, 0.22, 0.3, 1.52, 0.56, 0.56))
+
+
+def _scale_pair(rng, baseline, gen, n):
+    """X log-uniform in [0.1, 3] and Y = X with every entry scaled by >= 1:
+    the theorem-1 hypotheses hold under a log-concave generator."""
+    a = np.exp(rng.uniform(np.log(0.1), np.log(3.0), n))
+    m = SemiParamModel("scale", baseline)
+    return (SystemSpec(n, m, tuple(a.tolist()), gen),
+            SystemSpec(n, m, tuple((a * rng.uniform(1.0, 2.0, n)).tolist()), gen))
+
+
+def _verified(route, sx, sy, policy=GridPolicy()):
+    """The dominance verify reports, or attaches to its InconsistencyError."""
+    try:
+        return verify(route, sx, sy, policy).dominance
+    except InconsistencyError as exc:
+        return exc.report.dominance
+
+
+def _full_grid(sx, sy, policy=GridPolicy()):
+    xs = policy.curve_grid(sx.model, sx.theta, sy.theta)
+    return compare_curves(*curves((sx, sy), xs), policy)
+
+
+@pytest.mark.parametrize("baseline", DFR_BASELINES, ids=lambda b: b.family)
+def test_large_verdicts_equal_the_full_grid_over_each_dfr_baseline(baseline):
+    rng = np.random.default_rng(list(map(ord, baseline.family)))
+    for gen in LOG_CONCAVE:
+        for _ in range(2):
+            sx, sy = _scale_pair(rng, baseline, gen, int(rng.integers(20, 51)))
+            assert systems._block_columns(sx.n, 2) < GridPolicy().curve_points
+            got = _verified("theorem1", sx, sy)
+            assert got is not None and got == _full_grid(sx, sy)
+            # swapped, the preorder fails and verify draws no curve, so the
+            # engine it calls is compared directly
+            xs = GridPolicy().curve_grid(sx.model, sy.theta, sx.theta)
+            swapped = _grid_verdict((sy, sx), xs, GridPolicy())
+            assert swapped == _full_grid(sy, sx)
+            assert swapped.relation is Relation.Y_DOMINATES_X
+
+
+def test_large_verdict_of_identical_systems_ties_as_the_full_grid():
+    sx, _ = _scale_pair(np.random.default_rng(8), DFR_BASELINES[2], LOG_CONCAVE[1], 30)
+    got = _verified("theorem1", sx, sx)
+    assert got == _full_grid(sx, sx)
+    assert got.relation is Relation.TIES_WITHIN_TOL and got.min_gap == got.max_gap == 0.0
+
+
+@pytest.mark.parametrize("thetas, relation", [(T2_Y_ABOVE, Relation.Y_DOMINATES_X),
+                                              (T2_CROSSING, Relation.CROSSING)])
+def test_large_inconsistent_verdicts_equal_the_full_grid(thetas, relation):
+    m = SemiParamModel("location", BaselineSpec("gen_pareto", (1.0,)))
+    sx, sy = (SystemSpec(len(t), m, t, GeneratorSpec("clayton", 2.0)) for t in thetas)
+    assert sx.n >= 9 and systems._block_columns(sx.n, 2) < GridPolicy().curve_points
+    got = _verified("theorem2", sx, sy)
+    assert got == _full_grid(sx, sy)
+    assert got.relation is relation and bool(got.crossings) == (relation is Relation.CROSSING)
+
+
+def test_small_system_on_a_fine_grid_equals_the_full_grid():
+    policy = GridPolicy(curve_points=5000)
+    sx, sy = _scale_pair(np.random.default_rng(5), DFR_BASELINES[0], LOG_CONCAVE[0], 5)
+    assert systems._block_columns(5, 2) < policy.curve_points
+    assert _verified("theorem1", sx, sy, policy) == _full_grid(sx, sy, policy)
+
+
+def test_verdicts_equal_the_full_grid_at_one_block_and_just_past_it():
+    n = 9
+    sx, sy = _scale_pair(np.random.default_rng(9), DFR_BASELINES[3], LOG_CONCAVE[2], n)
+    for points in (systems._block_columns(n, 2), systems._block_columns(n, 2) + 1):
+        policy = GridPolicy(curve_points=points)
+        assert _verified("theorem1", sx, sy, policy) == _full_grid(sx, sy, policy)
+
+
+def test_only_a_multi_block_grid_skips_points(monkeypatch):
+    sizes = []
+    kernel = systems._survivals
+
+    def counting(specs, x):
+        sizes.append(x.size)
+        return kernel(specs, x)
+
+    # curves calls the kernel of systems, the second pass the name ordering imported
+    monkeypatch.setattr(systems, "_survivals", counting)
+    monkeypatch.setattr(ordering, "_survivals", counting)
+    rng = np.random.default_rng(4)
+    small = _scale_pair(rng, DFR_BASELINES[1], LOG_CONCAVE[1], 4)
+    assert verify("theorem1", *small).dominance.grid_size == 1000
+    assert sizes == [1000]
+    sizes.clear()
+    large = _scale_pair(rng, DFR_BASELINES[1], LOG_CONCAVE[1], 40)
+    dom = verify("theorem1", *large).dominance
+    assert dom.relation is Relation.X_DOMINATES_Y and dom.grid_size == 1000
+    assert len(sizes) == 2 and sum(sizes) < 1000
 
 
 # ------------------------------------------------------------ Schur probe

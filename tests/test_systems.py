@@ -445,6 +445,25 @@ def test_grid_policy_needs_two_curve_points(points):
         GridPolicy(curve_points=points)
 
 
+@pytest.mark.parametrize("points", [1000.5, True, "1000", None])
+def test_grid_policy_needs_an_integer_point_count(points):
+    # 1000.5 once built a 1001-point grid whose last step was half the others
+    with pytest.raises(ValidationError, match="curve_points must be an integer"):
+        GridPolicy(curve_points=points)
+
+
+def test_grid_policy_takes_an_integral_float_point_count_as_its_int():
+    policy = GridPolicy(curve_points=300.0)
+    assert type(policy.curve_points) is int and policy == GridPolicy(curve_points=300)
+
+
+@pytest.mark.parametrize("field, value", [("dominance_tol", "1e-10"), ("crossing_gap", None),
+                                          ("dominance_tol", True), ("crossing_gap", [1e-8])])
+def test_grid_policy_needs_numeric_tolerances(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be a number"):
+        GridPolicy(**{field: value})
+
+
 def _per_theta_curve_grid(policy, model, *theta_vectors):
     """Reference: the grid rule with two scalar quantile calls per theta."""
     los, his = [], []
