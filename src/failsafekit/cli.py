@@ -3,12 +3,13 @@
 Subcommands: preorder, curve, verify, simulate, fit.  Every subcommand is
 deterministic given identical inputs, flags and seeds.  Exit codes: 0
 success, 1 hypothesis failure (verify), 2 validation/input error (also a
-fit report written with a copula the bootstrap cannot sample skipped), 3
-inconsistency (hypotheses verified but dominance failed; release
-blocking).  JSON goes to stdout unless --out is given; CSVs end lines
-with CRLF; files are written atomically (temp + rename) after creating
-their parent directory; a path that cannot be written exits 2.  The
-default seed comes from FAILSAFEKIT_SEED when set.
+fit report written with a copula the bootstrap cannot sample skipped, and
+a request too large to allocate, as --points or --count), 3 inconsistency
+(hypotheses verified but dominance failed; release blocking).  JSON goes
+to stdout unless --out is given; CSVs end lines with CRLF; files are
+written atomically (temp + rename) after creating their parent
+directory; a path that cannot be written exits 2.  The default seed
+comes from FAILSAFEKIT_SEED when set.
 """
 
 from __future__ import annotations
@@ -268,12 +269,17 @@ def _parse_subsets(raw: str, labels) -> dict[str, tuple[str, ...]]:
     out = {}
     for group in raw.split(";"):
         names = tuple(w.strip() for w in group.split(",") if w.strip())
+        label = "{" + ",".join(names) + "}"
         if not names:
             raise ValidationError("empty subset in --subsets")
         for w in names:
             if w not in labels:
                 raise ValidationError(f"subset component {w!r} not in dataset {sorted(labels)}")
-        out["{" + ",".join(names) + "}"] = names
+        if len(set(names)) < len(names):
+            raise ValidationError(f"subset {label} names a component twice")
+        if any(set(v) == set(names) for v in out.values()):
+            raise ValidationError(f"subset {label} repeats an earlier subset's components")
+        out[label] = names
     if len(out) < 2:
         raise ValidationError("--subsets needs at least two groups, separated by ';'")
     sizes = {len(v) for v in out.values()}
@@ -500,6 +506,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # a grid or sample too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except UnsupportedGeneratorError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, the checks of a spec's
-scalar fields that raise it, and their JSON-ready form."""
+"""Exception hierarchy shared across the package, the checks of scalar
+inputs (numbers, counts, tolerances) that raise it, and their JSON-ready
+form."""
 
 import math
 import numbers
@@ -54,15 +55,28 @@ def real_number(value, what: str) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def whole_number(value, what: str) -> int:
-    """value as a Python int, when it is an integer: a Python or numpy int,
-    or a float of integral value (a JSON Schema integer, as 3.0), not a
-    bool.  Anything else is a ValidationError naming ``what``."""
+def nonnegative_number(value, what: str) -> float:
+    """value as a Python float (see ``real_number``), when it is 0 or more;
+    a negative value or NaN is a ValidationError naming ``what``."""
+    value = real_number(value, what)
+    if not value >= 0.0:  # NaN fails the comparison
+        raise ValidationError(f"{what} must be nonnegative, got {value}")
+    return value
+
+
+def whole_number(value, what: str, minimum: int | None = None) -> int:
+    """value as a Python int, when it is an integer of at least ``minimum``:
+    a Python or numpy int, or a float of integral value (a JSON Schema
+    integer, as 3.0), not a bool.  Anything else is a ValidationError
+    naming ``what``."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{what} must be at least {minimum}, got {value}")
+    return value
 
 
 def plain_number(value):

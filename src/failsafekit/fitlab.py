@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InconsistencyError, ValidationError, real_number
+from .errors import InconsistencyError, ValidationError, real_number, whole_number
 from .generators import COPULA_FAMILIES, GeneratorSpec, _phi, _psi
 from .mcsim import THETA_MAX, _draw_times, check_seed
 from .models import _FAMILIES, FIT_FAMILIES
@@ -525,8 +525,7 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
     whose mean tau leaves the family's range counts as out of range; any
     other error propagates.
     """
-    if boot_n < 100:
-        raise ValidationError("boot_n must be at least 100")
+    boot_n = whole_number(boot_n, "boot_n", 100)
     seed = check_seed(seed)
     arr = np.asarray(pseudo, dtype=float)
     theta = fit_copula(family, arr, method)

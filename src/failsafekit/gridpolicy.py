@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, real_number
-from .models import SemiParamModel, _check_points, bulk_grid, default_x_grid
+from .errors import nonnegative_number, whole_number
+from .models import SemiParamModel, bulk_grid, default_x_grid
 
 
 @dataclass(frozen=True)
@@ -21,11 +21,9 @@ class GridPolicy:
     crossing_gap: float = 1e-8
 
     def __post_init__(self):
-        object.__setattr__(self, "curve_points", _check_points(self.curve_points))
+        object.__setattr__(self, "curve_points", whole_number(self.curve_points, "curve_points", 2))
         for name in ("dominance_tol", "crossing_gap"):
-            object.__setattr__(self, name, real_number(getattr(self, name), name))
-        if not (self.dominance_tol >= 0.0 and self.crossing_gap >= 0.0):  # NaN fails too
-            raise ValidationError("dominance and crossing tolerances must be nonnegative")
+            object.__setattr__(self, name, nonnegative_number(getattr(self, name), name))
 
     def curve_grid(self, model: SemiParamModel, *theta_vectors) -> np.ndarray:
         """``models.bulk_grid`` over every component, at curve_points."""

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedGeneratorError, ValidationError
+from .errors import UnsupportedGeneratorError, ValidationError, whole_number
 from .generators import GeneratorSpec, is_independence, psi
 from .models import _log1mexp, sp_inverse_log_survival
 from .systems import SystemSpec, _lifetimes
@@ -104,8 +104,6 @@ def _sample_log_series(r: float, count: int, rng) -> np.ndarray:
 def _draw_times(g: GeneratorSpec, n: int, count: int, seed: int) -> np.ndarray:
     """The count x n generator arguments E / V of one seed, or E where g has
     no frailty; psi of them are the uniforms."""
-    if n < 1 or count < 1:
-        raise ValidationError("n and count must be positive")
     limit = THETA_MAX.get(g.family)
     if limit is not None and g.theta > limit:
         raise UnsupportedGeneratorError(
@@ -141,6 +139,7 @@ def _draw_times(g: GeneratorSpec, n: int, count: int, seed: int) -> np.ndarray:
 
 def sample_copula(g: GeneratorSpec, n: int, count: int, seed: int) -> SampleBatch:
     """Draw count rows of n dependent uniforms with copula generator g."""
+    n, count = whole_number(n, "n", 1), whole_number(count, "count", 1)
     seed = check_seed(seed)
     # psi checks t; the clip keeps uniforms inside (0, 1) for inversion
     u = np.clip(psi(g, _draw_times(g, n, count, seed)), 1e-15, 1.0 - 1e-16)

@@ -65,7 +65,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, plain_number, real_number, whole_number
+from .errors import ValidationError, nonnegative_number, plain_number, real_number, whole_number
 
 
 def _log1mexp(a):
@@ -580,18 +580,10 @@ PROBE_POINTS = 200
 CURVE_FLOOR = 1e-9
 
 
-def _check_points(points) -> int:
-    """A grid's point count as an int; anything but an integer >= 2 is refused."""
-    points = whole_number(points, "curve_points")
-    if points < 2:
-        raise ValidationError(f"curve_points must be at least 2, got {points}")
-    return points
-
-
 def bulk_grid(entries, points: int) -> np.ndarray:
     """``points`` log-spaced lifetimes from the smallest BULK_Q_LO (if positive, else
     hi * CURVE_FLOOR) to the largest BULK_Q_HI quantile over every (model, thetas) entry."""
-    points = _check_points(points)
+    points = whole_number(points, "curve_points", 2)
     # one quantile call per entry for both ends: gamma's inverse costs per call
     ends = [sp_quantile(m, [[BULK_Q_LO], [BULK_Q_HI]], th) for m, th in entries]
     ends = ends[0] if len(ends) == 1 else np.concatenate(ends, axis=1)
@@ -622,7 +614,7 @@ def linear_grid(x_min: float, x_max: float, points: int) -> np.ndarray:
     """``points`` evenly spaced lifetimes over [x_min, x_max], from x_max / points if x_min is 0."""
     if not 0.0 <= x_min < x_max:  # NaN fails the comparison
         raise ValidationError("need 0 <= x-min < x-max")
-    points = _check_points(points)
+    points = whole_number(points, "curve_points", 2)
     return np.linspace(x_min if x_min > 0 else x_max / points, x_max, points)
 
 
@@ -658,6 +650,7 @@ def survival_shape(m: SemiParamModel, sign: str, grid=None, tol: float = SHAPE_T
     over a DFR one the hazard of F(x; 1), a scale family in theta, is probed
     on ``grid(m)`` (default: the baseline's bulk).  No other case evaluates
     the model."""
+    tol = nonnegative_number(tol, "tol")
     kind_sign = _KIND_MAP[m.kind][1]
     if kind_sign != sign:
         return HypothesisCheck("survival_shape", False,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistencyError, ValidationError
+from .errors import InconsistencyError, ValidationError, real_number
 from .generators import classify_log_shape, is_log_concave, is_log_convex
 from .gridpolicy import GridPolicy
 from .models import HypothesisCheck, check_dpfr, survival_shape
@@ -294,8 +294,9 @@ def schur_condition_probe(sys: SystemSpec, step: float = 1e-5, xs=None) -> float
     relative step.  Schur-convexity of S in a demands the result be >= 0;
     a symmetric point returns exactly 0.
     """
-    if step < 1e-9:
-        raise ValidationError("relative step below float resolution")
+    step = real_number(step, "step")
+    if not 1e-9 <= step < np.inf:  # NaN fails too
+        raise ValidationError(f"step must be finite and at least 1e-9, got {step}")
     th = np.asarray(sys.theta, dtype=float)
     if np.any(th <= 0.0):
         raise ValidationError("log-parameter probe needs positive thetas")

@@ -29,7 +29,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, nonnegative_number
 
 DEFAULT_TOL = 1e-12
 
@@ -73,8 +73,7 @@ def holds(kind: Preorder, a, b, tol: float = DEFAULT_TOL) -> bool:
     side of ``b``'s, within ``tol``.  Majorization additionally requires
     equal totals.
     """
-    if not tol >= 0.0:  # NaN fails too
-        raise ValidationError("tol must be nonnegative")
+    tol = nonnegative_number(tol, "tol")
     sa, sb = _checked_pair(a, b)
     if kind in POSITIVE_ONLY and (sa[0] <= 0.0 or sb[0] <= 0.0):
         raise ValidationError(f"{kind.value} requires strictly positive entries")

@@ -61,14 +61,6 @@ CLAMP_TOL = 1e-10
 _BLOCK_BYTES = 1 << 17
 
 
-def _system_n(n) -> int:
-    """A component count as an int; anything but an integer >= 2 is refused."""
-    n = whole_number(n, "system n")
-    if n < 2:
-        raise ValidationError("a system needs at least 2 components")
-    return n
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     """n components: one model, one parameter vector, one generator."""
@@ -79,7 +71,7 @@ class SystemSpec:
     generator: GeneratorSpec
 
     def __post_init__(self):
-        n = _system_n(self.n)
+        n = whole_number(self.n, "system n", 2)
         theta = tuple(real_number(t, "system theta entry") for t in self.theta)
         if len(theta) != n:
             raise ValidationError(f"theta length {len(theta)} != n={n}")
@@ -274,7 +266,7 @@ def curves(systems, xs) -> tuple[SurvivalCurve, ...]:
 def homogeneous_x2n(gen: GeneratorSpec, u, n: int):
     """Closed form for n identical marginals u in [0, 1], NaN refused, and an n
     ``SystemSpec`` takes: n psi((n-1)phi(u)) - (n-1)psi(n phi(u)), 0 at u = 0."""
-    n = _system_n(n)
+    n = whole_number(n, "system n", 2)
     uu = np.atleast_1d(np.asarray(u, dtype=float))
     ok = (uu >= 0.0) & (uu <= 1.0)  # NaN fails both
     if not ok.all():

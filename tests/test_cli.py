@@ -699,6 +699,13 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
     (_FIT + ["--subsets", "w1,w2;"], {}, "empty subset in --subsets"),
     (_FIT + ["--subsets", "w1,w2"], {}, "needs at least two groups"),
     (_FIT + ["--subsets", "w1,w2;w3"], {}, "subsets must share size"),
+    # one wire named twice once counted as a 2-wire group
+    (_FIT + ["--subsets", "w1,w1;w2,w3"], {}, "subset {w1,w1} names a component twice"),
+    # a repeated group was merged into the first, leaving one
+    (_FIT + ["--subsets", "w1,w2;w1,w2"], {},
+     "subset {w1,w2} repeats an earlier subset's components"),
+    (_FIT + ["--subsets", "w1,w2;w3,w4;w2,w1"], {},
+     "subset {w2,w1} repeats an earlier subset's components"),
     (["curve", "{spec}", "--config"], {}, "--config needs a path"),
     (["--conf", "{conf}", "curve", "{spec}"], {}, "write --config in full, not --conf"),
     (["--config", "{conf}", "curve", "{spec}"], {}, "config must be a JSON object"),
@@ -706,19 +713,29 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
      "tol must be nonnegative"),
     # clayton is log-convex, so theorem 1's hypotheses fail before any curve is compared
     (["verify", "t1", "{cx}", "{cy}", "--tol-crossing", "-1"], {},
-     "tolerances must be nonnegative"),
+     "crossing_gap must be nonnegative, got -1.0"),
     (["verify", "t1", "{spec}", "{spec}", "--tol-dominance", "nan"], {},
-     "tolerances must be nonnegative"),
+     "dominance_tol must be nonnegative, got nan"),
     (_FIT + ["--seed", "-1"], {}, "--seed must lie in [0, 2**64), got -1"),
     (["simulate", "{spec}", "--count", "100", "--seed", "-1"], {},
      "--seed must lie in [0, 2**64), got -1"),
     (_FIT, {"FAILSAFEKIT_SEED": "-3"}, "FAILSAFEKIT_SEED must lie in [0, 2**64), got -3"),
+    # 10**17 float64 values (about 710 PiB) exceed any address space, so numpy
+    # refuses the allocation at once; these exited 1 with a traceback
+    (["verify", "t1", "{spec}", "{spec}", "--points", str(10 ** 17)], {},
+     "error: out of memory: "),
+    (["curve", "{spec}", "--points", str(10 ** 17), "--out", "{out}"], {},
+     "error: out of memory: "),
+    (["simulate", "{cx}", "--count", str(10 ** 17), "--seed", "1"], {},
+     "error: out of memory: "),
 ], ids=["env-seed", "vector-twice", "vector-empty", "vector-non-numeric", "x-range",
         "x-range-no-points", "bulk-one-point",
         "curve-no-system", "curve-no-out", "subsets-empty-group", "subsets-one-group",
-        "subsets-unequal", "config-no-path", "config-abbreviated", "config-not-object",
+        "subsets-unequal", "subsets-repeated-wire", "subsets-repeated-group",
+        "subsets-reordered-group", "config-no-path", "config-abbreviated", "config-not-object",
         "preorder-nan-tol", "verify-negative-tol", "verify-nan-tol", "fit-negative-seed",
-        "simulate-negative-seed", "env-negative-seed"])
+        "simulate-negative-seed", "env-negative-seed", "verify-oversized-grid",
+        "curve-oversized-grid", "simulate-oversized-count"])
 def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env, fragment):
     sx, _ = gumbel_barnett_pair()
     cx, cy = clayton_pair()

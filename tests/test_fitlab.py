@@ -536,6 +536,31 @@ def test_cvm_boot_n_floor():
         cvm_gof("clayton", pseudo_observations(u), boot_n=10, seed=1)
 
 
+@pytest.mark.parametrize("boot_n, message", [
+    (150.5, "boot_n must be an integer, got 150.5"),
+    (True, "boot_n must be an integer, got True"),
+    ("150", "boot_n must be an integer, got '150'"),
+    (np.nan, "boot_n must be an integer, got nan"),
+    (99, "boot_n must be at least 100, got 99"),
+], ids=["fraction", "bool", "string", "nan", "below-minimum"])
+def test_cvm_gof_refuses_a_malformed_boot_n(boot_n, message):
+    # the fraction, the string and NaN raised a bare TypeError; True read as 1
+    u = sample_copula(GeneratorSpec("clayton", 1.0), 2, 50, seed=6).uniforms
+    with pytest.raises(ValidationError) as err:
+        cvm_gof("clayton", pseudo_observations(u), boot_n=boot_n, seed=1)
+    assert str(err.value) == message
+
+
+def test_cvm_gof_takes_an_integral_float_boot_n_as_its_int():
+    ps = pseudo_observations(sample_copula(GeneratorSpec("clayton", 1.0), 3, 40, seed=6).uniforms)
+    want = cvm_gof("clayton", ps, boot_n=150, seed=1)
+    got = cvm_gof("clayton", ps, boot_n=150.0, seed=1)
+    assert type(got.bootstrap_n) is int
+    assert [float(v).hex() for v in (got.theta, got.statistic, got.p_value)] == \
+        [float(v).hex() for v in (want.theta, want.statistic, want.p_value)]
+    assert got == want
+
+
 @pytest.mark.parametrize("theta,seed", [(6.0, 3), (8.0, 0)])
 def test_cvm_frank_replicates_with_strong_dependence(theta, seed):
     # 6 x 20 frank samples whose bootstrap replicates refit theta above 13,

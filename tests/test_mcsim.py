@@ -165,11 +165,50 @@ def test_bootstrap_ranks_equal_sample_copula_ranks_per_seed(family, theta):
         assert np.array_equal(twice, _twice_ranks(u[None])[0])
 
 
-@pytest.mark.parametrize("n, count", [(0, 10), (3, 0), (-1, 5)])
-def test_sample_copula_refuses_no_components_or_no_rows(n, count):
+@pytest.mark.parametrize("n, count, message", [
+    (0, 10, "n must be at least 1, got 0"),
+    (3, 0, "count must be at least 1, got 0"),
+    (-1, 5, "n must be at least 1, got -1"),
+], ids=["0-10", "3-0", "-1-5"])
+def test_sample_copula_refuses_no_components_or_no_rows(n, count, message):
     with pytest.raises(ValidationError) as err:
         sample_copula(GeneratorSpec("clayton", 2.0), n, count, seed=1)
-    assert str(err.value) == "n and count must be positive"
+    assert str(err.value) == message
+
+
+#: Malformed counts with the message tail each draws; every count is at least 1.
+_BAD_COUNTS = {"fraction": (5.5, "must be an integer, got 5.5"),
+               "bool": (True, "must be an integer, got True"),
+               "string": ("5", "must be an integer, got '5'"),
+               "nan": (np.nan, "must be an integer, got nan"),
+               "below-minimum": (0, "must be at least 1, got 0")}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_COUNTS))
+@pytest.mark.parametrize("arg", ["n", "count"])
+def test_sample_copula_refuses_a_malformed_count(arg, case):
+    # all but the minimum raised a bare TypeError from numpy
+    value, tail = _BAD_COUNTS[case]
+    counts = {"n": 3, "count": 5, arg: value}
+    with pytest.raises(ValidationError) as err:
+        sample_copula(GeneratorSpec("clayton", 2.0), counts["n"], counts["count"], seed=1)
+    assert str(err.value) == f"{arg} {tail}"
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_COUNTS))
+def test_sample_lifetimes_refuses_a_malformed_count(case):
+    value, tail = _BAD_COUNTS[case]
+    sys_ = scale_exp_system(GeneratorSpec("clayton", 2.0), (1.0, 2.0, 3.0))
+    with pytest.raises(ValidationError) as err:
+        sample_lifetimes(sys_, value, 1)
+    assert str(err.value) == f"count {tail}"
+
+
+def test_sample_copula_takes_integral_float_counts_as_their_ints():
+    g = GeneratorSpec("clayton", 2.0)
+    want = sample_copula(g, 3, 5, seed=1).uniforms
+    assert sample_copula(g, 3.0, 5.0, seed=1).uniforms.tobytes() == want.tobytes()
+    assert sample_copula(g, np.int64(3), np.int32(5), seed=1).uniforms.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("lifetimes", [np.ones((4, 1)), np.ones(4)], ids=["one-column", "1-d"])

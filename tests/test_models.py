@@ -48,6 +48,7 @@ from failsafekit.models import (
     pdf,
     sp_inverse_log_survival,
     sp_log_survival,
+    survival_shape,
 )
 
 ALL_BASELINES = [
@@ -614,7 +615,7 @@ def test_grid_builders_need_two_points(points):
             build()
 
 
-@pytest.mark.parametrize("points", [4.5, 1000.5, False, "10"])
+@pytest.mark.parametrize("points", [4.5, 1000.5, False, "10", math.nan])
 def test_grid_builders_need_an_integer_point_count(points):
     m = SemiParamModel("scale", BaselineSpec("weibull", (1.0, 0.8)))
     for build in (lambda: bulk_grid([(m, 1.0)], points), lambda: linear_grid(0.0, 1.0, points)):
@@ -708,6 +709,26 @@ def test_mphrs_dfr_by_rule_up_to_alpha_1_and_probed_above():
     # hazard 1/((1 + x)(1 + (1 + x)^-1)) = 1/(2 + x)
     m = SemiParamModel("mphrs", BaselineSpec("gen_pareto", (1.0,)), alpha=2.0, lam=1.0)
     assert check_theorem1_condition2(m, grid).holds
+
+
+@pytest.mark.parametrize("tol, message", [
+    (True, "tol must be a number, got True"),
+    ("1e-9", "tol must be a number, got '1e-9'"),
+    (math.nan, "tol must be nonnegative, got nan"),
+    (-1.0, "tol must be nonnegative, got -1.0"),
+], ids=["bool", "string", "nan", "negative"])
+def test_survival_shape_refuses_a_malformed_tol(tol, message):
+    # a NaN or negative tol read the probed mphrs hypothesis as false
+    probed = SemiParamModel("mphrs", BaselineSpec("gen_pareto", (2.0,)), alpha=2.0, lam=1.0)
+    assert check_theorem1_condition2(probed).holds
+    ruled = SemiParamModel("scale", BaselineSpec("exponential", (1.0,)))
+    for call in (lambda: survival_shape(probed, "nonincreasing", None, tol),
+                 lambda: check_theorem1_condition2(probed, None, tol),
+                 lambda: check_theorem1_condition2(ruled, None, tol),
+                 lambda: check_theorem2_condition2(ruled, None, tol)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_mphrs_over_a_non_dfr_baseline_fails_by_rule_before_any_probe():

@@ -677,6 +677,21 @@ def test_schur_probe_step_validation():
         schur_condition_probe(sx, step=1e-12, xs=demo_grid(50))
 
 
+@pytest.mark.parametrize("step, message", [
+    (True, "step must be a number, got True"),
+    ("1e-5", "step must be a number, got '1e-5'"),
+    (np.nan, "step must be finite and at least 1e-9, got nan"),
+    (np.inf, "step must be finite and at least 1e-9, got inf"),
+    (1e-12, "step must be finite and at least 1e-9, got 1e-12"),
+], ids=["bool", "string", "nan", "inf", "below-minimum"])
+def test_schur_probe_refuses_a_malformed_step(step, message):
+    # NaN and inf failed later as a theta outside the scale domain
+    sx, _ = gumbel_barnett_pair()
+    with pytest.raises(ValidationError) as err:
+        schur_condition_probe(sx, step=step, xs=demo_grid(50))
+    assert str(err.value) == message
+
+
 def test_report_json_shapes():
     sx, sy = gumbel_barnett_pair()
     rep = verify_theorem1(sx, sy, FAST)

@@ -307,10 +307,13 @@ _ONES = (1.0, 1.0)
     (Preorder.P_LARGER, (0.0, 1.0), _ONES, 0.0, "p_larger requires strictly positive entries"),
     (Preorder.RECIPROCAL_MAJORIZE, _ONES, (-1.0, 1.0), 0.0,
      "reciprocal_majorize requires strictly positive entries"),
-    (Preorder.MAJORIZE, _ONES, _ONES, -1e-3, "tol must be nonnegative"),
-    (Preorder.MAJORIZE, _ONES, _ONES, np.nan, "tol must be nonnegative"),
+    (Preorder.MAJORIZE, _ONES, _ONES, -1e-3, "tol must be nonnegative, got -0.001"),
+    (Preorder.MAJORIZE, _ONES, _ONES, np.nan, "tol must be nonnegative, got nan"),
+    # a bool tol ran as 1.0 and a string one raised a bare TypeError
+    (Preorder.MAJORIZE, _ONES, _ONES, True, "tol must be a number, got True"),
+    (Preorder.MAJORIZE, _ONES, _ONES, "1", "tol must be a number, got '1'"),
 ], ids=["2-d", "0-d", "empty", "nan", "inf", "-inf", "length", "p-larger-zero",
-        "rm-negative", "negative-tol", "nan-tol"])
+        "rm-negative", "negative-tol", "nan-tol", "bool-tol", "string-tol"])
 def test_holds_error_messages(kind, a, b, tol, message):
     with pytest.raises(ValidationError) as err:
         holds(kind, a, b, tol)
@@ -323,9 +326,12 @@ def test_holds_error_messages(kind, a, b, tol, message):
     ((1.0, np.nan), _ONES, 0.0, "a contains non-finite entries"),
     (_ONES, (np.inf, 1.0), 0.0, "b contains non-finite entries"),
     ((1.0, 2.0), (1.0, 2.0, 3.0), 0.0, "length mismatch: 2 != 3"),
-    (_ONES, _ONES, -1e-3, "tol must be nonnegative"),
-    (_ONES, _ONES, np.nan, "tol must be nonnegative"),
-], ids=["2-d", "empty", "nan", "inf", "length", "negative-tol", "nan-tol"])
+    (_ONES, _ONES, -1e-3, "tol must be nonnegative, got -0.001"),
+    (_ONES, _ONES, np.nan, "tol must be nonnegative, got nan"),
+    (_ONES, _ONES, True, "tol must be a number, got True"),
+    (_ONES, _ONES, "1", "tol must be a number, got '1'"),
+], ids=["2-d", "empty", "nan", "inf", "length", "negative-tol", "nan-tol", "bool-tol",
+        "string-tol"])
 def test_classify_error_messages(a, b, tol, message):
     with pytest.raises(ValidationError) as err:
         classify(a, b, tol)

@@ -445,7 +445,7 @@ def test_grid_policy_needs_two_curve_points(points):
         GridPolicy(curve_points=points)
 
 
-@pytest.mark.parametrize("points", [1000.5, True, "1000", None])
+@pytest.mark.parametrize("points", [1000.5, True, "1000", None, np.nan])
 def test_grid_policy_needs_an_integer_point_count(points):
     # 1000.5 once built a 1001-point grid whose last step was half the others
     with pytest.raises(ValidationError, match="curve_points must be an integer"):
@@ -462,6 +462,18 @@ def test_grid_policy_takes_an_integral_float_point_count_as_its_int():
 def test_grid_policy_needs_numeric_tolerances(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be a number"):
         GridPolicy(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dominance_tol", np.nan, "dominance_tol must be nonnegative, got nan"),
+    ("dominance_tol", -1e-10, "dominance_tol must be nonnegative, got -1e-10"),
+    ("crossing_gap", np.nan, "crossing_gap must be nonnegative, got nan"),
+    ("crossing_gap", -1, "crossing_gap must be nonnegative, got -1.0"),
+], ids=["dominance-nan", "dominance-negative", "crossing-nan", "crossing-negative"])
+def test_grid_policy_needs_nonnegative_tolerances(field, value, message):
+    with pytest.raises(ValidationError) as err:
+        GridPolicy(**{field: value})
+    assert str(err.value) == message
 
 
 def _per_theta_curve_grid(policy, model, *theta_vectors):
@@ -699,15 +711,22 @@ def test_homogeneous_x2n_refuses_a_u_outside_0_1(u):
     assert str(err.value) == f"u {u} outside [0, 1]"
 
 
-@pytest.mark.parametrize("n", [1, 0, 2.5, True], ids=["1", "0", "2.5", "bool"])
-def test_homogeneous_x2n_refuses_the_n_a_system_refuses(n):
+@pytest.mark.parametrize("n, message", [
+    (1, "system n must be at least 2, got 1"),
+    (0, "system n must be at least 2, got 0"),
+    (2.5, "system n must be an integer, got 2.5"),
+    (True, "system n must be an integer, got True"),
+    ("3", "system n must be an integer, got '3'"),
+    (np.nan, "system n must be an integer, got nan"),
+], ids=["1", "0", "2.5", "bool", "string", "nan"])
+def test_homogeneous_x2n_refuses_the_n_a_system_refuses(n, message):
     # n = 0 evaluated to NaN with a RuntimeWarning, the others to a number
     with pytest.raises(ValidationError) as err:
         homogeneous_x2n(GeneratorSpec("clayton", 2.0), 0.5, n)
     with pytest.raises(ValidationError) as spec_err:
         SystemSpec(n, SemiParamModel("scale", BaselineSpec("exponential", (1.0,))),
                    (1.0, 2.0), GeneratorSpec("clayton", 2.0))
-    assert str(err.value) == str(spec_err.value)
+    assert str(err.value) == str(spec_err.value) == message
 
 
 def test_homogeneous_x2n_takes_an_integral_float_n():
