@@ -211,6 +211,8 @@ def cmd_curve(args) -> int:
         return _emit_figures(args.out_dir)
     if args.system is None:
         raise ValidationError("system.json required (or use --emit-figures)")
+    if args.out is None:
+        raise ValidationError("curve output needs --out PATH.csv")
     sys_x = load_system(args.system)
     if args.paired is not None:
         sys_y = load_system(args.paired)
@@ -219,8 +221,6 @@ def cmd_curve(args) -> int:
     else:
         xs = _grid_for((sys_x,), args)
         cols = {"survival": survival_x2n(sys_x, xs)}
-    if args.out is None:
-        raise ValidationError("curve output needs --out PATH.csv")
     write_curve_csv(args.out, xs, cols)
     return EXIT_OK
 
@@ -254,8 +254,8 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     sys_spec = load_system(args.system)
-    lifetimes = sample_lifetimes(sys_spec, args.count, args.seed)
     xs = default_grid(sys_spec, args.points)
+    lifetimes = sample_lifetimes(sys_spec, args.count, args.seed)
     analytic = survival_x2n(sys_spec, xs)
     empirical = empirical_survival_x2n(lifetimes, xs)
     diff = np.abs(analytic - empirical)
@@ -293,6 +293,7 @@ def cmd_fit(args) -> int:
     from .fitlab import (
         BootstrapRangeError,
         TauRangeError,
+        _check_manifest,
         compare_to_reference,
         cvm_gof,
         fixed_shape_weibull_scale,
@@ -303,6 +304,13 @@ def cmd_fit(args) -> int:
     )
 
     dataset = load_dataset_csv(args.data)
+    # the arguments are checked before any fit, so a bad one costs no bootstrap
+    groups = _parse_subsets(args.subsets, set(dataset.labels)) if args.subsets else None
+    manifest = None
+    if args.reference is not None:
+        manifest = (demos.load_reference_manifest() if args.reference == "bundled"
+                    else read_json(args.reference, "reference manifest"))
+        _check_manifest(manifest)
     pooled = dataset.pooled()
     fits = {fam: mle_fit(fam, pooled) for fam in args.families}
     ranking = rank_models(fits.values())
@@ -329,10 +337,9 @@ def cmd_fit(args) -> int:
     preferred = min(gofs, key=lambda fam: gofs[fam].statistic) if gofs else None
     report["preferred_copula"] = preferred
 
-    if args.subsets and not gofs:
+    if groups is not None and not gofs:
         report["subsets"] = {"skipped": "no copula could be scored"}
-    elif args.subsets:
-        groups = _parse_subsets(args.subsets, set(dataset.labels))
+    elif groups is not None:
         wfit = fits.get("weibull") or mle_fit("weibull", pooled)
         shape = wfit.params["shape"]
         gen = GeneratorSpec(preferred, gofs[preferred].theta)
@@ -348,11 +355,7 @@ def cmd_fit(args) -> int:
             "recommendation": rec.to_json(),
         }
 
-    if args.reference is not None:
-        if args.reference == "bundled":
-            manifest = demos.load_reference_manifest()
-        else:
-            manifest = read_json(args.reference, "reference manifest")
+    if manifest is not None:
         report["reference_comparison"] = compare_to_reference(gofs, ranking, manifest, preferred)
 
     _emit_json(report, None if args.out_dir is None

@@ -23,6 +23,7 @@ class UnsupportedGeneratorError(FailsafeKitError):
     completely monotone (gumbel_barnett, gumbel_hougaard, amh with
     negative dependence) and for clayton, gumbel and frank above
     ``mcsim.THETA_MAX``; the analytic survival path still covers them.
+    ``mcsim._refusal`` alone decides it, before any draw.
     """
 
 

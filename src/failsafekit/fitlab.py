@@ -52,10 +52,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InconsistencyError, ValidationError, real_number, whole_number
 from .generators import COPULA_FAMILIES, GeneratorSpec, _phi, _psi
-from .mcsim import THETA_MAX, _draw_times, check_seed
-from .models import _FAMILIES, FIT_FAMILIES
-from .ordering import ConditionReport, Relation, verify_theorem1
-from .preorders import Preorder, classify
+from .mcsim import _draw_times, _refusal, check_seed
+from .models import _FAMILIES, FIT_FAMILIES, _horner
+from .ordering import Relation, verify_theorem1
 from .scalar import brentq, minimize_bounded, spence
 
 MIN_OBSERVATIONS = 5
@@ -305,14 +304,14 @@ def pseudo_observations(matrix) -> np.ndarray:
     return _twice_ranks(arr[None])[0] / 2.0 / (arr.shape[0] + 1.0)
 
 
-#: 4 B_2k / ((2k + 1) (2k)!) for k = 1..12: frank's tau is the odd series
-#: sum_k c_k theta^(2k - 1), whose omitted terms stay below 2e-16 relative
-#: for theta < _FRANK_SERIES_MAX.
+#: c_k = 4 B_2k / ((2k + 1) (2k)!) for k = 12 down to 1 (``models._horner``'s
+#: order): frank's tau is the odd series sum_k c_k theta^(2k - 1), whose
+#: omitted terms stay below 2e-16 relative for theta < _FRANK_SERIES_MAX.
 _FRANK_SERIES = (
-    0.1111111111111111, -0.0011111111111111111, 1.889644746787604e-05,
-    -3.6743092298647856e-07, 7.5915479955884e-09, -1.6259046580576902e-10,
-    3.568676408182581e-12, -7.97571834428843e-14, 1.8075920118479673e-15,
-    -4.142607044872499e-17, 9.580874484104748e-19, -2.2327143497300036e-20,
+    -2.2327143497300036e-20, 9.580874484104748e-19, -4.142607044872499e-17,
+    1.8075920118479673e-15, -7.97571834428843e-14, 3.568676408182581e-12,
+    -1.6259046580576902e-10, 7.5915479955884e-09, -3.6743092298647856e-07,
+    1.889644746787604e-05, -0.0011111111111111111, 0.1111111111111111,
 )
 _FRANK_SERIES_MAX = 1.5
 _FRANK_XTOL = float(np.finfo(float).tiny)  # leaves brentq's relative tolerance in charge
@@ -335,10 +334,7 @@ def frank_tau(theta: float) -> float:
     if theta <= 0.0:
         raise ValidationError("frank theta must be positive")
     if theta < _FRANK_SERIES_MAX:
-        sq, acc = theta * theta, 0.0
-        for c in reversed(_FRANK_SERIES):
-            acc = acc * sq + c
-        return theta * acc
+        return theta * _horner(theta * theta, _FRANK_SERIES)
     e = -math.expm1(-theta)  # 1 - e^-theta
     return (1.0 - 4.0 / theta + 4.0 * math.log(e) / theta
             + 4.0 * (math.pi ** 2 / 6.0 - spence(e)) / (theta * theta))
@@ -509,7 +505,7 @@ class BootstrapRangeError(ValidationError):
     def __init__(self, family: str, theta: float):
         super().__init__(
             f"the parametric bootstrap cannot sample {family} at the fitted theta "
-            f"{theta:.6g}: {family} sampling needs theta <= {THETA_MAX[family]:g}")
+            f"{theta:.6g}: {_refusal(GeneratorSpec(family, theta))}")
         self.family, self.theta = family, theta
 
 
@@ -529,9 +525,9 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
     seed = check_seed(seed)
     arr = np.asarray(pseudo, dtype=float)
     theta = fit_copula(family, arr, method)
-    if theta > THETA_MAX[family]:
-        raise BootstrapRangeError(family, float(theta))
     g = GeneratorSpec(family, theta)
+    if _refusal(g) is not None:
+        raise BootstrapRangeError(family, float(theta))
     stat = float(_cvm_statistics(family, np.array([theta]), arr[None],
                                  empirical_copula(arr)[None])[0])
     count, d = arr.shape
@@ -594,12 +590,13 @@ class SubsetRecommendation:
 def recommend_subset(systems: dict) -> SubsetRecommendation:
     """Rank candidate subsets by confirmed dominance certificates.
 
-    Pairs whose parameter vectors relate under the p-larger preorder are
-    fed to the comparison verifier; only verified-and-confirmed dominance
-    creates an edge.  Incomparable pairs are reported, never forced;
-    related pairs whose hypotheses fail are listed as unverified with the
-    failed checks, and hypothesis-passing pairs whose curves refuse to
-    dominate as inconsistent.
+    Each pair goes to the theorem-1 verifier both ways; a direction is
+    related when its report's p-larger check holds, as it does whenever the
+    verifier raises InconsistencyError.  Only verified-and-confirmed
+    dominance creates an edge.  Pairs related neither way are incomparable,
+    never forced; related directions whose hypotheses fail are unverified,
+    with the failed checks, and the others, whose curves refuse to
+    dominate, inconsistent.
     """
     if len(systems) < 2:
         raise ValidationError("need at least two candidate subsets")
@@ -617,28 +614,27 @@ def recommend_subset(systems: dict) -> SubsetRecommendation:
     certificates: dict = {}
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
-            rep = classify(systems[a].theta, systems[b].theta)
-            fwd = rep.forward[Preorder.P_LARGER]
-            rev = rep.reverse[Preorder.P_LARGER]
-            if not fwd and not rev:
-                incomparable.append((a, b))
-                continue
-            for src, dst, related in ((a, b, fwd), (b, a, rev)):
-                if not related:
-                    continue
+            related = False
+            for src, dst in ((a, b), (b, a)):
                 try:
-                    cert: ConditionReport = verify_theorem1(systems[src], systems[dst])
-                except InconsistencyError:
+                    cert = verify_theorem1(systems[src], systems[dst])
+                except InconsistencyError:  # raised only once every hypothesis held
+                    cert = None
+                if cert is not None and not cert.check("p_larger").holds:
+                    continue
+                related = True
+                if cert is None:
                     inconsistent.append((src, dst))
-                    continue
-                if not cert.overall:
+                elif not cert.overall:
                     unverified[(src, dst)] = tuple(c.name for c in cert.checks if not c.holds)
-                    continue
-                certificates[(src, dst)] = cert
-                if cert.dominance.relation is Relation.X_DOMINATES_Y:
-                    dominates.append((src, dst))
-                elif (src, dst) not in ties and (dst, src) not in ties:
-                    ties.append((src, dst))
+                else:
+                    certificates[(src, dst)] = cert
+                    if cert.dominance.relation is Relation.X_DOMINATES_Y:
+                        dominates.append((src, dst))
+                    elif (src, dst) not in ties and (dst, src) not in ties:
+                        ties.append((src, dst))
+            if not related:
+                incomparable.append((a, b))
     dominated = {dst for _, dst in dominates}
     maximal = tuple(lab for lab in labels if lab not in dominated)
     return SubsetRecommendation(

@@ -17,6 +17,8 @@ Generators without such a representation (gumbel_barnett,
 gumbel_hougaard, amh with theta < 0) raise UnsupportedGeneratorError:
 a declared limitation, never a silent approximation.  So do clayton,
 gumbel and frank above THETA_MAX, where the frailty leaves float64.
+``_refusal`` alone decides both, and ``_draw_times`` asks it before it
+seeds a generator, so a refused batch draws nothing.
 Clayton's Gamma(1/theta) frailty and gumbel's positive-stable one of
 index 1/theta are powers of order theta of O(1) random factors, so a
 row's V underflows or overflows with probability about exp(-708/theta):
@@ -101,15 +103,24 @@ def _sample_log_series(r: float, count: int, rng) -> np.ndarray:
     return out
 
 
+def _refusal(g: GeneratorSpec) -> str | None:
+    """Why no frailty sampler takes g in float64, or None when one does."""
+    limit = THETA_MAX.get(g.family)
+    if limit is not None and g.theta > limit:
+        return f"{g.family} sampling needs theta <= {limit:g}"
+    if g.family == "amh" and g.theta < 0.0:
+        return "amh with negative dependence has no positive frailty"
+    if limit is None and g.family not in ("independence", "amh"):
+        return f"{g.family} is not completely monotone: no frailty sampler exists"
+    return None
+
+
 def _draw_times(g: GeneratorSpec, n: int, count: int, seed: int) -> np.ndarray:
     """The count x n generator arguments E / V of one seed, or E where g has
     no frailty; psi of them are the uniforms."""
-    limit = THETA_MAX.get(g.family)
-    if limit is not None and g.theta > limit:
-        raise UnsupportedGeneratorError(
-            f"{g.family} sampling needs theta <= {limit:g}; "
-            "use the analytic survival path instead"
-        )
+    refusal = _refusal(g)
+    if refusal is not None:
+        raise UnsupportedGeneratorError(f"{refusal}; use the analytic survival path instead")
     rng = _rng(seed)
     e = rng.exponential(size=(count, n))
     if is_independence(g):
@@ -120,18 +131,8 @@ def _draw_times(g: GeneratorSpec, n: int, count: int, seed: int) -> np.ndarray:
         v = _sample_positive_stable(1.0 / g.theta, count, rng)
     elif g.family == "frank":
         v = _sample_log_series(-g.theta, count, rng)
-    elif g.family == "amh":
-        if g.theta < 0.0:
-            raise UnsupportedGeneratorError(
-                "amh with negative dependence has no positive frailty; "
-                "use the analytic survival path instead"
-            )
+    else:  # amh with theta in (0, 1), the one other family _refusal lets through
         v = 1.0 + np.floor(np.log(rng.random(count)) / np.log(g.theta))
-    else:
-        raise UnsupportedGeneratorError(
-            f"{g.family} is not completely monotone: no frailty sampler exists; "
-            "use the analytic survival path instead"
-        )
     # a V that underflows to 0 gives t = +inf, whose uniform psi(+inf) is 0
     with np.errstate(divide="ignore", over="ignore"):
         return e / v[:, None]

@@ -10,7 +10,8 @@ operations in the same order, so its results equal SciPy's bit for bit:
   (``scipy/optimize/Zeros/brentq.c``) at its default rtol = 4 eps and
   maxiter = 100;
 - ``spence``: the dilogarithm of Cephes (Moshier), as ``scipy.special.spence``
-  evaluates it for a real argument.
+  evaluates it for a real argument; its polynomials go through
+  ``models._horner``, which does Cephes' ``polevl`` operations in its order.
 
 SciPy is BSD-3-Clause licensed (Copyright (c) 2001-2002 Enthought, Inc.,
 2003 onwards SciPy Developers); Cephes is Copyright 1984-2000 Stephen L.
@@ -28,6 +29,7 @@ import math
 import sys
 
 from .errors import ValidationError
+from .models import _horner
 
 _SQRT_EPS = math.sqrt(2.2e-16)  # SciPy's constant, not sqrt of the float epsilon
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -171,13 +173,6 @@ _SPENCE_B = (
 )
 
 
-def _polevl(x: float, coef: tuple) -> float:
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
 def spence(x: float) -> float:
     """The dilogarithm -int_1^x log(t) / (t - 1) dt, so Li_2(z) = spence(1 - z);
     NaN outside [0, inf), as in SciPy."""
@@ -199,7 +194,7 @@ def spence(x: float) -> float:
         flag |= 1
     else:
         w = x - 1.0
-    y = -w * _polevl(w, _SPENCE_A) / _polevl(w, _SPENCE_B)
+    y = -w * _horner(w, _SPENCE_A) / _horner(w, _SPENCE_B)
     if flag & 1:
         y = (math.pi * math.pi) / 6.0 - math.log(x) * math.log(1.0 - x) - y
     if flag & 2:

@@ -6,6 +6,15 @@ Five criteria (2, 7a, 7b, 8a, 9) assert claims that the numerical audit
 refutes; they are implemented exactly as stated and fail with the measured
 counterevidence.  The analysis lives in the repository notes, and the
 deterministic counterexamples are pinned in tests/test_ordering.py.
+
+Criterion 7a also fails by proof, on valid models, independence included.
+With a_i = 1 - u_i(x) and kappa = psi''(0) / psi'(0)^2, near x = 0
+1 - S_{2:n} = kappa e2(a) + o(|a|^2), and e2(a) ~ c^2 x^(2b) e2(theta^b)
+under scale (e2(theta) under phr) for a baseline with F0(t) ~ c t^b.  A
+heterogeneous theta at n >= 3 is p-larger than the homogeneous vector at
+its geometric mean g, yet e2(theta^b) > C(n, 2) g^(2b) by Maclaurin's
+inequality, so for kappa > 0 X fails to dominate near 0.  Control h in
+tests/test_controls.py pins this under independence.
 """
 
 import itertools

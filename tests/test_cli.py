@@ -483,6 +483,53 @@ def test_fit_bad_subset_label_exit_2(tmp_path, capsys):
     assert main(["fit", data, "--boot", "100", "--subsets", "w1,w2;w3,nope"]) == 2
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("computed before checking the arguments")
+
+
+@pytest.mark.parametrize("flags, fragment", [
+    (["--subsets", "w1,w2;w3,nope"], "subset component 'nope' not in dataset"),
+    (["--reference", "{missing}"], "cannot read reference manifest"),
+    (["--reference", "{empty}"], "reference manifest needs tolerances"),
+], ids=["subsets", "reference-missing", "reference-empty"])
+def test_fit_checks_its_arguments_before_fitting(tmp_path, capsys, monkeypatch, flags, fragment):
+    # a bad --subsets or --reference costs no marginal fit and no bootstrap
+    from failsafekit import fitlab
+    monkeypatch.setattr(fitlab, "mle_fit", _no_work)
+    data = _write_wide_dataset(tmp_path / "wide.csv", cables=10, wires=4)
+    (tmp_path / "empty.json").write_text("{}")
+    paths = {"missing": str(tmp_path / "missing.json"), "empty": str(tmp_path / "empty.json")}
+    assert main(["fit", data, "--boot", "100", *(f.format(**paths) for f in flags)]) == 2
+    captured = capsys.readouterr()
+    assert fragment in captured.err and captured.out == ""
+
+
+def test_fit_refuses_bad_subsets_even_when_no_copula_is_scored(tmp_path, capsys):
+    # every copula of this data is refused by the bootstrap, which once left
+    # --subsets unread
+    path = _write_comonotone_csv(tmp_path)
+    assert main(["fit", path, "--boot", "100", "--subsets", "w1;nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: subset component 'nope' not in dataset")
+    assert captured.out == ""
+
+
+def test_curve_refuses_a_missing_out_before_evaluating(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "survival_x2n", _no_work)
+    monkeypatch.setattr(cli, "bulk_grid", _no_work)
+    spec = write_system(tmp_path / "x.json", gumbel_barnett_pair()[0])
+    assert main(["curve", spec, "--points", "2000000"]) == 2
+    assert capsys.readouterr().err == "error: curve output needs --out PATH.csv\n"
+
+
+def test_simulate_builds_its_grid_before_sampling(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sample_lifetimes", _no_work)
+    m = SemiParamModel("scale", BaselineSpec("exponential", (1.0,)))
+    spec = write_system(tmp_path / "s.json",
+                        SystemSpec(2, m, (1.0, 2.0), GeneratorSpec("clayton", 2.0)))
+    assert main(["simulate", spec, "--points", "1", "--count", "3000000", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "error: curve_points must be at least 2, got 1\n"
+
 
 def _write_comonotone_csv(tmp_path):
     """Near-comonotone columns: one swapped pair, mean tau 0.99993."""

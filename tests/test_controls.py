@@ -4,7 +4,9 @@ Each control is a configuration whose conclusion is known to hold, so a
 refutation there would be the engine's fault, not the theorem's: seeded
 randomized draws with no violation tolerated beyond the verdict slack.
 Control f is two-sided: a proven threshold, below which the engine must
-refute.
+refute.  Control h is a proven refutation: the encoded theorem-1 row
+passes every hypothesis on it, so the engine must raise
+InconsistencyError, and a certificate there would be the engine's fault.
 """
 
 import math
@@ -16,6 +18,7 @@ from failsafekit import (
     BaselineSpec,
     GeneratorSpec,
     GridPolicy,
+    InconsistencyError,
     Preorder,
     Relation,
     SemiParamModel,
@@ -26,6 +29,7 @@ from failsafekit import (
     homogeneous_x2n,
     sp_survival,
     survival_x2n,
+    verify_theorem1,
 )
 from failsafekit.generators import FAMILIES
 from failsafekit.models import _KIND_MAP, inverse_log_sf
@@ -189,3 +193,29 @@ def test_g_phr_verdicts_do_not_depend_on_the_baseline():
             assert len(relations) == 1, (lam_x, lam_y, gen, relations)
             spread = max(np.abs(g - gaps[0]).max() for g in gaps)
             assert spread <= TIME_CHANGE_GAP_TOL, (lam_x, lam_y, gen, spread)
+
+
+@pytest.mark.parametrize("kind", ["phr", "scale"])
+@pytest.mark.parametrize("theta, relation, min_gap", [
+    ((1.0, 2.0, 3.0), Relation.CROSSING, -1.868e-2),
+    ((0.5, 1.0, 4.0, 6.0), Relation.Y_DOMINATES_X, -0.1507),
+], ids=["n3", "n4"])
+def test_h_theorem1_row_fails_against_the_geometric_mean(kind, theta, relation, min_gap):
+    # near x = 0, 1 - S_{2:n} = kappa e2(a) + o(|a|^2) with a_i = 1 - u_i(x)
+    # and kappa = psi''(0) / psi'(0)^2, which is 1 under independence; over
+    # exponential(1) both kinds give u_i = exp(-theta_i x), so a_i ~ theta_i x.
+    # theta is p-larger than (g, ..., g) at its geometric mean g (the full
+    # products are equal), yet e2(theta) > C(n, 2) g^2 by Maclaurin's
+    # inequality, so F_X > F_Y near 0 and X does not dominate Y
+    n = len(theta)
+    g = math.prod(theta) ** (1.0 / n)
+    gen = GeneratorSpec("independence")
+    model = SemiParamModel(kind, BaselineSpec("exponential", (1.0,)))
+    sx = SystemSpec(n, model, theta, gen)
+    sy = SystemSpec(n, model, (g,) * n, gen)
+    with pytest.raises(InconsistencyError) as exc:
+        verify_theorem1(sx, sy)
+    rep = exc.value.report
+    assert rep.overall  # every hypothesis verified
+    assert rep.dominance.relation is relation
+    assert rep.dominance.min_gap == pytest.approx(min_gap, rel=1e-3)

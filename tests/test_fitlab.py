@@ -897,6 +897,23 @@ def test_incomparable_pair_reported():
     assert set(rec.maximal) == {"a", "b"}
 
 
+def test_pair_whose_hypotheses_hold_but_curves_reverse_is_inconsistent():
+    # the valid-model counterexample of tests/test_ordering.py: theorem 1's
+    # hypotheses hold for x over y, yet y dominates x, so the pair gets no
+    # certificate; y is not p-larger than x, so that direction is listed nowhere
+    m = SemiParamModel("scale", BaselineSpec("gen_gamma", (0.6756542170040485, 0.6771824743878045)))
+    gen = GeneratorSpec("amh", -0.059197712937787306)
+    systems = {"x": SystemSpec(4, m, (2.387575887836777, 0.11823813879259237,
+                                      0.19158892533540825, 1.0266837460946139), gen),
+               "y": SystemSpec(4, m, (0.7228169735573664, 0.198873648489512,
+                                      0.2790330900151772, 1.9284721783568337), gen)}
+    rec = recommend_subset(systems)
+    assert rec.inconsistent == (("x", "y"),)
+    assert rec.certificates == {} and rec.unverified == {}
+    assert rec.dominates == () and rec.ties == () and rec.incomparable == ()
+    assert rec.maximal == ("x", "y")
+
+
 def test_subset_structural_validation():
     gen = GeneratorSpec("gumbel_barnett", 0.2)
     good = _subset_system((0.3, 0.6), gen)

@@ -23,6 +23,7 @@ from failsafekit import (
     sp_survival,
     survival_x2n,
 )
+from failsafekit import mcsim
 from failsafekit.fitlab import _twice_ranks, frank_tau
 from failsafekit.generators import is_independence
 from failsafekit.mcsim import (
@@ -117,17 +118,28 @@ def test_marginals_uniform_and_joint_law_matches_copula(g):
         assert abs(emp - ana) <= 4.0 / np.sqrt(N_BIG) + 0.002, (g, pt)
 
 
-@pytest.mark.parametrize("family,theta", [
-    ("gumbel_barnett", 0.5),
-    ("gumbel_hougaard", 2.0),
-    ("amh", -0.5),
-    ("frank", 800.0),
-    ("clayton", 100.0),
-    ("gumbel", 100.0),
-])
-def test_unsupported_families_raise(family, theta):
-    with pytest.raises(UnsupportedGeneratorError):
-        sample_copula(GeneratorSpec(family, theta), 2, 10, seed=0)
+#: The refusal of each generator that no frailty sampler takes.
+REFUSALS = {
+    ("gumbel_barnett", 0.5): "gumbel_barnett is not completely monotone: no frailty sampler exists",
+    ("gumbel_hougaard", 2.0): "gumbel_hougaard is not completely monotone: no frailty sampler exists",
+    ("amh", -0.5): "amh with negative dependence has no positive frailty",
+    ("frank", 800.0): "frank sampling needs theta <= 700",
+    ("clayton", 100.0): "clayton sampling needs theta <= 50",
+    ("gumbel", 100.0): "gumbel sampling needs theta <= 50",
+}
+
+
+@pytest.mark.parametrize("family,theta", list(REFUSALS))
+def test_unsupported_families_raise(monkeypatch, family, theta):
+    # refused before a generator is seeded, so a refused batch of millions of
+    # rows costs no time and no memory
+    def no_draw(seed):
+        raise AssertionError("seeded a generator before refusing")
+
+    monkeypatch.setattr(mcsim, "_rng", no_draw)
+    with pytest.raises(UnsupportedGeneratorError) as err:
+        sample_copula(GeneratorSpec(family, theta), 5, 3_000_000, seed=0)
+    assert str(err.value) == f"{REFUSALS[family, theta]}; use the analytic survival path instead"
 
 
 @pytest.mark.parametrize("theta", [40.0, 500.0])
