@@ -384,11 +384,11 @@ def tau_to_theta(family: str, tau: float) -> float:
 def _bivariate_log_density(family: str, theta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """log c(u, v) = log psi''(phi(u)+phi(v)) - log|psi'(phi(u))| - log|psi'(phi(v))|;
     u and v are pseudo-observations, inside (0, 1), so phi runs unchecked."""
-    pu, pv = _phi(family, theta, u), _phi(family, theta, v)
-    s = pu + pv
     # far in frank's tails log psi'' and log|psi'| both reach inf; their
     # difference is NaN, which fit_copula's objective scores as inf
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        pu, pv = _phi(family, theta, u), _phi(family, theta, v)
+        s = pu + pv
         if family == "clayton":
             log_pp = np.log1p(theta) + (-1.0 / theta - 2.0) * np.log1p(theta * s)
             log_p = lambda t: (-1.0 / theta - 1.0) * np.log1p(theta * t)
@@ -480,7 +480,8 @@ def _cvm_statistics(family: str, thetas: np.ndarray, pseudo: np.ndarray,
     argument checks.  A theta column rounds as the scalar theta would, so
     each sample's statistic equals its own evaluation bit for bit."""
     th = thetas[:, None]
-    ct = _psi(family, th, np.sum(_phi(family, th[..., None], pseudo), axis=-1))
+    with np.errstate(all="ignore"):
+        ct = _psi(family, th, np.sum(_phi(family, th[..., None], pseudo), axis=-1))
     return np.sum((cn - ct) ** 2, axis=-1)
 
 

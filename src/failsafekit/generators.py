@@ -10,7 +10,9 @@ The unchecked kernels ``_phi``, ``_psi`` and ``_log_psi`` take theta as a
 scalar or as an array that broadcasts against their input, such as one
 theta per row, and an array theta gives each element the bits of its
 scalar theta.  For every family ``_phi`` is +inf at u = 0 and ``_psi``
-exactly 0 at t = +inf, with no warning: IEEE limits carry dead components.
+exactly 0 at t = +inf: IEEE limits carry dead components, with no warning
+under the np.errstate each caller of a kernel holds (the public functions,
+``systems`` and ``fitlab``).
 
 Catalog (theta is the dependence parameter):
 
@@ -147,70 +149,68 @@ def _frank_log_base(th, t: np.ndarray) -> np.ndarray:
 def _log_psi(family: str, th, arr: np.ndarray) -> np.ndarray:
     """log psi on an array already known to be nonnegative (no NaN); th is
     the family's theta, a scalar or an array that broadcasts against arr."""
-    with np.errstate(over="ignore", divide="ignore", under="ignore"):
-        if family == "independence":
-            out = -arr
-        elif family == "clayton":
-            out = -np.log1p(th * arr) / th
-        elif family == "gumbel":
-            out = -_pow(arr, 1.0 / th)
-        elif family == "frank":
-            out = np.log(-_frank_log_base(th, arr)) - np.log(th)
-        elif family == "amh":
-            out = np.log1p(-th) - (arr + np.log1p(-th * np.exp(-arr)))
-        elif family == "gumbel_barnett":
-            out = (1.0 - np.exp(arr)) / th
-        elif family == "gumbel_hougaard":
-            out = 1.0 - _pow(1.0 + arr, th)
-        else:  # pragma: no cover
-            raise ValidationError(family)
+    if family == "independence":
+        out = -arr
+    elif family == "clayton":
+        out = -np.log1p(th * arr) / th
+    elif family == "gumbel":
+        out = -_pow(arr, 1.0 / th)
+    elif family == "frank":
+        out = np.log(-_frank_log_base(th, arr)) - np.log(th)
+    elif family == "amh":
+        out = np.log1p(-th) - (arr + np.log1p(-th * np.exp(-arr)))
+    elif family == "gumbel_barnett":
+        out = (1.0 - np.exp(arr)) / th
+    elif family == "gumbel_hougaard":
+        out = 1.0 - _pow(1.0 + arr, th)
+    else:  # pragma: no cover
+        raise ValidationError(family)
     return out
 
 
 def _psi(family: str, th, arr: np.ndarray) -> np.ndarray:
     """psi on an array already known to be nonnegative (no NaN); th as in
     ``_log_psi``."""
-    with np.errstate(under="ignore"):
-        return np.exp(_log_psi(family, th, arr))
+    return np.exp(_log_psi(family, th, arr))
 
 
 def _phi(family: str, th, arr: np.ndarray) -> np.ndarray:
     """phi on an array already known to lie in [0, 1] (no NaN), +inf at
     u = 0; th as in ``_log_psi``."""
-    with np.errstate(over="ignore", divide="ignore"):
-        if family == "independence":
-            out = -np.log(arr)
-        elif family == "clayton":
-            out = (_pow(arr, -th) - 1.0) / th
-        elif family == "gumbel":
-            out = _pow(-np.log(arr), th)
-        elif family == "frank":
-            # the ratio rounds to 1 once theta*u is large: there, subtract logs
-            # (at theta near 0 that branch is -inf + inf, but not selected)
-            near = -np.log(np.expm1(-th * arr) / np.expm1(-th))
-            with np.errstate(invalid="ignore"):
-                far = np.log1p(-np.exp(-th)) - np.log1p(-np.exp(-th * arr))
-            out = np.where(th * arr < math.log(2.0), near, far)
-        elif family == "amh":
-            out = np.log((1.0 - th * (1.0 - arr)) / arr)
-        elif family == "gumbel_barnett":
-            out = np.log1p(-th * np.log(arr))
-        elif family == "gumbel_hougaard":
-            out = _pow(1.0 - np.log(arr), 1.0 / th) - 1.0
-        else:  # pragma: no cover
-            raise ValidationError(family)
+    if family == "independence":
+        out = -np.log(arr)
+    elif family == "clayton":
+        out = (_pow(arr, -th) - 1.0) / th
+    elif family == "gumbel":
+        out = _pow(-np.log(arr), th)
+    elif family == "frank":
+        # the ratio rounds to 1 once theta*u is large: there, subtract logs
+        # (at theta near 0 that branch is -inf + inf, but not selected)
+        near = -np.log(np.expm1(-th * arr) / np.expm1(-th))
+        far = np.log1p(-np.exp(-th)) - np.log1p(-np.exp(-th * arr))
+        out = np.where(th * arr < math.log(2.0), near, far)
+    elif family == "amh":
+        out = np.log((1.0 - th * (1.0 - arr)) / arr)
+    elif family == "gumbel_barnett":
+        out = np.log1p(-th * np.log(arr))
+    elif family == "gumbel_hougaard":
+        out = _pow(1.0 - np.log(arr), 1.0 / th) - 1.0
+    else:  # pragma: no cover
+        raise ValidationError(family)
     return out
 
 
 def log_psi(g: GeneratorSpec, t):
     """log psi(t), computed in closed form so it never underflows."""
-    out = _log_psi(g.family, g.theta, _as_nonneg_t(t))
+    with np.errstate(all="ignore"):
+        out = _log_psi(g.family, g.theta, _as_nonneg_t(t))
     return out if np.ndim(t) else float(out[0])
 
 
 def psi(g: GeneratorSpec, t):
     """Generator value psi(t) in [0, 1]; psi(0) = 1, nonincreasing."""
-    out = _psi(g.family, g.theta, _as_nonneg_t(t))
+    with np.errstate(all="ignore"):
+        out = _psi(g.family, g.theta, _as_nonneg_t(t))
     return out if np.ndim(t) else float(out[0])
 
 
@@ -219,7 +219,8 @@ def phi(g: GeneratorSpec, u):
     arr = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.all((arr > 0.0) & (arr <= 1.0)):  # NaN fails both comparisons
         raise ValidationError("u must lie in (0, 1]")
-    out = _phi(g.family, g.theta, arr)
+    with np.errstate(all="ignore"):
+        out = _phi(g.family, g.theta, arr)
     return out if np.ndim(u) else float(out[0])
 
 

@@ -39,7 +39,9 @@ log F(x; theta) = p log F(a (x - c)):
     ls         (theta, lam, 1)    F(theta (x - lam))        theta > 0, fixed lam
 
 theta may be an array that broadcasts against x, so one call evaluates a
-whole (parameter x lifetime) matrix.
+whole (parameter x lifetime) matrix.  The public functions check theta and
+hold an np.errstate; ``systems``' kernel calls ``_sp_survival`` under its
+own, at thetas its ``SystemSpec`` checked.
 
 The shape hypotheses of the comparison results are decided from closed
 forms, not grid probes, as the ``HypothesisCheck`` records ``ordering.verify``
@@ -186,8 +188,9 @@ def _log_gammaincc(a: float, x, lx):
 def _horner(z, coef):
     """The polynomial with coefficients coef (highest power first, at least
     two) at z; an array is updated in place, a float rebound."""
-    s = coef[0] * z + coef[1]
-    for c in coef[2:]:
+    it = iter(coef)
+    s = next(it) * z + next(it)
+    for c in it:
         s *= z
         s += c
     return s
@@ -498,25 +501,24 @@ class SemiParamModel:
         )
 
 
-def _kind_map(m: SemiParamModel, theta):
-    """_KIND_MAP's (a, c, p) for m at theta, after a domain check; theta may
-    be an array that broadcasts against x."""
+def _checked_theta(m: SemiParamModel, theta) -> np.ndarray:
+    """theta as a float array, unless an element lies outside m's kind domain."""
     t = np.asarray(theta, dtype=float)
     ok = m.theta_in_domain(t)
     if not ok.all():
         raise ValidationError(f"theta {t[~ok][:3].tolist()} outside the {m.kind} domain")
-    return _KIND_MAP[m.kind][0](t, m.lam)
+    return t
 
 
-def _log_w(m: SemiParamModel, x, theta):
-    a, c, p = _kind_map(m, theta)
-    return p * log_sf(m.baseline, a * (np.asarray(x, dtype=float) - c))
+def _log_w(m: SemiParamModel, x: np.ndarray, theta: np.ndarray):
+    """log w = p log F(a (x - c)) on a float array x at a checked theta array."""
+    a, c, p = _KIND_MAP[m.kind][0](theta, m.lam)
+    return p * _FAMILIES[m.baseline.family].log_sf(np.maximum(a * (x - c), 0.0), *m.baseline.params)
 
 
-def _sp_survival(m: SemiParamModel, x, theta):
-    """sp_survival on an x already known to hold no NaN."""
-    with np.errstate(under="ignore"):
-        out = np.exp(_log_w(m, x, theta))
+def _sp_survival(m: SemiParamModel, x: np.ndarray, theta: np.ndarray):
+    """F(x; theta) on a float array x with no NaN, as ``_log_w``."""
+    out = np.exp(_log_w(m, x, theta))
     if m.kind == "mphrs":
         # the denominator is never below the numerator: no value rounds above 1
         out = m.alpha * out / (m.alpha * out + (1.0 - out))
@@ -525,19 +527,22 @@ def _sp_survival(m: SemiParamModel, x, theta):
 
 def sp_survival(m: SemiParamModel, x, theta):
     """Transformed survival F(x; theta), in [0, 1] and nonincreasing in x."""
-    if np.any(np.isnan(np.asarray(x, dtype=float))):
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(np.isnan(arr)):
         raise ValidationError("x contains NaN")
-    out = _sp_survival(m, x, theta)
-    return out if np.ndim(out) else float(out)
+    with np.errstate(all="ignore"):
+        out = _sp_survival(m, arr, _checked_theta(m, theta))
+    return out if np.ndim(x) or np.ndim(theta) else float(out[0])
 
 
 def sp_log_survival(m: SemiParamModel, x, theta):
     """log F(x; theta), exact in the tails."""
-    out = _log_w(m, x, theta)
-    if m.kind == "mphrs":
-        with np.errstate(under="ignore"):
+    t = _checked_theta(m, theta)
+    with np.errstate(all="ignore"):
+        out = _log_w(m, np.atleast_1d(np.asarray(x, dtype=float)), t)
+        if m.kind == "mphrs":
             out = np.log(m.alpha) + out - np.log1p(-(1.0 - m.alpha) * np.exp(out))
-    return out if np.ndim(out) else float(out)
+    return out if np.ndim(x) or np.ndim(theta) else float(out[0])
 
 
 def sp_inverse_log_survival(m: SemiParamModel, ls, theta):
@@ -547,7 +552,7 @@ def sp_inverse_log_survival(m: SemiParamModel, ls, theta):
     with lam < 0), ls above log F(0; theta) maps to a negative x; lifetime
     samplers clamp it to 0.
     """
-    a, c, p = _kind_map(m, theta)
+    a, c, p = _KIND_MAP[m.kind][0](_checked_theta(m, theta), m.lam)
     ls = np.asarray(ls, dtype=float)
     if m.kind == "mphrs":
         # log w = ls - log(alpha + (1 - alpha) e^ls), w = F(x mu)^lam
@@ -578,14 +583,17 @@ BULK_Q_LO, BULK_Q_HI = 0.001, 0.999
 PROBE_POINTS = 200
 #: The start of a bulk grid whose lowest quantile is not positive, as a fraction of its top.
 CURVE_FLOOR = 1e-9
+#: log(1 - q) at BULK_Q_LO and BULK_Q_HI, the column ``sp_quantile`` makes of them.
+_BULK_LOG_SF = np.log1p(-np.array([[BULK_Q_LO], [BULK_Q_HI]]))
+_BULK_LOG_SF.flags.writeable = False
 
 
 def bulk_grid(entries, points: int) -> np.ndarray:
     """``points`` log-spaced lifetimes from the smallest BULK_Q_LO (if positive, else
     hi * CURVE_FLOOR) to the largest BULK_Q_HI quantile over every (model, thetas) entry."""
     points = whole_number(points, "curve_points", 2)
-    # one quantile call per entry for both ends: gamma's inverse costs per call
-    ends = [sp_quantile(m, [[BULK_Q_LO], [BULK_Q_HI]], th) for m, th in entries]
+    # one inverse call per entry for both ends: gamma's inverse costs per call
+    ends = [sp_inverse_log_survival(m, _BULK_LOG_SF, th) for m, th in entries]
     ends = ends[0] if len(ends) == 1 else np.concatenate(ends, axis=1)
     lo, hi = ends[0].min(), ends[1].max()  # NaN propagates to the check below
     if not (np.isfinite(lo) and 0.0 < hi < np.inf):

@@ -12,16 +12,17 @@ hypothesis verifies they evaluate both curves and confirm on the grid,
 escalating disagreement as InconsistencyError.  The implementation is its
 own audit.
 
-A verdict reads the min and max of the gap S_X - S_Y over the policy grid.
-When the grid fits in one block of the survival kernel it is evaluated in
-one call.  A wider grid is evaluated in two: every _STRIDE-th point and
-the last first, then the interior of each interval that could still hold
-the min or the max gap.  Both survivals are nonincreasing, so on
-[x_a, x_b] the gap lies in [S_X(x_b) - S_Y(x_a), S_X(x_a) - S_Y(x_b)],
-widened by a slack of 2 ``systems.CLAMP_TOL`` for the rounding rises the
-curve checks let through.  Every point gets the same bits in any call, so
-the verdict equals the one from the whole grid; a crossing is still
-bracketed on the whole grid.
+A verdict reads the min and max of the gap S_X - S_Y over the policy grid,
+which it checks once and does not copy.  When the grid fits in one block of
+the survival kernel it is evaluated in one call, and both rows take the
+``SurvivalCurve`` checks with no curve built.  A wider grid is evaluated in
+two: every _STRIDE-th point and the last first, then the interior of each
+interval that could still hold the min or the max gap.  Both survivals are
+nonincreasing, so on [x_a, x_b] the gap lies in [S_X(x_b) - S_Y(x_a),
+S_X(x_a) - S_Y(x_b)], widened by a slack of 2 ``systems.CLAMP_TOL`` for the
+rounding rises the curve checks let through.  Every point gets the same
+bits in any call, so the verdict equals the one from the whole grid; a
+crossing is still bracketed on the whole grid.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .generators import classify_log_shape, is_log_concave, is_log_convex
 from .gridpolicy import GridPolicy
 from .models import HypothesisCheck, check_dpfr, survival_shape
 from .preorders import Preorder, holds
-from .systems import (CLAMP_TOL, SurvivalCurve, SystemSpec, _block_columns, _check_survival,
-                      _grid, _lifetimes, _survivals, curves, default_grid)
+from .systems import (CLAMP_TOL, SurvivalCurve, SystemSpec, _block_columns, _check_grid,
+                      _check_survival, _lifetimes, _survivals, default_grid)
 
 #: A verdict over more than one kernel block first evaluates every _STRIDE-th
 #: grid point and the last; see ``_grid_verdict``.
@@ -81,9 +82,11 @@ def compare_curves(
     # the curves of one ``curves`` call share their grid object
     if cx.xs is not cy.xs and not np.array_equal(cx.xs, cy.xs):
         raise ValidationError("curves live on different grids")
-    policy = policy or GridPolicy()
-    xs = cx.xs
-    gap = cx.values - cy.values  # finite: SurvivalCurve refuses NaN
+    return _gap_verdict(cx.xs, cx.values - cy.values, policy or GridPolicy())
+
+
+def _gap_verdict(xs: np.ndarray, gap: np.ndarray, policy: GridPolicy) -> DominanceVerdict:
+    """The verdict of a gap S_X - S_Y, finite after the curve checks, on xs."""
     min_gap, max_gap = float(gap.min()), float(gap.max())
     relation = _relation(min_gap, max_gap, policy)
     # both signs reach beyond crossing_gap, so some pair brackets a change
@@ -111,35 +114,35 @@ def _relation(min_gap: float, max_gap: float, policy: GridPolicy) -> Relation:
 
 def _grid_verdict(systems, xs: np.ndarray, policy: GridPolicy) -> DominanceVerdict:
     """``compare_curves(*curves(systems, xs), policy)`` for the two systems
-    of a verdict, from the two passes of the module docstring when the grid
-    spans more than one kernel block."""
-    if _block_columns(systems[0].n, len(systems)) >= xs.size:  # one kernel block
-        return compare_curves(*curves(systems, xs), policy)
-    grid = _grid(xs)
-    coarse = np.r_[0:grid.size - 1:_STRIDE, grid.size - 1]
-    sx, sy = _survivals(systems, grid[coarse])
-    gap = sx - sy
-    lo, hi = gap.min(), gap.max()
-    if _relation(lo, hi, policy) is not Relation.CROSSING:
-        slack = 2.0 * CLAMP_TOL
-        reach = (sx[1:] - sy[:-1] - slack <= lo) | (sx[:-1] - sy[1:] + slack >= hi)
-        # every point but the last, flagged by the interval it starts or lies in
-        inside = np.repeat(reach, np.diff(coarse))
-        inside[coarse[:-1]] = False
-        fine = np.flatnonzero(inside)
-        vals = np.empty((2, grid.size))
-        vals[:, coarse] = sx, sy
-        vals[:, fine] = _survivals(systems, grid[fine])
-        vals = vals[:, np.sort(np.concatenate((coarse, fine)))]
-        for v in vals:  # the SurvivalCurve checks, on every evaluated point in x order
-            _check_survival(v)
-        gap = vals[0] - vals[1]
-        min_gap, max_gap = float(gap.min()), float(gap.max())
-        relation = _relation(min_gap, max_gap, policy)
-        if relation is not Relation.CROSSING:
-            return DominanceVerdict(relation, min_gap, max_gap, (), grid.size)
-    # a crossing is bracketed on the whole grid
-    return compare_curves(*curves(systems, grid), policy)
+    of a verdict, on an uncopied policy grid xs, from the two passes of the
+    module docstring when the grid spans more than one kernel block."""
+    _check_grid(xs)
+    if _block_columns(systems[0].n, len(systems)) < xs.size:  # more than one kernel block
+        coarse = np.r_[0:xs.size - 1:_STRIDE, xs.size - 1]
+        sx, sy = _survivals(systems, xs[coarse])
+        gap = sx - sy
+        lo, hi = gap.min(), gap.max()
+        if _relation(lo, hi, policy) is not Relation.CROSSING:
+            slack = 2.0 * CLAMP_TOL
+            reach = (sx[1:] - sy[:-1] - slack <= lo) | (sx[:-1] - sy[1:] + slack >= hi)
+            # every point but the last, flagged by the interval it starts or lies in
+            inside = np.repeat(reach, np.diff(coarse))
+            inside[coarse[:-1]] = False
+            fine = np.flatnonzero(inside)
+            vals = np.empty((2, xs.size))
+            vals[:, coarse] = sx, sy
+            vals[:, fine] = _survivals(systems, xs[fine])
+            vals = vals[:, np.sort(np.concatenate((coarse, fine)))]
+            _check_survival(vals)  # the SurvivalCurve checks, on every evaluated point in x order
+            gap = vals[0] - vals[1]
+            min_gap, max_gap = float(gap.min()), float(gap.max())
+            relation = _relation(min_gap, max_gap, policy)
+            if relation is not Relation.CROSSING:
+                return DominanceVerdict(relation, min_gap, max_gap, (), xs.size)
+    # one kernel block, or a crossing to bracket on the whole grid
+    vals = _survivals(systems, xs)
+    _check_survival(vals)
+    return _gap_verdict(xs, vals[0] - vals[1], policy)
 
 
 def _bracket_crossings(xs, gap, thresh) -> tuple[tuple[float, float], ...]:

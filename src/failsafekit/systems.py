@@ -28,17 +28,17 @@ _BLOCK_BYTES, so its working set stays in cache whatever the grid size and
 k.  Every step is elementwise along the grid, so neither the block edges
 nor the number of systems per call change a value.
 
-Check once: ``_lifetimes`` checks every lifetime argument x (here, in
-``mcsim`` and in the Schur probe of ``ordering``) and ``_grid`` every
-survival grid: ``SurvivalCurve`` checks its own, and ``curves`` its one
-grid once per call, which all of its curves share.  Each block of the
-marginal matrix is checked once for NaN, by its minimum.  Every marginal
-survival lies in [0, 1] by construction, the mphrs map's too, and the
-sums add nonnegative phi values, so phi and psi run through the
-generators' private kernels, which skip the argument checks the public
-functions repeat on every call.  A dead component (u = 0, phi = +inf)
-drops out of every term that holds it, as psi(+inf) = 0, and a point
-where every component is dead sums to 0.
+Check once, where an input enters: ``SystemSpec`` checks theta and
+``_lifetimes`` every lifetime argument x (here, in ``mcsim`` and in the
+Schur probe of ``ordering``); ``_check_grid`` checks ``SurvivalCurve``'s
+grid, ``curves``' one grid per call and a verdict's policy grid, uncopied.
+The kernel checks each marginal block once for NaN, by its minimum.  Every
+marginal lies in [0, 1], the mphrs map's too, and the sums add nonnegative
+phi values, so the kernel's marginals, phi and psi are ``models`` and
+``generators`` private forms, which skip the public functions' checks and
+run under the one np.errstate the kernel holds per call.  A dead component
+(u = 0, phi = +inf) drops out of every term that holds it, as psi(+inf) =
+0, and a point where every component is dead sums to 0.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 from .errors import ValidationError, real_number, whole_number
 from .generators import GeneratorSpec, _phi, _psi
 from .gridpolicy import GridPolicy
-from .models import BaselineSpec, SemiParamModel, _sp_survival, bulk_grid
+from .models import BaselineSpec, SemiParamModel, _sp_survival, bulk_grid, sp_survival
 
 #: Values this close to the [0, 1] bounds are clamped onto them.
 CLAMP_TOL = 1e-10
@@ -127,13 +127,17 @@ def _lifetimes(x) -> np.ndarray:
     return arr
 
 
-def _grid(xs) -> np.ndarray:
-    """xs as a new read-only float64 array, unless it is not a strictly
-    increasing positive grid of two or more points."""
-    xs = np.array(xs, dtype=float)
+def _check_grid(xs: np.ndarray) -> None:
+    """Refuse a float64 xs unless it is a strictly increasing positive grid."""
     # NaN fails the comparisons, and a difference next to it is NaN too
     if xs.ndim != 1 or xs.size < 2 or not (xs[0] > 0.0 and (xs[1:] - xs[:-1]).min() > 0.0):
         raise ValidationError("xs must be a strictly increasing positive grid of length >= 2")
+
+
+def _grid(xs) -> np.ndarray:
+    """xs as a new read-only float64 array, after ``_check_grid``."""
+    xs = np.array(xs, dtype=float)
+    _check_grid(xs)
     xs.flags.writeable = False
     return xs
 
@@ -167,14 +171,15 @@ class SurvivalCurve:
 
 
 def _check_survival(vals: np.ndarray) -> None:
-    """Refuse survival values, two or more in x order, that leave [0, 1] or
-    rise by more than CLAMP_TOL."""
-    # NaN propagates through min and max, so it is refused with the
-    # out-of-range values
-    if not (vals.min() >= -CLAMP_TOL and vals.max() <= 1.0 + CLAMP_TOL):
-        raise ValidationError("survival values leave [0, 1] or are NaN")
-    if (vals[1:] - vals[:-1]).max() > CLAMP_TOL:
-        raise ValidationError("survival values are not nonincreasing")
+    """Refuse survival values, two or more in x order in a 1-d array or each
+    row of a 2-d one, that leave [0, 1] or rise by more than CLAMP_TOL."""
+    for row in np.atleast_2d(vals):
+        # NaN propagates through min and max, so it is refused with the
+        # out-of-range values
+        if not (row.min() >= -CLAMP_TOL and row.max() <= 1.0 + CLAMP_TOL):
+            raise ValidationError("survival values leave [0, 1] or are NaN")
+        if (row[1:] - row[:-1]).max() > CLAMP_TOL:
+            raise ValidationError("survival values are not nonincreasing")
 
 
 def _block_columns(n: int, k: int) -> int:
@@ -191,45 +196,46 @@ def _survivals(systems, x: np.ndarray) -> np.ndarray:
     theta = np.array([s.theta for s in systems]).T.reshape(-1, 1)
     step = _block_columns(n, k)
     blocks = []
-    for start in range(0, max(x.size, 1), step):  # an empty x is one empty block
-        # the marginals, one (k, columns) row per component; x holds no NaN,
-        # so they skip sp_survival's NaN check
-        xb = x[start:start + step]
-        margs = _sp_survival(model, xb, theta).reshape(n, k, xb.size)
-        # min is NaN if any marginal is (initial: an empty x)
-        if math.isnan(margs.min(initial=1.0)):
-            raise ValidationError(f"{model.kind} model over {model.baseline.family}"
-                                  f"{model.baseline.params} gave a NaN marginal survival")
-        s = _phi(gen.family, gen.theta, margs)  # +inf for a dead component
-        # rows 0..n-1: leave-one-out sums as (prefix sum of the rows before i)
-        # + (suffix sum of the rows after i); row n: the total.  Both add
-        # nonnegative phi values only, so a component whose phi dominates
-        # (or is +inf) leaves the other terms' digits in the one sum without
-        # it, which tot - s[i] would cancel away (or make NaN).
-        loo = np.empty((n + 1,) + s.shape[1:])
-        loo[0] = 0.0
-        for i in range(1, n + 1):
-            np.add(loo[i - 1], s[i - 1], out=loo[i])
-        after = s[-1].copy()
-        for i in range(n - 2, -1, -1):
-            loo[i] += after
-            after += s[i]
-        p = _psi(gen.family, gen.theta, loo)
-        # the psi terms add row by row too: numpy's sum over axis 0 does so for
-        # two or more points but pairwise for one, so a scalar x would round
-        # differently from the same point inside a grid.  vals is a new array
-        # (n >= 2), so a returned block keeps no view of p alive
-        vals = p[0] + p[1]
-        for i in range(2, n):
-            vals += p[i]
-        vals -= (n - 1) * p[n]
-        # each clamp runs only where its mask can hold a True (a NaN, whose
-        # neighbours it would still clamp, fails the comparisons and runs both)
-        if not vals.max(initial=0.0) <= 1.0:
-            np.copyto(vals, 1.0, where=(vals > 1.0) & (vals <= 1.0 + CLAMP_TOL))
-        if not vals.min(initial=1.0) >= 0.0:
-            np.copyto(vals, 0.0, where=(vals < 0.0) & (vals >= -CLAMP_TOL))
-        blocks.append(vals)
+    with np.errstate(all="ignore"):  # the one errstate of every step below
+        for start in range(0, max(x.size, 1), step):  # an empty x is one empty block
+            # the marginals, one (k, columns) row per component, skip sp_survival's
+            # checks: x holds no NaN, and each SystemSpec checked its theta
+            xb = x[start:start + step]
+            margs = _sp_survival(model, xb, theta).reshape(n, k, xb.size)
+            # min is NaN if any marginal is (initial: an empty x)
+            if math.isnan(margs.min(initial=1.0)):
+                raise ValidationError(f"{model.kind} model over {model.baseline.family}"
+                                      f"{model.baseline.params} gave a NaN marginal survival")
+            s = _phi(gen.family, gen.theta, margs)  # +inf for a dead component
+            # rows 0..n-1: leave-one-out sums as (prefix sum of the rows before i)
+            # + (suffix sum of the rows after i); row n: the total.  Both add
+            # nonnegative phi values only, so a component whose phi dominates
+            # (or is +inf) leaves the other terms' digits in the one sum without
+            # it, which tot - s[i] would cancel away (or make NaN).
+            loo = np.empty((n + 1,) + s.shape[1:])
+            loo[0] = 0.0
+            for i in range(1, n + 1):
+                np.add(loo[i - 1], s[i - 1], out=loo[i])
+            after = s[-1].copy()
+            for i in range(n - 2, -1, -1):
+                loo[i] += after
+                after += s[i]
+            p = _psi(gen.family, gen.theta, loo)
+            # the psi terms add row by row too: numpy's sum over axis 0 does so for
+            # two or more points but pairwise for one, so a scalar x would round
+            # differently from the same point inside a grid.  vals is a new array
+            # (n >= 2), so a returned block keeps no view of p alive
+            vals = p[0] + p[1]
+            for i in range(2, n):
+                vals += p[i]
+            vals -= (n - 1) * p[n]
+            # each clamp runs only where its mask can hold a True (a NaN, whose
+            # neighbours it would still clamp, fails the comparisons and runs both)
+            if not vals.max(initial=0.0) <= 1.0:
+                np.copyto(vals, 1.0, where=(vals > 1.0) & (vals <= 1.0 + CLAMP_TOL))
+            if not vals.min(initial=1.0) >= 0.0:
+                np.copyto(vals, 0.0, where=(vals < 0.0) & (vals >= -CLAMP_TOL))
+            blocks.append(vals)
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
@@ -272,8 +278,9 @@ def homogeneous_x2n(gen: GeneratorSpec, u, n: int):
     if not ok.all():
         raise ValidationError(f"u {uu[np.argmin(ok)]} outside [0, 1]")
     f, th = gen.family, gen.theta
-    p = _phi(f, th, uu)
-    vals = n * _psi(f, th, (n - 1) * p) - (n - 1) * _psi(f, th, n * p)
+    with np.errstate(all="ignore"):
+        p = _phi(f, th, uu)
+        vals = n * _psi(f, th, (n - 1) * p) - (n - 1) * _psi(f, th, n * p)
     return vals if np.ndim(u) else float(vals[0])
 
 
@@ -282,7 +289,7 @@ def _homogeneous_bound(sys: SystemSpec, x, order: str, mean) -> np.ndarray:
     th = np.asarray(sys.theta)
     if np.any(th <= 0.0):
         raise ValidationError(f"{order} bound needs positive thetas")
-    margs = _sp_survival(sys.model, _lifetimes(x), float(mean(th)))
+    margs = sp_survival(sys.model, _lifetimes(x), float(mean(th)))
     return homogeneous_x2n(sys.generator, margs, sys.n)
 
 

@@ -9,6 +9,7 @@ from failsafekit import (
     LogShape,
     ValidationError,
     classify_log_shape,
+    homogeneous_x2n,
     is_log_concave,
     is_log_convex,
     log_psi,
@@ -95,13 +96,17 @@ EDGE_THETAS = {
 @pytest.mark.parametrize("family, theta", [(f, th) for f in FAMILIES for th in EDGE_THETAS[f]])
 def test_ieee_limits_carry_a_dead_component(family, theta):
     # the survival kernel relies on these: u = 0 gives phi = +inf, and a sum
-    # that holds it gives psi = 0, for a scalar and a column theta alike,
-    # with no floating-point warning (pytest raises RuntimeWarning)
+    # that holds it gives psi = 0, for a scalar and a column theta alike.
+    # The private kernels run under their caller's np.errstate, as there
     g = GeneratorSpec(family, theta)
-    for th in (g.theta, np.full((2, 1), g.theta) if g.theta is not None else None):
-        assert np.all(generators._phi(family, th, np.zeros((2, 3))) == np.inf)
-        assert np.all(generators._psi(family, th, np.full((2, 3), np.inf)) == 0.0)
+    with np.errstate(all="ignore"):
+        for th in (g.theta, np.full((2, 1), g.theta) if g.theta is not None else None):
+            assert np.all(generators._phi(family, th, np.zeros((2, 3))) == np.inf)
+            assert np.all(generators._psi(family, th, np.full((2, 3), np.inf)) == 0.0)
+    # the public functions hold that errstate themselves, so a dead component
+    # passes them with no floating-point warning (pytest raises RuntimeWarning)
     assert psi(g, np.inf) == 0.0 and log_psi(g, np.inf) == -np.inf
+    assert homogeneous_x2n(g, 0.0, 3) == 0.0
 
 
 def _frank_phi_both_branches(th, u):
@@ -114,11 +119,14 @@ def _frank_phi_both_branches(th, u):
 
 def test_frank_phi_near_zero_theta_is_silent():
     # a refit theta of rounding residue above 0: the far branch would be
-    # log1p(-1) - log1p(-1) and warn, though the near branch is selected
+    # log1p(-1) - log1p(-1) and warn, though the near branch is selected.
+    # phi holds the errstate its kernel runs under, whatever the caller's;
+    # the column form is the private kernel's, under its caller's errstate
     us = np.concatenate([np.geomspace(1e-300, 1.0, 300), np.linspace(1e-3, 1.0, 300)])
     thetas = np.array([1.7e-17, 1e-9, 0.01, 0.5, math.log(2.0), 1.0, 5.0, 40.0, 500.0, 800.0])
-    with np.errstate(invalid="raise"):
-        got = [generators._phi("frank", th, us) for th in thetas]
+    with np.errstate(all="raise"):
+        got = [phi(GeneratorSpec("frank", th), us) for th in thetas]
+    with np.errstate(all="ignore"):
         column = generators._phi("frank", thetas[:, None], us)
     want = _frank_phi_both_branches(thetas[:, None], us)
     finite = np.isfinite(want)
@@ -348,8 +356,9 @@ def test_theta_column_equals_scalar_theta_bitwise(family):
         assert (th[:, None] * u >= math.log(2.0)).any()
         assert (np.expm1(-th[:, None]) * np.exp(-t) <= -0.5).any()
     for fn, x in ((generators._phi, u), (generators._psi, t), (generators._log_psi, t)):
-        column = fn(family, th[:, None], x)
-        scalar = np.stack([fn(family, float(v), row) for v, row in zip(th, x)])
+        with np.errstate(all="ignore"):  # the kernels' callers hold it
+            column = fn(family, th[:, None], x)
+            scalar = np.stack([fn(family, float(v), row) for v, row in zip(th, x)])
         assert column.tobytes() == scalar.tobytes(), fn.__name__
 
 

@@ -790,6 +790,29 @@ def test_theta_array_outside_domain_raises(m):
             f(m, -np.geomspace(0.1, 2.0, 5), bad[:, None])
 
 
+@pytest.mark.parametrize("kind, theta, message", [
+    ("scale", -0.5, "theta [-0.5] outside the scale domain"),
+    ("phr", 0.0, "theta [0.0] outside the phr domain"),
+    ("mphrs", np.inf, "theta [inf] outside the mphrs domain"),
+    ("ls", [1.0, np.nan, -np.inf, -1.0, 0.0], "theta [nan, -inf, -1.0] outside the ls domain"),
+    ("location", [-3.0, np.inf], "theta [inf] outside the location domain"),
+], ids=["scale-negative", "phr-zero", "mphrs-inf", "ls-first-three", "location-inf"])
+def test_theta_outside_the_domain_is_refused_where_it_enters(kind, theta, message):
+    # the survival kernel trusts a theta its SystemSpec checked; every public
+    # entry that takes a theta of its own checks it, with one message
+    m = SemiParamModel(kind, BaselineSpec("weibull", (1.0, 0.8)),
+                       alpha=0.5 if kind == "mphrs" else None,
+                       lam={"mphrs": 1.3, "ls": 0.2}.get(kind))
+    calls = {"sp_survival": lambda: sp_survival(m, 1.0, theta),
+             "sp_log_survival": lambda: sp_log_survival(m, [0.5, 1.0], theta),
+             "sp_quantile": lambda: sp_quantile(m, 0.5, theta),
+             "curve_grid": lambda: GridPolicy().curve_grid(m, np.atleast_1d(theta))}
+    for name, call in calls.items():
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == message, name
+
+
 #: model -> (holds, rule) of the theorem-1 and theorem-2 condition-2 checks.
 PINNED_CHECKS = {
     "location_gen_pareto": (

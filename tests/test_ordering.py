@@ -621,6 +621,83 @@ def test_verdicts_equal_the_full_grid_at_one_block_and_just_past_it():
         assert _verified("theorem1", sx, sy, policy) == _full_grid(sx, sy, policy)
 
 
+#: one DFR baseline per family, and one generator per family, with amh on
+#: the side of 0 whose log-shape the route's generator hypothesis asks for
+DFR_BY_FAMILY = {"exponential": (1.3,), "weibull": (1.2, 0.8), "gamma": (0.7, 1.5),
+                 "exp_weibull": (0.6, 0.45), "burr": (0.7, 1.9), "gen_pareto": (1.7,),
+                 "gen_gamma": (0.9, 0.35)}
+GENERATOR_THETAS = {"independence": None, "clayton": 2.0, "gumbel": 1.5, "frank": 4.0,
+                    "amh": 0.5, "gumbel_barnett": 0.5, "gumbel_hougaard": 2.0}
+KIND_FIXED = {"scale": {}, "phr": {}, "location": {}, "mphrs": {"alpha": 0.6, "lam": 1.3},
+              "ls": {"lam": 0.3}}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_FIXED))
+def test_one_block_verdicts_equal_the_full_grid_over_every_family(kind):
+    # verify's one-block path builds no curve and copies no grid; its verdict
+    # must equal compare_curves on the curves of the same grid, field for
+    # field, for every generator and baseline family.  X's entries lie below
+    # Y's, so X is p-larger (theorem 1) and reciprocally majorizes Y (theorem
+    # 2); where the generator hypothesis fails, verify draws no curve and the
+    # engine it calls is compared directly
+    route = "theorem2" if kind == "location" else "theorem1"
+    rng = np.random.default_rng(list(map(ord, kind)))
+    policy, reached = GridPolicy(), 0
+    for family, theta in GENERATOR_THETAS.items():
+        if family == "amh" and route == "theorem1":
+            theta = -theta
+        gen = GeneratorSpec(family, theta)
+        for baseline, params in DFR_BY_FAMILY.items():
+            m = SemiParamModel(kind, BaselineSpec(baseline, params), **KIND_FIXED[kind])
+            n = int(rng.integers(3, 6))
+            a = np.exp(rng.uniform(np.log(0.1), np.log(3.0), n))
+            sx = SystemSpec(n, m, tuple(a.tolist()), gen)
+            sy = SystemSpec(n, m, tuple((a * rng.uniform(1.0, 2.0, n)).tolist()), gen)
+            xs = policy.curve_grid(m, sx.theta, sy.theta)
+            assert systems._block_columns(n, 2) >= xs.size
+            want = compare_curves(*curves((sx, sy), xs), policy)
+            got = _verified(route, sx, sy, policy)
+            if got is None:
+                got = _grid_verdict((sx, sy), xs, policy)
+            else:
+                reached += 1
+            assert got == want, (family, baseline)
+    # every baseline family under each generator family of the route's shape
+    assert reached == len(DFR_BY_FAMILY) * (5 if route == "theorem2" else 4)
+
+
+@pytest.mark.parametrize("n", [4, 30], ids=["one-block", "two-pass"])
+@pytest.mark.parametrize("grid", [[0.5, 1.0, 1.0, 2.0], [0.5, 2.0, 1.0, 3.0], [0.5, np.nan, 1.0],
+                                  [0.0, 1.0, 2.0]], ids=["tie", "unsorted", "nan", "zero"])
+def test_verify_refuses_a_policy_grid_that_is_not_strictly_increasing(monkeypatch, n, grid):
+    # the verdict checks the policy grid once, without a copy, on both paths
+    sx, sy = _scale_pair(np.random.default_rng(n), DFR_BASELINES[1], LOG_CONCAVE[0], n)
+    width = 2 * systems._block_columns(n, 2) if n == 30 else 0
+    xs = np.concatenate([np.array(grid, dtype=float), np.geomspace(10.0, 20.0, width)])
+    monkeypatch.setattr(GridPolicy, "curve_grid", lambda self, model, *thetas: xs.copy())
+    assert (systems._block_columns(n, 2) < xs.size) == (n == 30)
+    with pytest.raises(ValidationError) as err:
+        verify("theorem1", sx, sy)
+    assert str(err.value) == "xs must be a strictly increasing positive grid of length >= 2"
+
+
+@pytest.mark.parametrize("n", [4, 30], ids=["one-block", "two-pass"])
+@pytest.mark.parametrize("damage, message", [
+    (lambda v: v + 0.01, "survival values leave [0, 1] or are NaN"),
+    (lambda v: np.where(v < 0.5, np.nan, v), "survival values leave [0, 1] or are NaN"),
+    (lambda v: v[:, ::-1].copy(), "survival values are not nonincreasing"),
+], ids=["above-1", "nan", "rising"])
+def test_verify_refuses_kernel_values_that_fail_the_curve_checks(monkeypatch, n, damage, message):
+    # no SurvivalCurve is built on either path, so the verdict runs its
+    # checks on the kernel's rows itself
+    kernel = systems._survivals
+    monkeypatch.setattr(ordering, "_survivals", lambda specs, x: damage(kernel(specs, x)))
+    sx, sy = _scale_pair(np.random.default_rng(n), DFR_BASELINES[1], LOG_CONCAVE[0], n)
+    with pytest.raises(ValidationError) as err:
+        verify("theorem1", sx, sy)
+    assert str(err.value) == message
+
+
 def test_only_a_multi_block_grid_skips_points(monkeypatch):
     sizes = []
     kernel = systems._survivals

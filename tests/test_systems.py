@@ -140,7 +140,8 @@ def direct_loo_x2n(sysd, xs):
     (u = 0) has phi = +inf, which psi maps to 0."""
     gen, n = sysd.generator, sysd.n
     margs = sp_survival(sysd.model, xs, np.asarray(sysd.theta)[:, None]).T  # a column per component
-    s = _phi(gen.family, gen.theta, margs)
+    with np.errstate(all="ignore"):  # as in the kernel, whose errstate phi runs under
+        s = _phi(gen.family, gen.theta, margs)
     loo = np.stack([np.sum(np.delete(s, i, axis=1), axis=1) for i in range(n)], axis=1)
     return psi(gen, loo).sum(axis=1) - (n - 1) * psi(gen, np.sum(s, axis=1))
 
@@ -172,13 +173,32 @@ def test_homogeneous_scalar_equals_the_same_point_in_a_batch(family):
 
 def test_nan_marginal_survival_is_refused(monkeypatch):
     # the kernel checks the marginal matrix once and then trusts it, so a
-    # NaN marginal must be refused there, not passed on to phi and psi
+    # NaN marginal must be refused there, not passed on to phi and psi, on
+    # every path into it: survival_x2n, and verify's one-block (n = 3) and
+    # two-pass (n = 30) verdicts
+    message = "scale model over exponential(1.0,) gave a NaN marginal survival"
     sysd = scale_exp_system(GeneratorSpec("clayton", 2.0), (1.0, 2.0, 3.0))
     monkeypatch.setattr(systems, "_sp_survival",
                         lambda model, x, theta: np.where(x == 1.0, np.nan, np.exp(-theta * x)))
     assert np.all(np.isfinite(survival_x2n(sysd, np.array([0.5, 2.0]))))
-    with pytest.raises(ValidationError, match=r"scale model over exponential\(1.0,\) gave a NaN"):
+    with pytest.raises(ValidationError) as err:
         survival_x2n(sysd, np.array([0.5, 1.0, 2.0]))
+    assert str(err.value) == message
+    gen = GeneratorSpec("gumbel_barnett", 0.5)
+    for n in (3, 30):
+        # a theorem-1 pair whose hypotheses hold; its policy grid reaches past x = 2
+        rng = np.random.default_rng(n)
+        a = np.exp(rng.uniform(np.log(0.1), np.log(3.0), n))
+        sx = scale_exp_system(gen, a.tolist())
+        sy = scale_exp_system(gen, (a * rng.uniform(1.0, 2.0, n)).tolist())
+        assert (systems._block_columns(n, 2) < GridPolicy().curve_points) == (n == 30)
+        monkeypatch.setattr(systems, "_sp_survival", models._sp_survival)
+        assert verify_theorem1(sx, sy).overall
+        monkeypatch.setattr(systems, "_sp_survival",
+                            lambda model, x, theta: np.where(x > 2.0, np.nan, np.exp(-theta * x)))
+        with pytest.raises(ValidationError) as err:
+            verify_theorem1(sx, sy)
+        assert str(err.value) == message, n
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
