@@ -162,19 +162,23 @@ def sample_lifetimes(sys: SystemSpec, count: int, seed: int) -> np.ndarray:
 
 
 def second_smallest(lifetimes: np.ndarray) -> np.ndarray:
-    """Row-wise second-smallest entry (the fail-safe system lifetime)."""
-    arr = np.asarray(lifetimes, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] < 2:
-        raise ValidationError("lifetimes must be a matrix with >= 2 columns")
+    """Row-wise second-smallest entry (the fail-safe system lifetime) of a
+    lifetimes matrix: numeric, 2-d, with >= 2 columns and no NaN (+inf is
+    a lifetime that never ends)."""
+    rule = "lifetimes must be a numeric matrix with >= 2 columns and no NaN"
+    try:
+        arr = np.asarray(lifetimes, dtype=float)
+    except (TypeError, ValueError) as exc:  # text, ragged rows
+        raise ValidationError(rule) from exc
+    if arr.ndim != 2 or arr.shape[1] < 2 or np.isnan(arr).any():
+        raise ValidationError(rule)
     return np.partition(arr, 1, axis=1)[:, 1]
 
 
 def empirical_survival_x2n(lifetimes: np.ndarray, x):
     """Fraction of rows whose second-smallest entry exceeds x."""
-    arr = np.asarray(lifetimes, dtype=float)
-    if arr.size == 0:
+    second = second_smallest(lifetimes)
+    if second.size == 0:
         raise ValidationError("lifetimes matrix is empty")
-    second = second_smallest(arr)
     vals = np.mean(second[:, None] > np.atleast_1d(_lifetimes(x))[None, :], axis=0)
     return vals if np.ndim(x) else float(vals[0])
-

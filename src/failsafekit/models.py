@@ -352,7 +352,11 @@ class BaselineSpec:
         if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise ValidationError(f"unknown baseline family {self.family!r}")
         names = _FAMILIES[self.family].names
-        params = tuple(real_number(p, f"{self.family} parameter") for p in self.params)
+        try:
+            params = tuple(real_number(p, f"{self.family} parameter") for p in self.params)
+        except TypeError:  # a number, not a sequence
+            raise ValidationError(f"{self.family} params must be a sequence of numbers, "
+                                  f"got {self.params!r}") from None
         if len(params) != len(names):
             raise ValidationError(
                 f"{self.family} takes {len(names)} parameters {names}, got {len(params)}"
@@ -455,6 +459,8 @@ class SemiParamModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown model kind {self.kind!r}")
+        if not isinstance(self.baseline, BaselineSpec):
+            raise ValidationError(f"model baseline must be a BaselineSpec, got {self.baseline!r}")
         alpha, lam = (None if v is None else real_number(v, f"{self.kind} {name}")
                       for v, name in ((self.alpha, "alpha"), (self.lam, "lambda")))
         if self.kind == "mphrs":

@@ -79,8 +79,7 @@ def compare_curves(
     to change sign beyond ``policy.crossing_gap`` on both sides; smaller
     wiggles leave the dominance verdict standing, X's first.
     """
-    # the curves of one ``curves`` call share their grid object
-    if cx.xs is not cy.xs and not np.array_equal(cx.xs, cy.xs):
+    if not np.array_equal(cx.xs, cy.xs):
         raise ValidationError("curves live on different grids")
     return _gap_verdict(cx.xs, cx.values - cy.values, policy or GridPolicy())
 

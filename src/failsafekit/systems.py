@@ -13,25 +13,26 @@ absolute 1e-13 on survival values).  Curve evaluation is embarrassingly
 parallel over grid points; all functions here are pure.
 
 Layout: one private kernel evaluates k systems that share a model, a
-generator and n (``survival_x2n`` is its k = 1 call; ``curves`` serves
-both systems of a verdict, and the Schur probe its 2n perturbed ones).  It
-holds the marginals component-major, an (n, k, columns) matrix, so that
-the running sums advance over whole contiguous (k, columns) rows and no
-step walks a strided column or reduces along an axis only n long, one
-point at a time.  The matrix is computed as (n k, columns) from one column
-of parameters and then viewed as (n, k, columns): numpy broadcasts two
-dimensions faster than three.  Every reduction over the components is a
-row-by-row add in component order, whatever the number of points, so a
-scalar x rounds exactly as the same point inside a grid.  The kernel walks
-the grid in blocks of as many columns as keep the marginal matrix within
-_BLOCK_BYTES, so its working set stays in cache whatever the grid size and
-k.  Every step is elementwise along the grid, so neither the block edges
-nor the number of systems per call change a value.
+generator and n (``survival_x2n`` is its k = 1 call; a verdict calls it
+directly for its two systems, the Schur probe for its 2n perturbed ones
+and ``curves`` for library users).  It holds the marginals
+component-major, an (n, k, columns) matrix, so that the running sums
+advance over whole contiguous (k, columns) rows and no step walks a
+strided column or reduces along an axis only n long, one point at a time.
+The matrix is computed as (n k, columns) from one column of parameters and
+then viewed as (n, k, columns): numpy broadcasts two dimensions faster
+than three.  Every reduction over the components is a row-by-row add in
+component order, whatever the number of points, so a scalar x rounds
+exactly as the same point inside a grid.  The kernel walks the grid in
+blocks of as many columns as keep the marginal matrix within _BLOCK_BYTES,
+so its working set stays in cache whatever the grid size and k.  Every
+step is elementwise along the grid, so neither the block edges nor the
+number of systems per call change a value.
 
 Check once, where an input enters: ``SystemSpec`` checks theta and
 ``_lifetimes`` every lifetime argument x (here, in ``mcsim`` and in the
 Schur probe of ``ordering``); ``_check_grid`` checks ``SurvivalCurve``'s
-grid, ``curves``' one grid per call and a verdict's policy grid, uncopied.
+grid, ``curves``' grid before the kernel runs and a verdict's, uncopied.
 The kernel checks each marginal block once for NaN, by its minimum.  Every
 marginal lies in [0, 1], the mphrs map's too, and the sums add nonnegative
 phi values, so the kernel's marginals, phi and psi are ``models`` and
@@ -72,7 +73,15 @@ class SystemSpec:
 
     def __post_init__(self):
         n = whole_number(self.n, "system n", 2)
-        theta = tuple(real_number(t, "system theta entry") for t in self.theta)
+        if not isinstance(self.model, SemiParamModel):
+            raise ValidationError(f"system model must be a SemiParamModel, got {self.model!r}")
+        if not isinstance(self.generator, GeneratorSpec):
+            raise ValidationError(f"system generator must be a GeneratorSpec, got {self.generator!r}")
+        try:
+            theta = tuple(real_number(t, "system theta entry") for t in self.theta)
+        except TypeError:  # a number, not a sequence
+            raise ValidationError(f"system theta must be a sequence of numbers, "
+                                  f"got {self.theta!r}") from None
         if len(theta) != n:
             raise ValidationError(f"theta length {len(theta)} != n={n}")
         ok = self.model.theta_in_domain(theta)
@@ -134,14 +143,6 @@ def _check_grid(xs: np.ndarray) -> None:
         raise ValidationError("xs must be a strictly increasing positive grid of length >= 2")
 
 
-def _grid(xs) -> np.ndarray:
-    """xs as a new read-only float64 array, after ``_check_grid``."""
-    xs = np.array(xs, dtype=float)
-    _check_grid(xs)
-    xs.flags.writeable = False
-    return xs
-
-
 @dataclass(frozen=True, eq=False)
 class SurvivalCurve:
     """A lifetime grid and its survival values, as read-only float64 arrays:
@@ -151,23 +152,17 @@ class SurvivalCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        self._set(_grid(self.xs), np.array(self.values, dtype=float))
-
-    @classmethod
-    def _on_grid(cls, xs: np.ndarray, values: np.ndarray) -> "SurvivalCurve":
-        """A curve on a grid already checked by ``_grid``, which it shares,
-        and on values it owns, which it checks but does not copy."""
-        curve = object.__new__(cls)
-        curve._set(xs, values)
-        return curve
-
-    def _set(self, xs, vals):
+        try:
+            xs, vals = np.array(self.xs, dtype=float), np.array(self.values, dtype=float)
+        except (TypeError, ValueError) as exc:  # text, ragged rows
+            raise ValidationError("curve xs and values must be arrays of numbers") from exc
+        _check_grid(xs)
         if vals.shape != xs.shape:
             raise ValidationError("curve needs one survival value per grid point")
         _check_survival(vals)
-        vals.flags.writeable = False
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "values", vals)
+        for name, arr in (("xs", xs), ("values", vals)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 def _check_survival(vals: np.ndarray) -> None:
@@ -251,22 +246,22 @@ def default_grid(sys: SystemSpec, points: int = GridPolicy.curve_points) -> np.n
 
 
 def curve(sys: SystemSpec, xs) -> SurvivalCurve:
-    """Fail-safe survival curve on xs; ``SurvivalCurve`` checks the grid."""
-    return SurvivalCurve(xs, survival_x2n(sys, xs))
+    """Fail-safe survival curve on xs: ``curves`` of the one system."""
+    return curves((sys,), xs)[0]
 
 
 def curves(systems, xs) -> tuple[SurvivalCurve, ...]:
-    """``curve`` of every system on xs, from one pass of the survival kernel;
-    the systems must share a model, a generator and n."""
+    """The survival curve of every system on xs, from one pass of the
+    survival kernel; the systems must share a model, a generator and n."""
     if not systems:
         raise ValidationError("curves needs at least one system")
     first = systems[0]
     if any((s.model, s.generator, s.n) != (first.model, first.generator, first.n)
            for s in systems):
         raise ValidationError("curves needs systems with one model, generator and n")
-    # the one grid check of the call; every curve shares the checked grid
-    grid = _grid(np.atleast_1d(_lifetimes(xs)))
-    return tuple(SurvivalCurve._on_grid(grid, v) for v in _survivals(systems, grid))
+    grid = np.atleast_1d(_lifetimes(xs))
+    _check_grid(grid)  # a bad grid costs no evaluation
+    return tuple(SurvivalCurve(grid, v) for v in _survivals(systems, grid))
 
 
 def homogeneous_x2n(gen: GeneratorSpec, u, n: int):

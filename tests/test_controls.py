@@ -219,3 +219,44 @@ def test_h_theorem1_row_fails_against_the_geometric_mean(kind, theta, relation, 
     assert rep.overall  # every hypothesis verified
     assert rep.dominance.relation is relation
     assert rep.dominance.min_gap == pytest.approx(min_gap, rel=1e-3)
+
+
+#: The n-monotone range of each theorem-1 generator family at n = 3, 4, 5,
+#: from ROADMAP direction 3's table: (the edge of the family's range, the
+#: bound at n), so theta runs between the two (amh below 0).
+N_MONOTONE_RANGES = {
+    "gumbel_barnett": (0.0, {3: 0.3820, 4: 0.2227, 5: 0.1536}),
+    "gumbel_hougaard": (1.0, {3: 1.4142, 4: 1.1073, 5: 1.0313}),
+    "amh": (0.0, {3: -0.2679, 4: -0.1010, 5: -0.0431}),
+}
+#: The smallest |min gap| over the 400 draws below is 2.72e-4 (gumbel_hougaard,
+#: scale over gen_pareto, n = 3); the pin sits below it.
+CONTROL_H_MIN_GAP = -1e-4
+
+
+def test_h_theorem1_row_fails_against_the_geometric_mean_on_a_seeded_draw():
+    # the proof of the pinned cases above holds for every generator the row
+    # admits (kappa > 0) and every heterogeneous theta at n >= 3: each
+    # generator is drawn from 5-95% of its n-monotone range, so every draw
+    # is a probability model, and each kind and baseline passes the rest
+    rng = np.random.default_rng(131)
+    families = ("independence",) + tuple(N_MONOTONE_RANGES)
+    for i in range(400):
+        n = int(rng.integers(3, 6))
+        family = families[i % len(families)]
+        if family == "independence":
+            gen = GeneratorSpec(family)
+        else:
+            edge, bound = N_MONOTONE_RANGES[family]
+            gen = GeneratorSpec(family, edge + float(rng.uniform(0.05, 0.95)) * (bound[n] - edge))
+        base = (BaselineSpec("exponential", (1.0,)) if i // 8 % 2 == 0
+                else BaselineSpec("gen_pareto", (float(rng.uniform(0.2, 3.0)),)))
+        model = SemiParamModel(("scale", "phr")[i // 4 % 2], base)
+        theta = tuple(np.exp(rng.uniform(math.log(0.2), math.log(5.0), n)).tolist())
+        g = math.prod(theta) ** (1.0 / n)
+        sx, sy = SystemSpec(n, model, theta, gen), SystemSpec(n, model, (g,) * n, gen)
+        with pytest.raises(InconsistencyError) as exc:
+            verify_theorem1(sx, sy)
+        rep = exc.value.report
+        assert rep.overall, (sx, sy)
+        assert rep.dominance.min_gap < CONTROL_H_MIN_GAP, (sx, sy, rep.dominance)

@@ -223,11 +223,27 @@ def test_sample_copula_takes_integral_float_counts_as_their_ints():
     assert sample_copula(g, np.int64(3), np.int32(5), seed=1).uniforms.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("lifetimes", [np.ones((4, 1)), np.ones(4)], ids=["one-column", "1-d"])
+LIFETIMES_RULE = "lifetimes must be a numeric matrix with >= 2 columns and no NaN"
+
+
+@pytest.mark.parametrize("lifetimes", [
+    np.ones((4, 1)), np.ones(4), "ab", [[1.0, "a"], [2.0, 3.0]], [[1.0, 2.0], [3.0]],
+    np.array([[np.nan, 1.0], [1.0, 2.0]]),
+], ids=["one-column", "1-d", "text", "text-entry", "ragged", "nan"])
 def test_second_smallest_needs_two_columns(lifetimes):
     with pytest.raises(ValidationError) as err:
         second_smallest(lifetimes)
-    assert str(err.value) == "lifetimes must be a matrix with >= 2 columns"
+    assert str(err.value) == LIFETIMES_RULE
+    # empirical_survival_x2n takes its lifetimes through second_smallest
+    with pytest.raises(ValidationError) as err:
+        empirical_survival_x2n(lifetimes, 1.0)
+    assert str(err.value) == LIFETIMES_RULE
+
+
+def test_second_smallest_reads_an_infinite_lifetime_as_never_failing():
+    lt = np.array([[np.inf, 1.0, np.inf], [1.0, 2.0, 3.0]])
+    assert second_smallest(lt).tolist() == [np.inf, 2.0]
+    assert empirical_survival_x2n(lt, 1.5) == 1.0
 
 
 def test_positive_stable_laplace_transform():

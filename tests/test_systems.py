@@ -392,9 +392,9 @@ def test_curve_rejects_unsorted_grid():
 X_RULE = "x must be a nonnegative number or 1-d array, with no NaN"
 GRID_RULE = "xs must be a strictly increasing positive grid of length >= 2"
 
-# name -> (grid, the rule that curve reports): curve has no grid check of its
-# own, so survival_x2n refuses what breaks the lifetime rule first and
-# SurvivalCurve the rest
+# name -> (grid, the rule that curve reports): curve is curves of one system,
+# which refuses what breaks the lifetime rule first and its grid check the
+# rest; SurvivalCurve reports the grid rule for all four
 BAD_GRIDS = {
     "2-d": (np.array([[0.5, 1.0], [1.5, 2.0]]), X_RULE),
     "1-point": (np.array([1.0]), GRID_RULE),
@@ -438,6 +438,38 @@ def test_every_lifetime_entry_refuses_bad_x_alike(entry, bad):
     assert sx.n == 5
     with pytest.raises(ValidationError, match=re.escape(X_RULE)):
         LIFETIME_ENTRIES[entry](sx, BAD_LIFETIMES[bad])
+
+
+BAD_GRIDS_ANY_RULE = {name: xs for name, (xs, _) in BAD_GRIDS.items()} | {
+    "unsorted": np.array([1.0, 0.5, 2.0]),
+    "tied": np.array([0.5, 1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GRIDS_ANY_RULE))
+def test_curve_and_curves_refuse_a_bad_grid_before_the_kernel_runs(name, monkeypatch):
+    xs = BAD_GRIDS_ANY_RULE[name]
+
+    def kernel(*args):
+        raise AssertionError("the kernel ran on a bad grid")
+
+    monkeypatch.setattr(systems, "_survivals", kernel)
+    sx, sy = gumbel_barnett_pair()
+    for call in (lambda: curve(sx, xs), lambda: curves((sx, sy), xs)):
+        with pytest.raises(ValidationError):
+            call()
+
+
+@pytest.mark.parametrize("n", [5, 60])  # one kernel block, and several
+def test_curve_values_equal_survival_x2n_bit_for_bit(n):
+    model = SemiParamModel("scale", BaselineSpec("weibull", (1.0, 0.8)))
+    sysd = SystemSpec(n, model, tuple(0.5 + 0.05 * i for i in range(n)),
+                      GeneratorSpec("gumbel_hougaard", 1.5))
+    xs = GridPolicy().curve_grid(model, sysd.theta)
+    assert (systems._block_columns(n, 1) < xs.size) == (n == 60)
+    c = curve(sysd, xs)
+    assert c.values.tobytes() == survival_x2n(sysd, xs).tobytes()
+    assert c.xs.tobytes() == xs.tobytes()
 
 
 def test_curve_arrays_are_read_only_copies():
@@ -527,6 +559,7 @@ def test_curve_grid_batched_quantiles_match_per_theta_loop(model, tx, ty):
         assert got.tobytes() == want.tobytes()
 
 
+NUMBERS_RULE = "curve xs and values must be arrays of numbers"
 # name -> (grid, values, the message SurvivalCurve gives, the message curves
 # gives with its kernel's values replaced): curves refuses what breaks the
 # lifetime rule before its grid check, and checks values as SurvivalCurve
@@ -535,6 +568,10 @@ BAD_CURVES = {
     "decreasing grid": ((1.0, 3.0, 2.0), (0.6, 0.5, 0.4), GRID_RULE, GRID_RULE),
     "nan in grid": ((1.0, np.nan, 2.0), (0.6, 0.5, 0.4), GRID_RULE, X_RULE),
     "2-d grid": (((0.5, 1.0), (1.5, 2.0)), ((0.6, 0.5), (0.4, 0.3)), GRID_RULE, X_RULE),
+    "text grid": (("a", "b"), (1.0, 0.5), NUMBERS_RULE, X_RULE),
+    "none in grid": ((1.0, None), (1.0, 0.5), GRID_RULE, X_RULE),  # None reads as NaN
+    "text value": ((1.0, 2.0), ("a", "b"), NUMBERS_RULE, None),
+    "none value": ((1.0, 2.0), (None, 0.5), "leave [0, 1] or are NaN", None),
     "short values": ((1.0, 2.0, 3.0), (0.6, 0.5), "one survival value per grid point", None),
     "nan value": ((1.0, 2.0, 3.0), (0.6, np.nan, 0.4), "leave [0, 1] or are NaN", None),
     "above one": ((1.0, 2.0, 3.0), (1.0 + 2e-10, 0.5, 0.4), "leave [0, 1] or are NaN", None),
@@ -560,11 +597,10 @@ def test_survival_curves_accept_values_within_the_clamp_tolerance(monkeypatch):
     assert curves(gumbel_barnett_pair()[:1], xs)[0].values.tolist() == list(values)
 
 
-def test_curves_of_one_call_share_one_read_only_grid():
+def test_curves_are_read_only_copies_of_the_callers_grid():
     sx, sy = gumbel_barnett_pair()
     xs = demo_grid(50)
     cx, cy = curves((sx, sy), xs)
-    assert cx.xs is cy.xs
     for arr in (cx.xs, cx.values, cy.values):
         with pytest.raises(ValueError):
             arr[0] = 0.5
@@ -702,6 +738,23 @@ def test_system_refuses_theta_outside_the_domain(kind, theta, message):
     m = SemiParamModel(kind, BaselineSpec("exponential", (1.0,)))
     with pytest.raises(ValidationError) as err:
         SystemSpec(2, m, theta, GeneratorSpec("independence"))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda m, g: SystemSpec(2, "scale", (1.0, 1.0), g),
+     "system model must be a SemiParamModel, got 'scale'"),
+    (lambda m, g: SystemSpec(2, m, (1.0, 1.0), "clayton"),
+     "system generator must be a GeneratorSpec, got 'clayton'"),
+    (lambda m, g: SemiParamModel("scale", "weibull"),
+     "model baseline must be a BaselineSpec, got 'weibull'"),
+    (lambda m, g: SystemSpec(2, m, 5, g), "system theta must be a sequence of numbers, got 5"),
+    (lambda m, g: BaselineSpec("weibull", 5), "weibull params must be a sequence of numbers, got 5"),
+], ids=["model-text", "generator-text", "baseline-text", "theta-number", "params-number"])
+def test_spec_constructors_refuse_a_field_of_the_wrong_type(build, message):
+    model = SemiParamModel("scale", BaselineSpec("weibull", (1.0, 2.0)))
+    with pytest.raises(ValidationError) as err:
+        build(model, GeneratorSpec("clayton", 2.0))
     assert str(err.value) == message
 
 
