@@ -1,11 +1,16 @@
-"""Exception hierarchy shared across the package, the checks of scalar
-inputs (numbers, counts, tolerances) that raise it, and their JSON-ready
-form."""
+"""Exception hierarchy shared across the package, the checks of numeric
+inputs (numbers, arrays of numbers, counts, tolerances) that raise it, and
+their JSON-ready form.  Every public numeric argument goes through
+``real_number`` or ``real_array``; each caller adds only its own shape or
+domain rule."""
 
 import math
 import numbers
 
 import numpy as np
+
+#: The common inputs of ``real_array``: float64 arrays, and lists of these types.
+_FLOAT64, _FLOATS = np.dtype(float), frozenset({float, np.float64})
 
 
 class FailsafeKitError(Exception):
@@ -54,6 +59,27 @@ def real_number(value, what: str) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def real_array(value, what: str) -> np.ndarray:
+    """value as a float64 array, when it is a number (see ``real_number``)
+    or a list, tuple or ndarray of numbers, nested lists and tuples too.
+    Anything else, such as text, a bool or None at any depth, a ragged row,
+    a set or a generator, is a ValidationError naming ``what``, the name of
+    one entry.  A float64 ndarray comes back uncopied."""
+    if type(value) is np.ndarray and value.dtype is _FLOAT64:
+        return value
+    if type(value) in (tuple, list) and _FLOATS.issuperset(map(type, value)):
+        return np.array(value, dtype=float)
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        return np.asarray(real_number(value, what))
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        return np.asarray(value, dtype=float)
+    # entry by entry, as numpy would read a bool among numbers as 0 or 1; a
+    # row that is longer or shorter than its neighbours is one entry
+    entries = np.array(value, dtype=object)
+    vals = [real_number(v, what) for v in entries.ravel().tolist()]
+    return np.array(vals, dtype=float).reshape(entries.shape)
 
 
 def nonnegative_number(value, what: str) -> float:

@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InconsistencyError, ValidationError, real_number, whole_number
+from .errors import InconsistencyError, ValidationError, real_array, real_number, whole_number
 from .generators import COPULA_FAMILIES, GeneratorSpec, _phi, _psi
 from .mcsim import _draw_times, _refusal, check_seed
 from .models import _FAMILIES, FIT_FAMILIES, _horner
@@ -63,10 +63,7 @@ MIN_OBSERVATIONS = 5
 def _strengths(data, what: str = "data", minimum: int = MIN_OBSERVATIONS) -> np.ndarray:
     """data as a float64 array, unless it breaks the one rule for a strength
     sample: 1-d, positive and finite, with at least ``minimum`` values."""
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:  # text, None entries, ragged rows
-        raise ValidationError(f"{what} must be numbers in a 1-d array") from exc
+    arr = real_array(data, f"{what} entry")
     if arr.ndim != 1 or arr.size < minimum:
         raise ValidationError(f"{what} needs at least {minimum} observations in a 1-d array")
     if not np.all((arr > 0.0) & (arr < np.inf)):  # NaN fails both comparisons
@@ -298,7 +295,7 @@ def _twice_ranks(stack: np.ndarray) -> np.ndarray:
 
 def pseudo_observations(matrix) -> np.ndarray:
     """Column-wise average ranks over (count + 1); values in (0, 1)."""
-    arr = np.asarray(matrix, dtype=float)
+    arr = real_array(matrix, "matrix entry")
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ValidationError("need a count x d matrix with count >= 2")
     return _twice_ranks(arr[None])[0] / 2.0 / (arr.shape[0] + 1.0)
@@ -331,7 +328,8 @@ def frank_tau(theta: float) -> float:
     with Li_2(e^-theta) = spence(1 - e^-theta) (Genest 1987; Nelsen 2006, 5.1),
     the Cephes dilogarithm of ``scalar``, bit for bit SciPy's.
     """
-    if theta <= 0.0:
+    theta = real_number(theta, "frank theta")
+    if not theta > 0.0:  # NaN fails the comparison
         raise ValidationError("frank theta must be positive")
     if theta < _FRANK_SERIES_MAX:
         return theta * _horner(theta * theta, _FRANK_SERIES)
@@ -375,7 +373,7 @@ def _tau_thetas(family: str, taus: np.ndarray) -> np.ndarray:
 
 def tau_to_theta(family: str, tau: float) -> float:
     """Invert the tau(theta) relation of one catalog family."""
-    theta = _tau_thetas(family, np.array([tau], dtype=float))[0]
+    theta = _tau_thetas(family, np.array([real_number(tau, f"{family} tau")]))[0]
     if np.isnan(theta):
         raise TauRangeError(family, tau)
     return float(theta)
@@ -415,7 +413,7 @@ def fit_copula(family: str, pseudo, method: str = "tau") -> float:
     ``pseudo_likelihood``: pairwise composite likelihood, started at the
     tau estimate.
     """
-    arr = np.asarray(pseudo, dtype=float)
+    arr = real_array(pseudo, "pseudo-observation")
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValidationError("pseudo-observations must be count x d with d >= 2")
     if arr.shape[0] < 2:
@@ -524,7 +522,7 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
     """
     boot_n = whole_number(boot_n, "boot_n", 100)
     seed = check_seed(seed)
-    arr = np.asarray(pseudo, dtype=float)
+    arr = real_array(pseudo, "pseudo-observation")
     theta = fit_copula(family, arr, method)
     g = GeneratorSpec(family, theta)
     if _refusal(g) is not None:

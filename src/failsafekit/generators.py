@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, plain_number, real_number
+from .errors import ValidationError, plain_number, real_array, real_number
 
 #: family -> (lo, hi, lo_closed, hi_closed) of its parameter range
 _RANGES = {
@@ -96,7 +96,7 @@ class GeneratorSpec:
 
 
 def _as_nonneg_t(t):
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
+    arr = np.atleast_1d(real_array(t, "t"))
     if not np.all(arr >= 0.0):  # NaN fails the comparison
         raise ValidationError("t must be nonnegative")
     return arr
@@ -216,7 +216,7 @@ def psi(g: GeneratorSpec, t):
 
 def phi(g: GeneratorSpec, u):
     """Pseudo-inverse phi = psi^(-1) on (0, 1]; phi(1) = 0."""
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    arr = np.atleast_1d(real_array(u, "u"))
     if not np.all((arr > 0.0) & (arr <= 1.0)):  # NaN fails both comparisons
         raise ValidationError("u must lie in (0, 1]")
     with np.errstate(all="ignore"):

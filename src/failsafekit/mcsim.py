@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedGeneratorError, ValidationError, whole_number
+from .errors import UnsupportedGeneratorError, ValidationError, real_array, whole_number
 from .generators import GeneratorSpec, is_independence, psi
 from .models import _log1mexp, sp_inverse_log_survival
 from .systems import SystemSpec, _lifetimes
@@ -165,13 +165,9 @@ def second_smallest(lifetimes: np.ndarray) -> np.ndarray:
     """Row-wise second-smallest entry (the fail-safe system lifetime) of a
     lifetimes matrix: numeric, 2-d, with >= 2 columns and no NaN (+inf is
     a lifetime that never ends)."""
-    rule = "lifetimes must be a numeric matrix with >= 2 columns and no NaN"
-    try:
-        arr = np.asarray(lifetimes, dtype=float)
-    except (TypeError, ValueError) as exc:  # text, ragged rows
-        raise ValidationError(rule) from exc
+    arr = real_array(lifetimes, "lifetime")
     if arr.ndim != 2 or arr.shape[1] < 2 or np.isnan(arr).any():
-        raise ValidationError(rule)
+        raise ValidationError("lifetimes must be a numeric matrix with >= 2 columns and no NaN")
     return np.partition(arr, 1, axis=1)[:, 1]
 
 

@@ -67,7 +67,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, nonnegative_number, plain_number, real_number, whole_number
+from .errors import (ValidationError, nonnegative_number, plain_number, real_array, real_number,
+                     whole_number)
 
 
 def _log1mexp(a):
@@ -352,15 +353,11 @@ class BaselineSpec:
         if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise ValidationError(f"unknown baseline family {self.family!r}")
         names = _FAMILIES[self.family].names
-        try:
-            params = tuple(real_number(p, f"{self.family} parameter") for p in self.params)
-        except TypeError:  # a number, not a sequence
-            raise ValidationError(f"{self.family} params must be a sequence of numbers, "
-                                  f"got {self.params!r}") from None
-        if len(params) != len(names):
-            raise ValidationError(
-                f"{self.family} takes {len(names)} parameters {names}, got {len(params)}"
-            )
+        params = real_array(self.params, f"{self.family} parameter")
+        if params.shape != (len(names),):
+            raise ValidationError(f"{self.family} takes {len(names)} parameters {names}, "
+                                  f"got {self.params!r}")
+        params = tuple(params.tolist())
         if any(not math.isfinite(p) or p <= 0.0 for p in params):
             raise ValidationError(f"{self.family} parameters must be positive, got {params}")
         object.__setattr__(self, "params", params)
@@ -372,14 +369,12 @@ class BaselineSpec:
     def from_json(cls, obj: dict) -> "BaselineSpec":
         if not isinstance(obj, dict) or "family" not in obj or "params" not in obj:
             raise ValidationError("baseline spec must carry 'family' and 'params'")
-        if not isinstance(obj["params"], list):
-            raise ValidationError("baseline params must be an array of numbers")
-        return cls(family=obj["family"], params=tuple(obj["params"]))
+        return cls(family=obj["family"], params=obj["params"])
 
 
 def log_sf(b: BaselineSpec, x):
     """log survival; 0 for x <= 0 (lifetimes are nonnegative)."""
-    t = np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), 0.0)
+    t = np.maximum(np.atleast_1d(real_array(x, "x")), 0.0)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         out = _FAMILIES[b.family].log_sf(t, *b.params)
     return out if np.ndim(x) else float(out[0])
@@ -394,7 +389,7 @@ def sf(b: BaselineSpec, x):
 
 def log_pdf(b: BaselineSpec, x):
     """log density on x > 0 (-inf off the support)."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(real_array(x, "x"))
     t = np.where(arr > 0.0, arr, np.nan)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         out = _FAMILIES[b.family].log_pdf(t, *b.params)
@@ -417,14 +412,14 @@ def hazard(b: BaselineSpec, x):
 
 def inverse_log_sf(b: BaselineSpec, ls):
     """x >= 0 with log_sf(b, x) = ls, for ls <= 0."""
-    arr = np.asarray(ls, dtype=float)
+    arr = real_array(ls, "ls")
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         out = _FAMILIES[b.family].inverse_log_sf(np.atleast_1d(arr), *b.params)
     return out if arr.ndim else float(out[0])
 
 
 def _check_prob(prob) -> np.ndarray:
-    p = np.asarray(prob, dtype=float)
+    p = real_array(prob, "quantile probability")
     if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails both comparisons
         raise ValidationError("quantile probability must lie in (0, 1)")
     return p
@@ -483,8 +478,8 @@ class SemiParamModel:
     def theta_in_domain(self, theta):
         """Whether theta (elementwise for an array) is finite, and positive
         unless the kind is location."""
-        t = np.asarray(theta, dtype=float)
-        return np.isfinite(t) & ((t > 0.0) | (self.kind == "location"))
+        t = real_array(theta, "theta")
+        return np.isfinite(t) if self.kind == "location" else (t > 0.0) & (t < np.inf)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "baseline": self.baseline.to_json()}
@@ -509,7 +504,7 @@ class SemiParamModel:
 
 def _checked_theta(m: SemiParamModel, theta) -> np.ndarray:
     """theta as a float array, unless an element lies outside m's kind domain."""
-    t = np.asarray(theta, dtype=float)
+    t = real_array(theta, "theta")
     ok = m.theta_in_domain(t)
     if not ok.all():
         raise ValidationError(f"theta {t[~ok][:3].tolist()} outside the {m.kind} domain")
@@ -531,11 +526,17 @@ def _sp_survival(m: SemiParamModel, x: np.ndarray, theta: np.ndarray):
     return out
 
 
+def _checked_x(x) -> np.ndarray:
+    """x as a 1-d float array at least, unless it holds a NaN."""
+    arr = np.atleast_1d(real_array(x, "x"))
+    if np.isnan(arr).any():
+        raise ValidationError("x contains NaN")
+    return arr
+
+
 def sp_survival(m: SemiParamModel, x, theta):
     """Transformed survival F(x; theta), in [0, 1] and nonincreasing in x."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.isnan(arr)):
-        raise ValidationError("x contains NaN")
+    arr = _checked_x(x)
     with np.errstate(all="ignore"):
         out = _sp_survival(m, arr, _checked_theta(m, theta))
     return out if np.ndim(x) or np.ndim(theta) else float(out[0])
@@ -543,9 +544,9 @@ def sp_survival(m: SemiParamModel, x, theta):
 
 def sp_log_survival(m: SemiParamModel, x, theta):
     """log F(x; theta), exact in the tails."""
-    t = _checked_theta(m, theta)
+    arr, t = _checked_x(x), _checked_theta(m, theta)
     with np.errstate(all="ignore"):
-        out = _log_w(m, np.atleast_1d(np.asarray(x, dtype=float)), t)
+        out = _log_w(m, arr, t)
         if m.kind == "mphrs":
             out = np.log(m.alpha) + out - np.log1p(-(1.0 - m.alpha) * np.exp(out))
     return out if np.ndim(x) or np.ndim(theta) else float(out[0])
@@ -559,7 +560,7 @@ def sp_inverse_log_survival(m: SemiParamModel, ls, theta):
     samplers clamp it to 0.
     """
     a, c, p = _KIND_MAP[m.kind][0](_checked_theta(m, theta), m.lam)
-    ls = np.asarray(ls, dtype=float)
+    ls = real_array(ls, "ls")
     if m.kind == "mphrs":
         # log w = ls - log(alpha + (1 - alpha) e^ls), w = F(x mu)^lam
         ls = ls - np.log1p((1.0 - m.alpha) * np.expm1(ls))
@@ -626,6 +627,7 @@ def _geomspace(lo, hi, points: int) -> np.ndarray:
 
 def linear_grid(x_min: float, x_max: float, points: int) -> np.ndarray:
     """``points`` evenly spaced lifetimes over [x_min, x_max], from x_max / points if x_min is 0."""
+    x_min, x_max = real_number(x_min, "x-min"), real_number(x_max, "x-max")
     if not 0.0 <= x_min < x_max:  # NaN fails the comparison
         raise ValidationError("need 0 <= x-min < x-max")
     points = whole_number(points, "curve_points", 2)

@@ -27,9 +27,7 @@ import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
-import numpy as np
-
-from .errors import ValidationError, nonnegative_number
+from .errors import ValidationError, nonnegative_number, real_array
 
 DEFAULT_TOL = 1e-12
 
@@ -48,7 +46,7 @@ POSITIVE_ONLY = frozenset({Preorder.P_LARGER, Preorder.RECIPROCAL_MAJORIZE})
 
 def _ascending(v, name: str) -> list[float]:
     """v as an ascending list of finite Python floats."""
-    arr = np.asarray(v, dtype=float)
+    arr = real_array(v, name)
     if arr.ndim != 1 or arr.size < 1:
         raise ValidationError(f"{name} must be a non-empty 1-d vector")
     xs = arr.tolist()
@@ -77,7 +75,11 @@ def holds(kind: Preorder, a, b, tol: float = DEFAULT_TOL) -> bool:
     sa, sb = _checked_pair(a, b)
     if kind in POSITIVE_ONLY and (sa[0] <= 0.0 or sb[0] <= 0.0):
         raise ValidationError(f"{kind.value} requires strictly positive entries")
+    return _holds(kind, sa, sb, tol)
 
+
+def _holds(kind: Preorder, sa: list, sb: list, tol: float) -> bool:
+    """``holds`` on the checked ascending lists and tol of ``holds``."""
     if kind is Preorder.MAJORIZE:
         ca, cb = list(accumulate(sa)), list(accumulate(sb))
         return (all(x <= y + tol for x, y in zip(ca[:-1], cb[:-1]))
@@ -128,24 +130,10 @@ class OrderReport:
 
 
 def classify(a, b, tol: float = DEFAULT_TOL) -> OrderReport:
-    """Evaluate all ten (kind, direction) relations between a and b."""
+    """Evaluate all ten (kind, direction) relations between a and b, checked once."""
+    tol = nonnegative_number(tol, "tol")
     sa, sb = _checked_pair(a, b)
-    positive = sa[0] > 0.0 and sb[0] > 0.0
-    forward, reverse = {}, {}
-    skipped = []
-    for kind in Preorder:
-        if kind in POSITIVE_ONLY and not positive:
-            forward[kind] = None
-            reverse[kind] = None
-            skipped.append(kind.value)
-            continue
-        forward[kind] = holds(kind, sa, sb, tol)
-        reverse[kind] = holds(kind, sb, sa, tol)
-    return OrderReport(
-        ascending_a=tuple(sa),
-        ascending_b=tuple(sb),
-        forward=forward,
-        reverse=reverse,
-        skipped=tuple(skipped),
-        tol=tol,
-    )
+    skip = () if sa[0] > 0.0 and sb[0] > 0.0 else [k for k in Preorder if k in POSITIVE_ONLY]
+    forward = {k: None if k in skip else _holds(k, sa, sb, tol) for k in Preorder}
+    reverse = {k: None if k in skip else _holds(k, sb, sa, tol) for k in Preorder}
+    return OrderReport(tuple(sa), tuple(sb), forward, reverse, tuple(k.value for k in skip), tol)

@@ -29,9 +29,10 @@ so its working set stays in cache whatever the grid size and k.  Every
 step is elementwise along the grid, so neither the block edges nor the
 number of systems per call change a value.
 
-Check once, where an input enters: ``SystemSpec`` checks theta and
-``_lifetimes`` every lifetime argument x (here, in ``mcsim`` and in the
-Schur probe of ``ordering``); ``_check_grid`` checks ``SurvivalCurve``'s
+Check once, where an input enters: ``errors.real_array`` reads every
+numeric argument, and on top of it ``SystemSpec`` checks theta's length and
+domain, ``_lifetimes`` every lifetime argument x (here, in ``mcsim`` and in
+the Schur probe of ``ordering``), and ``_check_grid`` ``SurvivalCurve``'s
 grid, ``curves``' grid before the kernel runs and a verdict's, uncopied.
 The kernel checks each marginal block once for NaN, by its minimum.  Every
 marginal lies in [0, 1], the mphrs map's too, and the sums add nonnegative
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, real_number, whole_number
+from .errors import ValidationError, real_array, whole_number
 from .generators import GeneratorSpec, _phi, _psi
 from .gridpolicy import GridPolicy
 from .models import BaselineSpec, SemiParamModel, _sp_survival, bulk_grid, sp_survival
@@ -77,13 +78,10 @@ class SystemSpec:
             raise ValidationError(f"system model must be a SemiParamModel, got {self.model!r}")
         if not isinstance(self.generator, GeneratorSpec):
             raise ValidationError(f"system generator must be a GeneratorSpec, got {self.generator!r}")
-        try:
-            theta = tuple(real_number(t, "system theta entry") for t in self.theta)
-        except TypeError:  # a number, not a sequence
-            raise ValidationError(f"system theta must be a sequence of numbers, "
-                                  f"got {self.theta!r}") from None
-        if len(theta) != n:
-            raise ValidationError(f"theta length {len(theta)} != n={n}")
+        theta = real_array(self.theta, "system theta entry")
+        if theta.shape != (n,):
+            raise ValidationError(f"system theta must be {n} numbers, got {self.theta!r}")
+        theta = tuple(theta.tolist())
         ok = self.model.theta_in_domain(theta)
         if not ok.all():
             t = theta[int(np.argmin(ok))]  # the first entry outside
@@ -106,12 +104,10 @@ class SystemSpec:
         for key in ("n", "generator", "model", "theta"):
             if key not in obj:
                 raise ValidationError(f"system spec missing {key!r}")
-        if not isinstance(obj["theta"], list):
-            raise ValidationError("system theta must be an array of numbers")
         return cls(
             n=obj["n"],
             model=SemiParamModel.from_json(obj["model"]),
-            theta=tuple(obj["theta"]),
+            theta=obj["theta"],
             generator=GeneratorSpec.from_json(obj["generator"]),
         )
 
@@ -126,13 +122,9 @@ def wire_system(scale: float, shape: float, wire_scales, generator: GeneratorSpe
 def _lifetimes(x) -> np.ndarray:
     """x as a float64 array, unless it breaks the one rule for a lifetime
     argument: a nonnegative number or 1-d array, with no NaN."""
-    rule = "x must be a nonnegative number or 1-d array, with no NaN"
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:  # text, ragged rows
-        raise ValidationError(rule) from exc
+    arr = real_array(x, "x")
     if arr.ndim > 1 or not np.all(arr >= 0.0):  # NaN fails the comparison
-        raise ValidationError(rule)
+        raise ValidationError("x must be a nonnegative number or 1-d array, with no NaN")
     return arr
 
 
@@ -152,10 +144,8 @@ class SurvivalCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        try:
-            xs, vals = np.array(self.xs, dtype=float), np.array(self.values, dtype=float)
-        except (TypeError, ValueError) as exc:  # text, ragged rows
-            raise ValidationError("curve xs and values must be arrays of numbers") from exc
+        xs = np.array(real_array(self.xs, "curve grid point"))
+        vals = np.array(real_array(self.values, "curve survival value"))
         _check_grid(xs)
         if vals.shape != xs.shape:
             raise ValidationError("curve needs one survival value per grid point")
@@ -268,7 +258,7 @@ def homogeneous_x2n(gen: GeneratorSpec, u, n: int):
     """Closed form for n identical marginals u in [0, 1], NaN refused, and an n
     ``SystemSpec`` takes: n psi((n-1)phi(u)) - (n-1)psi(n phi(u)), 0 at u = 0."""
     n = whole_number(n, "system n", 2)
-    uu = np.atleast_1d(np.asarray(u, dtype=float))
+    uu = np.atleast_1d(real_array(u, "u"))
     ok = (uu >= 0.0) & (uu <= 1.0)  # NaN fails both
     if not ok.all():
         raise ValidationError(f"u {uu[np.argmin(ok)]} outside [0, 1]")

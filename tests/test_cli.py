@@ -866,9 +866,9 @@ _MALFORMED = {
     "generator-theta-bool": "clayton theta must be a number, got True",
     "theta-entry-string": "system theta entry must be a number, got 'a'",
     "theta-entry-bool": "system theta entry must be a number, got True",
-    "theta-null": "system theta must be an array of numbers",
+    "theta-null": "system theta entry must be a number, got None",
     "baseline-param-string": "exponential parameter must be a number, got 'x'",
-    "baseline-params-number": "baseline params must be an array of numbers",
+    "baseline-params-number": "exponential takes 1 parameters ('rate',), got 1.0",
     "baseline-family-list": "unknown baseline family ['exponential']",
     "n-string": "system n must be an integer, got '3.5'",
     "n-fraction": "system n must be an integer, got 3.7",

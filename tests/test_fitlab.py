@@ -1007,8 +1007,8 @@ def test_fixed_shape_weibull_scale_refuses_non_finite_input(data, shape, fragmen
 @pytest.mark.parametrize("data, shape, fragment", [
     ([300.0, 310.0], "2", "shape must be a number, got '2'"),
     ([300.0, 310.0], None, "shape must be a number, got None"),
-    (["300", "x"], 4.0, "data must be numbers in a 1-d array"),
-    ([300.0, [310.0, 320.0]], 4.0, "data must be numbers in a 1-d array"),
+    (["300", "x"], 4.0, "data entry must be a number, got '300'"),
+    ([300.0, [310.0, 320.0]], 4.0, "data entry must be a number, got [310.0, 320.0]"),
 ], ids=["text-shape", "none-shape", "text-data", "ragged-data"])
 def test_fixed_shape_weibull_scale_refuses_non_numeric_input(data, shape, fragment):
     with pytest.raises(ValidationError, match=re.escape(fragment)):

@@ -898,18 +898,20 @@ def test_constructors_refuse_nonfinite_values(make, message):
      "ls takes no alpha"),
     (lambda: sp_survival(SemiParamModel("scale", BaselineSpec("exponential", (1.0,))),
                          [0.5, math.nan], 1.0), "x contains NaN"),
+    (lambda: sp_log_survival(SemiParamModel("scale", BaselineSpec("exponential", (1.0,))),
+                             math.nan, 1.0), "x contains NaN"),
     (lambda: BaselineSpec.from_json(["weibull", [1.0, 2.0]]),
      "baseline spec must carry 'family' and 'params'"),
     (lambda: BaselineSpec.from_json({"family": "weibull"}),
      "baseline spec must carry 'family' and 'params'"),
     (lambda: BaselineSpec.from_json({"family": "weibull", "params": 1.0}),
-     "baseline params must be an array of numbers"),
+     "weibull takes 2 parameters ('scale', 'shape'), got 1.0"),
     (lambda: SemiParamModel.from_json("scale"), "model spec must carry 'kind' and 'baseline'"),
     (lambda: SemiParamModel.from_json({"kind": "scale"}),
      "model spec must carry 'kind' and 'baseline'"),
     (lambda: SemiParamModel.from_json({"kind": "mphrs", "fixed": [0.5, 1.0], "baseline": {
         "family": "exponential", "params": [1.0]}}), "model fixed must be an object"),
-], ids=["unknown-kind", "ls-alpha", "nan-x", "baseline-list", "baseline-no-params",
+], ids=["unknown-kind", "ls-alpha", "nan-x", "nan-x-log", "baseline-list", "baseline-no-params",
         "baseline-params-number", "model-text", "model-no-baseline", "model-fixed-list"])
 def test_model_refusals_keep_their_messages(make, message):
     with pytest.raises(ValidationError) as err:

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from failsafekit import Preorder, ValidationError, classify, holds
+from failsafekit import Preorder, ValidationError, classify, holds, preorders
 
 
 # ---------------------------------------------------------------- oracle
@@ -336,3 +338,15 @@ def test_classify_error_messages(a, b, tol, message):
     with pytest.raises(ValidationError) as err:
         classify(a, b, tol)
     assert str(err.value) == message
+
+
+def test_classify_checks_each_vector_and_tol_once(monkeypatch):
+    names = []
+    ascending = preorders._ascending
+    monkeypatch.setattr(preorders, "_ascending",
+                        lambda v, name: names.append(name) or ascending(v, name))
+    report = classify([1.0, 2.0, 3.0], [2.0, 2.0, 2.0], tol=np.float32(1e-12))
+    assert names == ["a", "b"]  # not again in each of the ten relations
+    # the checked tol is a Python float, which json writes
+    assert type(report.tol) is float and report.tol == float(np.float32(1e-12))
+    assert json.loads(json.dumps(report.to_json()))["tol"] == report.tol
