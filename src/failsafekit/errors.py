@@ -4,13 +4,15 @@ their JSON-ready form.  Every public numeric argument goes through
 ``real_number`` or ``real_array``; each caller adds only its own shape or
 domain rule."""
 
+import contextlib
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
-#: The common inputs of ``real_array``: float64 arrays, and lists of these types.
-_FLOAT64, _FLOATS = np.dtype(float), frozenset({float, np.float64})
+#: Entry types that ``real_array`` converts in one numpy call: of a flat list, of any list.
+_FLOATS, _NUMBERS = frozenset({float, np.float64}), frozenset({float, np.float64, int})
 
 
 class FailsafeKitError(Exception):
@@ -62,24 +64,30 @@ def real_number(value, what: str) -> float:
 
 
 def real_array(value, what: str) -> np.ndarray:
-    """value as a float64 array, when it is a number (see ``real_number``)
-    or a list, tuple or ndarray of numbers, nested lists and tuples too.
+    """value as a float64 array, when it is a number (see ``real_number``), a
+    list, tuple or ndarray of numbers, nested lists and tuples too, or what
+    numpy reads as one (a range, a buffer, an object with ``__array__``).
     Anything else, such as text, a bool or None at any depth, a ragged row,
     a set or a generator, is a ValidationError naming ``what``, the name of
     one entry.  A float64 ndarray comes back uncopied."""
-    if type(value) is np.ndarray and value.dtype is _FLOAT64:
+    if type(value) is np.ndarray and value.dtype == float:  # verify's grids, past the dispatch below
         return value
-    if type(value) in (tuple, list) and _FLOATS.issuperset(map(type, value)):
+    if not isinstance(value, (list, tuple)):
+        value = np.asarray(value)
+        if value.dtype.kind in "fiu":
+            return value.astype(float, copy=False)
+    elif _FLOATS.issuperset(map(type, value)):  # a flat list of floats
         return np.array(value, dtype=float)
-    if not isinstance(value, (list, tuple, np.ndarray)):
-        return np.asarray(real_number(value, what))
-    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
-        return np.asarray(value, dtype=float)
-    # entry by entry, as numpy would read a bool among numbers as 0 or 1; a
-    # row that is longer or shorter than its neighbours is one entry
-    entries = np.array(value, dtype=object)
-    vals = [real_number(v, what) for v in entries.ravel().tolist()]
-    return np.array(vals, dtype=float).reshape(entries.shape)
+    # entry by entry, as numpy reads a bool among numbers as 0 or 1; a ragged row is one entry
+    try:
+        entries = np.array(value, dtype=object)
+    except ValueError:  # arrays whose shapes differ past their first axis
+        raise ValidationError(f"{what} must be a number, got {reprlib.repr(value)}") from None
+    flat = entries.ravel().tolist()
+    with contextlib.suppress(OverflowError):  # an int beyond float range: ±inf below
+        if _NUMBERS.issuperset(map(type, flat)):
+            return entries.astype(float)
+    return np.array([real_number(v, what) for v in flat], dtype=float).reshape(entries.shape)
 
 
 def nonnegative_number(value, what: str) -> float:

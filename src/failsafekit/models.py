@@ -61,6 +61,7 @@ Everything is pure and reentrant; model values are immutable.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -356,7 +357,7 @@ class BaselineSpec:
         params = real_array(self.params, f"{self.family} parameter")
         if params.shape != (len(names),):
             raise ValidationError(f"{self.family} takes {len(names)} parameters {names}, "
-                                  f"got {self.params!r}")
+                                  f"got {reprlib.repr(self.params)}")
         params = tuple(params.tolist())
         if any(not math.isfinite(p) or p <= 0.0 for p in params):
             raise ValidationError(f"{self.family} parameters must be positive, got {params}")

@@ -114,19 +114,9 @@ class OrderReport:
     tol: float
 
     def to_json(self) -> dict:
-        rel = {}
-        for kind in Preorder:
-            rel[kind.value] = {
-                "a_over_b": self.forward[kind],
-                "b_over_a": self.reverse[kind],
-            }
-        return {
-            "ascending_a": list(self.ascending_a),
-            "ascending_b": list(self.ascending_b),
-            "relations": rel,
-            "skipped": list(self.skipped),
-            "tol": self.tol,
-        }
+        rel = {k.value: {"a_over_b": self.forward[k], "b_over_a": self.reverse[k]} for k in Preorder}
+        return {"ascending_a": list(self.ascending_a), "ascending_b": list(self.ascending_b),
+                "relations": rel, "skipped": list(self.skipped), "tol": self.tol}
 
 
 def classify(a, b, tol: float = DEFAULT_TOL) -> OrderReport:

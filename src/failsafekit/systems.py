@@ -46,6 +46,7 @@ run under the one np.errstate the kernel holds per call.  A dead component
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,7 @@ class SystemSpec:
             raise ValidationError(f"system generator must be a GeneratorSpec, got {self.generator!r}")
         theta = real_array(self.theta, "system theta entry")
         if theta.shape != (n,):
-            raise ValidationError(f"system theta must be {n} numbers, got {self.theta!r}")
+            raise ValidationError(f"system theta must be {n} numbers, got {reprlib.repr(self.theta)}")
         theta = tuple(theta.tolist())
         ok = self.model.theta_in_domain(theta)
         if not ok.all():

@@ -3,6 +3,7 @@
 refuses a malformed value with a ValidationError from that rule, and reads
 the same numbers alike whatever container holds them."""
 
+import array
 import math
 import re
 
@@ -143,6 +144,7 @@ BAD = {
     "numpy bool entry": lambda base: _with_last(base, np.True_),
     "None entry": lambda base: _with_last(base, None),
     "ragged rows": _ragged,
+    "arrays of unequal shape": lambda base: [np.ones((2, 3)), np.ones((2, 4))],
     "set": lambda base: set(np.ravel(base).tolist()),
     "dict": lambda base: {"a": 1.0},
     "generator": lambda base: (v for v in base),
@@ -179,11 +181,21 @@ def _tuples(arr: np.ndarray):
     return arr[()] if arr.ndim == 0 else tuple(_tuples(row) for row in arr)
 
 
+class _ArrayLike:
+    """An object that numpy reads through ``__array__``, as a pandas Series."""
+
+    def __init__(self, arr):
+        self.arr = arr
+
+    def __array__(self, dtype=None, copy=None):
+        return self.arr
+
+
 def _forms(value) -> dict:
     """The containers a caller may hold value in, each with the same numbers."""
     arr = np.array(value, dtype=float)
     forms = {"list": arr.tolist(), "tuple of np.float64": _tuples(arr), "float64 array": arr,
-             "float32 array": arr.astype(np.float32)}
+             "float32 array": arr.astype(np.float32), "__array__ object": _ArrayLike(arr)}
     if np.array_equal(arr, np.round(arr)):
         forms["int"] = arr.astype(int).tolist()
     return forms
@@ -203,6 +215,32 @@ def test_a_float64_array_comes_back_uncopied():
 
     xs = np.linspace(0.5, 2.0, 7)
     assert real_array(xs, "x") is xs
+
+
+@pytest.mark.parametrize("value, want", [
+    (range(1, 4), [1.0, 2.0, 3.0]),
+    (array.array("d", [0.5, 2.0]), [0.5, 2.0]),
+    (_ArrayLike(np.array([[1, 2], [3, 4]])), [[1.0, 2.0], [3.0, 4.0]]),
+    ([[1, 2], [3.0, np.float64(4.0)]], [[1.0, 2.0], [3.0, 4.0]]),
+    ([[1.0, 10**400], [-10**400, 2]], [[1.0, math.inf], [-math.inf, 2.0]]),
+    ([np.float32(0.5), np.int64(3)], [0.5, 3.0]),
+], ids=["range", "buffer", "__array__", "nested ints and floats", "huge ints",
+        "numpy scalars"])
+def test_real_array_reads_other_array_likes_and_mixed_number_types(value, want):
+    from failsafekit.errors import real_array
+
+    got = real_array(value, "x")
+    assert got.dtype == np.float64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("value", [_ArrayLike(np.array([1.0, True], dtype=object)),
+                                   _ArrayLike(np.array(["1.0"])), _ArrayLike(np.array([True]))],
+                         ids=["bool entry", "text", "bool array"])
+def test_real_array_holds_array_likes_to_the_number_rule(value):
+    from failsafekit.errors import real_array
+
+    with pytest.raises(ValidationError, match="x must be a number, got "):
+        real_array(value, "x")
 
 
 @pytest.mark.parametrize("call, message", [

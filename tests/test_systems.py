@@ -756,7 +756,13 @@ def test_system_refuses_theta_outside_the_domain(kind, theta, message):
     (lambda m, g: SystemSpec(2, m, 5, g), "system theta must be 2 numbers, got 5"),
     (lambda m, g: BaselineSpec("weibull", 5),
      "weibull takes 2 parameters ('scale', 'shape'), got 5"),
-], ids=["model-text", "generator-text", "baseline-text", "theta-number", "params-number"])
+    # a long sequence is shown by its first six entries, not echoed whole
+    (lambda m, g: SystemSpec(2, m, [1.0] * 10**5, g),
+     "system theta must be 2 numbers, got [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, ...]"),
+    (lambda m, g: BaselineSpec("weibull", tuple(range(1, 10**5))),
+     "weibull takes 2 parameters ('scale', 'shape'), got (1, 2, 3, 4, 5, 6, ...)"),
+], ids=["model-text", "generator-text", "baseline-text", "theta-number", "params-number",
+        "theta-long", "params-long"])
 def test_spec_constructors_refuse_a_field_of_the_wrong_type(build, message):
     model = SemiParamModel("scale", BaselineSpec("weibull", (1.0, 2.0)))
     with pytest.raises(ValidationError) as err:
