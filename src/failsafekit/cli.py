@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 
 from . import demos
-from .errors import InconsistencyError, UnsupportedGeneratorError, ValidationError
+from .errors import InconsistencyError, UnsupportedGeneratorError, ValidationError, real_array
 from .generators import COPULA_FAMILIES, GeneratorSpec
 from .gridpolicy import GridPolicy
 from .mcsim import check_seed, empirical_survival_x2n, sample_lifetimes
@@ -140,11 +140,11 @@ def _csv_text(rows) -> str:
 
 
 def write_curve_csv(path: str, xs, columns: dict) -> None:
-    """Write curve columns as CSV with 17 significant digits, atomically."""
-    xs = np.asarray(xs, dtype=float)
-    cols = [np.asarray(c, dtype=float) for c in columns.values()]
-    if any(c.size != xs.size for c in cols):
-        raise ValidationError("column length mismatch")
+    """Write columns of one number per point of xs as CSV, 17 significant digits, atomically."""
+    xs = real_array(xs, "curve x")
+    cols = [real_array(c, f"curve {name} entry") for name, c in columns.items()]
+    if xs.ndim != 1 or any(c.shape != xs.shape for c in cols):
+        raise ValidationError("curve columns need one number per point of a 1-d grid")
     rows = zip(xs.tolist(), *(c.tolist() for c in cols))  # python floats format faster
     atomic_write(path, _csv_text([["x", *columns], *rows]))
 

@@ -47,16 +47,21 @@ class InconsistencyError(FailsafeKitError):
         self.report = report
 
 
+def is_number(value) -> bool:
+    """Whether value is a real number: a Python or numpy int or float, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def real_number(value, what: str) -> float:
-    """value as a Python float, when it is a real number: a Python or numpy
-    int or float, not a bool.  Anything else (a string, None, a bool, a
-    list) is a ValidationError naming ``what``, as the JSON schemas type
+    """value as a Python float, when ``is_number(value)``.  Anything else (a
+    string, None, a bool, a list) is a ValidationError naming ``what`` and
+    showing the value cut short by ``reprlib.repr``, as the JSON schemas type
     these fields "number".  An int too large for a float becomes the
     infinity of its sign, for the caller's finiteness check to refuse."""
     if isinstance(value, float):  # Python's and numpy's float64
         return float(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
+    if not is_number(value):
+        raise ValidationError(f"{what} must be a number, got {reprlib.repr(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -103,14 +108,14 @@ def whole_number(value, what: str, minimum: int | None = None) -> int:
     """value as a Python int, when it is an integer of at least ``minimum``:
     a Python or numpy int, or a float of integral value (a JSON Schema
     integer, as 3.0), not a bool.  Anything else is a ValidationError
-    naming ``what``."""
+    naming ``what`` and showing the value as ``real_number`` does."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
+        raise ValidationError(f"{what} must be an integer, got {reprlib.repr(value)}")
     value = int(value)
     if minimum is not None and value < minimum:
-        raise ValidationError(f"{what} must be at least {minimum}, got {value}")
+        raise ValidationError(f"{what} must be at least {minimum}, got {reprlib.repr(value)}")
     return value
 
 

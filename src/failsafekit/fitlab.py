@@ -50,7 +50,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InconsistencyError, ValidationError, real_array, real_number, whole_number
+from .errors import (InconsistencyError, ValidationError, is_number, real_array, real_number,
+                     whole_number)
 from .generators import COPULA_FAMILIES, GeneratorSpec, _phi, _psi
 from .mcsim import _draw_times, _refusal, check_seed
 from .models import _FAMILIES, FIT_FAMILIES, _horner
@@ -454,10 +455,17 @@ def _pseudo_likelihood_theta(family: str, theta0: float, arr: np.ndarray, upper:
     return minimize_bounded(neg, lo, max(theta0 * 10.0, lo + 50.0), xatol=1e-8)[0]
 
 
-def empirical_copula(pseudo: np.ndarray) -> np.ndarray:
+def empirical_copula(pseudo) -> np.ndarray:
     """C_n evaluated at the sample's own points, for a count x d matrix or
-    each matrix of a (B, count, d) stack.  Only the order of each column
-    matters, so integer ranks give the same values."""
+    each matrix of a (B, count, d) stack of numbers."""
+    arr = real_array(pseudo, "pseudo-observation")
+    if arr.ndim not in (2, 3) or arr.shape[-1] < 1:
+        raise ValidationError("pseudo-observations must be count x d or B x count x d with d >= 1")
+    return _empirical_copula(arr)
+
+
+def _empirical_copula(pseudo: np.ndarray) -> np.ndarray:
+    """``empirical_copula`` of a checked array; integer ranks give the same values."""
     cols = np.ascontiguousarray(np.moveaxis(pseudo, -1, 0))
     # le[..., i, j]: point i <= point j in every coordinate
     le = cols[0, ..., :, None] <= cols[0, ..., None, :]
@@ -528,7 +536,7 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
     if _refusal(g) is not None:
         raise BootstrapRangeError(family, float(theta))
     stat = float(_cvm_statistics(family, np.array([theta]), arr[None],
-                                 empirical_copula(arr)[None])[0])
+                                 _empirical_copula(arr)[None])[0])
     count, d = arr.shape
     child_seeds = np.random.SeedSequence(seed).generate_state(boot_n, dtype=np.uint64)
     block = max(1, _BLOCK_BYTES // (count * count))
@@ -556,7 +564,7 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
         if method == "pseudo_likelihood":
             thetas = np.array([_pseudo_likelihood_theta(family, th, p, upper)
                                for th, p in zip(thetas.tolist(), ps)])
-        scores = _cvm_statistics(family, thetas, ps, empirical_copula(narrow[fitted]))
+        scores = _cvm_statistics(family, thetas, ps, _empirical_copula(narrow[fitted]))
         exceed += int(np.count_nonzero(scores >= stat))
     exceed += out_of_range
     return GofResult(family, float(theta), stat, exceed / boot_n, boot_n, out_of_range, seed)
@@ -664,15 +672,11 @@ def fixed_shape_weibull_scale(data, shape: float) -> float:
 def _check_manifest(manifest) -> None:
     """Raise unless manifest holds every key compare_to_reference reads,
     with numbers where it does arithmetic."""
-    def numbers(obj) -> bool:
-        return isinstance(obj, dict) and all(
-            isinstance(obj.get(k), (int, float)) for k in ("theta", "p_value"))
-
-    ok = (isinstance(manifest, dict) and numbers(manifest.get("tolerances"))
-          and isinstance(manifest.get("marginal_aic_order"), list)
-          and isinstance(manifest.get("copulas"), dict)
-          and all(numbers(ref) for ref in manifest["copulas"].values())
-          and "preferred_copula" in manifest)
+    ok = (isinstance(manifest, dict) and isinstance(manifest.get("marginal_aic_order"), list)
+          and isinstance(manifest.get("copulas"), dict) and "preferred_copula" in manifest
+          and all(isinstance(ref, dict) and is_number(ref.get("theta"))
+                  and is_number(ref.get("p_value"))
+                  for ref in (manifest.get("tolerances"), *manifest["copulas"].values())))
     if not ok:
         raise ValidationError("reference manifest needs tolerances, marginal_aic_order, "
                               "copulas (theta and p_value numbers) and preferred_copula")

@@ -508,7 +508,7 @@ def _checked_theta(m: SemiParamModel, theta) -> np.ndarray:
     t = real_array(theta, "theta")
     ok = m.theta_in_domain(t)
     if not ok.all():
-        raise ValidationError(f"theta {t[~ok][:3].tolist()} outside the {m.kind} domain")
+        raise ValidationError(f"theta {t[~ok][0].item()} outside the {m.kind} domain")
     return t
 
 

@@ -224,15 +224,10 @@ def verify(
                          else ("generator_log_convex", is_log_convex))
     model_shape = (check_dpfr(mx.baseline) if row.sign is None
                    else survival_shape(mx, row.sign, policy.shape_x_grid))
-    # the preorders compare positive vectors of one length; no other check reads theta
-    if sysX.n != sysY.n:
-        order_ok = (False, f"{row.preorder.value} needs thetas of one length, "
-                           f"got {sysX.n} and {sysY.n}")
-    elif all(t > 0.0 for t in sysX.theta + sysY.theta):
-        order_ok = (holds(row.preorder, sysX.theta, sysY.theta),
-                    f"{sysX.theta} vs {sysY.theta}")
-    else:
-        order_ok = (False, f"{row.preorder.value} needs positive thetas")
+    try:  # holds refuses thetas outside the preorder's domain; no other check reads theta
+        order_ok = (holds(row.preorder, sysX.theta, sysY.theta), f"{sysX.theta} vs {sysY.theta}")
+    except ValidationError as exc:
+        order_ok = (False, str(exc))
     checks = (
         HypothesisCheck("shared_generator", sysX.generator == sysY.generator,
                         f"{sysX.generator.to_json()} vs {sysY.generator.to_json()}"),
@@ -301,7 +296,7 @@ def schur_condition_probe(sys: SystemSpec, step: float = 1e-5, xs=None) -> float
         raise ValidationError(f"step must be finite and at least 1e-9, got {step}")
     th = np.asarray(sys.theta, dtype=float)
     if np.any(th <= 0.0):
-        raise ValidationError("log-parameter probe needs positive thetas")
+        raise ValidationError("log-parameter probe requires strictly positive thetas")
     a = np.log(th)
     xs = default_grid(sys) if xs is None else _lifetimes(xs)
 

@@ -54,7 +54,7 @@ import numpy as np
 from .errors import ValidationError, real_array, whole_number
 from .generators import GeneratorSpec, _phi, _psi
 from .gridpolicy import GridPolicy
-from .models import BaselineSpec, SemiParamModel, _sp_survival, bulk_grid, sp_survival
+from .models import BaselineSpec, SemiParamModel, _checked_theta, _sp_survival, bulk_grid, sp_survival
 
 #: Values this close to the [0, 1] bounds are clamped onto them.
 CLAMP_TOL = 1e-10
@@ -82,13 +82,8 @@ class SystemSpec:
         theta = real_array(self.theta, "system theta entry")
         if theta.shape != (n,):
             raise ValidationError(f"system theta must be {n} numbers, got {reprlib.repr(self.theta)}")
-        theta = tuple(theta.tolist())
-        ok = self.model.theta_in_domain(theta)
-        if not ok.all():
-            t = theta[int(np.argmin(ok))]  # the first entry outside
-            raise ValidationError(f"theta {t} outside the {self.model.kind} domain")
+        object.__setattr__(self, "theta", tuple(_checked_theta(self.model, theta).tolist()))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "theta", theta)
 
     def to_json(self) -> dict:
         return {
@@ -274,7 +269,7 @@ def _homogeneous_bound(sys: SystemSpec, x, order: str, mean) -> np.ndarray:
     """homogeneous_x2n at the homogeneous parameter mean(theta)."""
     th = np.asarray(sys.theta)
     if np.any(th <= 0.0):
-        raise ValidationError(f"{order} bound needs positive thetas")
+        raise ValidationError(f"{order} bound requires strictly positive thetas")
     margs = sp_survival(sys.model, _lifetimes(x), float(mean(th)))
     return homogeneous_x2n(sys.generator, margs, sys.n)
 

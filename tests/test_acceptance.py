@@ -15,6 +15,12 @@ heterogeneous theta at n >= 3 is p-larger than the homogeneous vector at
 its geometric mean g, yet e2(theta^b) > C(n, 2) g^(2b) by Maclaurin's
 inequality, so for kappa > 0 X fails to dominate near 0.  Control h in
 tests/test_controls.py pins this under independence.
+
+Criterion 7b fails by proof on every componentwise-ordered pair, for every
+copula.  Let 0 < a <= b componentwise, a != b.  Sorted, a stays below b,
+so a reciprocally majorizes b.  Under location one copula draw Z gives
+X_i = a_i + Z_i <= b_i + Z_i = Y_i, so X_{2:n} <= Y_{2:n} pathwise and Y
+dominates X.  Control i in tests/test_controls.py pins this.
 """
 
 import itertools

@@ -11,7 +11,7 @@ from referencing import Registry, Resource
 from failsafekit import cli
 from failsafekit.cli import main
 from failsafekit.errors import InconsistencyError
-from failsafekit.demos import clayton_pair, gumbel_barnett_pair
+from failsafekit.demos import clayton_pair, gumbel_barnett_pair, load_reference_manifest
 from failsafekit.generators import GeneratorSpec
 from failsafekit.gridpolicy import GridPolicy
 from failsafekit.models import BaselineSpec, SemiParamModel
@@ -461,7 +461,12 @@ def test_fit_missing_file_exit_2(capsys):
     assert main(["fit", "/nonexistent/file.csv"]) == 2
 
 
-@pytest.mark.parametrize("manifest", [None, "{not json", "{}", "[1, 2]"])
+@pytest.mark.parametrize("manifest", [
+    None, "{not json", "{}", "[1, 2]",
+    # a bool is not a number: this one was once used as a tolerance of 1
+    pytest.param(json.dumps({**load_reference_manifest(), "tolerances": {"theta": True, "p_value": 0.1}}),
+                 id="bool-tolerance"),
+])
 def test_fit_unreadable_reference_exit_2(tmp_path, capsys, manifest):
     data = _write_wide_dataset(tmp_path / "wide.csv", cables=10, wires=2)
     ref = tmp_path / "manifest.json"

@@ -4,9 +4,10 @@ Each control is a configuration whose conclusion is known to hold, so a
 refutation there would be the engine's fault, not the theorem's: seeded
 randomized draws with no violation tolerated beyond the verdict slack.
 Control f is two-sided: a proven threshold, below which the engine must
-refute.  Control h is a proven refutation: the encoded theorem-1 row
-passes every hypothesis on it, so the engine must raise
-InconsistencyError, and a certificate there would be the engine's fault.
+refute.  Controls h and i are proven refutations: the encoded theorem-1
+(h) and theorem-2 (i) rows pass every hypothesis on them, so the engine
+must raise InconsistencyError, and a certificate there would be the
+engine's fault.
 """
 
 import math
@@ -30,6 +31,7 @@ from failsafekit import (
     sp_survival,
     survival_x2n,
     verify_theorem1,
+    verify_theorem2,
 )
 from failsafekit.generators import FAMILIES
 from failsafekit.models import _KIND_MAP, inverse_log_sf
@@ -260,3 +262,38 @@ def test_h_theorem1_row_fails_against_the_geometric_mean_on_a_seeded_draw():
         rep = exc.value.report
         assert rep.overall, (sx, sy)
         assert rep.dominance.min_gap < CONTROL_H_MIN_GAP, (sx, sy, rep.dominance)
+
+
+#: The smallest |min gap| over the 200 draws below is 1.30e-2 (independence,
+#: location over gen_pareto(1), n = 2); the pin sits below it.
+CONTROL_I_MIN_GAP = -5e-3
+
+
+def test_i_theorem2_row_fails_on_componentwise_ordered_theta():
+    # coupling, as in control b: a location model gives X_i = a_i + Z_i and
+    # Y_i = b_i + Z_i from one copula draw Z, so a <= b componentwise gives
+    # X_{2:n} <= Y_{2:n} pathwise, for every copula.  Sorted, a is still below
+    # b entry by entry, so 1/a is above 1/b and a reciprocally majorizes b.
+    # Every generator drawn is completely monotone and log-convex, and
+    # location over a DFR baseline meets the shape condition, so each draw is
+    # a valid model on which the row claims X dominates Y, and Y does
+    rng = np.random.default_rng(17)
+    bases = (BaselineSpec("gen_pareto", (1.0,)), BaselineSpec("weibull", (1.0, 0.6)))
+    for i in range(200):
+        n = int(rng.integers(2, 8))
+        a = np.exp(rng.uniform(math.log(0.2), math.log(5.0), n))
+        up = rng.uniform(1.0, 2.0, n)
+        up[rng.random(n) < 1 / 3] = 1.0  # some entries stay equal
+        up[rng.integers(n)] = rng.uniform(1.0, 2.0)  # and one moves, so a != b
+        b = (a * up)[rng.permutation(n)]
+        assert holds(Preorder.RECIPROCAL_MAJORIZE, a, b)
+        gen = AUDIT_GENERATORS[i % len(AUDIT_GENERATORS)](rng)
+        model = SemiParamModel("location", bases[i // 5 % 2])
+        sx = SystemSpec(n, model, tuple(a.tolist()), gen)
+        sy = SystemSpec(n, model, tuple(b.tolist()), gen)
+        with pytest.raises(InconsistencyError) as exc:
+            verify_theorem2(sx, sy)
+        rep = exc.value.report
+        assert rep.overall, (sx, sy)
+        assert rep.dominance.relation is Relation.Y_DOMINATES_X, (sx, sy, rep.dominance)
+        assert rep.dominance.min_gap < CONTROL_I_MIN_GAP, (sx, sy, rep.dominance)

@@ -1074,8 +1074,17 @@ def test_manifest_loads_and_has_tolerances():
     (lambda: rank_models([]), "nothing to rank"),
     (lambda: pseudo_observations([[0.3, 0.6]]), "need a count x d matrix with count >= 2"),
     (lambda: LifetimeDataset({}), "dataset has no components"),
+    # numpy's AxisError once escaped the first, and text arrays were compared
+    (lambda: empirical_copula("ab"), "pseudo-observation must be a number, got 'ab'"),
+    (lambda: empirical_copula(np.array([["a", "b"], ["c", "d"]])),
+     "pseudo-observation must be a number, got 'a'"),
+    (lambda: empirical_copula([0.2, 0.4]),
+     "pseudo-observations must be count x d or B x count x d with d >= 1"),
+    (lambda: empirical_copula(np.ones((1, 2, 3, 4))),
+     "pseudo-observations must be count x d or B x count x d with d >= 1"),
 ], ids=["fit-one-column", "fit-unknown-method", "tau-unknown-family", "rank-nothing",
-        "pseudo-one-row", "dataset-empty"])
+        "pseudo-one-row", "dataset-empty", "copula-text", "copula-text-matrix",
+        "copula-vector", "copula-4-d"])
 def test_fitting_refusals_keep_their_messages(call, message):
     with pytest.raises(ValidationError) as err:
         call()

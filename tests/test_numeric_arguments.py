@@ -259,6 +259,18 @@ def test_scalar_arguments_follow_the_number_rule(call, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("call", [
+    lambda: second_smallest([[1.0] * 10**4, [1.0]]),
+    lambda: homogeneous_x2n(GeneratorSpec("clayton", 2.0), 0.5, [3] * 10**4),
+], ids=["real_number", "whole_number"])
+def test_a_long_refused_value_is_shown_cut_short(call):
+    # the whole row was once echoed: 50 031 characters for the first
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert re.search(r"must be (a number|an integer), got \[", str(err.value)), str(err.value)
+    assert len(str(err.value)) < 200, len(str(err.value))
+
+
 def test_scalar_arguments_still_take_numpy_numbers():
     want = linear_grid(0.5, 2.0, 4)
     assert linear_grid(np.float32(0.5), np.int64(2), 4).tobytes() == want.tobytes()

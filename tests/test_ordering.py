@@ -246,7 +246,7 @@ def test_verify_nonpositive_theta_fails_shape_and_preorder():
     # the shape check reads the model alone: location moves up in theta
     assert rep.check("survival_shape").evidence == (
         "location: nondecreasing in theta, not nonincreasing")
-    assert rep.check("p_larger").evidence == "p_larger needs positive thetas"
+    assert rep.check("p_larger").evidence == "p_larger requires strictly positive entries"
     assert not rep.check("p_larger").holds
     assert rep.check("generator_log_concave").holds
 
@@ -264,7 +264,7 @@ def test_verify_nonpositive_theta_fails_only_the_preorder():
     assert shape.evidence == "location: nondecreasing in theta; gen_pareto always DFR"
     order = rep.check("reciprocal_majorize")
     assert not order.holds
-    assert order.evidence == "reciprocal_majorize needs positive thetas"
+    assert order.evidence == "reciprocal_majorize requires strictly positive entries"
     assert all(c.holds for c in rep.checks if c is not order)
 
 
@@ -280,7 +280,7 @@ def test_verify_systems_of_different_n_report_a_failed_hypothesis():
         assert [c.name for c in rep.checks if not c.holds][0] == "shared_model"
         assert rep.check("shared_model").evidence == "scale/n=5 vs scale/n=4"
         assert not rep.check(order).holds
-        assert rep.check(order).evidence == f"{order} needs thetas of one length, got 5 and 4"
+        assert rep.check(order).evidence == "length mismatch: 5 != 4"
 
 
 def test_verify_mismatched_generator_reported_not_raised():
@@ -873,7 +873,7 @@ def test_schur_probe_refuses_a_nonpositive_theta():
     for theta in ((-0.5, 1.0, 2.0), (0.0, 1.0, 2.0)):
         with pytest.raises(ValidationError) as err:
             schur_condition_probe(SystemSpec(3, m, theta, GeneratorSpec("clayton", 2.0)))
-        assert str(err.value) == "log-parameter probe needs positive thetas"
+        assert str(err.value) == "log-parameter probe requires strictly positive thetas"
 
 
 def test_condition_report_refuses_an_unknown_check():

@@ -820,9 +820,19 @@ def test_homogeneous_x2n_takes_an_integral_float_n():
     assert homogeneous_x2n(gen, 0.5, 3.0) == homogeneous_x2n(gen, 0.5, 3)
 
 
-def test_write_curve_csv_refuses_columns_of_other_lengths(tmp_path):
+@pytest.mark.parametrize("xs, columns, message", [
+    ([1.0, 2.0], {"a": [0.9, 0.5], "b": [0.9]},
+     "curve columns need one number per point of a 1-d grid"),
+    # numpy's ValueError once escaped here
+    (["a", "b"], {"s": [0.5, 0.4]}, "curve x must be a number, got 'a'"),
+    ([1.0, 2.0], {"s": [0.5, None]}, "curve s entry must be a number, got None"),
+    # once written as 2 rows whose x was a quoted list
+    ([[1.0, 2.0], [3.0, 4.0]], {"s": [0.9, 0.8, 0.7, 0.6]},
+     "curve columns need one number per point of a 1-d grid"),
+], ids=["column-lengths", "text-grid", "None-entry", "2-d-grid"])
+def test_write_curve_csv_refuses_a_malformed_curve(tmp_path, xs, columns, message):
     path = tmp_path / "curve.csv"
     with pytest.raises(ValidationError) as err:
-        write_curve_csv(str(path), [1.0, 2.0], {"a": [0.9, 0.5], "b": [0.9]})
-    assert str(err.value) == "column length mismatch"
+        write_curve_csv(str(path), xs, columns)
+    assert str(err.value) == message
     assert not path.exists()
