@@ -4,7 +4,8 @@ Subcommands: preorder, curve, verify, simulate, fit.  Every subcommand is
 deterministic given identical inputs, flags and seeds.  Exit codes: 0
 success, 1 hypothesis failure (verify), 2 validation/input error (also a
 fit report written with a copula the bootstrap cannot sample skipped, and
-a request too large to allocate, as --points or --count), 3 inconsistency
+a request too large to allocate or for numpy to index, as --points,
+--count or --boot), 3 inconsistency
 (hypotheses verified but dominance failed; release blocking).  JSON goes
 to stdout unless --out is given; CSVs end lines with CRLF; files are
 written atomically (temp + rename) after creating their parent
@@ -25,7 +26,8 @@ import tempfile
 import numpy as np
 
 from . import demos
-from .errors import InconsistencyError, UnsupportedGeneratorError, ValidationError, real_array
+from .errors import (InconsistencyError, UnsupportedGeneratorError, ValidationError, real_array,
+                     shown)
 from .generators import COPULA_FAMILIES, GeneratorSpec
 from .gridpolicy import GridPolicy
 from .mcsim import check_seed, empirical_survival_x2n, sample_lifetimes
@@ -106,7 +108,7 @@ def load_dataset_csv(path: str):
     keys = header if long_format else names
     repeated = next((key for i, key in enumerate(keys) if key in keys[:i]), None)
     if repeated is not None:
-        raise ValidationError(f"dataset CSV header repeats column {repeated!r}")
+        raise ValidationError(f"dataset CSV header repeats column {shown(repeated)}")
     if long_format:
         iw, iv = header.index("wire"), header.index("strength")
         obs: dict[str, list[float]] = {}
@@ -114,19 +116,19 @@ def load_dataset_csv(path: str):
             try:
                 value = float(row[iv])
             except (ValueError, IndexError) as exc:
-                raise ValidationError(f"malformed long-format row {row!r}") from exc
+                raise ValidationError(f"malformed long-format row {shown(row)}") from exc
             obs.setdefault(row[iw].strip(), []).append(value)
         return LifetimeDataset(obs)
     # wide: every column is a component
     obs = {name: [] for name in names}
     for row in rows[1:]:
         if len(row) != len(names):
-            raise ValidationError(f"wide-format row length mismatch: {row!r}")
+            raise ValidationError(f"wide-format row length mismatch: {shown(row)}")
         for name, cell in zip(names, row):
             try:
                 obs[name].append(float(cell))
             except ValueError as exc:
-                raise ValidationError(f"non-numeric cell {cell!r} in wide format") from exc
+                raise ValidationError(f"non-numeric cell {shown(cell)} in wide format") from exc
     return LifetimeDataset(obs)
 
 
@@ -274,11 +276,11 @@ def _parse_subsets(raw: str, labels) -> dict[str, tuple[str, ...]]:
             raise ValidationError("empty subset in --subsets")
         for w in names:
             if w not in labels:
-                raise ValidationError(f"subset component {w!r} not in dataset {sorted(labels)}")
+                raise ValidationError(f"subset component {shown(w)} not in dataset {shown(sorted(labels))}")
         if len(set(names)) < len(names):
-            raise ValidationError(f"subset {label} names a component twice")
+            raise ValidationError(f"subset {shown(label)} names a component twice")
         if any(set(v) == set(names) for v in out.values()):
-            raise ValidationError(f"subset {label} repeats an earlier subset's components")
+            raise ValidationError(f"subset {shown(label)} repeats an earlier subset's components")
         out[label] = names
     if len(out) < 2:
         raise ValidationError("--subsets needs at least two groups, separated by ';'")
@@ -388,11 +390,11 @@ def _check_config_choices(parser: argparse.ArgumentParser, args) -> None:
         try:
             if not isinstance(values, list) or not values:
                 raise argparse.ArgumentError(
-                    action, f"expected a nonempty list of names, got {value!r}")
-            for v in values:
-                parser._check_value(action, v)
-        except argparse.ArgumentError as err:
-            parser.error(str(err))
+                    action, f"expected a nonempty list of names, got {shown(value)}")
+            for value in values:  # value: the one a refusal below names
+                parser._check_value(action, value)
+        except argparse.ArgumentError as err:  # argparse shows a refused choice whole
+            parser.error(str(err).replace(repr(value), shown(value)))
 
 
 def _build_parser(conf: dict | None = None) -> argparse.ArgumentParser:

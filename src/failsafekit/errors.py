@@ -2,7 +2,8 @@
 inputs (numbers, arrays of numbers, counts, tolerances) that raise it, and
 their JSON-ready form.  Every public numeric argument goes through
 ``real_number`` or ``real_array``; each caller adds only its own shape or
-domain rule."""
+domain rule.  Every refusal that shows a caller's value shows it through
+``shown``."""
 
 import contextlib
 import math
@@ -11,6 +12,8 @@ import reprlib
 
 import numpy as np
 
+#: Entries of the largest float64 array numpy can index (2**63 - 1 bytes on 64-bit).
+FLOAT_ARRAY_MAX = np.iinfo(np.intp).max // np.dtype(float).itemsize
 #: Entry types that ``real_array`` converts in one numpy call: of a flat list, of any list.
 _FLOATS, _NUMBERS = frozenset({float, np.float64}), frozenset({float, np.float64, int})
 
@@ -47,6 +50,27 @@ class InconsistencyError(FailsafeKitError):
         self.report = report
 
 
+class _Display(reprlib.Repr):
+    """A value as a refusal shows it, with ``reprlib.repr``'s bounds: whole
+    when short, a long list by its first entries, a long text by its ends.
+    An int that ``str`` may refuse (past 640 digits, 4300 by default) is
+    shown by its size, and the whole is cut to its ends past 120
+    characters, as nesting multiplies reprlib's bounds.  Never raises."""
+
+    def repr(self, x):
+        s = super().repr(x)
+        return s if len(s) <= 120 else s[:58] + self.fillvalue + s[-59:]
+
+    def repr_int(self, x, level):
+        if x.bit_length() > 2000:  # about 602 digits
+            return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+        return super().repr_int(x, level)
+
+
+#: shown(value) -> str: value as every refusal of the package shows it (see ``_Display``).
+shown = _Display().repr
+
+
 def is_number(value) -> bool:
     """Whether value is a real number: a Python or numpy int or float, not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -55,13 +79,13 @@ def is_number(value) -> bool:
 def real_number(value, what: str) -> float:
     """value as a Python float, when ``is_number(value)``.  Anything else (a
     string, None, a bool, a list) is a ValidationError naming ``what`` and
-    showing the value cut short by ``reprlib.repr``, as the JSON schemas type
+    showing the value (see ``shown``), as the JSON schemas type
     these fields "number".  An int too large for a float becomes the
     infinity of its sign, for the caller's finiteness check to refuse."""
     if isinstance(value, float):  # Python's and numpy's float64
         return float(value)
     if not is_number(value):
-        raise ValidationError(f"{what} must be a number, got {reprlib.repr(value)}")
+        raise ValidationError(f"{what} must be a number, got {shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -87,7 +111,7 @@ def real_array(value, what: str) -> np.ndarray:
     try:
         entries = np.array(value, dtype=object)
     except ValueError:  # arrays whose shapes differ past their first axis
-        raise ValidationError(f"{what} must be a number, got {reprlib.repr(value)}") from None
+        raise ValidationError(f"{what} must be a number, got {shown(value)}") from None
     flat = entries.ravel().tolist()
     with contextlib.suppress(OverflowError):  # an int beyond float range: ±inf below
         if _NUMBERS.issuperset(map(type, flat)):
@@ -104,18 +128,21 @@ def nonnegative_number(value, what: str) -> float:
     return value
 
 
-def whole_number(value, what: str, minimum: int | None = None) -> int:
-    """value as a Python int, when it is an integer of at least ``minimum``:
-    a Python or numpy int, or a float of integral value (a JSON Schema
-    integer, as 3.0), not a bool.  Anything else is a ValidationError
-    naming ``what`` and showing the value as ``real_number`` does."""
+def whole_number(value, what: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """value as a Python int, when it is an integer from ``minimum`` to
+    ``maximum``: a Python or numpy int, or a float of integral value (a JSON
+    Schema integer, as 3.0), not a bool.  Anything else is a ValidationError
+    naming ``what`` and showing the value (see ``shown``).  A count of
+    array entries takes ``FLOAT_ARRAY_MAX`` as its maximum."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{what} must be an integer, got {reprlib.repr(value)}")
+        raise ValidationError(f"{what} must be an integer, got {shown(value)}")
     value = int(value)
     if minimum is not None and value < minimum:
-        raise ValidationError(f"{what} must be at least {minimum}, got {reprlib.repr(value)}")
+        raise ValidationError(f"{what} must be at least {minimum}, got {shown(value)}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{what} must be at most {maximum}, got {shown(value)}")
     return value
 
 

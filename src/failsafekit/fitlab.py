@@ -50,8 +50,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (InconsistencyError, ValidationError, is_number, real_array, real_number,
-                     whole_number)
+from .errors import (FLOAT_ARRAY_MAX, InconsistencyError, ValidationError, is_number, real_array,
+                     real_number, shown, whole_number)
 from .generators import COPULA_FAMILIES, GeneratorSpec, _phi, _psi
 from .mcsim import _draw_times, _refusal, check_seed
 from .models import _FAMILIES, FIT_FAMILIES, _horner
@@ -78,7 +78,7 @@ class LifetimeDataset:
     def __init__(self, observations: dict):
         if not observations:
             raise ValidationError("dataset has no components")
-        self.observations = {str(label): _strengths(values, f"component {label!r}")
+        self.observations = {str(label): _strengths(values, f"component {shown(label)}")
                              for label, values in observations.items()}
 
     @property
@@ -457,10 +457,12 @@ def _pseudo_likelihood_theta(family: str, theta0: float, arr: np.ndarray, upper:
 
 def empirical_copula(pseudo) -> np.ndarray:
     """C_n evaluated at the sample's own points, for a count x d matrix or
-    each matrix of a (B, count, d) stack of numbers."""
+    each matrix of a (B, count, d) stack of numbers, none NaN."""
     arr = real_array(pseudo, "pseudo-observation")
     if arr.ndim not in (2, 3) or arr.shape[-1] < 1:
         raise ValidationError("pseudo-observations must be count x d or B x count x d with d >= 1")
+    if np.isnan(arr).any():  # NaN compares as never <=, and would count as no point
+        raise ValidationError("pseudo-observations must not be NaN")
     return _empirical_copula(arr)
 
 
@@ -528,7 +530,7 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
     whose mean tau leaves the family's range counts as out of range; any
     other error propagates.
     """
-    boot_n = whole_number(boot_n, "boot_n", 100)
+    boot_n = whole_number(boot_n, "boot_n", 100, FLOAT_ARRAY_MAX)
     seed = check_seed(seed)
     arr = real_array(pseudo, "pseudo-observation")
     theta = fit_copula(family, arr, method)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, plain_number, real_array, real_number
+from .errors import ValidationError, plain_number, real_array, real_number, shown
 
 #: family -> (lo, hi, lo_closed, hi_closed) of its parameter range
 _RANGES = {
@@ -64,7 +64,7 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if not isinstance(self.family, str) or self.family not in _RANGES:
-            raise ValidationError(f"unknown generator family {self.family!r}")
+            raise ValidationError(f"unknown generator family {shown(self.family)}")
         if self.family == "independence":
             if self.theta is not None:
                 raise ValidationError("independence takes no parameter")
@@ -77,7 +77,7 @@ class GeneratorSpec:
         ok_hi = theta <= hi if hi_c else theta < hi
         if not (ok_lo and ok_hi):
             raise ValidationError(
-                f"{self.family} parameter {self.theta} outside its range "
+                f"{self.family} parameter {shown(plain_number(self.theta))} outside its range "
                 f"{'[' if lo_c else '('}{lo}, {hi}{']' if hi_c else ')'}"
             )
         object.__setattr__(self, "theta", plain_number(self.theta))

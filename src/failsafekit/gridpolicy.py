@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import nonnegative_number, whole_number
+from .errors import FLOAT_ARRAY_MAX, nonnegative_number, whole_number
 from .models import SemiParamModel, bulk_grid, default_x_grid
 
 
@@ -21,7 +21,8 @@ class GridPolicy:
     crossing_gap: float = 1e-8
 
     def __post_init__(self):
-        object.__setattr__(self, "curve_points", whole_number(self.curve_points, "curve_points", 2))
+        points = whole_number(self.curve_points, "curve_points", 2, FLOAT_ARRAY_MAX)
+        object.__setattr__(self, "curve_points", points)
         for name in ("dominance_tol", "crossing_gap"):
             object.__setattr__(self, name, nonnegative_number(getattr(self, name), name))
 

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedGeneratorError, ValidationError, real_array, whole_number
+from .errors import (FLOAT_ARRAY_MAX, UnsupportedGeneratorError, ValidationError, real_array,
+                     shown, whole_number)
 from .generators import GeneratorSpec, is_independence, psi
 from .models import _log1mexp, sp_inverse_log_survival
 from .systems import SystemSpec, _lifetimes
@@ -55,9 +56,9 @@ def check_seed(seed, name: str = "seed") -> int:
     """seed as an int; a ValidationError naming it unless it is a Python or
     numpy integer, not a bool, in [0, 2**64)."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {seed!r}")
+        raise ValidationError(f"{name} must be an integer, got {shown(seed)}")
     if not 0 <= int(seed) < 2 ** 64:
-        raise ValidationError(f"{name} must lie in [0, 2**64), got {seed}")
+        raise ValidationError(f"{name} must lie in [0, 2**64), got {shown(int(seed))}")
     return int(seed)
 
 
@@ -140,7 +141,9 @@ def _draw_times(g: GeneratorSpec, n: int, count: int, seed: int) -> np.ndarray:
 
 def sample_copula(g: GeneratorSpec, n: int, count: int, seed: int) -> SampleBatch:
     """Draw count rows of n dependent uniforms with copula generator g."""
-    n, count = whole_number(n, "n", 1), whole_number(count, "count", 1)
+    n = whole_number(n, "n", 1, FLOAT_ARRAY_MAX)
+    count = whole_number(count, "count", 1, FLOAT_ARRAY_MAX)
+    whole_number(count * n, "count x n", 1, FLOAT_ARRAY_MAX)  # the entries of each draw
     seed = check_seed(seed)
     # psi checks t; the clip keeps uniforms inside (0, 1) for inversion
     u = np.clip(psi(g, _draw_times(g, n, count, seed)), 1e-15, 1.0 - 1e-16)

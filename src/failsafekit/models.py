@@ -61,15 +61,14 @@ Everything is pure and reentrant; model values are immutable.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (ValidationError, nonnegative_number, plain_number, real_array, real_number,
-                     whole_number)
+from .errors import (FLOAT_ARRAY_MAX, ValidationError, nonnegative_number, plain_number, real_array,
+                     real_number, shown, whole_number)
 
 
 def _log1mexp(a):
@@ -352,12 +351,12 @@ class BaselineSpec:
 
     def __post_init__(self):
         if not isinstance(self.family, str) or self.family not in _FAMILIES:
-            raise ValidationError(f"unknown baseline family {self.family!r}")
+            raise ValidationError(f"unknown baseline family {shown(self.family)}")
         names = _FAMILIES[self.family].names
         params = real_array(self.params, f"{self.family} parameter")
         if params.shape != (len(names),):
             raise ValidationError(f"{self.family} takes {len(names)} parameters {names}, "
-                                  f"got {reprlib.repr(self.params)}")
+                                  f"got {shown(self.params)}")
         params = tuple(params.tolist())
         if any(not math.isfinite(p) or p <= 0.0 for p in params):
             raise ValidationError(f"{self.family} parameters must be positive, got {params}")
@@ -453,10 +452,10 @@ class SemiParamModel:
     lam: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValidationError(f"unknown model kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
+            raise ValidationError(f"unknown model kind {shown(self.kind)}")
         if not isinstance(self.baseline, BaselineSpec):
-            raise ValidationError(f"model baseline must be a BaselineSpec, got {self.baseline!r}")
+            raise ValidationError(f"model baseline must be a BaselineSpec, got {shown(self.baseline)}")
         alpha, lam = (None if v is None else real_number(v, f"{self.kind} {name}")
                       for v, name in ((self.alpha, "alpha"), (self.lam, "lambda")))
         if self.kind == "mphrs":
@@ -599,7 +598,7 @@ _BULK_LOG_SF.flags.writeable = False
 def bulk_grid(entries, points: int) -> np.ndarray:
     """``points`` log-spaced lifetimes from the smallest BULK_Q_LO (if positive, else
     hi * CURVE_FLOOR) to the largest BULK_Q_HI quantile over every (model, thetas) entry."""
-    points = whole_number(points, "curve_points", 2)
+    points = whole_number(points, "curve_points", 2, FLOAT_ARRAY_MAX)
     # one inverse call per entry for both ends: gamma's inverse costs per call
     ends = [sp_inverse_log_survival(m, _BULK_LOG_SF, th) for m, th in entries]
     ends = ends[0] if len(ends) == 1 else np.concatenate(ends, axis=1)
@@ -631,7 +630,7 @@ def linear_grid(x_min: float, x_max: float, points: int) -> np.ndarray:
     x_min, x_max = real_number(x_min, "x-min"), real_number(x_max, "x-max")
     if not 0.0 <= x_min < x_max:  # NaN fails the comparison
         raise ValidationError("need 0 <= x-min < x-max")
-    points = whole_number(points, "curve_points", 2)
+    points = whole_number(points, "curve_points", 2, FLOAT_ARRAY_MAX)
     return np.linspace(x_min if x_min > 0 else x_max / points, x_max, points)
 
 

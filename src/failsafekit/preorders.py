@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import ValidationError, nonnegative_number, real_array
+from .errors import ValidationError, nonnegative_number, real_array, shown
 
 DEFAULT_TOL = 1e-12
 
@@ -73,6 +73,8 @@ def holds(kind: Preorder, a, b, tol: float = DEFAULT_TOL) -> bool:
     """
     tol = nonnegative_number(tol, "tol")
     sa, sb = _checked_pair(a, b)
+    if not isinstance(kind, Preorder):
+        raise ValidationError(f"unknown preorder {shown(kind)}")
     if kind in POSITIVE_ONLY and (sa[0] <= 0.0 or sb[0] <= 0.0):
         raise ValidationError(f"{kind.value} requires strictly positive entries")
     return _holds(kind, sa, sb, tol)
@@ -91,10 +93,8 @@ def _holds(kind: Preorder, sa: list, sb: list, tol: float) -> bool:
     if kind is Preorder.P_LARGER:
         pa, pb = accumulate(sa, operator.mul), accumulate(sb, operator.mul)
         return all(x <= y + tol for x, y in zip(pa, pb))
-    if kind is Preorder.RECIPROCAL_MAJORIZE:
-        ra, rb = accumulate(1.0 / x for x in sa), accumulate(1.0 / x for x in sb)
-        return all(x >= y - tol for x, y in zip(ra, rb))
-    raise ValidationError(f"unknown preorder {kind!r}")
+    ra, rb = accumulate(1.0 / x for x in sa), accumulate(1.0 / x for x in sb)
+    return all(x >= y - tol for x, y in zip(ra, rb))
 
 
 @dataclass(frozen=True)

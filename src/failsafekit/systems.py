@@ -46,12 +46,11 @@ run under the one np.errstate the kernel holds per call.  A dead component
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, real_array, whole_number
+from .errors import ValidationError, real_array, shown, whole_number
 from .generators import GeneratorSpec, _phi, _psi
 from .gridpolicy import GridPolicy
 from .models import BaselineSpec, SemiParamModel, _checked_theta, _sp_survival, bulk_grid, sp_survival
@@ -76,12 +75,12 @@ class SystemSpec:
     def __post_init__(self):
         n = whole_number(self.n, "system n", 2)
         if not isinstance(self.model, SemiParamModel):
-            raise ValidationError(f"system model must be a SemiParamModel, got {self.model!r}")
+            raise ValidationError(f"system model must be a SemiParamModel, got {shown(self.model)}")
         if not isinstance(self.generator, GeneratorSpec):
-            raise ValidationError(f"system generator must be a GeneratorSpec, got {self.generator!r}")
+            raise ValidationError(f"system generator must be a GeneratorSpec, got {shown(self.generator)}")
         theta = real_array(self.theta, "system theta entry")
         if theta.shape != (n,):
-            raise ValidationError(f"system theta must be {n} numbers, got {reprlib.repr(self.theta)}")
+            raise ValidationError(f"system theta must be {shown(n)} numbers, got {shown(self.theta)}")
         object.__setattr__(self, "theta", tuple(_checked_theta(self.model, theta).tolist()))
         object.__setattr__(self, "n", n)
 

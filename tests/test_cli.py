@@ -752,12 +752,12 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
     (_FIT + ["--subsets", "w1,w2"], {}, "needs at least two groups"),
     (_FIT + ["--subsets", "w1,w2;w3"], {}, "subsets must share size"),
     # one wire named twice once counted as a 2-wire group
-    (_FIT + ["--subsets", "w1,w1;w2,w3"], {}, "subset {w1,w1} names a component twice"),
+    (_FIT + ["--subsets", "w1,w1;w2,w3"], {}, "subset '{w1,w1}' names a component twice"),
     # a repeated group was merged into the first, leaving one
     (_FIT + ["--subsets", "w1,w2;w1,w2"], {},
-     "subset {w1,w2} repeats an earlier subset's components"),
+     "subset '{w1,w2}' repeats an earlier subset's components"),
     (_FIT + ["--subsets", "w1,w2;w3,w4;w2,w1"], {},
-     "subset {w2,w1} repeats an earlier subset's components"),
+     "subset '{w2,w1}' repeats an earlier subset's components"),
     (["curve", "{spec}", "--config"], {}, "--config needs a path"),
     (["--conf", "{conf}", "curve", "{spec}"], {}, "write --config in full, not --conf"),
     (["--config", "{conf}", "curve", "{spec}"], {}, "config must be a JSON object"),
@@ -780,6 +780,16 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
      "error: out of memory: "),
     (["simulate", "{cx}", "--count", str(10 ** 17), "--seed", "1"], {},
      "error: out of memory: "),
+    # past numpy's largest float64 array (2**60 - 1 entries) numpy cannot even
+    # index the request; these exited 1 with numpy's "Maximum allowed size exceeded"
+    (["simulate", "{cx}", "--count", str(10 ** 20), "--seed", "1"], {},
+     f"error: count must be at most {2 ** 60 - 1}, got {10 ** 20}\n"),
+    (["simulate", "{cx}", "--points", str(10 ** 20), "--seed", "1"], {},
+     f"error: curve_points must be at most {2 ** 60 - 1}, got {10 ** 20}\n"),
+    (["curve", "{spec}", "--points", str(10 ** 20), "--out", "{out}"], {},
+     f"error: curve_points must be at most {2 ** 60 - 1}, got {10 ** 20}\n"),
+    (_FIT + ["--boot", str(10 ** 20)], {},
+     f"error: boot_n must be at most {2 ** 60 - 1}, got {10 ** 20}\n"),
 ], ids=["env-seed", "vector-twice", "vector-empty", "vector-non-numeric", "x-range",
         "x-range-no-points", "bulk-one-point",
         "curve-no-system", "curve-no-out", "subsets-empty-group", "subsets-one-group",
@@ -787,7 +797,8 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
         "subsets-reordered-group", "config-no-path", "config-abbreviated", "config-not-object",
         "preorder-nan-tol", "verify-negative-tol", "verify-nan-tol", "fit-negative-seed",
         "simulate-negative-seed", "env-negative-seed", "verify-oversized-grid",
-        "curve-oversized-grid", "simulate-oversized-count"])
+        "curve-oversized-grid", "simulate-oversized-count", "simulate-unindexable-count",
+        "simulate-unindexable-points", "curve-unindexable-grid", "fit-unindexable-boot"])
 def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env, fragment):
     sx, _ = gumbel_barnett_pair()
     cx, cy = clayton_pair()

@@ -542,9 +542,11 @@ def test_cvm_boot_n_floor():
     ("150", "boot_n must be an integer, got '150'"),
     (np.nan, "boot_n must be an integer, got nan"),
     (99, "boot_n must be at least 100, got 99"),
-], ids=["fraction", "bool", "string", "nan", "below-minimum"])
+    (2 ** 60, f"boot_n must be at most {2 ** 60 - 1}, got {2 ** 60}"),
+], ids=["fraction", "bool", "string", "nan", "below-minimum", "beyond-numpy"])
 def test_cvm_gof_refuses_a_malformed_boot_n(boot_n, message):
-    # the fraction, the string and NaN raised a bare TypeError; True read as 1
+    # the fraction, the string and NaN raised a bare TypeError; True read as 1;
+    # 2**60 raised numpy's "Maximum allowed dimension exceeded"
     u = sample_copula(GeneratorSpec("clayton", 1.0), 2, 50, seed=6).uniforms
     with pytest.raises(ValidationError) as err:
         cvm_gof("clayton", pseudo_observations(u), boot_n=boot_n, seed=1)
@@ -1082,9 +1084,12 @@ def test_manifest_loads_and_has_tolerances():
      "pseudo-observations must be count x d or B x count x d with d >= 1"),
     (lambda: empirical_copula(np.ones((1, 2, 3, 4))),
      "pseudo-observations must be count x d or B x count x d with d >= 1"),
+    # a NaN compared as never <=, and read [0, 1/3, 1/3]
+    (lambda: empirical_copula([[0.2, np.nan], [0.5, 0.5], [0.7, 0.1]]),
+     "pseudo-observations must not be NaN"),
 ], ids=["fit-one-column", "fit-unknown-method", "tau-unknown-family", "rank-nothing",
         "pseudo-one-row", "dataset-empty", "copula-text", "copula-text-matrix",
-        "copula-vector", "copula-4-d"])
+        "copula-vector", "copula-4-d", "copula-nan"])
 def test_fitting_refusals_keep_their_messages(call, message):
     with pytest.raises(ValidationError) as err:
         call()

@@ -193,7 +193,9 @@ _BAD_COUNTS = {"fraction": (5.5, "must be an integer, got 5.5"),
                "bool": (True, "must be an integer, got True"),
                "string": ("5", "must be an integer, got '5'"),
                "nan": (np.nan, "must be an integer, got nan"),
-               "below-minimum": (0, "must be at least 1, got 0")}
+               "below-minimum": (0, "must be at least 1, got 0"),
+               # past numpy's largest float64 array: numpy's ValueError
+               "beyond-numpy": (2 ** 60, f"must be at most {2 ** 60 - 1}, got {2 ** 60}")}
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_COUNTS))
@@ -205,6 +207,13 @@ def test_sample_copula_refuses_a_malformed_count(arg, case):
     with pytest.raises(ValidationError) as err:
         sample_copula(GeneratorSpec("clayton", 2.0), counts["n"], counts["count"], seed=1)
     assert str(err.value) == f"{arg} {tail}"
+
+
+def test_sample_copula_refuses_a_draw_numpy_cannot_index():
+    # each count fits, but a (2**59, 2) exponential draw raised "array is too big"
+    with pytest.raises(ValidationError) as err:
+        sample_copula(GeneratorSpec("clayton", 2.0), 2, 2 ** 59, seed=1)
+    assert str(err.value) == f"count x n must be at most {2 ** 60 - 1}, got {2 ** 60}"
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_COUNTS))

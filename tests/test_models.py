@@ -623,6 +623,15 @@ def test_grid_builders_need_an_integer_point_count(points):
             build()
 
 
+def test_grid_builders_refuse_a_point_count_numpy_cannot_index():
+    # 2**60 float64 values raised numpy's "Maximum allowed size exceeded"
+    m = SemiParamModel("scale", BaselineSpec("weibull", (1.0, 0.8)))
+    for build in (lambda: bulk_grid([(m, 1.0)], 2 ** 60), lambda: linear_grid(0.0, 1.0, 2 ** 60)):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == f"curve_points must be at most {2 ** 60 - 1}, got {2 ** 60}"
+
+
 @pytest.mark.parametrize("x_min, x_max", [(2.0, 1.0), (1.0, 1.0), (-0.5, 1.0), (math.nan, 1.0),
                                           (0.0, math.nan)])
 def test_linear_grid_needs_an_ordered_nonnegative_range(x_min, x_max):

@@ -500,6 +500,12 @@ def test_grid_policy_needs_two_curve_points(points):
         GridPolicy(curve_points=points)
 
 
+def test_grid_policy_refuses_a_point_count_numpy_cannot_index():
+    with pytest.raises(ValidationError) as err:
+        GridPolicy(curve_points=2 ** 60)
+    assert str(err.value) == f"curve_points must be at most {2 ** 60 - 1}, got {2 ** 60}"
+
+
 @pytest.mark.parametrize("points", [1000.5, True, "1000", None, np.nan])
 def test_grid_policy_needs_an_integer_point_count(points):
     # 1000.5 once built a 1001-point grid whose last step was half the others
