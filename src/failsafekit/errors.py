@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package, the checks of numeric
 inputs (numbers, arrays of numbers, counts, tolerances) that raise it, and
 their JSON-ready form.  Every public numeric argument goes through
-``real_number`` or ``real_array``; each caller adds only its own shape or
-domain rule.  Every refusal that shows a caller's value shows it through
-``shown``."""
+``real_number`` or ``real_array`` (an evaluator's points through
+``point_array``, and its kernel through ``evaluate``); each caller adds only
+its own shape or domain rule.  A refusal shows a caller's value by ``shown``."""
 
 import contextlib
 import math
@@ -117,6 +117,26 @@ def real_array(value, what: str) -> np.ndarray:
         if _NUMBERS.issuperset(map(type, flat)):
             return entries.astype(float)
     return np.array([real_number(v, what) for v in flat], dtype=float).reshape(entries.shape)
+
+
+def point_array(value, what: str, ok=None, rule: str = "not be NaN") -> np.ndarray:
+    """A public evaluator's points: value as a float64 array (see ``real_array``),
+    0-d for a number, unless an entry is NaN or fails ``ok``, an elementwise
+    domain test that fails at NaN: a ValidationError "<what> must <rule>, got <it>"."""
+    arr = real_array(value, what)
+    good = ~np.isnan(arr) if ok is None else ok(arr)
+    if not good.all():
+        raise ValidationError(f"{what} must {rule}, got {shown(arr[~good][0].item())}")
+    return arr
+
+
+def evaluate(kernel, *args):
+    """kernel(*args) under the evaluators' one ``np.errstate(all="ignore")``.  Each ndarray
+    in args, a checked point or theta, goes in at least 1-d, so a number rounds as in a batch
+    (numpy's ``**`` on 0-d is libm's pow); the result is out[0] as a float if all were 0-d."""
+    with np.errstate(all="ignore"):
+        out = kernel(*(np.atleast_1d(a) if isinstance(a, np.ndarray) else a for a in args))
+    return out if any(a.ndim for a in args if isinstance(a, np.ndarray)) else float(out[0])
 
 
 def nonnegative_number(value, what: str) -> float:

@@ -72,13 +72,21 @@ def _strengths(data, what: str = "data", minimum: int = MIN_OBSERVATIONS) -> np.
     return arr
 
 
+def _label(label) -> str:
+    """label as text, as ``str`` forms it; an int past Python's str limit is refused."""
+    try:
+        return str(label)
+    except ValueError:
+        raise ValidationError(f"component label {shown(label)} has no text form") from None
+
+
 class LifetimeDataset:
     """Positive observations per component label."""
 
     def __init__(self, observations: dict):
         if not observations:
             raise ValidationError("dataset has no components")
-        self.observations = {str(label): _strengths(values, f"component {shown(label)}")
+        self.observations = {_label(label): _strengths(values, f"component {shown(label)}")
                              for label, values in observations.items()}
 
     @property

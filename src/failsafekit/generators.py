@@ -3,16 +3,16 @@
 Each catalog family supplies the generator psi, its pseudo-inverse phi
 and a closed-form log psi (used wherever psi itself would underflow).
 GeneratorSpec values are immutable and freely shareable across
-concurrent callers; every function here is pure.  A scalar is evaluated
-as a 1-element array, so it rounds as the same point inside a batch
-(numpy's ``**`` on a 0-d value can round differently from its array loop).
-The unchecked kernels ``_phi``, ``_psi`` and ``_log_psi`` take theta as a
-scalar or as an array that broadcasts against their input, such as one
-theta per row, and an array theta gives each element the bits of its
-scalar theta.  For every family ``_phi`` is +inf at u = 0 and ``_psi``
-exactly 0 at t = +inf: IEEE limits carry dead components, with no warning
-under the np.errstate each caller of a kernel holds (the public functions,
-``systems`` and ``fitlab``).
+concurrent callers; every function here is pure.  ``psi``, ``log_psi``
+and ``phi`` check their points (``errors.point_array``) and run their
+kernel through ``errors.evaluate``, which evaluates a scalar as a
+1-element array, as inside a batch.  The unchecked kernels ``_phi``,
+``_psi`` and ``_log_psi`` take theta as a scalar or as an array that
+broadcasts against their input, such as one theta per row, and an array
+theta gives each element the bits of its scalar theta.  For every family
+``_phi`` is +inf at u = 0 and ``_psi`` exactly 0 at t = +inf: IEEE limits
+carry dead components, with no warning under the np.errstate each caller
+of a kernel holds (``errors.evaluate``, ``systems`` and ``fitlab``).
 
 Catalog (theta is the dependence parameter):
 
@@ -33,7 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, plain_number, real_array, real_number, shown
+from .errors import ValidationError, evaluate, plain_number, point_array, real_number, shown
+
+#: The name, domain test and rule of a point t of psi and log psi.
+_T_POINT = ("t", lambda t: t >= 0.0, "be nonnegative")
 
 #: family -> (lo, hi, lo_closed, hi_closed) of its parameter range
 _RANGES = {
@@ -93,13 +96,6 @@ class GeneratorSpec:
         if not isinstance(obj, dict) or "family" not in obj:
             raise ValidationError("generator spec must be an object with a 'family'")
         return cls(family=obj["family"], theta=obj.get("theta"))
-
-
-def _as_nonneg_t(t):
-    arr = np.atleast_1d(real_array(t, "t"))
-    if not np.all(arr >= 0.0):  # NaN fails the comparison
-        raise ValidationError("t must be nonnegative")
-    return arr
 
 
 #: The exponents at which numpy's ``**`` with a scalar exponent skips pow,
@@ -202,26 +198,18 @@ def _phi(family: str, th, arr: np.ndarray) -> np.ndarray:
 
 def log_psi(g: GeneratorSpec, t):
     """log psi(t), computed in closed form so it never underflows."""
-    with np.errstate(all="ignore"):
-        out = _log_psi(g.family, g.theta, _as_nonneg_t(t))
-    return out if np.ndim(t) else float(out[0])
+    return evaluate(_log_psi, g.family, g.theta, point_array(t, *_T_POINT))
 
 
 def psi(g: GeneratorSpec, t):
     """Generator value psi(t) in [0, 1]; psi(0) = 1, nonincreasing."""
-    with np.errstate(all="ignore"):
-        out = _psi(g.family, g.theta, _as_nonneg_t(t))
-    return out if np.ndim(t) else float(out[0])
+    return evaluate(_psi, g.family, g.theta, point_array(t, *_T_POINT))
 
 
 def phi(g: GeneratorSpec, u):
     """Pseudo-inverse phi = psi^(-1) on (0, 1]; phi(1) = 0."""
-    arr = np.atleast_1d(real_array(u, "u"))
-    if not np.all((arr > 0.0) & (arr <= 1.0)):  # NaN fails both comparisons
-        raise ValidationError("u must lie in (0, 1]")
-    with np.errstate(all="ignore"):
-        out = _phi(g.family, g.theta, arr)
-    return out if np.ndim(u) else float(out[0])
+    return evaluate(_phi, g.family, g.theta,
+                    point_array(u, "u", lambda a: (a > 0.0) & (a <= 1.0), "lie in (0, 1]"))
 
 
 class LogShape(enum.Enum):

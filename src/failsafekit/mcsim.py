@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (FLOAT_ARRAY_MAX, UnsupportedGeneratorError, ValidationError, real_array,
-                     shown, whole_number)
+from .errors import (FLOAT_ARRAY_MAX, UnsupportedGeneratorError, ValidationError, evaluate,
+                     real_array, shown, whole_number)
 from .generators import GeneratorSpec, is_independence, psi
 from .models import _log1mexp, sp_inverse_log_survival
 from .systems import SystemSpec, _lifetimes
@@ -179,5 +179,4 @@ def empirical_survival_x2n(lifetimes: np.ndarray, x):
     second = second_smallest(lifetimes)
     if second.size == 0:
         raise ValidationError("lifetimes matrix is empty")
-    vals = np.mean(second[:, None] > np.atleast_1d(_lifetimes(x))[None, :], axis=0)
-    return vals if np.ndim(x) else float(vals[0])
+    return evaluate(lambda xs: np.mean(second[:, None] > xs[None, :], axis=0), _lifetimes(x))

@@ -2,12 +2,12 @@
 
 Each baseline family is one record of the module table ``_FAMILIES``: its
 parameter names and closed forms for log-survival, log-density and
-inverse log-survival.  ``log_sf``, ``log_pdf`` and ``inverse_log_sf``
-clamp or mask their input and make one call into that record; hazard
-comes from the first two in log space.  They evaluate a scalar as a
-1-element array, so a value does not depend on whether it came alone or
-in a batch (numpy's ``**`` on a 0-d value is libm's pow, which can round
-differently from numpy's own array loop).  Quantiles and Monte-Carlo
+inverse log-survival.  The kernels ``_log_sf``, ``_log_pdf`` and
+``_inverse_log_sf`` clamp or mask their input and make one call into that
+record; hazard comes from the first two in log space.  A public function
+checks its points (``errors.point_array``) and runs its kernel through
+``errors.evaluate``, which holds the np.errstate and evaluates a scalar as
+a 1-element array, as inside a batch.  Quantiles and Monte-Carlo
 lifetimes both come from the inverse log-survival, so neither rounds a
 tail probability to 1.  No baseline imports scipy.
 
@@ -39,9 +39,9 @@ log F(x; theta) = p log F(a (x - c)):
     ls         (theta, lam, 1)    F(theta (x - lam))        theta > 0, fixed lam
 
 theta may be an array that broadcasts against x, so one call evaluates a
-whole (parameter x lifetime) matrix.  The public functions check theta and
-hold an np.errstate; ``systems``' kernel calls ``_sp_survival`` under its
-own, at thetas its ``SystemSpec`` checked.
+whole (parameter x lifetime) matrix.  The public functions check theta;
+``systems``' kernel calls ``_sp_survival`` under its own np.errstate, at
+thetas its ``SystemSpec`` checked.
 
 The shape hypotheses of the comparison results are decided from closed
 forms, not grid probes, as the ``HypothesisCheck`` records ``ordering.verify``
@@ -67,8 +67,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (FLOAT_ARRAY_MAX, ValidationError, nonnegative_number, plain_number, real_array,
-                     real_number, shown, whole_number)
+from .errors import (FLOAT_ARRAY_MAX, ValidationError, evaluate, nonnegative_number, plain_number,
+                     point_array, real_array, real_number, shown, whole_number)
 
 
 def _log1mexp(a):
@@ -372,62 +372,59 @@ class BaselineSpec:
         return cls(family=obj["family"], params=obj["params"])
 
 
+def _log_sf(b: BaselineSpec, x: np.ndarray):
+    """log survival on a float array x; 0 for x <= 0."""
+    return _FAMILIES[b.family].log_sf(np.maximum(x, 0.0), *b.params)
+
+
+def _log_pdf(b: BaselineSpec, x: np.ndarray):
+    """log density on a float array x, -inf off the support x > 0."""
+    t = np.where(x > 0.0, x, np.nan)
+    return np.where(np.isnan(t), -np.inf, _FAMILIES[b.family].log_pdf(t, *b.params))
+
+
+def _inverse_log_sf(b: BaselineSpec, ls: np.ndarray):
+    """x >= 0 with log survival ls, on a float array ls <= 0."""
+    return _FAMILIES[b.family].inverse_log_sf(ls, *b.params)
+
+
+#: The name, domain test and rule of a log-survival and of a probability point.
+_LS_POINT = ("ls", lambda ls: ls <= 0.0, "be at most 0")
+_PROB_POINT = ("quantile probability", lambda p: (p > 0.0) & (p < 1.0), "lie in (0, 1)")
+
+
 def log_sf(b: BaselineSpec, x):
     """log survival; 0 for x <= 0 (lifetimes are nonnegative)."""
-    t = np.maximum(np.atleast_1d(real_array(x, "x")), 0.0)
-    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        out = _FAMILIES[b.family].log_sf(t, *b.params)
-    return out if np.ndim(x) else float(out[0])
+    return evaluate(_log_sf, b, point_array(x, "x"))
 
 
 def sf(b: BaselineSpec, x):
     """Survival function, 1 on x <= 0."""
-    with np.errstate(under="ignore"):
-        out = np.exp(log_sf(b, x))
-    return out if np.ndim(x) else float(out)
+    return evaluate(lambda t: np.exp(_log_sf(b, t)), point_array(x, "x"))
 
 
 def log_pdf(b: BaselineSpec, x):
     """log density on x > 0 (-inf off the support)."""
-    arr = np.atleast_1d(real_array(x, "x"))
-    t = np.where(arr > 0.0, arr, np.nan)
-    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        out = _FAMILIES[b.family].log_pdf(t, *b.params)
-    out = np.where(np.isnan(t), -np.inf, out)
-    return out if np.ndim(x) else float(out[0])
+    return evaluate(_log_pdf, b, point_array(x, "x"))
 
 
 def pdf(b: BaselineSpec, x):
-    with np.errstate(under="ignore"):
-        out = np.exp(log_pdf(b, x))
-    return out if np.ndim(x) else float(out)
+    return evaluate(lambda t: np.exp(_log_pdf(b, t)), point_array(x, "x"))
 
 
 def hazard(b: BaselineSpec, x):
     """Hazard rate pdf/sf, computed in log space."""
-    with np.errstate(under="ignore"):
-        out = np.exp(log_pdf(b, x) - log_sf(b, x))
-    return out if np.ndim(x) else float(out)
+    return evaluate(lambda t: np.exp(_log_pdf(b, t) - _log_sf(b, t)), point_array(x, "x"))
 
 
 def inverse_log_sf(b: BaselineSpec, ls):
     """x >= 0 with log_sf(b, x) = ls, for ls <= 0."""
-    arr = real_array(ls, "ls")
-    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        out = _FAMILIES[b.family].inverse_log_sf(np.atleast_1d(arr), *b.params)
-    return out if arr.ndim else float(out[0])
-
-
-def _check_prob(prob) -> np.ndarray:
-    p = real_array(prob, "quantile probability")
-    if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails both comparisons
-        raise ValidationError("quantile probability must lie in (0, 1)")
-    return p
+    return evaluate(_inverse_log_sf, b, point_array(ls, *_LS_POINT))
 
 
 def quantile(b: BaselineSpec, prob):
     """Inverse cdf on (0, 1)."""
-    return inverse_log_sf(b, np.log1p(-_check_prob(prob)))
+    return evaluate(lambda p: _inverse_log_sf(b, np.log1p(-p)), point_array(prob, *_PROB_POINT))
 
 
 #: (a, c, p) of each kind, as in the module docstring, from theta t and the fixed
@@ -514,6 +511,7 @@ def _checked_theta(m: SemiParamModel, theta) -> np.ndarray:
 def _log_w(m: SemiParamModel, x: np.ndarray, theta: np.ndarray):
     """log w = p log F(a (x - c)) on a float array x at a checked theta array."""
     a, c, p = _KIND_MAP[m.kind][0](theta, m.lam)
+    # inline, not _log_sf: a call keeps a (x - c) alive, +4% on large-n verdicts
     return p * _FAMILIES[m.baseline.family].log_sf(np.maximum(a * (x - c), 0.0), *m.baseline.params)
 
 
@@ -526,30 +524,31 @@ def _sp_survival(m: SemiParamModel, x: np.ndarray, theta: np.ndarray):
     return out
 
 
-def _checked_x(x) -> np.ndarray:
-    """x as a 1-d float array at least, unless it holds a NaN."""
-    arr = np.atleast_1d(real_array(x, "x"))
-    if np.isnan(arr).any():
-        raise ValidationError("x contains NaN")
-    return arr
+def _sp_log_survival(m: SemiParamModel, x: np.ndarray, theta: np.ndarray):
+    """log F(x; theta) on a float array x with no NaN, as ``_log_w``."""
+    out = _log_w(m, x, theta)
+    if m.kind == "mphrs":
+        out = np.log(m.alpha) + out - np.log1p(-(1.0 - m.alpha) * np.exp(out))
+    return out
+
+
+def _sp_inverse_log_survival(m: SemiParamModel, ls: np.ndarray, theta: np.ndarray):
+    """x with log F(x; theta) = ls, on a float array ls <= 0 at a checked theta array."""
+    a, c, p = _KIND_MAP[m.kind][0](theta, m.lam)
+    if m.kind == "mphrs":
+        # log w = ls - log(alpha + (1 - alpha) e^ls), w = F(x mu)^lam
+        ls = ls - np.log1p((1.0 - m.alpha) * np.expm1(ls))
+    return c + _inverse_log_sf(m.baseline, ls / p) / a
 
 
 def sp_survival(m: SemiParamModel, x, theta):
     """Transformed survival F(x; theta), in [0, 1] and nonincreasing in x."""
-    arr = _checked_x(x)
-    with np.errstate(all="ignore"):
-        out = _sp_survival(m, arr, _checked_theta(m, theta))
-    return out if np.ndim(x) or np.ndim(theta) else float(out[0])
+    return evaluate(_sp_survival, m, point_array(x, "x"), _checked_theta(m, theta))
 
 
 def sp_log_survival(m: SemiParamModel, x, theta):
     """log F(x; theta), exact in the tails."""
-    arr, t = _checked_x(x), _checked_theta(m, theta)
-    with np.errstate(all="ignore"):
-        out = _log_w(m, arr, t)
-        if m.kind == "mphrs":
-            out = np.log(m.alpha) + out - np.log1p(-(1.0 - m.alpha) * np.exp(out))
-    return out if np.ndim(x) or np.ndim(theta) else float(out[0])
+    return evaluate(_sp_log_survival, m, point_array(x, "x"), _checked_theta(m, theta))
 
 
 def sp_inverse_log_survival(m: SemiParamModel, ls, theta):
@@ -559,18 +558,13 @@ def sp_inverse_log_survival(m: SemiParamModel, ls, theta):
     with lam < 0), ls above log F(0; theta) maps to a negative x; lifetime
     samplers clamp it to 0.
     """
-    a, c, p = _KIND_MAP[m.kind][0](_checked_theta(m, theta), m.lam)
-    ls = real_array(ls, "ls")
-    if m.kind == "mphrs":
-        # log w = ls - log(alpha + (1 - alpha) e^ls), w = F(x mu)^lam
-        ls = ls - np.log1p((1.0 - m.alpha) * np.expm1(ls))
-    out = c + inverse_log_sf(m.baseline, ls / p) / a
-    return out if np.ndim(out) else float(out)
+    return evaluate(_sp_inverse_log_survival, m, point_array(ls, *_LS_POINT), _checked_theta(m, theta))
 
 
 def sp_quantile(m: SemiParamModel, prob, theta: float):
     """Inverse cdf of the transformed model."""
-    return sp_inverse_log_survival(m, np.log1p(-_check_prob(prob)), theta)
+    return evaluate(lambda p, t: _sp_inverse_log_survival(m, np.log1p(-p), t),
+                    point_array(prob, *_PROB_POINT), _checked_theta(m, theta))
 
 
 @dataclass(frozen=True)
@@ -600,7 +594,8 @@ def bulk_grid(entries, points: int) -> np.ndarray:
     hi * CURVE_FLOOR) to the largest BULK_Q_HI quantile over every (model, thetas) entry."""
     points = whole_number(points, "curve_points", 2, FLOAT_ARRAY_MAX)
     # one inverse call per entry for both ends: gamma's inverse costs per call
-    ends = [sp_inverse_log_survival(m, _BULK_LOG_SF, th) for m, th in entries]
+    with np.errstate(all="ignore"):
+        ends = [_sp_inverse_log_survival(m, _BULK_LOG_SF, _checked_theta(m, th)) for m, th in entries]
     ends = ends[0] if len(ends) == 1 else np.concatenate(ends, axis=1)
     lo, hi = ends[0].min(), ends[1].max()  # NaN propagates to the check below
     if not (np.isfinite(lo) and 0.0 < hi < np.inf):
@@ -678,9 +673,9 @@ def survival_shape(m: SemiParamModel, sign: str, grid=None, tol: float = SHAPE_T
         return HypothesisCheck("survival_shape", False, f"{lead}mphrs alpha {m.alpha:.6g} > 1 "
                                f"keeps a hazard rise of the baseline: {base.evidence}")
     xs = np.asarray(grid(m) if grid else default_x_grid(m.baseline), dtype=float)
-    ls = log_sf(m.baseline, xs)
-    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        h = np.exp(np.log(m.lam) + log_pdf(m.baseline, xs) - ls
+    with np.errstate(all="ignore"):
+        ls = _log_sf(m.baseline, xs)
+        h = np.exp(np.log(m.lam) + _log_pdf(m.baseline, xs) - ls
                    - np.log1p((m.alpha - 1.0) * np.exp(m.lam * ls)))
     h = h[np.isfinite(h)]
     if h.size < 3:

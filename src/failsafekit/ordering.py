@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistencyError, ValidationError, real_number
+from .errors import InconsistencyError, ValidationError, real_number, shown
 from .generators import classify_log_shape, is_log_concave, is_log_convex
 from .gridpolicy import GridPolicy
 from .models import HypothesisCheck, check_dpfr, survival_shape
@@ -216,6 +216,8 @@ def verify(
     never raised.  If all hold, both curves are evaluated on the policy grid
     and X must dominate Y or tie; anything else raises InconsistencyError.
     """
+    if not isinstance(route, str) or route not in ROUTES:
+        raise ValidationError(f"unknown route {shown(route)}, not one of {', '.join(ROUTES)}")
     row = ROUTES[route]
     policy = policy or GridPolicy()
     mx, my = sysX.model, sysY.model

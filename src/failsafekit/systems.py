@@ -31,9 +31,10 @@ number of systems per call change a value.
 
 Check once, where an input enters: ``errors.real_array`` reads every
 numeric argument, and on top of it ``SystemSpec`` checks theta's length and
-domain, ``_lifetimes`` every lifetime argument x (here, in ``mcsim`` and in
-the Schur probe of ``ordering``), and ``_check_grid`` ``SurvivalCurve``'s
-grid, ``curves``' grid before the kernel runs and a verdict's, uncopied.
+domain, ``_lifetimes`` (by ``errors.point_array``) every lifetime argument
+x (here, in ``mcsim`` and in the Schur probe of ``ordering``), and
+``_check_grid`` ``SurvivalCurve``'s grid, ``curves``' grid before the kernel
+runs and a verdict's, uncopied; the public functions return via ``errors.evaluate``.
 The kernel checks each marginal block once for NaN, by its minimum.  Every
 marginal lies in [0, 1], the mphrs map's too, and the sums add nonnegative
 phi values, so the kernel's marginals, phi and psi are ``models`` and
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, real_array, shown, whole_number
+from .errors import ValidationError, evaluate, point_array, real_array, shown, whole_number
 from .generators import GeneratorSpec, _phi, _psi
 from .gridpolicy import GridPolicy
 from .models import BaselineSpec, SemiParamModel, _checked_theta, _sp_survival, bulk_grid, sp_survival
@@ -115,11 +116,11 @@ def wire_system(scale: float, shape: float, wire_scales, generator: GeneratorSpe
 
 
 def _lifetimes(x) -> np.ndarray:
-    """x as a float64 array, unless it breaks the one rule for a lifetime
-    argument: a nonnegative number or 1-d array, with no NaN."""
-    arr = real_array(x, "x")
-    if arr.ndim > 1 or not np.all(arr >= 0.0):  # NaN fails the comparison
-        raise ValidationError("x must be a nonnegative number or 1-d array, with no NaN")
+    """x as a float64 array, unless it breaks the one rule for a lifetime argument."""
+    rule = "be a nonnegative number or 1-d array, with no NaN"
+    arr = point_array(x, "x", lambda a: a >= 0.0, rule)
+    if arr.ndim > 1:
+        raise ValidationError(f"x must {rule}, got a {arr.ndim}-d array")
     return arr
 
 
@@ -221,8 +222,7 @@ def _survivals(systems, x: np.ndarray) -> np.ndarray:
 
 def survival_x2n(sys: SystemSpec, x):
     """Fail-safe system survival at x (second-smallest order statistic)."""
-    vals = _survivals((sys,), np.atleast_1d(_lifetimes(x)))[0]
-    return vals if np.ndim(x) else float(vals[0])
+    return evaluate(lambda xs: _survivals((sys,), xs)[0], _lifetimes(x))
 
 
 def default_grid(sys: SystemSpec, points: int = GridPolicy.curve_points) -> np.ndarray:
@@ -253,15 +253,13 @@ def homogeneous_x2n(gen: GeneratorSpec, u, n: int):
     """Closed form for n identical marginals u in [0, 1], NaN refused, and an n
     ``SystemSpec`` takes: n psi((n-1)phi(u)) - (n-1)psi(n phi(u)), 0 at u = 0."""
     n = whole_number(n, "system n", 2)
-    uu = np.atleast_1d(real_array(u, "u"))
-    ok = (uu >= 0.0) & (uu <= 1.0)  # NaN fails both
-    if not ok.all():
-        raise ValidationError(f"u {uu[np.argmin(ok)]} outside [0, 1]")
-    f, th = gen.family, gen.theta
-    with np.errstate(all="ignore"):
-        p = _phi(f, th, uu)
-        vals = n * _psi(f, th, (n - 1) * p) - (n - 1) * _psi(f, th, n * p)
-    return vals if np.ndim(u) else float(vals[0])
+    return evaluate(_homogeneous_x2n, gen.family, gen.theta,
+                    point_array(u, "u", lambda a: (a >= 0.0) & (a <= 1.0), "lie in [0, 1]"), n)
+
+
+def _homogeneous_x2n(f: str, th, u: np.ndarray, n: int) -> np.ndarray:
+    p = _phi(f, th, u)
+    return n * _psi(f, th, (n - 1) * p) - (n - 1) * _psi(f, th, n * p)
 
 
 def _homogeneous_bound(sys: SystemSpec, x, order: str, mean) -> np.ndarray:

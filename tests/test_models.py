@@ -906,9 +906,9 @@ def test_constructors_refuse_nonfinite_values(make, message):
     (lambda: SemiParamModel("ls", BaselineSpec("exponential", (1.0,)), alpha=0.5, lam=1.0),
      "ls takes no alpha"),
     (lambda: sp_survival(SemiParamModel("scale", BaselineSpec("exponential", (1.0,))),
-                         [0.5, math.nan], 1.0), "x contains NaN"),
+                         [0.5, math.nan], 1.0), "x must not be NaN, got nan"),
     (lambda: sp_log_survival(SemiParamModel("scale", BaselineSpec("exponential", (1.0,))),
-                             math.nan, 1.0), "x contains NaN"),
+                             math.nan, 1.0), "x must not be NaN, got nan"),
     (lambda: BaselineSpec.from_json(["weibull", [1.0, 2.0]]),
      "baseline spec must carry 'family' and 'params'"),
     (lambda: BaselineSpec.from_json({"family": "weibull"}),

@@ -1,11 +1,16 @@
 """One rule for every numeric argument: ``errors.real_array`` (and
 ``real_number`` for scalars).  Every public entry that takes numbers
 refuses a malformed value with a ValidationError from that rule, and reads
-the same numbers alike whatever container holds them."""
+the same numbers alike whatever container holds them.  Every public
+evaluator reads its points through ``errors.point_array``, which refuses
+NaN and a point outside its domain, and returns through
+``errors.evaluate``, which holds the one np.errstate and returns a float
+for a scalar point."""
 
 import array
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -44,8 +49,11 @@ from failsafekit.fitlab import (
     pseudo_observations,
     tau_to_theta,
 )
-from failsafekit.generators import log_psi
+from failsafekit.generators import FAMILIES, log_psi
 from failsafekit.models import (
+    _FAMILIES,
+    _KINDS,
+    BASELINE_FAMILIES,
     hazard,
     inverse_log_sf,
     linear_grid,
@@ -277,3 +285,78 @@ def test_scalar_arguments_still_take_numpy_numbers():
     assert frank_tau(np.float64(2.0)) == frank_tau(2.0)
     assert tau_to_theta("clayton", np.float64(0.25)) == tau_to_theta("clayton", 0.25)
 
+
+#: The entries that evaluate at points: each one with a valid scalar but
+#: theta_in_domain, which tests a theta and refuses none.
+POINT_ENTRIES = sorted(name for name, (_, _, scalar) in ENTRIES.items()
+                       if scalar is not None and name != "theta_in_domain")
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["alone", "inside the vector"])
+@pytest.mark.parametrize("entry", POINT_ENTRIES)
+def test_every_point_argument_refuses_nan(entry, inside):
+    # log_sf, sf, log_pdf, pdf and hazard read NaN as a point (log_pdf as
+    # -inf, off the support), and both inverses returned NaN
+    call, base, _ = ENTRIES[entry]
+    with pytest.raises(ValidationError, match="nan"):
+        call(_with_last(base, math.nan) if inside else math.nan)
+
+
+@pytest.mark.parametrize("ls", [0.5, [-1.0, 0.5], math.inf], ids=["alone", "inside", "inf"])
+@pytest.mark.parametrize("entry", ["inverse_log_sf", "sp_inverse_log_survival ls"])
+def test_both_inverses_refuse_a_log_survival_above_0(entry, ls):
+    # inverse_log_sf(exponential(1), 0.5) was -0.5, a negative lifetime, and
+    # NaN over weibull(1, 1.5)
+    with pytest.raises(ValidationError) as err:
+        ENTRIES[entry][0](ls)
+    assert str(err.value) == f"ls must be at most 0, got {np.max(ls)}"
+
+
+@pytest.mark.parametrize("entry", POINT_ENTRIES)
+def test_a_scalar_point_returns_the_float_of_the_same_point_in_a_batch(entry):
+    call, _, scalar = ENTRIES[entry]
+    got, batch = call(scalar), call([scalar])
+    assert type(got) is float
+    assert type(batch) is np.ndarray and batch.shape == (1,)
+    assert got.hex() == float(batch[0]).hex()
+
+
+# the ends of each point domain: x real (a lifetime at least 0), ls <= 0, a
+# probability in (0, 1), t >= 0, u in (0, 1] for phi and [0, 1] for homogeneous_x2n
+X_ENDS = [0.0, 1e-300, 1e300, math.inf]
+LS_ENDS = [0.0, -math.inf]
+PROB_ENDS = [1e-300, 1.0 - 1e-16]
+
+
+def _meet_without_a_warning(doors):
+    """Call each door at every end of its domain, alone and as one vector."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, ends in doors:
+            call(ends)
+            for v in ends:
+                call(v)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("family", BASELINE_FAMILIES)
+def test_every_model_door_meets_the_ends_of_its_domain_without_a_warning(family, kind):
+    b = BaselineSpec(family, (1.5,) * len(_FAMILIES[family].names))
+    m = SemiParamModel(kind, b, **{"mphrs": {"alpha": 2.0, "lam": 1.5}, "ls": {"lam": -0.5}}.get(kind, {}))
+    sysd = SystemSpec(2, m, (1.5, 2.0), G)
+    doors = [(lambda v, f=f: f(b, v), X_ENDS) for f in (log_sf, sf, log_pdf, pdf, hazard)]
+    doors += [(lambda v: inverse_log_sf(b, v), LS_ENDS), (lambda v: quantile(b, v), PROB_ENDS),
+              (lambda v: sp_survival(m, v, 2.0), X_ENDS), (lambda v: sp_log_survival(m, v, 2.0), X_ENDS),
+              (lambda v: sp_inverse_log_survival(m, v, 2.0), LS_ENDS),
+              (lambda v: sp_quantile(m, v, 2.0), PROB_ENDS), (lambda v: survival_x2n(sysd, v), X_ENDS),
+              (lambda v: lower_bound_plarger(sysd, v), X_ENDS), (lambda v: lower_bound_rm(sysd, v), X_ENDS)]
+    _meet_without_a_warning(doors)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_generator_door_meets_the_ends_of_its_domain_without_a_warning(family):
+    g = GeneratorSpec(family, None if family == "independence"
+                      else 0.5 if family in ("amh", "gumbel_barnett") else 1.5)
+    _meet_without_a_warning([(lambda v: psi(g, v), [0.0, math.inf]),
+                             (lambda v: log_psi(g, v), [0.0, math.inf]), (lambda v: phi(g, v), [1.0]),
+                             (lambda v: homogeneous_x2n(g, v, 3), [0.0, 1.0])])

@@ -16,6 +16,7 @@ from failsafekit.cli import _parse_subsets, load_dataset_csv, main
 from failsafekit.errors import real_array, real_number, shown, whole_number
 from failsafekit.fitlab import LifetimeDataset
 from failsafekit.mcsim import check_seed
+from failsafekit.ordering import verify
 
 HUGE = 10 ** 5000  # str() refuses it: "Exceeds the limit (4300 digits)"
 
@@ -31,6 +32,7 @@ TEXT = ("long text",)
 _MODEL = SemiParamModel("scale", BaselineSpec("weibull", (1.0, 2.0)))
 _GEN = GeneratorSpec("clayton", 2.0)
 _WIRES = {"w1", "w2", "w3"}
+_SYS = SystemSpec(2, _MODEL, (1.0, 2.0), _GEN)
 
 
 def _csv(tmp_path, text):
@@ -67,7 +69,11 @@ SITES = {
     "GeneratorSpec family": (lambda v, tmp: GeneratorSpec(v, 2.0), ALL),
     "GeneratorSpec theta": (lambda v, tmp: GeneratorSpec("clayton", v), ALL),
     "preorder kind": (lambda v, tmp: holds(v, [1.0, 2.0], [1.5, 1.5]), ALL),
-    "dataset label": (lambda v, tmp: LifetimeDataset({v: [1.0]}), TEXT),
+    # str() of a huge int raised Python's bare ValueError
+    "dataset label": (lambda v, tmp: LifetimeDataset({v: [1.0]}), ("huge int", "long text")),
+    # a bare KeyError echoed the route whole, or raised in its own str, or
+    # a TypeError named a list unhashable
+    "verify route": (lambda v, tmp: verify(v, _SYS, _SYS), ALL),
     "CSV header": (lambda v, tmp: _csv(tmp, f"{v},{v}\n1,2\n3,4\n"), TEXT),
     "CSV long-format row": (
         lambda v, tmp: _csv(tmp, f"cable,wire,strength\n1,w1,2\n1,w2,x,{_cells(v)}\n"),
@@ -101,6 +107,8 @@ def test_every_display_site_refuses_a_malformed_value_in_one_short_line(tmp_path
     (lambda: BaselineSpec(["weibull"], (1.0,)), "unknown baseline family ['weibull']"),
     (lambda: SemiParamModel("frailty", _MODEL.baseline), "unknown model kind 'frailty'"),
     (lambda: holds("p_larger", [1.0], [1.0]), "unknown preorder 'p_larger'"),
+    (lambda: verify("t1", _SYS, _SYS),
+     "unknown route 't1', not one of theorem1, theorem2, prop_mphrs, prop_ls"),
     (lambda: SystemSpec(3, _MODEL, (1.0, 2.0), _GEN),
      "system theta must be 3 numbers, got (1.0, 2.0)"),
     (lambda: check_seed([1, 2]), "seed must be an integer, got [1, 2]"),
@@ -109,7 +117,7 @@ def test_every_display_site_refuses_a_malformed_value_in_one_short_line(tmp_path
     (lambda: _parse_subsets("w4,w1;w2,w3", _WIRES),
      "subset component 'w4' not in dataset ['w1', 'w2', 'w3']"),
 ], ids=["generator-family", "generator-range", "baseline-family", "model-kind", "preorder-kind",
-        "theta-shape", "seed-type", "seed-range", "subset-label", "subset-component"])
+        "verify-route", "theta-shape", "seed-type", "seed-range", "subset-label", "subset-component"])
 def test_a_short_refused_value_reads_as_repr_shows_it(call, message):
     with pytest.raises(ValidationError) as err:
         call()

@@ -423,10 +423,10 @@ LIFETIME_ENTRIES = {
 }
 # name -> (x, the message every entry gives)
 BAD_LIFETIMES = {
-    "nan": (np.nan, X_RULE),
-    "negative": (-1.0, X_RULE),
-    "2-d": (np.ones((2, 3)), X_RULE),
-    "n-by-1": (np.ones((5, 1)), X_RULE),  # one row per component, not a grid
+    "nan": (np.nan, X_RULE + ", got nan"),
+    "negative": (-1.0, X_RULE + ", got -1.0"),
+    "2-d": (np.ones((2, 3)), X_RULE + ", got a 2-d array"),
+    "n-by-1": (np.ones((5, 1)), X_RULE + ", got a 2-d array"),  # one row per component, not a grid
     "text": ("a", "x must be a number, got 'a'"),
     "ragged": ([1.0, [2.0, 3.0]], "x must be a number, got [2.0, 3.0]"),
 }
@@ -792,7 +792,7 @@ def test_system_from_json_refuses_a_malformed_object(obj, message):
 def test_homogeneous_x2n_refuses_a_nan_u():
     with pytest.raises(ValidationError) as err:
         homogeneous_x2n(GeneratorSpec("clayton", 2.0), [0.5, np.nan], 3)
-    assert str(err.value) == "u nan outside [0, 1]"
+    assert str(err.value) == "u must lie in [0, 1], got nan"
 
 
 @pytest.mark.parametrize("u", [1.5, -0.2])
@@ -800,7 +800,7 @@ def test_homogeneous_x2n_refuses_a_u_outside_0_1(u):
     # the closed form clipped these to 1 and 0
     with pytest.raises(ValidationError) as err:
         homogeneous_x2n(GeneratorSpec("clayton", 2.0), u, 3)
-    assert str(err.value) == f"u {u} outside [0, 1]"
+    assert str(err.value) == f"u must lie in [0, 1], got {u}"
 
 
 @pytest.mark.parametrize("n, message", [
