@@ -64,8 +64,8 @@ def atomic_write(path: str, text: str) -> None:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
+    except OSError as exc:  # its own text repeats the path
+        raise ValidationError(f"cannot write {shown(path)}: {exc.strerror}") from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -77,8 +77,9 @@ def _read_text(path: str, what: str) -> str:
     try:
         with open(path, newline="") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {what}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # an OSError's own text repeats the path
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ValidationError(f"cannot read {what} {shown(path)}: {reason}") from exc
 
 
 def read_json(path: str, what: str):
@@ -114,10 +115,10 @@ def load_dataset_csv(path: str):
         obs: dict[str, list[float]] = {}
         for row in rows[1:]:
             try:
-                value = float(row[iv])
+                wire, value = row[iw].strip(), float(row[iv])
             except (ValueError, IndexError) as exc:
                 raise ValidationError(f"malformed long-format row {shown(row)}") from exc
-            obs.setdefault(row[iw].strip(), []).append(value)
+            obs.setdefault(wire, []).append(value)
         return LifetimeDataset(obs)
     # wide: every column is a component
     obs = {name: [] for name in names}
@@ -272,8 +273,8 @@ def _parse_subsets(raw: str, labels) -> dict[str, tuple[str, ...]]:
     for group in raw.split(";"):
         names = tuple(w.strip() for w in group.split(",") if w.strip())
         label = "{" + ",".join(names) + "}"
-        if not names:
-            raise ValidationError("empty subset in --subsets")
+        if len(names) < 2:
+            raise ValidationError(f"subset {shown(label)} needs at least two components")
         for w in names:
             if w not in labels:
                 raise ValidationError(f"subset component {shown(w)} not in dataset {shown(sorted(labels))}")

@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package, the checks of numeric
-inputs (numbers, arrays of numbers, counts, tolerances) that raise it, and
-their JSON-ready form.  Every public numeric argument goes through
-``real_number`` or ``real_array`` (an evaluator's points through
-``point_array``, and its kernel through ``evaluate``); each caller adds only
-its own shape or domain rule.  A refusal shows a caller's value by ``shown``."""
+inputs that raise it, and their JSON-ready form.  Every public numeric
+argument goes through ``real_number`` or ``real_array`` (an evaluator's
+points through ``point_array``, its kernel through ``evaluate``).  A domain
+is an ``(ok, rule)`` pair: a test that fails at NaN (elementwise on an array)
+and its text.  ``real_number`` and ``point_array`` refuse a value outside as
+"<what> must <rule>, got <value>", by ``shown``; shared pairs are kept here."""
 
 import contextlib
 import math
@@ -76,20 +77,27 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def real_number(value, what: str) -> float:
-    """value as a Python float, when ``is_number(value)``.  Anything else (a
-    string, None, a bool, a list) is a ValidationError naming ``what`` and
-    showing the value (see ``shown``), as the JSON schemas type
-    these fields "number".  An int too large for a float becomes the
-    infinity of its sign, for the caller's finiteness check to refuse."""
-    if isinstance(value, float):  # Python's and numpy's float64
-        return float(value)
-    if not is_number(value):
+#: The (ok, rule) domains of more than one module (see the module docstring).
+NONNEGATIVE = (lambda v: v >= 0.0, "be nonnegative")
+POSITIVE_FINITE = (lambda v: (v > 0.0) & (v < math.inf), "be positive and finite")
+OPEN_UNIT = (lambda v: (v > 0.0) & (v < 1.0), "lie in (0, 1)")
+
+
+def real_number(value, what: str, ok=None, rule: str = "") -> float:
+    """value as a Python float, when ``is_number(value)`` and it passes the
+    domain test ``ok``, if given.  Anything else (a string, None, a bool, a
+    list) is a ValidationError naming ``what`` and showing the value (see
+    ``shown``), as the JSON schemas type these fields "number".  An int too
+    large for a float is judged as the infinity of its sign."""
+    if not isinstance(value, float) and not is_number(value):  # a float skips the ABC check
         raise ValidationError(f"{what} must be a number, got {shown(value)}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        number = math.inf if value > 0 else -math.inf
+    if ok is not None and not ok(number):
+        raise ValidationError(f"{what} must {rule}, got {shown(plain_number(value))}")
+    return number
 
 
 def real_array(value, what: str) -> np.ndarray:
@@ -121,8 +129,8 @@ def real_array(value, what: str) -> np.ndarray:
 
 def point_array(value, what: str, ok=None, rule: str = "not be NaN") -> np.ndarray:
     """A public evaluator's points: value as a float64 array (see ``real_array``),
-    0-d for a number, unless an entry is NaN or fails ``ok``, an elementwise
-    domain test that fails at NaN: a ValidationError "<what> must <rule>, got <it>"."""
+    0-d for a number, unless an entry is NaN or fails the domain test ``ok``:
+    a ValidationError "<what> must <rule>, got <the first such entry>"."""
     arr = real_array(value, what)
     good = ~np.isnan(arr) if ok is None else ok(arr)
     if not good.all():
@@ -137,15 +145,6 @@ def evaluate(kernel, *args):
     with np.errstate(all="ignore"):
         out = kernel(*(np.atleast_1d(a) if isinstance(a, np.ndarray) else a for a in args))
     return out if any(a.ndim for a in args if isinstance(a, np.ndarray)) else float(out[0])
-
-
-def nonnegative_number(value, what: str) -> float:
-    """value as a Python float (see ``real_number``), when it is 0 or more;
-    a negative value or NaN is a ValidationError naming ``what``."""
-    value = real_number(value, what)
-    if not value >= 0.0:  # NaN fails the comparison
-        raise ValidationError(f"{what} must be nonnegative, got {value}")
-    return value
 
 
 def whole_number(value, what: str, minimum: int | None = None, maximum: int | None = None) -> int:

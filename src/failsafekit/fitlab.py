@@ -50,8 +50,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (FLOAT_ARRAY_MAX, InconsistencyError, ValidationError, is_number, real_array,
-                     real_number, shown, whole_number)
+from .errors import (FLOAT_ARRAY_MAX, OPEN_UNIT, POSITIVE_FINITE, InconsistencyError,
+                     ValidationError, is_number, point_array, real_array, real_number, shown,
+                     whole_number)
 from .generators import COPULA_FAMILIES, GeneratorSpec, _phi, _psi
 from .mcsim import _draw_times, _refusal, check_seed
 from .models import _FAMILIES, FIT_FAMILIES, _horner
@@ -64,11 +65,9 @@ MIN_OBSERVATIONS = 5
 def _strengths(data, what: str = "data", minimum: int = MIN_OBSERVATIONS) -> np.ndarray:
     """data as a float64 array, unless it breaks the one rule for a strength
     sample: 1-d, positive and finite, with at least ``minimum`` values."""
-    arr = real_array(data, f"{what} entry")
+    arr = point_array(data, f"{what} entry", *POSITIVE_FINITE)
     if arr.ndim != 1 or arr.size < minimum:
         raise ValidationError(f"{what} needs at least {minimum} observations in a 1-d array")
-    if not np.all((arr > 0.0) & (arr < np.inf)):  # NaN fails both comparisons
-        raise ValidationError(f"{what} has nonpositive or non-finite values")
     return arr
 
 
@@ -337,9 +336,7 @@ def frank_tau(theta: float) -> float:
     with Li_2(e^-theta) = spence(1 - e^-theta) (Genest 1987; Nelsen 2006, 5.1),
     the Cephes dilogarithm of ``scalar``, bit for bit SciPy's.
     """
-    theta = real_number(theta, "frank theta")
-    if not theta > 0.0:  # NaN fails the comparison
-        raise ValidationError("frank theta must be positive")
+    theta = real_number(theta, "frank theta", lambda t: t > 0.0, "be positive")
     if theta < _FRANK_SERIES_MAX:
         return theta * _horner(theta * theta, _FRANK_SERIES)
     e = -math.expm1(-theta)  # 1 - e^-theta
@@ -422,13 +419,11 @@ def fit_copula(family: str, pseudo, method: str = "tau") -> float:
     ``pseudo_likelihood``: pairwise composite likelihood, started at the
     tau estimate.
     """
-    arr = real_array(pseudo, "pseudo-observation")
+    arr = point_array(pseudo, "pseudo-observation", *OPEN_UNIT)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValidationError("pseudo-observations must be count x d with d >= 2")
     if arr.shape[0] < 2:
         raise ValidationError("need a count x d matrix with count >= 2")
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ValidationError("pseudo-observations must lie strictly in (0, 1)")
     taus = _kendall_tau_matrix(arr[None])[0]
     constant = np.flatnonzero(np.isnan(np.diag(taus)))
     if constant.size:
@@ -466,11 +461,10 @@ def _pseudo_likelihood_theta(family: str, theta0: float, arr: np.ndarray, upper:
 def empirical_copula(pseudo) -> np.ndarray:
     """C_n evaluated at the sample's own points, for a count x d matrix or
     each matrix of a (B, count, d) stack of numbers, none NaN."""
-    arr = real_array(pseudo, "pseudo-observation")
+    # NaN compares as never <=, and would count as no point
+    arr = point_array(pseudo, "pseudo-observation")
     if arr.ndim not in (2, 3) or arr.shape[-1] < 1:
         raise ValidationError("pseudo-observations must be count x d or B x count x d with d >= 1")
-    if np.isnan(arr).any():  # NaN compares as never <=, and would count as no point
-        raise ValidationError("pseudo-observations must not be NaN")
     return _empirical_copula(arr)
 
 
@@ -673,9 +667,7 @@ def _weibull_scale(arr: np.ndarray, shape: float) -> float:
 
 def fixed_shape_weibull_scale(data, shape: float) -> float:
     """Closed-form per-component Weibull scale MLE with a shared shape."""
-    shape = real_number(shape, "shape")
-    if not 0.0 < shape < np.inf:  # NaN fails both comparisons
-        raise ValidationError("shape must be positive and finite")
+    shape = real_number(shape, "shape", *POSITIVE_FINITE)
     return _weibull_scale(_strengths(data, minimum=1), shape)
 
 

@@ -33,20 +33,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, evaluate, plain_number, point_array, real_number, shown
+from .errors import NONNEGATIVE, ValidationError, evaluate, plain_number, point_array, real_number, shown
 
 #: The name, domain test and rule of a point t of psi and log psi.
-_T_POINT = ("t", lambda t: t >= 0.0, "be nonnegative")
+_T_POINT = ("t", *NONNEGATIVE)
 
-#: family -> (lo, hi, lo_closed, hi_closed) of its parameter range
+#: family -> the (ok, rule) of its parameter range (see ``errors.real_number``)
 _RANGES = {
     "independence": None,
-    "clayton": (0.0, math.inf, False, False),
-    "gumbel": (1.0, math.inf, True, False),
-    "frank": (0.0, math.inf, False, False),
-    "amh": (-1.0, 1.0, True, False),
-    "gumbel_barnett": (0.0, 1.0, False, True),
-    "gumbel_hougaard": (1.0, math.inf, False, False),
+    "clayton": (lambda t: 0.0 < t < math.inf, "lie in (0, inf)"),
+    "gumbel": (lambda t: 1.0 <= t < math.inf, "lie in [1, inf)"),
+    "frank": (lambda t: 0.0 < t < math.inf, "lie in (0, inf)"),
+    "amh": (lambda t: -1.0 <= t < 1.0, "lie in [-1, 1)"),
+    "gumbel_barnett": (lambda t: 0.0 < t <= 1.0, "lie in (0, 1]"),
+    "gumbel_hougaard": (lambda t: 1.0 < t < math.inf, "lie in (1, inf)"),
 }
 
 FAMILIES = tuple(_RANGES)
@@ -72,17 +72,7 @@ class GeneratorSpec:
             if self.theta is not None:
                 raise ValidationError("independence takes no parameter")
             return
-        theta = None if self.theta is None else real_number(self.theta, f"{self.family} theta")
-        if theta is None or not math.isfinite(theta):
-            raise ValidationError(f"{self.family} requires a finite theta")
-        lo, hi, lo_c, hi_c = _RANGES[self.family]
-        ok_lo = theta >= lo if lo_c else theta > lo
-        ok_hi = theta <= hi if hi_c else theta < hi
-        if not (ok_lo and ok_hi):
-            raise ValidationError(
-                f"{self.family} parameter {shown(plain_number(self.theta))} outside its range "
-                f"{'[' if lo_c else '('}{lo}, {hi}{']' if hi_c else ')'}"
-            )
+        real_number(self.theta, f"{self.family} theta", *_RANGES[self.family])
         object.__setattr__(self, "theta", plain_number(self.theta))
 
     def to_json(self) -> dict:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FLOAT_ARRAY_MAX, nonnegative_number, whole_number
+from .errors import FLOAT_ARRAY_MAX, NONNEGATIVE, real_number, whole_number
 from .models import SemiParamModel, bulk_grid, default_x_grid
 
 
@@ -24,7 +24,7 @@ class GridPolicy:
         points = whole_number(self.curve_points, "curve_points", 2, FLOAT_ARRAY_MAX)
         object.__setattr__(self, "curve_points", points)
         for name in ("dominance_tol", "crossing_gap"):
-            object.__setattr__(self, name, nonnegative_number(getattr(self, name), name))
+            object.__setattr__(self, name, real_number(getattr(self, name), name, *NONNEGATIVE))
 
     def curve_grid(self, model: SemiParamModel, *theta_vectors) -> np.ndarray:
         """``models.bulk_grid`` over every component, at curve_points."""

@@ -67,8 +67,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (FLOAT_ARRAY_MAX, ValidationError, evaluate, nonnegative_number, plain_number,
-                     point_array, real_array, real_number, shown, whole_number)
+from .errors import (FLOAT_ARRAY_MAX, NONNEGATIVE, OPEN_UNIT, POSITIVE_FINITE, ValidationError,
+                     evaluate, plain_number, point_array, real_array, real_number, shown,
+                     whole_number)
 
 
 def _log1mexp(a):
@@ -286,7 +287,7 @@ class _Family(NamedTuple):
 
     names: tuple[str, ...]
     log_sf: Callable[..., np.ndarray]  # (t, *params), t >= 0
-    log_pdf: Callable[..., np.ndarray]  # (t, *params), t > 0 or NaN
+    log_pdf: Callable[..., np.ndarray]  # (t, *params), 0 < t < inf or NaN
     inverse_log_sf: Callable[..., np.ndarray]  # (ls, *params), ls <= 0
     dfr: Callable[..., dict]  # (*params) -> {quantity: value}; DFR iff every value <= 1
 
@@ -353,14 +354,11 @@ class BaselineSpec:
         if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise ValidationError(f"unknown baseline family {shown(self.family)}")
         names = _FAMILIES[self.family].names
-        params = real_array(self.params, f"{self.family} parameter")
+        params = point_array(self.params, f"{self.family} parameter", *POSITIVE_FINITE)
         if params.shape != (len(names),):
             raise ValidationError(f"{self.family} takes {len(names)} parameters {names}, "
                                   f"got {shown(self.params)}")
-        params = tuple(params.tolist())
-        if any(not math.isfinite(p) or p <= 0.0 for p in params):
-            raise ValidationError(f"{self.family} parameters must be positive, got {params}")
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", tuple(params.tolist()))
 
     def to_json(self) -> dict:
         return {"family": self.family, "params": list(self.params)}
@@ -378,8 +376,8 @@ def _log_sf(b: BaselineSpec, x: np.ndarray):
 
 
 def _log_pdf(b: BaselineSpec, x: np.ndarray):
-    """log density on a float array x, -inf off the support x > 0."""
-    t = np.where(x > 0.0, x, np.nan)
+    """log density on a float array x, -inf off the support 0 < x < inf."""
+    t = np.where((x > 0.0) & (x < np.inf), x, np.nan)
     return np.where(np.isnan(t), -np.inf, _FAMILIES[b.family].log_pdf(t, *b.params))
 
 
@@ -390,7 +388,7 @@ def _inverse_log_sf(b: BaselineSpec, ls: np.ndarray):
 
 #: The name, domain test and rule of a log-survival and of a probability point.
 _LS_POINT = ("ls", lambda ls: ls <= 0.0, "be at most 0")
-_PROB_POINT = ("quantile probability", lambda p: (p > 0.0) & (p < 1.0), "lie in (0, 1)")
+_PROB_POINT = ("quantile probability", *OPEN_UNIT)
 
 
 def log_sf(b: BaselineSpec, x):
@@ -404,7 +402,7 @@ def sf(b: BaselineSpec, x):
 
 
 def log_pdf(b: BaselineSpec, x):
-    """log density on x > 0 (-inf off the support)."""
+    """log density on 0 < x < inf (-inf off the support, +inf included)."""
     return evaluate(_log_pdf, b, point_array(x, "x"))
 
 
@@ -427,14 +425,24 @@ def quantile(b: BaselineSpec, prob):
     return evaluate(lambda p: _inverse_log_sf(b, np.log1p(-p)), point_array(prob, *_PROB_POINT))
 
 
-#: (a, c, p) of each kind, as in the module docstring, from theta t and the fixed
-#: lambda, and the direction in which F(x; theta) moves as theta grows.
+class _Kind(NamedTuple):
+    """A kind: (a, c, p) of the module docstring from theta t and lambda, the direction
+    of F(x; theta) as theta grows, and the (ok, rule) of theta and of each fixed parameter."""
+
+    acp: Callable[..., tuple]
+    sign: str
+    theta: tuple
+    fixed: dict
+
+
+_FINITE = (np.isfinite, "be finite")
 _KIND_MAP = {
-    "scale": (lambda t, lam: (t, 0.0, 1.0), "nonincreasing"),
-    "phr": (lambda t, lam: (1.0, 0.0, t), "nonincreasing"),
-    "location": (lambda t, lam: (1.0, t, 1.0), "nondecreasing"),
-    "mphrs": (lambda t, lam: (t, 0.0, lam), "nonincreasing"),
-    "ls": (lambda t, lam: (t, lam, 1.0), "nonincreasing"),
+    "scale": _Kind(lambda t, lam: (t, 0.0, 1.0), "nonincreasing", POSITIVE_FINITE, {}),
+    "phr": _Kind(lambda t, lam: (1.0, 0.0, t), "nonincreasing", POSITIVE_FINITE, {}),
+    "location": _Kind(lambda t, lam: (1.0, t, 1.0), "nondecreasing", _FINITE, {}),
+    "mphrs": _Kind(lambda t, lam: (t, 0.0, lam), "nonincreasing", POSITIVE_FINITE,
+                   {"alpha": POSITIVE_FINITE, "lambda": POSITIVE_FINITE}),
+    "ls": _Kind(lambda t, lam: (t, lam, 1.0), "nonincreasing", POSITIVE_FINITE, {"lambda": _FINITE}),
 }
 _KINDS = tuple(_KIND_MAP)
 
@@ -453,30 +461,21 @@ class SemiParamModel:
             raise ValidationError(f"unknown model kind {shown(self.kind)}")
         if not isinstance(self.baseline, BaselineSpec):
             raise ValidationError(f"model baseline must be a BaselineSpec, got {shown(self.baseline)}")
-        alpha, lam = (None if v is None else real_number(v, f"{self.kind} {name}")
-                      for v, name in ((self.alpha, "alpha"), (self.lam, "lambda")))
-        if self.kind == "mphrs":
-            if alpha is None or lam is None:
-                raise ValidationError("mphrs requires fixed alpha and lambda")
-            if not (math.isfinite(alpha) and alpha > 0.0):
-                raise ValidationError("mphrs alpha must be positive")
-            if not (math.isfinite(lam) and lam > 0.0):
-                raise ValidationError("mphrs lambda must be positive")
-        elif self.kind == "ls":
-            if lam is None or not math.isfinite(lam):
-                raise ValidationError("ls requires a finite fixed lambda")
-            if self.alpha is not None:
-                raise ValidationError("ls takes no alpha")
-        elif self.alpha is not None or self.lam is not None:
-            raise ValidationError(f"{self.kind} takes no fixed parameters")
-        object.__setattr__(self, "alpha", plain_number(self.alpha))
-        object.__setattr__(self, "lam", plain_number(self.lam))
+        fixed = _KIND_MAP[self.kind].fixed
+        for field, name in (("alpha", "alpha"), ("lam", "lambda")):
+            value = getattr(self, field)
+            if name in fixed:
+                if value is None:
+                    raise ValidationError(f"{self.kind} requires a fixed {name}")
+                real_number(value, f"{self.kind} {name}", *fixed[name])
+            elif value is not None:
+                raise ValidationError(f"{self.kind} takes no fixed {name}, got {shown(value)}")
+            object.__setattr__(self, field, plain_number(value))
 
     def theta_in_domain(self, theta):
         """Whether theta (elementwise for an array) is finite, and positive
         unless the kind is location."""
-        t = real_array(theta, "theta")
-        return np.isfinite(t) if self.kind == "location" else (t > 0.0) & (t < np.inf)
+        return _KIND_MAP[self.kind].theta[0](real_array(theta, "theta"))
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "baseline": self.baseline.to_json()}
@@ -501,16 +500,12 @@ class SemiParamModel:
 
 def _checked_theta(m: SemiParamModel, theta) -> np.ndarray:
     """theta as a float array, unless an element lies outside m's kind domain."""
-    t = real_array(theta, "theta")
-    ok = m.theta_in_domain(t)
-    if not ok.all():
-        raise ValidationError(f"theta {t[~ok][0].item()} outside the {m.kind} domain")
-    return t
+    return point_array(theta, f"{m.kind} theta", *_KIND_MAP[m.kind].theta)
 
 
 def _log_w(m: SemiParamModel, x: np.ndarray, theta: np.ndarray):
     """log w = p log F(a (x - c)) on a float array x at a checked theta array."""
-    a, c, p = _KIND_MAP[m.kind][0](theta, m.lam)
+    a, c, p = _KIND_MAP[m.kind].acp(theta, m.lam)
     # inline, not _log_sf: a call keeps a (x - c) alive, +4% on large-n verdicts
     return p * _FAMILIES[m.baseline.family].log_sf(np.maximum(a * (x - c), 0.0), *m.baseline.params)
 
@@ -534,7 +529,7 @@ def _sp_log_survival(m: SemiParamModel, x: np.ndarray, theta: np.ndarray):
 
 def _sp_inverse_log_survival(m: SemiParamModel, ls: np.ndarray, theta: np.ndarray):
     """x with log F(x; theta) = ls, on a float array ls <= 0 at a checked theta array."""
-    a, c, p = _KIND_MAP[m.kind][0](theta, m.lam)
+    a, c, p = _KIND_MAP[m.kind].acp(theta, m.lam)
     if m.kind == "mphrs":
         # log w = ls - log(alpha + (1 - alpha) e^ls), w = F(x mu)^lam
         ls = ls - np.log1p((1.0 - m.alpha) * np.expm1(ls))
@@ -661,8 +656,8 @@ def survival_shape(m: SemiParamModel, sign: str, grid=None, tol: float = SHAPE_T
     over a DFR one the hazard of F(x; 1), a scale family in theta, is probed
     on ``grid(m)`` (default: the baseline's bulk).  No other case evaluates
     the model."""
-    tol = nonnegative_number(tol, "tol")
-    kind_sign = _KIND_MAP[m.kind][1]
+    tol = real_number(tol, "tol", *NONNEGATIVE)
+    kind_sign = _KIND_MAP[m.kind].sign
     if kind_sign != sign:
         return HypothesisCheck("survival_shape", False,
                                f"{m.kind}: {kind_sign} in theta, not {sign}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistencyError, ValidationError, real_number, shown
+from .errors import POSITIVE_FINITE, InconsistencyError, ValidationError, point_array, real_number, shown
 from .generators import classify_log_shape, is_log_concave, is_log_convex
 from .gridpolicy import GridPolicy
 from .models import HypothesisCheck, check_dpfr, survival_shape
@@ -293,13 +293,8 @@ def schur_condition_probe(sys: SystemSpec, step: float = 1e-5, xs=None) -> float
     relative step.  Schur-convexity of S in a demands the result be >= 0;
     a symmetric point returns exactly 0.
     """
-    step = real_number(step, "step")
-    if not 1e-9 <= step < np.inf:  # NaN fails too
-        raise ValidationError(f"step must be finite and at least 1e-9, got {step}")
-    th = np.asarray(sys.theta, dtype=float)
-    if np.any(th <= 0.0):
-        raise ValidationError("log-parameter probe requires strictly positive thetas")
-    a = np.log(th)
+    step = real_number(step, "step", lambda h: 1e-9 <= h < np.inf, "be finite and at least 1e-9")
+    a = np.log(point_array(sys.theta, "log-parameter probe theta", *POSITIVE_FINITE))
     xs = default_grid(sys) if xs is None else _lifetimes(xs)
 
     # a moved up, then down, in each entry in turn; each SystemSpec checks its

@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import ValidationError, nonnegative_number, real_array, shown
+from .errors import NONNEGATIVE, ValidationError, real_array, real_number, shown
 
 DEFAULT_TOL = 1e-12
 
@@ -71,7 +71,7 @@ def holds(kind: Preorder, a, b, tol: float = DEFAULT_TOL) -> bool:
     side of ``b``'s, within ``tol``.  Majorization additionally requires
     equal totals.
     """
-    tol = nonnegative_number(tol, "tol")
+    tol = real_number(tol, "tol", *NONNEGATIVE)
     sa, sb = _checked_pair(a, b)
     if not isinstance(kind, Preorder):
         raise ValidationError(f"unknown preorder {shown(kind)}")
@@ -121,7 +121,7 @@ class OrderReport:
 
 def classify(a, b, tol: float = DEFAULT_TOL) -> OrderReport:
     """Evaluate all ten (kind, direction) relations between a and b, checked once."""
-    tol = nonnegative_number(tol, "tol")
+    tol = real_number(tol, "tol", *NONNEGATIVE)
     sa, sb = _checked_pair(a, b)
     skip = () if sa[0] > 0.0 and sb[0] > 0.0 else [k for k in Preorder if k in POSITIVE_ONLY]
     forward = {k: None if k in skip else _holds(k, sa, sb, tol) for k in Preorder}

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, evaluate, point_array, real_array, shown, whole_number
+from .errors import POSITIVE_FINITE, ValidationError, evaluate, point_array, real_array, shown, whole_number
 from .generators import GeneratorSpec, _phi, _psi
 from .gridpolicy import GridPolicy
 from .models import BaselineSpec, SemiParamModel, _checked_theta, _sp_survival, bulk_grid, sp_survival
@@ -264,9 +264,7 @@ def _homogeneous_x2n(f: str, th, u: np.ndarray, n: int) -> np.ndarray:
 
 def _homogeneous_bound(sys: SystemSpec, x, order: str, mean) -> np.ndarray:
     """homogeneous_x2n at the homogeneous parameter mean(theta)."""
-    th = np.asarray(sys.theta)
-    if np.any(th <= 0.0):
-        raise ValidationError(f"{order} bound requires strictly positive thetas")
+    th = point_array(sys.theta, f"{order} bound theta", *POSITIVE_FINITE)
     margs = sp_survival(sys.model, _lifetimes(x), float(mean(th)))
     return homogeneous_x2n(sys.generator, margs, sys.n)
 

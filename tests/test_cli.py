@@ -515,7 +515,7 @@ def test_fit_refuses_bad_subsets_even_when_no_copula_is_scored(tmp_path, capsys)
     path = _write_comonotone_csv(tmp_path)
     assert main(["fit", path, "--boot", "100", "--subsets", "w1;nope"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: subset component 'nope' not in dataset")
+    assert captured.err == "error: subset '{w1}' needs at least two components\n"
     assert captured.out == ""
 
 
@@ -570,11 +570,20 @@ def test_fit_power_frailty_beyond_sampler_range_exit_2(tmp_path, capsys, family)
     assert f"{family} sampling needs theta <= 50" in err and "Traceback" not in err
     assert "bootstrap" in err and "analytic survival path" not in err
 
+def test_a_long_format_row_short_of_its_wire_column_exits_2(tmp_path, capsys):
+    # the wire column after the strength column was read past the row's end:
+    # an IndexError with a traceback, exit 1
+    path = tmp_path / "short.csv"
+    path.write_text("cable,strength,wire\nA,1.0\n")
+    assert main(["fit", str(path)]) == 2
+    assert capsys.readouterr().err == "error: malformed long-format row ['A', '1.0']\n"
+
+
 def test_fit_keeps_report_when_every_copula_is_refused(tmp_path, capsys):
     # every default copula inverts to a theta the bootstrap cannot sample
     path = _write_comonotone_csv(tmp_path)
     out_dir = tmp_path / "out"
-    assert main(["fit", path, "--boot", "100", "--seed", "1", "--subsets", "w1;w2",
+    assert main(["fit", path, "--boot", "100", "--seed", "1", "--subsets", "w1,w2;w1,w3",
                  "--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.count("skipped ") == 3 and "Traceback" not in err
@@ -748,9 +757,11 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
      "curve_points must be at least 2, got 1"),
     (["curve", "--out", "{out}"], {}, "system.json required"),
     (["curve", "{spec}"], {}, "curve output needs --out"),
-    (_FIT + ["--subsets", "w1,w2;"], {}, "empty subset in --subsets"),
+    (_FIT + ["--subsets", "w1,w2;"], {}, "subset '{}' needs at least two components"),
+    # one wire passed every fit and the whole bootstrap, then SystemSpec refused n = 1
+    (_FIT + ["--subsets", "w1;w2"], {}, "subset '{w1}' needs at least two components"),
     (_FIT + ["--subsets", "w1,w2"], {}, "needs at least two groups"),
-    (_FIT + ["--subsets", "w1,w2;w3"], {}, "subsets must share size"),
+    (_FIT + ["--subsets", "w1,w2;w2,w3,w4"], {}, "subsets must share size"),
     # one wire named twice once counted as a 2-wire group
     (_FIT + ["--subsets", "w1,w1;w2,w3"], {}, "subset '{w1,w1}' names a component twice"),
     # a repeated group was merged into the first, leaving one
@@ -792,7 +803,8 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
      f"error: boot_n must be at most {2 ** 60 - 1}, got {10 ** 20}\n"),
 ], ids=["env-seed", "vector-twice", "vector-empty", "vector-non-numeric", "x-range",
         "x-range-no-points", "bulk-one-point",
-        "curve-no-system", "curve-no-out", "subsets-empty-group", "subsets-one-group",
+        "curve-no-system", "curve-no-out", "subsets-empty-group", "subsets-one-wire",
+        "subsets-one-group",
         "subsets-unequal", "subsets-repeated-wire", "subsets-repeated-group",
         "subsets-reordered-group", "config-no-path", "config-abbreviated", "config-not-object",
         "preorder-nan-tol", "verify-negative-tol", "verify-nan-tol", "fit-negative-seed",

@@ -487,7 +487,7 @@ def test_fit_copula_mean_pairwise_above_two_dims():
 
 def test_fit_copula_rejects_nan():
     ps = np.array([[0.2, 0.4], [0.6, np.nan], [0.4, 0.2], [0.8, 0.6]])
-    with pytest.raises(ValidationError, match="strictly in"):
+    with pytest.raises(ValidationError, match=re.escape("pseudo-observation must lie in (0, 1), got nan")):
         fit_copula("clayton", ps)
 
 
@@ -994,8 +994,8 @@ def test_load_rejects_malformed(tmp_path):
 
 
 @pytest.mark.parametrize("data, shape, fragment", [
-    ([300.0, np.nan, 310.0], 4.0, "data has nonpositive or non-finite values"),
-    ([300.0, np.inf, 310.0], 4.0, "data has nonpositive or non-finite values"),
+    ([300.0, np.nan, 310.0], 4.0, "data entry must be positive and finite, got nan"),
+    ([300.0, np.inf, 310.0], 4.0, "data entry must be positive and finite, got inf"),
     ([300.0, 310.0], np.nan, "shape must be positive and finite"),
     ([300.0, 310.0], np.inf, "shape must be positive and finite"),
 ], ids=["nan-data", "inf-data", "nan-shape", "inf-shape"])
@@ -1029,7 +1029,7 @@ _WIDE_ROWS = "".join(f"{300 + i},{310 + i}\n" for i in range(5))
     ("w1,w2\n", "no data rows"),
     ("w1,w2\n" + _WIDE_ROWS + "320\n", "wide-format row length mismatch"),
     ("w1,w2\n" + _WIDE_ROWS + "320,n/a\n", "non-numeric cell 'n/a'"),
-    ("w1,w2\n" + _WIDE_ROWS + "0.0,320\n", "'w1' has nonpositive or non-finite values"),
+    ("w1,w2\n" + _WIDE_ROWS + "0.0,320\n", "'w1' entry must be positive and finite, got 0.0"),
     ("cable,wire,strength\n" + "".join(f"c{i},w1,{300 + i}\nc{i},w2,{310 + i}\n"
                                         for i in range(5)) + "c5,w2,320\n",
      "components have unequal lengths"),
@@ -1086,7 +1086,7 @@ def test_manifest_loads_and_has_tolerances():
      "pseudo-observations must be count x d or B x count x d with d >= 1"),
     # a NaN compared as never <=, and read [0, 1/3, 1/3]
     (lambda: empirical_copula([[0.2, np.nan], [0.5, 0.5], [0.7, 0.1]]),
-     "pseudo-observations must not be NaN"),
+     "pseudo-observation must not be NaN, got nan"),
 ], ids=["fit-one-column", "fit-unknown-method", "tau-unknown-family", "rank-nothing",
         "pseudo-one-row", "dataset-empty", "copula-text", "copula-text-matrix",
         "copula-vector", "copula-4-d", "copula-nan"])

@@ -368,11 +368,11 @@ def test_generator_accepts_numpy_scalars():
 
 
 @pytest.mark.parametrize("family, theta, message", [
-    ("clayton", np.nan, "clayton requires a finite theta"),
-    ("clayton", np.float64(np.inf), "clayton requires a finite theta"),
-    ("clayton", None, "clayton requires a finite theta"),
-    ("clayton", -2.0, "clayton parameter -2.0 outside its range (0.0, inf)"),
-    ("amh", np.float64(1.5), "amh parameter 1.5 outside its range [-1.0, 1.0)"),
+    ("clayton", np.nan, "clayton theta must lie in (0, inf), got nan"),
+    ("clayton", np.float64(np.inf), "clayton theta must lie in (0, inf), got inf"),
+    ("clayton", None, "clayton theta must be a number, got None"),
+    ("clayton", -2.0, "clayton theta must lie in (0, inf), got -2.0"),
+    ("amh", np.float64(1.5), "amh theta must lie in [-1, 1), got 1.5"),
 ], ids=["nan", "inf", "none", "negative", "amh-above"])
 def test_generator_refusals_keep_their_messages(family, theta, message):
     with pytest.raises(ValidationError) as err:

@@ -795,16 +795,16 @@ def test_theta_column_matches_scalar_calls_bitwise(m):
 def test_theta_array_outside_domain_raises(m):
     bad = np.array([0.5, np.nan if m.kind == "location" else -1.0, 1.0])
     for f in (sp_survival, sp_log_survival, sp_inverse_log_survival):
-        with pytest.raises(ValidationError, match="outside the"):
+        with pytest.raises(ValidationError, match=f"{m.kind} theta must "):
             f(m, -np.geomspace(0.1, 2.0, 5), bad[:, None])
 
 
 @pytest.mark.parametrize("kind, theta, message", [
-    ("scale", -0.5, "theta -0.5 outside the scale domain"),
-    ("phr", 0.0, "theta 0.0 outside the phr domain"),
-    ("mphrs", np.inf, "theta inf outside the mphrs domain"),
-    ("ls", [1.0, np.nan, -np.inf, -1.0, 0.0], "theta nan outside the ls domain"),
-    ("location", [-3.0, np.inf], "theta inf outside the location domain"),
+    ("scale", -0.5, "scale theta must be positive and finite, got -0.5"),
+    ("phr", 0.0, "phr theta must be positive and finite, got 0.0"),
+    ("mphrs", np.inf, "mphrs theta must be positive and finite, got inf"),
+    ("ls", [1.0, np.nan, -np.inf, -1.0, 0.0], "ls theta must be positive and finite, got nan"),
+    ("location", [-3.0, np.inf], "location theta must be finite, got inf"),
 ], ids=["scale-negative", "phr-zero", "mphrs-inf", "ls-first-entry", "location-inf"])
 def test_theta_outside_the_domain_is_refused_where_it_enters(kind, theta, message):
     # the survival kernel trusts a theta its SystemSpec checked; every public
@@ -881,18 +881,18 @@ def test_constructors_accept_numpy_scalars():
 
 @pytest.mark.parametrize("make, message", [
     (lambda: BaselineSpec("weibull", (np.nan, 2.0)),
-     "weibull parameters must be positive, got (nan, 2.0)"),
+     "weibull parameter must be positive and finite, got nan"),
     (lambda: BaselineSpec("weibull", (np.float64(np.inf), 2.0)),
-     "weibull parameters must be positive, got (inf, 2.0)"),
+     "weibull parameter must be positive and finite, got inf"),
     (lambda: BaselineSpec("weibull", (1.0, 0)),
-     "weibull parameters must be positive, got (1.0, 0.0)"),
+     "weibull parameter must be positive and finite, got 0.0"),
     (lambda: SemiParamModel("mphrs", BaselineSpec("exponential", (1.0,)), alpha=np.nan, lam=1.0),
-     "mphrs alpha must be positive"),
+     "mphrs alpha must be positive and finite, got nan"),
     (lambda: SemiParamModel("mphrs", BaselineSpec("exponential", (1.0,)),
                             alpha=np.float64(2.0), lam=np.inf),
-     "mphrs lambda must be positive"),
+     "mphrs lambda must be positive and finite, got inf"),
     (lambda: SemiParamModel("ls", BaselineSpec("exponential", (1.0,)), lam=np.nan),
-     "ls requires a finite fixed lambda"),
+     "ls lambda must be finite, got nan"),
 ], ids=["param-nan", "param-inf", "param-zero", "alpha-nan", "lambda-inf", "ls-lambda-nan"])
 def test_constructors_refuse_nonfinite_values(make, message):
     with pytest.raises(ValidationError) as err:
@@ -904,7 +904,7 @@ def test_constructors_refuse_nonfinite_values(make, message):
     (lambda: SemiParamModel("frailty", BaselineSpec("exponential", (1.0,))),
      "unknown model kind 'frailty'"),
     (lambda: SemiParamModel("ls", BaselineSpec("exponential", (1.0,)), alpha=0.5, lam=1.0),
-     "ls takes no alpha"),
+     "ls takes no fixed alpha, got 0.5"),
     (lambda: sp_survival(SemiParamModel("scale", BaselineSpec("exponential", (1.0,))),
                          [0.5, math.nan], 1.0), "x must not be NaN, got nan"),
     (lambda: sp_log_survival(SemiParamModel("scale", BaselineSpec("exponential", (1.0,))),

@@ -256,7 +256,7 @@ def test_real_array_holds_array_likes_to_the_number_rule(value):
     (lambda: linear_grid(True, 5.0, 3), "x-min must be a number, got True"),
     (lambda: linear_grid(0.0, "b", 3), "x-max must be a number, got 'b'"),
     (lambda: frank_tau("a"), "frank theta must be a number, got 'a'"),
-    (lambda: frank_tau(math.nan), "frank theta must be positive"),
+    (lambda: frank_tau(math.nan), "frank theta must be positive, got nan"),
     (lambda: tau_to_theta("clayton", "a"), "clayton tau must be a number, got 'a'"),
     (lambda: tau_to_theta("clayton", True), "clayton tau must be a number, got True"),
 ], ids=["grid-text", "grid-bool", "grid-max-text", "frank-text", "frank-nan", "tau-text",
@@ -351,6 +351,9 @@ def test_every_model_door_meets_the_ends_of_its_domain_without_a_warning(family,
               (lambda v: sp_quantile(m, v, 2.0), PROB_ENDS), (lambda v: survival_x2n(sysd, v), X_ENDS),
               (lambda v: lower_bound_plarger(sysd, v), X_ENDS), (lambda v: lower_bound_rm(sysd, v), X_ENDS)]
     _meet_without_a_warning(doors)
+    # x = +inf is off the support: weibull, exp_weibull, burr, gen_gamma and gamma read NaN there
+    assert (log_pdf(b, math.inf), pdf(b, math.inf)) == (-math.inf, 0.0)
+    assert log_pdf(b, X_ENDS)[-1] == -math.inf and pdf(b, X_ENDS)[-1] == 0.0
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -873,7 +873,7 @@ def test_schur_probe_refuses_a_nonpositive_theta():
     for theta in ((-0.5, 1.0, 2.0), (0.0, 1.0, 2.0)):
         with pytest.raises(ValidationError) as err:
             schur_condition_probe(SystemSpec(3, m, theta, GeneratorSpec("clayton", 2.0)))
-        assert str(err.value) == "log-parameter probe requires strictly positive thetas"
+        assert str(err.value) == f"log-parameter probe theta must be positive and finite, got {theta[0]}"
 
 
 def test_condition_report_refuses_an_unknown_check():

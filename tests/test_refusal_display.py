@@ -2,20 +2,25 @@
 value shows it through ``errors.shown``.  A huge int, a long list or a long
 text is refused with a ValidationError of one short line, never echoed
 whole and never a bare ValueError from converting an int past Python's
-4300-digit limit to text; a short value reads as ``repr`` shows it."""
+4300-digit limit to text; a short value reads as ``repr`` shows it.  Every
+domain, an ``(ok, rule)`` pair, refuses as "<what> must <rule>, got <value>"."""
 
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from failsafekit import (BaselineSpec, GeneratorSpec, SemiParamModel, SystemSpec, ValidationError,
-                         holds)
-from failsafekit.cli import _parse_subsets, load_dataset_csv, main
+from failsafekit import (BaselineSpec, GeneratorSpec, GridPolicy, Preorder, SemiParamModel,
+                         SystemSpec, ValidationError, classify, holds, lower_bound_plarger,
+                         schur_condition_probe, sp_survival)
+from failsafekit.cli import _parse_subsets, atomic_write, load_dataset_csv, main, read_json
 from failsafekit.errors import real_array, real_number, shown, whole_number
-from failsafekit.fitlab import LifetimeDataset
+from failsafekit.fitlab import (LifetimeDataset, empirical_copula, fit_copula,
+                                fixed_shape_weibull_scale, frank_tau)
 from failsafekit.mcsim import check_seed
+from failsafekit.models import survival_shape
 from failsafekit.ordering import verify
 
 HUGE = 10 ** 5000  # str() refuses it: "Exceeds the limit (4300 digits)"
@@ -33,6 +38,10 @@ _MODEL = SemiParamModel("scale", BaselineSpec("weibull", (1.0, 2.0)))
 _GEN = GeneratorSpec("clayton", 2.0)
 _WIRES = {"w1", "w2", "w3"}
 _SYS = SystemSpec(2, _MODEL, (1.0, 2.0), _GEN)
+#: A valid spec whose theta no log-parameter rule takes.
+_LOCATION_SYS = SystemSpec(2, SemiParamModel("location", _MODEL.baseline), (-1.0, 2.0), _GEN)
+#: The huge int, and its negative, as a refusal shows them.
+_INT, _NEG = shown(HUGE), shown(-HUGE)
 
 
 def _csv(tmp_path, text):
@@ -47,7 +56,9 @@ def _cells(v) -> str:
     return ",".join(map(str, v)) if isinstance(v, list) else v
 
 
-#: site: (a call that refuses the malformed value v, the values the site can receive).
+#: site: (a call that refuses the malformed value v, the values the site can receive[,
+#: the exact refusal of its first value]).  A domain site has that refusal, and its
+#: call negates v (``np.negative``, entrywise for a list) where v would pass.
 #: CSV cells and --subsets names are text, so the CLI sites receive text and
 #: long rows only.
 SITES = {
@@ -63,12 +74,52 @@ SITES = {
     "SystemSpec generator": (lambda v, tmp: SystemSpec(2, _MODEL, (1.0, 2.0), v), ALL),
     "SystemSpec theta": (lambda v, tmp: SystemSpec(2, _MODEL, v, _GEN), ALL),
     "BaselineSpec family": (lambda v, tmp: BaselineSpec(v, (1.0,)), ALL),
-    "BaselineSpec params": (lambda v, tmp: BaselineSpec("weibull", v), ALL),
+    "BaselineSpec params": (lambda v, tmp: BaselineSpec("weibull", v), ALL,
+                            "weibull parameter must be positive and finite, got inf"),
     "SemiParamModel kind": (lambda v, tmp: SemiParamModel(v, _MODEL.baseline), ALL),
     "SemiParamModel baseline": (lambda v, tmp: SemiParamModel("scale", v), ALL),
+    "SemiParamModel alpha": (lambda v, tmp: SemiParamModel("mphrs", _MODEL.baseline, v, 1.0), ALL,
+                             f"mphrs alpha must be positive and finite, got {_INT}"),
+    "SemiParamModel lambda": (lambda v, tmp: SemiParamModel("ls", _MODEL.baseline, lam=v), ALL,
+                              f"ls lambda must be finite, got {_INT}"),
+    "SemiParamModel no fixed": (lambda v, tmp: SemiParamModel("scale", _MODEL.baseline, v), ALL,
+                                f"scale takes no fixed alpha, got {_INT}"),
+    "model theta": (lambda v, tmp: sp_survival(_MODEL, 1.0, np.negative(v)), ALL[::2],
+                    "scale theta must be positive and finite, got -inf"),
+    "survival_shape tol": (
+        lambda v, tmp: survival_shape(_MODEL, "nonincreasing", None, np.negative(v)), ALL[::2],
+        f"tol must be nonnegative, got {_NEG}"),
     "GeneratorSpec family": (lambda v, tmp: GeneratorSpec(v, 2.0), ALL),
-    "GeneratorSpec theta": (lambda v, tmp: GeneratorSpec("clayton", v), ALL),
+    "GeneratorSpec theta": (lambda v, tmp: GeneratorSpec("clayton", v), ALL,
+                            f"clayton theta must lie in (0, inf), got {_INT}"),
     "preorder kind": (lambda v, tmp: holds(v, [1.0, 2.0], [1.5, 1.5]), ALL),
+    "holds tol": (lambda v, tmp: holds(Preorder.MAJORIZE, [1.0, 2.0], [1.5, 1.5], np.negative(v)),
+                  ALL[::2], f"tol must be nonnegative, got {_NEG}"),
+    "classify tol": (lambda v, tmp: classify([1.0, 2.0], [1.5, 1.5], np.negative(v)), ALL[::2],
+                     f"tol must be nonnegative, got {_NEG}"),
+    "GridPolicy dominance_tol": (lambda v, tmp: GridPolicy(dominance_tol=np.negative(v)), ALL[::2],
+                                 f"dominance_tol must be nonnegative, got {_NEG}"),
+    "GridPolicy crossing_gap": (lambda v, tmp: GridPolicy(crossing_gap=np.negative(v)), ALL[::2],
+                                f"crossing_gap must be nonnegative, got {_NEG}"),
+    "schur_condition_probe step": (
+        lambda v, tmp: schur_condition_probe(_SYS, np.negative(v)), ALL[::2],
+        f"step must be finite and at least 1e-9, got {_NEG}"),
+    # a theta its spec took, refused before the points v are read
+    "schur_condition_probe theta": (
+        lambda v, tmp: schur_condition_probe(_LOCATION_SYS, xs=v), ALL[::2],
+        "log-parameter probe theta must be positive and finite, got -1.0"),
+    "homogeneous bound theta": (lambda v, tmp: lower_bound_plarger(_LOCATION_SYS, v), ALL[::2],
+                                "p-larger bound theta must be positive and finite, got -1.0"),
+    "strength data": (lambda v, tmp: fixed_shape_weibull_scale(np.negative(v), 2.0), ALL[::2],
+                      "data entry must be positive and finite, got -inf"),
+    "weibull shape": (lambda v, tmp: fixed_shape_weibull_scale([1.0, 2.0], v), ALL,
+                      f"shape must be positive and finite, got {_INT}"),
+    "frank_tau": (lambda v, tmp: frank_tau(np.negative(v)), ALL[::2],
+                  f"frank theta must be positive, got {_NEG}"),
+    "fit_copula": (lambda v, tmp: fit_copula("clayton", v), ALL[::2],
+                   "pseudo-observation must lie in (0, 1), got inf"),
+    "empirical_copula": (lambda v, tmp: empirical_copula(np.multiply(v, math.nan)), ("long list",),
+                         "pseudo-observation must not be NaN, got nan"),
     # str() of a huge int raised Python's bare ValueError
     "dataset label": (lambda v, tmp: LifetimeDataset({v: [1.0]}), ("huge int", "long text")),
     # a bare KeyError echoed the route whole, or raised in its own str, or
@@ -88,22 +139,33 @@ SITES = {
     "subset label": (
         lambda v, tmp: _parse_subsets(",".join(["w1"] * len(v)) + ";w2,w3", _WIRES),
         ("long list", "long text")),
+    # an OSError's own text echoed the path whole
+    "file written": (lambda v, tmp: atomic_write(str(tmp / v), ""), TEXT),
+    "file read": (lambda v, tmp: read_json(str(tmp / v), "system spec"), TEXT),
 }
 
-CASES = [(site, value) for site, (_, values) in SITES.items() for value in values]
+CASES = [(site, value) for site, (_, values, *_) in SITES.items() for value in values]
 
 
 @pytest.mark.parametrize("site, value", CASES, ids=[f"{s}-{v}" for s, v in CASES])
 def test_every_display_site_refuses_a_malformed_value_in_one_short_line(tmp_path, site, value):
-    call, _ = SITES[site]
+    call = SITES[site][0]
     with pytest.raises(ValidationError) as err:
         call(MALFORMED[value], tmp_path)
     assert len(str(err.value)) < 200, (len(str(err.value)), str(err.value)[:300])
 
 
+@pytest.mark.parametrize("site", [site for site, row in SITES.items() if len(row) == 3])
+def test_every_domain_site_refuses_by_its_rule(tmp_path, site):
+    call, values, message = SITES[site]
+    with pytest.raises(ValidationError) as err:
+        call(MALFORMED[values[0]], tmp_path)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: GeneratorSpec("foo"), "unknown generator family 'foo'"),
-    (lambda: GeneratorSpec("amh", 2), "amh parameter 2 outside its range [-1.0, 1.0)"),
+    (lambda: GeneratorSpec("amh", 2), "amh theta must lie in [-1, 1), got 2"),
     (lambda: BaselineSpec(["weibull"], (1.0,)), "unknown baseline family ['weibull']"),
     (lambda: SemiParamModel("frailty", _MODEL.baseline), "unknown model kind 'frailty'"),
     (lambda: holds("p_larger", [1.0], [1.0]), "unknown preorder 'p_larger'"),

@@ -529,7 +529,7 @@ def test_grid_policy_needs_numeric_tolerances(field, value):
     ("dominance_tol", np.nan, "dominance_tol must be nonnegative, got nan"),
     ("dominance_tol", -1e-10, "dominance_tol must be nonnegative, got -1e-10"),
     ("crossing_gap", np.nan, "crossing_gap must be nonnegative, got nan"),
-    ("crossing_gap", -1, "crossing_gap must be nonnegative, got -1.0"),
+    ("crossing_gap", -1, "crossing_gap must be nonnegative, got -1"),
 ], ids=["dominance-nan", "dominance-negative", "crossing-nan", "crossing-negative"])
 def test_grid_policy_needs_nonnegative_tolerances(field, value, message):
     with pytest.raises(ValidationError) as err:
@@ -739,11 +739,11 @@ def test_numpy_scalar_spec_fields_survive_json(gen_theta, alpha, lam):
 
 
 @pytest.mark.parametrize("kind, theta, message", [
-    ("scale", (np.nan, 1.0), "theta nan outside the scale domain"),
-    ("scale", (np.float64(-np.inf), 1.0), "theta -inf outside the scale domain"),
-    ("scale", (0.0, 1.0), "theta 0.0 outside the scale domain"),
-    ("phr", (1.0, -2), "theta -2.0 outside the phr domain"),
-    ("location", (-3.0, np.inf), "theta inf outside the location domain"),
+    ("scale", (np.nan, 1.0), "scale theta must be positive and finite, got nan"),
+    ("scale", (np.float64(-np.inf), 1.0), "scale theta must be positive and finite, got -inf"),
+    ("scale", (0.0, 1.0), "scale theta must be positive and finite, got 0.0"),
+    ("phr", (1.0, -2), "phr theta must be positive and finite, got -2.0"),
+    ("location", (-3.0, np.inf), "location theta must be finite, got inf"),
 ], ids=["nan", "-inf", "zero", "negative", "location-inf"])
 def test_system_refuses_theta_outside_the_domain(kind, theta, message):
     m = SemiParamModel(kind, BaselineSpec("exponential", (1.0,)))
