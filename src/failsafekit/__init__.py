@@ -10,6 +10,8 @@ raw strength data to marginal fits, copula goodness of fit, and subset
 recommendations.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     FailsafeKitError,
     InconsistencyError,
@@ -75,58 +77,6 @@ from .systems import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaselineSpec",
-    "ConditionReport",
-    "DominanceVerdict",
-    "FailsafeKitError",
-    "GeneratorSpec",
-    "GridPolicy",
-    "HypothesisCheck",
-    "InconsistencyError",
-    "LogShape",
-    "LogShapeReport",
-    "OrderReport",
-    "Preorder",
-    "Relation",
-    "SampleBatch",
-    "SemiParamModel",
-    "SurvivalCurve",
-    "SystemSpec",
-    "UnsupportedGeneratorError",
-    "ValidationError",
-    "check_dfr",
-    "check_dpfr",
-    "check_theorem1_condition2",
-    "check_theorem2_condition2",
-    "classify",
-    "classify_log_shape",
-    "compare_curves",
-    "curve",
-    "curves",
-    "default_grid",
-    "empirical_survival_x2n",
-    "hazard",
-    "holds",
-    "homogeneous_x2n",
-    "is_log_concave",
-    "is_log_convex",
-    "log_psi",
-    "lower_bound_plarger",
-    "lower_bound_rm",
-    "phi",
-    "psi",
-    "quantile",
-    "sample_copula",
-    "sample_lifetimes",
-    "schur_condition_probe",
-    "second_smallest",
-    "sf",
-    "sp_quantile",
-    "sp_survival",
-    "survival_x2n",
-    "verify_prop_ls",
-    "verify_prop_mphrs",
-    "verify_theorem1",
-    "verify_theorem2",
-]
+#: Every name the imports above bind, the submodules they load excepted.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import demos
 from .errors import (InconsistencyError, UnsupportedGeneratorError, ValidationError, real_array,
-                     shown)
+                     shown, shown_path)
 from .generators import COPULA_FAMILIES, GeneratorSpec
 from .gridpolicy import GridPolicy
 from .mcsim import check_seed, empirical_survival_x2n, sample_lifetimes
@@ -65,7 +65,7 @@ def atomic_write(path: str, text: str) -> None:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:  # its own text repeats the path
-        raise ValidationError(f"cannot write {shown(path)}: {exc.strerror}") from exc
+        raise ValidationError(f"cannot write {shown_path(path)}: {exc.strerror}") from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -79,7 +79,7 @@ def _read_text(path: str, what: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:  # an OSError's own text repeats the path
         reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise ValidationError(f"cannot read {what} {shown(path)}: {reason}") from exc
+        raise ValidationError(f"cannot read {what} {shown_path(path)}: {reason}") from exc
 
 
 def read_json(path: str, what: str):

@@ -53,10 +53,15 @@ class InconsistencyError(FailsafeKitError):
 
 class _Display(reprlib.Repr):
     """A value as a refusal shows it, with ``reprlib.repr``'s bounds: whole
-    when short, a long list by its first entries, a long text by its ends.
-    An int that ``str`` may refuse (past 640 digits, 4300 by default) is
-    shown by its size, and the whole is cut to its ends past 120
-    characters, as nesting multiplies reprlib's bounds.  Never raises."""
+    when short, a long list by its first entries, a long text by its ends
+    (past ``maxstring`` characters).  An int that ``str`` may refuse (past
+    640 digits, 4300 by default) is shown by its size, and the whole is cut
+    to its ends past 120 characters, as nesting multiplies reprlib's
+    bounds.  Never raises."""
+
+    def __init__(self, maxstring: int):
+        super().__init__()
+        self.maxstring = maxstring
 
     def repr(self, x):
         s = super().repr(x)
@@ -68,8 +73,9 @@ class _Display(reprlib.Repr):
         return super().repr_int(x, level)
 
 
-#: shown(value) -> str: value as every refusal of the package shows it (see ``_Display``).
-shown = _Display().repr
+#: shown(value) -> str: value as every refusal of the package shows it (see ``_Display``);
+#: shown_path(path) -> str: a file's path, whole up to the 120 characters of a whole display.
+shown, shown_path = _Display(30).repr, _Display(120).repr
 
 
 def is_number(value) -> bool:
@@ -130,11 +136,13 @@ def real_array(value, what: str) -> np.ndarray:
 def point_array(value, what: str, ok=None, rule: str = "not be NaN") -> np.ndarray:
     """A public evaluator's points: value as a float64 array (see ``real_array``),
     0-d for a number, unless an entry is NaN or fails the domain test ``ok``:
-    a ValidationError "<what> must <rule>, got <the first such entry>"."""
+    a ValidationError "<what> must <rule>, got <the first such entry>", shown
+    as the caller gave it (an int too large for a float is judged as ±inf)."""
     arr = real_array(value, what)
     good = ~np.isnan(arr) if ok is None else ok(arr)
     if not good.all():
-        raise ValidationError(f"{what} must {rule}, got {shown(arr[~good][0].item())}")
+        entry = np.array(value, dtype=object).ravel()[np.argmin(good)]
+        raise ValidationError(f"{what} must {rule}, got {shown(plain_number(entry))}")
     return arr
 
 

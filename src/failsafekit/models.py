@@ -68,8 +68,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (FLOAT_ARRAY_MAX, NONNEGATIVE, OPEN_UNIT, POSITIVE_FINITE, ValidationError,
-                     evaluate, plain_number, point_array, real_array, real_number, shown,
-                     whole_number)
+                     evaluate, plain_number, point_array, real_number, shown, whole_number)
 
 
 def _log1mexp(a):
@@ -471,11 +470,6 @@ class SemiParamModel:
             elif value is not None:
                 raise ValidationError(f"{self.kind} takes no fixed {name}, got {shown(value)}")
             object.__setattr__(self, field, plain_number(value))
-
-    def theta_in_domain(self, theta):
-        """Whether theta (elementwise for an array) is finite, and positive
-        unless the kind is location."""
-        return _KIND_MAP[self.kind].theta[0](real_array(theta, "theta"))
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "baseline": self.baseline.to_json()}

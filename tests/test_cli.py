@@ -148,21 +148,30 @@ def test_curve_malformed_spec_exit_2(tmp_path, capsys):
     assert main(["curve", str(bad2), "--out", str(tmp_path / "y.csv")]) == 2
 
 
-def test_curve_paired_default_grid_is_the_verify_grid(tmp_path):
-    model = SemiParamModel("scale", BaselineSpec("gen_pareto", (2.0,)))
+_THETA_30 = tuple(0.1 * 1.12 ** i for i in range(30))
+
+
+@pytest.mark.parametrize("base, tx, ty, points", [
+    ((2.0,), (0.5, 1.0, 2.0), (0.1, 1.0, 2.0), 300),
+    # 30 components: the verdict's grid spans several kernel blocks, so it skips
+    # points, yet its extremes must be those of every point of the CSV
+    ((1.7,), tuple(1.5 * t for t in _THETA_30), _THETA_30, 1000),
+], ids=["one-block", "two-pass"])
+def test_curve_paired_default_grid_is_the_verify_grid(tmp_path, base, tx, ty, points):
+    model = SemiParamModel("scale", BaselineSpec("gen_pareto", base))
     gen = GeneratorSpec("gumbel_hougaard", 2.0)
-    tx, ty = (0.5, 1.0, 2.0), (0.1, 1.0, 2.0)
-    fx = write_system(tmp_path / "x.json", SystemSpec(3, model, tx, gen))
-    fy = write_system(tmp_path / "y.json", SystemSpec(3, model, ty, gen))
+    fx = write_system(tmp_path / "x.json", SystemSpec(len(tx), model, tx, gen))
+    fy = write_system(tmp_path / "y.json", SystemSpec(len(ty), model, ty, gen))
     out = tmp_path / "pair.csv"
-    assert main(["curve", fx, "--paired", fy, "--points", "300", "--out", str(out)]) == 0
+    assert main(["curve", fx, "--paired", fy, "--points", str(points), "--out", str(out)]) == 0
     cols = np.loadtxt(out, delimiter=",", skiprows=1)
-    want = GridPolicy(curve_points=300).curve_grid(model, tx, ty)
+    want = GridPolicy(curve_points=points).curve_grid(model, tx, ty)
     assert cols[:, 0].tobytes() == want.tobytes()
     # verify t1 takes the p-larger vector first, so its gap is the CSV's negated
     rep = tmp_path / "ver.json"
-    assert main(["verify", "t1", fy, fx, "--points", "300", "--out", str(rep)]) == 0
+    assert main(["verify", "t1", fy, fx, "--points", str(points), "--out", str(rep)]) == 0
     dom = json.loads(rep.read_text())["dominance"]
+    assert dom["grid_size"] == len(cols)
     assert (cols[:, 3].min(), cols[:, 3].max()) == (-dom["max_gap"], -dom["min_gap"])
 
 
@@ -226,15 +235,22 @@ def test_verify_t2_counterexample_exit_3(tmp_path, capsys):
     assert "INCONSISTENT" in captured.err
 
 
-def test_verify_systems_of_different_n_exit_1(demo_files, tmp_path, capsys):
-    sx, sy = gumbel_barnett_pair()
-    short = write_system(tmp_path / "short.json",
-                         SystemSpec(4, sy.model, sy.theta[:4], sy.generator))
-    assert main(["verify", "t1", demo_files["gb_x"], short, "--points", "200"]) == 1
+@pytest.mark.parametrize("short", [
+    lambda sy: SystemSpec(4, sy.model, sy.theta[:4], sy.generator),
+    lambda sy: SystemSpec(2, SemiParamModel("scale", BaselineSpec("exponential", (1.0,))),
+                          (1.0, 2.0), GeneratorSpec("clayton", 2.0)),
+], ids=["n5-n4", "n5-n2"])
+def test_verify_systems_of_different_n_exit_1(demo_files, tmp_path, capsys, short):
+    # the preorder check reports holds' own refusal as its evidence
+    short = short(gumbel_barnett_pair()[1])
+    f = write_system(tmp_path / "short.json", short)
+    assert main(["verify", "t1", demo_files["gb_x"], f, "--points", "200"]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["overall"] is False and rep["dominance"] is None
     failed = {c["name"] for c in rep["checks"] if not c["holds"]}
     assert {"shared_model", "p_larger"} <= failed
+    assert {"name": "p_larger", "holds": False,
+            "evidence": f"length mismatch: 5 != {short.n}"} in rep["checks"]
     _validator("condition_report.schema.json").validate(rep)
 
 
@@ -801,6 +817,9 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
      f"error: curve_points must be at most {2 ** 60 - 1}, got {10 ** 20}\n"),
     (_FIT + ["--boot", str(10 ** 20)], {},
      f"error: boot_n must be at most {2 ** 60 - 1}, got {10 ** 20}\n"),
+    # gumbel_barnett has no frailty sampler: refused before a draw that would
+    # run out of memory
+    (["simulate", "{spec}", "--count", str(10 ** 12), "--seed", "1"], {}, "unsupported: "),
 ], ids=["env-seed", "vector-twice", "vector-empty", "vector-non-numeric", "x-range",
         "x-range-no-points", "bulk-one-point",
         "curve-no-system", "curve-no-out", "subsets-empty-group", "subsets-one-wire",
@@ -810,7 +829,8 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
         "preorder-nan-tol", "verify-negative-tol", "verify-nan-tol", "fit-negative-seed",
         "simulate-negative-seed", "env-negative-seed", "verify-oversized-grid",
         "curve-oversized-grid", "simulate-oversized-count", "simulate-unindexable-count",
-        "simulate-unindexable-points", "curve-unindexable-grid", "fit-unindexable-boot"])
+        "simulate-unindexable-points", "curve-unindexable-grid", "fit-unindexable-boot",
+        "simulate-unsupported-before-any-draw"])
 def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env, fragment):
     sx, _ = gumbel_barnett_pair()
     cx, cy = clayton_pair()

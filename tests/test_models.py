@@ -885,7 +885,7 @@ def test_constructors_accept_numpy_scalars():
     (lambda: BaselineSpec("weibull", (np.float64(np.inf), 2.0)),
      "weibull parameter must be positive and finite, got inf"),
     (lambda: BaselineSpec("weibull", (1.0, 0)),
-     "weibull parameter must be positive and finite, got 0.0"),
+     "weibull parameter must be positive and finite, got 0"),
     (lambda: SemiParamModel("mphrs", BaselineSpec("exponential", (1.0,)), alpha=np.nan, lam=1.0),
      "mphrs alpha must be positive and finite, got nan"),
     (lambda: SemiParamModel("mphrs", BaselineSpec("exponential", (1.0,)),

@@ -99,7 +99,6 @@ ENTRIES = {
     "sp_inverse_log_survival theta": (lambda v: sp_inverse_log_survival(M, -1.0, v), THETA, 2.0),
     "sp_quantile prob": (lambda v: sp_quantile(M, v, 2.0), [0.25, 0.5, 0.75], 0.5),
     "sp_quantile theta": (lambda v: sp_quantile(M, 0.5, v), THETA, 2.0),
-    "theta_in_domain": (M.theta_in_domain, THETA, 2.0),
     "BaselineSpec": (lambda v: BaselineSpec("weibull", v), [1.0, 2.0], None),
     "SystemSpec": (lambda v: SystemSpec(3, M, v, G), THETA, None),
     "survival_x2n": (lambda v: survival_x2n(SYS, v), X, 2.0),
@@ -286,10 +285,8 @@ def test_scalar_arguments_still_take_numpy_numbers():
     assert tau_to_theta("clayton", np.float64(0.25)) == tau_to_theta("clayton", 0.25)
 
 
-#: The entries that evaluate at points: each one with a valid scalar but
-#: theta_in_domain, which tests a theta and refuses none.
-POINT_ENTRIES = sorted(name for name, (_, _, scalar) in ENTRIES.items()
-                       if scalar is not None and name != "theta_in_domain")
+#: The entries that evaluate at points: each one with a valid scalar.
+POINT_ENTRIES = sorted(name for name, (_, _, scalar) in ENTRIES.items() if scalar is not None)
 
 
 @pytest.mark.parametrize("inside", [False, True], ids=["alone", "inside the vector"])

@@ -20,7 +20,7 @@ from failsafekit.errors import real_array, real_number, shown, whole_number
 from failsafekit.fitlab import (LifetimeDataset, empirical_copula, fit_copula,
                                 fixed_shape_weibull_scale, frank_tau)
 from failsafekit.mcsim import check_seed
-from failsafekit.models import survival_shape
+from failsafekit.models import quantile, survival_shape
 from failsafekit.ordering import verify
 
 HUGE = 10 ** 5000  # str() refuses it: "Exceeds the limit (4300 digits)"
@@ -42,6 +42,8 @@ _SYS = SystemSpec(2, _MODEL, (1.0, 2.0), _GEN)
 _LOCATION_SYS = SystemSpec(2, SemiParamModel("location", _MODEL.baseline), (-1.0, 2.0), _GEN)
 #: The huge int, and its negative, as a refusal shows them.
 _INT, _NEG = shown(HUGE), shown(-HUGE)
+#: A 49-character path whose parent runs through a file that is not a directory.
+_UNDER_A_FILE = "/dev/null/out/figures-of-the-audits/dominance.csv"
 
 
 def _csv(tmp_path, text):
@@ -75,7 +77,10 @@ SITES = {
     "SystemSpec theta": (lambda v, tmp: SystemSpec(2, _MODEL, v, _GEN), ALL),
     "BaselineSpec family": (lambda v, tmp: BaselineSpec(v, (1.0,)), ALL),
     "BaselineSpec params": (lambda v, tmp: BaselineSpec("weibull", v), ALL,
-                            "weibull parameter must be positive and finite, got inf"),
+                            f"weibull parameter must be positive and finite, got {_INT}"),
+    # an entry beside a float is refused as the caller gave it, as a number site shows it
+    "BaselineSpec params entry": (lambda v, tmp: BaselineSpec("weibull", (v, 1.0)), ALL,
+                                  f"weibull parameter must be positive and finite, got {_INT}"),
     "SemiParamModel kind": (lambda v, tmp: SemiParamModel(v, _MODEL.baseline), ALL),
     "SemiParamModel baseline": (lambda v, tmp: SemiParamModel("scale", v), ALL),
     "SemiParamModel alpha": (lambda v, tmp: SemiParamModel("mphrs", _MODEL.baseline, v, 1.0), ALL,
@@ -84,8 +89,10 @@ SITES = {
                               f"ls lambda must be finite, got {_INT}"),
     "SemiParamModel no fixed": (lambda v, tmp: SemiParamModel("scale", _MODEL.baseline, v), ALL,
                                 f"scale takes no fixed alpha, got {_INT}"),
+    "quantile probability": (lambda v, tmp: quantile(_MODEL.baseline, v), ALL,
+                             f"quantile probability must lie in (0, 1), got {_INT}"),
     "model theta": (lambda v, tmp: sp_survival(_MODEL, 1.0, np.negative(v)), ALL[::2],
-                    "scale theta must be positive and finite, got -inf"),
+                    f"scale theta must be positive and finite, got {_NEG}"),
     "survival_shape tol": (
         lambda v, tmp: survival_shape(_MODEL, "nonincreasing", None, np.negative(v)), ALL[::2],
         f"tol must be nonnegative, got {_NEG}"),
@@ -111,13 +118,13 @@ SITES = {
     "homogeneous bound theta": (lambda v, tmp: lower_bound_plarger(_LOCATION_SYS, v), ALL[::2],
                                 "p-larger bound theta must be positive and finite, got -1.0"),
     "strength data": (lambda v, tmp: fixed_shape_weibull_scale(np.negative(v), 2.0), ALL[::2],
-                      "data entry must be positive and finite, got -inf"),
+                      f"data entry must be positive and finite, got {_NEG}"),
     "weibull shape": (lambda v, tmp: fixed_shape_weibull_scale([1.0, 2.0], v), ALL,
                       f"shape must be positive and finite, got {_INT}"),
     "frank_tau": (lambda v, tmp: frank_tau(np.negative(v)), ALL[::2],
                   f"frank theta must be positive, got {_NEG}"),
     "fit_copula": (lambda v, tmp: fit_copula("clayton", v), ALL[::2],
-                   "pseudo-observation must lie in (0, 1), got inf"),
+                   f"pseudo-observation must lie in (0, 1), got {_INT}"),
     "empirical_copula": (lambda v, tmp: empirical_copula(np.multiply(v, math.nan)), ("long list",),
                          "pseudo-observation must not be NaN, got nan"),
     # str() of a huge int raised Python's bare ValueError
@@ -142,6 +149,11 @@ SITES = {
     # an OSError's own text echoed the path whole
     "file written": (lambda v, tmp: atomic_write(str(tmp / v), ""), TEXT),
     "file read": (lambda v, tmp: read_json(str(tmp / v), "system spec"), TEXT),
+    # an ordinary path is shown whole, not cut to its ends as other text is
+    "file written under a file": (lambda v, tmp: atomic_write(_UNDER_A_FILE, ""), TEXT,
+                                  f"cannot write '{_UNDER_A_FILE}': Not a directory"),
+    "file read under a file": (lambda v, tmp: read_json(_UNDER_A_FILE, "system spec"), TEXT,
+                               f"cannot read system spec '{_UNDER_A_FILE}': Not a directory"),
 }
 
 CASES = [(site, value) for site, (_, values, *_) in SITES.items() for value in values]
