@@ -82,7 +82,8 @@ class SystemSpec:
         theta = real_array(self.theta, "system theta entry")
         if theta.shape != (n,):
             raise ValidationError(f"system theta must be {shown(n)} numbers, got {shown(self.theta)}")
-        object.__setattr__(self, "theta", tuple(_checked_theta(self.model, theta).tolist()))
+        # the caller's entries, not theta: a refusal shows an int past float range as given
+        object.__setattr__(self, "theta", tuple(_checked_theta(self.model, self.theta).tolist()))
         object.__setattr__(self, "n", n)
 
     def to_json(self) -> dict:

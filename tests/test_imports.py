@@ -1,12 +1,13 @@
 """Import graph of the command-line start-up path, and the public names.
 
-Each CLI call starts a fresh interpreter, so every subcommand should load
-only the layers it runs: fitlab loads under ``fit`` only.  No subcommand
-loads scipy at all: gamma and gen_gamma baselines compute their incomplete
-gamma in ``models``, and fitlab computes ranks and Kendall tau with numpy
-and takes its scalar searches and the dilogarithm from ``scalar``.  These
-checks run in a child interpreter, since the test process itself has long
-since imported everything.
+Each CLI call starts a fresh interpreter.  Every subcommand loads the
+package, whose ``__init__`` imports every layer but fitlab, and the cli,
+which adds demos; fitlab, and ``scalar`` with it, loads under ``fit`` only.
+No subcommand loads scipy at all: gamma and gen_gamma baselines compute
+their incomplete gamma in ``models``, and fitlab computes ranks and Kendall
+tau with numpy and takes its scalar searches and the dilogarithm from
+``scalar``.  These checks run in a child interpreter, since the test
+process itself has long since imported everything.
 """
 
 import ast
@@ -22,14 +23,17 @@ from failsafekit.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Prints, as its last line, the sorted heavy modules loaded so far.
+#: Prints, as its last line, the sorted scipy and failsafekit modules loaded so far.
 _REPORT = """
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.startswith("scipy") or m == "failsafekit.fitlab")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "failsafekit"))))
 """
+#: The modules a ``preorder`` child loads: the package and every layer but fitlab and scalar.
+PREORDER_MODULES = ["failsafekit"] + [f"failsafekit.{m}" for m in (
+    "cli", "demos", "errors", "generators", "gridpolicy", "mcsim", "models", "ordering",
+    "preorders", "systems")]
 
 
-def _heavy_modules_after(code, cwd):
+def _modules_after(code, cwd):
     proc = subprocess.run(
         [sys.executable, "-c", "import json, sys\n" + code + _REPORT],
         env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=cwd,
@@ -37,6 +41,16 @@ def _heavy_modules_after(code, cwd):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _heavy_modules_after(code, cwd):
+    return [m for m in _modules_after(code, cwd)
+            if m.startswith("scipy") or m == "failsafekit.fitlab"]
+
+
+def test_a_preorder_child_loads_every_layer_but_fitlab(tmp_path):
+    code = 'from failsafekit import cli\nassert cli.main(["preorder", "--a", "1,2,3", "--b", "2,2,2"]) == 0\n'
+    assert _modules_after(code, tmp_path) == PREORDER_MODULES
 
 
 def test_cli_import_loads_neither_fitlab_nor_scipy(tmp_path):

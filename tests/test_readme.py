@@ -1,5 +1,9 @@
-"""The README's code examples run as written; the CLI examples are parsed, not run."""
+"""The README's code examples run as written; the CLI examples are parsed, not
+run.  Every rule of its "Numerical conventions" table names an owner and a test
+that exist, and the section stays short enough to check in one sitting."""
 
+import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -8,7 +12,10 @@ import pytest
 
 from failsafekit import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+#: A rule row: | rule | `owner` | `tests/file.py::test` |, the owner a dotted name under failsafekit.
+RULE_ROW = re.compile(r"\| .+ \| `([\w.]+)` \| `(tests/\w+\.py)::(\w+)` \|")
 
 
 def test_library_quickstart_runs(capsys):
@@ -36,3 +43,26 @@ def test_cli_examples_parse():
         except SystemExit:
             pytest.fail(f"README example does not parse: failsafekit {shlex.join(argv)}")
     assert {argv[0] for argv in commands} == {"preorder", "curve", "verify", "simulate", "fit"}
+
+
+def test_every_numerical_convention_names_an_owner_and_a_test_that_exist():
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## Numerical conventions\n.*?(?=^## )", text, re.DOTALL | re.MULTILINE)
+    lines = section.group(0).splitlines()
+    assert len(lines) <= 120, f"Numerical conventions is {len(lines)} lines, over 120"
+    rows = [line for line in lines if line.startswith("|")][2:]  # past the header and its rule
+    assert rows
+    tests = {}
+    for row in rows:
+        match = RULE_ROW.fullmatch(row)
+        assert match, f"not a | rule | `owner` | `test` | row: {row}"
+        owner, path, name = match.groups()
+        module, *attrs = owner.split(".")
+        obj = importlib.import_module(f"failsafekit.{module}")
+        for attr in attrs:
+            assert hasattr(obj, attr), f"owner {owner} does not resolve"
+            obj = getattr(obj, attr)
+        if path not in tests:
+            tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+            tests[path] = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert name in tests[path], f"{path}::{name} is not a test function"

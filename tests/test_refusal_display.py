@@ -75,6 +75,8 @@ SITES = {
     "SystemSpec model": (lambda v, tmp: SystemSpec(2, v, (1.0, 2.0), _GEN), ALL),
     "SystemSpec generator": (lambda v, tmp: SystemSpec(2, _MODEL, (1.0, 2.0), v), ALL),
     "SystemSpec theta": (lambda v, tmp: SystemSpec(2, _MODEL, v, _GEN), ALL),
+    "SystemSpec theta entry": (lambda v, tmp: SystemSpec(2, _MODEL, (v, 1.0), _GEN), ALL,
+                               f"scale theta must be positive and finite, got {_INT}"),
     "BaselineSpec family": (lambda v, tmp: BaselineSpec(v, (1.0,)), ALL),
     "BaselineSpec params": (lambda v, tmp: BaselineSpec("weibull", v), ALL,
                             f"weibull parameter must be positive and finite, got {_INT}"),

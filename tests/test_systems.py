@@ -742,7 +742,8 @@ def test_numpy_scalar_spec_fields_survive_json(gen_theta, alpha, lam):
     ("scale", (np.nan, 1.0), "scale theta must be positive and finite, got nan"),
     ("scale", (np.float64(-np.inf), 1.0), "scale theta must be positive and finite, got -inf"),
     ("scale", (0.0, 1.0), "scale theta must be positive and finite, got 0.0"),
-    ("phr", (1.0, -2), "phr theta must be positive and finite, got -2.0"),
+    # an entry is shown as the caller gave it, as a BaselineSpec parameter is
+    ("phr", (1.0, -2), "phr theta must be positive and finite, got -2"),
     ("location", (-3.0, np.inf), "location theta must be finite, got inf"),
 ], ids=["nan", "-inf", "zero", "negative", "location-inf"])
 def test_system_refuses_theta_outside_the_domain(kind, theta, message):
