@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -94,9 +95,18 @@ def load_system(path: str) -> SystemSpec:
     return SystemSpec.from_json(read_json(path, "system spec"))
 
 
+def _label_order(label: str):
+    """A sort key for natural order: c2 before c10, runs of digits compared as numbers."""
+    parts = re.split(r"(\d+)", label)  # digit runs at the odd places
+    return [int(part) if i % 2 else part for i, part in enumerate(parts)], label
+
+
 def load_dataset_csv(path: str):
     """Read long format (cable,wire,strength) or wide format (one column
-    per wire), auto-detected by header, as a ``fitlab.LifetimeDataset``."""
+    per wire), auto-detected by header, as a ``fitlab.LifetimeDataset``.
+    A long-format row is keyed by its (cable, wire) pair, which may appear
+    once; wires and the cables within each wire are in natural label order,
+    so a file sorted that way reads as written and a shuffled one the same."""
     from .fitlab import LifetimeDataset  # loaded by the fit subcommand only
 
     rows = [row for row in csv.reader(io.StringIO(_read_text(path, "dataset"), newline=""))
@@ -111,15 +121,22 @@ def load_dataset_csv(path: str):
     if repeated is not None:
         raise ValidationError(f"dataset CSV header repeats column {shown(repeated)}")
     if long_format:
-        iw, iv = header.index("wire"), header.index("strength")
-        obs: dict[str, list[float]] = {}
+        ic, iw, iv = (header.index(name) for name in ("cable", "wire", "strength"))
+        cells: dict[tuple[str, str], float] = {}
         for row in rows[1:]:
             try:
-                wire, value = row[iw].strip(), float(row[iv])
+                pair, value = (row[ic].strip(), row[iw].strip()), float(row[iv])
             except (ValueError, IndexError) as exc:
                 raise ValidationError(f"malformed long-format row {shown(row)}") from exc
-            obs.setdefault(wire, []).append(value)
-        return LifetimeDataset(obs)
+            if pair in cells:
+                raise ValidationError(f"dataset CSV repeats the (cable, wire) pair {shown(pair)}")
+            cells[pair] = value
+        # the i-th strength of every wire comes from one cable, and neither
+        # order depends on the order of the rows
+        cables = sorted({cable for cable, _ in cells}, key=_label_order)
+        wires = sorted({wire for _, wire in cells}, key=_label_order)
+        return LifetimeDataset({wire: [cells[cable, wire] for cable in cables
+                                       if (cable, wire) in cells] for wire in wires})
     # wide: every column is a component
     obs = {name: [] for name in names}
     for row in rows[1:]:

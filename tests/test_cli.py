@@ -586,6 +586,28 @@ def test_fit_power_frailty_beyond_sampler_range_exit_2(tmp_path, capsys, family)
     assert f"{family} sampling needs theta <= 50" in err and "Traceback" not in err
     assert "bootstrap" in err and "analytic survival path" not in err
 
+
+def test_a_long_format_file_reads_the_same_in_any_row_order(tmp_path):
+    # rows were appended to their wire in file order, so a shuffled file
+    # paired strengths of different cables: tau -0.039, clayton skipped, exit 2
+    from failsafekit import sample_copula
+    u = sample_copula(GeneratorSpec("clayton", 3.0), 3, 30, seed=4).uniforms
+    x = 300.0 * (-np.log1p(-u)) ** (1.0 / 5.0)
+    rows = [f"c{i + 1},w{j + 1},{v!r}"
+            for i, row in enumerate(x.tolist()) for j, v in enumerate(row)]
+    shuffled = np.random.default_rng(1).permutation(rows)
+    reports = []
+    for name, order in [("sorted", rows), ("shuffled", shuffled)]:
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(["cable,wire,strength", *order]) + "\n")
+        assert main(["fit", str(path), "--families", "weibull", "--copulas", "clayton",
+                     "--boot", "100", "--seed", "1", "--out-dir", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    theta = json.loads(reports[0])["copula_gof"]["clayton"]["theta"]
+    assert theta == pytest.approx(2.2647, abs=1e-4)
+
+
 def test_a_long_format_row_short_of_its_wire_column_exits_2(tmp_path, capsys):
     # the wire column after the strength column was read past the row's end:
     # an IndexError with a traceback, exit 1
@@ -799,6 +821,8 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
     (["simulate", "{spec}", "--count", "100", "--seed", "-1"], {},
      "--seed must lie in [0, 2**64), got -1"),
     (_FIT, {"FAILSAFEKIT_SEED": "-3"}, "FAILSAFEKIT_SEED must lie in [0, 2**64), got -3"),
+    # the second strength of cable c1's wire w1 was appended as another cable's
+    (["fit", "{long}"], {}, "dataset CSV repeats the (cable, wire) pair ('c1', 'w1')"),
     # 10**17 float64 values (about 710 PiB) exceed any address space, so numpy
     # refuses the allocation at once; these exited 1 with a traceback
     (["verify", "t1", "{spec}", "{spec}", "--points", str(10 ** 17)], {},
@@ -827,9 +851,10 @@ _FIT = ["fit", "{data}", "--families", "weibull", "--copulas", "clayton", "--boo
         "subsets-unequal", "subsets-repeated-wire", "subsets-repeated-group",
         "subsets-reordered-group", "config-no-path", "config-abbreviated", "config-not-object",
         "preorder-nan-tol", "verify-negative-tol", "verify-nan-tol", "fit-negative-seed",
-        "simulate-negative-seed", "env-negative-seed", "verify-oversized-grid",
-        "curve-oversized-grid", "simulate-oversized-count", "simulate-unindexable-count",
-        "simulate-unindexable-points", "curve-unindexable-grid", "fit-unindexable-boot",
+        "simulate-negative-seed", "env-negative-seed", "fit-repeated-pair",
+        "verify-oversized-grid", "curve-oversized-grid", "simulate-oversized-count",
+        "simulate-unindexable-count", "simulate-unindexable-points", "curve-unindexable-grid",
+        "fit-unindexable-boot",
         "simulate-unsupported-before-any-draw"])
 def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env, fragment):
     sx, _ = gumbel_barnett_pair()
@@ -841,9 +866,11 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env, fragment)
         "vec": str(tmp_path / "vec.txt"),
         "conf": str(tmp_path / "conf.json"),
         "data": _write_wide_dataset(tmp_path / "wide.csv", cables=10, wires=4),
+        "long": str(tmp_path / "long.csv"),
         "out": str(tmp_path / "c.csv"),
     }
     Path(files["vec"]).write_text("1 2\n")
+    Path(files["long"]).write_text("cable,wire,strength\nc1,w1,300\nc1,w2,310\nc1,w1,305\n")
     Path(files["conf"]).write_text("[1, 2]")
     for key, value in env.items():
         monkeypatch.setenv(key, value)

@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
 
 from failsafekit import (
     BaselineSpec,
@@ -73,12 +72,6 @@ def test_sf_boundaries_and_monotone(b):
     vals = sf(b, xs)
     assert np.all(np.diff(vals) <= 1e-15)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
-
-
-@pytest.mark.parametrize("b", ALL_BASELINES, ids=_ids)
-def test_pdf_integrates_to_one(b):
-    total, err = quad(lambda t: pdf(b, t), 0.0, np.inf, limit=200)
-    assert total == pytest.approx(1.0, abs=max(1e-6, 10 * err))
 
 
 @pytest.mark.parametrize("b", ALL_BASELINES, ids=_ids)

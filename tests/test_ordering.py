@@ -108,6 +108,7 @@ def test_clayton_pair_dominates_despite_near_tangency():
     from failsafekit import survival_x2n
     edge_gap = survival_x2n(sx, 1e-3) - survival_x2n(sy, 1e-3)
     assert 0.0 < edge_gap < 1e-4
+    assert f"{edge_gap:.1e}" == "7.4e-05"  # README's figure
     assert np.all(np.sort(sx.theta) <= np.sort(sy.theta))  # the structural reason
 
 
@@ -344,6 +345,11 @@ def test_verify_second_inconsistency_counterexample():
     assert all(c.holds for c in rep.checks)
     assert rep.dominance.relation is Relation.CROSSING
     assert rep.dominance.min_gap < -0.02  # measured -0.029 at x=2.5
+    # README's bracket: the crossing on the default grid of 1000 points
+    with pytest.raises(InconsistencyError) as exc:
+        verify_theorem2(sx, sy)
+    (lo, hi), = exc.value.report.dominance.crossings
+    assert (f"{lo:.3f}", f"{hi:.3f}") == ("3.267", "3.289")
 
 
 def test_verify_second_rejects_scale_kind():
