@@ -525,12 +525,14 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
     """Cramer-von Mises distance to the fitted copula, with a parametric
     bootstrap p-value (theta refitted in every replicate).
 
-    Replicate b is drawn from child seed b of the 64-bit ``seed``.  A
-    block of draws is ranked as drawn, negated, and given its empirical
-    copulas, Kendall tau matrices, thetas and statistics at once, so the
-    result equals a loop over replicates bit for bit.  Only a replicate
-    whose mean tau leaves the family's range counts as out of range; any
-    other error propagates.
+    Replicate b is drawn from child seed b of the 64-bit ``seed``, as
+    ``sample_copula`` would draw it.  A block of replicates is drawn in one
+    ``mcsim._draw_times`` call, which derives the block's Philox keys in one
+    pass and reuses one generator.  The block is ranked as drawn, negated,
+    and given its empirical copulas, Kendall tau matrices, thetas and
+    statistics at once, so the result equals a loop over replicates bit for
+    bit.  Only a replicate whose mean tau leaves the family's range counts
+    as out of range; any other error propagates.
     """
     boot_n = whole_number(boot_n, "boot_n", 100, FLOAT_ARRAY_MAX)
     seed = check_seed(seed)
@@ -550,8 +552,7 @@ def cvm_gof(family: str, pseudo, boot_n: int = 200, seed: int = 0,
     upper = np.triu_indices(d, 1)
     exceed = out_of_range = 0
     for start in range(0, boot_n, block):
-        times = np.stack([_draw_times(g, d, count, int(s))
-                          for s in child_seeds[start:start + block]])
+        times = _draw_times(g, d, count, child_seeds[start:start + block])
         # -t ranks as the uniforms psi(t) do; a t of +inf (u = 0) ranks lowest
         twice = _twice_ranks(-np.minimum(times, np.finfo(float).max))
         narrow = twice.astype(small)

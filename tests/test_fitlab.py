@@ -596,7 +596,11 @@ def test_empirical_copula_equals_broadcast_bitwise(d, tied):
 
 def _cvm_by_definition(family, ps, child_seeds, method):
     """cvm_gof's fit and statistic, and its bootstrap one replicate at a
-    time: each replicate's (exceeds, out of range)."""
+    time: each replicate's (exceeds, out of range).
+
+    Its draws come from sample_copula, which shares cvm_gof's draw path, so
+    the draws themselves are checked against a Philox(seed) generator per
+    seed in test_mcsim.py::test_a_block_draw_equals_per_seed_philox_draws."""
     def statistic(th, p):
         g = GeneratorSpec(family, th)
         cn = np.all(p[:, None, :] <= p[None, :, :], axis=2).mean(axis=0)
@@ -650,7 +654,7 @@ def test_cvm_ranks_an_infinite_time_as_its_zero_uniform():
     ps = pseudo_observations(sample_copula(GeneratorSpec("clayton", 45.0), 2, 24, 19).uniforms)
     seeds = np.random.SeedSequence(10560).generate_state(100, dtype=np.uint64)
     fitted, stat, outcomes = _cvm_by_definition("clayton", ps, seeds, "tau")
-    assert np.isinf(_draw_times(GeneratorSpec("clayton", fitted), 2, 24, int(seeds[41]))).any()
+    assert np.isinf(_draw_times(GeneratorSpec("clayton", fitted), 2, 24, seeds[41:42])).any()
     res = cvm_gof("clayton", ps, boot_n=100, seed=10560)
     exceed, out_of_range = np.sum(outcomes, axis=0)
     assert (res.theta.hex(), res.statistic.hex(), res.p_value.hex(), res.out_of_range) == (

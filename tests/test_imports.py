@@ -6,8 +6,10 @@ which adds demos; fitlab, and ``scalar`` with it, loads under ``fit`` only.
 No subcommand loads scipy at all: gamma and gen_gamma baselines compute
 their incomplete gamma in ``models``, and fitlab computes ranks and Kendall
 tau with numpy and takes its scalar searches and the dilogarithm from
-``scalar``.  These checks run in a child interpreter, since the test
-process itself has long since imported everything.
+``scalar``.  Only ``simulate`` and ``fit`` load ``numpy.random``, as
+``mcsim`` makes its generator per draw, not at import.  These checks run
+in a child interpreter, since the test process itself has long since
+imported everything.
 """
 
 import ast
@@ -17,15 +19,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import failsafekit
 from failsafekit import demos, fitlab, generators, models
 from failsafekit.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Prints, as its last line, the sorted scipy and failsafekit modules loaded so far.
+#: Prints, as its last line, the sorted scipy and failsafekit modules loaded so
+#: far, and numpy.random if it is loaded.
 _REPORT = """
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "failsafekit"))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("scipy", "failsafekit") or m == "numpy.random")))
 """
 #: The modules a ``preorder`` child loads: the package and every layer but fitlab and scalar.
 PREORDER_MODULES = ["failsafekit"] + [f"failsafekit.{m}" for m in (
@@ -51,6 +57,21 @@ def _heavy_modules_after(code, cwd):
 def test_a_preorder_child_loads_every_layer_but_fitlab(tmp_path):
     code = 'from failsafekit import cli\nassert cli.main(["preorder", "--a", "1,2,3", "--b", "2,2,2"]) == 0\n'
     assert _modules_after(code, tmp_path) == PREORDER_MODULES
+
+
+@pytest.mark.parametrize("argv", [
+    ["preorder", "--a", "1,2,3", "--b", "2,2,2", "--out", "out"],
+    ["verify", "t1", "x.json", "y.json", "--points", "200", "--out", "out"],
+    ["curve", "x.json", "--paired", "y.json", "--points", "200", "--out", "out"],
+    ["curve", "--emit-figures", "--out-dir", "out"],
+], ids=["preorder", "verify", "curve", "figures"])
+def test_children_that_draw_nothing_load_no_numpy_random(tmp_path, argv):
+    # only simulate and fit draw, each making its generator per draw; one
+    # made at import would load numpy.random into every child
+    for name, spec in zip("xy", demos.gumbel_barnett_pair()):
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec.to_json()))
+    code = f"from failsafekit import cli\nassert cli.main({argv!r}) == 0\n"
+    assert "numpy.random" not in _modules_after(code, tmp_path)
 
 
 def test_cli_import_loads_neither_fitlab_nor_scipy(tmp_path):

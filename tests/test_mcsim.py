@@ -26,6 +26,7 @@ from failsafekit.generators import is_independence
 from failsafekit.mcsim import (
     THETA_MAX,
     _draw_times,
+    _philox_keys,
     _sample_log_series,
     _sample_positive_stable,
 )
@@ -88,12 +89,12 @@ REFUSALS = {
 
 @pytest.mark.parametrize("family,theta", list(REFUSALS))
 def test_unsupported_families_raise(monkeypatch, family, theta):
-    # refused before a generator is seeded, so a refused batch of millions of
-    # rows costs no time and no memory
-    def no_draw(seed):
+    # refused before a key is derived or a generator made, so a refused
+    # batch of millions of rows costs no time and no memory
+    def no_draw(seeds):
         raise AssertionError("seeded a generator before refusing")
 
-    monkeypatch.setattr(mcsim, "_rng", no_draw)
+    monkeypatch.setattr(mcsim, "_philox_keys", no_draw)
     with pytest.raises(UnsupportedGeneratorError) as err:
         sample_copula(GeneratorSpec(family, theta), 5, 3_000_000, seed=0)
     assert str(err.value) == f"{REFUSALS[family, theta]}; use the analytic survival path instead"
@@ -104,15 +105,59 @@ def test_unsupported_families_raise(monkeypatch, family, theta):
     *THETA_MAX.items(),
 ])
 def test_bootstrap_ranks_equal_sample_copula_ranks_per_seed(family, theta):
-    # psi is decreasing, so the CvM bootstrap ranks a stack of per-seed draws
-    # E / V negated instead of their uniforms: the twice-ranks equal those of
-    # each seed's sample_copula batch
+    # psi is decreasing, so the CvM bootstrap ranks a block of draws E / V
+    # negated instead of their uniforms: the twice-ranks equal those of each
+    # seed's sample_copula batch
     g = GeneratorSpec(family, theta)
     seeds = np.random.SeedSequence(4).generate_state(7, dtype=np.uint64)
-    block = _twice_ranks(-np.stack([_draw_times(g, 3, 13, int(s)) for s in seeds]))
+    block = _twice_ranks(-_draw_times(g, 3, 13, seeds))
     for twice, s in zip(block, seeds):
         u = sample_copula(g, 3, 13, int(s)).uniforms
         assert np.array_equal(twice, _twice_ranks(u[None])[0])
+
+
+@pytest.mark.parametrize("seeds", [
+    [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1],
+    np.random.default_rng(53).integers(0, 2 ** 64, 2000, dtype=np.uint64, endpoint=False),
+], ids=["edges", "random"])
+def test_philox_keys_equal_numpy_philox_keys(seeds):
+    # one uint32 pass over every seed hashes as numpy's SeedSequence does, the
+    # high word of a seed below 2**32 as the pool's filler
+    want = np.array([np.random.Philox(int(s)).state["state"]["key"] for s in seeds])
+    assert np.array_equal(_philox_keys(np.asarray(seeds, dtype=np.uint64)), want)
+
+
+def _philox_draw(g, n, count, seed):
+    """One seed's E / V as drawn from its own Philox(seed) generator."""
+    rng = np.random.Generator(np.random.Philox(int(seed)))
+    e = rng.exponential(size=(count, n))
+    if is_independence(g):
+        return e
+    if g.family == "clayton":
+        v = rng.gamma(shape=1.0 / g.theta, scale=g.theta, size=count)
+    elif g.family == "gumbel":
+        v = _sample_positive_stable(1.0 / g.theta, count, rng)
+    elif g.family == "frank":
+        v = _sample_log_series(-g.theta, count, rng)
+    else:
+        v = 1.0 + np.floor(np.log(rng.random(count)) / np.log(g.theta))
+    with np.errstate(divide="ignore", over="ignore"):
+        return e / v[:, None]
+
+
+@pytest.mark.parametrize("family,theta", [
+    ("independence", None), ("clayton", 1.5), ("gumbel", 1.7), ("frank", 4.0), ("amh", 0.6),
+    *THETA_MAX.items(),
+])
+def test_a_block_draw_equals_per_seed_philox_draws(family, theta):
+    # one generator keyed seed by seed draws what a Philox(seed) generator per
+    # seed draws, bit for bit; the bootstrap and sample_copula both draw so
+    g = GeneratorSpec(family, theta)
+    seeds = np.concatenate([np.random.SeedSequence(5).generate_state(40, dtype=np.uint64),
+                            np.array([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1], np.uint64)])
+    want = np.stack([_philox_draw(g, 3, 17, s) for s in seeds])
+    assert _draw_times(g, 3, 17, seeds).tobytes() == want.tobytes()
+    assert _draw_times(g, 3, 17, seeds[:1]).tobytes() == want[:1].tobytes()
 
 
 @pytest.mark.parametrize("n, count, message", [
@@ -281,6 +326,23 @@ def test_empirical_survival_trivial_points():
     assert empirical_survival_x2n(lt, 99.0) == 0.0
     # row-wise second-smallest values are 2.0 and 4.0
     assert empirical_survival_x2n(lt, 3.0) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_empirical_survival_equals_the_broadcast_count_bitwise(seed):
+    # survivors are counted from one sort; the fractions equal the mean of
+    # the count x points comparison matrix, with +inf lifetimes, ties and
+    # grid points equal to sample values
+    rng = np.random.default_rng(seed)
+    lt = np.round(rng.exponential(size=(999, 4)), 1)
+    lt[rng.random(lt.shape) < 0.1] = np.inf
+    lt[:5, 1:] = np.inf
+    second = np.partition(lt, 1, axis=1)[:, 1]
+    xs = np.concatenate([[0.0, 0.05, np.inf], rng.choice(second[np.isfinite(second)], 20),
+                         rng.uniform(0.0, 3.0, 20)])
+    want = np.mean(second[:, None] > xs[None, :], axis=0)
+    assert empirical_survival_x2n(lt, xs).tobytes() == want.tobytes()
+    assert [empirical_survival_x2n(lt, x) for x in xs.tolist()] == want.tolist()
 
 
 def test_second_smallest_matches_full_sort():
