@@ -8,7 +8,8 @@ parameters.  The scalar searches (bounded Brent, brentq) and the
 dilogarithm are ``scalar``'s ports of SciPy's, so fitting loads no scipy.
 Copula estimation defaults to Kendall-tau inversion (mean pairwise tau
 above two dimensions) with an optional pairwise pseudo-likelihood
-refinement.  Bootstrap replicate b always draws from child seed b of the
+refinement, each of whose evaluations scores every pair in one density
+call.  Bootstrap replicate b always draws from child seed b of the
 master seed, so goodness-of-fit runs are reproducible as well.  The
 bootstrap ranks its draws E / V, negated (psi is decreasing), and gives
 them empirical copulas and Kendall tau matrices a block at a time (as
@@ -385,31 +386,29 @@ def tau_to_theta(family: str, tau: float) -> float:
     return float(theta)
 
 
-def _bivariate_log_density(family: str, theta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """log c(u, v) = log psi''(phi(u)+phi(v)) - log|psi'(phi(u))| - log|psi'(phi(v))|;
-    u and v are pseudo-observations, inside (0, 1), so phi runs unchecked."""
+def _bivariate_log_density(family: str, theta: float, uv: np.ndarray) -> np.ndarray:
+    """log c(u, v) = log psi''(phi(u)+phi(v)) - log|psi'(phi(u))| - log|psi'(phi(v))|
+    for the stacked margins u = uv[0], v = uv[1], such as (pairs, count)
+    arrays of pseudo-observations: inside (0, 1), so phi runs unchecked."""
     # far in frank's tails log psi'' and log|psi'| both reach inf; their
-    # difference is NaN, which fit_copula's objective scores as inf
+    # difference is NaN, which the pseudo-likelihood scores as _LOGLIK_FLOOR
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        pu, pv = _phi(family, theta, u), _phi(family, theta, v)
-        s = pu + pv
+        t = _phi(family, theta, uv)
+        s = t[0] + t[1]
         if family == "clayton":
             log_pp = np.log1p(theta) + (-1.0 / theta - 2.0) * np.log1p(theta * s)
-            log_p = lambda t: (-1.0 / theta - 1.0) * np.log1p(theta * t)
+            log_p = (-1.0 / theta - 1.0) * np.log1p(theta * t)
         elif family == "gumbel":
             a = 1.0 / theta
             log_pp = (np.log(a) + (a - 2.0) * np.log(s) - s ** a
                       + np.log(a * s ** a + (1.0 - a)))
-            log_p = lambda t: np.log(a) + (a - 1.0) * np.log(t) - t ** a
+            log_p = np.log(a) + (a - 1.0) * np.log(t) - t ** a
         else:  # frank; tau_to_theta refused any family outside COPULA_FAMILIES
             c = np.expm1(-theta)
-            ce = c * np.exp(-s)
-            log_pp = np.log(-c) - s - 2.0 * np.log1p(ce) - np.log(theta)
-
-            def log_p(t):
-                cet = c * np.exp(-t)
-                return np.log(-cet) - np.log(theta) - np.log1p(cet)
-        return log_pp - log_p(pu) - log_p(pv)
+            log_pp = np.log(-c) - s - 2.0 * np.log1p(c * np.exp(-s)) - np.log(theta)
+            ct = c * np.exp(-t)
+            log_p = np.log(-ct) - np.log(theta) - np.log1p(ct)
+        return log_pp - log_p[0] - log_p[1]
 
 
 def fit_copula(family: str, pseudo, method: str = "tau") -> float:
@@ -440,20 +439,19 @@ def fit_copula(family: str, pseudo, method: str = "tau") -> float:
 def _pseudo_likelihood_theta(family: str, theta0: float, arr: np.ndarray, upper: tuple) -> float:
     """The pairwise pseudo-likelihood estimate, searched from theta0 (the tau
     estimate) up, for a count x d array ``arr`` inside (0, 1) and
-    ``upper = np.triu_indices(d, 1)``."""
-    pairs = list(zip(*upper))
+    ``upper = np.triu_indices(d, 1)``.  An evaluation scores every pair in one
+    density call; each pair's row is summed as np.sum sums it alone, and the
+    rows add left to right, so the loglik is a loop over pairs' bit for bit."""
+    uv = arr.T[np.array(upper)]  # (2, pairs, count), each row contiguous
     lo = {"clayton": 1e-6, "gumbel": 1.0 + 1e-9, "frank": 1e-6}[family]
 
     def neg(theta):
         if theta <= lo:
             return -_LOGLIK_FLOOR
-        total = 0.0
-        for i, j in pairs:
-            vals = _bivariate_log_density(family, float(theta), arr[:, i], arr[:, j])
-            if not np.all(np.isfinite(vals)):
-                return -_LOGLIK_FLOOR
-            total += float(np.sum(vals))
-        return -total
+        vals = _bivariate_log_density(family, float(theta), uv)
+        if not np.all(np.isfinite(vals)):
+            return -_LOGLIK_FLOOR
+        return -float(np.cumsum(np.sum(vals, axis=1))[-1])
 
     return minimize_bounded(neg, lo, max(theta0 * 10.0, lo + 50.0), xatol=1e-8)[0]
 

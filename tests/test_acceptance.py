@@ -23,7 +23,6 @@ X_i = a_i + Z_i <= b_i + Z_i = Y_i, so X_{2:n} <= Y_{2:n} pathwise and Y
 dominates X.  Control i in tests/test_controls.py pins this.
 """
 
-import itertools
 import os
 import time
 
@@ -64,6 +63,7 @@ from failsafekit.fitlab import (
 from failsafekit.generators import LogShape
 from failsafekit.mcsim import sample_copula
 from failsafekit.demos import clayton_pair, demo_grid, gumbel_barnett_pair
+from test_systems import brute_force_x2n
 
 FAST = GridPolicy(curve_points=300)
 
@@ -101,18 +101,6 @@ def test_criterion_02_clayton_demo_sign_change():
 
 
 # ---------------------------------------------------------------------- 3
-def brute_force_x2n(margs):
-    n = len(margs)
-    total = 0.0
-    for pattern in itertools.product((0, 1), repeat=n):
-        if sum(pattern) >= n - 1:
-            p = 1.0
-            for alive, u in zip(pattern, margs):
-                p *= u if alive else (1.0 - u)
-            total += p
-    return total
-
-
 def test_criterion_03_independence_oracle():
     rng = np.random.default_rng(1003)
     worst = 0.0

@@ -35,6 +35,7 @@ from failsafekit.fitlab import (
 )
 from failsafekit.fitlab import TauRangeError, _make_result
 from failsafekit.mcsim import _draw_times
+from failsafekit.scalar import minimize_bounded
 
 
 # ------------------------------------------------------------------ MLE
@@ -153,6 +154,21 @@ def test_mle_rejects_bad_data():
         mle_fit("burr", np.repeat([1e5, np.nextafter(1e5, 2e5)], 3))
     with pytest.raises(ValidationError):
         mle_fit("lognormal", np.arange(1.0, 9.0))
+
+
+def test_loglik_floors_bad_parameters_and_non_finite_densities():
+    data = np.array([2.0, 3.0])
+    for params in ((0.0, 1.0), (-1.0, 1.0), (1.0, np.inf), (np.nan, 1.0)):
+        assert fitlab._loglik("weibull", params, data) == fitlab._LOGLIK_FLOOR
+    # (x / scale) ** shape overflows, so the log density is -inf
+    assert fitlab._loglik("weibull", (1.0, 1e300), data) == fitlab._LOGLIK_FLOOR
+
+
+def test_mle_fit_refuses_data_with_no_finite_likelihood():
+    # the data span 616 decades, more than x / scale can hold at any shape
+    # the profile search tries, so every point it evaluates scores the floor
+    with pytest.raises(ValidationError, match="^weibull fit found no finite likelihood$"):
+        mle_fit("weibull", [1e-308] * 4 + [1e308])
 
 
 # ------------------------------------------------------------- ranking
@@ -382,7 +398,43 @@ def test_bivariate_log_density_is_mixed_partial_of_copula(family, theta):
     cop = lambda a, b: psi(g, phi(g, a) + phi(g, b))
     h = 1e-4
     fd = (cop(u + h, v + h) - cop(u + h, v - h) - cop(u - h, v + h) + cop(u - h, v - h)) / (4 * h * h)
-    assert_allclose(np.exp(fitlab._bivariate_log_density(family, theta, u, v)), fd, rtol=1e-5)
+    assert_allclose(np.exp(fitlab._bivariate_log_density(family, theta, np.stack([u, v]))), fd,
+                    rtol=1e-5)
+
+
+def _pseudo_likelihood_theta_per_pair(family, theta0, arr, upper):
+    """``_pseudo_likelihood_theta`` as it ran with a Python loop over pairs:
+    one density call per pair, each pair's values summed on their own and
+    added to a running float, the first non-finite pair scoring the floor."""
+    lo = {"clayton": 1e-6, "gumbel": 1.0 + 1e-9, "frank": 1e-6}[family]
+
+    def neg(theta):
+        if theta <= lo:
+            return -fitlab._LOGLIK_FLOOR
+        total = 0.0
+        for i, j in zip(*upper):
+            uv = np.stack([arr[:, i], arr[:, j]])
+            vals = fitlab._bivariate_log_density(family, float(theta), uv)
+            if not np.all(np.isfinite(vals)):
+                return -fitlab._LOGLIK_FLOOR
+            total += float(np.sum(vals))
+        return -total
+
+    return minimize_bounded(neg, lo, max(theta0 * 10.0, lo + 50.0), xatol=1e-8)[0]
+
+
+@pytest.mark.parametrize("family, theta, d, tied", [
+    *((family, theta, d, False) for family, theta in (("clayton", 1.5), ("gumbel", 1.7),
+                                                      ("frank", 4.0)) for d in (2, 3, 6)),
+    ("clayton", 1.5, 3, True),
+])
+def test_pseudo_likelihood_equals_the_per_pair_loop_bitwise(family, theta, d, tied):
+    u = sample_copula(GeneratorSpec(family, theta), d, 60, seed=d).uniforms
+    ps = pseudo_observations(np.round(u, 1) if tied else u)
+    upper = np.triu_indices(d, 1)
+    theta0 = fit_copula(family, ps)
+    got = fitlab._pseudo_likelihood_theta(family, theta0, ps, upper)
+    assert got.hex() == _pseudo_likelihood_theta_per_pair(family, theta0, ps, upper).hex()
 
 
 def test_fit_copula_mean_pairwise_above_two_dims():
@@ -626,13 +678,11 @@ def _cvm_by_definition(family, ps, child_seeds, method):
 @pytest.mark.parametrize("family,theta", [("clayton", 0.3), ("gumbel", 1.7), ("frank", 4.0)])
 def test_cvm_equals_one_replicate_at_a_time(family, theta, d, method, monkeypatch):
     # blocks of 25 replicates at m = 24, so boot_n 101 and 137 end in a
-    # partial block; clayton at 0.3 sends some replicates out of range.  A
-    # six-dimensional pseudo-likelihood replicate fits 15 pairs, so those
-    # cases run one boot_n only.
+    # partial block; clayton at 0.3 sends some replicates out of range
     m = 24
     monkeypatch.setattr(fitlab, "_BLOCK_BYTES", 25 * m * m)
     ps = pseudo_observations(sample_copula(GeneratorSpec(family, theta), d, m, seed=d).uniforms)
-    boot_ns = (101,) if (d, method) == (6, "pseudo_likelihood") else (100, 101, 137)
+    boot_ns = (100, 101, 137)
     seeds = np.random.SeedSequence(7).generate_state(boot_ns[-1], dtype=np.uint64)
     fitted, stat, outcomes = _cvm_by_definition(family, ps, seeds, method)
     for boot_n in boot_ns:
@@ -965,6 +1015,18 @@ def test_manifest_loads_and_has_tolerances():
     assert manifest["marginal_aic_order"][0] == "weibull"
     assert manifest["preferred_copula"] == "clayton"
     assert manifest["tolerances"] == {"theta": 0.1, "p_value": 0.1}
+
+
+def test_reference_comparison_skips_a_copula_the_run_did_not_score():
+    manifest = load_reference_manifest()
+    ranking = rank_models([_make_result(fam, {"p": 1.0}, -10.0 - i, 50, True, "d")
+                           for i, fam in enumerate(manifest["marginal_aic_order"])])
+    gof = fitlab.GofResult("clayton", 1.1, 0.06, 0.3, 100, 0, 1)
+    out = fitlab.compare_to_reference({"clayton": gof}, ranking, manifest, "clayton")
+    # gumbel and frank are in the manifest, but the run scored neither
+    assert out == {"aic_order_matches": True, "preferred_copula_matches": True, "copulas": {
+        "clayton": {"theta_within_tol": True, "p_value_within_tol": True,
+                    "theta": 1.1, "p_value": 0.3}}}
 
 
 @pytest.mark.parametrize("call, message", [

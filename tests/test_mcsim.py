@@ -30,13 +30,9 @@ from failsafekit.mcsim import (
     _sample_log_series,
     _sample_positive_stable,
 )
+from test_systems import scale_exp_system
 
 N_BIG = 100_000
-
-
-def scale_exp_system(gen, thetas):
-    m = SemiParamModel("scale", BaselineSpec("exponential", (1.0,)))
-    return SystemSpec(len(thetas), m, tuple(thetas), gen)
 
 
 # ------------------------------------------------------------- uniforms

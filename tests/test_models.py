@@ -27,6 +27,7 @@ from failsafekit import (
 )
 from failsafekit.models import (
     _FAMILIES,
+    _cf_depth,
     _gamma_plan,
     _geomspace,
     _horner,
@@ -193,6 +194,13 @@ def test_gamma_shape_above_the_term_budget_is_refused():
                 fn(b, arg)
     # the density needs no term budget: fits may reach any shape
     assert np.isfinite(log_pdf(BaselineSpec("gamma", (1e10, 1e7)), 1000.0))
+
+
+def test_incomplete_gamma_fraction_refuses_a_shape_it_cannot_settle():
+    # _gamma_plan refuses every shape above GAMMA_SHAPE_MAX before sizing the
+    # fraction; at 100 times that the fraction does not settle in 300 levels
+    with pytest.raises(ValidationError, match=r"did not settle at shape 1e\+06$"):
+        _cf_depth(100 * GAMMA_SHAPE_MAX, 100 * GAMMA_SHAPE_MAX + 1.0)
 
 
 def test_exp_weibull_lower_tail_keeps_its_digits():

@@ -1,5 +1,6 @@
-"""The inputs the scalar ports refuse.  Their bit-for-bit parity with SciPy
-is checked in ``tests/test_with_scipy.py``."""
+"""The inputs the scalar ports refuse, and the bracket ends brentq returns
+as they are.  Their bit-for-bit parity with SciPy is checked in
+``tests/test_with_scipy.py``."""
 
 import math
 
@@ -32,3 +33,14 @@ def test_brentq_refuses_a_bracket_without_a_sign_change():
 def test_brentq_refuses_a_nan_value():
     with pytest.raises(ValidationError, match="is NaN"):
         scalar.brentq(lambda x: math.nan if x > 0.0 else -1.0, -1.0, 1.0, xtol=1e-12)
+
+
+@pytest.mark.parametrize("f, root", [(lambda x: x, 0.0), (lambda x: x - 1.0, 1.0)])
+def test_brentq_returns_a_bracket_end_that_is_an_exact_root(f, root):
+    assert scalar.brentq(f, 0.0, 1.0, xtol=1e-12) == root
+
+
+def test_brentq_refuses_a_search_that_runs_out_of_iterations():
+    # a step at 1 bracketed by [0, 1e300]: bisection needs about 1000 halvings
+    with pytest.raises(ValidationError, match="did not converge in 100 iterations"):
+        scalar.brentq(lambda x: -1.0 if x < 1.0 else 1.0, 0.0, 1e300, xtol=1e-12)
